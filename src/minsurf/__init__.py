@@ -7,6 +7,7 @@ Chern-Osserman / Gackstatter / Ejiri bounds, and mesh export.
 
 __version__ = "0.1.0"
 
+from . import quadrature  # path-integral reference evaluator for cross-checks
 from .catalog import (
     CatalogEntry,
     catenoid,

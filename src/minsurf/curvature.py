@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, DegenerateInputError, InternalConsistencyError
+from .errors import (
+    ConvergenceFailureError,
+    DegenerateInputError,
+    InternalConsistencyError,
+    NumericInstabilityError,
+)
 from .rational import multi_gcd, roots
 from .weierstrass import (
     WeierstrassData,
@@ -253,7 +258,12 @@ def gackstatter_and_ejiri(w: WeierstrassData, gmap: GaussMap | None = None,
 
 def curvature_report(w: WeierstrassData, tc_tol: float = 1e-3,
                      numeric: bool = True) -> CurvatureReport:
-    """Complete curvature report for a validated datum."""
+    """Complete curvature report for a validated datum.
+
+    With ``numeric`` the Green-identity value must agree with -2 pi d to
+    ``tc_tol`` (relative to max(1, 2 pi d)); a disagreement raises
+    ``NumericInstabilityError`` rather than report a wrong number.
+    """
     g = gauss_map(w)
     rep = chern_osserman(w, g)
     full, l = fullness_and_degeneracy(w, g)
@@ -265,5 +275,13 @@ def curvature_report(w: WeierstrassData, tc_tol: float = 1e-3,
     rep.ejiri_rhs = ineq.ejiri_rhs
     rep.ejiri_equality = ineq.ejiri_equality
     if numeric:
-        rep.tc_numeric = total_curvature_numeric(w, tol=tc_tol)
+        tc = total_curvature_numeric(w, tol=tc_tol)
+        if abs(tc - rep.tc_algebraic) > tc_tol * max(1.0, abs(rep.tc_algebraic)):
+            raise NumericInstabilityError(
+                f"numeric total curvature {tc:.6f} disagrees with -2 pi d = "
+                f"{rep.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
+                diagnostics={"tc_numeric": tc, "tc_algebraic": rep.tc_algebraic,
+                             "tc_tol": tc_tol},
+            )
+        rep.tc_numeric = tc
     return rep

@@ -12,9 +12,10 @@ sphere, rescaled to the unit sphere, limits on a (k-1)-fold covered great
 circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
 
 Near-end immersion values are computed from the termwise-integrated Laurent
-series anchored to the global path integral at a reference radius; this is
-the immersion itself to spectral accuracy and reaches radii far below the
-path-quadrature clearance.
+series in the local coordinate, its constant fixed by the closed-form
+immersion at a reference radius; this is the immersion itself to spectral
+accuracy, and working in t keeps full relative precision at radii far below
+the evaluation clearance, where z = p + t would round t away.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class LocalImmersion:
     """The immersion near one end, via its integrated Laurent expansion.
 
     f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C, with the
-    constant C fixed once by matching the global path integral at a reference
-    radius.  Valid for |t| below roughly half the distance to the next
-    singularity; only Re(log) enters, so the log branch is immaterial (the
-    residue vector is real for valid data).
+    constant C fixed once by matching the closed-form immersion
+    (``immersion_eval``) at a reference radius.  Valid for |t| below roughly
+    half the distance to the next singularity; only Re(log) enters, so the
+    log branch is immaterial (the residue vector is real for valid data).
     """
 
     def __init__(self, w: WeierstrassData, p, depth: int = 40, r_ref: float | None = None):

@@ -17,6 +17,10 @@ class EvaluationNearSingularityError(MinsurfError, ValueError):
     """Requested evaluation point is at or within clearance of a puncture."""
 
 
+class NonRealResidueError(MinsurfError, ValueError):
+    """A residue of the form is not real: the immersion is not single-valued."""
+
+
 class SingularMetricError(MinsurfError, ValueError):
     """Metric quantity requested at a puncture, where it is singular."""
 

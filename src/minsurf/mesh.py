@@ -14,10 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
+from .errors import EvaluationNearSingularityError
 from .rational import is_infinity
-from .weierstrass import WeierstrassData, immersion_delta, immersion_eval
+from .weierstrass import WeierstrassData, immersion_eval
 
 __all__ = ["ParamTriangulation", "SurfaceMesh", "sample_domain", "build_mesh", "export_obj"]
 
@@ -88,9 +88,13 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     """Triangulated parameter domain: fans around every end plus a filled center.
 
     Overlapping fan disks (punctures closer than 2 r_max) shrink r_max
-    automatically with a warning.  The chart is covered out to a finite outer
-    radius; when infinity is an end its fan provides the outer boundary.
+    automatically with a warning, and r_min is raised to the evaluation
+    clearance of the datum when it lies below it.  The chart is covered out
+    to a finite outer radius; when infinity is an end its fan provides the
+    outer boundary.
     """
+    from scipy.spatial import Delaunay  # deferred: most of import minsurf's time
+
     if not (0.0 < r_min < r_max):
         raise ValueError("require 0 < r_min < r_max")
     if res < 8:
@@ -109,6 +113,13 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
             warnings.warn(f"infinity fan overlaps finite fans; shrinking r_max to {r_max:.3g}")
     if r_max <= r_min:
         r_min = r_max / 4.0
+    if fin and r_min < w.clearance:
+        if r_max <= w.clearance:
+            raise EvaluationNearSingularityError(
+                f"r_max {r_max:.3g} is within the evaluation clearance {w.clearance:.3g}"
+            )
+        r_min = w.clearance
+        warnings.warn(f"r_min below the evaluation clearance; raising it to {r_min:.3g}")
 
     pool = _NodePool()
     triangles: list[tuple] = []
@@ -171,41 +182,11 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
 
 
 def build_mesh(w: WeierstrassData, tri: ParamTriangulation) -> SurfaceMesh:
-    """Evaluate the immersion at every parameter node.
-
-    One full path integral anchors the node nearest the basepoint; the rest
-    are reached incrementally along triangulation edges (breadth-first), which
-    path independence makes equivalent to direct evaluation.
-    """
-    nodes = tri.nodes
-    nv = nodes.size
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for a, b, c in tri.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            adj[u].append(v)
-            adj[v].append(u)
-
-    root = int(np.argmin(np.abs(nodes - w.basepoint)))
-    vertices = np.zeros((nv, w.n))
-    seen = np.zeros(nv, dtype=bool)
-    vertices[root] = immersion_eval(w, nodes[root])
-    seen[root] = True
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(set(adj[u])):
-            if seen[v]:
-                continue
-            vertices[v] = vertices[u] + immersion_delta(w, nodes[u], nodes[v])
-            seen[v] = True
-            queue.append(v)
-    for v in range(nv):
-        if not seen[v]:  # isolated node (no triangle references it)
-            vertices[v] = immersion_eval(w, nodes[v])
-
+    """Evaluate the immersion at every parameter node (one closed-form call)."""
+    vertices = immersion_eval(w, tri.nodes).T.copy()
     projection = _default_projection(vertices)
     return SurfaceMesh(vertices=vertices, faces=tri.triangles.copy(),
-                       param=nodes.copy(), projection=projection)
+                       param=tri.nodes.copy(), projection=projection)
 
 
 def _default_projection(vertices: np.ndarray) -> tuple:

@@ -1,5 +1,7 @@
 """Adaptive Gauss-Kronrod contour integration along puncture-avoiding paths.
 
+The reference evaluator against which the closed-form immersion of
+``weierstrass`` is cross-checked: no evaluation path of the library calls it.
 Integrands are vector-valued (one component per coordinate of the immersion)
 and analytic away from the punctures, so a G7/K15 pair with bisection gives
 geometric convergence.  Paths are polylines whose legs are rerouted around

@@ -32,6 +32,8 @@ __all__ = [
     "poly_gcd",
     "roots",
     "laurent_expand",
+    "PartialFractions",
+    "partial_fractions",
     "residue",
     "compose_mobius",
 ]
@@ -579,6 +581,39 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
             c = near[0]
     rel, coeffs = _series_quotient(r.num.shift(c), r.den.shift(c), depth)
     return LaurentSeries(c, rel, coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class PartialFractions:
+    """r(z) = poly(z) + sum over poles p of sum_l principal[l-1] (z - p)^(-l).
+
+    ``poles`` holds (p, principal) pairs; ``principal[0]`` is the residue.
+    """
+
+    poly: ComplexPoly
+    poles: tuple
+
+
+def partial_fractions(r: RationalMap) -> PartialFractions:
+    """Polynomial part and principal parts at every finite pole.
+
+    One ``roots`` call on the denominator locates the poles; the principal
+    part at each is read off the Laurent quotient of the shifted numerator
+    and denominator at that root (no further root finding).
+    """
+    r = _as_rational(r)
+    if r.is_zero:
+        return PartialFractions(ComplexPoly(), ())
+    if r.den.degree() < 1:
+        return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
+    quo, _rem = npoly.polydiv(r.num.coeffs, r.den.coeffs)
+    depth = r.den.degree()
+    poles = []
+    for p, _m in roots(r.den):
+        order, coeffs = _series_quotient(r.num.shift(p), r.den.shift(p), depth)
+        if order < 0:
+            poles.append((p, coeffs[-order - 1::-1].copy()))
+    return PartialFractions(ComplexPoly(quo), tuple(poles))
 
 
 def residue(r: RationalMap, pole) -> complex:

@@ -21,6 +21,7 @@ reduced) WeierstrassData.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -56,15 +57,25 @@ class WdDocument:
         return WeierstrassData(phi, punctures=punctures, basepoint=basepoint, label=self.label)
 
 
+def _is_number(x) -> bool:
+    """A JSON number in the finite float range (booleans, NaN, infinities are not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _pairs(raw, what: str):
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what} must be a non-empty list of [re, im] pairs")
     out = []
     for item in raw:
-        if (not isinstance(item, list)) or len(item) != 2 or not all(
-            isinstance(x, (int, float)) for x in item
-        ):
-            raise ParseError(f"{what} entries must be [re, im] number pairs, got {item!r}")
+        if (not isinstance(item, list)) or len(item) != 2 or not all(map(_is_number, item)):
+            raise ParseError(
+                f"{what} entries must be [re, im] pairs of finite numbers, got {item!r}"
+            )
         out.append([item[0], item[1]])
     return out
 
@@ -77,10 +88,12 @@ def loads(text: str) -> WdDocument:
     if not isinstance(raw, dict):
         raise ParseError("top-level document must be an object")
     try:
-        n = int(raw["n"])
+        n = raw["n"]
         comps_raw = raw["components"]
     except KeyError as exc:
         raise ParseError(f"missing required field {exc.args[0]!r}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"'n' must be an integer, got {n!r}")
     if not isinstance(comps_raw, list) or len(comps_raw) != n:
         raise ParseError(f"expected {n} components, got {len(comps_raw) if isinstance(comps_raw, list) else 'non-list'}")
     components = []

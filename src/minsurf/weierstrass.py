@@ -4,8 +4,17 @@ A datum is an n-tuple of rational maps phi_j with d f_j = 2 Re(phi_j dz),
 together with the puncture set (the ends) on the Riemann sphere.  This module
 checks the structural requirements -- the null (conformality) identity
 sum phi_j^2 = 0, reality of all residues, and complete finite-total-curvature
-end orders mu <= -2 -- and evaluates the immersion f = 2 Re int phi dz and its
-conformal factor.
+end orders mu <= -2 -- and evaluates the immersion and its conformal factor.
+
+The immersion is evaluated in closed form, not by path integration.  Split
+each component into partial fractions, phi_j = q_j + sum_p sum_l c_{p,l}
+(z - p)^(-l); with real residues c_{p,1} (genus zero, closed periods)
+
+    f_j(z) = 2 Re[Q_j(z) + sum_p sum_{l>=2} c_{p,l} (z - p)^(1-l) / (1-l)]
+             + 2 sum_p c_{p,1} log|z - p|  + const,    Q_j' = q_j,
+
+the classical explicit form (Osserman, Ann. Math. 80, 1964; Jorge-Meeks,
+Topology 22, 1983).  The partial-fraction table is built once per datum.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -13,15 +22,17 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateInputError,
     EvaluationNearSingularityError,
+    NonRealResidueError,
     SingularMetricError,
 )
-from .quadrature import integrate_vector, route_path, route_segment
 from .rational import (
     INF,
     ComplexPoly,
@@ -30,6 +41,7 @@ from .rational import (
     compose_mobius,
     is_infinity,
     laurent_expand,
+    partial_fractions,
     points_equal,
     roots,
 )
@@ -55,7 +67,7 @@ __all__ = [
 
 NULL_TOL = 1e-10        # relative residual for the null identity
 RESIDUE_IMAG_TOL = 1e-10
-CLEARANCE_FACTOR = 1e-3  # path clearance = factor * min puncture separation
+CLEARANCE_FACTOR = 1e-3  # evaluation clearance = factor * min puncture separation
 
 
 def _as_rational_tuple(phi):
@@ -103,7 +115,12 @@ class WeierstrassData:
 
     @property
     def clearance(self) -> float:
+        """Radius around each finite puncture where evaluation is refused."""
         return CLEARANCE_FACTOR * self.min_separation
+
+    @cached_property
+    def _closed_form(self) -> "_ClosedForm":
+        return _ClosedForm(self)
 
     def _default_basepoint(self) -> complex:
         fin = self.finite_punctures
@@ -123,8 +140,8 @@ class WeierstrassData:
     def validate(self) -> "ValidationReport":
         return validate(self)
 
-    def immersion(self, z, via=None):
-        return immersion_eval(self, z, via=via)
+    def immersion(self, z):
+        return immersion_eval(self, z)
 
     def metric_order_at(self, p) -> int:
         return metric_order_at(self, p)
@@ -341,17 +358,20 @@ def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
     return np.array([0j if s is None else s.coefficient(-1) for s in series])
 
 
+def _residues_real(residues, tol: float):
+    """(ok, worst imaginary part): imaginary parts within tol (1 + max |residue|)."""
+    res = np.asarray(residues, dtype=complex).ravel()
+    if not res.size:
+        return True, 0.0
+    worst = float(np.max(np.abs(res.imag)))
+    return worst <= tol * (1.0 + float(np.max(np.abs(res)))), worst
+
+
 def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> ResidueCheck:
     """All residues of the form at all ends must be real (period closing)."""
-    worst = 0.0
-    per_end = []
-    for p in w.punctures:
-        res = form_residue_vector(w, p)
-        per_end.append((p, res))
-        if res.size:
-            worst = max(worst, float(np.max(np.abs(res.imag))))
-    ok = worst <= tol * (1.0 + max((float(np.max(np.abs(r))) for _, r in per_end), default=0.0))
-    return ResidueCheck(ok=ok, worst_imag=worst, residues=tuple(per_end))
+    per_end = tuple((p, form_residue_vector(w, p)) for p in w.punctures)
+    ok, worst = _residues_real([r for _, r in per_end], tol)
+    return ResidueCheck(ok=ok, worst_imag=worst, residues=per_end)
 
 
 def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
@@ -400,45 +420,79 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     )
 
 
-def _phi_eval(w: WeierstrassData):
-    def f(zs):
-        zs = np.asarray(zs, dtype=complex)
-        return np.stack([r(zs) for r in w.phi])
+class _ClosedForm:
+    """Partial-fraction table of a datum: the immersion up to its constant.
 
-    return f
-
-
-def immersion_eval(w: WeierstrassData, z, via=None, epsabs: float = 1e-12,
-                   epsrel: float = 1e-10) -> np.ndarray:
-    """f(z) = 2 Re int_{z0}^{z} phi dz along a puncture-avoiding path.
-
-    Path independence holds because all residues are real (only the real part
-    is taken), so any admissible path gives the same value.  The optional
-    ``via`` waypoints perturb the path (used to test exactly that).
+    Per component, the coefficients of Q_j (ascending) and, per finite pole,
+    (p, real residue, coefficients of t^1, t^2, ... with t = 1/(z - p)) of
+    the integrated principal part.
     """
-    z = complex(z)
+
+    def __init__(self, w: WeierstrassData):
+        components = []
+        residues = []
+        for r in w.phi:
+            pf = partial_fractions(r)
+            q = pf.poly.coeffs
+            anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)]) if q.size else q
+            terms = []
+            for p, c in pf.poles:
+                residues.append(c[0])
+                terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
+            components.append((anti, tuple(terms)))
+        ok, worst = _residues_real(residues, RESIDUE_IMAG_TOL)
+        if not ok:
+            raise NonRealResidueError(
+                f"non-real residue (imaginary part {worst:.3e}): the immersion "
+                "has a period and no single-valued closed form"
+            )
+        self.components = tuple(components)
+        self.origin = self.primitive(np.asarray(w.basepoint))
+
+    def primitive(self, z: np.ndarray) -> np.ndarray:
+        """The immersion plus a fixed constant at z; shape (n,) + z.shape."""
+        out = np.empty((len(self.components),) + z.shape)
+        for j, (anti, terms) in enumerate(self.components):
+            hol = npoly.polyval(z, anti) if anti.size else np.zeros(z.shape, dtype=complex)
+            logs = np.zeros(z.shape)
+            for p, res, powers in terms:
+                d = z - p
+                if powers.size:
+                    t = 1.0 / d
+                    hol = hol + t * npoly.polyval(t, powers)
+                logs = logs + res * np.log(np.abs(d))
+            out[j] = 2.0 * (np.real(hol) + logs)
+        return out
+
+
+def _refuse_near_punctures(w: WeierstrassData, z: np.ndarray) -> None:
     clearance = w.clearance
     for p in w.finite_punctures:
-        if abs(z - p) < clearance:
+        dist = np.abs(z - p)
+        if dist.size and float(dist.min()) < clearance:
+            near = complex(z.flat[int(np.argmin(dist))])
             raise EvaluationNearSingularityError(
-                f"evaluation point {z} within clearance {clearance:.3e} of puncture {p}"
+                f"evaluation point {near} within clearance {clearance:.3e} of puncture {p}"
             )
-    waypoints = [w.basepoint, *(complex(v) for v in (via or [])), z]
-    pieces = route_path(waypoints, w.finite_punctures, clearance)
-    if not pieces:
-        return np.zeros(w.n)
-    val, _err = integrate_vector(_phi_eval(w), pieces, epsabs=epsabs, epsrel=epsrel)
-    return 2.0 * val.real
 
 
-def immersion_delta(w: WeierstrassData, z1, z2, epsabs: float = 1e-13,
-                    epsrel: float = 1e-12) -> np.ndarray:
-    """f(z2) - f(z1) integrated directly along the segment (rerouted if needed)."""
-    pieces = route_segment(complex(z1), complex(z2), w.finite_punctures, w.clearance)
-    if not pieces:
-        return np.zeros(w.n)
-    val, _err = integrate_vector(_phi_eval(w), pieces, epsabs=epsabs, epsrel=epsrel)
-    return 2.0 * val.real
+def immersion_eval(w: WeierstrassData, z) -> np.ndarray:
+    """f(z) = 2 Re int_{z0}^{z} phi dz from the closed form; f(basepoint) = 0.
+
+    ``z`` is a point or an array of points; the result has shape
+    (n,) + shape of z.  Points within the clearance of a finite puncture are
+    refused.  Data with a non-real residue raise ``NonRealResidueError``:
+    their integral depends on the path.
+    """
+    z = np.asarray(z, dtype=complex)
+    _refuse_near_punctures(w, z)
+    form = w._closed_form
+    return form.primitive(z) - form.origin.reshape((-1,) + (1,) * z.ndim)
+
+
+def immersion_delta(w: WeierstrassData, z1, z2) -> np.ndarray:
+    """f(z2) - f(z1) (points or arrays, as immersion_eval)."""
+    return immersion_eval(w, z2) - immersion_eval(w, z1)
 
 
 def conformal_factor(w: WeierstrassData, z) -> MetricSample:

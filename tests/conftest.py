@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
+from minsurf.quadrature import integrate_vector, route_path
 from minsurf.rational import is_infinity
 
 
@@ -70,3 +71,13 @@ def well_conditioned_mobius(w, rng):
         if all(abs(pts[i] - pts[j]) >= 0.15
                for i in range(len(pts)) for j in range(i + 1, len(pts))):
             return tuple(mob)
+
+
+def path_integral(w, waypoints):
+    """2 Re int phi dz along the polyline through ``waypoints``, by adaptive
+    Gauss-Kronrod quadrature with detours around the punctures: the
+    reference the closed-form immersion is checked against."""
+    pieces = route_path([complex(z) for z in waypoints], w.finite_punctures, w.clearance)
+    val, _err = integrate_vector(lambda zs: np.stack([r(zs) for r in w.phi]), pieces,
+                                 epsabs=1e-12, epsrel=1e-10)
+    return 2.0 * val.real

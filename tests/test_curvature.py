@@ -15,6 +15,7 @@ from minsurf.curvature import (
     total_curvature_algebraic,
     total_curvature_numeric,
 )
+from minsurf.errors import NumericInstabilityError
 from minsurf.weierstrass import mobius_precompose
 
 
@@ -75,6 +76,21 @@ class TestTotalCurvature:
     def test_jorge_meeks_m2_numeric(self, jm2):
         tc = total_curvature_numeric(jm2.data, tol=1e-3)
         assert abs(tc + 8 * math.pi) <= 1e-3 * 8 * math.pi
+
+    def test_wrong_sign_numeric_refused(self, catenoid, enneper):
+        # an Enneper chart with a finite end, drawn as the benchmark draws its
+        # Moebius charts (seed 2001, catenoid first): the Green-identity value
+        # comes out +4 pi; it must be refused, not reported
+        from conftest import well_conditioned_mobius
+
+        rng = np.random.default_rng(2001)
+        well_conditioned_mobius(catenoid.data, rng)
+        w = mobius_precompose(enneper.data, well_conditioned_mobius(enneper.data, rng))
+        with pytest.raises(NumericInstabilityError) as err:
+            curvature_report(w, tc_tol=1e-3)
+        diag = err.value.diagnostics
+        assert diag["tc_algebraic"] == pytest.approx(-4 * math.pi)
+        assert diag["tc_numeric"] == pytest.approx(4 * math.pi, rel=1e-3)
 
 
 class TestChernOsserman:

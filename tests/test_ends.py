@@ -183,12 +183,29 @@ class TestEqualityEquivalence:
 
 class TestLocalImmersion:
     def test_matches_path_integral(self, jm2):
+        from conftest import path_integral
+
         w = jm2.data
         loc = LocalImmersion(w, w.punctures[0])
         r = 0.12
         for theta in (0.3, 2.1, 4.4):
             t = r * np.exp(1j * theta)
             z = loc.global_point(t)
-            direct = ms.immersion_eval(w, z)
+            direct = path_integral(w, [w.basepoint, z])
             local = loc(np.array([t]))[:, 0]
             assert np.max(np.abs(direct - local)) < 1e-8
+
+    def test_builds_where_the_anchor_path_passes_an_end(self, enneper):
+        # an Enneper chart whose straight basepoint-to-anchor path runs close
+        # past the order -4 end; the anchor is closed-form, so no path matters
+        mob = (complex(0.04931968294274557, -1.1429566337463961),
+               complex(-2.1666121593182464, 0.5995576979640092),
+               complex(0.7238102522772645, -0.8764085171864693),
+               complex(-1.0714959570851907, 0.8228349505059208))
+        w = ms.mobius_precompose(enneper.data, mob)
+        (p,) = w.punctures
+        loc = LocalImmersion(w, p)
+        assert loc.mu == -4
+        t = 0.3 * loc.r_ref * np.exp(0.7j)
+        direct = ms.immersion_eval(w, loc.global_point(t))
+        assert np.max(np.abs(loc(np.array([t]))[:, 0] - direct)) < 1e-8 * np.max(np.abs(direct))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
+from minsurf.errors import EvaluationNearSingularityError
 from minsurf.mesh import SurfaceMesh, build_mesh, export_obj, sample_domain
 from minsurf.weierstrass import conformal_factor
 
@@ -105,6 +106,52 @@ class TestBuildMesh:
             assert abs(ds - lam * abs(dz)) < 0.1 * lam * abs(dz)
             checked += 1
         assert checked > 0
+
+    def test_jorge_meeks_m3_vertices_match_mpmath(self):
+        # vertex differences from the basepoint against 2 Re int phi dz by
+        # mpmath.quad at 20 digits: out along the sector bisector of the ends,
+        # then along the circle |z| = |v| to the vertex, which stays in one
+        # sector and so never meets an end
+        mpmath = pytest.importorskip("mpmath")
+        w = ms.generalized_jorge_meeks(3).data
+        mesh = build_mesh(w, sample_domain(w, r_min=0.02, r_max=0.5, res=32))
+        sector = 2 * np.pi / len(w.punctures)
+        forms = [(r.num.coeffs[::-1].tolist(), r.den.coeffs[::-1].tolist()) for r in w.phi]
+
+        def integral(num, den, path, velocity):
+            # int phi_j dz along z = path(s), 0 <= s <= 1
+            with mpmath.workdps(20):
+                return mpmath.quad(lambda s: mpmath.polyval(num, path(s))
+                                   / mpmath.polyval(den, path(s)) * velocity(s), [0, 1])
+
+        rng = np.random.default_rng(2718)
+        for k in rng.choice(mesh.param.size, size=3, replace=False):
+            z = complex(mesh.param[k])
+            rho, theta = abs(z), np.angle(z)
+            mid = sector * (np.floor(theta / sector) + 0.5)
+            ray = (lambda s: s * rho * mpmath.expj(mid), lambda s: rho * mpmath.expj(mid))
+            angle = lambda s: mid + s * (theta - mid)
+            arc = (lambda s: rho * mpmath.expj(angle(s)),
+                   lambda s: 1j * rho * (theta - mid) * mpmath.expj(angle(s)))
+            ref = np.array([float(2 * mpmath.re(integral(*form, *ray) + integral(*form, *arc)))
+                            for form in forms])
+            assert np.max(np.abs(mesh.vertices[k] - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    def test_r_min_raised_to_clearance(self):
+        # JM m = 1 with its ends 200 apart: the clearance (0.2) exceeds r_min
+        w = ms.mobius_precompose(ms.generalized_jorge_meeks(1).data, (1, 0, 0, 100))
+        with pytest.warns(UserWarning, match="clearance"):
+            tri = sample_domain(w, r_min=0.01, r_max=10.0, res=8)
+        dist = np.min(np.abs(tri.nodes[:, None] - np.array(w.finite_punctures)), axis=1)
+        assert dist.min() >= w.clearance * (1 - 1e-9)
+        assert np.all(np.isfinite(build_mesh(w, tri).vertices))
+
+    def test_fan_inside_clearance_refused(self):
+        # the catenoid moved to 1000: the infinity fan forces r_max to 5e-4,
+        # inside the clearance 1e-3, so no finite fan can be sampled
+        w = ms.mobius_precompose(ms.catenoid().data, (1, -1000, 0, 1))
+        with pytest.warns(UserWarning), pytest.raises(EvaluationNearSingularityError):
+            sample_domain(w, r_min=0.01, r_max=0.5, res=8)
 
 
 class TestExportObj:

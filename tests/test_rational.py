@@ -9,6 +9,7 @@ from minsurf.rational import (
     ComplexPoly,
     RationalMap,
     laurent_expand,
+    partial_fractions,
     poly_arith,
     poly_gcd,
     residue,
@@ -178,6 +179,40 @@ class TestLaurent:
                 err = abs(r(c + h) - s(h))
                 ratios.append(err / h ** (s.order + depth + 1))
             assert ratios[-1] <= 10.0 * ratios[0] + 1e-6
+
+
+class TestPartialFractions:
+    def test_reconstructs_random_rationals(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            num = rng.normal(size=rng.integers(1, 7)) + 1j * rng.normal(size=1)
+            den = rng.normal(size=rng.integers(2, 6)) + 1j * rng.normal(size=1)
+            r = RationalMap(num, den)
+            pf = partial_fractions(r)
+            for z in rng.normal(size=4) * 3 + 1j * rng.normal(size=4) * 3:
+                val = pf.poly(z) + sum(
+                    np.polyval(c[::-1], 1 / (z - p)) / (z - p) for p, c in pf.poles
+                )
+                assert abs(val - r(z)) <= 1e-9 * (1 + abs(r(z)))
+
+    def test_catenoid_components_by_hand(self, catenoid):
+        # (1 - z^2)/(2 z^2) = -1/2 + (1/2) z^-2; 1/z has residue 1
+        pf = partial_fractions(catenoid.data.phi[0])
+        assert np.allclose(pf.poly.coeffs, [-0.5])
+        (p, c), = pf.poles
+        assert abs(p) < 1e-12 and np.allclose(c, [0, 0.5])
+        (p, c), = partial_fractions(catenoid.data.phi[2]).poles
+        assert abs(p) < 1e-12 and np.allclose(c, [1])
+
+    def test_one_roots_call(self, monkeypatch):
+        import minsurf.rational as rat
+
+        r = RationalMap([1, 2, 3, 4, 5, 6], [0, 0, -1, 0, 0, 1])
+        calls = []
+        real_roots = rat.roots
+        monkeypatch.setattr(rat, "roots", lambda p: calls.append(p) or real_roots(p))
+        assert len(partial_fractions(r).poles) == 4
+        assert len(calls) == 1
 
 
 class TestResidue:

@@ -101,6 +101,31 @@ class TestCliVerify:
         assert run_cli("verify", "/nonexistent/x.wd").returncode == 2
 
 
+class TestCliStrictParse:
+    """Malformed numbers are parse errors: exit 2, no traceback."""
+
+    @pytest.fixture()
+    def catenoid_doc(self, catenoid):
+        return json.loads(wdfile.dumps(wdfile.document_from_data(catenoid.data)))
+
+    def _analyze(self, tmp_path, doc):
+        path = tmp_path / "edited.wd"
+        path.write_text(json.dumps(doc))
+        out = run_cli("analyze", path)
+        assert out.returncode == 2
+        assert "parse error" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("n", ["abc", 3.9, True])
+    def test_non_integer_n(self, tmp_path, catenoid_doc, n):
+        self._analyze(tmp_path, dict(catenoid_doc, n=n))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_non_finite_coefficient(self, tmp_path, catenoid_doc, value):
+        catenoid_doc["components"][0]["num"][0][0] = value
+        self._analyze(tmp_path, catenoid_doc)
+
+
 class TestCliAnalyze:
     def test_report_content_and_determinism(self, tmp_path):
         wd = tmp_path / "jm2.wd"

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf.errors import EvaluationNearSingularityError, SingularMetricError
+from minsurf.errors import (
+    EvaluationNearSingularityError,
+    NonRealResidueError,
+    SingularMetricError,
+)
 from minsurf.rational import INF, RationalMap, is_infinity, laurent_expand
 from minsurf.weierstrass import (
     WeierstrassData,
@@ -135,18 +139,42 @@ class TestImmersion:
             immersion_eval(catenoid.data, 1e-8 + 0j)
 
     def test_path_independence_randomized(self, jm2):
+        # the closed form equals the path integral along random detours
+        from conftest import path_integral
+
         w = jm2.data
         rng = np.random.default_rng(23)
         target = 1.5 + 0.5j
-        direct = immersion_eval(w, target)
+        closed = immersion_eval(w, target)
         done = 0
         while done < 10:
             via = [complex(rng.normal() * 2, rng.normal() * 2) for _ in range(2)]
             if any(abs(v - p) < 0.1 for v in via for p in w.finite_punctures):
                 continue
-            alt = immersion_eval(w, target, via=via)
-            assert np.max(np.abs(direct - alt)) < 1e-8
+            alt = path_integral(w, [w.basepoint, *via, target])
+            assert np.max(np.abs(closed - alt)) < 1e-8
             done += 1
+
+    @pytest.mark.parametrize("eps, real", [(1e-10, True), (4e-10, False)])
+    def test_non_real_residue_refused(self, catenoid, eps, real):
+        # catenoid with residue 1 + i eps at 0: the tolerance is 1e-10 (1 + 1),
+        # the same for validation and for evaluation
+        phi = catenoid.data.phi[:2] + (RationalMap([1 + 1j * eps], [0, 1]),)
+        w = WeierstrassData(phi, punctures=catenoid.data.punctures, basepoint=0.5)
+        assert check_residues_real(w).ok is real
+        if real:
+            assert np.all(np.isfinite(immersion_eval(w, 1 + 1j)))
+        else:
+            with pytest.raises(NonRealResidueError):
+                immersion_eval(w, 1 + 1j)
+
+    def test_vectorized_matches_pointwise(self, jm2):
+        zs = np.array([[1.5 + 0.5j, -0.3 + 0.2j], [0.4 - 1.1j, 2.0 + 0j]])
+        got = immersion_eval(jm2.data, zs)
+        assert got.shape == (jm2.data.n, 2, 2)
+        for idx in np.ndindex(zs.shape):
+            one = immersion_eval(jm2.data, zs[idx])
+            assert np.max(np.abs(got[(slice(None),) + idx] - one)) <= 1e-13 * np.max(np.abs(one))
 
 
 class TestConformalFactor:
