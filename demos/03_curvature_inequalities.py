@@ -27,8 +27,8 @@ for entry in ms.catalog.entries():
     print(f"{entry.name:<30}{entry.data.n:>3}{rep.m:>3}{rep.chi:>5}{rep.d:>3}"
           f"{rep.tc_pi:>6}pi{rep.co_rhs_pi:>6}pi{'Y' if rep.co_equality else 'n':>4}"
           f"{'Y' if rep.full else 'n':>6}{rep.l:>3}"
-          f"{round(rep.gackstatter_rhs / math.pi):>5}pi"
-          f"{round(rep.ejiri_rhs / math.pi):>5}pi"
+          f"{rep.gackstatter_pi:>5}pi"
+          f"{rep.ejiri_pi:>5}pi"
           f"{'Y' if rep.ejiri_equality else 'n':>4}")
 
 print()

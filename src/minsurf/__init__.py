@@ -24,7 +24,6 @@ from .curvature import (
     fullness_and_degeneracy,
     gackstatter_and_ejiri,
     gauss_map,
-    total_curvature_algebraic,
     total_curvature_numeric,
 )
 from .ends import (
@@ -45,7 +44,6 @@ from .rational import (
     RationalMap,
     is_infinity,
     laurent_expand,
-    poly_arith,
     poly_gcd,
     residue,
     roots,

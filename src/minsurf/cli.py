@@ -56,10 +56,9 @@ def cmd_analyze(args) -> int:
     print(f"total curvature:  {c.tc_pi}*pi  (numeric {c.tc_numeric:.6f})")
     print(f"CO bound:         {c.co_rhs_pi}*pi  -> equality: {c.co_equality}")
     print(f"full: {c.full}   l = {c.l}")
-    print(f"Gackstatter rhs:  {round(c.gackstatter_rhs / 3.141592653589793)}*pi"
+    print(f"Gackstatter rhs:  {c.gackstatter_pi}*pi"
           f"  (applicable: {c.gackstatter_applicable})")
-    print(f"Ejiri rhs:        {round(c.ejiri_rhs / 3.141592653589793)}*pi"
-          f"  -> equality: {c.ejiri_equality}")
+    print(f"Ejiri rhs:        {c.ejiri_pi}*pi  -> equality: {c.ejiri_equality}")
     for e in rep.ends:
         print(f"end {_fmt_point(e.puncture)}: mu={e.mu} {e.classification.value}"
               f" a={e.a:.6g} b={e.b:.6g} rotation index {e.rotation_index}"
@@ -117,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"minsurf {__version__}")
     ap.add_argument("--tol", type=float, default=1.0, metavar="FACTOR",
-                    help="scale all module tolerances by this factor")
+                    help="scale the null-identity, residue and total-curvature "
+                         "tolerances by this factor")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="structural validation of a datum file")

@@ -14,7 +14,7 @@ pi-multiples, never by float comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,18 +25,13 @@ from .errors import (
     NumericInstabilityError,
 )
 from .rational import multi_gcd, roots
-from .weierstrass import (
-    WeierstrassData,
-    common_denominator,
-    metric_order_at,
-)
+from .weierstrass import WeierstrassData, metric_order_at
 
 __all__ = [
     "GaussMap",
     "CurvatureReport",
     "InequalityResult",
     "gauss_map",
-    "total_curvature_algebraic",
     "total_curvature_numeric",
     "chern_osserman",
     "fullness_and_degeneracy",
@@ -55,24 +50,28 @@ class GaussMap:
     degree: int
 
 
-@dataclass
+def _times_pi(k: int | None) -> float | None:
+    return None if k is None else k * math.pi
+
+
+@dataclass(frozen=True)
 class CurvatureReport:
+    """Curvature data; every bound is carried as an integer pi-multiple
+    (``*_pi``), equality-safe, and its float value derived from it."""
+
     d: int
-    tc_algebraic: float
     m: int
     chi: int
-    co_rhs: float
     co_equality: bool
     genus: int = 0
     tc_numeric: float | None = None
     full: bool | None = None
     l: int | None = None
-    gackstatter_rhs: float | None = None
+    gackstatter_pi: int | None = None
     gackstatter_applicable: bool | None = None
-    ejiri_rhs: float | None = None
+    ejiri_pi: int | None = None
     ejiri_equality: bool | None = None
 
-    # pi-multiples for symbolic reporting (integers; equality-safe)
     @property
     def tc_pi(self) -> int:
         return -2 * self.d
@@ -80,6 +79,23 @@ class CurvatureReport:
     @property
     def co_rhs_pi(self) -> int:
         return 2 * (self.chi - self.m)
+
+    @property
+    def tc_algebraic(self) -> float:
+        """TC = -2 pi d."""
+        return _times_pi(self.tc_pi)
+
+    @property
+    def co_rhs(self) -> float:
+        return _times_pi(self.co_rhs_pi)
+
+    @property
+    def gackstatter_rhs(self) -> float | None:
+        return _times_pi(self.gackstatter_pi)
+
+    @property
+    def ejiri_rhs(self) -> float | None:
+        return _times_pi(self.ejiri_pi)
 
 
 def gauss_map(w: WeierstrassData) -> GaussMap:
@@ -92,7 +108,7 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     """
     if all(r.is_zero for r in w.phi):
         raise DegenerateInputError("all components are zero")
-    _D, nums = common_denominator(w.phi)
+    _D, nums = w.cleared
     g = multi_gcd(nums)
     if g.degree() >= 1:
         reduced = []
@@ -109,18 +125,14 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     return GaussMap(psi=tuple(nums), degree=int(degree))
 
 
-def total_curvature_algebraic(g: GaussMap) -> float:
-    """TC = -2 pi d for Gauss-map degree d."""
-    return -2.0 * math.pi * g.degree
-
-
-def _circle_flux(w: WeierstrassData, dphi, center: complex, radius: float,
-                 n_theta: int) -> float:
+def _circle_flux(parts, center: complex, radius: float, n_theta: int) -> float:
     """Integral over the circle of d/dr log(lambda) * radius dtheta.
 
     With S = sum phi_j conj(phi_j), d/dr log lambda = Re[e^{i theta} *
-    (sum phi_j' conj(phi_j)) / S]; the exact rational derivatives avoid any
-    finite differencing.  Radius is nudged if a sample hits a zero of S.
+    (sum phi_j' conj(phi_j)) / S].  ``parts`` holds (num, den, num', den')
+    of each nonzero component, and phi' = (num' - phi den') / den by the
+    quotient rule, so there is no finite differencing.  Radius is nudged if
+    a sample hits a zero of S.
     """
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     e = np.exp(1j * theta)
@@ -129,11 +141,10 @@ def _circle_flux(w: WeierstrassData, dphi, center: complex, radius: float,
         z = center + rad * e
         num = np.zeros_like(z)
         den = np.zeros(z.shape)
-        for r, dr in zip(w.phi, dphi):
-            if r.is_zero:
-                continue
-            v = r(z)
-            num += dr(z) * np.conj(v)
+        for n, d, dn, dd in parts:
+            dz = d(z)
+            v = n(z) / dz
+            num += (dn(z) - v * dd(z)) / dz * np.conj(v)
             den += np.abs(v) ** 2
         if np.min(den) > 1e-280:
             vals = np.real(e * num / den) * rad
@@ -153,7 +164,8 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     tol (geometric convergence, since the boundary terms differ from their
     limits by powers of the radii).
     """
-    dphi = [r.derivative() if not r.is_zero else r for r in w.phi]
+    parts = [(r.num, r.den, r.num.derivative(), r.den.derivative())
+             for r in w.phi if not r.is_zero]
     fin = w.finite_punctures
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
@@ -162,8 +174,8 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     for i in range(max_iter):
         eps = eps0 * shrink**i
         r_out = r_out0 / shrink**i
-        inner = sum(_circle_flux(w, dphi, p, eps, n_theta) for p in fin)
-        outer = _circle_flux(w, dphi, 0j, r_out, n_theta)
+        inner = sum(_circle_flux(parts, p, eps, n_theta) for p in fin)
+        outer = _circle_flux(parts, 0j, r_out, n_theta)
         tc = -(outer - inner)
         # successive differences underestimate the residual of a geometric
         # tail by ~shrink/(1-shrink), hence the margin factor
@@ -186,7 +198,6 @@ def chern_osserman(w: WeierstrassData, gmap: GaussMap | None = None) -> Curvatur
     g = gmap if gmap is not None else gauss_map(w)
     m = len(w.punctures)
     chi = 2 - m  # genus 0
-    co_pi = 2 * (chi - m)
     equality_by_degree = g.degree == (m - chi)
     orders = [metric_order_at(w, p) for p in w.punctures]
     equality_by_orders = all(mu == -2 for mu in orders)
@@ -194,14 +205,7 @@ def chern_osserman(w: WeierstrassData, gmap: GaussMap | None = None) -> Curvatur
         raise InternalConsistencyError(
             f"degree-based equality {equality_by_degree} disagrees with end orders {orders}"
         )
-    return CurvatureReport(
-        d=g.degree,
-        tc_algebraic=-2.0 * math.pi * g.degree,
-        m=m,
-        chi=chi,
-        co_rhs=co_pi * math.pi,
-        co_equality=equality_by_degree,
-    )
+    return CurvatureReport(d=g.degree, m=m, chi=chi, co_equality=equality_by_degree)
 
 
 def fullness_and_degeneracy(w: WeierstrassData, gmap: GaussMap | None = None):
@@ -228,8 +232,8 @@ def fullness_and_degeneracy(w: WeierstrassData, gmap: GaussMap | None = None):
 
 @dataclass(frozen=True)
 class InequalityResult:
-    gackstatter_rhs: float
-    ejiri_rhs: float
+    gackstatter_pi: int
+    ejiri_pi: int
     ejiri_equality: bool
     applicable: bool  # False for non-full data (bounds stated for full immersions)
 
@@ -249,8 +253,8 @@ def gackstatter_and_ejiri(w: WeierstrassData, gmap: GaussMap | None = None,
     ejiri_pi = chi + m - 2 * w.n + 2 * l
     equality = (-2 * g.degree) == ejiri_pi
     return InequalityResult(
-        gackstatter_rhs=gack_pi * math.pi,
-        ejiri_rhs=ejiri_pi * math.pi,
+        gackstatter_pi=gack_pi,
+        ejiri_pi=ejiri_pi,
         ejiri_equality=equality,
         applicable=full,
     )
@@ -265,23 +269,21 @@ def curvature_report(w: WeierstrassData, tc_tol: float = 1e-3,
     ``NumericInstabilityError`` rather than report a wrong number.
     """
     g = gauss_map(w)
-    rep = chern_osserman(w, g)
+    co = chern_osserman(w, g)
     full, l = fullness_and_degeneracy(w, g)
     ineq = gackstatter_and_ejiri(w, g, (full, l))
-    rep.full = full
-    rep.l = l
-    rep.gackstatter_rhs = ineq.gackstatter_rhs
-    rep.gackstatter_applicable = ineq.applicable
-    rep.ejiri_rhs = ineq.ejiri_rhs
-    rep.ejiri_equality = ineq.ejiri_equality
+    tc = None
     if numeric:
         tc = total_curvature_numeric(w, tol=tc_tol)
-        if abs(tc - rep.tc_algebraic) > tc_tol * max(1.0, abs(rep.tc_algebraic)):
+        if abs(tc - co.tc_algebraic) > tc_tol * max(1.0, abs(co.tc_algebraic)):
             raise NumericInstabilityError(
                 f"numeric total curvature {tc:.6f} disagrees with -2 pi d = "
-                f"{rep.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
-                diagnostics={"tc_numeric": tc, "tc_algebraic": rep.tc_algebraic,
+                f"{co.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
+                diagnostics={"tc_numeric": tc, "tc_algebraic": co.tc_algebraic,
                              "tc_tol": tc_tol},
             )
-        rep.tc_numeric = tc
-    return rep
+    return replace(
+        co, tc_numeric=tc, full=full, l=l,
+        gackstatter_pi=ineq.gackstatter_pi, gackstatter_applicable=ineq.applicable,
+        ejiri_pi=ineq.ejiri_pi, ejiri_equality=ineq.ejiri_equality,
+    )

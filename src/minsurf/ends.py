@@ -144,7 +144,13 @@ class EndAnalysis:
     rotation_index: int
     embedded: bool
     _lead: np.ndarray = field(repr=False, default=None)
-    _local: LocalImmersion = field(repr=False, default=None)
+    _w: WeierstrassData = field(repr=False, default=None)
+
+    @property
+    def _local(self) -> LocalImmersion:
+        """The immersion in the end's local coordinate, built on each access:
+        the analysis itself does not need it, and a report keeps no copy."""
+        return LocalImmersion(self._w, self.puncture)
 
 
 def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -224,7 +230,7 @@ def analyze_end(w: WeierstrassData, p, depth: int | None = None) -> EndAnalysis:
         rotation_index=abs(k - 1),
         embedded=(k == 2),
         _lead=lead,
-        _local=LocalImmersion(w, p),
+        _w=w,
     )
 
 
@@ -292,7 +298,7 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
         raise ValueError("radii must be strictly decreasing")
     if model is None:
         model = asymptotic_model(e)
-    loc = e._local if e._local is not None else LocalImmersion(w, e.puncture)
+    loc = LocalImmersion(w, e.puncture)
     thetas = 2.0 * math.pi * np.arange(samples) / samples
     ratios = []
     for r in radii:

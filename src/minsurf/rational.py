@@ -24,11 +24,10 @@ from .errors import DegenerateInputError, ZeroFunctionError
 __all__ = [
     "INF",
     "is_infinity",
-    "points_equal",
+    "roots_coincide",
     "ComplexPoly",
     "RationalMap",
     "LaurentSeries",
-    "poly_arith",
     "poly_gcd",
     "roots",
     "laurent_expand",
@@ -67,13 +66,6 @@ INF = _Infinity()
 
 def is_infinity(p) -> bool:
     return isinstance(p, _Infinity)
-
-
-def points_equal(p, q, tol: float = 1e-9) -> bool:
-    """Equality of sphere points, tolerance-based for finite ones."""
-    if is_infinity(p) or is_infinity(q):
-        return is_infinity(p) and is_infinity(q)
-    return abs(complex(p) - complex(q)) <= tol * (1.0 + abs(complex(p)))
 
 
 class ComplexPoly:
@@ -225,18 +217,6 @@ def _as_poly(p) -> ComplexPoly:
     return p if isinstance(p, ComplexPoly) else ComplexPoly(p)
 
 
-def poly_arith(a: ComplexPoly, b: ComplexPoly, op: str) -> ComplexPoly:
-    """Exact coefficient arithmetic: op in {"add", "sub", "mul"}."""
-    a, b = _as_poly(a), _as_poly(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}; expected add, sub or mul")
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -345,22 +325,28 @@ def roots(p: ComplexPoly, cluster_radius: float | None = None):
     return [(complex(z), int(m)) for z, m in merged]
 
 
-def _match_tol(ma: int, mb: int, radius: float) -> float:
-    """Cross-polynomial root-match tolerance.
+def roots_coincide(z: complex, m: int, ref: complex, mref: int,
+                   radius: float = CLUSTER_RADIUS) -> bool:
+    """Whether a root z of multiplicity m is the same point as a root ref of
+    multiplicity mref, of the same or another polynomial.
 
-    Polished simple roots agree to ~1e-12, but near-coincident structures
-    (multiplicity >= 2) are clustered only to ~1e-5 at double precision, so
-    matches involving them use the wider radius and are verified by value.
+    The distance must be within ``radius * (1 + |ref|)``.  Polished simple
+    roots agree to ~1e-12, but near-coincident structures (multiplicity >= 2)
+    are clustered only to ~1e-5 at double precision, so a match involving one
+    uses the radius widened to 1e-5.  This is the one rule by which the pole
+    table merges the denominator roots of a datum into poles.
     """
-    return radius if max(ma, mb) == 1 else max(radius, 1e-5)
+    tol = radius if max(m, mref) == 1 else max(radius, 1e-5)
+    return abs(z - ref) <= tol * (1.0 + abs(ref))
 
 
 def _common_roots(a: ComplexPoly, b: ComplexPoly, radius: float):
     """Matched common roots of a and b with min multiplicities.
 
-    A candidate match is kept only if the partner polynomial genuinely
-    vanishes there (relative to its local Taylor scale), so the widened
-    multiple-root tolerance cannot cancel non-common factors.
+    Candidates are matched by ``roots_coincide``; a match is kept only if the
+    partner polynomial genuinely vanishes there (relative to its local Taylor
+    scale), so the widened multiple-root tolerance cannot cancel non-common
+    factors.
     """
     if a.degree() < 1 or b.degree() < 1:
         return []
@@ -372,12 +358,10 @@ def _common_roots(a: ComplexPoly, b: ComplexPoly, radius: float):
         best = None
         best_d = None
         for i, (zb, mb) in enumerate(rb):
-            if taken[i]:
+            if taken[i] or not roots_coincide(zb, mb, za, ma, radius):
                 continue
             d = abs(za - zb)
-            if d <= _match_tol(ma, mb, radius) * (1.0 + abs(za)) and (
-                best_d is None or d < best_d
-            ):
+            if best_d is None or d < best_d:
                 best, best_d = i, d
         if best is None:
             continue
@@ -558,8 +542,12 @@ def _series_quotient(p: ComplexPoly, q: ComplexPoly, depth: int):
 def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     """Laurent expansion of a rational function at a sphere point.
 
-    At infinity the expansion is in w = 1/z and describes function values
-    only; the 1-form Jacobian dz = -dw/w^2 is applied by the caller.
+    The expansion is taken exactly at ``center``.  Off a multiple pole by a
+    rounding error it has a bogus order and huge spurious coefficients, so
+    expand at the pole itself: ``weierstrass`` takes each component's own
+    denominator root from the datum's pole table.  At infinity the
+    expansion is in w = 1/z and describes function values only; the 1-form
+    Jacobian dz = -dw/w^2 is applied by the caller.
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -573,12 +561,6 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
         rel, coeffs = _series_quotient(pn, pd, depth)
         return LaurentSeries(INF, base + rel, coeffs)
     c = complex(center)
-    # expanding at a point slightly off a (multiple) pole produces bogus
-    # orders and huge spurious coefficients; snap to the actual nearby pole
-    if r.den.degree() >= 1 and abs(r.den(c)) <= 1e-4 * (r.den.norm() or 1.0):
-        near = min(roots(r.den), key=lambda t: abs(t[0] - c))
-        if 0 < abs(near[0] - c) <= 1e-5 * (1.0 + abs(c)):
-            c = near[0]
     rel, coeffs = _series_quotient(r.num.shift(c), r.den.shift(c), depth)
     return LaurentSeries(c, rel, coeffs)
 
@@ -594,12 +576,13 @@ class PartialFractions:
     poles: tuple
 
 
-def partial_fractions(r: RationalMap) -> PartialFractions:
+def partial_fractions(r: RationalMap, den_roots=None) -> PartialFractions:
     """Polynomial part and principal parts at every finite pole.
 
-    One ``roots`` call on the denominator locates the poles; the principal
-    part at each is read off the Laurent quotient of the shifted numerator
-    and denominator at that root (no further root finding).
+    The poles are ``den_roots``, the (root, multiplicity) pairs of
+    ``roots(r.den)`` when the caller has them, else one ``roots`` call finds
+    them; the principal part at each is read off the Laurent quotient of the
+    shifted numerator and denominator at that root (no further root finding).
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -609,7 +592,7 @@ def partial_fractions(r: RationalMap) -> PartialFractions:
     quo, _rem = npoly.polydiv(r.num.coeffs, r.den.coeffs)
     depth = r.den.degree()
     poles = []
-    for p, _m in roots(r.den):
+    for p, _m in roots(r.den) if den_roots is None else den_roots:
         order, coeffs = _series_quotient(r.num.shift(p), r.den.shift(p), depth)
         if order < 0:
             poles.append((p, coeffs[-order - 1::-1].copy()))
@@ -639,8 +622,9 @@ def residue(r: RationalMap, pole) -> complex:
     return s.coefficient(-1)
 
 
-def _compose_factored(p: ComplexPoly, a, b, c, d):
-    """p(T) cleared over td^deg(p), built from the root factorization.
+def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots=None):
+    """p(T) cleared over td^deg(p), built from the root factorization
+    (``p_roots``, or ``roots(p)`` when not given).
 
     Each root rho of p contributes the exact linear factor
     (a - rho c) z + (b - rho d), so composed multiplicities stay exact --
@@ -650,15 +634,18 @@ def _compose_factored(p: ComplexPoly, a, b, c, d):
     k = p.degree()
     acc = ComplexPoly([p.coeffs[-1]])
     if k >= 1:
-        for rho, m in roots(p):
+        for rho, m in roots(p) if p_roots is None else p_roots:
             lin = ComplexPoly([b - rho * d, a - rho * c])
             for _ in range(m):
                 acc = acc * lin
     return acc, k
 
 
-def compose_mobius(r: RationalMap, mobius) -> RationalMap:
-    """r((a z + b)/(c z + d)) as a reduced rational map."""
+def compose_mobius(r: RationalMap, mobius, den_roots=None) -> RationalMap:
+    """r((a z + b)/(c z + d)) as a reduced rational map.
+
+    ``den_roots`` are ``roots(r.den)`` when the caller has them.
+    """
     a, b, c, d = (complex(x) for x in mobius)
     top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
     if abs(a * d - b * c) <= 1e-12 * top**2:
@@ -669,7 +656,7 @@ def compose_mobius(r: RationalMap, mobius) -> RationalMap:
         return RationalMap(ComplexPoly())
     td = ComplexPoly([d, c])
     pn, kn = _compose_factored(r.num, a, b, c, d)
-    pd, kd = _compose_factored(r.den, a, b, c, d)
+    pd, kd = _compose_factored(r.den, a, b, c, d, den_roots)
     # r(T) = (Pn / td^kn) / (Pd / td^kd): balance the td powers.
     for _ in range(kd - kn):
         pn = pn * td

@@ -120,9 +120,9 @@ def _curvature_dict(c: CurvatureReport):
     if c.full is not None:
         out["full"] = c.full
         out["l"] = c.l
-        out["gackstatter_rhs"] = _pi_value(round(c.gackstatter_rhs / np.pi))
+        out["gackstatter_rhs"] = _pi_value(c.gackstatter_pi)
         out["gackstatter_applicable"] = c.gackstatter_applicable
-        out["ejiri_rhs"] = _pi_value(round(c.ejiri_rhs / np.pi))
+        out["ejiri_rhs"] = _pi_value(c.ejiri_pi)
         out["ejiri_equality"] = c.ejiri_equality
     return out
 

@@ -16,6 +16,12 @@ each component into partial fractions, phi_j = q_j + sum_p sum_l c_{p,l}
 the classical explicit form (Osserman, Ann. Math. 80, 1964; Jorge-Meeks,
 Topology 22, 1983).  The partial-fraction table is built once per datum.
 
+Every stage that needs the poles -- puncture detection, the common
+denominator, the Laurent expansions at the ends, the partial fractions --
+reads them from one pole table per datum (``_PoleTable``): each component's
+denominator is rooted once, and the roots of all components are merged into
+poles by one rule, ``rational.roots_coincide``.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -42,8 +48,8 @@ from .rational import (
     is_infinity,
     laurent_expand,
     partial_fractions,
-    points_equal,
     roots,
+    roots_coincide,
 )
 
 __all__ = [
@@ -88,7 +94,7 @@ class WeierstrassData:
         if all(r.is_zero for r in self.phi):
             raise DegenerateInputError("all components are zero")
         if punctures is None:
-            self.punctures = tuple(detect_punctures(self.phi))
+            self.punctures = self._poles.punctures
         else:
             self.punctures = tuple(INF if is_infinity(p) else complex(p) for p in punctures)
         self.label = str(label)
@@ -117,6 +123,16 @@ class WeierstrassData:
     def clearance(self) -> float:
         """Radius around each finite puncture where evaluation is refused."""
         return CLEARANCE_FACTOR * self.min_separation
+
+    @cached_property
+    def _poles(self) -> "_PoleTable":
+        """Built on first use; at construction only when detecting punctures."""
+        return _PoleTable(self.phi)
+
+    @cached_property
+    def cleared(self):
+        """``common_denominator`` of the datum, computed once."""
+        return common_denominator(self)
 
     @cached_property
     def _closed_form(self) -> "_ClosedForm":
@@ -186,61 +202,71 @@ class ValidationReport:
         return self.null.ok and self.residues.ok and self.orders_ok and self.punctures_ok
 
 
-def common_denominator(phi):
+def _pole_mult(members) -> int:
+    """Order of a pole in the common denominator: its largest component order."""
+    return max(m for _root, m in members.values())
+
+
+class _PoleTable:
+    """The poles of the components of a datum, found once.
+
+    ``roots[j]`` is ``roots(phi_j.den)`` (empty for zero and polynomial
+    components): the only root finding on a component denominator.  The
+    roots of all components are merged into poles by ``roots_coincide``.
+    ``poles`` maps each pole, the first root merged into it, to its members
+    {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
+    part.  ``punctures`` are the poles where some component has negative
+    order (a root cancelled by its numerator up to tolerance is a regular
+    point), then infinity when some form has a pole there.
+    """
+
+    def __init__(self, phi):
+        self.roots = tuple(
+            roots(r.den) if not r.is_zero and r.den.degree() >= 1 else () for r in phi
+        )
+        poles: dict = {}
+        for j, rts in enumerate(self.roots):
+            for z, m in rts:
+                point = next((q for q, members in poles.items()
+                              if roots_coincide(z, m, q, _pole_mult(members))), None)
+                if point is None:
+                    poles[z] = {j: (z, m)}
+                else:
+                    root, have = poles[point].get(j, (z, 0))
+                    poles[point][j] = (root, have + m)
+        self.poles = dict(sorted(poles.items(), key=lambda it: (it[0].real, it[0].imag)))
+        finite = tuple(
+            z for z, members in self.poles.items()
+            if min(laurent_expand(phi[j], root, 0).order for j, (root, _m) in members.items()) < 0
+        )
+        at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
+        self.punctures = finite + ((INF,) if at_inf else ())
+
+    def pole_point(self, p):
+        """The pole a sphere point lies at (p counts as a simple root), or p itself."""
+        if is_infinity(p) or p in self.poles:
+            return p
+        return next((q for q, members in self.poles.items()
+                     if roots_coincide(p, 1, q, _pole_mult(members))), p)
+
+
+def common_denominator(w: "WeierstrassData"):
     """Monic LCM of the denominators and the cleared numerators.
 
     Returns (D, nums) with phi_j = nums[j] / D exactly (zero components give
-    zero numerators).
+    zero numerators).  D has one root per pole of the datum's pole table,
+    with the largest multiplicity of any component there.
     """
-    phi = _as_rational_tuple(phi)
-
-    def same(z, m, zi, mi):
-        tol = 1e-8 if max(m, mi) == 1 else 1e-5
-        return abs(z - zi) <= tol * (1.0 + abs(zi))
-
-    def consolidate(rts):
-        # a multiple pole smeared into nearby simple roots must count with
-        # its full local order, so cluster each component's roots first
-        out: list[list] = []
-        for z, m in rts:
-            for item in out:
-                if abs(z - item[0]) <= 1e-5 * (1.0 + abs(item[0])):
-                    item[0] = (item[0] * item[1] + z * m) / (item[1] + m)
-                    item[1] += m
-                    break
-            else:
-                out.append([z, m])
-        return [(z, m) for z, m in out]
-
-    canon: list[list] = []  # [root, mult]
-    per_comp = []
-    for r in phi:
-        if r.is_zero or r.den.degree() < 1:
-            per_comp.append([])
-            continue
-        rts = consolidate(roots(r.den))
-        per_comp.append(rts)
-        for z, m in rts:
-            for item in canon:
-                if same(z, m, item[0], item[1]):
-                    item[1] = max(item[1], m)
-                    break
-            else:
-                canon.append([z, m])
-    canon.sort(key=lambda it: (it[0].real, it[0].imag))
-    D = ComplexPoly.from_roots([(z, m) for z, m in canon])
+    poles = w._poles.poles
+    mult = {z: _pole_mult(members) for z, members in poles.items()}
+    D = ComplexPoly.from_roots(mult.items())
     nums = []
-    for r, rts in zip(phi, per_comp):
+    for j, r in enumerate(w.phi):
         if r.is_zero:
             nums.append(ComplexPoly())
             continue
-        missing = []
-        for z, m in canon:
-            have = sum(mr for zr, mr in rts if same(zr, mr, z, m))
-            if m - have > 0:
-                missing.append((z, m - have))
-        lead = r.den.coeffs[-1]
-        nums.append(r.num * ComplexPoly.from_roots(missing) * (1.0 / lead))
+        missing = [(z, m - poles[z].get(j, (z, 0))[1]) for z, m in mult.items()]
+        nums.append(r.num * ComplexPoly.from_roots(missing) * (1.0 / r.den.coeffs[-1]))
     return D, nums
 
 
@@ -251,7 +277,7 @@ def validate_null(w: WeierstrassData, tol: float = NULL_TOL) -> NullCheck:
     defect is its max coefficient magnitude relative to the size of the
     individual squared terms.
     """
-    _, nums = common_denominator(w.phi)
+    _, nums = w.cleared
     total = ComplexPoly()
     scale = 0.0
     for nj in nums:
@@ -266,32 +292,14 @@ def validate_null(w: WeierstrassData, tol: float = NULL_TOL) -> NullCheck:
 def detect_punctures(phi):
     """Poles of the 1-forms phi_j dz, as sphere points.
 
-    Finite poles are denominator roots of the (reduced) components; infinity
-    is included when some form order there is negative, i.e. when
-    deg num - deg den >= -1 for some component.
+    Finite poles are the merged denominator roots of the (reduced)
+    components where some form has negative order; infinity is included
+    when deg num - deg den >= -1 for some component.
     """
     phi = _as_rational_tuple(phi)
-    nonzero = [r for r in phi if not r.is_zero]
-    if not nonzero:
+    if all(r.is_zero for r in phi):
         raise DegenerateInputError("all components are zero")
-    finite: list[complex] = []
-    for r in nonzero:
-        if r.den.degree() < 1:
-            continue
-        for z, _m in roots(r.den):
-            if not any(abs(z - q) <= 1e-6 * (1.0 + abs(q)) for q in finite):
-                finite.append(z)
-    # keep only genuine poles of some form (a denominator root cancelled by
-    # the numerator up to tolerance is a regular point)
-    finite = [
-        z for z in finite
-        if min(laurent_expand(r, z, 0).order for r in nonzero) < 0
-    ]
-    finite.sort(key=lambda z: (z.real, z.imag))
-    out: list = list(finite)
-    if any(r.degree_at_infinity() >= -1 for r in nonzero):
-        out.append(INF)
-    return out
+    return list(_PoleTable(phi).punctures)
 
 
 def form_series(w: WeierstrassData, p, depth: int = 8):
@@ -299,14 +307,17 @@ def form_series(w: WeierstrassData, p, depth: int = 8):
 
     The local coordinate is (z - p) at finite p and w = 1/z at infinity,
     where the Jacobian dz = -dw/w^2 shifts every order by -2 and flips signs.
-    Zero components yield None.
+    At a pole each component is expanded at its own root there, taken from
+    the pole table.  Zero components yield None.
     """
+    poles = w._poles
+    members = poles.poles.get(poles.pole_point(p), {})
     out = []
-    for r in w.phi:
+    for j, r in enumerate(w.phi):
         if r.is_zero:
             out.append(None)
             continue
-        s = laurent_expand(r, p, depth)
+        s = laurent_expand(r, members.get(j, (p, 0))[0], depth)
         if is_infinity(p):
             out.append(LaurentSeries(INF, s.order - 2, -s.coeffs))
         else:
@@ -341,15 +352,7 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     At punctures of valid complete finite-total-curvature data mu <= -2; at a
     regular point the value is nonnegative (a non-end).
     """
-    orders = []
-    for r in w.phi:
-        if r.is_zero:
-            continue
-        if is_infinity(p):
-            orders.append(laurent_expand(r, INF, 0).order - 2)
-        else:
-            orders.append(laurent_expand(r, p, 0).order)
-    return min(orders)
+    return min(s.order for s in form_series(w, p, 0) if s is not None)
 
 
 def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
@@ -388,17 +391,18 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     if not res.ok:
         messages.append(f"non-real residue: worst imaginary part {res.worst_imag:.3e}")
 
-    detected = detect_punctures(w.phi)
+    # listed punctures are matched to the detected ones through the pole table
+    at = [w._poles.pole_point(q) for q in w.punctures]
     punctures_ok = True
-    for p in detected:
-        if not any(points_equal(p, q, 1e-6) for q in w.punctures):
+    for p in w._poles.punctures:
+        if p not in at:
             punctures_ok = False
             messages.append(f"pole at {p!r} is not listed among the punctures")
-    for i, p in enumerate(w.punctures):
-        for q in w.punctures[i + 1:]:
-            if points_equal(p, q, 1e-10):
-                punctures_ok = False
-                messages.append(f"punctures {p!r} and {q!r} coincide")
+    for i, p in enumerate(at):
+        if p in at[:i]:
+            punctures_ok = False
+            messages.append(f"punctures {w.punctures[at.index(p)]!r} and "
+                            f"{w.punctures[i]!r} coincide")
 
     end_orders = []
     orders_ok = True
@@ -431,8 +435,8 @@ class _ClosedForm:
     def __init__(self, w: WeierstrassData):
         components = []
         residues = []
-        for r in w.phi:
-            pf = partial_fractions(r)
+        for r, den_roots in zip(w.phi, w._poles.roots):
+            pf = partial_fractions(r, den_roots)
             q = pf.poly.coeffs
             anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)]) if q.size else q
             terms = []
@@ -516,9 +520,9 @@ def mobius_precompose(w: WeierstrassData, mobius) -> WeierstrassData:
     td = ComplexPoly([d, c])
     tprime = RationalMap(ComplexPoly([det]), td * td)
     new_phi = []
-    for r in w.phi:
+    for r, den_roots in zip(w.phi, w._poles.roots):
         if r.is_zero:
             new_phi.append(RationalMap(ComplexPoly()))
         else:
-            new_phi.append(compose_mobius(r, (a, b, c, d)) * tprime)
+            new_phi.append(compose_mobius(r, (a, b, c, d), den_roots) * tprime)
     return WeierstrassData(new_phi, label=w.label)

@@ -1,18 +1,19 @@
 """Gauss map, total curvature, and the three curvature inequalities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import minsurf as ms
+from minsurf import curvature
 from minsurf.curvature import (
     chern_osserman,
     curvature_report,
     fullness_and_degeneracy,
     gackstatter_and_ejiri,
     gauss_map,
-    total_curvature_algebraic,
     total_curvature_numeric,
 )
 from minsurf.errors import NumericInstabilityError
@@ -56,15 +57,20 @@ class TestGaussMap:
 class TestTotalCurvature:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_jorge_meeks_algebraic(self, m):
-        g = gauss_map(ms.generalized_jorge_meeks(m).data)
+        w = ms.generalized_jorge_meeks(m).data
+        g = gauss_map(w)
         assert g.degree == 2 * m
-        assert total_curvature_algebraic(g) == pytest.approx(-4 * m * math.pi)
+        rep = chern_osserman(w, g)
+        assert rep.tc_pi == -4 * m
+        assert rep.tc_algebraic == pytest.approx(-4 * m * math.pi)
 
     def test_catenoid_algebraic(self, catenoid):
-        assert total_curvature_algebraic(gauss_map(catenoid.data)) == pytest.approx(-4 * math.pi)
+        rep = chern_osserman(catenoid.data)
+        assert rep.tc_pi == -4 and rep.tc_algebraic == pytest.approx(-4 * math.pi)
 
     def test_plane_zero(self, plane):
-        assert total_curvature_algebraic(gauss_map(plane.data)) == 0.0
+        rep = chern_osserman(plane.data)
+        assert rep.tc_pi == 0 and rep.tc_algebraic == 0.0
 
     def test_catenoid_numeric(self, catenoid):
         tc = total_curvature_numeric(catenoid.data, tol=1e-3)
@@ -77,20 +83,31 @@ class TestTotalCurvature:
         tc = total_curvature_numeric(jm2.data, tol=1e-3)
         assert abs(tc + 8 * math.pi) <= 1e-3 * 8 * math.pi
 
-    def test_wrong_sign_numeric_refused(self, catenoid, enneper):
-        # an Enneper chart with a finite end, drawn as the benchmark draws its
-        # Moebius charts (seed 2001, catenoid first): the Green-identity value
-        # comes out +4 pi; it must be refused, not reported
+    def test_wrong_sign_numeric_refused(self, catenoid, monkeypatch):
+        # a Green-identity value of the wrong sign must be refused, not reported
+        monkeypatch.setattr(curvature, "total_curvature_numeric",
+                            lambda w, tol: 4 * math.pi)
+        with pytest.raises(NumericInstabilityError) as err:
+            curvature_report(catenoid.data, tc_tol=1e-3)
+        diag = err.value.diagnostics
+        assert diag["tc_algebraic"] == pytest.approx(-4 * math.pi)
+        assert diag["tc_numeric"] == pytest.approx(4 * math.pi, rel=1e-3)
+
+    def test_finite_high_order_end_charts(self, catenoid, enneper):
+        # an Enneper chart with a finite order -4 end, drawn as the benchmark
+        # draws its Moebius charts (seed 2001, catenoid first), and the
+        # catenoid with its ends at 0.25 and 0.26: a reduced rational
+        # derivative phi' once gave +4 pi on both
         from conftest import well_conditioned_mobius
 
         rng = np.random.default_rng(2001)
         well_conditioned_mobius(catenoid.data, rng)
-        w = mobius_precompose(enneper.data, well_conditioned_mobius(enneper.data, rng))
-        with pytest.raises(NumericInstabilityError) as err:
-            curvature_report(w, tc_tol=1e-3)
-        diag = err.value.diagnostics
-        assert diag["tc_algebraic"] == pytest.approx(-4 * math.pi)
-        assert diag["tc_numeric"] == pytest.approx(4 * math.pi, rel=1e-3)
+        charts = [mobius_precompose(enneper.data, well_conditioned_mobius(enneper.data, rng)),
+                  mobius_precompose(catenoid.data, (1, -0.25, 1, -0.26))]
+        for w in charts:
+            rep = curvature_report(w, tc_tol=1e-3)
+            assert rep.tc_pi == -4
+            assert abs(rep.tc_numeric + 4 * math.pi) <= 1e-3 * 4 * math.pi
 
 
 class TestChernOsserman:
@@ -142,25 +159,29 @@ class TestGackstatterEjiri:
         w = ms.generalized_jorge_meeks(m).data
         res = gackstatter_and_ejiri(w)
         assert res.applicable
-        assert res.ejiri_rhs == pytest.approx(-4 * m * math.pi)
         assert res.ejiri_equality
-        assert res.gackstatter_rhs == pytest.approx((1 - 3 * m) * math.pi)
-        tc = total_curvature_algebraic(gauss_map(w))
-        assert tc <= res.gackstatter_rhs + 1e-9
+        assert (res.gackstatter_pi, res.ejiri_pi) == (1 - 3 * m, -4 * m)
+        assert -2 * gauss_map(w).degree <= res.gackstatter_pi
 
     def test_catenoid(self, catenoid):
         res = gackstatter_and_ejiri(catenoid.data)
-        assert res.gackstatter_rhs == pytest.approx(-2 * math.pi)
-        tc = total_curvature_algebraic(gauss_map(catenoid.data))
-        assert tc <= res.gackstatter_rhs
+        assert res.gackstatter_pi == -2
+        assert -2 * gauss_map(catenoid.data).degree <= res.gackstatter_pi
 
     def test_plane_flagged_not_applicable(self, plane):
         res = gackstatter_and_ejiri(plane.data)
         assert not res.applicable
-        assert res.ejiri_rhs == pytest.approx(0.0)
+        assert res.ejiri_pi == 0
 
 
 class TestCrossCutting:
+    def test_report_is_frozen_with_integer_bounds(self, catenoid):
+        rep = curvature_report(catenoid.data, numeric=False)
+        assert (rep.gackstatter_pi, rep.ejiri_pi) == (-2, -4)
+        assert rep.gackstatter_rhs == -2 * math.pi and rep.ejiri_rhs == -4 * math.pi
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.full = False
+
     def test_all_inequalities_hold_on_catalog(self, all_entries):
         for entry in all_entries:
             rep = curvature_report(entry.data, numeric=False)

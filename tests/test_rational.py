@@ -10,7 +10,6 @@ from minsurf.rational import (
     RationalMap,
     laurent_expand,
     partial_fractions,
-    poly_arith,
     poly_gcd,
     residue,
     roots,
@@ -35,19 +34,19 @@ def sylvester_resultant(a, b):
 
 class TestPolyArith:
     def test_difference_of_squares(self):
-        out = poly_arith(ComplexPoly([1, 1]), ComplexPoly([-1, 1]), "mul")
+        out = ComplexPoly([1, 1]) * ComplexPoly([-1, 1])
         assert coeffs(out) == [-1, 0, 1]
 
     def test_add_zero_identity(self):
         p = ComplexPoly([2, 0, 3j])
-        out = poly_arith(p, ComplexPoly(), "add")
+        out = p + ComplexPoly()
         assert coeffs(out) == coeffs(p)
 
     def test_jorge_meeks_numerator_m2_j0(self):
         # 1 - z^(2m-2j) for m=2, j=0 assembled from monomials
         one = ComplexPoly([1])
         z4 = ComplexPoly([0, 0, 0, 0, 1])
-        out = poly_arith(one, z4, "sub")
+        out = one - z4
         assert coeffs(out) == [1, 0, 0, 0, -1]
 
     def test_exact_on_integer_coefficients(self):
@@ -56,15 +55,10 @@ class TestPolyArith:
             a = rng.integers(-9, 10, size=5) + 1j * rng.integers(-9, 10, size=5)
             b = rng.integers(-9, 10, size=4) + 1j * rng.integers(-9, 10, size=4)
             pa, pb = ComplexPoly(a), ComplexPoly(b)
-            prod = poly_arith(pa, pb, "mul").coeffs
+            prod = (pa * pb).coeffs
             ref = np.convolve(a, b)
             assert np.array_equal(prod, ref[: prod.size])
-            assert np.array_equal(poly_arith(pa, pb, "mul").coeffs,
-                                  poly_arith(pb, pa, "mul").coeffs)
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            poly_arith(ComplexPoly([1]), ComplexPoly([1]), "div")
+            assert np.array_equal((pa * pb).coeffs, (pb * pa).coeffs)
 
 
 class TestGcd:

@@ -214,3 +214,16 @@ class TestCliMesh:
         assert out.returncode == 0
         text = obj.read_text()
         assert text.startswith("v ") and "\nf " in text
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside mesh.sample_domain only: every `minsurf`
+        # command pays for `import minsurf`, and scipy doubles its cost
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, minsurf; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

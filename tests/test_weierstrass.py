@@ -19,6 +19,7 @@ from minsurf.weierstrass import (
     immersion_delta,
     immersion_eval,
     metric_order_at,
+    validate,
     validate_null,
 )
 
@@ -74,6 +75,70 @@ class TestDetectPunctures:
         pts = detect_punctures(phi)
         assert len(pts) == 2
         assert abs(pts[0]) < 1e-10 and is_infinity(pts[1])
+
+
+class TestPoleTable:
+    def test_roots_calls_per_analysis(self, monkeypatch):
+        # one roots() per component denominator; every other call belongs to
+        # the GCD of the Gauss map (two per pairwise GCD, one to factor it)
+        import sys
+
+        import minsurf.curvature as curvature
+        import minsurf.rational as rat
+
+        w = ms.generalized_jorge_meeks(4).data
+        dens = [r.den for r in w.phi]
+        calls = []
+        inside_gauss_map = [False]
+        real_roots, real_gauss_map = rat.roots, curvature.gauss_map
+
+        def counting_roots(p, *args, **kwargs):
+            calls.append((p, inside_gauss_map[0]))
+            return real_roots(p, *args, **kwargs)
+
+        def flagged_gauss_map(*args, **kwargs):
+            inside_gauss_map[0] = True
+            try:
+                return real_gauss_map(*args, **kwargs)
+            finally:
+                inside_gauss_map[0] = False
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("minsurf") and getattr(mod, "roots", None) is real_roots:
+                monkeypatch.setattr(mod, "roots", counting_roots)
+        monkeypatch.setattr(curvature, "gauss_map", flagged_gauss_map)
+        assert ms.run_analysis(w).valid
+        on_dens = [p for p, _ in calls if any(p is d for d in dens)]
+        assert len(on_dens) == len(dens)
+        assert all(sum(p is d for p in on_dens) == 1 for d in dens)
+        others = [flag for p, flag in calls if not any(p is d for d in dens)]
+        assert all(others)
+        assert len(others) <= 2 * (w.n - 1) + 1
+        # the partial fractions of the immersion reuse the table's roots
+        before = len(calls)
+        immersion_eval(w, 0.3 + 0.1j)
+        assert len(calls) == before
+
+    @staticmethod
+    def _moved(w, eps):
+        return WeierstrassData(w.phi, punctures=[p + eps for p in w.punctures])
+
+    def test_listed_punctures_within_merge_rule(self):
+        # JM m = 3 ends are double poles: listed points 1e-7 off are the
+        # same poles, and every end is expanded at the poles themselves
+        w = ms.generalized_jorge_meeks(3).data
+        moved = self._moved(w, 1e-7)
+        assert validate(moved).ok
+        for p, q in zip(w.punctures, moved.punctures):
+            e, f = ms.analyze_end(w, p), ms.analyze_end(moved, q)
+            assert (f.mu, f.a, f.b) == (e.mu, e.a, e.b)
+            assert np.array_equal(f.a_minus1, e.a_minus1)
+            assert np.array_equal(f.frame, e.frame)
+
+    def test_listed_punctures_beyond_merge_rule(self):
+        report = validate(self._moved(ms.generalized_jorge_meeks(3).data, 1e-4))
+        assert not report.ok and not report.punctures_ok
+        assert any("not listed among the punctures" in m for m in report.messages)
 
 
 class TestResiduesReal:
