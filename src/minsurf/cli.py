@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"minsurf: parse error{loc}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"minsurf: {exc}", file=sys.stderr)
         return 2
     except MinsurfError as exc:

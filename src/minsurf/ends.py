@@ -15,7 +15,8 @@ Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant fixed by the closed-form
 immersion at a reference radius; this is the immersion itself to spectral
 accuracy, and working in t keeps full relative precision at radii far below
-the evaluation clearance, where z = p + t would round t away.
+the evaluation clearance, where z = p + t would round t away.  Coefficients
+are prefixes of the datum's Laurent table; it keeps one LocalImmersion per end.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     NumericInstabilityError,
 )
 from .rational import is_infinity
-from .weierstrass import WeierstrassData, form_coefficient_window, immersion_eval
+from .weierstrass import WeierstrassData, form_coefficient_window, immersion_eval, metric_order_at
 
 __all__ = [
     "EndType",
@@ -81,30 +82,26 @@ def _local_chart(w: WeierstrassData, p):
 class LocalImmersion:
     """The immersion near one end, via its integrated Laurent expansion.
 
-    f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C, with the
-    constant C fixed once by matching the closed-form immersion
-    (``immersion_eval``) at a reference radius.  Valid for |t| below roughly
-    half the distance to the next singularity; only Re(log) enters, so the
-    log branch is immaterial (the residue vector is real for valid data).
+    f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C over 41
+    Laurent terms, with the constant C fixed once by matching the closed-form
+    immersion (``immersion_eval``) at a reference radius.  Valid for |t|
+    below roughly half the distance to the next singularity; only Re(log)
+    enters, so the log branch is immaterial (the residue vector is real).
     """
 
-    def __init__(self, w: WeierstrassData, p, depth: int = 40, r_ref: float | None = None):
-        self.w = w
-        self.p = p
+    def __init__(self, w: WeierstrassData, p):
         to_global, conv = _local_chart(w, p)
         self._to_global = to_global
         self.convergence_radius = conv
-        mu, C = form_coefficient_window(w, p, depth)
+        mu, C = form_coefficient_window(w, p, 40)
         self.mu = int(mu)
-        exps = mu + np.arange(depth + 1)
+        exps = mu + np.arange(C.shape[1])
         log_mask = exps == -1
         self.log_coeff = C[:, log_mask].sum(axis=1)
         keep = ~log_mask
         self._powers = (exps[keep] + 1).astype(float)
         self._anti = C[:, keep] / (exps[keep] + 1)
-        if r_ref is None:
-            r_ref = 0.5 if not math.isfinite(conv) else min(0.2 * conv, 0.5)
-        self.r_ref = float(r_ref)
+        self.r_ref = 0.5 if not math.isfinite(conv) else float(min(0.2 * conv, 0.5))
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         anchor = immersion_eval(w, to_global(self.r_ref))
         self.constant = anchor - self._raw(np.array([self.r_ref + 0j]))[:, 0]
@@ -148,9 +145,12 @@ class EndAnalysis:
 
     @property
     def _local(self) -> LocalImmersion:
-        """The immersion in the end's local coordinate, built on each access:
-        the analysis itself does not need it, and a report keeps no copy."""
-        return LocalImmersion(self._w, self.puncture)
+        """The immersion in the end's local coordinate, built once and kept by
+        the datum: the analysis itself does not need it, nor a report."""
+        cache = self._w._laurent.immersions
+        if self.puncture not in cache:
+            cache[self.puncture] = LocalImmersion(self._w, self.puncture)
+        return cache[self.puncture]
 
 
 def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -169,16 +169,14 @@ def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return best_r / best_norm
 
 
-def analyze_end(w: WeierstrassData, p, depth: int | None = None) -> EndAnalysis:
+def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     """Classify one end and build its adapted orthonormal frame.
 
     Verifies the bilinear relations <a_-2, a_-2> = 0 and <a_-2, a_-1> = 0
     forced by conformality whenever mu = -2; violations beyond tolerance mean
     the datum (or the tolerance regime) is inconsistent.
     """
-    mu_probe, _ = form_coefficient_window(w, p, 0)
-    if depth is None:
-        depth = max(8, -mu_probe + 4)
+    depth = max(8, 4 - metric_order_at(w, p))
     mu, C = form_coefficient_window(w, p, depth)
     k = -mu
     lead = C[:, 0]
@@ -289,16 +287,17 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
                       samples: int = 64, model: AsymptoticModel | None = None) -> AsymptoticCheck:
     """Sup of |f - f0| / |t| on circles of decreasing local radius.
 
-    The defining bound of a catenoid-type/planar end is that this ratio stays
-    bounded as the radius shrinks; the verdict compares the last three radii
-    (with an absolute floor for exact models, whose ratios are all ~0).
+    f is read from the local immersion of the end ``e`` of ``w``; the defining
+    bound of a catenoid-type/planar end is that the ratio stays bounded as the
+    radius shrinks.  The verdict compares the last three radii (with an
+    absolute floor for exact models, whose ratios are all ~0).
     """
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     if model is None:
         model = asymptotic_model(e)
-    loc = LocalImmersion(w, e.puncture)
+    loc = e._local
     thetas = 2.0 * math.pi * np.arange(samples) / samples
     ratios = []
     for r in radii:

@@ -496,10 +496,6 @@ class LaurentSeries:
     order: int
     coeffs: np.ndarray = field(repr=False)
 
-    @property
-    def depth(self) -> int:
-        return self.coeffs.size - 1
-
     def coefficient(self, exponent: int) -> complex:
         """Coefficient at an exponent, zero outside the stored window."""
         k = exponent - self.order
@@ -576,13 +572,13 @@ class PartialFractions:
     poles: tuple
 
 
-def partial_fractions(r: RationalMap, den_roots=None) -> PartialFractions:
+def partial_fractions(r: RationalMap, expansions=None) -> PartialFractions:
     """Polynomial part and principal parts at every finite pole.
 
-    The poles are ``den_roots``, the (root, multiplicity) pairs of
-    ``roots(r.den)`` when the caller has them, else one ``roots`` call finds
-    them; the principal part at each is read off the Laurent quotient of the
-    shifted numerator and denominator at that root (no further root finding).
+    The principal part at each root of ``r.den`` is read off the Laurent
+    series of r there: ``expansions``, (root, series) pairs, when the caller
+    has them (a datum's Laurent table does), else found by one ``roots`` call
+    and expanded to depth ``deg den``.
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -590,13 +586,10 @@ def partial_fractions(r: RationalMap, den_roots=None) -> PartialFractions:
     if r.den.degree() < 1:
         return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
     quo, _rem = npoly.polydiv(r.num.coeffs, r.den.coeffs)
-    depth = r.den.degree()
-    poles = []
-    for p, _m in roots(r.den) if den_roots is None else den_roots:
-        order, coeffs = _series_quotient(r.num.shift(p), r.den.shift(p), depth)
-        if order < 0:
-            poles.append((p, coeffs[-order - 1::-1].copy()))
-    return PartialFractions(ComplexPoly(quo), tuple(poles))
+    if expansions is None:
+        expansions = [(p, laurent_expand(r, p, r.den.degree())) for p, _m in roots(r.den)]
+    poles = tuple((p, s.coeffs[-s.order - 1::-1].copy()) for p, s in expansions if s.order < 0)
+    return PartialFractions(ComplexPoly(quo), poles)
 
 
 def residue(r: RationalMap, pole) -> complex:

@@ -104,6 +104,8 @@ def loads(text: str) -> WdDocument:
                            _pairs(comp["den"], f"component {k} den")))
     punctures = None
     if raw.get("punctures") is not None:
+        if not isinstance(raw["punctures"], list):
+            raise ParseError(f"'punctures' must be a list or null, got {raw['punctures']!r}")
         punctures = []
         for p in raw["punctures"]:
             if isinstance(p, str):

@@ -20,7 +20,8 @@ Every stage that needs the poles -- puncture detection, the common
 denominator, the Laurent expansions at the ends, the partial fractions --
 reads them from one pole table per datum (``_PoleTable``): each component's
 denominator is rooted once, and the roots of all components are merged into
-poles by one rule, ``rational.roots_coincide``.
+poles by one rule, ``rational.roots_coincide``.  Each expansion is made once
+per datum too (``_LaurentTable``), and every reader takes a prefix of it.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -65,7 +66,6 @@ __all__ = [
     "immersion_eval",
     "immersion_delta",
     "conformal_factor",
-    "form_series",
     "form_residue_vector",
     "common_denominator",
     "mobius_precompose",
@@ -125,9 +125,13 @@ class WeierstrassData:
         return CLEARANCE_FACTOR * self.min_separation
 
     @cached_property
+    def _laurent(self) -> "_LaurentTable":
+        return _LaurentTable(self.phi)
+
+    @cached_property
     def _poles(self) -> "_PoleTable":
         """Built on first use; at construction only when detecting punctures."""
-        return _PoleTable(self.phi)
+        return _PoleTable(self.phi, self._laurent)
 
     @cached_property
     def cleared(self):
@@ -202,6 +206,32 @@ class ValidationReport:
         return self.null.ok and self.residues.ok and self.orders_ok and self.punctures_ok
 
 
+class _LaurentTable:
+    """The Laurent series of the forms phi_j dz of a datum, each made once.
+
+    ``series(j, centre)`` is ``laurent_expand(phi_j, centre)`` (at infinity in
+    w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the deepest depth
+    any reader takes.  The recurrence does not depend on the depth, so a prefix
+    is bitwise the expansion at its depth.  ``immersions`` is for ``ends``.
+    """
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.depth = max(40, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
+        self._series = {}
+        self.immersions = {}
+
+    def series(self, j: int, centre) -> LaurentSeries:
+        key = (j, centre)
+        if key not in self._series:
+            s = laurent_expand(self.phi[j], centre, self.depth)
+            if is_infinity(centre):
+                s = LaurentSeries(INF, s.order - 2, -s.coeffs)
+            s.coeffs.flags.writeable = False
+            self._series[key] = s
+        return self._series[key]
+
+
 def _pole_mult(members) -> int:
     """Order of a pole in the common denominator: its largest component order."""
     return max(m for _root, m in members.values())
@@ -220,7 +250,7 @@ class _PoleTable:
     point), then infinity when some form has a pole there.
     """
 
-    def __init__(self, phi):
+    def __init__(self, phi, laurent: _LaurentTable):
         self.roots = tuple(
             roots(r.den) if not r.is_zero and r.den.degree() >= 1 else () for r in phi
         )
@@ -237,7 +267,7 @@ class _PoleTable:
         self.poles = dict(sorted(poles.items(), key=lambda it: (it[0].real, it[0].imag)))
         finite = tuple(
             z for z, members in self.poles.items()
-            if min(laurent_expand(phi[j], root, 0).order for j, (root, _m) in members.items()) < 0
+            if min(laurent.series(j, root).order for j, (root, _m) in members.items()) < 0
         )
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
         self.punctures = finite + ((INF,) if at_inf else ())
@@ -299,50 +329,32 @@ def detect_punctures(phi):
     phi = _as_rational_tuple(phi)
     if all(r.is_zero for r in phi):
         raise DegenerateInputError("all components are zero")
-    return list(_PoleTable(phi).punctures)
+    return list(_PoleTable(phi, _LaurentTable(phi)).punctures)
 
 
-def form_series(w: WeierstrassData, p, depth: int = 8):
-    """Per-component Laurent series of the 1-forms phi_j dz at an end.
-
-    The local coordinate is (z - p) at finite p and w = 1/z at infinity,
-    where the Jacobian dz = -dw/w^2 shifts every order by -2 and flips signs.
-    At a pole each component is expanded at its own root there, taken from
-    the pole table.  Zero components yield None.
-    """
+def _form_series(w: WeierstrassData, p):
+    """The Laurent table's series of each form phi_j dz at a sphere point: at
+    a pole each component at its own root there (from the pole table),
+    elsewhere at p; None for a zero component."""
     poles = w._poles
     members = poles.poles.get(poles.pole_point(p), {})
-    out = []
-    for j, r in enumerate(w.phi):
-        if r.is_zero:
-            out.append(None)
-            continue
-        s = laurent_expand(r, members.get(j, (p, 0))[0], depth)
-        if is_infinity(p):
-            out.append(LaurentSeries(INF, s.order - 2, -s.coeffs))
-        else:
-            out.append(s)
-    return out
+    return [None if r.is_zero else w._laurent.series(j, members.get(j, (p, 0))[0])
+            for j, r in enumerate(w.phi)]
 
 
 def form_coefficient_window(w: WeierstrassData, p, depth: int = 8):
-    """Stacked form coefficients at an end.
+    """Stacked form coefficients at an end, a prefix of the Laurent table.
 
     Returns (mu, C) where mu is the metric order (min form order) and C is an
     (n, depth+1) matrix with C[j, k] the coefficient of the local coordinate
     to the power mu + k in the j-th component of the form.
     """
-    series = form_series(w, p, depth)
-    orders = [s.order for s in series if s is not None]
-    if not orders:
-        raise DegenerateInputError("all components are zero")
-    mu = min(orders)
+    series = _form_series(w, p)
+    mu = min(s.order for s in series if s is not None)
     C = np.zeros((w.n, depth + 1), dtype=complex)
     for j, s in enumerate(series):
-        if s is None:
-            continue
-        for k in range(depth + 1):
-            C[j, k] = s.coefficient(mu + k)
+        if s is not None and s.order - mu <= depth:
+            C[j, s.order - mu:] = s.coeffs[: depth + 1 - (s.order - mu)]
     return mu, C
 
 
@@ -352,13 +364,12 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     At punctures of valid complete finite-total-curvature data mu <= -2; at a
     regular point the value is nonnegative (a non-end).
     """
-    return min(s.order for s in form_series(w, p, 0) if s is not None)
+    return min(s.order for s in _form_series(w, p) if s is not None)
 
 
 def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
     """Residue vector of the 1-form at an end (w-chart convention at infinity)."""
-    series = form_series(w, p, depth=max(2, 2 - metric_order_at(w, p)))
-    return np.array([0j if s is None else s.coefficient(-1) for s in series])
+    return np.array([0j if s is None else s.coefficient(-1) for s in _form_series(w, p)])
 
 
 def _residues_real(residues, tol: float):
@@ -404,21 +415,16 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
             messages.append(f"punctures {w.punctures[at.index(p)]!r} and "
                             f"{w.punctures[i]!r} coincide")
 
-    end_orders = []
-    orders_ok = True
-    for p in w.punctures:
-        mu = metric_order_at(w, p)
-        end_orders.append((p, mu))
+    end_orders = tuple((p, metric_order_at(w, p)) for p in w.punctures)
+    for p, mu in end_orders:
         if mu > -2:
-            orders_ok = False
-            messages.append(
-                f"end {p!r} has order {mu} > -2: not a complete finite-total-curvature end"
-            )
+            messages.append(f"end {p!r} has order {mu} > -2: "
+                            "not a complete finite-total-curvature end")
     return ValidationReport(
         null=null,
         residues=res,
-        end_orders=tuple(end_orders),
-        orders_ok=orders_ok,
+        end_orders=end_orders,
+        orders_ok=all(mu <= -2 for _p, mu in end_orders),
         punctures_ok=punctures_ok,
         messages=tuple(messages),
     )
@@ -435,8 +441,8 @@ class _ClosedForm:
     def __init__(self, w: WeierstrassData):
         components = []
         residues = []
-        for r, den_roots in zip(w.phi, w._poles.roots):
-            pf = partial_fractions(r, den_roots)
+        for j, (r, den_roots) in enumerate(zip(w.phi, w._poles.roots)):
+            pf = partial_fractions(r, [(p, w._laurent.series(j, p)) for p, _m in den_roots])
             q = pf.poly.coeffs
             anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)]) if q.size else q
             terms = []

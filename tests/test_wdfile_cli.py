@@ -1,8 +1,10 @@
 """Input-format round-trips and the command-line interface contract."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,15 @@ from minsurf import wdfile
 from minsurf.errors import ParseError
 
 
+# child interpreters import the minsurf under test, with or without PYTHONPATH
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(ms.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "minsurf.cli", *map(str, args)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
 
 
@@ -102,28 +109,61 @@ class TestCliVerify:
 
 
 class TestCliStrictParse:
-    """Malformed numbers are parse errors: exit 2, no traceback."""
+    """The CLI contract: malformed input and unreadable paths exit 2 with no
+    traceback."""
 
     @pytest.fixture()
     def catenoid_doc(self, catenoid):
         return json.loads(wdfile.dumps(wdfile.document_from_data(catenoid.data)))
 
-    def _analyze(self, tmp_path, doc):
-        path = tmp_path / "edited.wd"
-        path.write_text(json.dumps(doc))
+    @staticmethod
+    def _exits_two(path):
         out = run_cli("analyze", path)
         assert out.returncode == 2
-        assert "parse error" in out.stderr
         assert "Traceback" not in out.stderr
+        return out
+
+    def _analyze(self, tmp_path, doc):
+        path = tmp_path / "edited.wd"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert "parse error" in self._exits_two(path).stderr
+
+    def test_malformed_json(self, tmp_path):
+        self._analyze(tmp_path, '{"n": 3,\n  "components": [}')
+
+    def test_non_object_top_level(self, tmp_path, catenoid_doc):
+        self._analyze(tmp_path, [catenoid_doc])
 
     @pytest.mark.parametrize("n", ["abc", 3.9, True])
     def test_non_integer_n(self, tmp_path, catenoid_doc, n):
         self._analyze(tmp_path, dict(catenoid_doc, n=n))
 
+    def test_non_list_components(self, tmp_path, catenoid_doc):
+        self._analyze(tmp_path, dict(catenoid_doc, components=catenoid_doc["components"][0]))
+
+    def test_non_object_component(self, tmp_path, catenoid_doc):
+        catenoid_doc["components"][1] = [[1, 0]]
+        self._analyze(tmp_path, catenoid_doc)
+
+    @pytest.mark.parametrize("entry", [[1, 0, 0], 5])
+    def test_non_pair_coefficient(self, tmp_path, catenoid_doc, entry):
+        catenoid_doc["components"][2]["den"][0] = entry
+        self._analyze(tmp_path, catenoid_doc)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
     def test_non_finite_coefficient(self, tmp_path, catenoid_doc, value):
         catenoid_doc["components"][0]["num"][0][0] = value
         self._analyze(tmp_path, catenoid_doc)
+
+    @pytest.mark.parametrize("punctures", [5, "inf"])
+    def test_non_list_punctures(self, tmp_path, catenoid_doc, punctures):
+        self._analyze(tmp_path, dict(catenoid_doc, punctures=punctures))
+
+    def test_directory_path(self, tmp_path):
+        self._exits_two(tmp_path)
+
+    def test_missing_file(self, tmp_path):
+        self._exits_two(tmp_path / "missing.wd")
 
 
 class TestCliAnalyze:
@@ -224,6 +264,6 @@ class TestImport:
             [sys.executable, "-c",
              "import sys, minsurf; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=CHILD_ENV,
         )
         assert out.stdout.strip() == "[]"

@@ -141,6 +141,83 @@ class TestPoleTable:
         assert any("not listed among the punctures" in m for m in report.messages)
 
 
+class TestLaurentTable:
+    @staticmethod
+    def _count_expansions(monkeypatch):
+        import sys
+
+        import minsurf.rational as rat
+
+        real_expand = rat.laurent_expand
+        calls = []
+
+        def counting_expand(r, center, *args, **kwargs):
+            calls.append((r, center))
+            return real_expand(r, center, *args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("minsurf") and getattr(mod, "laurent_expand", None) is real_expand:
+                monkeypatch.setattr(mod, "laurent_expand", counting_expand)
+        return calls
+
+    def test_one_expansion_per_component_and_centre(self, monkeypatch):
+        calls = self._count_expansions(monkeypatch)
+        w = ms.generalized_jorge_meeks(4).data
+
+        def analysis_round():
+            rep = ms.run_analysis(w)
+            assert rep.valid
+            return [ms.rotation_index_numeric(w, e.puncture, (1e2, 1e3), end=e)
+                    for e in rep.ends]
+
+        assert analysis_round() == [1] * 5
+        # 9 components, 5 ends: the pole table, validation, curvature, the
+        # end analysis, the partial fractions and the local immersions share
+        # one expansion per (component, centre)
+        assert len(calls) == 45
+        assert len({(id(r), c) for r, c in calls}) == 45
+        assert analysis_round() == [1] * 5
+        assert len(calls) == 45
+
+    @staticmethod
+    def _reference_window(w, p, depth):
+        """The window from ``laurent_expand`` called directly at that depth."""
+        series = []
+        for r in w.phi:
+            if r.is_zero:
+                series.append(None)
+                continue
+            if is_infinity(p):
+                s = laurent_expand(r, INF, depth)
+                series.append((s.order - 2, -s.coeffs))
+                continue
+            near = [z for z, _m in (ms.roots(r.den) if r.den.degree() >= 1 else ())
+                    if abs(z - p) <= 1e-5 * (1 + abs(p))]
+            s = laurent_expand(r, near[0] if near else p, depth)
+            series.append((s.order, s.coeffs))
+        mu = min(order for order, _ in (s for s in series if s is not None))
+        C = np.zeros((w.n, depth + 1), dtype=complex)
+        for j, s in enumerate(series):
+            if s is not None:
+                for k in range(depth + 1):
+                    if 0 <= mu + k - s[0] < s[1].size:
+                        C[j, k] = s[1][mu + k - s[0]]
+        return mu, C
+
+    @pytest.mark.parametrize("depths", [(0, 2, 8, 40), (40, 8, 2, 0)])
+    def test_windows_are_bitwise_prefixes(self, depths):
+        from minsurf.weierstrass import form_coefficient_window
+
+        for entry in (ms.holomorphic_counterexample(), ms.generalized_jorge_meeks(3)):
+            w = entry.data
+            for depth in depths:
+                for p in w.punctures:
+                    mu, C = form_coefficient_window(w, p, depth)
+                    ref_mu, ref = self._reference_window(w, p, depth)
+                    assert mu == ref_mu
+                    assert C.tobytes() == ref.tobytes()
+
+
 class TestResiduesReal:
     def test_catenoid_residue_vector(self, catenoid):
         res = form_residue_vector(catenoid.data, 0j)
