@@ -5,7 +5,9 @@ derivative components.  Clearing denominators and removing the common
 polynomial factor leaves a basepoint-free polynomial map into the quadric
 {sum x_j^2 = 0}; its hyperplane-intersection degree d (the max component
 degree) determines the total curvature -2 pi d.  A Green-identity boundary
-integral of -laplacian(log lambda) provides an independent numeric value.
+integral of -laplacian(log lambda) provides an independent numeric value; it
+reads only each component's num/den and evaluates each shrink round's circles
+in one stacked call.
 
 Equalities in the curvature bounds are detected by integer comparison of the
 pi-multiples, never by float comparison.
@@ -125,20 +127,26 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     return GaussMap(psi=tuple(nums), degree=int(degree))
 
 
-def _circle_flux(parts, center: complex, radius: float, n_theta: int) -> float:
-    """Integral over the circle of d/dr log(lambda) * radius dtheta.
+def _round_fluxes(parts, centers, radii, n_theta: int):
+    """Integrals over circles of d/dr log(lambda) * radius dtheta, all at once.
 
     With S = sum phi_j conj(phi_j), d/dr log lambda = Re[e^{i theta} *
     (sum phi_j' conj(phi_j)) / S].  ``parts`` holds (num, den, num', den')
     of each nonzero component, and phi' = (num' - phi den') / den by the
-    quotient rule, so there is no finite differencing.  Radius is nudged if
-    a sample hits a zero of S.
+    quotient rule, so there is no finite differencing.  The circles (centre
+    ``centers[i]``, radius ``radii[i]``) are stacked into one array, so each
+    polynomial is evaluated once for all of them; a circle on which a sample
+    hits a zero of S has its radius nudged and is evaluated again, together
+    with any other circle so nudged.  Returns (fluxes, radii used).
     """
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     e = np.exp(1j * theta)
-    rad = radius
+    centers = np.asarray(centers, dtype=complex)
+    rad = np.array(radii, dtype=float)
+    flux = np.empty(rad.size)
+    todo = np.arange(rad.size)
     for _attempt in range(6):
-        z = center + rad * e
+        z = centers[todo, None] + rad[todo, None] * e
         num = np.zeros_like(z)
         den = np.zeros(z.shape)
         for n, d, dn, dd in parts:
@@ -146,10 +154,13 @@ def _circle_flux(parts, center: complex, radius: float, n_theta: int) -> float:
             v = n(z) / dz
             num += (dn(z) - v * dd(z)) / dz * np.conj(v)
             den += np.abs(v) ** 2
-        if np.min(den) > 1e-280:
-            vals = np.real(e * num / den) * rad
-            return float(np.mean(vals) * 2.0 * math.pi)
-        rad *= 1.0017
+        ok = np.min(den, axis=1) > 1e-280
+        vals = np.real(e * num[ok] / den[ok]) * rad[todo[ok], None]
+        flux[todo[ok]] = np.mean(vals, axis=1) * 2.0 * math.pi
+        todo = todo[~ok]
+        if not todo.size:
+            return flux, rad
+        rad[todo] *= 1.0017
     raise ConvergenceFailureError("conformal factor vanished on every probed circle")
 
 
@@ -162,11 +173,14 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     circle integrals of the radial derivative of log lambda.  The disks are
     shrunk and the outer circle enlarged until successive estimates agree to
     tol (geometric convergence, since the boundary terms differ from their
-    limits by powers of the radii).
+    limits by powers of the radii).  Each round's circles -- one per finite
+    puncture and the outer one -- are evaluated in one stacked call.  The
+    check reads only the components' num/den, not the pole or Laurent tables.
     """
     parts = [(r.num, r.den, r.num.derivative(), r.den.derivative())
              for r in w.phi if not r.is_zero]
     fin = w.finite_punctures
+    centers = [*fin, 0j]
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
     shrink = 0.6
@@ -174,9 +188,9 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     for i in range(max_iter):
         eps = eps0 * shrink**i
         r_out = r_out0 / shrink**i
-        inner = sum(_circle_flux(parts, p, eps, n_theta) for p in fin)
-        outer = _circle_flux(parts, 0j, r_out, n_theta)
-        tc = -(outer - inner)
+        flux, _radii = _round_fluxes(parts, centers, [eps] * len(fin) + [r_out], n_theta)
+        inner = sum(flux[:-1].tolist())
+        tc = -(flux[-1] - inner)
         # successive differences underestimate the residual of a geometric
         # tail by ~shrink/(1-shrink), hence the margin factor
         if prev is not None and abs(tc - prev) <= 0.2 * tol * max(1.0, abs(tc)):

@@ -15,8 +15,10 @@ Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant fixed by the closed-form
 immersion at a reference radius; this is the immersion itself to spectral
 accuracy, and working in t keeps full relative precision at radii far below
-the evaluation clearance, where z = p + t would round t away.  Coefficients
-are prefixes of the datum's Laurent table; it keeps one LocalImmersion per end.
+the evaluation clearance, where z = p + t would round t away.  The series is
+evaluated in integer powers by one cumulative product, its tail cut where the
+terms fall below 1e-18 of the leading one.  Coefficients are prefixes of the
+datum's Laurent table; it keeps one LocalImmersion per end.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
 
 BILINEAR_TOL = 1e-9   # |<a,a>| and |<a_-2, a_-1>| relative to |a_-2|^2
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
+TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 
 
 class EndType(str, Enum):
@@ -87,6 +90,12 @@ class LocalImmersion:
     immersion (``immersion_eval``) at a reference radius.  Valid for |t|
     below roughly half the distance to the next singularity; only Re(log)
     enters, so the log branch is immaterial (the residue vector is real).
+
+    The integer powers t^p, p = lo..hi, come from one cumulative product
+    started at t ** float(lo) -- for lo = -1 bitwise the 1/t of
+    ``AsymptoticModel``, so an exact model cancels exactly.  Tail terms whose
+    bound max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
+    leading term's are dropped: at sphere-cut radii most of the 40 are.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -98,43 +107,70 @@ class LocalImmersion:
         exps = mu + np.arange(C.shape[1])
         log_mask = exps == -1
         self.log_coeff = C[:, log_mask].sum(axis=1)
-        keep = ~log_mask
-        self._powers = (exps[keep] + 1).astype(float)
-        self._anti = C[:, keep] / (exps[keep] + 1)
+        # antiderivative coefficients of t^lo .. t^(lo+40); t^0 (the log) is zero
+        self._lo = self.mu + 1
+        anti = np.zeros_like(C)
+        anti[:, ~log_mask] = C[:, ~log_mask] / (exps[~log_mask] + 1)
+        self._anti = anti
+        # log max|c_p| over the leading (first nonzero) term's, and p - p_lead
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.max(np.abs(anti), axis=0))
+        lead = int(np.argmax(np.isfinite(log_mag)))
+        self._log_rel_mag = log_mag - log_mag[lead]
+        self._rel_power = np.arange(anti.shape[1]) - lead
         self.r_ref = 0.5 if not math.isfinite(conv) else float(min(0.2 * conv, 0.5))
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         anchor = immersion_eval(w, to_global(self.r_ref))
-        self.constant = anchor - self._raw(np.array([self.r_ref + 0j]))[:, 0]
+        self.constant = anchor - self._raw(np.array([self.r_ref + 0j]), self.r_ref)[:, 0]
 
-    def _raw(self, t: np.ndarray) -> np.ndarray:
-        tp = t[None, :] ** self._powers[:, None]  # (K, M) -- t**p per power
-        val = self._anti @ tp
-        val = val + np.multiply.outer(self.log_coeff, np.log(t))
+    def _kept_terms(self, r_max: float) -> int:
+        """Terms kept for |t| <= r_max: through the last whose bound is at
+        least TAIL_REL of the leading term's (log of the ratio below)."""
+        log_r = math.log(r_max) if r_max > 0.0 else -math.inf
+        above = self._log_rel_mag + self._rel_power * log_r >= math.log(TAIL_REL)
+        return above.size - int(np.argmax(above[::-1]))
+
+    def _raw(self, t: np.ndarray, r_max: float) -> np.ndarray:
+        K = self._kept_terms(r_max)
+        steps = np.empty((K, t.size), dtype=complex)
+        steps[0] = t ** float(self._lo)
+        steps[1:] = t
+        # the complex log goes before the matrix product: right after a complex
+        # BLAS product the scalar libm code behind np.log ran ~13x slower on
+        # the x86 machine this was measured on (dirty upper vector registers)
+        val = np.multiply.outer(self.log_coeff, np.log(t))
+        val += self._anti[:, :K] @ np.cumprod(steps, axis=0)
         return 2.0 * val.real
 
     def __call__(self, t) -> np.ndarray:
         """Immersion values at local coordinates t; shape (n, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=complex))
-        if np.max(np.abs(t)) > self._cap:
+        r_max = float(np.max(np.abs(t)))
+        if r_max > self._cap:
             raise EvaluationNearSingularityError(
                 f"local coordinate beyond the chart radius {self._cap:.3g}"
             )
-        return self._raw(t) + self.constant[:, None]
+        return self._raw(t, r_max) + self.constant[:, None]
 
     def global_point(self, t):
         return self._to_global(t)
 
 
-@dataclass
+@dataclass(slots=True)
 class EndAnalysis:
-    """Laurent data, adapted frame and classification of one end."""
+    """Laurent data, adapted frame and classification of one end.
+
+    Kept small, since reports are kept: the vectors are copies, not views
+    into the Laurent window (``a_minus2`` is ``_lead`` itself when mu = -2),
+    and ``frame`` is one (3, n) array of rows e1, e2, e3.
+    """
 
     puncture: object
     mu: int
     k: int
     a_minus2: np.ndarray = field(repr=False)
     a_minus1: np.ndarray = field(repr=False)
-    frame: tuple = field(repr=False)
+    frame: np.ndarray = field(repr=False)
     a: float
     b: float
     classification: EndType
@@ -179,8 +215,11 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     depth = max(8, 4 - metric_order_at(w, p))
     mu, C = form_coefficient_window(w, p, depth)
     k = -mu
-    lead = C[:, 0]
-    a2 = C[:, -2 - mu] if 0 <= -2 - mu <= depth else np.zeros(w.n, dtype=complex)
+    lead = C[:, 0].copy()
+    if mu == -2:
+        a2 = lead
+    else:
+        a2 = C[:, -2 - mu].copy() if 0 <= -2 - mu <= depth else np.zeros(w.n, dtype=complex)
     a1c = C[:, -1 - mu] if 0 <= -1 - mu <= depth else np.zeros(w.n, dtype=complex)
     a1 = a1c.real.copy()
 
@@ -221,7 +260,7 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         k=k,
         a_minus2=a2,
         a_minus1=a1,
-        frame=(e1, e2, e3),
+        frame=np.array([e1, e2, e3]),
         a=a,
         b=b,
         classification=classification,

@@ -127,8 +127,14 @@ def loads(text: str) -> WdDocument:
 
 
 def load(path) -> WdDocument:
-    with open(path) as fh:
-        return loads(fh.read())
+    """Read a ``.wd`` file; it is UTF-8 JSON, whatever the locale says."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                             f"at offset {exc.start}") from exc
+    return loads(text)
 
 
 def dumps(doc: WdDocument) -> str:
@@ -142,7 +148,7 @@ def dumps(doc: WdDocument) -> str:
 
 
 def dump(doc: WdDocument, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(doc))
 
 

@@ -110,6 +110,101 @@ class TestTotalCurvature:
             assert abs(rep.tc_numeric + 4 * math.pi) <= 1e-3 * 4 * math.pi
 
 
+def _quotient_parts(phi):
+    return [(r.num, r.den, r.num.derivative(), r.den.derivative()) for r in phi if not r.is_zero]
+
+
+def _reference_circle_flux(parts, center, radius, n_theta):
+    """One circle at a time: the Green-identity flux as first written, nudging
+    the radius until no sample hits a zero of S."""
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    e = np.exp(1j * theta)
+    rad = radius
+    for _attempt in range(6):
+        z = center + rad * e
+        num = np.zeros_like(z)
+        den = np.zeros(z.shape)
+        for n, d, dn, dd in parts:
+            dz = d(z)
+            v = n(z) / dz
+            num += (dn(z) - v * dd(z)) / dz * np.conj(v)
+            den += np.abs(v) ** 2
+        if np.min(den) > 1e-280:
+            vals = np.real(e * num / den) * rad
+            return float(np.mean(vals) * 2.0 * math.pi), rad
+        rad *= 1.0017
+    raise AssertionError("reference: no circle without a zero of S")
+
+
+def _reference_total_curvature(w, tol=1e-3, n_theta=512, max_iter=48):
+    parts = _quotient_parts(w.phi)
+    fin = w.finite_punctures
+    eps0 = 0.08 * w.min_separation
+    r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
+    prev = None
+    for i in range(max_iter):
+        eps = eps0 * 0.6**i
+        r_out = r_out0 / 0.6**i
+        inner = sum(_reference_circle_flux(parts, p, eps, n_theta)[0] for p in fin)
+        tc = -(_reference_circle_flux(parts, 0j, r_out, n_theta)[0] - inner)
+        if prev is not None and abs(tc - prev) <= 0.2 * tol * max(1.0, abs(tc)):
+            return tc
+        prev = tc
+    raise AssertionError("reference: boundary terms did not stabilize")
+
+
+class TestStackedRounds:
+    """Each shrink round of the Green-identity check evaluates its circles in
+    one stacked call; the value is bitwise the per-circle one."""
+
+    def test_bitwise_equal_to_per_circle(self, all_entries):
+        from conftest import well_conditioned_mobius
+
+        jm2 = next(e for e in all_entries if e.name == "generalized-jorge-meeks-m2").data
+        chart = mobius_precompose(jm2, well_conditioned_mobius(jm2, np.random.default_rng(5)))
+        assert len(chart.finite_punctures) >= 2
+        for w in [e.data for e in all_entries] + [chart]:
+            assert total_curvature_numeric(w) == _reference_total_curvature(w), w.label
+
+    def test_only_the_circle_on_a_zero_of_s_is_nudged(self, enneper):
+        # Enneper times (z - 1)^2: a branch point at z = 1, where every
+        # component vanishes exactly; the theta = 0 sample of the unit circle
+        # about 0 is exactly 1
+        square = ms.rational.RationalMap([1.0, -2.0, 1.0])
+        parts = _quotient_parts([r * square for r in enneper.data.phi])
+        centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
+        flux, used = curvature._round_fluxes(parts, centers, radii, 512)
+        assert used.tolist() == [1.0 * 1.0017, 0.5, 0.3]
+        for i, (c, r) in enumerate(zip(centers, radii)):
+            assert (flux[i], used[i]) == _reference_circle_flux(parts, c, r, 512)
+
+    def test_one_evaluation_per_component_and_round(self, monkeypatch):
+        w = ms.generalized_jorge_meeks(3).data
+        shapes = []
+        real_call = ms.rational.ComplexPoly.__call__
+
+        def counting_call(self, z):
+            shapes.append(np.shape(z))
+            return real_call(self, z)
+
+        rounds = []
+        real_round = curvature._round_fluxes
+
+        def counting_round(*args):
+            rounds.append(args)
+            return real_round(*args)
+
+        monkeypatch.setattr(ms.rational.ComplexPoly, "__call__", counting_call)
+        monkeypatch.setattr(curvature, "_round_fluxes", counting_round)
+        total_curvature_numeric(w)
+        # num, den, num', den' of 7 components, once a round on the stacked
+        # circles about the 4 finite ends and the outer one
+        assert w.n == 7 and len(w.finite_punctures) == 4
+        assert len(rounds) >= 2
+        assert len(shapes) == 4 * 7 * len(rounds)
+        assert set(shapes) == {(5, 512)}
+
+
 class TestChernOsserman:
     def test_catenoid_equality(self, catenoid):
         rep = chern_osserman(catenoid.data)

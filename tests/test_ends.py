@@ -1,5 +1,7 @@
 """Per-end analysis: frames, classification, asymptotic models, rotation index."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from minsurf.ends import (
 )
 from minsurf.errors import ModelUndefinedError
 from minsurf.rational import INF
-from minsurf.weierstrass import form_residue_vector
+from minsurf.weierstrass import form_coefficient_window, form_residue_vector
 
 R_LIST = (1e2, 1e3, 1e4)
 
@@ -209,3 +211,72 @@ class TestLocalImmersion:
         t = 0.3 * loc.r_ref * np.exp(0.7j)
         direct = ms.immersion_eval(w, loc.global_point(t))
         assert np.max(np.abs(loc(np.array([t]))[:, 0] - direct)) < 1e-8 * np.max(np.abs(direct))
+
+
+class FloatPowerImmersion(LocalImmersion):
+    """The local immersion as first written: every term t ** p taken as a
+    complex power with a float exponent, all 40 of them on every call, and
+    its own constant fixed at the reference radius."""
+
+    def __init__(self, w, p):
+        mu, C = form_coefficient_window(w, p, 40)
+        exps = mu + np.arange(C.shape[1])
+        keep = exps != -1
+        self._ref_powers = (exps[keep] + 1).astype(float)
+        self._ref_anti = C[:, keep] / (exps[keep] + 1)
+        super().__init__(w, p)
+
+    def _raw(self, t, r_max):
+        tp = t[None, :] ** self._ref_powers[:, None]
+        val = self._ref_anti @ tp + np.multiply.outer(self.log_coeff, np.log(t))
+        return 2.0 * val.real
+
+
+class TestIntegerPowerEvaluation:
+    """The cumulative-product evaluation with its tail cut matches the
+    float-power formula on every catalog end, at every scale it is used."""
+
+    @staticmethod
+    def _radii(loc):
+        near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
+        return [loc.r_ref, 1e-2, 1e-4, 1e-6, near_cap]
+
+    def test_matches_float_powers(self, all_entries):
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        orders = set()
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                loc, ref = LocalImmersion(w, p), FloatPowerImmersion(w, p)
+                orders.add(loc.mu)
+                for r in self._radii(loc):
+                    t = r * np.exp(1j * thetas)
+                    want = ref(t)
+                    err = np.max(np.linalg.norm(loc(t) - want, axis=0))
+                    assert err <= 1e-14 * np.max(np.linalg.norm(want, axis=0)), (entry.name, p, r)
+        assert orders == {-2, -3, -4}
+
+    def test_tail_is_cut_at_sphere_cut_radii(self, jm2):
+        # at |t| = 1e-4 all but a few of the 41 terms fall below 1e-18 of the
+        # leading one; near the cap every term is kept
+        loc = LocalImmersion(jm2.data, jm2.data.punctures[0])
+        assert loc._anti.shape[1] == 41
+        assert loc._kept_terms(1e-4) < 8
+        assert loc._kept_terms(0.99 * loc._cap) == 41
+
+    def test_same_verdicts_as_float_powers(self, all_entries, monkeypatch):
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                got_rot = rotation_index_numeric(w, p, R_LIST, end=e)
+                got = verify_asymptotic(w, e, [1e-1, 1e-2, 1e-3]) if e.mu == -2 else None
+                with monkeypatch.context() as m:
+                    m.setitem(w._laurent.immersions, p, FloatPowerImmersion(w, p))
+                    assert rotation_index_numeric(w, p, R_LIST, end=e) == got_rot
+                    if got is not None:
+                        want = verify_asymptotic(w, e, [1e-1, 1e-2, 1e-3])
+                        assert got.bounded == want.bounded, (entry.name, p)
+        plane = next(e for e in all_entries if e.name == "plane").data
+        check = verify_asymptotic(plane, analyze_end(plane, INF), [1e-1, 1e-2, 1e-3, 1e-4])
+        assert check.ratios == (0.0, 0.0, 0.0, 0.0) and check.bounded

@@ -159,6 +159,11 @@ class TestCliStrictParse:
     def test_non_list_punctures(self, tmp_path, catenoid_doc, punctures):
         self._analyze(tmp_path, dict(catenoid_doc, punctures=punctures))
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.wd"
+        path.write_bytes(b'\xff\xfe{"n":3}')
+        assert "not UTF-8" in self._exits_two(path).stderr
+
     def test_directory_path(self, tmp_path):
         self._exits_two(tmp_path)
 
