@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from . import __version__, catalog, wdfile
-from .errors import MinsurfError, ParseError
-from .mesh import build_mesh, export_obj, sample_domain
+from .errors import MinsurfError, ParseError, UsageError
+from .mesh import build_mesh, check_projection, export_obj, sample_domain
 from .rational import is_infinity
 from .report import report_to_json, run_analysis, sha256_of
 from .weierstrass import validate
@@ -96,11 +96,15 @@ def cmd_mesh(args) -> int:
         for msg in report.messages:
             print(f"mesh: {msg}", file=sys.stderr)
         return 1
-    tri = sample_domain(data, r_min=args.rmin, r_max=args.rmax, res=args.res)
-    mesh = build_mesh(data, tri)
     projection = None
     if args.project:
-        projection = tuple(int(x) - 1 for x in args.project.split(","))
+        try:
+            projection = check_projection([int(x) - 1 for x in args.project.split(",")], data.n)
+        except ValueError:
+            raise UsageError(f"--project takes three distinct axes from 1 to {data.n}, "
+                             f"not {args.project!r}") from None
+    tri = sample_domain(data, r_min=args.rmin, r_max=args.rmax, res=args.res)
+    mesh = build_mesh(data, tri)
     written = export_obj(mesh, args.output, projection=projection)
     print(f"{written[0]}: {mesh.vertices.shape[0]} vertices, "
           f"{mesh.faces.shape[0]} faces"
@@ -157,7 +161,7 @@ def main(argv=None) -> int:
         loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"minsurf: parse error{loc}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a missing file, a directory, no permission
+    except (OSError, UsageError) as exc:  # an unreadable path, a parameter out of range
         print(f"minsurf: {exc}", file=sys.stderr)
         return 2
     except MinsurfError as exc:

@@ -56,3 +56,11 @@ class ConvergenceFailureError(MinsurfError, RuntimeError):
     def __init__(self, message, estimates=None):
         super().__init__(message)
         self.estimates = tuple(estimates) if estimates is not None else ()
+
+
+class UsageError(MinsurfError, ValueError):
+    """A parameter outside its documented range (the CLI exits 2)."""
+
+
+class MeshBudgetError(MinsurfError):
+    """A requested mesh would exceed the node budget."""

@@ -1,11 +1,17 @@
 """Parameter triangulation, immersion meshes, OBJ export."""
 
+import math
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf.errors import EvaluationNearSingularityError
-from minsurf.mesh import SurfaceMesh, build_mesh, export_obj, sample_domain
+from minsurf.errors import EvaluationNearSingularityError, MeshBudgetError
+from minsurf.mesh import (RING_RATIO, ParamTriangulation, SurfaceMesh, build_mesh, export_obj,
+                          sample_domain)
+from minsurf.rational import is_infinity
 from minsurf.weierstrass import conformal_factor
 
 
@@ -193,3 +199,279 @@ class TestExportObj:
         mesh = build_mesh(plane.data, tri)
         with pytest.raises(ValueError):
             export_obj(mesh, tmp_path / "x.obj", projection=(0, 1, 5))
+
+
+# -- loop reference ----------------------------------------------------------
+# sample_domain and export_obj written as per-node Python loops with a
+# de-duplicating node pool.  The array implementation must reproduce them bit
+# for bit: nodes, triangles, warnings and the written bytes.
+
+class _NodePool:
+    """Deduplicating node registry: equal parameter values share one vertex."""
+
+    def __init__(self):
+        self.nodes = []
+        self._index = {}
+
+    def add(self, z):
+        key = (round(z.real, 9), round(z.imag, 9))
+        idx = self._index.get(key)
+        if idx is None:
+            idx = len(self.nodes)
+            self.nodes.append(z)
+            self._index[key] = idx
+        return idx
+
+
+def _loop_ring_radii(r_min, r_max):
+    radii = [r_min]
+    while radii[-1] * RING_RATIO < r_max:
+        radii.append(radii[-1] * RING_RATIO)
+    radii.append(r_max)
+    return radii
+
+
+def _loop_fan(pool, triangles, center, r_min, r_max, res):
+    radii = _loop_ring_radii(r_min, r_max)
+    angles = 2.0 * math.pi * np.arange(res) / res
+    at_inf = is_infinity(center)
+
+    def node(r, ang):
+        if at_inf:
+            return (1.0 / r) * complex(math.cos(ang), -math.sin(ang))
+        return complex(center) + r * complex(math.cos(ang), math.sin(ang))
+
+    rings = [[pool.add(node(r, ang)) for ang in angles] for r in radii]
+    for inner, outer in zip(rings[:-1], rings[1:]):
+        for k in range(res):
+            k1 = (k + 1) % res
+            triangles.append((inner[k], inner[k1], outer[k]))
+            triangles.append((inner[k1], outer[k1], outer[k]))
+    return rings[-1]
+
+
+def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
+    """Loop reference of sample_domain.  ``polygon=False`` cuts the fill at the
+    outer circle alone, which leaves holes where lattice nodes cross a chord
+    of the boundary polygon."""
+    from scipy.spatial import Delaunay
+
+    if not (0.0 < r_min < r_max):
+        raise ValueError("require 0 < r_min < r_max")
+    if res < 8:
+        raise ValueError("res must be at least 8")
+    fin = w.finite_punctures
+    has_inf = any(is_infinity(p) for p in w.punctures)
+
+    if len(fin) >= 2 and w.min_separation < 2.0 * r_max:
+        r_max = 0.45 * w.min_separation
+        warnings.warn(f"end annuli overlap; shrinking r_max to {r_max:.3g}")
+    if has_inf and fin:
+        needed = 2.0 * max(abs(p) + r_max for p in fin)
+        if 1.0 / r_max < needed:
+            r_max = min(r_max, 1.0 / needed)
+            warnings.warn(f"infinity fan overlaps finite fans; shrinking r_max to {r_max:.3g}")
+    if r_max <= r_min:
+        r_min = r_max / 4.0
+    if fin and r_min < w.clearance:
+        if r_max <= w.clearance:
+            raise EvaluationNearSingularityError(
+                f"r_max {r_max:.3g} is within the evaluation clearance {w.clearance:.3g}"
+            )
+        r_min = w.clearance
+        warnings.warn(f"r_min below the evaluation clearance; raising it to {r_min:.3g}")
+
+    pool = _NodePool()
+    triangles = []
+    boundary_idx = []
+    for p in fin:
+        boundary_idx.extend(_loop_fan(pool, triangles, p, r_min, r_max, res))
+    if has_inf:
+        boundary_idx.extend(_loop_fan(pool, triangles, next(p for p in w.punctures
+                                                            if is_infinity(p)),
+                                      r_min, r_max, res))
+        outer_radius = 1.0 / r_max
+    else:
+        outer_radius = 2.5 * (max((abs(p) for p in fin), default=0.0) + r_max) + 1.0
+        angles = 2.0 * math.pi * np.arange(res) / res
+        boundary_idx.extend(
+            pool.add(outer_radius * complex(math.cos(a), math.sin(a))) for a in angles
+        )
+
+    spacing = 2.0 * math.pi * r_max / res
+    cut = outer_radius - 0.45 * spacing
+    if polygon:
+        cut = min(cut, outer_radius * math.cos(math.pi / res) - 0.2 * spacing)
+    fill = []
+    ny = int(outer_radius / (spacing * math.sqrt(3.0) / 2.0)) + 1
+    nx = int(outer_radius / spacing) + 1
+    for iy in range(-ny, ny + 1):
+        y = iy * spacing * math.sqrt(3.0) / 2.0
+        offset = 0.5 * spacing if iy % 2 else 0.0
+        for ix in range(-nx, nx + 1):
+            z = complex(ix * spacing + offset, y)
+            if abs(z) > cut:
+                continue
+            if any(abs(z - p) < r_max + 0.45 * spacing for p in fin):
+                continue
+            fill.append(z)
+
+    central = [pool.nodes[i] for i in boundary_idx] + fill
+    central_idx = [pool.add(z) for z in central]
+    if len(central) >= 4:
+        pts = np.array([[z.real, z.imag] for z in central])
+        for simplex in Delaunay(pts).simplices:
+            zs = [central[i] for i in simplex]
+            cen = sum(zs) / 3.0
+            if abs(cen) > outer_radius * (1.0 + 1e-9):
+                continue
+            if any(abs(cen - p) < r_max * 0.995 for p in fin):
+                continue
+            a, b, c = (complex(z) for z in zs)
+            area2 = abs((b - a).real * (c - a).imag - (b - a).imag * (c - a).real)
+            if area2 < 1e-12 * spacing * spacing:
+                continue
+            triangles.append(tuple(central_idx[i] for i in simplex))
+
+    return ParamTriangulation(nodes=np.array(pool.nodes, dtype=complex),
+                              triangles=np.array(triangles, dtype=int))
+
+
+def loop_export_obj(mesh, path):
+    """Loop reference of export_obj: one f-string per line."""
+    n = mesh.vertices.shape[1]
+    lines = ["v " + " ".join(f"{v[i]:.17g}" for i in mesh.projection) for v in mesh.vertices]
+    lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}" for f in mesh.faces]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    written = [str(path)]
+    if n > 3:
+        sidecar = str(path) + ".coords.tsv"
+        with open(sidecar, "w") as fh:
+            fh.write("\t".join(f"x{i + 1}" for i in range(n)) + "\n")
+            for v in mesh.vertices:
+                fh.write("\t".join(f"{x:.17g}" for x in v) + "\n")
+        written.append(sidecar)
+    return written
+
+
+def _with_warnings(f, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args, **kwargs)
+    return out, [str(c.message) for c in caught]
+
+
+BENCH = dict(r_min=0.02, r_max=0.5, res=32)
+JM = ms.generalized_jorge_meeks
+# (surface, sample_domain keywords, whether the circle-only cut gives the same mesh)
+REFERENCE_CASES = {
+    "catenoid-bench": (lambda: ms.catenoid().data, BENCH, True),
+    "enneper-bench": (lambda: ms.enneper().data, BENCH, True),
+    "counterexample-bench": (lambda: ms.holomorphic_counterexample().data, BENCH, True),
+    "jm2-bench": (lambda: JM(2).data, BENCH, True),
+    "jm3-bench": (lambda: JM(3).data, BENCH, True),
+    # CLI defaults: two fans that touch at 0 share one node
+    "jm1-touching-fans": (lambda: JM(1).data, {}, True),
+    # ends at +-0.3 and r_max 0.3: the fans meet at 0 in nodes that differ in
+    # their last bits and merge only under the rounded key
+    "jm1-touching-fans-rounded": (lambda: ms.mobius_precompose(JM(1).data, (1, 0, 0, 0.3)),
+                                  dict(r_min=0.01, r_max=0.3), True),
+    "plane-no-finite-end": (lambda: ms.plane().data, {}, True),
+    # ends at 0.25 and -0.5, none at infinity: the outer circle bounds the fill
+    "moebius-catenoid-outer-circle": (
+        lambda: ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, 0.5)), {}, True),
+    "catenoid-res8": (lambda: ms.catenoid().data, dict(r_min=0.1, r_max=0.5, res=8), False),
+    "jm1-r_min-at-clearance": (lambda: ms.mobius_precompose(JM(1).data, (1, 0, 0, 100)),
+                               dict(r_min=0.01, r_max=10.0, res=8), False),
+}
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bitwise_equal(self, case, tmp_path):
+        make, kwargs, circle_cut_same = REFERENCE_CASES[case]
+        w = make()
+        tri, warned = _with_warnings(sample_domain, w, **kwargs)
+        for polygon in (True, False) if circle_cut_same else (True,):
+            ref, ref_warned = _with_warnings(loop_sample_domain, w, polygon=polygon, **kwargs)
+            assert tri.nodes.tobytes() == ref.nodes.tobytes()
+            assert tri.triangles.dtype == ref.triangles.dtype
+            assert np.array_equal(tri.triangles, ref.triangles)
+            assert warned == ref_warned
+        mesh = build_mesh(w, tri)
+        written = export_obj(mesh, tmp_path / "array.obj")
+        expected = loop_export_obj(mesh, tmp_path / "loop.obj")
+        assert len(written) == len(expected) == (2 if w.n > 3 else 1)
+        for a, b in zip(written, expected):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_circle_cut_differs_where_the_polygon_binds(self):
+        # the cases marked False above do exercise the polygon rule
+        for make, kwargs, circle_cut_same in REFERENCE_CASES.values():
+            if not circle_cut_same:
+                w = make()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    new, old = (loop_sample_domain(w, polygon=p, **kwargs) for p in (True, False))
+                assert new.nodes.size < old.nodes.size
+
+
+def _polygon_apothem_excess(z, radius, res):
+    """max over the edges of the inscribed res-gon (vertices at 2 pi k / res) of
+    the distance of z beyond the edge's line; negative inside the polygon."""
+    normals = np.exp(-1j * np.pi * (2 * np.arange(res) + 1) / res)
+    return np.max((z[:, None] * normals).real, axis=1) - radius * math.cos(math.pi / res)
+
+
+class TestTopology:
+    """The parameter mesh is a sphere with one disk cut out per end (infinity
+    included when it is an end): V - E + F = (2 if infinity is an end else 1)
+    - #ends, every edge lies in one or two faces, and the central fill stays
+    inside the boundary polygon.  No r_max here shrinks, so the outer radius
+    is 1 / r_max with an end at infinity and 2.5 (max |p| + r_max) + 1 without."""
+
+    SURFACES = {"catenoid": ms.catenoid, "plane": ms.plane, "enneper": ms.enneper,
+                "counterexample": ms.holomorphic_counterexample,
+                **{f"jm{m}": (lambda m=m: JM(m)) for m in (1, 2, 3)}}
+
+    @pytest.mark.parametrize("name", sorted(SURFACES))
+    def test_sweep(self, name):
+        w = self.SURFACES[name]().data
+        has_inf = any(is_infinity(p) for p in w.punctures)
+        fin = np.array(w.finite_punctures, dtype=complex)
+        for res in (8, 12, 16, 24):
+            for r_max in (0.2, 0.3, 0.5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no r_max shrink, no r_min raise
+                    tri = sample_domain(w, r_min=r_max / 10, r_max=r_max, res=res)
+                faces = tri.triangles
+                edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                                                faces[:, [2, 0]]]), axis=1)
+                _, per_edge = np.unique(edges[:, 0] * tri.nodes.size + edges[:, 1],
+                                        return_counts=True)
+                euler = tri.nodes.size - len(per_edge) + len(faces)
+                assert euler == (2 if has_inf else 1) - len(w.punctures), (res, r_max)
+                assert per_edge.max() <= 2, (res, r_max)
+                radius = (1.0 / r_max if has_inf
+                          else 2.5 * (np.max(np.abs(fin)) + r_max) + 1.0)
+                z = tri.nodes
+                off_fans = np.all(np.abs(z[:, None] - fin) > r_max * (1 + 1e-9), axis=1)
+                fill = z[off_fans & (np.abs(z) < radius * (1 - 1e-9))]
+                assert fill.size > 0
+                assert np.all(_polygon_apothem_excess(fill, radius, res) < 0), (res, r_max)
+
+
+class TestNodeBudget:
+    def test_close_ends_refused_quickly(self):
+        # JM m = 1 with its ends 1e-3 apart: r_max shrinks to 4.5e-4 and the
+        # fill lattice would span ~6e8 points
+        w = ms.mobius_precompose(JM(1).data, (1, 0, 0, 5e-4))
+        assert abs(w.min_separation - 1e-3) < 1e-12
+        from scipy.spatial import Delaunay  # noqa: F401  (import time is not the refusal's)
+        start = time.perf_counter()
+        with pytest.warns(UserWarning, match="shrinking r_max"), \
+                pytest.raises(MeshBudgetError, match=r"lattice points .*r_max 0.00045.*0.001"):
+            sample_domain(w)
+        assert time.perf_counter() - start < 1.0

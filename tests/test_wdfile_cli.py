@@ -260,6 +260,16 @@ class TestCliMesh:
         text = obj.read_text()
         assert text.startswith("v ") and "\nf " in text
 
+    @pytest.mark.parametrize("args", [("--res", 4), ("--rmin", 1, "--rmax", 0.5),
+                                      ("--project", "1,2"), ("--project", "a,b,c"),
+                                      ("--project", "1,2,9")])
+    def test_usage_error_exit_two(self, tmp_path, catenoid_file, args):
+        obj = tmp_path / "cat.obj"
+        out = run_cli("mesh", catenoid_file, "-o", obj, *args)
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and "Traceback" not in out.stderr
+        assert not obj.exists()
+
 
 class TestImport:
     def test_import_loads_no_scipy(self):
