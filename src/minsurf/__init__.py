@@ -44,9 +44,9 @@ from .rational import (
     RationalMap,
     is_infinity,
     laurent_expand,
-    poly_gcd,
     residue,
     roots,
+    shared_roots,
 )
 from .report import AnalysisReport, report_to_json, run_analysis
 from .weierstrass import (

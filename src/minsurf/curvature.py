@@ -1,13 +1,14 @@
 """Gauss map, total curvature, and the Chern-Osserman / Gackstatter / Ejiri bounds.
 
 The Gauss map of a conformal minimal immersion is the projective class of the
-derivative components.  Clearing denominators and removing the common
-polynomial factor leaves a basepoint-free polynomial map into the quadric
-{sum x_j^2 = 0}; its hyperplane-intersection degree d (the max component
-degree) determines the total curvature -2 pi d.  A Green-identity boundary
-integral of -laplacian(log lambda) provides an independent numeric value; it
-reads only each component's num/den and evaluates each shrink round's circles
-in one stacked call.
+derivative components.  Clearing denominators gives a polynomial map into the
+quadric {sum x_j^2 = 0}; its common factor is the product of the finite branch
+points (``WeierstrassData.branch_points``), and once it is removed the map is
+basepoint-free, so the hyperplane-intersection degree d is the max component
+degree less the branching order.  d determines the total curvature -2 pi d.
+A Green-identity boundary integral of -laplacian(log lambda) provides an
+independent numeric value; it reads only each component's num/den and
+evaluates each shrink round's circles in one stacked call.
 
 Equalities in the curvature bounds are detected by integer comparison of the
 pi-multiples, never by float comparison.
@@ -26,7 +27,6 @@ from .errors import (
     InternalConsistencyError,
     NumericInstabilityError,
 )
-from .rational import multi_gcd, roots
 from .weierstrass import WeierstrassData, metric_order_at
 
 __all__ = [
@@ -46,7 +46,8 @@ RANK_TOL = 1e-8  # singular values below RANK_TOL * sigma_max count as zero
 
 @dataclass(frozen=True)
 class GaussMap:
-    """Cleared, GCD-reduced projective components and the map degree."""
+    """Cleared projective components and the map degree (the max component
+    degree less the degree of their common factor)."""
 
     psi: tuple
     degree: int
@@ -101,29 +102,19 @@ class CurvatureReport:
 
 
 def gauss_map(w: WeierstrassData) -> GaussMap:
-    """Projective Gauss map [phi_1 : ... : phi_n] in cleared reduced form.
+    """Projective Gauss map [phi_1 : ... : phi_n] in cleared form.
 
-    The common denominator is projectively irrelevant once cleared, so the
-    hyperplane-intersection degree (including the fiber over infinity, which
-    the homogenization to the max component degree accounts for) is the max
-    degree of the reduced numerators.
+    The common denominator is projectively irrelevant once cleared, and so is
+    the numerators' common factor, whose roots are the finite branch points.
+    The hyperplane-intersection degree (including the fiber over infinity,
+    which the homogenization to the max component degree accounts for) is
+    the max numerator degree less the degree of that factor.
     """
     if all(r.is_zero for r in w.phi):
         raise DegenerateInputError("all components are zero")
     _D, nums = w.cleared
-    g = multi_gcd(nums)
-    if g.degree() >= 1:
-        reduced = []
-        groots = roots(g)
-        for nj in nums:
-            if nj.is_zero:
-                reduced.append(nj)
-                continue
-            for r, m in groots:
-                nj = nj.deflate(r, m)
-            reduced.append(nj.trimmed())
-        nums = reduced
     degree = max(nj.degree() for nj in nums if not nj.is_zero)
+    degree -= sum(m for _z, m in w.branch_points)
     return GaussMap(psi=tuple(nums), degree=int(degree))
 
 
@@ -228,7 +219,8 @@ def fullness_and_degeneracy(w: WeierstrassData, gmap: GaussMap | None = None):
     full  <=>  no nonzero real v with sum v_j phi_j = 0, i.e. the stacked
     real/imaginary coefficient matrix of the cleared components has rank n.
     l = n - rank_C(coefficient matrix): the Gauss image spans a projective
-    subspace of dimension n - 1 - l.
+    subspace of dimension n - 1 - l.  A common factor of the components
+    changes neither rank.
     """
     g = gmap if gmap is not None else gauss_map(w)
     L = max(p.degree() for p in g.psi if not p.is_zero) + 1

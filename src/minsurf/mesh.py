@@ -9,7 +9,9 @@ table keeps the full-dimensional data.
 Everything is built as arrays: each fan is a (ring x angle) node array whose
 triangles come from index arithmetic, the central fill is a hex lattice masked
 by vectorised distance tests, and the Delaunay simplices are filtered by one
-array test each.  Only fan and outer-circle nodes can coincide (two fans that
+array test each.  Every triangle winds counterclockwise in the chart (scipy
+orients Delaunay simplices so), so the exported faces have consistent
+normals.  Only fan and outer-circle nodes can coincide (two fans that
 touch); they are merged on the key ``(round(re, 9), round(im, 9))``.  Fill
 nodes keep at least 0.45 lattice spacings from every fan and from the outer
 boundary, so they are appended unmerged.  The fill is cut inside the outer
@@ -70,10 +72,14 @@ def _fan_nodes(center, radii: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _fan_triangles(idx: np.ndarray) -> np.ndarray:
-    """Two triangles per (ring gap, angle) cell of a (ring, angle) index array."""
+    """Two triangles per (ring gap, angle) cell of a (ring, angle) index array.
+
+    Rings run outward from the puncture and angles counterclockwise around it
+    (in the w = 1/z chart at infinity, which z = 1/w maps with its
+    orientation), so (inner, outer, next inner) winds counterclockwise."""
     inner, outer = idx[:-1], idx[1:]
     inner1, outer1 = np.roll(inner, -1, axis=1), np.roll(outer, -1, axis=1)
-    return np.stack([inner, inner1, outer, inner1, outer1, outer], axis=-1).reshape(-1, 3)
+    return np.stack([inner, outer, inner1, inner1, outer, outer1], axis=-1).reshape(-1, 3)
 
 
 def _merge(points: np.ndarray):

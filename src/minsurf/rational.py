@@ -1,14 +1,20 @@
 """Complex-coefficient polynomials, rational maps, and local Laurent expansions.
 
 Everything downstream (Weierstrass validation, end analysis, curvature) reduces
-to arithmetic on small-degree complex polynomials: products, tolerance-based
-GCDs, root clustering with multiplicities, and sharp-order Laurent expansions
-of rational functions at finite centers and at infinity (w = 1/z chart).
+to arithmetic on small-degree complex polynomials: products, root clustering
+with multiplicities, common factors, and sharp-order Laurent expansions of
+rational functions at finite centers and at infinity (w = 1/z chart).
+
+Each polynomial whose roots are needed is rooted once.  Common factors are
+found by one rule, ``shared_roots``: the roots of one polynomial are kept where
+the others vanish, tested by their Taylor coefficients there and never by
+rooting them too.  A rational map roots its denominator once, cancels the
+numerator at those roots and keeps them (``RationalMap.den_roots``).
 
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
 reproducible for integer-valued inputs); tolerances enter only through root
-clustering, rational reduction and order detection, which all share the module
+clustering, common factors and order detection, which all share the module
 constants below.
 """
 
@@ -28,8 +34,8 @@ __all__ = [
     "ComplexPoly",
     "RationalMap",
     "LaurentSeries",
-    "poly_gcd",
     "roots",
+    "shared_roots",
     "laurent_expand",
     "PartialFractions",
     "partial_fractions",
@@ -38,18 +44,16 @@ __all__ = [
 ]
 
 # Shared tolerance constants.  CLUSTER_RADIUS is the per-root merge radius
-# (scaled by 1 + |root|); REDUCE_TOL drives num/den common-root cancellation;
-# ORDER_TOL is the relative cutoff deciding that a shifted coefficient is zero
-# when reading off a Laurent order.
+# (scaled by 1 + |root|); MULTIPLICITY_TOL is the backward error at which a
+# cluster of eigenvalues is accepted as one multiple root; SHARED_TOL is the
+# relative size below which a Taylor coefficient at a root of another
+# polynomial counts as zero (``shared_roots``); ORDER_TOL is the relative
+# cutoff deciding that a shifted coefficient is zero when reading off a
+# Laurent order.
 CLUSTER_RADIUS = 1e-8
-REDUCE_TOL = 1e-10
+MULTIPLICITY_TOL = 1e-10
+SHARED_TOL = 1e-7
 ORDER_TOL = 1e-11
-
-# First-pass eigenvalue capture radius.  Companion-matrix eigenvalues of an
-# exact double root split by ~1e-8, exactly at CLUSTER_RADIUS, so clusters are
-# captured generously first and the centroids polished with multiplicity-aware
-# Newton before the contractual merge radius is applied.
-_CAPTURE_RADIUS = 1e-6
 
 
 class _Infinity:
@@ -145,11 +149,6 @@ class ComplexPoly:
             return ComplexPoly()
         k = np.arange(1, self.coeffs.size)
         return ComplexPoly(self.coeffs[1:] * k)
-
-    def monic(self) -> "ComplexPoly":
-        if self.is_zero:
-            raise DegenerateInputError("zero polynomial has no monic form")
-        return ComplexPoly(self.coeffs / self.coeffs[-1])
 
     def shift(self, c: complex) -> "ComplexPoly":
         """Taylor coefficients of p(c + t): repeated synthetic division."""
@@ -254,7 +253,7 @@ def _is_mfold_root(p: ComplexPoly, z: complex, m: int) -> bool:
     taylor = np.abs(p.shift(z).coeffs)
     zbar = max(1.0, abs(z))
     scale = float(np.sum(np.abs(p.coeffs) * zbar ** np.arange(p.coeffs.size)))
-    floor = REDUCE_TOL * scale
+    floor = MULTIPLICITY_TOL * scale
     if m >= taylor.size or taylor[m] < 1e3 * floor:
         return False
     return bool(taylor[:m].max(initial=0.0) <= floor)
@@ -297,17 +296,16 @@ def _capture_clusters(p: ComplexPoly, raw):
     return out
 
 
-def roots(p: ComplexPoly, cluster_radius: float | None = None):
+def roots(p: ComplexPoly):
     """All complex roots with multiplicities, clustered.
 
     Companion-matrix eigenvalues are clustered with verified multiplicities,
     Newton-polished, and merged at the contractual radius
-    ``cluster_radius * (1 + |root|)``.  Multiplicities sum to the degree.
+    ``CLUSTER_RADIUS * (1 + |root|)``.  Multiplicities sum to the degree.
     """
     p = _as_poly(p).trimmed(1e-12)
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
-    radius = CLUSTER_RADIUS if cluster_radius is None else cluster_radius
 
     raw = np.roots(p.coeffs[::-1])
     raw = sorted(raw, key=lambda z: (z.real, z.imag))
@@ -316,7 +314,7 @@ def roots(p: ComplexPoly, cluster_radius: float | None = None):
     merged: list[list] = []
     for z, m in sorted(refined, key=lambda t: (t[0].real, t[0].imag)):
         for item in merged:
-            if abs(z - item[0]) <= radius * (1.0 + abs(item[0])):
+            if abs(z - item[0]) <= CLUSTER_RADIUS * (1.0 + abs(item[0])):
                 item[0] = (item[0] * item[1] + z * m) / (item[1] + m)
                 item[1] += m
                 break
@@ -340,97 +338,79 @@ def roots_coincide(z: complex, m: int, ref: complex, mref: int,
     return abs(z - ref) <= tol * (1.0 + abs(ref))
 
 
-def _common_roots(a: ComplexPoly, b: ComplexPoly, radius: float):
-    """Matched common roots of a and b with min multiplicities.
+def _vanishing_order(p: ComplexPoly, z: complex, cap: int) -> int:
+    """Order to which p vanishes at z, counted up to cap: the number of its
+    leading Taylor coefficients at z within ``SHARED_TOL`` of the largest.
+    The zero polynomial vanishes to every order."""
+    if p.is_zero:
+        return cap
+    taylor = np.abs(p.shift(z).coeffs)
+    small = taylor[:cap] <= SHARED_TOL * taylor.max()
+    return int(small.size if small.all() else np.argmin(small))
 
-    Candidates are matched by ``roots_coincide``; a match is kept only if the
-    partner polynomial genuinely vanishes there (relative to its local Taylor
-    scale), so the widened multiple-root tolerance cannot cancel non-common
-    factors.
+
+def shared_roots(base_roots, others):
+    """The roots of a base polynomial that every polynomial in ``others``
+    shares: each root (z, m) of ``base_roots`` at which every other vanishes,
+    with multiplicity min(m, order of vanishing there).
+
+    This is the one rule for common factors: reducing num/den (rooting den)
+    and the branch points of a datum (rooting one cleared numerator).  Only
+    the base is rooted; the others are tested by their Taylor coefficients at
+    its roots, so the regime is that of ``_vanishing_order``.
     """
-    if a.degree() < 1 or b.degree() < 1:
-        return []
-    ra = roots(a)
-    rb = roots(b)
-    taken = [False] * len(rb)
-    common = []
-    for za, ma in ra:
-        best = None
-        best_d = None
-        for i, (zb, mb) in enumerate(rb):
-            if taken[i] or not roots_coincide(zb, mb, za, ma, radius):
-                continue
-            d = abs(za - zb)
-            if best_d is None or d < best_d:
-                best, best_d = i, d
-        if best is None:
-            continue
-        zb, mb = rb[best]
-        zm = (za + zb) / 2.0
-        ta = np.abs(a.shift(zm).coeffs)
-        tb = np.abs(b.shift(zm).coeffs)
-        if ta[0] <= 1e-7 * ta.max() and tb[0] <= 1e-7 * tb.max():
-            taken[best] = True
-            common.append((zm, min(ma, mb)))
-    return common
-
-
-def poly_gcd(a: ComplexPoly, b: ComplexPoly, cluster_radius: float | None = None) -> ComplexPoly:
-    """Monic GCD up to root-clustering tolerance.
-
-    Computed by matching the root clusters of both inputs; for the small
-    degrees this library handles that is more robust than Euclid remainders.
-    """
-    a, b = _as_poly(a), _as_poly(b)
-    if a.is_zero and b.is_zero:
-        raise DegenerateInputError("gcd undefined for two zero polynomials")
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.degree() == 0 or b.degree() == 0:
-        return ComplexPoly([1.0])
-    radius = CLUSTER_RADIUS if cluster_radius is None else cluster_radius
-    return ComplexPoly.from_roots(_common_roots(a, b, radius))
-
-
-def multi_gcd(polys) -> ComplexPoly:
-    """GCD of several polynomials (zero entries ignored)."""
-    nonzero = [_as_poly(p) for p in polys if not _as_poly(p).is_zero]
-    if not nonzero:
-        raise DegenerateInputError("gcd undefined: all inputs zero")
-    g = nonzero[0].monic()
-    for p in nonzero[1:]:
-        if g.degree() == 0:
-            return g
-        g = poly_gcd(g, p)
-    return g
+    out = []
+    for z, m in base_roots:
+        k = m
+        for p in others:
+            k = _vanishing_order(p, z, k)
+            if not k:
+                break
+        if k:
+            out.append((z, k))
+    return out
 
 
 class RationalMap:
     """Ratio of complex polynomials, kept in reduced form.
 
-    Construction cancels common num/den roots (up to the clustering
-    tolerance), so poles of ``den`` are genuine poles of the map.
+    Construction roots ``den`` once and cancels ``num`` at the roots it shares
+    (``shared_roots``), so poles of ``den`` are genuine poles of the map.
+    ``den_roots`` are the roots of ``den`` with multiplicities, found at most
+    once: at construction, or on first use when nothing needed reducing or a
+    cancellation changed ``den``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_den_roots")
 
-    def __init__(self, num, den=(1.0,), reduce: bool = True):
+    def __init__(self, num, den=(1.0,)):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero:
             raise DegenerateInputError("denominator is the zero polynomial")
+        den_roots = None
         if num.is_zero:
             num, den = ComplexPoly(), ComplexPoly([1.0])
-        elif reduce and num.degree() >= 1 and den.degree() >= 1:
-            for r, m in _common_roots(num, den, CLUSTER_RADIUS):
+        elif num.degree() >= 1 and den.degree() >= 1:
+            num, den = num.trimmed(), den.trimmed()
+            den_roots = tuple(roots(den)) if den.degree() >= 1 else ()
+            common = shared_roots(den_roots, [num])
+            for r, m in common:
                 num = num.deflate(r, m)
                 den = den.deflate(r, m)
-            num = num.trimmed()
-            den = den.trimmed()
+            if common:
+                num, den, den_roots = num.trimmed(), den.trimmed(), None
         self.num = num
         self.den = den
+        self._den_roots = den_roots
+
+    @property
+    def den_roots(self) -> tuple:
+        """``roots(den)`` as a tuple of (root, multiplicity); empty for a
+        constant denominator."""
+        if self._den_roots is None:
+            self._den_roots = tuple(roots(self.den)) if self.den.degree() >= 1 else ()
+        return self._den_roots
 
     @property
     def is_zero(self) -> bool:
@@ -446,29 +426,11 @@ class RationalMap:
         n, d = self.num, self.den
         return RationalMap(n.derivative() * d - n * d.derivative(), d * d)
 
-    def __add__(self, other):
-        other = _as_rational(other)
-        return RationalMap(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalMap(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
     def __mul__(self, other):
         other = _as_rational(other)
         return RationalMap(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational map")
-        return RationalMap(self.num * other.den, self.den * other.num)
 
     def degree_at_infinity(self) -> int:
         """deg num - deg den: growth exponent of the function at infinity."""
@@ -479,8 +441,8 @@ def _as_rational(r) -> RationalMap:
     if isinstance(r, RationalMap):
         return r
     if isinstance(r, ComplexPoly):
-        return RationalMap(r, reduce=False)
-    return RationalMap(ComplexPoly([complex(r)]), reduce=False)
+        return RationalMap(r)
+    return RationalMap(ComplexPoly([complex(r)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,8 +539,8 @@ def partial_fractions(r: RationalMap, expansions=None) -> PartialFractions:
 
     The principal part at each root of ``r.den`` is read off the Laurent
     series of r there: ``expansions``, (root, series) pairs, when the caller
-    has them (a datum's Laurent table does), else found by one ``roots`` call
-    and expanded to depth ``deg den``.
+    has them (a datum's Laurent table does), else expanded to depth
+    ``deg den`` at ``r.den_roots``.
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -587,7 +549,7 @@ def partial_fractions(r: RationalMap, expansions=None) -> PartialFractions:
         return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
     quo, _rem = npoly.polydiv(r.num.coeffs, r.den.coeffs)
     if expansions is None:
-        expansions = [(p, laurent_expand(r, p, r.den.degree())) for p, _m in roots(r.den)]
+        expansions = [(p, laurent_expand(r, p, r.den.degree())) for p, _m in r.den_roots]
     poles = tuple((p, s.coeffs[-s.order - 1::-1].copy()) for p, s in expansions if s.order < 0)
     return PartialFractions(ComplexPoly(quo), poles)
 
@@ -615,9 +577,9 @@ def residue(r: RationalMap, pole) -> complex:
     return s.coefficient(-1)
 
 
-def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots=None):
+def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):
     """p(T) cleared over td^deg(p), built from the root factorization
-    (``p_roots``, or ``roots(p)`` when not given).
+    ``p_roots`` of p.
 
     Each root rho of p contributes the exact linear factor
     (a - rho c) z + (b - rho d), so composed multiplicities stay exact --
@@ -627,17 +589,18 @@ def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots=None):
     k = p.degree()
     acc = ComplexPoly([p.coeffs[-1]])
     if k >= 1:
-        for rho, m in roots(p) if p_roots is None else p_roots:
+        for rho, m in p_roots:
             lin = ComplexPoly([b - rho * d, a - rho * c])
             for _ in range(m):
                 acc = acc * lin
     return acc, k
 
 
-def compose_mobius(r: RationalMap, mobius, den_roots=None) -> RationalMap:
+def compose_mobius(r: RationalMap, mobius) -> RationalMap:
     """r((a z + b)/(c z + d)) as a reduced rational map.
 
-    ``den_roots`` are ``roots(r.den)`` when the caller has them.
+    The denominator is factored at ``r.den_roots``; the numerator is rooted
+    here.
     """
     a, b, c, d = (complex(x) for x in mobius)
     top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
@@ -648,8 +611,8 @@ def compose_mobius(r: RationalMap, mobius, den_roots=None) -> RationalMap:
     if r.is_zero:
         return RationalMap(ComplexPoly())
     td = ComplexPoly([d, c])
-    pn, kn = _compose_factored(r.num, a, b, c, d)
-    pd, kd = _compose_factored(r.den, a, b, c, d, den_roots)
+    pn, kn = _compose_factored(r.num, a, b, c, d, roots(r.num) if r.num.degree() >= 1 else ())
+    pd, kd = _compose_factored(r.den, a, b, c, d, r.den_roots)
     # r(T) = (Pn / td^kn) / (Pd / td^kd): balance the td powers.
     for _ in range(kd - kn):
         pn = pn * td

@@ -43,8 +43,7 @@ class AnalysisReport:
 
 
 def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
-                 tc_tol: float = 1e-3, numeric_tc: bool = True,
-                 tol_scale: float = 1.0) -> AnalysisReport:
+                 tc_tol: float = 1e-3, tol_scale: float = 1.0) -> AnalysisReport:
     """Validate, analyze curvature, analyze every end, and cross-check.
 
     The cross-check requires the three verdicts -- equality in the curvature
@@ -60,7 +59,7 @@ def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
             co_equality=None, all_ends_catenoid_or_planar=None,
             all_ends_embedded=None, equality_consistent=None,
         )
-    curv = curvature_report(w, tc_tol=tc_tol, numeric=numeric_tc)
+    curv = curvature_report(w, tc_tol=tc_tol)
     ends = [analyze_end(w, p) for p in w.punctures]
     model_ok = all(e.classification in (EndType.CATENOID_TYPE, EndType.PLANAR) for e in ends)
     embedded_ok = all(e.embedded for e in ends)
@@ -100,6 +99,7 @@ def _validation_dict(v: ValidationReport):
         "end_orders": [{"puncture": _point(p), "mu": int(mu)} for p, mu in v.end_orders],
         "orders_ok": v.orders_ok,
         "punctures_ok": v.punctures_ok,
+        "branch_points": [{"point": _point(p), "order": int(m)} for p, m in v.branch_points],
         "messages": list(v.messages),
         "ok": v.ok,
     }

@@ -19,9 +19,16 @@ Topology 22, 1983).  The partial-fraction table is built once per datum.
 Every stage that needs the poles -- puncture detection, the common
 denominator, the Laurent expansions at the ends, the partial fractions --
 reads them from one pole table per datum (``_PoleTable``): each component's
-denominator is rooted once, and the roots of all components are merged into
+denominator is rooted once, when the component is reduced
+(``RationalMap.den_roots``), and the roots of all components are merged into
 poles by one rule, ``rational.roots_coincide``.  Each expansion is made once
 per datum too (``_LaurentTable``), and every reader takes a prefix of it.
+
+A branch point is a zero of every form phi_j dz: the metric vanishes there
+and the datum is no immersion, which ``validate`` refuses.  The finite ones
+are the common roots of the cleared numerators (``rational.shared_roots`` of
+the lowest-degree one against the rest, one ``roots`` call per datum); at
+infinity, when it is not an end, it is a positive order of every form there.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -51,6 +58,7 @@ from .rational import (
     partial_fractions,
     roots,
     roots_coincide,
+    shared_roots,
 )
 
 __all__ = [
@@ -139,6 +147,17 @@ class WeierstrassData:
         return common_denominator(self)
 
     @cached_property
+    def branch_points(self) -> tuple:
+        """Finite branch points as (point, order): the common roots of the
+        cleared numerators, found once.  Their orders sum to the degree of the
+        numerators' common factor."""
+        nums = [p for p in self.cleared[1] if not p.is_zero]
+        base = min(nums, key=lambda p: p.degree())
+        if base.degree() < 1:
+            return ()
+        return tuple(shared_roots(roots(base), [p for p in nums if p is not base]))
+
+    @cached_property
     def _closed_form(self) -> "_ClosedForm":
         return _ClosedForm(self)
 
@@ -199,11 +218,13 @@ class ValidationReport:
     end_orders: tuple  # ((puncture, mu), ...)
     orders_ok: bool
     punctures_ok: bool
+    branch_points: tuple  # ((point, order), ...): zeros of the metric
     messages: tuple
 
     @property
     def ok(self) -> bool:
-        return self.null.ok and self.residues.ok and self.orders_ok and self.punctures_ok
+        return (self.null.ok and self.residues.ok and self.orders_ok and self.punctures_ok
+                and not self.branch_points)
 
 
 class _LaurentTable:
@@ -240,8 +261,8 @@ def _pole_mult(members) -> int:
 class _PoleTable:
     """The poles of the components of a datum, found once.
 
-    ``roots[j]`` is ``roots(phi_j.den)`` (empty for zero and polynomial
-    components): the only root finding on a component denominator.  The
+    Each component's denominator roots are its ``den_roots``, found once
+    when it was reduced (empty for zero and polynomial components).  The
     roots of all components are merged into poles by ``roots_coincide``.
     ``poles`` maps each pole, the first root merged into it, to its members
     {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
@@ -251,12 +272,9 @@ class _PoleTable:
     """
 
     def __init__(self, phi, laurent: _LaurentTable):
-        self.roots = tuple(
-            roots(r.den) if not r.is_zero and r.den.degree() >= 1 else () for r in phi
-        )
         poles: dict = {}
-        for j, rts in enumerate(self.roots):
-            for z, m in rts:
+        for j, r in enumerate(phi):
+            for z, m in r.den_roots:
                 point = next((q for q, members in poles.items()
                               if roots_coincide(z, m, q, _pole_mult(members))), None)
                 if point is None:
@@ -391,6 +409,10 @@ def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> Re
 def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     """Full structural validation of a datum.
 
+    Besides the null identity, real residues and the end orders, the datum
+    must have no branch point (``WeierstrassData.branch_points``, and
+    infinity when it is not an end but the metric vanishes there).
+
     ``tol_scale`` scales the null and residue tolerances by one factor (the
     CLI's global --tol flag).
     """
@@ -420,12 +442,24 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
         if mu > -2:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
+
+    # the order of phi_j dz at infinity is deg den - deg num - 2
+    branch = w.branch_points
+    at_inf = -2 - max(r.degree_at_infinity() for r in w.phi if not r.is_zero)
+    if at_inf > 0 and not any(is_infinity(p) for p in w.punctures):
+        branch += ((INF, at_inf),)
+    if branch:
+        points = ", ".join(f"{p if is_infinity(p) else format(p, '.6g')} (order {m})"
+                           for p, m in branch)
+        messages.append(f"branch points {points}: the metric vanishes there, "
+                        "so the datum is not an immersion")
     return ValidationReport(
         null=null,
         residues=res,
         end_orders=end_orders,
         orders_ok=all(mu <= -2 for _p, mu in end_orders),
         punctures_ok=punctures_ok,
+        branch_points=branch,
         messages=tuple(messages),
     )
 
@@ -441,8 +475,8 @@ class _ClosedForm:
     def __init__(self, w: WeierstrassData):
         components = []
         residues = []
-        for j, (r, den_roots) in enumerate(zip(w.phi, w._poles.roots)):
-            pf = partial_fractions(r, [(p, w._laurent.series(j, p)) for p, _m in den_roots])
+        for j, r in enumerate(w.phi):
+            pf = partial_fractions(r, [(p, w._laurent.series(j, p)) for p, _m in r.den_roots])
             q = pf.poly.coeffs
             anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)]) if q.size else q
             terms = []
@@ -526,9 +560,9 @@ def mobius_precompose(w: WeierstrassData, mobius) -> WeierstrassData:
     td = ComplexPoly([d, c])
     tprime = RationalMap(ComplexPoly([det]), td * td)
     new_phi = []
-    for r, den_roots in zip(w.phi, w._poles.roots):
+    for r in w.phi:
         if r.is_zero:
             new_phi.append(RationalMap(ComplexPoly()))
         else:
-            new_phi.append(compose_mobius(r, (a, b, c, d), den_roots) * tprime)
+            new_phi.append(compose_mobius(r, (a, b, c, d)) * tprime)
     return WeierstrassData(new_phi, label=w.label)

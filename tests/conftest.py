@@ -36,6 +36,17 @@ def all_entries():
     return ms.catalog.entries()
 
 
+def branched_enneper():
+    """Enneper's forms times (z - 1)^2, a branch point of order 2 at z = 1 (the
+    metric vanishes there; nulls, residues and the end are fine), and its
+    pull-back by z -> z / (z + 1), which moves the branch point to infinity."""
+    sq = ms.ComplexPoly([1, -2, 1])
+    w = ms.WeierstrassData([ms.RationalMap(r.num * sq, r.den) for r in ms.enneper().data.phi],
+                           label="enneper-branched")
+    return {"enneper-branched": w,
+            "enneper-branched-moebius": ms.mobius_precompose(w, (1, 0, 1, 1))}
+
+
 def transformed_points(w, mob):
     """Images of the punctures (and the td root) under the inverse map."""
     a, b, c, d = mob

@@ -245,8 +245,8 @@ def _loop_fan(pool, triangles, center, r_min, r_max, res):
     for inner, outer in zip(rings[:-1], rings[1:]):
         for k in range(res):
             k1 = (k + 1) % res
-            triangles.append((inner[k], inner[k1], outer[k]))
-            triangles.append((inner[k1], outer[k1], outer[k]))
+            triangles.append((inner[k], outer[k], inner[k1]))
+            triangles.append((inner[k1], outer[k], outer[k1]))
     return rings[-1]
 
 
@@ -428,8 +428,9 @@ def _polygon_apothem_excess(z, radius, res):
 class TestTopology:
     """The parameter mesh is a sphere with one disk cut out per end (infinity
     included when it is an end): V - E + F = (2 if infinity is an end else 1)
-    - #ends, every edge lies in one or two faces, and the central fill stays
-    inside the boundary polygon.  No r_max here shrinks, so the outer radius
+    - #ends, every edge lies in one or two faces, every triangle winds
+    counterclockwise in the chart, and the central fill stays inside the
+    boundary polygon.  No r_max here shrinks, so the outer radius
     is 1 / r_max with an end at infinity and 2.5 (max |p| + r_max) + 1 without."""
 
     SURFACES = {"catenoid": ms.catenoid, "plane": ms.plane, "enneper": ms.enneper,
@@ -454,6 +455,8 @@ class TestTopology:
                 euler = tri.nodes.size - len(per_edge) + len(faces)
                 assert euler == (2 if has_inf else 1) - len(w.punctures), (res, r_max)
                 assert per_edge.max() <= 2, (res, r_max)
+                a, b, c = tri.nodes[faces.T]
+                assert np.all((np.conj(b - a) * (c - a)).imag > 0), (res, r_max)
                 radius = (1.0 / r_max if has_inf
                           else 2.5 * (np.max(np.abs(fin)) + r_max) + 1.0)
                 z = tri.nodes

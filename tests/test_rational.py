@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minsurf.errors import DegenerateInputError, ZeroFunctionError
 from minsurf.rational import (
     INF,
+    SHARED_TOL,
     ComplexPoly,
     RationalMap,
     laurent_expand,
     partial_fractions,
-    poly_gcd,
     residue,
     roots,
+    shared_roots,
 )
 
 
@@ -61,14 +64,23 @@ class TestPolyArith:
             assert np.array_equal((pa * pb).coeffs, (pb * pa).coeffs)
 
 
+def common_factor(base, *others):
+    """The common factor of polynomials by the shared-root rule, rooting base."""
+    return shared_roots(roots(ComplexPoly(base)), [ComplexPoly(p) for p in others])
+
+
 class TestGcd:
+    """Common factors by ``shared_roots``, whichever polynomial is rooted."""
+
     def test_linear_factor(self):
-        g = poly_gcd(ComplexPoly([-1, 0, 1]), ComplexPoly([-1, 1]))
-        assert np.allclose(coeffs(g), [-1, 1], atol=1e-12)
+        for base, other in (([-1, 0, 1], [-1, 1]), ([-1, 1], [-1, 0, 1])):
+            (z, m), = common_factor(base, other)
+            assert abs(z - 1) < 1e-12 and m == 1
 
     def test_power_overlap(self):
-        g = poly_gcd(ComplexPoly([0, 0, 0, 1]), ComplexPoly([0, 0, 1]))
-        assert np.allclose(coeffs(g), [0, 0, 1], atol=1e-10)
+        for base, other in (([0, 0, 0, 1], [0, 0, 1]), ([0, 0, 1], [0, 0, 0, 1])):
+            (z, m), = common_factor(base, other)
+            assert abs(z) < 1e-10 and m == 2
 
     def test_catenoid_components_coprime(self):
         # cleared catenoid components; oracle: pairwise Sylvester resultants
@@ -76,13 +88,83 @@ class TestGcd:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(sylvester_resultant(comps[i], comps[j])) > 1e-9
-        g01 = poly_gcd(ComplexPoly(comps[0]), ComplexPoly(comps[1]))
-        g = poly_gcd(g01, ComplexPoly(comps[2]))
-        assert g.degree() == 0
+        for i in range(3):
+            assert common_factor(comps[i], *(c for k, c in enumerate(comps) if k != i)) == []
 
     def test_both_zero_rejected(self):
+        # 0/0 has no reduced form; a zero polynomial shares every root
         with pytest.raises(DegenerateInputError):
-            poly_gcd(ComplexPoly(), ComplexPoly())
+            RationalMap(ComplexPoly(), ComplexPoly())
+        (z, m), = common_factor([-1, 1], [], [-1, 0, 1])
+        assert abs(z - 1) < 1e-12 and m == 1
+
+    @pytest.mark.parametrize("delta, shared", [(0.9 * SHARED_TOL, True),
+                                               (1.1 * SHARED_TOL, False)])
+    def test_tolerance_edge(self, delta, shared):
+        # num = z - delta against den = z (z - 2): the Taylor coefficients of
+        # num at 0 are (-delta, 1), so the root 0 is shared iff delta <= SHARED_TOL
+        r = RationalMap([-delta, 1], [0, -2, 1])
+        assert (r.den.degree() == 1) == shared
+        assert r.num.degree() == (0 if shared else 1)
+
+
+# Roots |z| <= 4 at least 0.5 apart: lattice points a + bi (|a + bi| <= 3.6)
+# jittered by at most 0.25 in each part.
+_LATTICE = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4) if abs(complex(a, b)) <= 3.6]
+_JITTER = st.floats(-0.25, 0.25)
+
+
+@st.composite
+def separated_roots(draw, count):
+    cells = draw(st.lists(st.sampled_from(_LATTICE), min_size=count, max_size=count, unique=True))
+    return [c + complex(draw(_JITTER), draw(_JITTER)) for c in cells]
+
+
+@st.composite
+def leading(draw):
+    return draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+
+@st.composite
+def planted_pairs(draw):
+    """(num roots, den roots, planted (root, multiplicity) pairs, two leads)."""
+    n_num, n_den, n_common = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                              draw(st.integers(1, 2)))
+    pts = draw(separated_roots(n_num + n_den + n_common))
+    mults = draw(st.lists(st.integers(1, 2), min_size=n_common, max_size=n_common))
+    common = list(zip(pts[n_num + n_den:], mults))
+    return pts[:n_num], pts[n_num:n_num + n_den], common, draw(leading()), draw(leading())
+
+
+def _from_roots(pts, lead):
+    return ComplexPoly.from_roots([(z, 1) for z in pts], lead)
+
+
+class TestSharedRootReduction:
+    """RationalMap construction cancels exactly the planted common factor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_pairs())
+    def test_planted_common_factor_cancels(self, case):
+        num_pts, den_pts, common, lead_n, lead_d = case
+        factor = ComplexPoly.from_roots(common)
+        num, den = _from_roots(num_pts, lead_n), _from_roots(den_pts, lead_d)
+        r = RationalMap(num * factor, den * factor)
+        for got, want in ((r.num, num), (r.den, den)):
+            assert got.degree() == want.degree()
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8 * max(1.0, want.norm())
+        assert r.den_roots == (tuple(roots(r.den)) if den_pts else ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_pairs())
+    def test_coprime_pair_unchanged(self, case):
+        num_pts, den_pts, common, lead_n, lead_d = case
+        num = _from_roots(num_pts + [z for z, _m in common], lead_n)
+        den = _from_roots(den_pts, lead_d)
+        r = RationalMap(num, den)
+        assert r.num.coeffs.tobytes() == num.coeffs.tobytes()
+        assert r.den.coeffs.tobytes() == den.coeffs.tobytes()
+        assert r.den_roots == (tuple(roots(den)) if den_pts else ())
 
 
 class TestRoots:
@@ -116,9 +198,9 @@ class TestRoots:
     def test_derivative_gcd_detects_multiple_roots(self):
         p = ComplexPoly(np.convolve(np.convolve([-1, 1], [-1, 1]), [2j, 1]))
         multiple = [z for z, m in roots(p) if m > 1]
-        g = poly_gcd(p, p.derivative())
-        assert g.degree() == len(multiple) == 1
-        assert abs(g(multiple[0])) < 1e-8
+        (z, m), = shared_roots(roots(p), [p.derivative()])
+        assert len(multiple) == 1 and m == 1
+        assert abs(z - multiple[0]) < 1e-12 and abs(z - 1) < 1e-8
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateInputError):
@@ -199,12 +281,13 @@ class TestPartialFractions:
         assert abs(p) < 1e-12 and np.allclose(c, [1])
 
     def test_one_roots_call(self, monkeypatch):
+        # construction roots the denominator; the partial fractions reuse it
         import minsurf.rational as rat
 
-        r = RationalMap([1, 2, 3, 4, 5, 6], [0, 0, -1, 0, 0, 1])
         calls = []
         real_roots = rat.roots
         monkeypatch.setattr(rat, "roots", lambda p: calls.append(p) or real_roots(p))
+        r = RationalMap([1, 2, 3, 4, 5, 6], [0, 0, -1, 0, 0, 1])
         assert len(partial_fractions(r).poles) == 4
         assert len(calls) == 1
 

@@ -238,6 +238,23 @@ class TestCliCatalog:
         assert "catenoid" in out.stderr  # lists available names
 
 
+class TestCliBranched:
+    """Branched data exit 1 with a message that names the branch point."""
+
+    @pytest.mark.parametrize("name", ["enneper-branched", "enneper-branched-moebius"])
+    @pytest.mark.parametrize("command", ["verify", "analyze", "mesh"])
+    def test_refused(self, tmp_path, name, command):
+        from conftest import branched_enneper
+
+        wd = tmp_path / f"{name}.wd"
+        wdfile.dump(wdfile.document_from_data(branched_enneper()[name], label=name), wd)
+        obj = tmp_path / "out.obj"
+        out = run_cli(command, wd, *(("-o", obj) if command == "mesh" else ()))
+        assert out.returncode == 1
+        assert "branch points" in out.stderr and "Traceback" not in out.stderr
+        assert not obj.exists()
+
+
 class TestCliMesh:
     def test_obj_and_sidecar(self, tmp_path, counterexample):
         wd = tmp_path / "ce.wd"

@@ -1,9 +1,12 @@
 """Weierstrass datum validation, immersion evaluation, and metric checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 import minsurf as ms
+from conftest import branched_enneper
 from minsurf.errors import (
     EvaluationNearSingularityError,
     NonRealResidueError,
@@ -78,43 +81,47 @@ class TestDetectPunctures:
 
 
 class TestPoleTable:
+    DATA = {"catenoid": lambda: ms.catenoid().data, "enneper": lambda: ms.enneper().data,
+            "jm4": lambda: ms.generalized_jorge_meeks(4).data,
+            "jm4-moebius": lambda: ms.mobius_precompose(ms.generalized_jorge_meeks(4).data,
+                                                        (1, -0.3, 0.2, 1))}
+
     def test_roots_calls_per_analysis(self, monkeypatch):
-        # one roots() per component denominator; every other call belongs to
-        # the GCD of the Gauss map (two per pairwise GCD, one to factor it)
+        self._check_roots_calls(monkeypatch, "jm4")
+
+    @pytest.mark.parametrize("name", ["catenoid", "enneper", "jm4-moebius"])
+    def test_roots_calls_per_analysis_other_data(self, monkeypatch, name):
+        self._check_roots_calls(monkeypatch, name)
+
+    def _check_roots_calls(self, monkeypatch, name):
+        # counted from construction on: one roots() per component denominator
+        # in total (when the component is reduced), and one other per datum,
+        # on a cleared numerator, for its branch points
         import sys
 
-        import minsurf.curvature as curvature
         import minsurf.rational as rat
 
-        w = ms.generalized_jorge_meeks(4).data
-        dens = [r.den for r in w.phi]
         calls = []
-        inside_gauss_map = [False]
-        real_roots, real_gauss_map = rat.roots, curvature.gauss_map
+        real_roots = rat.roots
 
         def counting_roots(p, *args, **kwargs):
-            calls.append((p, inside_gauss_map[0]))
+            calls.append(p)
             return real_roots(p, *args, **kwargs)
 
-        def flagged_gauss_map(*args, **kwargs):
-            inside_gauss_map[0] = True
-            try:
-                return real_gauss_map(*args, **kwargs)
-            finally:
-                inside_gauss_map[0] = False
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("minsurf") and getattr(mod, "roots", None) is real_roots:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("minsurf") and getattr(mod, "roots", None) is real_roots:
                 monkeypatch.setattr(mod, "roots", counting_roots)
-        monkeypatch.setattr(curvature, "gauss_map", flagged_gauss_map)
+        w = self.DATA[name]()
+        built = len(calls)
         assert ms.run_analysis(w).valid
-        on_dens = [p for p, _ in calls if any(p is d for d in dens)]
+        dens = [r.den for r in w.phi if r.den.degree() >= 1]
+        on_dens = [p for p in calls if any(p is d for d in dens)]
         assert len(on_dens) == len(dens)
         assert all(sum(p is d for p in on_dens) == 1 for d in dens)
-        others = [flag for p, flag in calls if not any(p is d for d in dens)]
-        assert all(others)
-        assert len(others) <= 2 * (w.n - 1) + 1
-        # the partial fractions of the immersion reuse the table's roots
+        others = [p for p in calls[built:] if not any(p is d for d in dens)]
+        assert len(others) <= 1
+        assert all(any(p is q for q in w.cleared[1]) for p in others)
+        # the partial fractions of the immersion reuse the denominators' roots
         before = len(calls)
         immersion_eval(w, 0.3 + 0.1j)
         assert len(calls) == before
@@ -238,6 +245,52 @@ class TestResiduesReal:
         check = check_residues_real(w)
         assert not check.ok
         assert check.worst_imag == pytest.approx(1.0, rel=1e-9)
+
+
+class TestBranchPoints:
+    """A zero of every form is a branch point: validation refuses it, and
+    the Gauss-map degree comes from the numerators' common factor."""
+
+    def test_finite_branch_point_refused(self):
+        w = branched_enneper()["enneper-branched"]
+        (z, m), = w.branch_points
+        assert abs(z - 1) < 1e-12 and m == 2
+        report = validate(w)
+        assert report.null.ok and report.residues.ok and report.orders_ok and report.punctures_ok
+        assert not report.ok and report.branch_points == w.branch_points
+        assert any("branch points 1" in msg and "(order 2)" in msg for msg in report.messages)
+        assert not ms.run_analysis(w).valid
+
+    def test_branch_point_at_infinity_refused(self):
+        w = branched_enneper()["enneper-branched-moebius"]
+        assert w.branch_points == () and not any(is_infinity(p) for p in w.punctures)
+        report = validate(w)
+        assert report.null.ok and report.residues.ok and report.orders_ok and report.punctures_ok
+        assert not report.ok and report.branch_points == ((INF, 2),)
+        assert any("branch points inf (order 2)" in msg for msg in report.messages)
+
+    def test_degree_from_common_factor(self, enneper):
+        # Osserman: d = sum_j k_j - 2 - beta, with k_j = -mu_j the end orders
+        # and beta the total branching order
+        assert ms.gauss_map(enneper.data).degree == 2
+        for name, w in branched_enneper().items():
+            beta = sum(m for _p, m in validate(w).branch_points)
+            ends = sum(-metric_order_at(w, p) for p in w.punctures)
+            assert ms.gauss_map(w).degree == 2 == ends - 2 - beta, name
+
+    def test_catalog_has_none(self, all_entries):
+        for entry in all_entries:
+            assert entry.data.branch_points == ()
+            assert validate(entry.data).branch_points == ()
+
+    def test_json_lists_them(self, catenoid):
+        w = branched_enneper()["enneper-branched"]
+        block = json.loads(ms.report_to_json(ms.run_analysis(w)))["validation"]
+        (point,) = block["branch_points"]
+        assert point["order"] == 2 and np.allclose(point["point"], [1, 0], atol=1e-12)
+        assert not block["ok"]
+        block = json.loads(ms.report_to_json(ms.run_analysis(catenoid.data)))["validation"]
+        assert block["branch_points"] == [] and block["ok"]
 
 
 class TestMetricOrder:
