@@ -7,8 +7,12 @@ points (``WeierstrassData.branch_points``), and once it is removed the map is
 basepoint-free, so the hyperplane-intersection degree d is the max component
 degree less the branching order.  d determines the total curvature -2 pi d.
 A Green-identity boundary integral of -laplacian(log lambda) provides an
-independent numeric value; it reads only each component's num/den and
-evaluates each shrink round's circles in one stacked call.
+independent numeric value; it reads only each component's num/den, with the
+numerators brought to order one by a power of two (exact, and invisible to
+d/dr log lambda).  Each shrink round's circles are evaluated in one stacked
+call, each distinct denominator once, and the rounds stop when two
+successive estimates, or two successive Aitken extrapolations of their
+geometric tail, agree.
 
 Equalities in the curvature bounds are detected by integer comparison of the
 pi-multiples, never by float comparison.
@@ -27,6 +31,7 @@ from .errors import (
     InternalConsistencyError,
     NumericInstabilityError,
 )
+from .rational import ComplexPoly
 from .weierstrass import WeierstrassData, metric_order_at
 
 __all__ = [
@@ -118,17 +123,39 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     return GaussMap(psi=tuple(nums), degree=int(degree))
 
 
-def _round_fluxes(parts, centers, radii, n_theta: int):
+def _flux_groups(phi):
+    """Nonzero components grouped by denominator, as (den, den', [(num, num'),
+    ...]), every numerator divided by one power of two 2^k.
+
+    d/dr log(lambda) does not change under phi -> s phi, and dividing by a
+    power of two is exact, so the fluxes are those of the unscaled data while
+    the values they are computed from are of order one: k is the binary
+    exponent of max_j |num_j| / |den_j| (coefficient max-norms).
+    """
+    comps = [r for r in phi if not r.is_zero]
+    k = math.frexp(max(r.num.norm() / r.den.norm() for r in comps))[1] - 1
+    groups = {}
+    for r in comps:
+        d, dd, members = groups.setdefault(r.den.coeffs.tobytes(),
+                                           (r.den, r.den.derivative(), []))
+        num = ComplexPoly(np.ldexp(r.num.coeffs.real, -k) + 1j * np.ldexp(r.num.coeffs.imag, -k))
+        members.append((num, num.derivative()))
+    return list(groups.values())
+
+
+def _round_fluxes(groups, centers, radii, n_theta: int):
     """Integrals over circles of d/dr log(lambda) * radius dtheta, all at once.
 
     With S = sum phi_j conj(phi_j), d/dr log lambda = Re[e^{i theta} *
-    (sum phi_j' conj(phi_j)) / S].  ``parts`` holds (num, den, num', den')
-    of each nonzero component, and phi' = (num' - phi den') / den by the
-    quotient rule, so there is no finite differencing.  The circles (centre
-    ``centers[i]``, radius ``radii[i]``) are stacked into one array, so each
-    polynomial is evaluated once for all of them; a circle on which a sample
-    hits a zero of S has its radius nudged and is evaluated again, together
-    with any other circle so nudged.  Returns (fluxes, radii used).
+    (sum phi_j' conj(phi_j)) / S].  ``groups`` holds (den, den', [(num,
+    num'), ...]) per distinct denominator (``_flux_groups``), and phi' =
+    (num' - phi den') / den by the quotient rule, so there is no finite
+    differencing; den and den' are evaluated once per group, just before its
+    components, so no round keeps a table of every polynomial's values.  The circles (centre ``centers[i]``,
+    radius ``radii[i]``) are stacked into one array, so each polynomial is
+    evaluated once for all of them; a circle on which a sample hits a zero of
+    S has its radius nudged and is evaluated again, together with any other
+    circle so nudged.  Returns (fluxes, radii used).
     """
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     e = np.exp(1j * theta)
@@ -140,11 +167,12 @@ def _round_fluxes(parts, centers, radii, n_theta: int):
         z = centers[todo, None] + rad[todo, None] * e
         num = np.zeros_like(z)
         den = np.zeros(z.shape)
-        for n, d, dn, dd in parts:
-            dz = d(z)
-            v = n(z) / dz
-            num += (dn(z) - v * dd(z)) / dz * np.conj(v)
-            den += np.abs(v) ** 2
+        for d, dd, members in groups:
+            dz, ddz = d(z), dd(z)
+            for n, dn in members:
+                v = n(z) / dz
+                num += (dn(z) - v * ddz) / dz * np.conj(v)
+                den += np.abs(v) ** 2
         ok = np.min(den, axis=1) > 1e-280
         vals = np.real(e * num[ok] / den[ok]) * rad[todo[ok], None]
         flux[todo[ok]] = np.mean(vals, axis=1) * 2.0 * math.pi
@@ -162,30 +190,54 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     TC = int K dA = -int laplacian(log lambda) over the finite chart minus
     eps-disks around the punctures; by the Green identity this is a sum of
     circle integrals of the radial derivative of log lambda.  The disks are
-    shrunk and the outer circle enlarged until successive estimates agree to
-    tol (geometric convergence, since the boundary terms differ from their
-    limits by powers of the radii).  Each round's circles -- one per finite
-    puncture and the outer one -- are evaluated in one stacked call.  The
-    check reads only the components' num/den, not the pole or Laurent tables.
+    shrunk and the outer circle enlarged by the ratio 0.6 per round, so the
+    estimates tc_i approach their limit geometrically (the boundary terms
+    differ from their limits by powers of the radii).  Two stop rules, the
+    first to fire wins, each with the bound 0.2 tol max(1, |value|):
+
+    - two successive estimates agree: tc_i is returned;
+    - from the third round on, while the differences D_i = tc_i - tc_{i-1}
+      shrink without changing sign (0 < D_i / D_{i-1} < 1), the Aitken value
+      A_i = tc_i - D_i^2 / (D_i - D_{i-1}) extrapolates the tail; two
+      successive A_i agree: A_i is returned.
+
+    Each round's circles -- one per finite puncture and the outer one -- are
+    evaluated in one stacked call, each distinct denominator once.  The check
+    reads only the components' num/den (numerators scaled by a power of two,
+    ``_flux_groups``), not the pole or Laurent tables.
     """
-    parts = [(r.num, r.den, r.num.derivative(), r.den.derivative())
-             for r in w.phi if not r.is_zero]
+    groups = _flux_groups(w.phi)
     fin = w.finite_punctures
     centers = [*fin, 0j]
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
     shrink = 0.6
-    prev = None
+
+    def agree(a, b):
+        return abs(a - b) <= 0.2 * tol * max(1.0, abs(a))
+
+    prev = step = aitken = None
     for i in range(max_iter):
         eps = eps0 * shrink**i
         r_out = r_out0 / shrink**i
-        flux, _radii = _round_fluxes(parts, centers, [eps] * len(fin) + [r_out], n_theta)
+        flux, _radii = _round_fluxes(groups, centers, [eps] * len(fin) + [r_out], n_theta)
         inner = sum(flux[:-1].tolist())
         tc = -(flux[-1] - inner)
-        # successive differences underestimate the residual of a geometric
-        # tail by ~shrink/(1-shrink), hence the margin factor
-        if prev is not None and abs(tc - prev) <= 0.2 * tol * max(1.0, abs(tc)):
-            return tc
+        if prev is not None:
+            # successive differences underestimate the residual of a geometric
+            # tail by ~shrink/(1-shrink), hence the margin factor
+            if agree(tc, prev):
+                return tc
+            diff = tc - prev
+            # 0 < diff / step < 1 (step != 0, or the rule above had fired)
+            if step is not None and diff * step > 0.0 and abs(diff) < abs(step):
+                extrapolated = tc - diff * diff / (diff - step)
+                if aitken is not None and agree(extrapolated, aitken):
+                    return extrapolated
+                aitken = extrapolated
+            else:
+                aitken = None
+            step = diff
         prev = tc
     raise ConvergenceFailureError(
         "total-curvature boundary terms did not stabilize",

@@ -352,11 +352,13 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
 
 
 def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
-                        R: float) -> np.ndarray:
-    """Solve |f(r e^{i theta})| = R for r per angle.
+                        R: float):
+    """Solve |f(r e^{i theta})| = R for r per angle; returns (r, f(r e^{i theta})).
 
     Quasi-Newton on log r with the exact asymptotic slope k-1 (|f| grows like
-    2a/((k-1) r^{k-1}) toward the end), vectorized over all angles.
+    2a/((k-1) r^{k-1}) toward the end), vectorized over all angles.  The
+    immersion values are those of the converged step, so callers need not
+    evaluate them again.
     """
     k, a = e.k, e.a
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
@@ -365,19 +367,19 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     phase = np.exp(1j * thetas)
     for _ in range(80):
         r = np.exp(x)
-        mag = np.linalg.norm(loc(r * phase), axis=0)
-        g = np.log(mag) - math.log(R)
+        f = loc(r * phase)
+        g = np.log(np.linalg.norm(f, axis=0)) - math.log(R)
         if float(np.max(np.abs(g))) < 1e-13:
-            break
+            return r, f
         x = np.minimum(x + g / (k - 1), math.log(cap))
-    else:
-        resid = float(np.max(np.abs(g)))
-        if resid > 1e-9:
-            raise NumericInstabilityError(
-                f"sphere-cut radius solve stalled at residual {resid:.3e}",
-                diagnostics={"R": R, "end": repr(e.puncture)},
-            )
-    return np.exp(x)
+    resid = float(np.max(np.abs(g)))
+    if resid > 1e-9:
+        raise NumericInstabilityError(
+            f"sphere-cut radius solve stalled at residual {resid:.3e}",
+            diagnostics={"R": R, "end": repr(e.puncture)},
+        )
+    r = np.exp(x)
+    return r, loc(r * phase)
 
 
 def _winding_number(xy_fn, samples: int, max_refine: int = 6) -> float:
@@ -418,14 +420,12 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list, samples: int = 720,
             u1, u2 = e.frame[0], e.frame[1]
         else:
             thetas0 = 2.0 * math.pi * np.arange(samples) / samples
-            rads0 = _solve_sphere_radii(loc, e, thetas0, R)
-            pts0 = loc(rads0 * np.exp(1j * thetas0)) / R
+            pts0 = _solve_sphere_radii(loc, e, thetas0, R)[1] / R
             _u, _s, vt = np.linalg.svd(pts0.T, full_matrices=False)
             u1, u2 = vt[0], vt[1]
 
         def xy_fn(thetas):
-            rads = _solve_sphere_radii(loc, e, thetas, R)
-            pts = loc(rads * np.exp(1j * thetas)) / R
+            pts = _solve_sphere_radii(loc, e, thetas, R)[1] / R
             return np.column_stack([pts.T @ u1, pts.T @ u2])
 
         turns = _winding_number(xy_fn, samples)
@@ -456,8 +456,7 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float, samples: int = 720,
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
     thetas = 2.0 * math.pi * np.arange(samples) / samples
-    rads = _solve_sphere_radii(loc, e, thetas, float(R))
-    curve = loc(rads * np.exp(1j * thetas)) / float(R)
+    curve = _solve_sphere_radii(loc, e, thetas, float(R))[1] / float(R)
     alpha = (e.k - 1) * thetas
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))

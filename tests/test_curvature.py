@@ -16,7 +16,7 @@ from minsurf.curvature import (
     gauss_map,
     total_curvature_numeric,
 )
-from minsurf.errors import NumericInstabilityError
+from minsurf.errors import ConvergenceFailureError, NumericInstabilityError
 from minsurf.weierstrass import mobius_precompose
 
 
@@ -136,50 +136,102 @@ def _reference_circle_flux(parts, center, radius, n_theta):
     raise AssertionError("reference: no circle without a zero of S")
 
 
-def _reference_total_curvature(w, tol=1e-3, n_theta=512, max_iter=48):
+def _reference_estimates(w, rounds, n_theta=512):
+    """tc_0 .. tc_{rounds-1}, one circle at a time from the unscaled, ungrouped
+    components, with the radii of each round: the estimates the stop rules
+    read."""
     parts = _quotient_parts(w.phi)
     fin = w.finite_punctures
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
-    prev = None
-    for i in range(max_iter):
-        eps = eps0 * 0.6**i
-        r_out = r_out0 / 0.6**i
-        inner = sum(_reference_circle_flux(parts, p, eps, n_theta)[0] for p in fin)
-        tc = -(_reference_circle_flux(parts, 0j, r_out, n_theta)[0] - inner)
-        if prev is not None and abs(tc - prev) <= 0.2 * tol * max(1.0, abs(tc)):
-            return tc
-        prev = tc
-    raise AssertionError("reference: boundary terms did not stabilize")
+    out = []
+    for i in range(rounds):
+        circles = [(p, eps0 * 0.6**i) for p in fin] + [(0j, r_out0 / 0.6**i)]
+        fluxes = [_reference_circle_flux(parts, c, r, n_theta) for c, r in circles]
+        tc = -(fluxes[-1][0] - sum(f for f, _r in fluxes[:-1]))
+        out.append((tc, [r for _f, r in fluxes]))
+    return out
+
+
+def _reference_stop(tcs, tol=1e-3, aitken=True):
+    """(value, rounds, rule) of the stop rules on the estimates ``tcs``, as
+    stated: two successive estimates agree to 0.2 tol max(1, |tc|); or, from
+    the third round on, Aitken values A_i, formed only where 0 < q < 1 for
+    q = D_i / D_{i-1}, agree in two successive rounds.  None if neither fires."""
+    def bound(a):
+        return 0.2 * tol * max(1.0, abs(a))
+
+    A = {}
+    for i in range(1, len(tcs)):
+        if abs(tcs[i] - tcs[i - 1]) <= bound(tcs[i]):
+            return tcs[i], i + 1, "successive"
+        if aitken and i >= 2:
+            d, d0 = tcs[i] - tcs[i - 1], tcs[i - 1] - tcs[i - 2]
+            if 0.0 < d / d0 < 1.0:
+                A[i] = tcs[i] - d * d / (d - d0)
+                if i - 1 in A and abs(A[i] - A[i - 1]) <= bound(A[i]):
+                    return A[i], i + 1, "aitken"
+    return None
+
+
+def _recorded_rounds(monkeypatch):
+    """Wrap ``_round_fluxes``; returns the list its (fluxes, radii) go to."""
+    calls = []
+    real_round = curvature._round_fluxes
+
+    def recording_round(*args):
+        out = real_round(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(curvature, "_round_fluxes", recording_round)
+    return calls
+
+
+def _checked_data(all_entries):
+    from conftest import well_conditioned_mobius
+
+    jm2 = next(e for e in all_entries if e.name == "generalized-jorge-meeks-m2").data
+    chart = mobius_precompose(jm2, well_conditioned_mobius(jm2, np.random.default_rng(5)))
+    assert len(chart.finite_punctures) >= 2
+    return [(e.name, e.data) for e in all_entries] + [("jm2-chart", chart)]
 
 
 class TestStackedRounds:
     """Each shrink round of the Green-identity check evaluates its circles in
-    one stacked call; the value is bitwise the per-circle one."""
+    one stacked call, each distinct denominator once; its estimate is the
+    per-circle one."""
 
-    def test_bitwise_equal_to_per_circle(self, all_entries):
-        from conftest import well_conditioned_mobius
-
-        jm2 = next(e for e in all_entries if e.name == "generalized-jorge-meeks-m2").data
-        chart = mobius_precompose(jm2, well_conditioned_mobius(jm2, np.random.default_rng(5)))
-        assert len(chart.finite_punctures) >= 2
-        for w in [e.data for e in all_entries] + [chart]:
-            assert total_curvature_numeric(w) == _reference_total_curvature(w), w.label
+    def test_rounds_match_per_circle_reference(self, all_entries, monkeypatch):
+        calls = _recorded_rounds(monkeypatch)
+        for name, w in _checked_data(all_entries):
+            calls.clear()
+            total_curvature_numeric(w)
+            reference = _reference_estimates(w, len(calls))
+            for (flux, radii), (tc_ref, radii_ref) in zip(calls, reference):
+                tc = -(flux[-1] - sum(flux[:-1].tolist()))
+                assert radii.tolist() == radii_ref, name
+                assert abs(tc - tc_ref) <= 1e-13 * max(1.0, abs(tc_ref)), name
 
     def test_only_the_circle_on_a_zero_of_s_is_nudged(self, enneper):
         # Enneper times (z - 1)^2: a branch point at z = 1, where every
         # component vanishes exactly; the theta = 0 sample of the unit circle
-        # about 0 is exactly 1
+        # about 0 is exactly 1.  One denominator, so the component order and
+        # the fluxes are the per-circle ones bitwise.
         square = ms.rational.RationalMap([1.0, -2.0, 1.0])
-        parts = _quotient_parts([r * square for r in enneper.data.phi])
+        phi = [r * square for r in enneper.data.phi]
+        groups = curvature._flux_groups(phi)
+        assert len(groups) == 1
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
-        flux, used = curvature._round_fluxes(parts, centers, radii, 512)
+        flux, used = curvature._round_fluxes(groups, centers, radii, 512)
         assert used.tolist() == [1.0 * 1.0017, 0.5, 0.3]
+        parts = _quotient_parts(phi)
         for i, (c, r) in enumerate(zip(centers, radii)):
             assert (flux[i], used[i]) == _reference_circle_flux(parts, c, r, 512)
 
-    def test_one_evaluation_per_component_and_round(self, monkeypatch):
-        w = ms.generalized_jorge_meeks(3).data
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_evaluations_per_denominator_and_component(self, m, monkeypatch):
+        w = ms.generalized_jorge_meeks(m).data
         shapes = []
         real_call = ms.rational.ComplexPoly.__call__
 
@@ -187,22 +239,100 @@ class TestStackedRounds:
             shapes.append(np.shape(z))
             return real_call(self, z)
 
-        rounds = []
-        real_round = curvature._round_fluxes
-
-        def counting_round(*args):
-            rounds.append(args)
-            return real_round(*args)
-
+        calls = _recorded_rounds(monkeypatch)
         monkeypatch.setattr(ms.rational.ComplexPoly, "__call__", counting_call)
-        monkeypatch.setattr(curvature, "_round_fluxes", counting_round)
         total_curvature_numeric(w)
-        # num, den, num', den' of 7 components, once a round on the stacked
-        # circles about the 4 finite ends and the outer one
-        assert w.n == 7 and len(w.finite_punctures) == 4
-        assert len(rounds) >= 2
-        assert len(shapes) == 4 * 7 * len(rounds)
-        assert set(shapes) == {(5, 512)}
+        # den and den' once per distinct denominator, num and num' once per
+        # component, a round on the stacked circles about the m + 1 finite
+        # ends and the outer one
+        comps = [r for r in w.phi if not r.is_zero]
+        dens = {r.den.coeffs.tobytes() for r in comps}
+        assert len(dens) < len(comps)
+        assert len(calls) >= 2
+        assert len(shapes) == (2 * len(dens) + 2 * len(comps)) * len(calls)
+        assert set(shapes) == {(m + 2, 512)}
+
+    @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
+    def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
+        # d/dr log lambda is invariant under phi -> s phi and the numerators are
+        # brought to order one by a power of two, so every round is bitwise
+        # the unscaled one -- also where S itself would under- or overflow
+        w = catenoid.data
+        scaled = ms.WeierstrassData([ms.RationalMap(r.num * s, r.den) for r in w.phi])
+        calls = _recorded_rounds(monkeypatch)
+        tc = total_curvature_numeric(w)
+        plain = [(f.tolist(), r.tolist()) for f, r in calls]
+        calls.clear()
+        assert total_curvature_numeric(scaled) == tc
+        assert [(f.tolist(), r.tolist()) for f, r in calls] == plain
+
+
+class TestStopRules:
+    """Today's successive-difference rule, and Aitken extrapolation of the
+    geometric tail where the differences shrink without changing sign."""
+
+    def test_returns_the_aitken_value_of_the_reference_rounds(self, all_entries, monkeypatch):
+        calls = _recorded_rounds(monkeypatch)
+        rules = {}
+        for name, w in _checked_data(all_entries):
+            calls.clear()
+            tc = total_curvature_numeric(w)
+            tcs = [t for t, _r in _reference_estimates(w, 12)]
+            value, rounds, rules[name] = _reference_stop(tcs)
+            assert len(calls) == rounds, name
+            assert abs(tc - value) <= 1e-13 * max(1.0, abs(value)), name
+            # never more rounds than the successive-difference rule alone
+            assert rounds <= _reference_stop(tcs, aitken=False)[1], name
+        assert {n for n, r in rules.items() if r == "successive"} == {
+            "plane", "holomorphic-counterexample"}
+
+    def _run(self, plane, tcs, monkeypatch, tol=1e-3):
+        """total_curvature_numeric on rounds whose estimates are ``tcs``."""
+        rounds = []
+
+        def fake_round(groups, centers, radii, n_theta):
+            assert len(centers) == 1  # the plane has no finite puncture
+            rounds.append(radii)
+            return np.array([-tcs[len(rounds) - 1]]), np.asarray(radii)
+
+        monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
+        value = total_curvature_numeric(plane.data, tol=tol, max_iter=len(tcs))
+        return value, len(rounds)
+
+    def test_geometric_tail_stops_on_the_fourth_round(self, plane, monkeypatch):
+        limit = -4 * math.pi
+        tcs = [limit + 0.36**i for i in range(20)]
+        value, rounds = self._run(plane, tcs, monkeypatch)
+        assert rounds == 4
+        assert value == _reference_stop(tcs)[0]
+        assert abs(value - limit) <= 1e-14 * abs(limit)
+
+    def test_sign_changes_fall_back_to_successive_differences(self, plane, monkeypatch):
+        # q = -1/2 every round: no Aitken value is formed
+        tcs = [1.0 + (-0.5) ** i for i in range(40)]
+        value, rounds = self._run(plane, tcs, monkeypatch)
+        assert _reference_stop(tcs) == (value, rounds, "successive")
+        assert (value, rounds) == (tcs[14], 15)
+
+    def test_aitken_pairs_are_successive(self, plane, monkeypatch):
+        # A_2 = 1 from a geometric start; q = 3/2 and then q < 0 leave rounds
+        # 4 and 5 without one; A_5 = 1 again, but it pairs only with A_6
+        tcs = [0.0, 0.5, 0.75, 1.125, 1.0625, 1.03125, 1.015625, 1.0078125]
+        value, rounds = self._run(plane, tcs, monkeypatch)
+        assert (value, rounds) == (1.0, 7)
+        assert _reference_stop(tcs) == (1.0, 7, "aitken")
+
+    @pytest.mark.parametrize("tcs", [[10.0 + 0.01 * i for i in range(30)],
+                                     [2.0**i for i in range(30)]])
+    def test_no_extrapolation_for_q_at_least_one(self, plane, tcs, monkeypatch):
+        # q = 1 (no division by zero) and q = 2: neither rule fires
+        with pytest.raises(ConvergenceFailureError):
+            self._run(plane, tcs, monkeypatch)
+
+    def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
+        calls = _recorded_rounds(monkeypatch)
+        assert total_curvature_numeric(plane.data) == 0.0
+        assert len(calls) == 2
 
 
 class TestChernOsserman:

@@ -255,6 +255,32 @@ class TestCliBranched:
         assert not obj.exists()
 
 
+class TestCliScaled:
+    """A positive factor on every component is a homothety: files scaled by
+    1e150 and 1e-150 analyse to the unscaled integers and classifications."""
+
+    @staticmethod
+    def _analyze(tmp_path, name, w):
+        wd, out = tmp_path / f"{name}.wd", tmp_path / f"{name}.json"
+        wdfile.dump(wdfile.document_from_data(w, label=name), wd)
+        res = run_cli("analyze", wd, "--json", out)
+        assert res.returncode == 0, res.stderr
+        rep = json.loads(out.read_text())
+        ends = sorted((str(e["puncture"]), e["mu"], e["classification"], e["rotation_index"])
+                      for e in rep["ends"])
+        return rep["curvature"]["d"], ends, rep["verdicts"], rep["curvature"]["tc_numeric"]
+
+    @pytest.mark.parametrize("name", ["catenoid", "enneper", "holomorphic_counterexample"])
+    def test_scaled_files_analyse_as_unscaled(self, tmp_path, name):
+        w = getattr(ms, name)().data
+        d, ends, verdicts, tc = self._analyze(tmp_path, name, w)
+        for s in (1e150, 1e-150):
+            scaled = ms.WeierstrassData([ms.RationalMap(r.num * s, r.den) for r in w.phi])
+            got = self._analyze(tmp_path, f"{name}-{s:g}", scaled)
+            assert got[:3] == (d, ends, verdicts), s
+            assert abs(got[3] - tc) <= 1e-14 * abs(tc), s
+
+
 class TestCliMesh:
     def test_obj_and_sidecar(self, tmp_path, counterexample):
         wd = tmp_path / "ce.wd"
