@@ -166,11 +166,13 @@ def generalized_jorge_meeks(m: int) -> CatalogEntry:
 
 
 def holomorphic_counterexample() -> CatalogEntry:
-    """The embedded holomorphic curve z -> (z, 1/z^2) in C^2 = R^4.
+    """The holomorphic curve z -> (z, 1/z^2) in C^2 = R^4.
 
-    Total curvature -6 pi against a Chern-Osserman bound of -4 pi: both ends
-    are embedded (the curve is injective), yet equality fails because the end
-    at 0 has order -3.  phi = (1/2, -i/2, -z^-3, i z^-3).
+    Total curvature -6 pi against a Chern-Osserman bound of -4 pi: equality
+    fails because the end at 0 has order -3.  An end is embedded iff its
+    order is -2 (rotation index 1), so that end is not embedded and the planar
+    end at infinity is.  That the curve itself is injective is a separate
+    fact, not an embeddedness of its ends.  phi = (1/2, -i/2, -z^-3, i z^-3).
     """
     phi = (
         RationalMap([0.5]),

@@ -151,11 +151,12 @@ def _round_fluxes(groups, centers, radii, n_theta: int):
     num'), ...]) per distinct denominator (``_flux_groups``), and phi' =
     (num' - phi den') / den by the quotient rule, so there is no finite
     differencing; den and den' are evaluated once per group, just before its
-    components, so no round keeps a table of every polynomial's values.  The circles (centre ``centers[i]``,
-    radius ``radii[i]``) are stacked into one array, so each polynomial is
-    evaluated once for all of them; a circle on which a sample hits a zero of
-    S has its radius nudged and is evaluated again, together with any other
-    circle so nudged.  Returns (fluxes, radii used).
+    components, so no round keeps a table of every polynomial's values.  The
+    circles (centre ``centers[i]``, radius ``radii[i]``) are stacked into one
+    array, so each polynomial is evaluated once for all of them; a circle on
+    which a sample hits a zero of S has its radius nudged and is evaluated
+    again, together with any other circle so nudged.  Returns (fluxes, radii
+    used).
     """
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     e = np.exp(1j * theta)

@@ -18,7 +18,9 @@ accuracy, and working in t keeps full relative precision at radii far below
 the evaluation clearance, where z = p + t would round t away.  The series is
 evaluated in integer powers by one cumulative product, its tail cut where the
 terms fall below 1e-18 of the leading one.  Coefficients are prefixes of the
-datum's Laurent table; it keeps one LocalImmersion per end.
+datum's Laurent table; it keeps one LocalImmersion per end.  The sphere cuts
+|f| = R are solved by Newton on log r per angle, with the value and the exact
+radial derivative from the same terms in polar form (``radial_jet``).
 """
 
 from __future__ import annotations
@@ -142,6 +144,56 @@ class LocalImmersion:
         val += self._anti[:, :K] @ np.cumprod(steps, axis=0)
         return 2.0 * val.real
 
+    def radial_jet(self, thetas: np.ndarray, r_max: float):
+        """Polar evaluator at fixed angles: ``(jet, K)``.
+
+        ``jet(x)`` returns f and df/dlog r at the points e^x e^{i thetas}, one
+        log-radius x per angle, as two (n, len(thetas)) arrays, from the ``K``
+        terms that ``__call__`` keeps for |t| <= r_max.  With
+        t^p = r^p e^{i p theta}, each term is 2 Re(c t^p) =
+        r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r multiplies
+        it by p.  The log term is 2 (Re c x - Im c theta), theta on np.log's
+        principal branch, with derivative 2 Re c.  So the rows
+        [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
+        [value; derivative] coefficients give both in one real matrix
+        product; only r^p (by row products) and x change between calls.
+        """
+        K = self._kept_terms(r_max)
+        n = self._anti.shape[0]
+        powers = self._lo + np.arange(K)
+        anti = 2.0 * self._anti[:, :K]
+        log = 2.0 * self.log_coeff
+        coef = np.zeros((2, n, 2 * K + 3))      # [value; derivative] against the rows
+        for block, c in zip(coef, (anti, anti * powers)):
+            block[:, :K], block[:, K:2 * K] = c.real, -c.imag
+        coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
+        coef[0, :, 2 * K + 1] = -log.imag
+        coef[0, :, 2 * K + 2] = self.constant
+        coef = coef.reshape(2 * n, -1)
+        phases = np.empty((K, thetas.size), dtype=complex)
+        phases[0] = np.exp(1j * self._lo * thetas)
+        turn = np.exp(1j * thetas)
+        for j in range(1, K):
+            np.multiply(phases[j - 1], turn, out=phases[j])
+        table = np.stack([phases.real, phases.imag])                # (2, K, N)
+        rows = np.empty((2 * K + 3, thetas.size))
+        rows[2 * K + 1] = np.angle(turn)
+        rows[2 * K + 2] = 1.0
+        scaled = rows[:2 * K].reshape(2, K, -1)
+        powers_of_r = np.empty((K, thetas.size))
+
+        def jet(x: np.ndarray):
+            r = np.exp(x)
+            powers_of_r[0] = np.exp(self._lo * x)
+            for j in range(1, K):
+                np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
+            np.multiply(table, powers_of_r, out=scaled)
+            rows[2 * K] = x
+            out = coef @ rows
+            return out[:n], out[n:]
+
+        return jet, K
+
     def __call__(self, t) -> np.ndarray:
         """Immersion values at local coordinates t; shape (n, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=complex))
@@ -189,6 +241,23 @@ class EndAnalysis:
         return cache[self.puncture]
 
 
+def _binade(v: np.ndarray) -> float:
+    """The power of two 2^e with max|v| in [2^(e-1), 2^e), or 1 for v = 0.
+
+    Dividing by it is exact, so norms and bilinear forms of v / 2^e are those
+    of v over a power of two, bitwise wherever v's own would neither underflow
+    nor overflow, and of order one where they would.
+    """
+    m = float(np.max(np.abs(v)))
+    return math.ldexp(1.0, math.frexp(m)[1]) if 0.0 < m < math.inf else 1.0
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, free of the underflow and overflow of squaring."""
+    unit = _binade(v)
+    return unit * float(np.linalg.norm(v / unit))
+
+
 def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Deterministic third frame vector: the standard basis vector with the
     largest component orthogonal to span(e1, e2), Gram-Schmidt normalized."""
@@ -223,27 +292,31 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     a1c = C[:, -1 - mu] if 0 <= -1 - mu <= depth else np.zeros(w.n, dtype=complex)
     a1 = a1c.real.copy()
 
-    scale = float(np.linalg.norm(lead)) ** 2
-    null_pair = complex(np.sum(lead * lead))
+    unit = _binade(lead)
+    lead_u, a1c_u = lead / unit, a1c / unit
+    scale = float(np.linalg.norm(lead_u)) ** 2
+    null_pair = complex(np.sum(lead_u * lead_u))
     if abs(null_pair) > BILINEAR_TOL * scale:
         raise InternalConsistencyError(
-            f"<a_lead, a_lead> = {null_pair:.3e} at end {p!r}: nullity violated"
+            f"<a_lead, a_lead> = {null_pair / scale:.3e} |a_lead|^2 at end {p!r}: "
+            "nullity violated"
         )
     if mu == -2:
-        cross = complex(np.sum(a2 * a1c))
+        cross = complex(np.sum(lead_u * a1c_u))
         if abs(cross) > BILINEAR_TOL * scale:
             raise InternalConsistencyError(
-                f"<a_-2, a_-1> = {cross:.3e} at end {p!r}: Laurent relations violated"
+                f"<a_-2, a_-1> = {cross / scale:.3e} |a_-2|^2 at end {p!r}: "
+                "Laurent relations violated"
             )
 
     re, im = lead.real, lead.imag
-    a = float(np.linalg.norm(re))
-    if abs(float(np.linalg.norm(im)) - a) > 1e-7 * max(a, 1e-300) or a == 0.0:
+    a = _norm(re)
+    if a == 0.0 or abs(_norm(im) - a) > 1e-7 * a:
         raise InternalConsistencyError(f"|Re a_lead| != |Im a_lead| at end {p!r}")
     e1 = re / a
     e2 = im / a
     b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2
-    b = float(np.linalg.norm(b_vec))
+    b = _norm(b_vec)
     if b > PLANAR_TOL * a:
         e3 = b_vec / b
     else:
@@ -355,51 +428,64 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
                         R: float):
     """Solve |f(r e^{i theta})| = R for r per angle; returns (r, f(r e^{i theta})).
 
-    Quasi-Newton on log r with the exact asymptotic slope k-1 (|f| grows like
-    2a/((k-1) r^{k-1}) toward the end), vectorized over all angles.  The
-    immersion values are those of the converged step, so callers need not
-    evaluate them again.
+    Newton on x = log r, vectorized over all angles, with the exact slope
+    g' = <f, df/dx> / |f|^2 of g = log|f| - log R from the local immersion's
+    polar evaluator.  It starts from the asymptotic radius (|f| grows like
+    2a/((k-1) r^{k-1}) toward the end) and stops at max|g| < 1e-13; where g'
+    is not finite and negative the step takes the asymptotic slope -(k-1).
+    The phase table is built for twice the starting radius; should a solved
+    radius need more terms than it holds, it is built again and the solve
+    goes on.  The immersion values are those of the converged step, so
+    callers need not evaluate them again.
     """
     k, a = e.k, e.a
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
+    x_cap = math.log(cap)
     x = np.full(thetas.shape, math.log(min(r0, cap)))
-    phase = np.exp(1j * thetas)
+    jet, K = loc.radial_jet(thetas, min(2.0 * r0, cap))
     for _ in range(80):
-        r = np.exp(x)
-        f = loc(r * phase)
-        g = np.log(np.linalg.norm(f, axis=0)) - math.log(R)
+        f, df = jet(x)
+        size = np.linalg.norm(f, axis=0)
+        g = np.log(size) - math.log(R)
         if float(np.max(np.abs(g))) < 1e-13:
-            return r, f
-        x = np.minimum(x + g / (k - 1), math.log(cap))
+            r_top = math.exp(float(np.max(x)))
+            if loc._kept_terms(r_top) <= K:
+                return np.exp(x), f
+            jet, K = loc.radial_jet(thetas, r_top)
+            continue
+        slope = np.einsum("ij,ij->j", f / size, df) / size
+        newton = np.isfinite(slope) & (slope < 0.0)
+        x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     resid = float(np.max(np.abs(g)))
     if resid > 1e-9:
         raise NumericInstabilityError(
             f"sphere-cut radius solve stalled at residual {resid:.3e}",
             diagnostics={"R": R, "end": repr(e.puncture)},
         )
-    r = np.exp(x)
-    return r, loc(r * phase)
+    return np.exp(x), jet(x)[0]
 
 
-def _winding_number(xy_fn, samples: int, max_refine: int = 6) -> float:
-    """Total turning (in turns) of the closed curve theta -> xy_fn(theta).
+def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6) -> float:
+    """Total turning (in turns) of the closed curve theta -> cut(theta).
 
-    Starts from a uniform angle grid, inserting midpoints wherever the
-    projected angle jumps by more than pi/4.
+    ``xy`` is the (2, N) curve on the sorted angles ``thetas``; midpoints are
+    inserted wherever the projected angle jumps by more than pi/4.
     """
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    for _ in range(max_refine + 1):
-        xy = xy_fn(thetas)
-        ang = np.arctan2(xy[:, 1], xy[:, 0])
+    def turning(xy):
+        ang = np.arctan2(xy[1], xy[0])
         d = np.diff(np.append(ang, ang[0]))
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
+        return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+    d = turning(xy)
+    for _ in range(max_refine):
         bad = np.nonzero(np.abs(d) > math.pi / 4.0)[0]
         if bad.size == 0:
             break
         nxt = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
         mids = ((thetas[bad] + nxt[bad]) / 2.0) % (2.0 * math.pi)
         thetas = np.sort(np.concatenate([thetas, mids]))
+        d = turning(cut(thetas))
     return float(np.sum(d) / (2.0 * math.pi))
 
 
@@ -414,21 +500,19 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list, samples: int = 720,
     """
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
+    thetas = 2.0 * math.pi * np.arange(samples) / samples
     windings = {}
     for R in sorted(float(R) for R in R_list):
+        pts = _solve_sphere_radii(loc, e, thetas, R)[1] / R
         if e.k == 2:
-            u1, u2 = e.frame[0], e.frame[1]
+            plane = e.frame[:2]
         else:
-            thetas0 = 2.0 * math.pi * np.arange(samples) / samples
-            pts0 = _solve_sphere_radii(loc, e, thetas0, R)[1] / R
-            _u, _s, vt = np.linalg.svd(pts0.T, full_matrices=False)
-            u1, u2 = vt[0], vt[1]
+            plane = np.linalg.svd(pts.T, full_matrices=False)[2][:2]
 
-        def xy_fn(thetas):
-            pts = _solve_sphere_radii(loc, e, thetas, R)[1] / R
-            return np.column_stack([pts.T @ u1, pts.T @ u2])
+        def cut(th):
+            return plane @ (_solve_sphere_radii(loc, e, th, R)[1] / R)
 
-        turns = _winding_number(xy_fn, samples)
+        turns = _winding_number(cut, thetas, plane @ pts)
         wind = int(round(turns))
         if abs(turns - wind) > 0.05:
             raise NumericInstabilityError(

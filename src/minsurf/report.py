@@ -48,8 +48,10 @@ def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
 
     The cross-check requires the three verdicts -- equality in the curvature
     bound, every end catenoid-type or planar, every end embedded -- to agree
-    (they are equivalent for complete finite-total-curvature surfaces).  Analysis beyond validation is skipped for invalid
-    data.
+    (they are equivalent for complete finite-total-curvature surfaces).
+    Analysis beyond validation is skipped for invalid data.  The ends are
+    analysed before the curvature, so a datum that fails their bilinear
+    checks is refused before the Green-identity total curvature is computed.
     """
     validation = validate(w, tol_scale=tol_scale)
     if not validation.ok:
@@ -59,8 +61,8 @@ def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
             co_equality=None, all_ends_catenoid_or_planar=None,
             all_ends_embedded=None, equality_consistent=None,
         )
-    curv = curvature_report(w, tc_tol=tc_tol)
     ends = [analyze_end(w, p) for p in w.punctures]
+    curv = curvature_report(w, tc_tol=tc_tol)
     model_ok = all(e.classification in (EndType.CATENOID_TYPE, EndType.PLANAR) for e in ends)
     embedded_ok = all(e.embedded for e in ends)
     return AnalysisReport(

@@ -95,7 +95,8 @@ def loads(text: str) -> WdDocument:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"'n' must be an integer, got {n!r}")
     if not isinstance(comps_raw, list) or len(comps_raw) != n:
-        raise ParseError(f"expected {n} components, got {len(comps_raw) if isinstance(comps_raw, list) else 'non-list'}")
+        got = len(comps_raw) if isinstance(comps_raw, list) else "non-list"
+        raise ParseError(f"expected {n} components, got {got}")
     components = []
     for k, comp in enumerate(comps_raw):
         if not isinstance(comp, dict) or "num" not in comp or "den" not in comp:

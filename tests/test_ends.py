@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
+from minsurf import ends
 from minsurf.ends import (
     EndType,
     LocalImmersion,
@@ -15,7 +16,7 @@ from minsurf.ends import (
     rotation_index_numeric,
     verify_asymptotic,
 )
-from minsurf.errors import ModelUndefinedError
+from minsurf.errors import ModelUndefinedError, NumericInstabilityError
 from minsurf.rational import INF
 from minsurf.weierstrass import form_coefficient_window, form_residue_vector
 
@@ -231,6 +232,18 @@ class FloatPowerImmersion(LocalImmersion):
         val = self._ref_anti @ tp + np.multiply.outer(self.log_coeff, np.log(t))
         return 2.0 * val.real
 
+    def radial_jet(self, thetas, r_max):
+        # the sphere cuts' evaluator: d/dlog r of t^p is p t^p, of log t is 1
+        phase = np.exp(1j * thetas)
+
+        def jet(x):
+            t = np.exp(x) * phase
+            tp = t[None, :] ** self._ref_powers[:, None]
+            df = 2.0 * ((self._ref_anti * self._ref_powers) @ tp + self.log_coeff[:, None]).real
+            return self._raw(t, r_max) + self.constant[:, None], df
+
+        return jet, self._ref_powers.size
+
 
 class TestIntegerPowerEvaluation:
     """The cumulative-product evaluation with its tail cut matches the
@@ -280,3 +293,141 @@ class TestIntegerPowerEvaluation:
         plane = next(e for e in all_entries if e.name == "plane").data
         check = verify_asymptotic(plane, analyze_end(plane, INF), [1e-1, 1e-2, 1e-3, 1e-4])
         assert check.ratios == (0.0, 0.0, 0.0, 0.0) and check.bounded
+
+
+THETAS = 2.0 * np.pi * np.arange(720) / 720
+
+
+def _sphere_cut_radii(loc, e):
+    """The solved radii at R = 1e2, 1e3, 1e4, and a circle near the cap."""
+    radii = [ends._solve_sphere_radii(loc, e, THETAS, R)[0] for R in R_LIST]
+    near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
+    return radii + [np.full(THETAS.size, near_cap)]
+
+
+class TestPolarEvaluator:
+    """``LocalImmersion.radial_jet``, the sphere cuts' evaluator, against the
+    complex evaluation of ``__call__`` and a central difference of it."""
+
+    def test_value_and_radial_derivative(self, all_entries):
+        orders = set()
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e, loc = analyze_end(w, p), LocalImmersion(w, p)
+                orders.add(loc.mu)
+                for r in _sphere_cut_radii(loc, e):
+                    x = np.log(r)
+                    f, df = loc.radial_jet(THETAS, float(np.max(r)))[0](x)
+                    want = loc(r * np.exp(1j * THETAS))
+                    scale = np.max(np.linalg.norm(want, axis=0))
+                    assert np.max(np.linalg.norm(f - want, axis=0)) <= 1e-14 * scale, \
+                        (entry.name, p, r[0])
+                    h = 1e-5
+                    diff = (loc(np.exp(x + h + 1j * THETAS))
+                            - loc(np.exp(x - h + 1j * THETAS))) / (2.0 * h)
+                    err = np.max(np.linalg.norm(df - diff, axis=0))
+                    assert err <= 1e-8 * np.max(np.linalg.norm(diff, axis=0)), \
+                        (entry.name, p, r[0])
+        assert orders == {-2, -3, -4}
+
+    def test_short_table_is_built_again(self, jm2, monkeypatch):
+        # a first table cut for radii 100x too small holds too few terms; the
+        # solve builds it again and converges to the same cut
+        w = jm2.data
+        p = w.punctures[0]
+        e, loc = analyze_end(w, p), LocalImmersion(w, p)
+        want_r, want_f = ends._solve_sphere_radii(loc, e, THETAS, 1e2)
+        real = LocalImmersion.radial_jet
+        sizes = []
+
+        def short_first(self, thetas, r_max):
+            jet, K = real(self, thetas, r_max if sizes else 1e-2 * r_max)
+            sizes.append(K)
+            return jet, K
+
+        monkeypatch.setattr(LocalImmersion, "radial_jet", short_first)
+        r, f = ends._solve_sphere_radii(loc, e, THETAS, 1e2)
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+        assert np.max(np.abs(r - want_r) / want_r) < 1e-13
+        assert np.max(np.abs(f - want_f)) < 1e-12 * 1e2
+
+
+class WrongSlopeImmersion(LocalImmersion):
+    """The local immersion with the sign of its radial derivative flipped, so
+    that no Newton step is taken; ``evaluations`` counts the jet calls."""
+
+    def __init__(self, w, p):
+        super().__init__(w, p)
+        self.evaluations = 0
+
+    def radial_jet(self, thetas, r_max):
+        jet, K = super().radial_jet(thetas, r_max)
+
+        def flipped(x):
+            self.evaluations += 1
+            f, df = jet(x)
+            return f, -df
+
+        return flipped, K
+
+
+class TestSolverFallback:
+    def test_wrong_slope_falls_back_to_asymptotic_step(self, all_entries):
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                loc, stub = LocalImmersion(w, p), WrongSlopeImmersion(w, p)
+                for R in R_LIST:
+                    want_r, _f = ends._solve_sphere_radii(loc, e, THETAS, R)
+                    r, f = ends._solve_sphere_radii(stub, e, THETAS, R)
+                    assert np.max(np.abs(np.linalg.norm(f, axis=0) / R - 1.0)) < 1e-12
+                    assert np.max(np.abs(r - want_r) / want_r) < 1e-12, (entry.name, p, R)
+
+    def test_stall_raises(self, catenoid):
+        # a cut that |f| never reaches: the radius climbs to the cap and stays
+        class Unreachable(WrongSlopeImmersion):
+            def radial_jet(self, thetas, r_max):
+                jet, K = super().radial_jet(thetas, r_max)
+
+                def constant(x):
+                    f, _df = jet(x)
+                    return np.full_like(f, 2e3), np.zeros_like(f)
+
+                return constant, K
+
+        w = catenoid.data
+        stub = Unreachable(w, 0j)
+        stub._cap = 1.0
+        with pytest.raises(NumericInstabilityError, match="stalled"):
+            ends._solve_sphere_radii(stub, analyze_end(w, 0j), THETAS, 1e3)
+        assert stub.evaluations == 80
+
+
+class TestScaleFreeEnds:
+    """``analyze_end`` takes its norms after an exact power-of-two rescaling,
+    so data far below squaring's underflow analyse as the unscaled ones."""
+
+    @pytest.mark.parametrize("name", ["catenoid", "enneper", "holomorphic_counterexample",
+                                      "plane"])
+    def test_tiny_data_analyse_as_unscaled(self, name):
+        entry = getattr(ms, name)()
+        w = entry.data
+        want = ms.run_analysis(w)
+        scaled = ms.WeierstrassData([ms.RationalMap(r.num * 1e-300, r.den) for r in w.phi],
+                                    punctures=w.punctures)
+        got = ms.run_analysis(scaled)
+        assert got.valid and got.curvature.d == want.curvature.d == entry.expected.d
+        assert [e.mu for e in got.ends] == [e.mu for e in want.ends]
+        assert [e.classification for e in got.ends] == [e.classification for e in want.ends]
+        for g, u in zip(got.ends, want.ends):
+            assert g.a == pytest.approx(1e-300 * u.a, rel=1e-14)
+            assert g.b == pytest.approx(1e-300 * u.b, rel=1e-12, abs=1e-310)
+            assert np.allclose(g.frame, u.frame, atol=1e-12)
+
+    def test_norms_are_bitwise_where_squaring_is_safe(self):
+        rng = np.random.default_rng(3)
+        for v in (rng.standard_normal(5), rng.standard_normal(7) * 1e-100, np.zeros(3)):
+            assert ends._norm(v) == float(np.linalg.norm(v))
+        assert ends._norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)

@@ -1,8 +1,8 @@
 """Deterministic work counts of the numeric cross-checks over the catalog.
 
 Counts, not timings: a change that makes the Green-identity total curvature
-take more rounds or evaluations, or the sphere cuts evaluate the local
-immersion again, fails here on any machine.  The workload is that of the
+take more rounds or evaluations, or the sphere cuts take more Newton steps,
+fails here on any machine.  The workload is that of the
 benchmark's ``analyze-catalog``: catenoid, plane, Enneper, the holomorphic
 counterexample and Jorge-Meeks m = 1..6, each analysed once, with the
 numeric rotation index of every end at R = 1e2, 1e3, 1e4 and the limit-circle
@@ -11,17 +11,21 @@ deviation at R = 1e3.
 
 from collections import Counter
 
+import pytest
+
 import minsurf as ms
 from minsurf import curvature, ends
+from minsurf.errors import InternalConsistencyError
 
 R_LIST = (1e2, 1e3, 1e4)
 # Sums over the ten surfaces.  Before Aitken extrapolation and grouping by
-# denominator the check took 63 rounds and 1600 polynomial evaluations;
-# before the sphere-cut solver returned its last values, 795 local-immersion
-# calls.
+# denominator the check took 63 rounds and 1600 polynomial evaluations.  The
+# sphere cuts took 795 local-immersion calls before the solver returned its
+# last values, and 657 before Newton on the exact radial derivative; now each
+# evaluation is one call of a polar evaluator (``radial_jet``).
 MAX_ROUNDS = 39
 MAX_TC_EVALUATIONS = 650
-MAX_LOCAL_IMMERSION_CALLS = 657
+MAX_SPHERE_CUT_EVALUATIONS = 369
 
 
 def test_catalog_work_counts(monkeypatch):
@@ -38,7 +42,18 @@ def test_catalog_work_counts(monkeypatch):
 
     counted(curvature, "_round_fluxes", "rounds")
     counted(ms.rational.ComplexPoly, "__call__", "evaluations")
-    counted(ends.LocalImmersion, "__call__", "local_immersion")
+    real_jet = ends.LocalImmersion.radial_jet
+
+    def jet_counted(self, thetas, r_max):
+        jet, K = real_jet(self, thetas, r_max)
+
+        def evaluate(x):
+            counts["sphere_cut"] += 1
+            return jet(x)
+
+        return evaluate, K
+
+    monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
     real_tc = curvature.total_curvature_numeric
 
     def tc_counted(*args, **kwargs):
@@ -58,4 +73,17 @@ def test_catalog_work_counts(monkeypatch):
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
     assert counts["rounds"] <= MAX_ROUNDS, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
-    assert counts["local_immersion"] <= MAX_LOCAL_IMMERSION_CALLS, counts
+    assert counts["sphere_cut"] <= MAX_SPHERE_CUT_EVALUATIONS, counts
+
+
+def test_refused_ends_take_no_curvature_rounds(monkeypatch):
+    # the catenoid with ends 0.01 apart fails the bilinear check of its end
+    # at 0.25; the ends are analysed first, so no Green-identity round is paid
+    rounds = []
+    real = curvature._round_fluxes
+    monkeypatch.setattr(curvature, "_round_fluxes",
+                        lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
+    w = ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.26))
+    with pytest.raises(InternalConsistencyError, match="Laurent relations violated"):
+        ms.run_analysis(w)
+    assert rounds == []
