@@ -56,6 +56,7 @@ __all__ = [
 BILINEAR_TOL = 1e-9   # |<a,a>| and |<a_-2, a_-1>| relative to |a_-2|^2
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
+ASYMPTOTIC_ROUNDING = 8.0  # ulps of |f| + |f0| that verify_asymptotic allows f - f0
 
 
 class EndType(str, Enum):
@@ -401,8 +402,9 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
 
     f is read from the local immersion of the end ``e`` of ``w``; the defining
     bound of a catenoid-type/planar end is that the ratio stays bounded as the
-    radius shrinks.  The verdict compares the last three radii (with an
-    absolute floor for exact models, whose ratios are all ~0).
+    radius shrinks.  The verdict compares the last three radii, up to a floor
+    for the rounding of f - f0 at the last radius r:
+    ``ASYMPTOTIC_ROUNDING`` eps max_theta (|f| + |f0|) / r.
     """
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -414,9 +416,11 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
     ratios = []
     for r in radii:
         t = r * np.exp(1j * thetas)
-        diff = loc(t) - model(t)
-        ratios.append(float(np.max(np.linalg.norm(diff, axis=0))) / r)
-    floor = 1e-9 * max(1.0, e.a, e.b)
+        f, f0 = loc(t), model(t)
+        ratios.append(float(np.max(np.linalg.norm(f - f0, axis=0))) / r)
+    # the rounding of f - f0 at the last radius, as a ratio
+    size = np.linalg.norm(f, axis=0) + np.linalg.norm(f0, axis=0)
+    floor = ASYMPTOTIC_ROUNDING * np.finfo(float).eps * float(np.max(size)) / radii[-1]
     if len(ratios) >= 3:
         bounded = ratios[-1] <= 3.0 * ratios[-3] + floor
     else:

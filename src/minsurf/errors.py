@@ -64,3 +64,7 @@ class UsageError(MinsurfError, ValueError):
 
 class MeshBudgetError(MinsurfError):
     """A requested mesh would exceed the node budget."""
+
+
+class MeshTopologyError(MinsurfError):
+    """The parameter domain cannot be triangulated without a hole."""

@@ -1,23 +1,15 @@
 """Parameter-domain triangulation, immersion meshes, and OBJ export.
 
-End neighborhoods are meshed with annular fans (geometric radius progression)
-around each puncture -- in the w = 1/z chart for an end at infinity -- glued
-to a Delaunay triangulation of the remaining chart.  Vertices are immersion
-values; for n > 3 a projection picks the exported 3 coordinates and a sidecar
-table keeps the full-dimensional data.
-
-Everything is built as arrays: each fan is a (ring x angle) node array whose
-triangles come from index arithmetic, the central fill is a hex lattice masked
-by vectorised distance tests, and the Delaunay simplices are filtered by one
-array test each.  Every triangle winds counterclockwise in the chart (scipy
-orients Delaunay simplices so), so the exported faces have consistent
-normals.  Only fan and outer-circle nodes can coincide (two fans that
-touch); they are merged on the key ``(round(re, 9), round(im, 9))``.  Fill
-nodes keep at least 0.45 lattice spacings from every fan and from the outer
-boundary, so they are appended unmerged.  The fill is cut inside the outer
-boundary polygon (the inscribed ``res``-gon), not merely inside its circle,
-so no lattice node pokes through a boundary chord.  A lattice larger than
-``MAX_FILL_LATTICE`` points is refused before anything is allocated.
+Each end gets an annular fan (geometric radius progression; in the w = 1/z
+chart at infinity), the rest of the chart a hex lattice cut inside the outer
+boundary polygon and clear of the fans.  Fan and lattice triangles come from
+index arithmetic, a lattice cell being kept iff its three nodes are.  Seams
+are zipped by merging two loops in angle (Christiansen-Sederberg 1978): each
+finite fan's ring with its lattice hole, the outer boundary with the
+lattice's outer loop after its reflex vertices are clipped.  Every triangle
+winds counterclockwise in the chart.  Vertices are immersion values; for
+n > 3 a projection picks the exported 3 coordinates and a sidecar table keeps
+the full-dimensional data.
 """
 
 from __future__ import annotations
@@ -28,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationNearSingularityError, MeshBudgetError, UsageError
+from .errors import (EvaluationNearSingularityError, MeshBudgetError, MeshTopologyError,
+                     UsageError)
 from .rational import is_infinity
 from .weierstrass import WeierstrassData, immersion_eval
 
@@ -38,8 +31,9 @@ __all__ = ["ParamTriangulation", "SurfaceMesh", "sample_domain", "build_mesh",
 RING_RATIO = 1.3  # geometric radius progression between annulus rings
 # Hex-lattice points a fill may span.  The benchmark's largest mesh (JM m = 3
 # at r_max 0.5, res 32) spans ~11k; ends 0.01 apart at the CLI defaults would
-# span ~1.6e7, several hundred MB of coordinates and masks before Delaunay.
+# span ~2.2e7, several hundred MB of coordinates and masks before any is kept.
 MAX_FILL_LATTICE = 1_000_000
+FAN_GAP = 3  # lattice spacings between fans: 2 x 0.45 clearance and two rows (sqrt 3)
 
 
 @dataclass(frozen=True)
@@ -82,28 +76,59 @@ def _fan_triangles(idx: np.ndarray) -> np.ndarray:
     return np.stack([inner, outer, inner1, inner1, outer, outer1], axis=-1).reshape(-1, 3)
 
 
-def _merge(points: np.ndarray):
-    """Index of each point among the distinct keys, and each key's first point."""
-    index: dict[tuple, int] = {}
-    idx = np.array([index.setdefault((round(z.real, 9), round(z.imag, 9)), len(index))
-                    for z in points.tolist()], dtype=int)
-    return idx, np.unique(idx, return_index=True)[1]
+def _zip(a: list, b: list, z: np.ndarray, c) -> list:
+    """Triangles between a closed loop ``a`` and the loop ``b`` around it, both
+    counterclockwise about c.  Their vertices merge in angle about c; each step
+    takes the angle-preferred triangle if it winds counterclockwise, else the other."""
+    u = z[a[0]] - c
+    b = np.roll(b, -np.argmin(np.abs(np.angle((z[b] - c) / u)))).tolist()
+    a, b = a + a[:1] * 2, b + b[:1] * 2  # closed, then a repeat: a zero-area end stop
+    (ta, pa), (tb, pb) = ((np.unwrap(np.angle((z[v] - c) / u)).tolist(), z[v].tolist())
+                          for v in (a, b))
+    ta[-1] = tb[-1] = math.inf
+    i = j = 0
+    out = []
+    while i + j < len(a) + len(b) - 4:
+        for di in (1, 0) if ta[i + 1] <= tb[j + 1] else (0, 1):
+            k, r = (a[i + 1], pa[i + 1]) if di else (b[j + 1], pb[j + 1])
+            if ((pb[j] - pa[i]).conjugate() * (r - pa[i])).imag > 0:
+                out.append((a[i], b[j], k))
+                i, j = i + di, j + 1 - di
+                break
+        else:
+            raise MeshTopologyError(f"no counterclockwise triangle closes the seam about {c:.3g}")
+    return out
+
+
+def _ear_fill(loop: list, z: np.ndarray):
+    """Clip the reflex vertices of a counterclockwise loop: (loop, ear triangles).
+    A turn within 1e-9 of straight counts as straight."""
+    k = int(np.argmin(z[loop].real))  # leftmost, so convex
+    loop = loop[k:] + loop[:k + 1]
+    pts = z[loop].tolist()
+    stack, ears = [], []
+    for v, q in enumerate(pts):
+        while len(stack) > 1:
+            p, o = pts[stack[-2]], pts[stack[-1]]
+            if ((o - p).conjugate() * (q - o)).imag >= -1e-9 * abs(o - p) * abs(q - o):
+                break
+            ears.append((loop[stack[-2]], loop[v], loop[stack.pop()]))
+        stack.append(v)
+    return [loop[v] for v in stack[:-1]], ears
 
 
 def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
                   res: int = 32) -> ParamTriangulation:
     """Triangulated parameter domain: fans around every end plus a filled center.
 
-    Overlapping fan disks (punctures closer than 2 r_max) shrink r_max
+    Fans less than ``FAN_GAP`` lattice spacings apart shrink r_max
     automatically with a warning, and r_min is raised to the evaluation
     clearance of the datum when it lies below it.  The chart is covered out
     to a finite outer radius; when infinity is an end its fan provides the
     outer boundary.  A fill lattice of more than ``MAX_FILL_LATTICE`` points
     (ends very close together shrink r_max and the spacing with it) raises
-    ``MeshBudgetError``.
+    ``MeshBudgetError``, and seams that cannot be closed ``MeshTopologyError``.
     """
-    from scipy.spatial import Delaunay, QhullError  # deferred: most of import minsurf's time
-
     if not (0.0 < r_min < r_max):
         raise UsageError("require 0 < r_min < r_max")
     if res < 8:
@@ -112,8 +137,8 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     inf = next((p for p in w.punctures if is_infinity(p)), None)
     has_inf = inf is not None
 
-    if len(fin) >= 2 and w.min_separation < 2.0 * r_max:
-        r_max = 0.45 * w.min_separation
+    if len(fin) >= 2 and r_max > w.min_separation / (2.0 + 2.0 * math.pi * FAN_GAP / res):
+        r_max = w.min_separation / (2.0 + 2.0 * math.pi * FAN_GAP / res)
         warnings.warn(f"end annuli overlap; shrinking r_max to {r_max:.3g}")
     if has_inf and fin:
         # the inner boundary of the infinity fan must enclose the finite fans
@@ -153,47 +178,71 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     blocks = [_fan_nodes(p, radii, u) for p in centers]
     if not has_inf:
         blocks.append(outer_radius * u[None, :])
-    points = np.concatenate([b.ravel() for b in blocks])
-    idx, first = _merge(points)
-    ring_nodes = points[first]
-    block_idx = np.split(idx, np.cumsum([b.size for b in blocks])[:-1])
-    triangles = [_fan_triangles(i.reshape(-1, res)) for i in block_idx[:len(centers)]]
-    boundary = np.concatenate([i[-res:] for i in block_idx])
+    ring_nodes = np.concatenate([b.ravel() for b in blocks])
+    rows = np.arange(ring_nodes.size).reshape(-1, res)
+    triangles = [_fan_triangles(rows[k * radii.size:(k + 1) * radii.size])
+                 for k in range(len(centers))]
+    rings = rows[radii.size - 1::radii.size][:len(fin)].tolist()
+    outer = (rows[-1][-np.arange(res)] if has_inf else rows[-1]).tolist()  # counterclockwise
 
-    # hex-grid fill of the central region, inside the boundary polygon
+    # hex-lattice fill inside the boundary polygon; a cell is kept iff its three nodes are
     cut = min(outer_radius - 0.45 * spacing,
               outer_radius * math.cos(math.pi / res) - 0.2 * spacing)
     iy = np.arange(-ny, ny + 1)[:, None]
-    x = np.arange(-nx, nx + 1) * spacing + np.where(iy % 2, 0.5 * spacing, 0.0)
-    y = np.broadcast_to(iy * spacing * math.sqrt(3.0) / 2.0, x.shape)
-    inside = np.hypot(x, y) <= cut
-    x, y = x[inside], y[inside]
+    grid = np.empty((2 * ny + 1, 2 * nx + 1), dtype=complex)
+    grid.real = np.arange(-nx, nx + 1) * spacing + np.where(iy % 2, 0.5 * spacing, 0.0)
+    grid.imag = iy * spacing * math.sqrt(3.0) / 2.0
+    keep = np.hypot(grid.real, grid.imag) <= cut
     for p in fin:
-        clear = np.hypot(x - p.real, y - p.imag) >= r_max + 0.45 * spacing
-        x, y = x[clear], y[clear]
-    fill = np.empty(x.size, dtype=complex)
-    fill.real, fill.imag = x, y
+        keep &= np.hypot(grid.real - p.real, grid.imag - p.imag) >= r_max + 0.45 * spacing
+    n, keep = 2 * nx + 1, keep.ravel()
+    g = np.arange(keep.size - n).reshape(-1, n)[:, :-1]  # an up and a down cell per g
+    e = iy[:-1] % 2  # the row above sits half a spacing left (0) or right (1)
+    every = np.stack([g, g + 1, g + n + e, g + 1 - e, g + n + 1, g + n], -1).reshape(-1, 3)
+    while True:  # drop nodes in no cell and nodes where two boundary loops pinch
+        k = keep[every]
+        cells = every[k[:, 0] & k[:, 1] & k[:, 2]]
+        src, dst = cells.ravel(), cells[:, [1, 2, 0]].ravel()
+        step = np.abs(dst - src)  # 1 along a row, n - 1, n or n + 1 across rows
+        key = 4 * np.minimum(src, dst) + np.where(step == 1, 0, step - n + 2)
+        once = np.bincount(key)[key] == 1  # in one cell: on the boundary
+        src, dst = src[once], dst[once]
+        drop = keep & ((np.bincount(cells.ravel(), minlength=keep.size) == 0)
+                       | (np.bincount(src, minlength=keep.size) > 1))
+        if not drop.any():
+            break
+        keep &= ~drop
+    index = ring_nodes.size - 1 + np.cumsum(keep)
+    nodes = np.concatenate([ring_nodes, grid.ravel()[keep]])
+    triangles.append(index[cells])
 
-    central = np.concatenate([ring_nodes[boundary], fill])
-    central_idx = np.concatenate([boundary, ring_nodes.size + np.arange(fill.size)])
-    if central.size >= 4:
-        pts = np.column_stack([central.real, central.imag])
-        try:
-            tri = Delaunay(pts)
-        except (QhullError, ValueError):
-            tri = None
-        if tri is not None:
-            simplices = tri.simplices
-            (ax, bx, cx), (ay, by, cy) = pts[simplices].T
-            cen_x, cen_y = (ax + bx + cx) / 3.0, (ay + by + cy) / 3.0
-            keep = np.hypot(cen_x, cen_y) <= outer_radius * (1.0 + 1e-9)
-            for p in fin:
-                keep &= np.hypot(cen_x - p.real, cen_y - p.imag) >= r_max * 0.995
-            area2 = np.abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-            keep &= area2 >= 1e-12 * spacing * spacing
-            triangles.append(central_idx[simplices[keep]])
-
-    nodes = np.concatenate([ring_nodes, fill])
+    # the lattice's boundary loops: one outer loop and one hole about each finite fan
+    succ = dict(zip(index[src].tolist(), index[dst].tolist()))
+    loops = []
+    while succ:
+        loops.append([next(iter(succ))])
+        while (v := succ.pop(loops[-1][-1])) != loops[-1][0]:
+            loops[-1].append(v)
+    outside = [lp for lp in loops if np.sum(np.conj(nodes[lp]) * nodes[np.roll(lp, -1)]).imag > 0]
+    holes = [lp[::-1] for lp in loops if lp not in outside]  # now counterclockwise
+    # winding numbers of the holes about the fans: a permutation matrix when
+    # each finite fan lies in a hole of its own
+    wind = np.reshape([round(np.angle((nodes[np.roll(lp, -1)] - p) / (nodes[lp] - p)).sum()
+                             / (2.0 * math.pi)) for lp in holes for p in fin],
+                      (len(holes), len(fin)))
+    if (len(outside) == 1 and len(holes) == len(fin) == wind.sum()
+            and np.array_equal(wind @ wind.T, np.eye(len(fin)))):
+        hull, ears = _ear_fill(outside[0], nodes)
+        triangles.append(np.array(ears, dtype=int).reshape(-1, 3))
+        seams = [(hull, outer, 0)] + [(rings[k], holes[h], fin[k]) for h, k in np.argwhere(wind)]
+    elif not loops and len(fin) < 2:  # no lattice: one fan's ring zipped to the outer ring
+        seams = [(rings[0], outer, fin[0])] if fin else []
+        if not fin:
+            triangles.append(np.stack([np.full(res - 2, outer[0]), outer[1:-1], outer[2:]], 1))
+    else:
+        raise MeshTopologyError(f"the fill lattice has {len(outside)} outer loops and "
+                                f"{len(holes)} holes about {len(fin)} finite ends")
+    triangles += [np.array(_zip(a, b, nodes, c)) for a, b, c in seams]
     return ParamTriangulation(nodes=nodes, triangles=np.concatenate(triangles))
 
 

@@ -1,5 +1,6 @@
 """Per-end analysis: frames, classification, asymptotic models, rotation index."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestVerifyAsymptotic:
         assert not chk.bounded
         assert chk.ratios[-1] > 50.0 * chk.ratios[-2]
 
+    def test_plane_rounding_stays_bounded(self, monkeypatch):
+        # t ** -1 is not bitwise the model's 1/t, so f - f0 is rounding only:
+        # ratios ~1e-14 .. 1e-8 growing like 1 / r^2, below the rounding floor
+        w = ms.plane().data
+        monkeypatch.setitem(w._laurent.immersions, INF, ReciprocalPowerImmersion(w, INF))
+        chk = verify_asymptotic(w, analyze_end(w, INF), self.RADII)
+        assert chk.ratios[-1] > 3.0 * chk.ratios[-3] > 0.0
+        assert chk.bounded
+
+    def test_plane_model_off_by_a_millionth_is_unbounded(self):
+        w = ms.plane().data
+        e = analyze_end(w, INF)
+        model = asymptotic_model(e)
+        off = dataclasses.replace(model, a2=model.a2 * (1.0 + 1e-6))
+        chk = verify_asymptotic(w, e, self.RADII, model=off)
+        assert not chk.bounded
+
     def test_radii_must_decrease(self, catenoid):
         e = analyze_end(catenoid.data, 0j)
         with pytest.raises(ValueError):
@@ -212,6 +230,20 @@ class TestLocalImmersion:
         t = 0.3 * loc.r_ref * np.exp(0.7j)
         direct = ms.immersion_eval(w, loc.global_point(t))
         assert np.max(np.abs(loc(np.array([t]))[:, 0] - direct)) < 1e-8 * np.max(np.abs(direct))
+
+
+class ReciprocalPowerImmersion(LocalImmersion):
+    """The local immersion with its first power taken as ``t ** -1`` (numpy's
+    complex power), which may differ from the model's ``1 / t`` in the last bit."""
+
+    def _raw(self, t, r_max):
+        K = self._kept_terms(r_max)
+        steps = np.empty((K, t.size), dtype=complex)
+        steps[0] = t ** -1
+        steps[1:] = t
+        val = np.multiply.outer(self.log_coeff, np.log(t))
+        val += self._anti[:, :K] @ np.cumprod(steps, axis=0)
+        return 2.0 * val.real
 
 
 class FloatPowerImmersion(LocalImmersion):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf.errors import EvaluationNearSingularityError, MeshBudgetError
+from minsurf import mesh as mesh_module
+from minsurf.errors import EvaluationNearSingularityError, MeshBudgetError, MeshTopologyError
 from minsurf.mesh import (RING_RATIO, ParamTriangulation, SurfaceMesh, build_mesh, export_obj,
                           sample_domain)
 from minsurf.rational import is_infinity
@@ -202,9 +203,11 @@ class TestExportObj:
 
 
 # -- loop reference ----------------------------------------------------------
-# sample_domain and export_obj written as per-node Python loops with a
+# sample_domain's nodes and export_obj written as per-node Python loops with a
 # de-duplicating node pool.  The array implementation must reproduce them bit
-# for bit: nodes, triangles, warnings and the written bytes.
+# for bit: nodes, warnings and the written bytes.  The reference also builds
+# the fan triangles and the kept lattice cells by loops; the zipped seams it
+# leaves to the structural checks below.
 
 class _NodePool:
     """Deduplicating node registry: equal parameter values share one vertex."""
@@ -250,12 +253,9 @@ def _loop_fan(pool, triangles, center, r_min, r_max, res):
     return rings[-1]
 
 
-def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
-    """Loop reference of sample_domain.  ``polygon=False`` cuts the fill at the
-    outer circle alone, which leaves holes where lattice nodes cross a chord
-    of the boundary polygon."""
-    from scipy.spatial import Delaunay
-
+def loop_radii(w, r_min=1e-2, r_max=1.0, res=32):
+    """sample_domain's parameter rules, with their warnings: the (r_min, r_max)
+    it meshes with.  Fans are kept 3 lattice spacings (2 pi r_max / res) apart."""
     if not (0.0 < r_min < r_max):
         raise ValueError("require 0 < r_min < r_max")
     if res < 8:
@@ -263,8 +263,8 @@ def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
     fin = w.finite_punctures
     has_inf = any(is_infinity(p) for p in w.punctures)
 
-    if len(fin) >= 2 and w.min_separation < 2.0 * r_max:
-        r_max = 0.45 * w.min_separation
+    if len(fin) >= 2 and r_max > w.min_separation / (2.0 + 2.0 * math.pi * 3 / res):
+        r_max = w.min_separation / (2.0 + 2.0 * math.pi * 3 / res)
         warnings.warn(f"end annuli overlap; shrinking r_max to {r_max:.3g}")
     if has_inf and fin:
         needed = 2.0 * max(abs(p) + r_max for p in fin)
@@ -280,29 +280,43 @@ def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
             )
         r_min = w.clearance
         warnings.warn(f"r_min below the evaluation clearance; raising it to {r_min:.3g}")
+    return r_min, r_max
+
+
+def _outer_radius(w, r_max):
+    """Radius of the fill's outer boundary: the infinity fan's r_max ring, or the outer circle."""
+    if any(is_infinity(p) for p in w.punctures):
+        return 1.0 / r_max
+    return 2.5 * (max((abs(p) for p in w.finite_punctures), default=0.0) + r_max) + 1.0
+
+
+def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
+    """Loop reference of sample_domain's nodes, with the fan triangles and the
+    lattice cells whose three nodes are kept (no seams, and no pruning: none of
+    the reference cases prunes a node).  ``polygon=False`` cuts the fill at the
+    outer circle alone, which leaves lattice nodes beyond a chord of the
+    boundary polygon."""
+    r_min, r_max = loop_radii(w, r_min, r_max, res)
+    fin = w.finite_punctures
+    has_inf = any(is_infinity(p) for p in w.punctures)
 
     pool = _NodePool()
     triangles = []
-    boundary_idx = []
     for p in fin:
-        boundary_idx.extend(_loop_fan(pool, triangles, p, r_min, r_max, res))
+        _loop_fan(pool, triangles, p, r_min, r_max, res)
+    outer_radius = _outer_radius(w, r_max)
     if has_inf:
-        boundary_idx.extend(_loop_fan(pool, triangles, next(p for p in w.punctures
-                                                            if is_infinity(p)),
-                                      r_min, r_max, res))
-        outer_radius = 1.0 / r_max
+        _loop_fan(pool, triangles, next(p for p in w.punctures if is_infinity(p)),
+                  r_min, r_max, res)
     else:
-        outer_radius = 2.5 * (max((abs(p) for p in fin), default=0.0) + r_max) + 1.0
-        angles = 2.0 * math.pi * np.arange(res) / res
-        boundary_idx.extend(
-            pool.add(outer_radius * complex(math.cos(a), math.sin(a))) for a in angles
-        )
+        for a in 2.0 * math.pi * np.arange(res) / res:
+            pool.add(outer_radius * complex(math.cos(a), math.sin(a)))
 
     spacing = 2.0 * math.pi * r_max / res
     cut = outer_radius - 0.45 * spacing
     if polygon:
         cut = min(cut, outer_radius * math.cos(math.pi / res) - 0.2 * spacing)
-    fill = []
+    kept = {}
     ny = int(outer_radius / (spacing * math.sqrt(3.0) / 2.0)) + 1
     nx = int(outer_radius / spacing) + 1
     for iy in range(-ny, ny + 1):
@@ -314,24 +328,15 @@ def loop_sample_domain(w, r_min=1e-2, r_max=1.0, res=32, polygon=True):
                 continue
             if any(abs(z - p) < r_max + 0.45 * spacing for p in fin):
                 continue
-            fill.append(z)
-
-    central = [pool.nodes[i] for i in boundary_idx] + fill
-    central_idx = [pool.add(z) for z in central]
-    if len(central) >= 4:
-        pts = np.array([[z.real, z.imag] for z in central])
-        for simplex in Delaunay(pts).simplices:
-            zs = [central[i] for i in simplex]
-            cen = sum(zs) / 3.0
-            if abs(cen) > outer_radius * (1.0 + 1e-9):
-                continue
-            if any(abs(cen - p) < r_max * 0.995 for p in fin):
-                continue
-            a, b, c = (complex(z) for z in zs)
-            area2 = abs((b - a).real * (c - a).imag - (b - a).imag * (c - a).real)
-            if area2 < 1e-12 * spacing * spacing:
-                continue
-            triangles.append(tuple(central_idx[i] for i in simplex))
+            kept[iy, ix] = pool.add(z)
+    # the up cell right of each node and the down cell above it
+    for (iy, ix), k in kept.items():
+        right, above_right = (iy, ix + 1), (iy + 1, ix + iy % 2)
+        above_left = (iy + 1, ix + iy % 2 - 1)
+        if right in kept and above_right in kept:
+            triangles.append((k, kept[right], kept[above_right]))
+        if above_right in kept and above_left in kept:
+            triangles.append((k, kept[above_right], kept[above_left]))
 
     return ParamTriangulation(nodes=np.array(pool.nodes, dtype=complex),
                               triangles=np.array(triangles, dtype=int))
@@ -362,6 +367,58 @@ def _with_warnings(f, *args, **kwargs):
     return out, [str(c.message) for c in caught]
 
 
+def _ring_area(radius, res):
+    """Area of the res-gon inscribed in a circle of the given radius."""
+    return res / 2.0 * radius * radius * math.sin(2.0 * math.pi / res)
+
+
+def assert_mesh_structure(w, tri, r_min, r_max, res):
+    """The mesh is the sphere less one disk per end, triangulated.
+
+    - V - E + F = (2 if infinity is an end else 1) - #ends;
+    - edge-manifold: each directed edge in one face, each edge in one or two;
+    - every triangle winds counterclockwise in the chart, every node is used;
+    - the boundary edges (in exactly one face) are exactly the innermost ring
+      of each finite fan plus the outer boundary (the infinity fan's ring at
+      |z| = 1 / r_min, or the outer circle);
+    - the signed areas sum to A(R_out) - #finite A(r_min), A(R) the area
+      of the inscribed res-gon.
+    """
+    has_inf = any(is_infinity(p) for p in w.punctures)
+    fin = w.finite_punctures
+    faces, z, size = tri.triangles, tri.nodes, tri.nodes.size
+    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    assert np.unique(directed[:, 0] * size + directed[:, 1]).size == len(directed)
+    undirected = np.sort(directed, axis=1)
+    keys, per_edge = np.unique(undirected[:, 0] * size + undirected[:, 1], return_counts=True)
+    assert per_edge.max() <= 2
+    assert size - len(keys) + len(faces) == (2 if has_inf else 1) - len(w.punctures)
+    a, b, c = z[faces.T]
+    twice = (np.conj(b - a) * (c - a)).imag
+    assert np.all(twice > 0)
+    assert np.unique(faces).size == size
+
+    outer = 1.0 / r_min if has_inf else _outer_radius(w, r_max)
+    expected = set()
+    for p, radius in [(complex(p), r_min) for p in fin] + [(0j, outer)]:
+        on = np.flatnonzero(np.abs(np.abs(z - p) - radius) <= 1e-9 * radius)
+        assert on.size == res, (p, radius)
+        on = on[np.argsort(np.angle(z[on] - p))]
+        expected |= {(min(i, j), max(i, j)) for i, j in zip(on.tolist(), np.roll(on, -1).tolist())}
+    boundary = {divmod(int(k), size) for k in keys[per_edge == 1]}
+    assert boundary == expected
+
+    area = _ring_area(outer, res) - len(fin) * _ring_area(r_min, res)
+    assert abs(twice.sum() / 2.0 - area) <= 1e-9 * area
+
+
+def _cyclic(triangles):
+    """Triangles as tuples rotated to start at their least index (orientation kept)."""
+    t = np.asarray(triangles)
+    k = np.argmin(t, axis=1)[:, None]
+    return set(map(tuple, np.take_along_axis(np.tile(t, 2), k + np.arange(3), axis=1).tolist()))
+
+
 BENCH = dict(r_min=0.02, r_max=0.5, res=32)
 JM = ms.generalized_jorge_meeks
 # (surface, sample_domain keywords, whether the circle-only cut gives the same mesh)
@@ -371,10 +428,9 @@ REFERENCE_CASES = {
     "counterexample-bench": (lambda: ms.holomorphic_counterexample().data, BENCH, True),
     "jm2-bench": (lambda: JM(2).data, BENCH, True),
     "jm3-bench": (lambda: JM(3).data, BENCH, True),
-    # CLI defaults: two fans that touch at 0 share one node
+    # CLI defaults: the fans would touch at 0; r_max shrinks to keep them apart
     "jm1-touching-fans": (lambda: JM(1).data, {}, True),
-    # ends at +-0.3 and r_max 0.3: the fans meet at 0 in nodes that differ in
-    # their last bits and merge only under the rounded key
+    # ends at +-0.3 and r_max 0.3: fans that would meet at 0, shrunk apart
     "jm1-touching-fans-rounded": (lambda: ms.mobius_precompose(JM(1).data, (1, 0, 0, 0.3)),
                                   dict(r_min=0.01, r_max=0.3), True),
     "plane-no-finite-end": (lambda: ms.plane().data, {}, True),
@@ -397,8 +453,12 @@ class TestAgainstLoopReference:
             ref, ref_warned = _with_warnings(loop_sample_domain, w, polygon=polygon, **kwargs)
             assert tri.nodes.tobytes() == ref.nodes.tobytes()
             assert tri.triangles.dtype == ref.triangles.dtype
-            assert np.array_equal(tri.triangles, ref.triangles)
+            assert _cyclic(ref.triangles) <= _cyclic(tri.triangles)
             assert warned == ref_warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r_min, r_max = loop_radii(w, **kwargs)
+        assert_mesh_structure(w, tri, r_min, r_max, kwargs.get("res", 32))
         mesh = build_mesh(w, tri)
         written = export_obj(mesh, tmp_path / "array.obj")
         expected = loop_export_obj(mesh, tmp_path / "loop.obj")
@@ -406,6 +466,36 @@ class TestAgainstLoopReference:
         for a, b in zip(written, expected):
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_lattice_cells_are_delaunay(self, case):
+        # the triangles between fill nodes with three edges of one lattice
+        # spacing are exactly such simplices of the fill's Delaunay triangulation
+        spatial = pytest.importorskip("scipy.spatial")
+        make, kwargs, _ = REFERENCE_CASES[case]
+        w = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tri = sample_domain(w, **kwargs)
+            r_min, r_max = loop_radii(w, **kwargs)
+        res = kwargs.get("res", 32)
+        spacing = 2.0 * math.pi * r_max / res
+        rings = len(_loop_ring_radii(r_min, r_max))
+        has_inf = any(is_infinity(p) for p in w.punctures)
+        first_fill = res * (len(w.punctures) * rings + (0 if has_inf else 1))
+        fill = tri.nodes[first_fill:]
+
+        def cells(simplices, z):
+            a, b, c = z[simplices.T]
+            unit = [np.abs(np.abs(d) - spacing) <= 1e-12 * spacing for d in (b - a, c - b, a - c)]
+            kept = np.sort(simplices[unit[0] & unit[1] & unit[2]], axis=1)
+            return kept[np.lexsort(kept.T[::-1])]
+
+        inner = tri.triangles[np.all(tri.triangles >= first_fill, axis=1)] - first_fill
+        delaunay = spatial.Delaunay(np.column_stack([fill.real, fill.imag])).simplices
+        mine, theirs = cells(inner, fill), cells(delaunay, fill)
+        assert len(mine) > 0
+        assert np.array_equal(mine, theirs)
 
     def test_circle_cut_differs_where_the_polygon_binds(self):
         # the cases marked False above do exercise the polygon rule
@@ -430,23 +520,43 @@ class TestTopology:
     included when it is an end): V - E + F = (2 if infinity is an end else 1)
     - #ends, every edge lies in one or two faces, every triangle winds
     counterclockwise in the chart, and the central fill stays inside the
-    boundary polygon.  No r_max here shrinks, so the outer radius
-    is 1 / r_max with an end at infinity and 2.5 (max |p| + r_max) + 1 without."""
+    boundary polygon.  The outer radius is 1 / r_max with an end at infinity
+    and 2.5 (max |p| + r_max) + 1 without, r_max after any shrink; the exact
+    boundary and area checks of ``assert_mesh_structure`` hold as well."""
 
     SURFACES = {"catenoid": ms.catenoid, "plane": ms.plane, "enneper": ms.enneper,
                 "counterexample": ms.holomorphic_counterexample,
-                **{f"jm{m}": (lambda m=m: JM(m)) for m in (1, 2, 3)}}
+                **{f"jm{m}": (lambda m=m: JM(m)) for m in (1, 2, 3, 4, 6)},
+                # ends at 0.25 and -0.5, none at infinity
+                "moebius-catenoid": lambda: ms.mobius_precompose(ms.catenoid().data,
+                                                                 (1, -0.25, 1, 0.5)),
+                # JM m = 1 with its ends at +-0.3
+                "moebius-jm1": lambda: ms.mobius_precompose(JM(1).data, (1, 0, 0, 0.3))}
+    # the sweep before the fan gap rule; cases it shrinks now assert the warning
+    FIRST = dict(res=(8, 12, 16, 24), r_max=(0.2, 0.3, 0.5))
+    # JM m = 3 at r_max 0.7 and res 8 or 16 left holes between near fans
+    WIDER = dict(res=(8, 12, 16, 24, 32, 48), r_max=(0.2, 0.3, 0.5, 0.7, 1.0))
 
     @pytest.mark.parametrize("name", sorted(SURFACES))
     def test_sweep(self, name):
-        w = self.SURFACES[name]().data
+        surface = self.SURFACES[name]()
+        w = getattr(surface, "data", surface)
         has_inf = any(is_infinity(p) for p in w.punctures)
         fin = np.array(w.finite_punctures, dtype=complex)
-        for res in (8, 12, 16, 24):
-            for r_max in (0.2, 0.3, 0.5):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # no r_max shrink, no r_min raise
-                    tri = sample_domain(w, r_min=r_max / 10, r_max=r_max, res=res)
+        for res in self.WIDER["res"]:
+            for r_max in self.WIDER["r_max"]:
+                tri, warned = _with_warnings(sample_domain, w, r_min=r_max / 10, r_max=r_max,
+                                             res=res)
+                (r_min, shrunk), expected = _with_warnings(loop_radii, w, r_min=r_max / 10,
+                                                           r_max=r_max, res=res)
+                assert warned == expected, (res, r_max)
+                first = res in self.FIRST["res"] and r_max in self.FIRST["r_max"]
+                if first:
+                    # only the fan gap rule may shrink r_max in the first sweep
+                    assert all(m.startswith("end annuli overlap; shrinking r_max")
+                               for m in warned), (res, r_max)
+                    assert (shrunk < r_max) == bool(warned), (res, r_max)
+                r_max = shrunk
                 faces = tri.triangles
                 edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                                                 faces[:, [2, 0]]]), axis=1)
@@ -457,24 +567,38 @@ class TestTopology:
                 assert per_edge.max() <= 2, (res, r_max)
                 a, b, c = tri.nodes[faces.T]
                 assert np.all((np.conj(b - a) * (c - a)).imag > 0), (res, r_max)
-                radius = (1.0 / r_max if has_inf
-                          else 2.5 * (np.max(np.abs(fin)) + r_max) + 1.0)
+                radius = _outer_radius(w, r_max)
                 z = tri.nodes
                 off_fans = np.all(np.abs(z[:, None] - fin) > r_max * (1 + 1e-9), axis=1)
                 fill = z[off_fans & (np.abs(z) < radius * (1 - 1e-9))]
-                assert fill.size > 0
+                assert fill.size > 0 or not first  # wider fans may leave no lattice
                 assert np.all(_polygon_apothem_excess(fill, radius, res) < 0), (res, r_max)
+                assert_mesh_structure(w, tri, r_min, r_max, res)
+
+    def test_fans_too_close_for_the_lattice_are_refused(self, monkeypatch):
+        # with no gap rule the fans of JM m = 3 at r_max 0.7 stay 0.014 apart,
+        # no lattice passes between them, and the seam is refused, not left open
+        monkeypatch.setattr(mesh_module, "FAN_GAP", 0)
+        with pytest.raises(MeshTopologyError, match="holes about 4 finite ends"):
+            sample_domain(JM(3).data, r_min=0.07, r_max=0.7, res=8)
+
+    def test_unzippable_seam_raises(self):
+        # a loop inside the one it should be zipped around: no triangle of
+        # either kind winds counterclockwise
+        z = np.concatenate([np.exp(0.5j * np.pi * np.arange(4)),
+                            0.5 * np.exp(0.5j * np.pi * np.arange(4))])
+        with pytest.raises(MeshTopologyError, match="seam"):
+            mesh_module._zip([0, 1, 2, 3], [4, 5, 6, 7], z, 0j)
 
 
 class TestNodeBudget:
     def test_close_ends_refused_quickly(self):
-        # JM m = 1 with its ends 1e-3 apart: r_max shrinks to 4.5e-4 and the
-        # fill lattice would span ~6e8 points
+        # JM m = 1 with its ends 1e-3 apart: r_max shrinks to 3.86e-4 and the
+        # fill lattice would span ~8e8 points
         w = ms.mobius_precompose(JM(1).data, (1, 0, 0, 5e-4))
         assert abs(w.min_separation - 1e-3) < 1e-12
-        from scipy.spatial import Delaunay  # noqa: F401  (import time is not the refusal's)
         start = time.perf_counter()
         with pytest.warns(UserWarning, match="shrinking r_max"), \
-                pytest.raises(MeshBudgetError, match=r"lattice points .*r_max 0.00045.*0.001"):
+                pytest.raises(MeshBudgetError, match=r"lattice points .*r_max 0.000386.*0.001"):
             sample_domain(w)
         assert time.perf_counter() - start < 1.0

@@ -314,10 +314,58 @@ class TestCliMesh:
         assert not obj.exists()
 
 
+# The Moebius charts (a, b, c, d) of the benchmark's fault table, one per
+# fault named there, pulled back from these catalog surfaces.
+FAULT_CHARTS = [
+    ("catenoid-ends-0.01-apart", ms.catenoid, (1, -0.25, 1, -0.26)),
+    ("catenoid-ends-0.01-apart-b", ms.catenoid, (1, -0.5, 1, -0.51)),
+    ("jm1-lead-nullity", lambda: ms.generalized_jorge_meeks(1),
+     (complex(-0.37760500712699807, -0.5140063716874629),
+      complex(2.0427716074923303, -1.6480751708556527),
+      complex(0.6467029962018469, 0.16746474422274113),
+      complex(0.6630633723762617, 0.10901408782154753))),
+    ("jm2-co-consistency", lambda: ms.generalized_jorge_meeks(2),
+     (complex(-0.9585437977525599, -0.08079228027724643),
+      complex(-0.07926609009606381, -1.8343841189278653),
+      complex(0.18066336513409245, -0.6717494671929184),
+      complex(-0.08449893575731342, -0.7078303235682751))),
+    ("enneper-anchor-path", ms.enneper,
+     (complex(0.04931968294274557, -1.1429566337463961),
+      complex(-2.1666121593182464, 0.5995576979640092),
+      complex(0.7238102522772645, -0.8764085171864693),
+      complex(-1.0714959570851907, 0.8228349505059208))),
+]
+
+
+class TestCliFaultCharts:
+    @pytest.mark.parametrize("tag,make,mob", FAULT_CHARTS, ids=[c[0] for c in FAULT_CHARTS])
+    def test_analyze_exits_cleanly(self, tmp_path, tag, make, mob):
+        # written as the benchmark writes them: no punctures, no basepoint
+        doc = wdfile.document_from_data(ms.mobius_precompose(make().data, mob), label=tag)
+        doc.punctures = None
+        doc.basepoint = None
+        path = tmp_path / f"{tag}.wd"
+        wdfile.dump(doc, path)
+        out = run_cli("analyze", path)
+        assert "Traceback" not in out.stderr
+        lines = out.stderr.splitlines()
+        if out.returncode == 0:
+            assert out.stdout
+        elif lines[-1].endswith("datum rejected; analysis refused"):
+            # validation's rejection: one "analyze:" line per failed check
+            assert out.returncode == 1 and len(lines) >= 2, out.stderr
+            assert all(line.startswith("analyze: ") for line in lines[:-1]), out.stderr
+        else:
+            # any other refusal is one typed error
+            assert out.returncode == 1, out.stderr
+            assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
+
+
 class TestImport:
-    def test_import_loads_no_scipy(self):
-        # scipy is imported inside mesh.sample_domain only: every `minsurf`
-        # command pays for `import minsurf`, and scipy doubles its cost
+    def test_import_loads_no_scipy(self, tmp_path, catenoid_file):
+        # minsurf depends on numpy alone: neither `import minsurf` nor a whole
+        # `minsurf mesh` run (lattice cells by index arithmetic, zipped seams)
+        # loads scipy
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, minsurf; "
@@ -325,3 +373,12 @@ class TestImport:
             capture_output=True, text=True, check=True, env=CHILD_ENV,
         )
         assert out.stdout.strip() == "[]"
+        obj = tmp_path / "cat.obj"
+        code = ("import sys; from minsurf.cli import main; "
+                f"rc = main(['mesh', {str(catenoid_file)!r}, '-o', {str(obj)!r}, '--res', '8']); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=CHILD_ENV)
+        assert out.stdout.splitlines()[-1] == "0 []"
+        assert obj.read_text().startswith("v ")
+
