@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ RING_RATIO = 1.3  # geometric radius progression between annulus rings
 # span ~2.2e7, several hundred MB of coordinates and masks before any is kept.
 MAX_FILL_LATTICE = 1_000_000
 FAN_GAP = 3  # lattice spacings between fans: 2 x 0.45 clearance and two rows (sqrt 3)
+EXPORT_BLOCK = 1024  # vertices (and faces) per block of written text
 
 
 @dataclass(frozen=True)
@@ -274,23 +276,43 @@ def check_projection(projection, n: int) -> tuple:
 def export_obj(mesh: SurfaceMesh, path, projection=None):
     """Write the mesh as OBJ text; n > 3 data goes to a sidecar TSV.
 
-    ``v`` lines carry the projected coordinates at full precision; faces are
-    1-based.  Returns the list of written paths.
+    ``v`` lines carry the projected coordinates at full precision (``%.17g``);
+    faces are 1-based.  Each coordinate is formatted once, for its ``v`` line
+    and its sidecar row, and both files are written in blocks of
+    ``EXPORT_BLOCK`` rows.  Returns the list of written paths.
     """
+    from ._floattext import format_g17
+
     verts, faces = mesh.vertices, mesh.faces
     n = verts.shape[1]
-    proj = check_projection(mesh.projection if projection is None else projection, n)
+    proj = list(check_projection(mesh.projection if projection is None else projection, n))
     path = str(path)
-    text = (("v %.17g %.17g %.17g\n" * len(verts)) % tuple(verts[:, list(proj)].ravel().tolist())
-            + ("f %d %d %d\n" * len(faces)) % tuple((faces + 1).ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write(text or "\n")
-    written = [path]
-    if n > 3:
-        sidecar = path + ".coords.tsv"
-        row = "\t".join(["%.17g"] * n) + "\n"
-        with open(sidecar, "w") as fh:
-            fh.write("\t".join(f"x{i + 1}" for i in range(n)) + "\n")
-            fh.write((row * len(verts)) % tuple(verts.ravel().tolist()))
-        written.append(sidecar)
-    return written
+    sidecar = path + ".coords.tsv" if n > 3 else None
+    with open(path, "wb") as obj, (open(sidecar, "wb") if sidecar else nullcontext()) as side:
+        if side:
+            side.write("\t".join(f"x{i + 1}" for i in range(n)).encode() + b"\n")
+        for start in range(0, len(verts), EXPORT_BLOCK):
+            cells = format_g17(verts[start:start + EXPORT_BLOCK])
+            obj.write(_text_rows(cells[:, proj], b"v", b" "))
+            if side:
+                side.write(_text_rows(cells, b"", b"\t"))
+        for start in range(0, len(faces), EXPORT_BLOCK):
+            block = faces[start:start + EXPORT_BLOCK] + 1
+            obj.write(b"f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+        if not (len(verts) or len(faces)):
+            obj.write(b"\n")
+    return [path] + ([sidecar] if sidecar else [])
+
+
+def _text_rows(cells: np.ndarray, lead: bytes, sep: bytes) -> np.ndarray:
+    """Rows of text cells (rows, columns, width) as one line each: ``lead``
+    (one byte or none), the cells joined by ``sep``, a newline.  A cell is
+    NUL-padded text whose first byte is NUL; the separator goes there and the
+    NULs are squeezed out."""
+    rows, cols, width = cells.shape
+    buf = np.empty((rows, cols * width + 2), np.uint8)
+    buf[:, 0] = lead[0] if lead else 0
+    buf[:, 1:-1] = cells.reshape(rows, -1)
+    buf[:, -1] = ord("\n")
+    buf[:, 1 + width * np.arange(0 if lead else 1, cols)] = ord(sep)
+    return buf[buf != 0]

@@ -193,7 +193,7 @@ class TestExportObj:
         assert len(written) == 2
         table = np.loadtxt(written[1], skiprows=1)
         assert table.shape == mesh.vertices.shape
-        assert np.allclose(table, mesh.vertices)
+        assert np.array_equal(table, mesh.vertices)
 
     def test_invalid_projection(self, plane, tmp_path):
         tri = sample_domain(plane.data, r_min=0.2, r_max=0.6, res=8)
@@ -360,6 +360,16 @@ def loop_export_obj(mesh, path):
     return written
 
 
+def assert_export_matches_loop(mesh, tmp_path):
+    """export_obj writes the bytes of the loop reference, sidecar included."""
+    written = export_obj(mesh, tmp_path / "array.obj")
+    expected = loop_export_obj(mesh, tmp_path / "loop.obj")
+    assert len(written) == len(expected) == (2 if mesh.vertices.shape[1] > 3 else 1)
+    for a, b in zip(written, expected):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
 def _with_warnings(f, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -443,6 +453,35 @@ REFERENCE_CASES = {
 }
 
 
+def _edge_mesh(vertices, faces, n=3, projection=(0, 1, 2)):
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, n)
+    return SurfaceMesh(vertices=vertices, faces=np.asarray(faces, dtype=int).reshape(-1, 3),
+                       param=np.zeros(len(vertices), complex), projection=projection)
+
+
+def _many_vertices():
+    # more than 10^4 vertices and 2 x 10^4 faces: indices of 1 to 5 digits, and
+    # vertex and face text that crosses several blocks of export_obj
+    rng = np.random.default_rng(7)
+    verts = rng.normal(size=(12_345, 5)) * 10.0 ** rng.integers(-6, 6, size=(12_345, 5))
+    return _edge_mesh(verts, rng.integers(0, 12_345, size=(24_690, 3)), 5, (0, 2, 4))
+
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, 1e-4, 1e16, 0.1]
+# meshes no surface produces: empty ones, non-finite and extreme coordinates,
+# a 7-dimensional immersion projected to (2, 5, 6), and a large random one
+EDGE_MESHES = {
+    "empty": lambda: _edge_mesh([], []),
+    "empty-n4": lambda: _edge_mesh([], [], 4),
+    "vertices-only": lambda: _edge_mesh([1.5, -2.0, 3.25], []),
+    "special-values": lambda: _edge_mesh([(SPECIAL[i:] + SPECIAL[:i])[:4] for i in range(12)],
+                                         [[0, 1, 2], [9, 10, 11]], 4),
+    "n7-projection-2-5-6": lambda: _edge_mesh(np.random.default_rng(3).normal(size=(50, 7)),
+                                              [[0, 1, 2], [47, 48, 49]], 7, (2, 5, 6)),
+    "more-than-1e4-vertices": _many_vertices,
+}
+
+
 class TestAgainstLoopReference:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_bitwise_equal(self, case, tmp_path):
@@ -459,13 +498,7 @@ class TestAgainstLoopReference:
             warnings.simplefilter("ignore")
             r_min, r_max = loop_radii(w, **kwargs)
         assert_mesh_structure(w, tri, r_min, r_max, kwargs.get("res", 32))
-        mesh = build_mesh(w, tri)
-        written = export_obj(mesh, tmp_path / "array.obj")
-        expected = loop_export_obj(mesh, tmp_path / "loop.obj")
-        assert len(written) == len(expected) == (2 if w.n > 3 else 1)
-        for a, b in zip(written, expected):
-            with open(a, "rb") as fa, open(b, "rb") as fb:
-                assert fa.read() == fb.read()
+        assert_export_matches_loop(build_mesh(w, tri), tmp_path)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_lattice_cells_are_delaunay(self, case):
@@ -496,6 +529,10 @@ class TestAgainstLoopReference:
         mine, theirs = cells(inner, fill), cells(delaunay, fill)
         assert len(mine) > 0
         assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_MESHES))
+    def test_edge_meshes_bitwise_equal(self, case, tmp_path):
+        assert_export_matches_loop(EDGE_MESHES[case](), tmp_path)
 
     def test_circle_cut_differs_where_the_polygon_binds(self):
         # the cases marked False above do exercise the polygon rule

@@ -382,3 +382,20 @@ class TestImport:
         assert out.stdout.splitlines()[-1] == "0 []"
         assert obj.read_text().startswith("v ")
 
+    def test_analyze_loads_no_float_text_kernel(self, tmp_path, catenoid_file):
+        # the '%.17g' kernel is export_obj's alone: `import minsurf` builds none
+        # of its tables and a whole `minsurf analyze` run never imports it
+        code = ("import sys, minsurf; print('minsurf._floattext' in sys.modules); "
+                "from minsurf import _floattext; print(_floattext._tables.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=CHILD_ENV)
+        assert out.stdout.split() == ["False", "0"]
+        report = tmp_path / "cat.json"
+        code = ("import sys; from minsurf.cli import main; "
+                f"rc = main(['analyze', {str(catenoid_file)!r}, '--json', {str(report)!r}]); "
+                "print(rc, 'minsurf._floattext' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=CHILD_ENV)
+        assert out.stdout.splitlines()[-1] == "0 False"
+        assert json.loads(report.read_text())
+
