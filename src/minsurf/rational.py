@@ -1,21 +1,25 @@
 """Complex-coefficient polynomials, rational maps, and local Laurent expansions.
 
 Everything downstream (Weierstrass validation, end analysis, curvature) reduces
-to arithmetic on small-degree complex polynomials: products, root clustering
-with multiplicities, common factors, and sharp-order Laurent expansions of
+to arithmetic on small-degree complex polynomials: products, roots with their
+multiplicity structure, common factors, and sharp-order Laurent expansions of
 rational functions at finite centers and at infinity (w = 1/z chart).
 
-Each polynomial whose roots are needed is rooted once.  Common factors are
-found by one rule, ``shared_roots``: the roots of one polynomial are kept where
-the others vanish, tested by their Taylor coefficients there and never by
-rooting them too.  A rational map roots its denominator once, cancels the
-numerator at those roots and keeps them (``RationalMap.den_roots``).
+Each polynomial whose roots are needed is rooted once, by one factorization
+(``roots``, after Zeng, Math. Comp. 74, 2005): the multiplicity structure is
+chosen by its backward error and its roots are refined jointly.  Common
+factors are found by one rule, ``shared_roots``: the roots of one polynomial
+are kept where the others vanish, tested by their Taylor coefficients there
+and never by rooting them too.  A rational map roots its denominator once,
+cancels the numerator at those roots and keeps them (``RationalMap.den_roots``);
+they are the only description of the denominator that a finite Laurent
+expansion reads.
 
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
-reproducible for integer-valued inputs); tolerances enter only through root
-clustering, common factors and order detection, which all share the module
-constants below.
+reproducible for integer-valued inputs); tolerances enter only through the
+multiplicity structure, common factors and order detection, which all share
+the module constants below.
 """
 
 from __future__ import annotations
@@ -43,15 +47,16 @@ __all__ = [
     "compose_mobius",
 ]
 
-# Shared tolerance constants.  CLUSTER_RADIUS is the per-root merge radius
-# (scaled by 1 + |root|); MULTIPLICITY_TOL is the backward error at which a
-# cluster of eigenvalues is accepted as one multiple root; SHARED_TOL is the
+# Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
+# 1 + |root|) within which two roots are one point (``roots_coincide``);
+# STRUCTURE_TOL is the weighted backward error up to which a multiplicity
+# structure is accepted (``roots``); SHARED_TOL is the
 # relative size below which a Taylor coefficient at a root of another
 # polynomial counts as zero (``shared_roots``); ORDER_TOL is the relative
 # cutoff deciding that a shifted coefficient is zero when reading off a
 # Laurent order.
 CLUSTER_RADIUS = 1e-8
-MULTIPLICITY_TOL = 1e-10
+STRUCTURE_TOL = 1e-10
 SHARED_TOL = 1e-7
 ORDER_TOL = 1e-11
 
@@ -216,111 +221,99 @@ def _as_poly(p) -> ComplexPoly:
     return p if isinstance(p, ComplexPoly) else ComplexPoly(p)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
-def _polish(p: ComplexPoly, z: complex, m: int) -> complex:
-    """Newton-polish z as a multiplicity-m root of p.
-
-    Runs on the (m-1)-th derivative, where the root is simple and Newton
-    reaches machine precision; p itself is pure rounding noise within
-    ~eps^(1/m) of a multiple root.
-    """
-    q = p
-    for _ in range(m - 1):
-        q = q.derivative()
-    dq = q.derivative()
-    for _ in range(25):
-        qv = q(z)
-        dv = dq(z)
-        if abs(dv) < 1e-300:
-            break
-        step = qv / dv
-        z = z - step
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
-    return z
-
-
-def _is_mfold_root(p: ComplexPoly, z: complex, m: int) -> bool:
-    """True when p has an m-fold root at z in the backward sense.
-
-    Zeroing the Taylor coefficients of p at z below order m is a coefficient
-    perturbation of that size relative to the local scale sum |a_k| |z|^k, so
-    the test accepts when that perturbation is within the module's reduction
-    tolerance (and the m-th coefficient stands well clear of it).
-    """
-    taylor = np.abs(p.shift(z).coeffs)
-    zbar = max(1.0, abs(z))
-    scale = float(np.sum(np.abs(p.coeffs) * zbar ** np.arange(p.coeffs.size)))
-    floor = MULTIPLICITY_TOL * scale
-    if m >= taylor.size or taylor[m] < 1e3 * floor:
-        return False
-    return bool(taylor[:m].max(initial=0.0) <= floor)
-
-
-def _capture_clusters(p: ComplexPoly, raw):
-    """Multiplicity-verified eigenvalue clustering; returns (root, mult) pairs.
-
-    The eigenvalues of an exact m-fold root split into a ring of radius
-    ~(eps cond)^(1/m), too wide for any fixed capture radius.  Around each
-    unused eigenvalue the largest nearest-neighbor set is accepted whose
-    polished centroid verifiably IS a root of that multiplicity.
-    """
-    n = len(raw)
-    used = [False] * n
-    out: list[tuple[complex, int]] = []
-    for i in range(n):
-        if used[i]:
+def _linkage_levels(raw: np.ndarray):
+    """Single-linkage partitions of the eigenvalues ``raw``, coarse to fine, as
+    lists of index tuples: pairs are merged in order of distance unless the
+    merged cluster would reach farther than 0.1 (1 + |centroid|) from its
+    centroid."""
+    parts = [(i,) for i in range(raw.size)]
+    levels = [parts]
+    gap = np.abs(raw[:, None] - raw)
+    # a cluster holding two points D apart reaches D/2 from its centroid
+    i, j = np.nonzero(np.triu(gap <= 0.2 * (1.0 + np.abs(raw).max()), 1))
+    for k in np.argsort(gap[i, j], kind="stable"):
+        a, b = (next(p for p in parts if x in p) for x in (i[k], j[k]))
+        if a is b:
             continue
-        cand = sorted((j for j in range(n) if not used[j]),
-                      key=lambda j: (abs(raw[j] - raw[i]), j))
-        chosen, polished = [i], None
-        for size in range(len(cand), 1, -1):
-            pts = [raw[j] for j in cand[:size]]
-            c = sum(pts) / size
-            rad = max(abs(z - c) for z in pts)
-            if rad > 0.1 * (1.0 + abs(c)):
-                continue
-            z = _polish(p, c, size)
-            # the polished root must lie inside its own cluster; Newton can
-            # wander to a different genuine multiple root otherwise
-            if abs(z - c) <= 0.5 * rad + 1e-12 * (1.0 + abs(c)) and _is_mfold_root(p, z, size):
-                chosen, polished = cand[:size], z
-                break
-        if polished is None:
-            polished = _polish(p, raw[i], 1)
-        for j in chosen:
-            used[j] = True
-        out.append((polished, len(chosen)))
-    return out
+        pts = raw[list(a + b)]
+        c = pts.mean()
+        if np.abs(pts - c).max() > 0.1 * (1.0 + abs(c)):
+            continue
+        parts = [p for p in parts if p is not a and p is not b] + [a + b]
+        levels.append(parts)
+    return levels[::-1]
+
+
+def _refine(a: np.ndarray, z: np.ndarray, m: np.ndarray):
+    """Gauss-Newton for the roots z, multiplicities m, of the monic polynomial
+    whose lower coefficients are ``a`` (ascending): the residual of
+    prod (x - z_j)^m_j against ``a`` is weighted by min(1, 1/|a_k|).  Returns
+    (backward error, roots, m): the weighted residual's 2-norm, at the
+    iterate where it stopped decreasing or the step fell to rounding level."""
+    n, k = a.size, z.size
+    weight = 1.0 / np.maximum(1.0, np.abs(a))
+    rep = np.repeat(np.arange(k), m)
+    # row j: the root list less one copy of z_j
+    drop = np.searchsorted(rep, np.arange(k))
+    others = np.broadcast_to(rep, (k, n))[np.arange(n) != drop[:, None]].reshape(k, n - 1)
+    best = (np.inf, z, m)
+    for _ in range(50):
+        roots_less = z[others]
+        q = np.zeros((k, n), dtype=complex)
+        q[:, 0] = 1.0
+        for s in range(n - 1):
+            q[:, 1:] = q[:, :-1] - roots_less[:, s, None] * q[:, 1:]
+            q[:, 0] *= -roots_less[:, s]
+        res = weight * (np.append(0.0, q[0, :-1]) - z[0] * q[0] - a)
+        err = float(np.linalg.norm(res))
+        if not (err < best[0] and np.isfinite(q).all()):
+            break
+        best = (err, z, m)
+        step = np.linalg.lstsq(weight[:, None] * (-m[None, :] * q.T), res, rcond=None)[0]
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+            break
+        z = z - step
+    return best
 
 
 def roots(p: ComplexPoly):
-    """All complex roots with multiplicities, clustered.
+    """All complex roots with multiplicities: the multiplicity structure with
+    the fewest distinct roots whose backward error is within ``STRUCTURE_TOL``.
 
-    Companion-matrix eigenvalues are clustered with verified multiplicities,
-    Newton-polished, and merged at the contractual radius
-    ``CLUSTER_RADIUS * (1 + |root|)``.  Multiplicities sum to the degree.
+    Candidate structures are the single-linkage levels of the
+    companion-matrix eigenvalues (``_linkage_levels``), coarse to fine; each
+    is refined jointly by Gauss-Newton on its monic coefficients
+    (``_refine``).  At each level the structures one unit of multiplicity
+    away between two close roots are refined too, and of the structures with
+    the same count the one with the smallest backward error is kept.  When
+    none is within the tolerance, the smallest backward error wins.
+    Multiplicities sum to the degree; roots are sorted by real, then
+    imaginary part.
     """
     p = _as_poly(p).trimmed(1e-12)
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
-
+    a = p.coeffs[:-1] / p.coeffs[-1]
     raw = np.roots(p.coeffs[::-1])
-    raw = sorted(raw, key=lambda z: (z.real, z.imag))
-    refined = _capture_clusters(p, raw)
-
-    merged: list[list] = []
-    for z, m in sorted(refined, key=lambda t: (t[0].real, t[0].imag)):
-        for item in merged:
-            if abs(z - item[0]) <= CLUSTER_RADIUS * (1.0 + abs(item[0])):
-                item[0] = (item[0] * item[1] + z * m) / (item[1] + m)
-                item[1] += m
-                break
-        else:
-            merged.append([z, m])
-    return [(complex(z), int(m)) for z, m in merged]
+    fits = []
+    for parts in _linkage_levels(raw):
+        fit = _refine(a, np.array([raw[list(c)].mean() for c in parts]),
+                      np.array([len(c) for c in parts]))
+        # eigenvalues smeared across close multiple roots can be grouped
+        # wrongly: also move one unit of multiplicity between two close roots
+        _err, z, m = fit
+        unit = np.eye(z.size, dtype=int)
+        close = np.abs(z[:, None] - z) <= 0.2 * (1.0 + np.abs(z[:, None]))
+        err, z, m = min([fit] + [_refine(a, z, m - unit[i] + unit[j]) for i, j in
+                                 zip(*np.nonzero(close & (m[:, None] > 1) & (unit == 0)))],
+                        key=lambda c: c[0])
+        if err <= STRUCTURE_TOL:
+            break
+        fits.append((err, z, m))
+    else:
+        err, z, m = min(fits, key=lambda c: c[0])
+    return sorted(((complex(x), int(k)) for x, k in zip(z, m)),
+                  key=lambda t: (t[0].real, t[0].imag))
 
 
 def roots_coincide(z: complex, m: int, ref: complex, mref: int,
@@ -328,11 +321,12 @@ def roots_coincide(z: complex, m: int, ref: complex, mref: int,
     """Whether a root z of multiplicity m is the same point as a root ref of
     multiplicity mref, of the same or another polynomial.
 
-    The distance must be within ``radius * (1 + |ref|)``.  Polished simple
-    roots agree to ~1e-12, but near-coincident structures (multiplicity >= 2)
-    are clustered only to ~1e-5 at double precision, so a match involving one
-    uses the radius widened to 1e-5.  This is the one rule by which the pole
-    table merges the denominator roots of a datum into poles.
+    The distance must be within ``radius * (1 + |ref|)``.  Roots from
+    ``roots`` agree to ~1e-12, but a multiple root moves by ~(eps cond)^(1/m)
+    when its coefficients are perturbed, so a match involving one (a listed
+    puncture, or another component's root) uses the radius widened to 1e-5.
+    This is the one rule by which the pole table merges the denominator roots
+    of a datum into poles.
     """
     tol = radius if max(m, mref) == 1 else max(radius, 1e-5)
     return abs(z - ref) <= tol * (1.0 + abs(ref))
@@ -500,12 +494,14 @@ def _series_quotient(p: ComplexPoly, q: ComplexPoly, depth: int):
 def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     """Laurent expansion of a rational function at a sphere point.
 
-    The expansion is taken exactly at ``center``.  Off a multiple pole by a
-    rounding error it has a bogus order and huge spurious coefficients, so
-    expand at the pole itself: ``weierstrass`` takes each component's own
-    denominator root from the datum's pole table.  At infinity the
-    expansion is in w = 1/z and describes function values only; the 1-form
-    Jacobian dz = -dw/w^2 is applied by the caller.
+    At a finite centre c the denominator's Taylor coefficients come from its
+    factors, lead * prod (t + c - z_j)^m_j over ``r.den_roots``, so at one of
+    those roots the coefficients below the pole's order are exactly zero and
+    the order never rests on rounding noise clearing ``ORDER_TOL``.  That
+    holds at the root itself only, so ``weierstrass`` expands each component
+    at its own denominator root, from the datum's pole table.  At infinity
+    the expansion is in w = 1/z and describes function values only; the
+    1-form Jacobian dz = -dw/w^2 is applied by the caller.
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -519,7 +515,9 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
         rel, coeffs = _series_quotient(pn, pd, depth)
         return LaurentSeries(INF, base + rel, coeffs)
     c = complex(center)
-    rel, coeffs = _series_quotient(r.num.shift(c), r.den.shift(c), depth)
+    lead = r.den.coeffs[sum(m for _z, m in r.den_roots)]
+    den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], lead)
+    rel, coeffs = _series_quotient(r.num.shift(c), den, depth)
     return LaurentSeries(c, rel, coeffs)
 
 
@@ -597,10 +595,12 @@ def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):
 
 
 def compose_mobius(r: RationalMap, mobius) -> RationalMap:
-    """r((a z + b)/(c z + d)) as a reduced rational map.
+    """The 1-form r dz pulled back under T(z) = (a z + b)/(c z + d): the
+    reduced rational map r(T) T'.
 
     The denominator is factored at ``r.den_roots``; the numerator is rooted
-    here.
+    here.  T' = det / td^2 enters the balance of the td powers, so the
+    result is built, and its denominator rooted, once.
     """
     a, b, c, d = (complex(x) for x in mobius)
     top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
@@ -613,9 +613,10 @@ def compose_mobius(r: RationalMap, mobius) -> RationalMap:
     td = ComplexPoly([d, c])
     pn, kn = _compose_factored(r.num, a, b, c, d, roots(r.num) if r.num.degree() >= 1 else ())
     pd, kd = _compose_factored(r.den, a, b, c, d, r.den_roots)
-    # r(T) = (Pn / td^kn) / (Pd / td^kd): balance the td powers.
-    for _ in range(kd - kn):
+    # r(T) T' = (Pn / td^kn) / (Pd / td^kd) * det / td^2: balance the td powers.
+    pn = pn * (a * d - b * c)
+    for _ in range(kd - kn - 2):
         pn = pn * td
-    for _ in range(kn - kd):
+    for _ in range(kn + 2 - kd):
         pd = pd * td
     return RationalMap(pn, pd)

@@ -555,14 +555,4 @@ def mobius_precompose(w: WeierstrassData, mobius) -> WeierstrassData:
     The components transform as 1-forms: phi_j -> (phi_j o T) T'.  Punctures
     are re-detected; the basepoint is re-derived by the default rule.
     """
-    a, b, c, d = (complex(x) for x in mobius)
-    det = a * d - b * c
-    td = ComplexPoly([d, c])
-    tprime = RationalMap(ComplexPoly([det]), td * td)
-    new_phi = []
-    for r in w.phi:
-        if r.is_zero:
-            new_phi.append(RationalMap(ComplexPoly()))
-        else:
-            new_phi.append(compose_mobius(r, (a, b, c, d)) * tprime)
-    return WeierstrassData(new_phi, label=w.label)
+    return WeierstrassData([compose_mobius(r, mobius) for r in w.phi], label=w.label)

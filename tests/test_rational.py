@@ -209,6 +209,45 @@ class TestRoots:
             roots(ComplexPoly([3.0]))
 
 
+class TestMultiplicityStructure:
+    """``roots`` keeps the structure with the fewest distinct roots whose
+    backward error is within ``STRUCTURE_TOL``; of two with the same count,
+    the one with the smaller backward error."""
+
+    @staticmethod
+    def _two_doubles(delta):
+        return ComplexPoly.from_roots([(1.0, 2), (1.0 + delta, 2)])
+
+    @pytest.mark.parametrize("delta, structure", [(1e-7, [4]), (1e-4, [2, 2])])
+    def test_flip_with_separation(self, delta, structure):
+        # (z - 1)^2 (z - 1 - delta)^2 is one 4-fold root within the flip
+        # separation (about 2e-5 here) and two double roots beyond it
+        got = roots(self._two_doubles(delta))
+        assert [m for _z, m in got] == structure
+        if structure == [2, 2]:
+            assert abs(got[0][0] - 1) < 1e-11 and abs(got[1][0] - 1 - delta) < 1e-11
+
+    def test_never_three_and_one(self):
+        # eigenvalues smeared across both double roots group as 3 + 1 for
+        # some separations; (3, 1) then fits too, but (2, 2) fits better
+        for delta in np.logspace(-8, -2, 61):
+            got = sorted(m for _z, m in roots(self._two_doubles(delta)))
+            assert got in ([4], [2, 2]), (delta, got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda count: st.tuples(
+        separated_roots(count),
+        st.lists(st.integers(1, 3), min_size=count, max_size=count), leading())))
+    def test_planted_structures(self, case):
+        # 1-4 distinct roots, |z| <= 4, at least 0.5 apart, multiplicities 1-3
+        pts, mults, lead = case
+        got = roots(ComplexPoly.from_roots(zip(pts, mults), lead))
+        assert len(got) == len(pts)
+        for z, m in zip(pts, mults):
+            (k,) = [k for w, k in got if abs(w - z) <= 1e-12 * (1 + abs(z))]
+            assert k == m
+
+
 class TestLaurent:
     def test_pure_double_pole(self):
         s = laurent_expand(RationalMap([1], [0, 0, 1]), 0j, depth=3)

@@ -315,50 +315,66 @@ class TestCliMesh:
 
 
 # The Moebius charts (a, b, c, d) of the benchmark's fault table, one per
-# fault named there, pulled back from these catalog surfaces.
+# fault named there, pulled back from these catalog surfaces, with the Gauss
+# map degree and end orders of the unit surface.
 FAULT_CHARTS = [
-    ("catenoid-ends-0.01-apart", ms.catenoid, (1, -0.25, 1, -0.26)),
-    ("catenoid-ends-0.01-apart-b", ms.catenoid, (1, -0.5, 1, -0.51)),
+    ("catenoid-ends-0.01-apart", ms.catenoid, (1, -0.25, 1, -0.26), (2, [-2, -2])),
+    ("catenoid-ends-0.01-apart-b", ms.catenoid, (1, -0.5, 1, -0.51), (2, [-2, -2])),
     ("jm1-lead-nullity", lambda: ms.generalized_jorge_meeks(1),
      (complex(-0.37760500712699807, -0.5140063716874629),
       complex(2.0427716074923303, -1.6480751708556527),
       complex(0.6467029962018469, 0.16746474422274113),
-      complex(0.6630633723762617, 0.10901408782154753))),
+      complex(0.6630633723762617, 0.10901408782154753)), (2, [-2, -2])),
     ("jm2-co-consistency", lambda: ms.generalized_jorge_meeks(2),
      (complex(-0.9585437977525599, -0.08079228027724643),
       complex(-0.07926609009606381, -1.8343841189278653),
       complex(0.18066336513409245, -0.6717494671929184),
-      complex(-0.08449893575731342, -0.7078303235682751))),
+      complex(-0.08449893575731342, -0.7078303235682751)), (4, [-2, -2, -2])),
     ("enneper-anchor-path", ms.enneper,
      (complex(0.04931968294274557, -1.1429566337463961),
       complex(-2.1666121593182464, 0.5995576979640092),
       complex(0.7238102522772645, -0.8764085171864693),
-      complex(-1.0714959570851907, 0.8228349505059208))),
+      complex(-1.0714959570851907, 0.8228349505059208)), (2, [-4])),
 ]
 
 
 class TestCliFaultCharts:
-    @pytest.mark.parametrize("tag,make,mob", FAULT_CHARTS, ids=[c[0] for c in FAULT_CHARTS])
-    def test_analyze_exits_cleanly(self, tmp_path, tag, make, mob):
-        # written as the benchmark writes them: no punctures, no basepoint
+    @pytest.mark.parametrize("tag,make,mob,unit", FAULT_CHARTS, ids=[c[0] for c in FAULT_CHARTS])
+    def test_analyze_exits_cleanly(self, tmp_path, tag, make, mob, unit):
+        # written as the benchmark writes them: no punctures, no basepoint;
+        # every chart analyses, with the unit surface's degree and end orders
         doc = wdfile.document_from_data(ms.mobius_precompose(make().data, mob), label=tag)
         doc.punctures = None
         doc.basepoint = None
-        path = tmp_path / f"{tag}.wd"
+        path, report = tmp_path / f"{tag}.wd", tmp_path / f"{tag}.json"
         wdfile.dump(doc, path)
+        out = run_cli("analyze", path, "--json", report)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        rep = json.loads(report.read_text())
+        d, orders = unit
+        assert rep["curvature"]["d"] == d
+        assert sorted(e["mu"] for e in rep["ends"]) == orders
+
+    @pytest.mark.parametrize("kind", ["rejected", "refused"])
+    def test_refusal_forms(self, tmp_path, kind):
+        # validation's rejection is one "analyze:" line per failed check and a
+        # final line; any other refusal (here the bilinear check on the
+        # catenoid with ends 1e-3 apart) is one typed error
+        from conftest import branched_enneper
+
+        w = (branched_enneper()["enneper-branched"] if kind == "rejected"
+             else ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.251)))
+        path = tmp_path / f"{kind}.wd"
+        wdfile.dump(wdfile.document_from_data(w, label=kind), path)
         out = run_cli("analyze", path)
-        assert "Traceback" not in out.stderr
         lines = out.stderr.splitlines()
-        if out.returncode == 0:
-            assert out.stdout
-        elif lines[-1].endswith("datum rejected; analysis refused"):
-            # validation's rejection: one "analyze:" line per failed check
-            assert out.returncode == 1 and len(lines) >= 2, out.stderr
-            assert all(line.startswith("analyze: ") for line in lines[:-1]), out.stderr
+        assert out.returncode == 1 and "Traceback" not in out.stderr
+        if kind == "rejected":
+            assert lines[-1].endswith("datum rejected; analysis refused"), out.stderr
+            assert len(lines) >= 2 and all(line.startswith("analyze: ") for line in lines[:-1])
         else:
-            # any other refusal is one typed error
-            assert out.returncode == 1, out.stderr
             assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
+            assert "Laurent relations violated" in lines[0]
 
 
 class TestImport:

@@ -73,6 +73,14 @@ class TestDetectPunctures:
         for p in pts:
             assert min(abs(p - e) for e in expected) < 1e-9
 
+    def test_catenoid_ends_1e3_apart(self, catenoid):
+        # the pulled-back denominators have two double roots 1e-3 apart: two
+        # finite punctures, not four
+        w = ms.mobius_precompose(catenoid.data, (1, -0.25, 1, -0.251))
+        finite = sorted(w.finite_punctures, key=lambda p: p.real)
+        assert len(finite) == 2
+        assert abs(finite[0] - 0.25) < 1e-12 and abs(finite[1] - 0.251) < 1e-12
+
     def test_simple_pole_pair(self):
         phi = (RationalMap([1], [0, 1]), RationalMap([1j], [0, 1]), RationalMap([0.0], [1]))
         pts = detect_punctures(phi)
@@ -93,10 +101,9 @@ class TestPoleTable:
     def test_roots_calls_per_analysis_other_data(self, monkeypatch, name):
         self._check_roots_calls(monkeypatch, name)
 
-    def _check_roots_calls(self, monkeypatch, name):
-        # counted from construction on: one roots() per component denominator
-        # in total (when the component is reduced), and one other per datum,
-        # on a cleared numerator, for its branch points
+    @staticmethod
+    def _count_roots(monkeypatch):
+        """The polynomials passed to ``roots`` from now on, at every binding site."""
         import sys
 
         import minsurf.rational as rat
@@ -111,6 +118,27 @@ class TestPoleTable:
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("minsurf") and getattr(mod, "roots", None) is real_roots:
                 monkeypatch.setattr(mod, "roots", counting_roots)
+        return calls
+
+    def test_roots_calls_per_moebius_pullback(self, monkeypatch):
+        # each component is pulled back as a 1-form in one step, T' included:
+        # one roots() on its numerator, one on the new denominator, and the
+        # analysis reuses the latter
+        base = ms.generalized_jorge_meeks(4).data
+        assert all(r.den_roots for r in base.phi)
+        calls = self._count_roots(monkeypatch)
+        w = ms.mobius_precompose(base, (1, -0.3, 0.2, 1))
+        assert len(calls) == 2 * len(w.phi) == 18
+        assert sum(any(p is r.num for r in base.phi) for p in calls) == len(w.phi)
+        assert sum(any(p is r.den for r in w.phi) for p in calls) == len(w.phi)
+        assert ms.run_analysis(w).valid
+        assert len(calls) <= 2 * len(w.phi) + 1
+
+    def _check_roots_calls(self, monkeypatch, name):
+        # counted from construction on: one roots() per component denominator
+        # in total (when the component is reduced), and one other per datum,
+        # on a cleared numerator, for its branch points
+        calls = self._count_roots(monkeypatch)
         w = self.DATA[name]()
         built = len(calls)
         assert ms.run_analysis(w).valid

@@ -77,13 +77,13 @@ def test_catalog_work_counts(monkeypatch):
 
 
 def test_refused_ends_take_no_curvature_rounds(monkeypatch):
-    # the catenoid with ends 0.01 apart fails the bilinear check of its end
+    # the catenoid with ends 1e-3 apart fails the bilinear check of its end
     # at 0.25; the ends are analysed first, so no Green-identity round is paid
     rounds = []
     real = curvature._round_fluxes
     monkeypatch.setattr(curvature, "_round_fluxes",
                         lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
-    w = ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.26))
+    w = ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.251))
     with pytest.raises(InternalConsistencyError, match="Laurent relations violated"):
         ms.run_analysis(w)
     assert rounds == []
