@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__, catalog, wdfile
-from .errors import MinsurfError, ParseError, UsageError
+from .errors import DatumRejectedError, MinsurfError, ParseError, UsageError
 from .mesh import build_mesh, check_projection, export_obj, sample_domain
 from .rational import is_infinity
 from .report import report_to_json, run_analysis, sha256_of
@@ -44,10 +44,7 @@ def cmd_analyze(args) -> int:
     rep = run_analysis(data, input_sha256=sha256_of(args.input),
                        tc_tol=1e-3 * args.tol, tol_scale=args.tol)
     if not rep.valid:
-        for msg in rep.validation.messages:
-            print(f"analyze: {msg}", file=sys.stderr)
-        print(f"{args.input}: datum rejected; analysis refused", file=sys.stderr)
-        return 1
+        raise DatumRejectedError(args.input, rep.validation.messages)
     c = rep.curvature
     print(f"label:            {rep.label or '(unnamed)'}")
     print(f"ambient dim:      {rep.n}")
@@ -93,9 +90,7 @@ def cmd_mesh(args) -> int:
     data = _load_data(args.input)
     report = validate(data, tol_scale=args.tol)
     if not report.ok:
-        for msg in report.messages:
-            print(f"mesh: {msg}", file=sys.stderr)
-        return 1
+        raise DatumRejectedError(args.input, report.messages)
     projection = None
     if args.project:
         try:

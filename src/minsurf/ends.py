@@ -15,12 +15,15 @@ Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant fixed by the closed-form
 immersion at a reference radius; this is the immersion itself to spectral
 accuracy, and working in t keeps full relative precision at radii far below
-the evaluation clearance, where z = p + t would round t away.  The series is
-evaluated in integer powers by one cumulative product, its tail cut where the
-terms fall below 1e-18 of the leading one.  Coefficients are prefixes of the
-datum's Laurent table; it keeps one LocalImmersion per end.  The sphere cuts
-|f| = R are solved by Newton on log r per angle, with the value and the exact
-radial derivative from the same terms in polar form (``radial_jet``).
+the evaluation clearance, where z = p + t would round t away.  Coefficients
+are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
+end.  Every reader of an end's series -- immersion values, the sphere cuts
+|f| = R (Newton on log r per angle, with the exact radial derivative), the
+asymptotic model and its check -- goes through one polar evaluator,
+``_polar_jet``, of t as angle and log radius; the local immersion keeps the
+terms above 1e-18 of the leading one.  The asymptotic check
+evaluates the local series minus the model as one table, so the terms they
+share cancel before any rounding.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
 BILINEAR_TOL = 1e-9   # |<a,a>| and |<a_-2, a_-1>| relative to |a_-2|^2
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
-ASYMPTOTIC_ROUNDING = 8.0  # ulps of |f| + |f0| that verify_asymptotic allows f - f0
 
 
 class EndType(str, Enum):
@@ -65,24 +67,55 @@ class EndType(str, Enum):
     HIGHER_ORDER = "higher-order"
 
 
-def _local_chart(w: WeierstrassData, p):
-    """(to_global, convergence_radius) for the local coordinate at p."""
-    if is_infinity(p):
-        others = [abs(q) for q in w.finite_punctures if abs(q) > 0]
-        conv = min((1.0 / q for q in others), default=math.inf)
+def _polar_jet(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray,
+               thetas: np.ndarray):
+    """The polar evaluator of an end's series at fixed angles: ``jet``.
 
-        def to_global(t):
-            return 1.0 / t
+    The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
+    with anti an (n, K) table and log, constant (n,) vectors.  ``jet(x)``
+    returns f and df/dlog r at the points e^x e^{i thetas}, one log-radius x
+    per angle, as two (n, len(thetas)) arrays.  With t^p = r^p e^{i p theta},
+    each term is 2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta),
+    and d/dlog r multiplies it by p.  The log term is 2 (Re c x - Im c theta),
+    theta on the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
+    [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
+    [value; derivative] coefficients give both in one real matrix product;
+    only r^p (by row products) and x change between calls.
+    """
+    n, K = anti.shape
+    powers = lo + np.arange(K)
+    anti = 2.0 * anti
+    log = 2.0 * log
+    coef = np.zeros((2, n, 2 * K + 3))      # [value; derivative] against the rows
+    for block, c in zip(coef, (anti, anti * powers)):
+        block[:, :K], block[:, K:2 * K] = c.real, -c.imag
+    coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
+    coef[0, :, 2 * K + 1] = -log.imag
+    coef[0, :, 2 * K + 2] = constant
+    coef = coef.reshape(2 * n, -1)
+    phases = np.empty((K, thetas.size), dtype=complex)
+    phases[0] = np.exp(1j * lo * thetas)
+    turn = np.exp(1j * thetas)
+    for j in range(1, K):
+        np.multiply(phases[j - 1], turn, out=phases[j])
+    table = np.stack([phases.real, phases.imag])                # (2, K, N)
+    rows = np.empty((2 * K + 3, thetas.size))
+    rows[2 * K + 1] = np.angle(turn)
+    rows[2 * K + 2] = 1.0
+    scaled = rows[:2 * K].reshape(2, K, -1)
+    powers_of_r = np.empty((K, thetas.size))
 
-    else:
-        p = complex(p)
-        others = [abs(q - p) for q in w.finite_punctures if abs(q - p) > 0]
-        conv = min(others, default=math.inf)
+    def jet(x: np.ndarray):
+        r = np.exp(x)
+        powers_of_r[0] = np.exp(lo * x)
+        for j in range(1, K):
+            np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
+        np.multiply(table, powers_of_r, out=scaled)
+        rows[2 * K] = x
+        out = coef @ rows
+        return out[:n], out[n:]
 
-        def to_global(t):
-            return p + t
-
-    return to_global, conv
+    return jet
 
 
 class LocalImmersion:
@@ -94,17 +127,18 @@ class LocalImmersion:
     below roughly half the distance to the next singularity; only Re(log)
     enters, so the log branch is immaterial (the residue vector is real).
 
-    The integer powers t^p, p = lo..hi, come from one cumulative product
-    started at t ** float(lo) -- for lo = -1 bitwise the 1/t of
-    ``AsymptoticModel``, so an exact model cancels exactly.  Tail terms whose
-    bound max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
-    leading term's are dropped: at sphere-cut radii most of the 40 are.
+    Every evaluation, the anchor included, is one call of the polar
+    evaluator ``_polar_jet`` on the leading ``K`` terms, t given by its angle
+    and log radius.  Tail terms whose bound max|c| max|t|^p on the evaluation
+    set is below ``TAIL_REL`` of the leading term's are dropped: at
+    sphere-cut radii most of the 40 are.
     """
 
     def __init__(self, w: WeierstrassData, p):
-        to_global, conv = _local_chart(w, p)
-        self._to_global = to_global
-        self.convergence_radius = conv
+        if is_infinity(p):
+            conv = min((1.0 / abs(q) for q in w.finite_punctures if q != 0), default=math.inf)
+        else:
+            conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
         mu, C = form_coefficient_window(w, p, 40)
         self.mu = int(mu)
         exps = mu + np.arange(C.shape[1])
@@ -123,8 +157,10 @@ class LocalImmersion:
         self._rel_power = np.arange(anti.shape[1]) - lead
         self.r_ref = 0.5 if not math.isfinite(conv) else float(min(0.2 * conv, 0.5))
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
-        anchor = immersion_eval(w, to_global(self.r_ref))
-        self.constant = anchor - self._raw(np.array([self.r_ref + 0j]), self.r_ref)[:, 0]
+        z_ref = 1.0 / self.r_ref if is_infinity(p) else complex(p) + self.r_ref
+        K = self._kept_terms(self.r_ref)
+        series = _polar_jet(anti[:, :K], self._lo, self.log_coeff, np.zeros(w.n), np.zeros(1))
+        self.constant = immersion_eval(w, z_ref) - series(np.log([self.r_ref]))[0][:, 0]
 
     def _kept_terms(self, r_max: float) -> int:
         """Terms kept for |t| <= r_max: through the last whose bound is at
@@ -133,80 +169,27 @@ class LocalImmersion:
         above = self._log_rel_mag + self._rel_power * log_r >= math.log(TAIL_REL)
         return above.size - int(np.argmax(above[::-1]))
 
-    def _raw(self, t: np.ndarray, r_max: float) -> np.ndarray:
-        K = self._kept_terms(r_max)
-        steps = np.empty((K, t.size), dtype=complex)
-        steps[0] = t ** float(self._lo)
-        steps[1:] = t
-        # the complex log goes before the matrix product: right after a complex
-        # BLAS product the scalar libm code behind np.log ran ~13x slower on
-        # the x86 machine this was measured on (dirty upper vector registers)
-        val = np.multiply.outer(self.log_coeff, np.log(t))
-        val += self._anti[:, :K] @ np.cumprod(steps, axis=0)
-        return 2.0 * val.real
+    def _check_radius(self, r_max: float) -> None:
+        if r_max > self._cap:
+            raise EvaluationNearSingularityError(
+                f"local coordinate beyond the chart radius {self._cap:.3g}"
+            )
 
     def radial_jet(self, thetas: np.ndarray, r_max: float):
-        """Polar evaluator at fixed angles: ``(jet, K)``.
-
-        ``jet(x)`` returns f and df/dlog r at the points e^x e^{i thetas}, one
-        log-radius x per angle, as two (n, len(thetas)) arrays, from the ``K``
-        terms that ``__call__`` keeps for |t| <= r_max.  With
-        t^p = r^p e^{i p theta}, each term is 2 Re(c t^p) =
-        r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r multiplies
-        it by p.  The log term is 2 (Re c x - Im c theta), theta on np.log's
-        principal branch, with derivative 2 Re c.  So the rows
-        [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
-        [value; derivative] coefficients give both in one real matrix
-        product; only r^p (by row products) and x change between calls.
-        """
+        """The sphere cuts' evaluator: ``(jet, K)``, ``jet`` the polar
+        evaluator at the angles ``thetas`` of the ``K`` terms that ``__call__``
+        keeps for |t| <= r_max."""
         K = self._kept_terms(r_max)
-        n = self._anti.shape[0]
-        powers = self._lo + np.arange(K)
-        anti = 2.0 * self._anti[:, :K]
-        log = 2.0 * self.log_coeff
-        coef = np.zeros((2, n, 2 * K + 3))      # [value; derivative] against the rows
-        for block, c in zip(coef, (anti, anti * powers)):
-            block[:, :K], block[:, K:2 * K] = c.real, -c.imag
-        coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
-        coef[0, :, 2 * K + 1] = -log.imag
-        coef[0, :, 2 * K + 2] = self.constant
-        coef = coef.reshape(2 * n, -1)
-        phases = np.empty((K, thetas.size), dtype=complex)
-        phases[0] = np.exp(1j * self._lo * thetas)
-        turn = np.exp(1j * thetas)
-        for j in range(1, K):
-            np.multiply(phases[j - 1], turn, out=phases[j])
-        table = np.stack([phases.real, phases.imag])                # (2, K, N)
-        rows = np.empty((2 * K + 3, thetas.size))
-        rows[2 * K + 1] = np.angle(turn)
-        rows[2 * K + 2] = 1.0
-        scaled = rows[:2 * K].reshape(2, K, -1)
-        powers_of_r = np.empty((K, thetas.size))
-
-        def jet(x: np.ndarray):
-            r = np.exp(x)
-            powers_of_r[0] = np.exp(self._lo * x)
-            for j in range(1, K):
-                np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
-            np.multiply(table, powers_of_r, out=scaled)
-            rows[2 * K] = x
-            out = coef @ rows
-            return out[:n], out[n:]
-
-        return jet, K
+        return _polar_jet(self._anti[:, :K], self._lo, self.log_coeff, self.constant, thetas), K
 
     def __call__(self, t) -> np.ndarray:
         """Immersion values at local coordinates t; shape (n, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         r_max = float(np.max(np.abs(t)))
-        if r_max > self._cap:
-            raise EvaluationNearSingularityError(
-                f"local coordinate beyond the chart radius {self._cap:.3g}"
-            )
-        return self._raw(t, r_max) + self.constant[:, None]
-
-    def global_point(self, t):
-        return self._to_global(t)
+        self._check_radius(r_max)
+        K = self._kept_terms(r_max)
+        jet = _polar_jet(self._anti[:, :K], self._lo, self.log_coeff, self.constant, np.angle(t))
+        return jet(np.log(np.abs(t)))[0]
 
 
 @dataclass(slots=True)
@@ -311,9 +294,7 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
             )
 
     re, im = lead.real, lead.imag
-    a = _norm(re)
-    if a == 0.0 or abs(_norm(im) - a) > 1e-7 * a:
-        raise InternalConsistencyError(f"|Re a_lead| != |Im a_lead| at end {p!r}")
+    a = _norm(re)   # nonzero, and |Im a_lead| within ~2e-9 a of it, by the nullity gate
     e1 = re / a
     e2 = im / a
     b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2
@@ -347,7 +328,8 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
 
 @dataclass
 class AsymptoticModel:
-    """Catenoid/plane piece f0(t) = 2 Re(-a2/t) + 2 a1 log|t| + C in the end chart."""
+    """Catenoid/plane piece f0(t) = 2 Re(-a2/t) + 2 a1 log|t| + C in the end chart:
+    the one-term series -a2 t^-1 with log vector a1 (``log_vec``)."""
 
     a2: np.ndarray
     log_vec: np.ndarray
@@ -356,9 +338,17 @@ class AsymptoticModel:
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=complex))
-        val = 2.0 * (-np.multiply.outer(self.a2, 1.0 / t)).real
-        val = val + np.multiply.outer(2.0 * self.log_vec, np.log(np.abs(t)))
-        return val + self.constant[:, None]
+        jet = _polar_jet(-self.a2[:, None], -1, self.log_vec, self.constant, np.angle(t))
+        return jet(np.log(np.abs(t)))[0]
+
+
+def _residual_jet(loc: LocalImmersion, model: AsymptoticModel, thetas: np.ndarray):
+    """The polar evaluator of f - f0: all 41 terms of the local series with the
+    model's subtracted coefficientwise, so the terms they share cancel exactly."""
+    anti = loc._anti.copy()
+    anti[:, -1 - loc._lo] += model.a2
+    return _polar_jet(anti, loc._lo, loc.log_coeff - model.log_vec,
+                      loc.constant - model.constant, thetas)
 
 
 def asymptotic_model(e: EndAnalysis, force_planar: bool = False) -> AsymptoticModel:
@@ -379,14 +369,13 @@ def asymptotic_model(e: EndAnalysis, force_planar: bool = False) -> AsymptoticMo
         log_vec = e.a_minus1
     else:  # planar, or the deliberately wrong plane piece on a higher-order end
         log_vec = np.zeros_like(e.a_minus1)
-    a2 = e.a_minus2
     loc = e._local
+    model = AsymptoticModel(a2=e.a_minus2, log_vec=log_vec, constant=loc.constant,
+                            r_ref=loc.r_ref)
     thetas = 2.0 * math.pi * np.arange(16) / 16.0
-    t = loc.r_ref * np.exp(1j * thetas)
-    leading = 2.0 * (-np.multiply.outer(a2, 1.0 / t)).real
-    leading = leading + np.multiply.outer(2.0 * log_vec, np.log(np.abs(t)))
-    constant = (loc(t) - leading).mean(axis=1)
-    return AsymptoticModel(a2=a2, log_vec=log_vec, constant=constant, r_ref=loc.r_ref)
+    f_minus_f0 = _residual_jet(loc, model, thetas)(np.full(16, math.log(loc.r_ref)))[0]
+    model.constant = loc.constant + f_minus_f0.mean(axis=1)
+    return model
 
 
 @dataclass(frozen=True)
@@ -402,9 +391,9 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
 
     f is read from the local immersion of the end ``e`` of ``w``; the defining
     bound of a catenoid-type/planar end is that the ratio stays bounded as the
-    radius shrinks.  The verdict compares the last three radii, up to a floor
-    for the rounding of f - f0 at the last radius r:
-    ``ASYMPTOTIC_ROUNDING`` eps max_theta (|f| + |f0|) / r.
+    radius shrinks: the ratio at the last radius is at most 3 times that two
+    radii before.  f - f0 is one series, the local one minus the model's,
+    so no rounding of two values of size a/r enters the ratios.
     """
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -412,19 +401,11 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
     if model is None:
         model = asymptotic_model(e)
     loc = e._local
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
-    ratios = []
-    for r in radii:
-        t = r * np.exp(1j * thetas)
-        f, f0 = loc(t), model(t)
-        ratios.append(float(np.max(np.linalg.norm(f - f0, axis=0))) / r)
-    # the rounding of f - f0 at the last radius, as a ratio
-    size = np.linalg.norm(f, axis=0) + np.linalg.norm(f0, axis=0)
-    floor = ASYMPTOTIC_ROUNDING * np.finfo(float).eps * float(np.max(size)) / radii[-1]
-    if len(ratios) >= 3:
-        bounded = ratios[-1] <= 3.0 * ratios[-3] + floor
-    else:
-        bounded = ratios[-1] <= 3.0 * ratios[0] + floor
+    loc._check_radius(radii[0])
+    jet = _residual_jet(loc, model, 2.0 * math.pi * np.arange(samples) / samples)
+    ratios = [float(np.max(np.linalg.norm(jet(np.full(samples, math.log(r)))[0], axis=0))) / r
+              for r in radii]
+    bounded = ratios[-1] <= 3.0 * ratios[-3 if len(ratios) >= 3 else 0]
     return AsymptoticCheck(radii=tuple(radii), ratios=tuple(ratios), bounded=bounded)
 
 

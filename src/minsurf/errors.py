@@ -38,6 +38,15 @@ class ParseError(MinsurfError, ValueError):
         self.column = column
 
 
+class DatumRejectedError(MinsurfError, ValueError):
+    """Validation rejected a datum: one message naming its source and every
+    failed check; ``checks`` keeps the checks' messages."""
+
+    def __init__(self, source, checks):
+        self.checks = tuple(checks)
+        super().__init__(f"{source}: datum rejected: {'; '.join(self.checks)}")
+
+
 class InternalConsistencyError(MinsurfError, RuntimeError):
     """Quantities that must agree mathematically disagree beyond tolerance."""
 

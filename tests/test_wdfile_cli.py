@@ -357,9 +357,9 @@ class TestCliFaultCharts:
 
     @pytest.mark.parametrize("kind", ["rejected", "refused"])
     def test_refusal_forms(self, tmp_path, kind):
-        # validation's rejection is one "analyze:" line per failed check and a
-        # final line; any other refusal (here the bilinear check on the
-        # catenoid with ends 1e-3 apart) is one typed error
+        # validation's rejection (branched Enneper) and any other refusal (here
+        # the bilinear check on the catenoid with ends 1e-3 apart) are one
+        # "minsurf:" line each, exit 1; mesh rejects with analyze's line
         from conftest import branched_enneper
 
         w = (branched_enneper()["enneper-branched"] if kind == "rejected"
@@ -369,11 +369,13 @@ class TestCliFaultCharts:
         out = run_cli("analyze", path)
         lines = out.stderr.splitlines()
         assert out.returncode == 1 and "Traceback" not in out.stderr
+        assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
         if kind == "rejected":
-            assert lines[-1].endswith("datum rejected; analysis refused"), out.stderr
-            assert len(lines) >= 2 and all(line.startswith("analyze: ") for line in lines[:-1])
+            assert lines[0].startswith(f"minsurf: {path}: datum rejected: branch points ")
+            obj = tmp_path / "out.obj"
+            mesh = run_cli("mesh", path, "-o", obj)
+            assert mesh.returncode == 1 and mesh.stderr == out.stderr and not obj.exists()
         else:
-            assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
             assert "Laurent relations violated" in lines[0]
 
 
