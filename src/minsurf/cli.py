@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import __version__, catalog, wdfile
-from .errors import DatumRejectedError, MinsurfError, ParseError, UsageError
+from .errors import (ConvergenceFailureError, DatumRejectedError, MinsurfError, ParseError,
+                     UsageError)
 from .mesh import build_mesh, check_projection, export_obj, sample_domain
 from .rational import is_infinity
 from .report import report_to_json, run_analysis, sha256_of
@@ -160,7 +161,9 @@ def main(argv=None) -> int:
         print(f"minsurf: {exc}", file=sys.stderr)
         return 2
     except MinsurfError as exc:
-        print(f"minsurf: {exc}", file=sys.stderr)
+        last = exc.estimates if isinstance(exc, ConvergenceFailureError) else ()
+        tail = f" (last estimates {', '.join(f'{x:.12g}' for x in last)})" if last else ""
+        print(f"minsurf: {exc}{tail}", file=sys.stderr)
         return 1
 
 

@@ -8,8 +8,8 @@ basepoint-free, so the hyperplane-intersection degree d is the max component
 degree less the branching order.  d determines the total curvature -2 pi d.
 A Green-identity boundary integral of -laplacian(log lambda) provides an
 independent numeric value; it reads only each component's num/den, with the
-numerators brought to order one by a power of two (exact, and invisible to
-d/dr log lambda).  Each shrink round's circles are evaluated in one stacked
+numerators divided by the datum's unit, a power of two (exact, and invisible
+to d/dr log lambda).  Each shrink round's circles are evaluated in one stacked
 call, each distinct denominator once, and the rounds stop when two
 successive estimates, or two successive Aitken extrapolations of their
 geometric tail, agree.
@@ -31,7 +31,6 @@ from .errors import (
     InternalConsistencyError,
     NumericInstabilityError,
 )
-from .rational import ComplexPoly
 from .weierstrass import WeierstrassData, metric_order_at
 
 __all__ = [
@@ -123,22 +122,21 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     return GaussMap(psi=tuple(nums), degree=int(degree))
 
 
-def _flux_groups(phi):
+def _flux_groups(w: WeierstrassData):
     """Nonzero components grouped by denominator, as (den, den', [(num, num'),
-    ...]), every numerator divided by one power of two 2^k.
+    ...]), every numerator divided by the datum's ``unit``.
 
     d/dr log(lambda) does not change under phi -> s phi, and dividing by a
     power of two is exact, so the fluxes are those of the unscaled data while
-    the values they are computed from are of order one: k is the binary
-    exponent of max_j |num_j| / |den_j| (coefficient max-norms).
+    the values they are computed from carry no factor of the datum's scale.
     """
-    comps = [r for r in phi if not r.is_zero]
-    k = math.frexp(max(r.num.norm() / r.den.norm() for r in comps))[1] - 1
     groups = {}
-    for r in comps:
+    for r in w.phi:
+        if r.is_zero:
+            continue
         d, dd, members = groups.setdefault(r.den.coeffs.tobytes(),
                                            (r.den, r.den.derivative(), []))
-        num = ComplexPoly(np.ldexp(r.num.coeffs.real, -k) + 1j * np.ldexp(r.num.coeffs.imag, -k))
+        num = r.num * (1.0 / w.unit)
         members.append((num, num.derivative()))
     return list(groups.values())
 
@@ -204,10 +202,11 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
 
     Each round's circles -- one per finite puncture and the outer one -- are
     evaluated in one stacked call, each distinct denominator once.  The check
-    reads only the components' num/den (numerators scaled by a power of two,
-    ``_flux_groups``), not the pole or Laurent tables.
+    reads only the components' num/den (numerators divided by ``w.unit``,
+    ``_flux_groups``), not the Laurent coefficients themselves.  Should the
+    rounds run out, the error carries the estimates of the last two.
     """
-    groups = _flux_groups(w.phi)
+    groups = _flux_groups(w)
     fin = w.finite_punctures
     centers = [*fin, 0j]
     eps0 = 0.08 * w.min_separation
@@ -217,7 +216,7 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     def agree(a, b):
         return abs(a - b) <= 0.2 * tol * max(1.0, abs(a))
 
-    prev = step = aitken = None
+    before = prev = step = aitken = None
     for i in range(max_iter):
         eps = eps0 * shrink**i
         r_out = r_out0 / shrink**i
@@ -239,10 +238,10 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
             else:
                 aitken = None
             step = diff
-        prev = tc
+        before, prev = prev, tc
     raise ConvergenceFailureError(
         "total-curvature boundary terms did not stabilize",
-        estimates=(prev, tc),
+        estimates=[float(x) for x in (before, prev) if x is not None],
     )
 
 

@@ -10,6 +10,8 @@ end is asymptotic to a catenoid piece (b = |a_{-1}| > 0) or a plane (b = 0);
 for k >= 3 no such model exists.  The intersection of the end with a large
 sphere, rescaled to the unit sphere, limits on a (k-1)-fold covered great
 circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
+Magnitude enters only through the datum's unit (``WeierstrassData.unit``): the
+bilinear gates and the norms a, b are taken of the coefficients over it.
 
 Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant fixed by the closed-form
@@ -56,7 +58,7 @@ __all__ = [
     "limit_circle_deviation",
 ]
 
-BILINEAR_TOL = 1e-9   # |<a,a>| and |<a_-2, a_-1>| relative to |a_-2|^2
+BILINEAR_TOL = 1e-9   # |<a,a>| / |a|^2 and |<a_-2, a_-1>| / (|a_-2| (|a_-2| + |a_-1|))
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 
@@ -225,23 +227,6 @@ class EndAnalysis:
         return cache[self.puncture]
 
 
-def _binade(v: np.ndarray) -> float:
-    """The power of two 2^e with max|v| in [2^(e-1), 2^e), or 1 for v = 0.
-
-    Dividing by it is exact, so norms and bilinear forms of v / 2^e are those
-    of v over a power of two, bitwise wherever v's own would neither underflow
-    nor overflow, and of order one where they would.
-    """
-    m = float(np.max(np.abs(v)))
-    return math.ldexp(1.0, math.frexp(m)[1]) if 0.0 < m < math.inf else 1.0
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of v, free of the underflow and overflow of squaring."""
-    unit = _binade(v)
-    return unit * float(np.linalg.norm(v / unit))
-
-
 def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Deterministic third frame vector: the standard basis vector with the
     largest component orthogonal to span(e1, e2), Gram-Schmidt normalized."""
@@ -263,7 +248,11 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
 
     Verifies the bilinear relations <a_-2, a_-2> = 0 and <a_-2, a_-1> = 0
     forced by conformality whenever mu = -2; violations beyond tolerance mean
-    the datum (or the tolerance regime) is inconsistent.
+    the datum (or the tolerance regime) is inconsistent.  The second is
+    gated relative to |a_-2| (|a_-2| + |a_-1|): at two double poles delta
+    apart |a_-1| is about |a_-2| / delta.  Norms and bilinear forms are
+    taken of the coefficients divided by the datum's ``unit`` (exact), so
+    they neither underflow nor overflow; a and b are unit * |v / unit|.
     """
     depth = max(8, 4 - metric_order_at(w, p))
     mu, C = form_coefficient_window(w, p, depth)
@@ -276,29 +265,30 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     a1c = C[:, -1 - mu] if 0 <= -1 - mu <= depth else np.zeros(w.n, dtype=complex)
     a1 = a1c.real.copy()
 
-    unit = _binade(lead)
+    unit = w.unit
     lead_u, a1c_u = lead / unit, a1c / unit
-    scale = float(np.linalg.norm(lead_u)) ** 2
+    size = float(np.linalg.norm(lead_u))
     null_pair = complex(np.sum(lead_u * lead_u))
-    if abs(null_pair) > BILINEAR_TOL * scale:
+    if abs(null_pair) > BILINEAR_TOL * size**2:
         raise InternalConsistencyError(
-            f"<a_lead, a_lead> = {null_pair / scale:.3e} |a_lead|^2 at end {p!r}: "
+            f"<a_lead, a_lead> = {null_pair / size**2:.3e} |a_lead|^2 at end {p!r}: "
             "nullity violated"
         )
     if mu == -2:
         cross = complex(np.sum(lead_u * a1c_u))
+        scale = size * (size + float(np.linalg.norm(a1c_u)))
         if abs(cross) > BILINEAR_TOL * scale:
             raise InternalConsistencyError(
-                f"<a_-2, a_-1> = {cross / scale:.3e} |a_-2|^2 at end {p!r}: "
+                f"<a_-2, a_-1> = {cross / scale:.3e} |a_-2| (|a_-2| + |a_-1|) at end {p!r}: "
                 "Laurent relations violated"
             )
 
-    re, im = lead.real, lead.imag
-    a = _norm(re)   # nonzero, and |Im a_lead| within ~2e-9 a of it, by the nullity gate
-    e1 = re / a
-    e2 = im / a
+    # a is nonzero, and |Im a_lead| within ~2e-9 a of it, by the nullity gate
+    a = unit * float(np.linalg.norm(lead_u.real))
+    e1 = lead.real / a
+    e2 = lead.imag / a
     b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2
-    b = _norm(b_vec)
+    b = unit * float(np.linalg.norm(b_vec / unit))
     if b > PLANAR_TOL * a:
         e3 = b_vec / b
     else:

@@ -35,6 +35,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,6 +162,15 @@ class WeierstrassData:
     def _closed_form(self) -> "_ClosedForm":
         return _ClosedForm(self)
 
+    @cached_property
+    def unit(self) -> float:
+        """The one unit of magnitude: 2^k with the largest leading Laurent
+        coefficient |a_lead,j| over the ends in [2^(k-1), 2^k); 1.0 without
+        ends.  Gates divide by it or compare with it; the data is not rescaled."""
+        lead = [form_coefficient_window(self, p, 0)[1][:, 0] for p in self.punctures]
+        m = float(np.max(np.abs(lead))) if lead else 0.0
+        return math.ldexp(1.0, math.frexp(m)[1]) if 0.0 < m < math.inf else 1.0
+
     def _default_basepoint(self) -> complex:
         fin = self.finite_punctures
         guard = max(10.0 * self.clearance, 1e-6)
@@ -201,7 +211,6 @@ class MetricSample:
 class NullCheck:
     ok: bool
     defect: float
-    coefficient_magnitudes: tuple
 
 
 @dataclass(frozen=True)
@@ -323,18 +332,14 @@ def validate_null(w: WeierstrassData, tol: float = NULL_TOL) -> NullCheck:
 
     The numerator of the sum over the common denominator must vanish; the
     defect is its max coefficient magnitude relative to the size of the
-    individual squared terms.
+    individual squared terms.  The numerators are divided by ``w.unit``
+    first (exact), so the squares neither overflow nor underflow.
     """
-    _, nums = w.cleared
-    total = ComplexPoly()
-    scale = 0.0
-    for nj in nums:
-        sq = nj * nj
-        total = total + sq
-        scale = max(scale, sq.norm())
-    mags = tuple(float(x) for x in np.abs(total.coeffs))
-    defect = (max(mags) / scale) if (mags and scale > 0.0) else (max(mags) if mags else 0.0)
-    return NullCheck(ok=defect <= tol, defect=defect, coefficient_magnitudes=mags)
+    squares = [nj * nj for nj in (n * (1.0 / w.unit) for n in w.cleared[1])]
+    total = sum(squares, ComplexPoly())
+    scale = max(sq.norm() for sq in squares)
+    defect = total.norm() / scale if scale > 0.0 else total.norm()
+    return NullCheck(ok=defect <= tol, defect=defect)
 
 
 def detect_punctures(phi):
@@ -390,19 +395,20 @@ def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
     return np.array([0j if s is None else s.coefficient(-1) for s in _form_series(w, p)])
 
 
-def _residues_real(residues, tol: float):
-    """(ok, worst imaginary part): imaginary parts within tol (1 + max |residue|)."""
+def _residues_real(residues, tol: float, unit: float):
+    """(ok, worst imaginary part): imaginary parts within
+    tol (unit + max |residue|), ``unit`` the datum's ``WeierstrassData.unit``."""
     res = np.asarray(residues, dtype=complex).ravel()
     if not res.size:
         return True, 0.0
     worst = float(np.max(np.abs(res.imag)))
-    return worst <= tol * (1.0 + float(np.max(np.abs(res)))), worst
+    return worst <= tol * (unit + float(np.max(np.abs(res)))), worst
 
 
 def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> ResidueCheck:
     """All residues of the form at all ends must be real (period closing)."""
     per_end = tuple((p, form_residue_vector(w, p)) for p in w.punctures)
-    ok, worst = _residues_real([r for _, r in per_end], tol)
+    ok, worst = _residues_real([r for _, r in per_end], tol, w.unit)
     return ResidueCheck(ok=ok, worst_imag=worst, residues=per_end)
 
 
@@ -484,7 +490,7 @@ class _ClosedForm:
                 residues.append(c[0])
                 terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
             components.append((anti, tuple(terms)))
-        ok, worst = _residues_real(residues, RESIDUE_IMAG_TOL)
+        ok, worst = _residues_real(residues, RESIDUE_IMAG_TOL, w.unit)
         if not ok:
             raise NonRealResidueError(
                 f"non-real residue (imaginary part {worst:.3e}): the immersion "

@@ -220,7 +220,7 @@ class TestStackedRounds:
         # the fluxes are the per-circle ones bitwise.
         square = ms.rational.RationalMap([1.0, -2.0, 1.0])
         phi = [r * square for r in enneper.data.phi]
-        groups = curvature._flux_groups(phi)
+        groups = curvature._flux_groups(ms.WeierstrassData(phi))
         assert len(groups) == 1
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
         flux, used = curvature._round_fluxes(groups, centers, radii, 512)
@@ -328,6 +328,25 @@ class TestStopRules:
         # q = 1 (no division by zero) and q = 2: neither rule fires
         with pytest.raises(ConvergenceFailureError):
             self._run(plane, tcs, monkeypatch)
+
+    def test_failure_carries_the_last_two_estimates(self, plane, monkeypatch):
+        tcs = [2.0**i for i in range(30)]
+        with pytest.raises(ConvergenceFailureError) as failure:
+            self._run(plane, tcs, monkeypatch)
+        assert failure.value.estimates == (tcs[-2], tcs[-1])
+
+    def test_close_catenoid_ends_run_out_of_rounds(self, catenoid, monkeypatch):
+        # the catenoid with ends 1e-3 apart at 0.21: the circles about the
+        # ends shrink from 8e-5 by 0.6 a round and the estimates never settle;
+        # the error reports the last two rounds' estimates, not one twice
+        p = np.linspace(0.2, 0.5, 31)[1]
+        w = mobius_precompose(catenoid.data, (1, -p, 1, -(p + 1e-3)))
+        calls = _recorded_rounds(monkeypatch)
+        with pytest.raises(ConvergenceFailureError) as failure:
+            total_curvature_numeric(w)
+        assert len(calls) == 48
+        last = tuple(-(flux[-1] - sum(flux[:-1].tolist())) for flux, _r in calls[-2:])
+        assert failure.value.estimates == last and last[0] != last[1]
 
     def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
         calls = _recorded_rounds(monkeypatch)

@@ -20,7 +20,11 @@ from minsurf.ends import (
     rotation_index_numeric,
     verify_asymptotic,
 )
-from minsurf.errors import ModelUndefinedError, NumericInstabilityError
+from minsurf.errors import (
+    InternalConsistencyError,
+    ModelUndefinedError,
+    NumericInstabilityError,
+)
 from minsurf.rational import INF, is_infinity
 from minsurf.weierstrass import form_coefficient_window, form_residue_vector
 
@@ -88,9 +92,37 @@ class TestAnalyzeEnd:
         assume(np.linalg.norm(v) > 1e-3)
         lead = size * (e1 + 1j * v / np.linalg.norm(v) + defect * (x + 1j * y))
         assume(abs(np.sum(lead * lead)) <= ends.BILINEAR_TOL * np.linalg.norm(lead) ** 2)
-        a = ends._norm(lead.real)
+        a = float(np.linalg.norm(lead.real))
         assert a > 0.0
-        assert abs(ends._norm(lead.imag) - a) <= 2.1e-9 * a
+        assert abs(float(np.linalg.norm(lead.imag)) - a) <= 2.1e-9 * a
+
+    @pytest.mark.parametrize("eps,refused", [(2e-9, False), (3e-9, True)])
+    def test_cross_relation_gate_edge(self, eps, refused):
+        # the catenoid with eps/z added to phi_1: at 0, a_-2 = (1, i, 0)/2 and
+        # a_-1 = (eps, 0, 1), so <a_-2, a_-1> = eps/2, which is 0.414 eps of
+        # |a_-2| (|a_-2| + |a_-1|): 2e-9 passes and 3e-9 is refused, while
+        # relative to |a_-2|^2 alone (eps) both would be refused
+        phi = ms.catenoid().data.phi
+        w = ms.WeierstrassData([ms.RationalMap([1.0, 2.0 * eps, -1.0], [0.0, 0.0, 2.0]),
+                                *phi[1:]])
+        if refused:
+            with pytest.raises(InternalConsistencyError, match="Laurent relations violated"):
+                analyze_end(w, 0j)
+        else:
+            assert analyze_end(w, 0j).classification is EndType.CATENOID_TYPE
+
+    @pytest.mark.parametrize("gap", [3e-3, 1e-3])
+    def test_close_catenoid_ends_pass_the_bilinear_checks(self, catenoid, gap):
+        # at two double poles delta apart |a_-1| ~ |a_-2| / delta; gated by
+        # |a_-2|^2 alone these charts were refused at 24 (3e-3) and 30 (1e-3)
+        # of the 31 positions
+        for p in np.linspace(0.2, 0.5, 31):
+            w = ms.mobius_precompose(catenoid.data, (1, -p, 1, -(p + gap)))
+            assert len(w.punctures) == 2, p
+            for q in w.punctures:
+                assert analyze_end(w, q).classification is EndType.CATENOID_TYPE, p
+            if gap == 3e-3:
+                assert ms.run_analysis(w).curvature.d == 2, p
 
     def test_residue_vectors_close_globally(self, all_entries):
         # sum of the residue vectors over all ends vanishes on the sphere
@@ -502,8 +534,9 @@ class TestSolverFallback:
 
 
 class TestScaleFreeEnds:
-    """``analyze_end`` takes its norms after an exact power-of-two rescaling,
-    so data far below squaring's underflow analyse as the unscaled ones."""
+    """``analyze_end`` takes its norms of the coefficients divided by the
+    datum's unit, a power of two, so data far below squaring's underflow
+    analyse as the unscaled ones."""
 
     @pytest.mark.parametrize("name", ["catenoid", "enneper", "holomorphic_counterexample",
                                       "plane"])
@@ -521,9 +554,26 @@ class TestScaleFreeEnds:
             assert g.a == pytest.approx(1e-300 * u.a, rel=1e-14)
             assert g.b == pytest.approx(1e-300 * u.b, rel=1e-12, abs=1e-310)
             assert np.allclose(g.frame, u.frame, atol=1e-12)
+            # squaring the tiny lead underflows; a is still nonzero, and
+            # |Im a_lead| is within ~2e-9 a of it, both through the unit
+            assert float(np.linalg.norm(g._lead.real)) == 0.0 < g.a
+            im = scaled.unit * float(np.linalg.norm(g._lead.imag / scaled.unit))
+            assert abs(im - g.a) <= 2.1e-9 * g.a
 
-    def test_norms_are_bitwise_where_squaring_is_safe(self):
-        rng = np.random.default_rng(3)
-        for v in (rng.standard_normal(5), rng.standard_normal(7) * 1e-100, np.zeros(3)):
-            assert ends._norm(v) == float(np.linalg.norm(v))
-        assert ends._norm(np.array([3e-170, 4e-170])) == pytest.approx(5e-170, rel=1e-15)
+    def test_norms_are_bitwise_where_squaring_is_safe(self, all_entries):
+        # a and b are the plain norms bitwise where squaring is safe, and
+        # exactly 2^-900 times them on the data scaled by 2^-900 (~1e-271),
+        # whose squares underflow
+        s = 2.0**-900
+        for entry in all_entries:
+            w = entry.data
+            tiny = ms.WeierstrassData([ms.RationalMap(r.num * s, r.den) for r in w.phi],
+                                      punctures=w.punctures)
+            for p in w.punctures:
+                e, t = analyze_end(w, p), analyze_end(tiny, p)
+                assert e.a == float(np.linalg.norm(e._lead.real)), entry.name
+                a1, e1, e2 = e.a_minus1, e._lead.real / e.a, e._lead.imag / e.a
+                b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2
+                if e.b:
+                    assert e.b == float(np.linalg.norm(b_vec)), entry.name
+                assert (t.a, t.b) == (s * e.a, s * e.b), entry.name

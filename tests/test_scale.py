@@ -1,0 +1,121 @@
+"""One unit of magnitude per datum.
+
+Scaling every component by s > 0 scales the surface by s, so no verdict or
+integer may depend on s.  Every gate reads magnitude from one place,
+``WeierstrassData.unit``; scaling by a power of two scales the unit by it
+exactly, so the whole report is bitwise the unscaled one apart from the
+fields that carry length, which are exactly 2^j times the unscaled ones.
+"""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import null_curve, null_curves
+
+import minsurf as ms
+from minsurf.errors import MinsurfError
+from minsurf.weierstrass import form_coefficient_window, validate
+
+EXPONENTS = (1, -1, 7, 60, -60, 400, -400, 900, -900)
+NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
+CATALOG = ms.catalog.entries(jm_range=range(1, 7))
+
+
+def scaled(w, s):
+    return ms.WeierstrassData([ms.RationalMap(r.num * s, r.den) for r in w.phi],
+                              punctures=w.punctures, label=w.label)
+
+
+def report(w):
+    """The JSON report as a dict, or the typed refusal."""
+    try:
+        return json.loads(ms.report_to_json(ms.run_analysis(w)))
+    except MinsurfError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def assert_same_message(got, want, s):
+    # a printed number is the unscaled one, or s times it to its 4 digits
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", want)
+    for g, u in zip(NUMBER.findall(got), NUMBER.findall(want)):
+        assert g == u or float(g) == pytest.approx(s * float(u), rel=5e-4), (got, want)
+
+
+def assert_scaled_report(got, want, s):
+    """``got`` is ``want`` bitwise, except the length-carrying fields, which
+    are exactly s times the unscaled ones."""
+    assert ("error" in got) == ("error" in want), (got, want)
+    if "error" in want:
+        assert got["error"] == want["error"]
+        assert_same_message(got["message"], want["message"], s)
+        return
+    got, want = json.loads(json.dumps(got)), json.loads(json.dumps(want))
+    gv, wv = got["validation"], want["validation"]
+    assert gv.pop("residue_worst_imag") == s * wv.pop("residue_worst_imag")
+    messages = gv.pop("messages"), wv.pop("messages")
+    assert len(messages[0]) == len(messages[1])
+    for g, u in zip(*messages):
+        assert_same_message(g, u, s)
+    for ge, we in zip(got.get("ends", []), want.get("ends", [])):
+        assert (ge.pop("a"), ge.pop("b")) == (s * we.pop("a"), s * we.pop("b"))
+        assert ge.pop("a_minus1") == [s * x for x in we.pop("a_minus1")]
+        assert ge.pop("a_minus2") == [[s * x for x in c] for c in we.pop("a_minus2")]
+    assert got == want
+
+
+class TestUnit:
+    def test_unit_is_the_binade_of_the_largest_lead(self):
+        for entry in CATALOG:
+            w = entry.data
+            lead = max(float(np.max(np.abs(form_coefficient_window(w, p, 0)[1][:, 0])))
+                       for p in w.punctures)
+            k = math.frexp(w.unit)[1] - 1
+            assert w.unit == 2.0**k and 2.0 ** (k - 1) <= lead < 2.0**k, entry.name
+            for j in (-900, 3, 900):
+                assert scaled(w, 2.0**j).unit == 2.0**j * w.unit, entry.name
+
+    def test_unit_is_one_without_ends(self, catenoid):
+        assert ms.WeierstrassData(catenoid.data.phi, punctures=()).unit == 1.0
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
+    def test_catalog_reports_scale_exactly(self, entry):
+        want = report(entry.data)
+        assert want["validation"]["ok"] and "ends" in want
+        for j in EXPONENTS:
+            assert_scaled_report(report(scaled(entry.data, 2.0**j)), want, 2.0**j)
+
+    def test_null_curve_reports_scale_exactly(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            curve = null_curve(rng)
+            w = curve.data
+            want = report(w)
+            # the draws carry their answer: d and the end orders
+            assert want["curvature"]["d"] == curve.d
+            assert tuple(sorted(e["mu"] for e in want["ends"])) == curve.orders
+            for j in EXPONENTS:
+                assert_scaled_report(report(scaled(w, 2.0**j)), want, 2.0**j)
+
+    @settings(max_examples=15, deadline=None)
+    @given(null_curves(), st.sampled_from(EXPONENTS))
+    def test_any_null_curve_scales_exactly(self, curve, j):
+        assert_scaled_report(report(scaled(curve.data, 2.0**j)), report(curve.data), 2.0**j)
+
+
+class TestDecimalScaling:
+    def test_rejections_do_not_grow_with_scale(self):
+        # before the unit, the residue rule's absolute floor rejected nearly
+        # every draw from 1e6 up, and the null defect was NaN from ~1e160 up
+        rng = np.random.default_rng(11)
+        draws = [null_curve(rng).data for _ in range(30)]
+        counts = {}
+        for e in (-150, -20, -3, 0, 3, 6, 10, 20, 150, 160):
+            counts[e] = sum(not validate(scaled(w, 10.0**e)).ok for w in draws)
+        assert all(abs(c - counts[0]) <= 1 for c in counts.values()), counts

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf import wdfile
+from minsurf import cli, wdfile
 from minsurf.errors import ParseError
 
 
@@ -281,6 +281,44 @@ class TestCliScaled:
             assert abs(got[3] - tc) <= 1e-14 * abs(tc), s
 
 
+    def test_catalog_files_scaled_by_1e200_analyse(self, tmp_path, capsys):
+        # the null identity's squares overflowed from about 1e160 up (a NaN
+        # defect); the cleared numerators are now divided by the datum's unit
+        for entry in ms.catalog.entries():
+            w = entry.data
+            scaled = ms.WeierstrassData([ms.RationalMap(r.num * 1e200, r.den) for r in w.phi])
+            wd, out = tmp_path / f"{entry.name}.wd", tmp_path / f"{entry.name}.json"
+            wdfile.dump(wdfile.document_from_data(scaled, label=entry.name), wd)
+            assert cli.main(["analyze", str(wd), "--json", str(out)]) == 0, entry.name
+            assert capsys.readouterr().err == ""
+            rep = json.loads(out.read_text())
+            want = entry.expected
+            assert rep["curvature"]["d"] == want.d, entry.name
+            assert sorted(e["mu"] for e in rep["ends"]) == sorted(want.end_orders), entry.name
+            assert rep["verdicts"]["co_equality"] == want.co_equality, entry.name
+
+
+class TestCliCloseEnds:
+    def test_every_chart_exits_with_one_line(self, tmp_path, capsys):
+        # the catenoid with ends 1e-3 apart at 31 positions: each analyses or
+        # is refused with one "minsurf:" line, and a total curvature that runs
+        # out of rounds names its last two estimates
+        codes = []
+        for i, p in enumerate(np.linspace(0.2, 0.5, 31)):
+            w = ms.mobius_precompose(ms.catenoid().data, (1, -p, 1, -(p + 1e-3)))
+            wd = tmp_path / f"close-{i}.wd"
+            wdfile.dump(wdfile.document_from_data(w, label=f"close-{i}"), wd)
+            code = cli.main(["analyze", str(wd)])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1), p
+            assert err == [] if code == 0 else (len(err) == 1 and err[0].startswith("minsurf: "))
+            if code == 1 and "did not stabilize" in err[0]:
+                first, second = err[0].split("(last estimates ")[1].rstrip(")").split(", ")
+                assert float(first) != float(second), err[0]
+            codes.append(code)
+        assert 0 in codes and 1 in codes
+
+
 class TestCliMesh:
     def test_obj_and_sidecar(self, tmp_path, counterexample):
         wd = tmp_path / "ce.wd"
@@ -358,15 +396,17 @@ class TestCliFaultCharts:
     @pytest.mark.parametrize("kind", ["rejected", "refused"])
     def test_refusal_forms(self, tmp_path, kind):
         # validation's rejection (branched Enneper) and any other refusal (here
-        # the bilinear check on the catenoid with ends 1e-3 apart) are one
-        # "minsurf:" line each, exit 1; mesh rejects with analyze's line
+        # the bilinear nullity check on the catenoid with phi_1 off by one part
+        # in 1e7, which validates under --tol 1e4) are one "minsurf:" line
+        # each, exit 1; mesh rejects with analyze's line
         from conftest import branched_enneper
 
+        phi = ms.catenoid().data.phi
         w = (branched_enneper()["enneper-branched"] if kind == "rejected"
-             else ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.251)))
+             else ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]]))
         path = tmp_path / f"{kind}.wd"
         wdfile.dump(wdfile.document_from_data(w, label=kind), path)
-        out = run_cli("analyze", path)
+        out = run_cli(*(() if kind == "rejected" else ("--tol", "1e4")), "analyze", path)
         lines = out.stderr.splitlines()
         assert out.returncode == 1 and "Traceback" not in out.stderr
         assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
@@ -376,7 +416,7 @@ class TestCliFaultCharts:
             mesh = run_cli("mesh", path, "-o", obj)
             assert mesh.returncode == 1 and mesh.stderr == out.stderr and not obj.exists()
         else:
-            assert "Laurent relations violated" in lines[0]
+            assert "nullity violated" in lines[0]
 
 
 class TestImport:

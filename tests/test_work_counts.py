@@ -77,13 +77,15 @@ def test_catalog_work_counts(monkeypatch):
 
 
 def test_refused_ends_take_no_curvature_rounds(monkeypatch):
-    # the catenoid with ends 1e-3 apart fails the bilinear check of its end
-    # at 0.25; the ends are analysed first, so no Green-identity round is paid
+    # the catenoid with phi_1 off by one part in 1e7 passes validation under
+    # tol_scale 1e4 but fails the bilinear nullity check of its end at 0; the
+    # ends are analysed first, so no Green-identity round is paid
     rounds = []
     real = curvature._round_fluxes
     monkeypatch.setattr(curvature, "_round_fluxes",
                         lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
-    w = ms.mobius_precompose(ms.catenoid().data, (1, -0.25, 1, -0.251))
-    with pytest.raises(InternalConsistencyError, match="Laurent relations violated"):
-        ms.run_analysis(w)
+    phi = ms.catenoid().data.phi
+    w = ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]])
+    with pytest.raises(InternalConsistencyError, match="at end 0j: nullity violated"):
+        ms.run_analysis(w, tol_scale=1e4)
     assert rounds == []
