@@ -7,12 +7,11 @@ points (``WeierstrassData.branch_points``), and once it is removed the map is
 basepoint-free, so the hyperplane-intersection degree d is the max component
 degree less the branching order.  d determines the total curvature -2 pi d.
 A Green-identity boundary integral of -laplacian(log lambda) provides an
-independent numeric value; it reads only each component's num/den, with the
-numerators divided by the datum's unit, a power of two (exact, and invisible
-to d/dr log lambda).  Each shrink round's circles are evaluated in one stacked
-call, each distinct denominator once, and the rounds stop when two
-successive estimates, or two successive Aitken extrapolations of their
-geometric tail, agree.
+independent numeric value; it reads only each component's num/den and
+den_roots, with the numerators divided by the datum's unit, a power of two
+(exact, and invisible to d/dr log lambda).  Each shrink round's circles are
+evaluated in one stacked call, each denominator from its roots, and a Romberg
+tableau of the rounds' estimates stops when its diagonal settles.
 
 Equalities in the curvature bounds are detected by integer comparison of the
 pi-multiples, never by float comparison.
@@ -46,6 +45,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-8  # singular values below RANK_TOL * sigma_max count as zero
+TC_SAMPLES = 32  # samples per circle of the Green-identity check
+TC_ROUNDS = 48   # its shrink rounds before ConvergenceFailureError
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,11 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
 
 
 def _flux_groups(w: WeierstrassData):
-    """Nonzero components grouped by denominator, as (den, den', [(num, num'),
-    ...]), every numerator divided by the datum's ``unit``.
+    """Nonzero components grouped by denominator, as (lead, den_roots, [(num,
+    num'), ...]), every numerator divided by the datum's ``unit``.
 
+    A denominator is carried by its roots: next to close multiple roots
+    Horner's rule on its coefficients loses the digits its factors keep.
     d/dr log(lambda) does not change under phi -> s phi, and dividing by a
     power of two is exact, so the fluxes are those of the unscaled data while
     the values they are computed from carry no factor of the datum's scale.
@@ -134,46 +137,53 @@ def _flux_groups(w: WeierstrassData):
     for r in w.phi:
         if r.is_zero:
             continue
-        d, dd, members = groups.setdefault(r.den.coeffs.tobytes(),
-                                           (r.den, r.den.derivative(), []))
+        _lead, _roots, members = groups.setdefault(r.den.coeffs.tobytes(),
+                                                   (r.den.coeffs[-1], r.den_roots, []))
         num = r.num * (1.0 / w.unit)
         members.append((num, num.derivative()))
     return list(groups.values())
 
 
-def _round_fluxes(groups, centers, radii, n_theta: int):
+def _round_fluxes(groups, centers, radii):
     """Integrals over circles of d/dr log(lambda) * radius dtheta, all at once.
 
     With S = sum phi_j conj(phi_j), d/dr log lambda = Re[e^{i theta} *
-    (sum phi_j' conj(phi_j)) / S].  ``groups`` holds (den, den', [(num,
-    num'), ...]) per distinct denominator (``_flux_groups``), and phi' =
-    (num' - phi den') / den by the quotient rule, so there is no finite
-    differencing; den and den' are evaluated once per group, just before its
-    components, so no round keeps a table of every polynomial's values.  The
-    circles (centre ``centers[i]``, radius ``radii[i]``) are stacked into one
-    array, so each polynomial is evaluated once for all of them; a circle on
+    (sum phi_j' conj(phi_j)) / S].  Circle i is sampled at ``TC_SAMPLES``
+    points t = r e^{i theta} of its own coordinate, z = c + t (centre
+    ``centers[i]``, radius ``radii[i]``).  Per group of ``_flux_groups``,
+    den = lead prod (t + (c - z_j))^m_j and den'/den = sum m_j / (t + (c -
+    z_j)), so phi' = num'/den - phi den'/den, with no finite differencing
+    and no Horner evaluation of den.  The circles are stacked into one
+    array, so each numerator is evaluated once for all of them; a circle on
     which a sample hits a zero of S has its radius nudged and is evaluated
     again, together with any other circle so nudged.  Returns (fluxes, radii
     used).
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False)
     e = np.exp(1j * theta)
     centers = np.asarray(centers, dtype=complex)
     rad = np.array(radii, dtype=float)
     flux = np.empty(rad.size)
     todo = np.arange(rad.size)
     for _attempt in range(6):
-        z = centers[todo, None] + rad[todo, None] * e
+        c = centers[todo, None]
+        t = rad[todo, None] * e
+        z = c + t
         num = np.zeros_like(z)
-        den = np.zeros(z.shape)
-        for d, dd, members in groups:
-            dz, ddz = d(z), dd(z)
+        S = np.zeros(z.shape)
+        for lead, den_roots, members in groups:
+            den = np.full(z.shape, lead, dtype=complex)
+            log_slope = np.zeros_like(z)
+            for root, m in den_roots:
+                factor = t + (c - root)
+                den *= factor**m
+                log_slope += m / factor
             for n, dn in members:
-                v = n(z) / dz
-                num += (dn(z) - v * ddz) / dz * np.conj(v)
-                den += np.abs(v) ** 2
-        ok = np.min(den, axis=1) > 1e-280
-        vals = np.real(e * num[ok] / den[ok]) * rad[todo[ok], None]
+                v = n(z) / den
+                num += (dn(z) / den - v * log_slope) * np.conj(v)
+                S += np.abs(v) ** 2
+        ok = np.min(S, axis=1) > 1e-280
+        vals = np.real(e * num[ok] / S[ok]) * rad[todo[ok], None]
         flux[todo[ok]] = np.mean(vals, axis=1) * 2.0 * math.pi
         todo = todo[~ok]
         if not todo.size:
@@ -182,29 +192,27 @@ def _round_fluxes(groups, centers, radii, n_theta: int):
     raise ConvergenceFailureError("conformal factor vanished on every probed circle")
 
 
-def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
-                            n_theta: int = 512, max_iter: int = 48) -> float:
+def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
     """Quadrature cross-check of the total curvature.
 
     TC = int K dA = -int laplacian(log lambda) over the finite chart minus
     eps-disks around the punctures; by the Green identity this is a sum of
-    circle integrals of the radial derivative of log lambda.  The disks are
-    shrunk and the outer circle enlarged by the ratio 0.6 per round, so the
-    estimates tc_i approach their limit geometrically (the boundary terms
-    differ from their limits by powers of the radii).  Two stop rules, the
-    first to fire wins, each with the bound 0.2 tol max(1, |value|):
+    circle integrals of the radial derivative of log lambda.  Near a puncture
+    log lambda is -k log|t| plus a real-analytic function, so an inner flux
+    is its limit plus an even power series in eps, and the outer flux one in
+    1/R.  The disks are shrunk and the outer circle enlarged by 0.6 a round,
+    so the estimates tc_i carry errors in the powers q^j of q = 0.36, which a
+    Romberg tableau removes one by one:
 
-    - two successive estimates agree: tc_i is returned;
-    - from the third round on, while the differences D_i = tc_i - tc_{i-1}
-      shrink without changing sign (0 < D_i / D_{i-1} < 1), the Aitken value
-      A_i = tc_i - D_i^2 / (D_i - D_{i-1}) extrapolates the tail; two
-      successive A_i agree: A_i is returned.
+        T_{i,0} = tc_i,   T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j).
 
-    Each round's circles -- one per finite puncture and the outer one -- are
-    evaluated in one stacked call, each distinct denominator once.  The check
-    reads only the components' num/den (numerators divided by ``w.unit``,
-    ``_flux_groups``), not the Laurent coefficients themselves.  Should the
-    rounds run out, the error carries the estimates of the last two.
+    The diagonal T_{i,i} is returned once it agrees with T_{i-1,i-1} to
+    0.2 tol max(1, |T_{i,i}|).  Each round's circles -- one per finite
+    puncture and the outer one -- are evaluated in one stacked call, each
+    numerator once and each denominator from its roots (``_round_fluxes``).
+    The check reads only the components' num/den and ``den_roots``, not the
+    pole or Laurent tables.  Should ``TC_ROUNDS`` rounds pass without a stop,
+    the error carries the raw estimates of the last two.
     """
     groups = _flux_groups(w)
     fin = w.finite_punctures
@@ -212,37 +220,19 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3,
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
     shrink = 0.6
-
-    def agree(a, b):
-        return abs(a - b) <= 0.2 * tol * max(1.0, abs(a))
-
-    before = prev = step = aitken = None
-    for i in range(max_iter):
-        eps = eps0 * shrink**i
-        r_out = r_out0 / shrink**i
-        flux, _radii = _round_fluxes(groups, centers, [eps] * len(fin) + [r_out], n_theta)
-        inner = sum(flux[:-1].tolist())
-        tc = -(flux[-1] - inner)
-        if prev is not None:
-            # successive differences underestimate the residual of a geometric
-            # tail by ~shrink/(1-shrink), hence the margin factor
-            if agree(tc, prev):
-                return tc
-            diff = tc - prev
-            # 0 < diff / step < 1 (step != 0, or the rule above had fired)
-            if step is not None and diff * step > 0.0 and abs(diff) < abs(step):
-                extrapolated = tc - diff * diff / (diff - step)
-                if aitken is not None and agree(extrapolated, aitken):
-                    return extrapolated
-                aitken = extrapolated
-            else:
-                aitken = None
-            step = diff
-        before, prev = prev, tc
-    raise ConvergenceFailureError(
-        "total-curvature boundary terms did not stabilize",
-        estimates=[float(x) for x in (before, prev) if x is not None],
-    )
+    q = shrink**2
+    rows = [[]]     # the tableau: rows[i + 1] = [T_{i,0}, ..., T_{i,i}]
+    for i in range(TC_ROUNDS):
+        flux = _round_fluxes(groups, centers,
+                             [eps0 * shrink**i] * len(fin) + [r_out0 / shrink**i])[0]
+        row = [-(flux[-1] - sum(flux[:-1].tolist()))]
+        for j, above in enumerate(rows[-1], 1):
+            row.append((row[-1] - q**j * above) / (1.0 - q**j))
+        if i and abs(row[-1] - rows[-1][-1]) <= 0.2 * tol * max(1.0, abs(row[-1])):
+            return row[-1]
+        rows.append(row)
+    raise ConvergenceFailureError("total-curvature boundary terms did not stabilize",
+                                  estimates=[float(r[0]) for r in rows[-2:]])
 
 
 def chern_osserman(w: WeierstrassData, gmap: GaussMap | None = None) -> CurvatureReport:

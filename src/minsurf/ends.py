@@ -376,7 +376,7 @@ class AsymptoticCheck:
 
 
 def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
-                      samples: int = 64, model: AsymptoticModel | None = None) -> AsymptoticCheck:
+                      model: AsymptoticModel | None = None) -> AsymptoticCheck:
     """Sup of |f - f0| / |t| on circles of decreasing local radius.
 
     f is read from the local immersion of the end ``e`` of ``w``; the defining
@@ -392,8 +392,8 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
         model = asymptotic_model(e)
     loc = e._local
     loc._check_radius(radii[0])
-    jet = _residual_jet(loc, model, 2.0 * math.pi * np.arange(samples) / samples)
-    ratios = [float(np.max(np.linalg.norm(jet(np.full(samples, math.log(r)))[0], axis=0))) / r
+    jet = _residual_jet(loc, model, 2.0 * math.pi * np.arange(64) / 64)
+    ratios = [float(np.max(np.linalg.norm(jet(np.full(64, math.log(r)))[0], axis=0))) / r
               for r in radii]
     bounded = ratios[-1] <= 3.0 * ratios[-3 if len(ratios) >= 3 else 0]
     return AsymptoticCheck(radii=tuple(radii), ratios=tuple(ratios), bounded=bounded)
@@ -408,6 +408,8 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     polar evaluator.  It starts from the asymptotic radius (|f| grows like
     2a/((k-1) r^{k-1}) toward the end) and stops at max|g| < 1e-13; where g'
     is not finite and negative the step takes the asymptotic slope -(k-1).
+    An iterate that runs off to a non-finite cut ends the solve, which
+    then raises ``NumericInstabilityError`` like one that stalls.
     The phase table is built for twice the starting radius; should a solved
     radius need more terms than it holds, it is built again and the solve
     goes on.  The immersion values are those of the converged step, so
@@ -423,17 +425,19 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
         f, df = jet(x)
         size = np.linalg.norm(f, axis=0)
         g = np.log(size) - math.log(R)
-        if float(np.max(np.abs(g))) < 1e-13:
+        resid = float(np.max(np.abs(g)))
+        if resid < 1e-13:
             r_top = math.exp(float(np.max(x)))
             if loc._kept_terms(r_top) <= K:
                 return np.exp(x), f
             jet, K = loc.radial_jet(thetas, r_top)
             continue
+        if not math.isfinite(resid):
+            break
         slope = np.einsum("ij,ij->j", f / size, df) / size
         newton = np.isfinite(slope) & (slope < 0.0)
         x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
-    resid = float(np.max(np.abs(g)))
-    if resid > 1e-9:
+    if not resid <= 1e-9:
         raise NumericInstabilityError(
             f"sphere-cut radius solve stalled at residual {resid:.3e}",
             diagnostics={"R": R, "end": repr(e.puncture)},
@@ -464,18 +468,19 @@ def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6
     return float(np.sum(d) / (2.0 * math.pi))
 
 
-def rotation_index_numeric(w: WeierstrassData, p, R_list, samples: int = 720,
+def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the normalized sphere cut of the end.
 
     For each radius R the curve {f/R : |f| = R} near the end is projected
     onto span(e1, e2) for an order -2 end, or onto the best-fit plane of the
-    curve otherwise, and its winding about the origin counted.  The value
-    must agree across all R; the analytic prediction is |k - 1|.
+    curve otherwise, and its winding about the origin counted from 64
+    angles, refined where the projected angle jumps.  The value must agree
+    across all R; the analytic prediction is |k - 1|.
     """
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    thetas = 2.0 * math.pi * np.arange(64) / 64
     windings = {}
     for R in sorted(float(R) for R in R_list):
         pts = _solve_sphere_radii(loc, e, thetas, R)[1] / R
@@ -504,7 +509,7 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list, samples: int = 720,
     return values.pop()
 
 
-def limit_circle_deviation(w: WeierstrassData, p, R: float, samples: int = 720,
+def limit_circle_deviation(w: WeierstrassData, p, R: float,
                            end: EndAnalysis | None = None) -> float:
     """Sup distance of the normalized sphere cut from its limit circle.
 
@@ -514,7 +519,7 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float, samples: int = 720,
     """
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
-    thetas = 2.0 * math.pi * np.arange(samples) / samples
+    thetas = 2.0 * math.pi * np.arange(720) / 720
     curve = _solve_sphere_radii(loc, e, thetas, float(R))[1] / float(R)
     alpha = (e.k - 1) * thetas
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))

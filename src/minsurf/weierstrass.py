@@ -217,7 +217,6 @@ class NullCheck:
 class ResidueCheck:
     ok: bool
     worst_imag: float
-    residues: tuple  # ((puncture, residue vector), ...)
 
 
 @dataclass(frozen=True)
@@ -407,9 +406,8 @@ def _residues_real(residues, tol: float, unit: float):
 
 def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> ResidueCheck:
     """All residues of the form at all ends must be real (period closing)."""
-    per_end = tuple((p, form_residue_vector(w, p)) for p in w.punctures)
-    ok, worst = _residues_real([r for _, r in per_end], tol, w.unit)
-    return ResidueCheck(ok=ok, worst_imag=worst, residues=per_end)
+    ok, worst = _residues_real([form_residue_vector(w, p) for p in w.punctures], tol, w.unit)
+    return ResidueCheck(ok=ok, worst_imag=worst)
 
 
 def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,68 +111,53 @@ class TestTotalCurvature:
             assert abs(rep.tc_numeric + 4 * math.pi) <= 1e-3 * 4 * math.pi
 
 
-def _quotient_parts(phi):
-    return [(r.num, r.den, r.num.derivative(), r.den.derivative()) for r in phi if not r.is_zero]
+def _close_catenoid(catenoid, p=None):
+    """The catenoid with its ends 1e-3 apart at p, by default p = 0.21, the
+    second position of the sweep ``np.linspace(0.2, 0.5, 31)``."""
+    p = np.linspace(0.2, 0.5, 31)[1] if p is None else p
+    return mobius_precompose(catenoid.data, (1, -p, 1, -(p + 1e-3)))
 
 
-def _reference_circle_flux(parts, center, radius, n_theta):
-    """One circle at a time: the Green-identity flux as first written, nudging
-    the radius until no sample hits a zero of S."""
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    e = np.exp(1j * theta)
-    rad = radius
-    for _attempt in range(6):
-        z = center + rad * e
-        num = np.zeros_like(z)
-        den = np.zeros(z.shape)
-        for n, d, dn, dd in parts:
-            dz = d(z)
-            v = n(z) / dz
-            num += (dn(z) - v * dd(z)) / dz * np.conj(v)
-            den += np.abs(v) ** 2
-        if np.min(den) > 1e-280:
-            vals = np.real(e * num / den) * rad
-            return float(np.mean(vals) * 2.0 * math.pi), rad
-        rad *= 1.0017
-    raise AssertionError("reference: no circle without a zero of S")
+def _mp_circle_flux(phi, center, radius):
+    """One circle's Green-identity flux at 40 digits, on the check's own
+    ``TC_SAMPLES`` angles: num by its coefficients, den as lead prod (z -
+    z_j)^m_j over its ``den_roots``, the function the check evaluates."""
+    n = curvature.TC_SAMPLES
+    with mpmath.workdps(40):
+        parts = [([mpmath.mpc(c) for c in r.num.coeffs[::-1]], mpmath.mpc(r.den.coeffs[-1]),
+                  [(mpmath.mpc(z), m) for z, m in r.den_roots]) for r in phi if not r.is_zero]
+        total = mpmath.mpf(0)
+        for k in range(n):
+            e = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+            z = mpmath.mpc(center) + radius * e
+            num = S = 0
+            for coeffs, lead, den_roots in parts:
+                v, dv = mpmath.polyval(coeffs, z, derivative=True)
+                den = lead * mpmath.fprod((z - r) ** m for r, m in den_roots)
+                v, dv = v / den, dv / den - v / den * mpmath.fsum(m / (z - r) for r, m in den_roots)
+                num += dv * mpmath.conj(v)
+                S += abs(v) ** 2
+            total += mpmath.re(e * num / S) * radius
+        return float(total * 2 * mpmath.pi / n)
 
 
-def _reference_estimates(w, rounds, n_theta=512):
-    """tc_0 .. tc_{rounds-1}, one circle at a time from the unscaled, ungrouped
-    components, with the radii of each round: the estimates the stop rules
-    read."""
-    parts = _quotient_parts(w.phi)
+def _horner_circle_flux(phi, center, radius):
+    """The same flux with den and den' by Horner's rule on their coefficients."""
+    e = np.exp(2j * math.pi * np.arange(curvature.TC_SAMPLES) / curvature.TC_SAMPLES)
+    z = center + radius * e
+    num = S = 0
+    for r in phi:
+        v = r.num(z) / r.den(z)
+        num = num + (r.num.derivative()(z) - v * r.den.derivative()(z)) / r.den(z) * np.conj(v)
+        S = S + np.abs(v) ** 2
+    return float(np.mean(np.real(e * num / S) * radius) * 2.0 * math.pi)
+
+
+def _round_radii(w, i):
     fin = w.finite_punctures
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
-    out = []
-    for i in range(rounds):
-        circles = [(p, eps0 * 0.6**i) for p in fin] + [(0j, r_out0 / 0.6**i)]
-        fluxes = [_reference_circle_flux(parts, c, r, n_theta) for c, r in circles]
-        tc = -(fluxes[-1][0] - sum(f for f, _r in fluxes[:-1]))
-        out.append((tc, [r for _f, r in fluxes]))
-    return out
-
-
-def _reference_stop(tcs, tol=1e-3, aitken=True):
-    """(value, rounds, rule) of the stop rules on the estimates ``tcs``, as
-    stated: two successive estimates agree to 0.2 tol max(1, |tc|); or, from
-    the third round on, Aitken values A_i, formed only where 0 < q < 1 for
-    q = D_i / D_{i-1}, agree in two successive rounds.  None if neither fires."""
-    def bound(a):
-        return 0.2 * tol * max(1.0, abs(a))
-
-    A = {}
-    for i in range(1, len(tcs)):
-        if abs(tcs[i] - tcs[i - 1]) <= bound(tcs[i]):
-            return tcs[i], i + 1, "successive"
-        if aitken and i >= 2:
-            d, d0 = tcs[i] - tcs[i - 1], tcs[i - 1] - tcs[i - 2]
-            if 0.0 < d / d0 < 1.0:
-                A[i] = tcs[i] - d * d / (d - d0)
-                if i - 1 in A and abs(A[i] - A[i - 1]) <= bound(A[i]):
-                    return A[i], i + 1, "aitken"
-    return None
+    return [*fin, 0j], [eps0 * 0.6**i] * len(fin) + [r_out0 / 0.6**i]
 
 
 def _recorded_rounds(monkeypatch):
@@ -199,35 +185,52 @@ def _checked_data(all_entries):
 
 class TestStackedRounds:
     """Each shrink round of the Green-identity check evaluates its circles in
-    one stacked call, each distinct denominator once; its estimate is the
-    per-circle one."""
+    one stacked call, each numerator once and each denominator from its
+    roots; its fluxes are the per-circle ones."""
 
-    def test_rounds_match_per_circle_reference(self, all_entries, monkeypatch):
+    def test_rounds_match_per_circle_reference(self, all_entries, catenoid, monkeypatch):
+        # against a 40-digit evaluation of the same num/den, on the rounds the
+        # check takes (JM m = 3, a JM m = 2 chart) and on rounds 0..10 of the
+        # catenoid with ends 1e-3 apart, where Horner's rule on den's
+        # coefficients is off by more than 0.1 (it loses the double roots)
         calls = _recorded_rounds(monkeypatch)
-        for name, w in _checked_data(all_entries):
+        checked = dict(_checked_data(all_entries))
+        for name in ("generalized-jorge-meeks-m3", "jm2-chart"):
+            w = checked[name]
             calls.clear()
             total_curvature_numeric(w)
-            reference = _reference_estimates(w, len(calls))
-            for (flux, radii), (tc_ref, radii_ref) in zip(calls, reference):
-                tc = -(flux[-1] - sum(flux[:-1].tolist()))
+            for i, (flux, radii) in enumerate(calls):
+                centers, radii_ref = _round_radii(w, i)
                 assert radii.tolist() == radii_ref, name
-                assert abs(tc - tc_ref) <= 1e-13 * max(1.0, abs(tc_ref)), name
+                for c, r, f in zip(centers, radii, flux):
+                    assert abs(f - _mp_circle_flux(w.phi, c, r)) <= 1e-13 * max(1.0, abs(f)), name
+        w = _close_catenoid(catenoid)
+        groups = curvature._flux_groups(w)
+        horner_worst = 0.0
+        for i in range(11):
+            centers, radii = _round_radii(w, i)
+            flux, used = curvature._round_fluxes(groups, centers, radii)
+            for c, r, f in zip(centers, used, flux):
+                ref = _mp_circle_flux(w.phi, c, r)
+                assert abs(f - ref) <= 1e-11 * abs(ref), (i, c)
+                horner_worst = max(horner_worst, abs(_horner_circle_flux(w.phi, c, r) - ref))
+        assert horner_worst > 0.1
 
     def test_only_the_circle_on_a_zero_of_s_is_nudged(self, enneper):
         # Enneper times (z - 1)^2: a branch point at z = 1, where every
         # component vanishes exactly; the theta = 0 sample of the unit circle
-        # about 0 is exactly 1.  One denominator, so the component order and
-        # the fluxes are the per-circle ones bitwise.
+        # about 0 is exactly 1
         square = ms.rational.RationalMap([1.0, -2.0, 1.0])
         phi = [r * square for r in enneper.data.phi]
         groups = curvature._flux_groups(ms.WeierstrassData(phi))
         assert len(groups) == 1
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
-        flux, used = curvature._round_fluxes(groups, centers, radii, 512)
+        flux, used = curvature._round_fluxes(groups, centers, radii)
         assert used.tolist() == [1.0 * 1.0017, 0.5, 0.3]
-        parts = _quotient_parts(phi)
-        for i, (c, r) in enumerate(zip(centers, radii)):
-            assert (flux[i], used[i]) == _reference_circle_flux(parts, c, r, 512)
+        # the nudged circle passes 0.0017 from the double zero of S, where
+        # the numerators lose digits to cancellation: 6.5e-12 relative
+        for f, c, r in zip(flux, centers, used):
+            assert abs(f - _mp_circle_flux(phi, c, r)) <= 1e-10 * max(1.0, abs(f))
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_evaluations_per_denominator_and_component(self, m, monkeypatch):
@@ -242,15 +245,14 @@ class TestStackedRounds:
         calls = _recorded_rounds(monkeypatch)
         monkeypatch.setattr(ms.rational.ComplexPoly, "__call__", counting_call)
         total_curvature_numeric(w)
-        # den and den' once per distinct denominator, num and num' once per
-        # component, a round on the stacked circles about the m + 1 finite
-        # ends and the outer one
+        # num and num' once per component, a round on the stacked circles
+        # about the m + 1 finite ends and the outer one; the denominators
+        # are products over their roots, with no polynomial evaluation
         comps = [r for r in w.phi if not r.is_zero]
-        dens = {r.den.coeffs.tobytes() for r in comps}
-        assert len(dens) < len(comps)
+        assert len({r.den.coeffs.tobytes() for r in comps}) < len(comps)
         assert len(calls) >= 2
-        assert len(shapes) == (2 * len(dens) + 2 * len(comps)) * len(calls)
-        assert set(shapes) == {(m + 2, 512)}
+        assert len(shapes) == 2 * len(comps) * len(calls)
+        assert set(shapes) == {(m + 2, curvature.TC_SAMPLES)}
 
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
     def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
@@ -267,91 +269,118 @@ class TestStackedRounds:
         assert [(f.tolist(), r.tolist()) for f, r in calls] == plain
 
 
-class TestStopRules:
-    """Today's successive-difference rule, and Aitken extrapolation of the
-    geometric tail where the differences shrink without changing sign."""
+def _romberg_stop(tcs, tol=1e-3):
+    """(value, rounds) of the stop rule on the estimates ``tcs``, as stated:
+    T_{i,0} = tc_i, T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j) with
+    q = 0.36, and T_{i,i} is returned once within 0.2 tol max(1, |T_{i,i}|)
+    of T_{i-1,i-1}.  None if it never is."""
+    q = 0.36
+    T = {}
+    for i, tc in enumerate(tcs):
+        T[i, 0] = tc
+        for j in range(1, i + 1):
+            T[i, j] = (T[i, j - 1] - q**j * T[i - 1, j - 1]) / (1 - q**j)
+        if i and abs(T[i, i] - T[i - 1, i - 1]) <= 0.2 * tol * max(1.0, abs(T[i, i])):
+            return T[i, i], i + 1
+    return None
 
-    def test_returns_the_aitken_value_of_the_reference_rounds(self, all_entries, monkeypatch):
+
+class TestStopRules:
+    """The one stop rule: the diagonal of a Romberg tableau in the error
+    ratios 0.36^j of the rounds (the radii shrink by 0.6, and the boundary
+    terms are even power series in them)."""
+
+    def test_returns_the_romberg_diagonal_of_the_recorded_rounds(self, all_entries,
+                                                                monkeypatch):
         calls = _recorded_rounds(monkeypatch)
-        rules = {}
         for name, w in _checked_data(all_entries):
             calls.clear()
             tc = total_curvature_numeric(w)
-            tcs = [t for t, _r in _reference_estimates(w, 12)]
-            value, rounds, rules[name] = _reference_stop(tcs)
+            value, rounds = _romberg_stop([-(f[-1] - sum(f[:-1].tolist())) for f, _r in calls])
             assert len(calls) == rounds, name
-            assert abs(tc - value) <= 1e-13 * max(1.0, abs(value)), name
-            # never more rounds than the successive-difference rule alone
-            assert rounds <= _reference_stop(tcs, aitken=False)[1], name
-        assert {n for n, r in rules.items() if r == "successive"} == {
-            "plane", "holomorphic-counterexample"}
+            assert abs(tc - value) <= 1e-14 * max(1.0, abs(value)), name
+            exact = -2 * math.pi * gauss_map(w).degree
+            assert abs(tc - exact) <= 1e-6 * max(1.0, abs(exact)), name
 
     def _run(self, plane, tcs, monkeypatch, tol=1e-3):
         """total_curvature_numeric on rounds whose estimates are ``tcs``."""
         rounds = []
 
-        def fake_round(groups, centers, radii, n_theta):
+        def fake_round(groups, centers, radii):
             assert len(centers) == 1  # the plane has no finite puncture
             rounds.append(radii)
             return np.array([-tcs[len(rounds) - 1]]), np.asarray(radii)
 
         monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
-        value = total_curvature_numeric(plane.data, tol=tol, max_iter=len(tcs))
+        value = total_curvature_numeric(plane.data, tol=tol)
         return value, len(rounds)
 
     def test_geometric_tail_stops_on_the_fourth_round(self, plane, monkeypatch):
+        # the first two columns remove c1 q^i and c2 q^2i exactly, so T_{2,2}
+        # and T_{3,3} are the limit
         limit = -4 * math.pi
-        tcs = [limit + 0.36**i for i in range(20)]
+        tcs = [limit + 0.7 * 0.36**i - 0.3 * 0.36 ** (2 * i) for i in range(curvature.TC_ROUNDS)]
         value, rounds = self._run(plane, tcs, monkeypatch)
         assert rounds == 4
-        assert value == _reference_stop(tcs)[0]
+        assert value == _romberg_stop(tcs)[0]
         assert abs(value - limit) <= 1e-14 * abs(limit)
 
-    def test_sign_changes_fall_back_to_successive_differences(self, plane, monkeypatch):
-        # q = -1/2 every round: no Aitken value is formed
-        tcs = [1.0 + (-0.5) ** i for i in range(40)]
-        value, rounds = self._run(plane, tcs, monkeypatch)
-        assert _reference_stop(tcs) == (value, rounds, "successive")
-        assert (value, rounds) == (tcs[14], 15)
-
-    def test_aitken_pairs_are_successive(self, plane, monkeypatch):
-        # A_2 = 1 from a geometric start; q = 3/2 and then q < 0 leave rounds
-        # 4 and 5 without one; A_5 = 1 again, but it pairs only with A_6
-        tcs = [0.0, 0.5, 0.75, 1.125, 1.0625, 1.03125, 1.015625, 1.0078125]
-        value, rounds = self._run(plane, tcs, monkeypatch)
-        assert (value, rounds) == (1.0, 7)
-        assert _reference_stop(tcs) == (1.0, 7, "aitken")
-
-    @pytest.mark.parametrize("tcs", [[10.0 + 0.01 * i for i in range(30)],
-                                     [2.0**i for i in range(30)]])
+    @pytest.mark.parametrize("tcs", [[10.0 + 0.01 * i for i in range(48)],
+                                     [2.0**i for i in range(48)]])
     def test_no_extrapolation_for_q_at_least_one(self, plane, tcs, monkeypatch):
-        # q = 1 (no division by zero) and q = 2: neither rule fires
+        # q = 1 and q = 2: the diagonal never settles, so nothing is returned
+        assert len(tcs) == curvature.TC_ROUNDS and _romberg_stop(tcs) is None
         with pytest.raises(ConvergenceFailureError):
             self._run(plane, tcs, monkeypatch)
 
     def test_failure_carries_the_last_two_estimates(self, plane, monkeypatch):
-        tcs = [2.0**i for i in range(30)]
+        tcs = [2.0**i for i in range(curvature.TC_ROUNDS)]
         with pytest.raises(ConvergenceFailureError) as failure:
             self._run(plane, tcs, monkeypatch)
         assert failure.value.estimates == (tcs[-2], tcs[-1])
-
-    def test_close_catenoid_ends_run_out_of_rounds(self, catenoid, monkeypatch):
-        # the catenoid with ends 1e-3 apart at 0.21: the circles about the
-        # ends shrink from 8e-5 by 0.6 a round and the estimates never settle;
-        # the error reports the last two rounds' estimates, not one twice
-        p = np.linspace(0.2, 0.5, 31)[1]
-        w = mobius_precompose(catenoid.data, (1, -p, 1, -(p + 1e-3)))
-        calls = _recorded_rounds(monkeypatch)
-        with pytest.raises(ConvergenceFailureError) as failure:
-            total_curvature_numeric(w)
-        assert len(calls) == 48
-        last = tuple(-(flux[-1] - sum(flux[:-1].tolist())) for flux, _r in calls[-2:])
-        assert failure.value.estimates == last and last[0] != last[1]
 
     def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
         calls = _recorded_rounds(monkeypatch)
         assert total_curvature_numeric(plane.data) == 0.0
         assert len(calls) == 2
+
+
+class TestCloseEnds:
+    """The catenoid with its ends 1e-3 apart, at 31 positions from 0.2 to
+    0.5: double poles whose Horner evaluation loses the digits the witness
+    needs."""
+
+    def test_close_catenoid_ends_analyse_to_minus_four_pi(self, catenoid):
+        rep = ms.run_analysis(_close_catenoid(catenoid))
+        assert rep.curvature.d == 2
+        assert abs(rep.curvature.tc_numeric + 4 * math.pi) <= 1e-3 * 4 * math.pi
+
+    def test_sweep_analyses_or_rejects_a_non_real_residue(self, catenoid):
+        analysed = 0
+        for p in np.linspace(0.2, 0.5, 31):
+            rep = ms.run_analysis(_close_catenoid(catenoid, p))
+            if rep.curvature is None:
+                assert [m for m in rep.validation.messages if "non-real residue" in m], p
+            else:
+                assert rep.curvature.d == 2, p
+                analysed += 1
+        assert analysed >= 22
+
+    def test_a_moved_denominator_root_is_refused(self, catenoid, monkeypatch):
+        # negative control: the witness reads den_roots, and one of them 1e-3
+        # off (the double pole at 0.21 moved to 0.21 + 1e-3 i) gives a value
+        # the comparison with -2 pi d refuses
+        real_groups = curvature._flux_groups
+
+        def moved(w):
+            groups = real_groups(w)
+            lead, ((z, m), *rest), members = groups[0]
+            groups[0] = (lead, ((z + 1e-3j, m), *rest), members)
+            return groups
+
+        monkeypatch.setattr(curvature, "_flux_groups", moved)
+        with pytest.raises(NumericInstabilityError):
+            ms.run_analysis(_close_catenoid(catenoid))
 
 
 class TestChernOsserman:

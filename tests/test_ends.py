@@ -252,6 +252,23 @@ class TestRotationIndex:
                 idx = rotation_index_numeric(entry.data, p, R_LIST, end=e)
                 assert idx == e.rotation_index == abs(e.k - 1), (entry.name, p)
 
+    def test_runaway_sphere_cut_is_a_typed_error(self, enneper):
+        # a conftest-rule Moebius chart of Enneper: its one end is finite, of
+        # order -4, with no other puncture to cap the radius solve; a Newton
+        # iterate runs off, exp overflows and the cut is not finite (numpy's
+        # SVD then raised LinAlgError)
+        mob = (0.6596376373223017 - 1.5464481715995755j, 3.255730679617354 - 0.863398031940671j,
+               -0.9572716235291744 - 0.7695836956177559j,
+               -0.3008320905071768 - 0.34134954469810547j)
+        w = ms.mobius_precompose(enneper.data, mob)
+        (p,) = w.punctures
+        assert abs(p - (-0.36502 - 0.06314j)) < 1e-5
+        e = analyze_end(w, p)
+        assert e.k == 4
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericInstabilityError, match="residual nan"):
+            rotation_index_numeric(w, p, R_LIST, end=e)
+
 
 class TestLimitCircle:
     def test_deviation_decreases_catenoid(self, catenoid):

@@ -19,12 +19,14 @@ from minsurf.errors import InternalConsistencyError
 
 R_LIST = (1e2, 1e3, 1e4)
 # Sums over the ten surfaces.  Before Aitken extrapolation and grouping by
-# denominator the check took 63 rounds and 1600 polynomial evaluations.  The
+# denominator the check took 63 rounds and 1600 polynomial evaluations, and 39
+# and 650 before the Romberg stop and the denominators' evaluation from their
+# roots (2 evaluations per component and round, num and num', remain).  The
 # sphere cuts took 795 local-immersion calls before the solver returned its
 # last values, and 657 before Newton on the exact radial derivative; now each
 # evaluation is one call of a polar evaluator (``radial_jet``).
-MAX_ROUNDS = 39
-MAX_TC_EVALUATIONS = 650
+MAX_ROUNDS = 32
+MAX_TC_EVALUATIONS = 376
 MAX_SPHERE_CUT_EVALUATIONS = 369
 
 
