@@ -154,42 +154,58 @@ def _round_fluxes(groups, centers, radii):
     den = lead prod (t + (c - z_j))^m_j and den'/den = sum m_j / (t + (c -
     z_j)), so phi' = num'/den - phi den'/den, with no finite differencing
     and no Horner evaluation of den.  The circles are stacked into one
-    array, so each numerator is evaluated once for all of them; a circle on
-    which a sample hits a zero of S has its radius nudged and is evaluated
-    again, together with any other circle so nudged.  Returns (fluxes, radii
-    used).
+    array, so each numerator is evaluated once for all of them, and each
+    circle's flux is the one it has alone.  A circle on which a sample hits
+    a zero of S has its radius nudged and is evaluated again, together with
+    any other circle so nudged; after six tries its flux is NaN.  Non-finite
+    values are left to the caller, and numpy warns of none.  Returns
+    (fluxes, radii used).
     """
     theta = np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False)
     e = np.exp(1j * theta)
     centers = np.asarray(centers, dtype=complex)
     rad = np.array(radii, dtype=float)
-    flux = np.empty(rad.size)
+    flux = np.full(rad.size, math.nan)
     todo = np.arange(rad.size)
-    for _attempt in range(6):
+    for attempt in range(6):
+        if attempt:
+            rad[todo] *= 1.0017
         c = centers[todo, None]
         t = rad[todo, None] * e
         z = c + t
         num = np.zeros_like(z)
         S = np.zeros(z.shape)
-        for lead, den_roots, members in groups:
-            den = np.full(z.shape, lead, dtype=complex)
-            log_slope = np.zeros_like(z)
-            for root, m in den_roots:
-                factor = t + (c - root)
-                den *= factor**m
-                log_slope += m / factor
-            for n, dn in members:
-                v = n(z) / den
-                num += (dn(z) / den - v * log_slope) * np.conj(v)
-                S += np.abs(v) ** 2
-        ok = np.min(S, axis=1) > 1e-280
-        vals = np.real(e * num[ok] / S[ok]) * rad[todo[ok], None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lead, den_roots, members in groups:
+                den = np.full(z.shape, lead, dtype=complex)
+                log_slope = np.zeros_like(z)
+                for root, m in den_roots:
+                    factor = t + (c - root)
+                    den *= factor**m
+                    log_slope += m / factor
+                for n, dn in members:
+                    v = n(z) / den
+                    num += (dn(z) / den - v * log_slope) * np.conj(v)
+                    S += np.abs(v) ** 2
+            ok = np.min(S, axis=1) > 1e-280
+            vals = np.real(e * num[ok] / S[ok]) * rad[todo[ok], None]
         flux[todo[ok]] = np.mean(vals, axis=1) * 2.0 * math.pi
         todo = todo[~ok]
         if not todo.size:
-            return flux, rad
-        rad[todo] *= 1.0017
-    raise ConvergenceFailureError("conformal factor vanished on every probed circle")
+            break
+    return flux, rad
+
+
+def _romberg_step(rows, tc: float, q: float, tol: float) -> float | None:
+    """Add the next round's estimate ``tc`` to the Romberg tableau ``rows``
+    in the error ratio ``q``: rows[i + 1] = [T_{i,0}, ..., T_{i,i}], rows[0]
+    empty.  Returns T_{i,i} once it agrees with T_{i-1,i-1}, else None."""
+    row = [tc]
+    for j, above in enumerate(rows[-1], 1):
+        row.append((row[-1] - q**j * above) / (1.0 - q**j))
+    settled = len(rows) > 1 and abs(row[-1] - rows[-1][-1]) <= 0.2 * tol * max(1.0, abs(row[-1]))
+    rows.append(row)
+    return row[-1] if settled else None
 
 
 def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
@@ -207,12 +223,16 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
         T_{i,0} = tc_i,   T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j).
 
     The diagonal T_{i,i} is returned once it agrees with T_{i-1,i-1} to
-    0.2 tol max(1, |T_{i,i}|).  Each round's circles -- one per finite
-    puncture and the outer one -- are evaluated in one stacked call, each
-    numerator once and each denominator from its roots (``_round_fluxes``).
-    The check reads only the components' num/den and ``den_roots``, not the
-    pole or Laurent tables.  Should ``TC_ROUNDS`` rounds pass without a stop,
-    the error carries the raw estimates of the last two.
+    0.2 tol max(1, |T_{i,i}|).  The circles of two rounds -- one per finite
+    puncture and the outer one, each -- are evaluated in one stacked call,
+    each numerator once and each denominator from its roots
+    (``_round_fluxes``), and the tableau reads them one round at a time, so
+    the value is the one of rounds taken singly.  At most one round past the
+    stop is evaluated, and it is never read: a circle of it without a finite
+    flux raises nothing, while one in a round that is read raises.  The
+    check reads only the components' num/den and ``den_roots``, not the pole
+    or Laurent tables.  Should ``TC_ROUNDS`` rounds pass without a stop, the
+    error carries the raw estimates of the last two.
     """
     groups = _flux_groups(w)
     fin = w.finite_punctures
@@ -220,17 +240,20 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
     eps0 = 0.08 * w.min_separation
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
     shrink = 0.6
-    q = shrink**2
-    rows = [[]]     # the tableau: rows[i + 1] = [T_{i,0}, ..., T_{i,i}]
-    for i in range(TC_ROUNDS):
-        flux = _round_fluxes(groups, centers,
-                             [eps0 * shrink**i] * len(fin) + [r_out0 / shrink**i])[0]
-        row = [-(flux[-1] - sum(flux[:-1].tolist()))]
-        for j, above in enumerate(rows[-1], 1):
-            row.append((row[-1] - q**j * above) / (1.0 - q**j))
-        if i and abs(row[-1] - rows[-1][-1]) <= 0.2 * tol * max(1.0, abs(row[-1])):
-            return row[-1]
-        rows.append(row)
+    rows = [[]]     # the tableau
+    for i in range(0, TC_ROUNDS, 2):
+        radii = [r for j in (i, i + 1)
+                 for r in [eps0 * shrink**j] * len(fin) + [r_out0 / shrink**j]]
+        fluxes, used = (a.reshape(2, -1) for a in _round_fluxes(groups, centers * 2, radii))
+        for k, flux in enumerate(fluxes):
+            if not np.isfinite(flux).all():
+                c = int(np.argmin(np.isfinite(flux)))
+                raise ConvergenceFailureError(
+                    f"conformal factor vanished or overflowed on round {i + k}'s circle "
+                    f"of radius {used[k, c]:.6g} about {centers[c]}")
+            value = _romberg_step(rows, -(flux[-1] - sum(flux[:-1].tolist())), shrink**2, tol)
+            if value is not None:
+                return value
     raise ConvergenceFailureError("total-curvature boundary terms did not stabilize",
                                   estimates=[float(r[0]) for r in rows[-2:]])
 

@@ -399,48 +399,54 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
     return AsymptoticCheck(radii=tuple(radii), ratios=tuple(ratios), bounded=bounded)
 
 
-def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
-                        R: float):
+def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray, R):
     """Solve |f(r e^{i theta})| = R for r per angle; returns (r, f(r e^{i theta})).
 
-    Newton on x = log r, vectorized over all angles, with the exact slope
-    g' = <f, df/dx> / |f|^2 of g = log|f| - log R from the local immersion's
-    polar evaluator.  It starts from the asymptotic radius (|f| grows like
-    2a/((k-1) r^{k-1}) toward the end) and stops at max|g| < 1e-13; where g'
-    is not finite and negative the step takes the asymptotic slope -(k-1).
-    An iterate that runs off to a non-finite cut ends the solve, which
-    then raises ``NumericInstabilityError`` like one that stalls.
-    The phase table is built for twice the starting radius; should a solved
-    radius need more terms than it holds, it is built again and the solve
-    goes on.  The immersion values are those of the converged step, so
+    R is one radius, or one per angle: the cuts at several radii are then one
+    batch, with one phase table.  Newton on x = log r, vectorized over all
+    angles, with the exact slope g' = <f, df/dx> / |f|^2 of g = log|f| - log R
+    from the local immersion's polar evaluator.  It starts from the asymptotic
+    radius (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and stops at
+    max|g| < 1e-13; where g' is not finite and negative the step takes the
+    asymptotic slope -(k-1).  An iterate that runs off to a non-finite cut
+    ends the solve, which then raises ``NumericInstabilityError`` like one
+    that stalls, naming every R with an angle left unsolved; the non-finite
+    values are caught there, so numpy warns of none of them.
+    The phase table is built for twice the largest starting radius; should a
+    solved radius need more terms than it holds, it is built again and the
+    solve goes on.  The immersion values are those of the converged step, so
     callers need not evaluate them again.
     """
     k, a = e.k, e.a
+    R = np.broadcast_to(np.asarray(R, dtype=float), thetas.shape)
+    log_R = np.log(R)
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
     x_cap = math.log(cap)
-    x = np.full(thetas.shape, math.log(min(r0, cap)))
-    jet, K = loc.radial_jet(thetas, min(2.0 * r0, cap))
-    for _ in range(80):
-        f, df = jet(x)
-        size = np.linalg.norm(f, axis=0)
-        g = np.log(size) - math.log(R)
-        resid = float(np.max(np.abs(g)))
-        if resid < 1e-13:
-            r_top = math.exp(float(np.max(x)))
-            if loc._kept_terms(r_top) <= K:
-                return np.exp(x), f
-            jet, K = loc.radial_jet(thetas, r_top)
-            continue
-        if not math.isfinite(resid):
-            break
-        slope = np.einsum("ij,ij->j", f / size, df) / size
-        newton = np.isfinite(slope) & (slope < 0.0)
-        x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
+    x = np.log(np.minimum(r0, cap))
+    jet, K = loc.radial_jet(thetas, min(2.0 * float(np.max(r0)), cap))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(80):
+            f, df = jet(x)
+            size = np.linalg.norm(f, axis=0)
+            g = np.log(size) - log_R
+            resid = float(np.max(np.abs(g)))
+            if resid < 1e-13:
+                r_top = math.exp(float(np.max(x)))
+                if loc._kept_terms(r_top) <= K:
+                    return np.exp(x), f
+                jet, K = loc.radial_jet(thetas, r_top)
+                continue
+            if not math.isfinite(resid):
+                break
+            slope = np.einsum("ij,ij->j", f / size, df) / size
+            newton = np.isfinite(slope) & (slope < 0.0)
+            x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     if not resid <= 1e-9:
+        unsolved = sorted({float(v) for v in R[~(np.abs(g) <= 1e-9)]})
         raise NumericInstabilityError(
             f"sphere-cut radius solve stalled at residual {resid:.3e}",
-            diagnostics={"R": R, "end": repr(e.puncture)},
+            diagnostics={"R": unsolved, "end": repr(e.puncture)},
         )
     return np.exp(x), jet(x)[0]
 
@@ -449,7 +455,8 @@ def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6
     """Total turning (in turns) of the closed curve theta -> cut(theta).
 
     ``xy`` is the (2, N) curve on the sorted angles ``thetas``; midpoints are
-    inserted wherever the projected angle jumps by more than pi/4.
+    inserted wherever the projected angle jumps by more than pi/4.  Only the
+    midpoints are passed to ``cut``, and merged into the sorted angles.
     """
     def turning(xy):
         ang = np.arctan2(xy[1], xy[0])
@@ -463,8 +470,11 @@ def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6
             break
         nxt = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
         mids = ((thetas[bad] + nxt[bad]) / 2.0) % (2.0 * math.pi)
-        thetas = np.sort(np.concatenate([thetas, mids]))
-        d = turning(cut(thetas))
+        thetas = np.concatenate([thetas, mids])
+        xy = np.concatenate([xy, cut(mids)], axis=1)
+        order = np.argsort(thetas)
+        thetas, xy = thetas[order], xy[:, order]
+        d = turning(xy)
     return float(np.sum(d) / (2.0 * math.pi))
 
 
@@ -472,18 +482,22 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the normalized sphere cut of the end.
 
-    For each radius R the curve {f/R : |f| = R} near the end is projected
-    onto span(e1, e2) for an order -2 end, or onto the best-fit plane of the
-    curve otherwise, and its winding about the origin counted from 64
-    angles, refined where the projected angle jumps.  The value must agree
-    across all R; the analytic prediction is |k - 1|.
+    The cuts {f/R : |f| = R} near the end at every radius R are solved in one
+    batch from 64 angles each.  Each is projected onto span(e1, e2) for an
+    order -2 end, or onto the best-fit plane of the curve otherwise, and its
+    winding about the origin counted, refined where the projected angle
+    jumps.  The value must agree across all R; the analytic prediction is
+    |k - 1|.
     """
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
     thetas = 2.0 * math.pi * np.arange(64) / 64
+    radii = sorted(float(R) for R in R_list)
+    cuts = _solve_sphere_radii(loc, e, np.tile(thetas, len(radii)),
+                               np.repeat(radii, thetas.size))[1]
     windings = {}
-    for R in sorted(float(R) for R in R_list):
-        pts = _solve_sphere_radii(loc, e, thetas, R)[1] / R
+    for R, pts in zip(radii, np.split(cuts, len(radii), axis=1)):
+        pts = pts / R
         if e.k == 2:
             plane = e.frame[:2]
         else:

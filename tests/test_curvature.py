@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -174,6 +175,26 @@ def _recorded_rounds(monkeypatch):
     return calls
 
 
+def _rounds(calls):
+    """The rounds of the recorded calls, two to a call, as (fluxes, radii)."""
+    return [(f, r) for flux, radii in calls
+            for f, r in zip(np.split(flux, 2), np.split(radii, 2))]
+
+
+def _counted_tableau_rounds(monkeypatch):
+    """Wrap ``_romberg_step``; returns the list that gets one entry a round
+    the tableau reads."""
+    read = []
+    real_step = curvature._romberg_step
+
+    def counting_step(*args):
+        read.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(curvature, "_romberg_step", counting_step)
+    return read
+
+
 def _checked_data(all_entries):
     from conftest import well_conditioned_mobius
 
@@ -184,9 +205,9 @@ def _checked_data(all_entries):
 
 
 class TestStackedRounds:
-    """Each shrink round of the Green-identity check evaluates its circles in
-    one stacked call, each numerator once and each denominator from its
-    roots; its fluxes are the per-circle ones."""
+    """Each pair of shrink rounds of the Green-identity check evaluates its
+    circles in one stacked call, each numerator once and each denominator
+    from its roots; its fluxes are the per-circle ones."""
 
     def test_rounds_match_per_circle_reference(self, all_entries, catenoid, monkeypatch):
         # against a 40-digit evaluation of the same num/den, on the rounds the
@@ -199,7 +220,8 @@ class TestStackedRounds:
             w = checked[name]
             calls.clear()
             total_curvature_numeric(w)
-            for i, (flux, radii) in enumerate(calls):
+            assert all(radii.size == 2 * len(w.finite_punctures) + 2 for _f, radii in calls)
+            for i, (flux, radii) in enumerate(_rounds(calls)):
                 centers, radii_ref = _round_radii(w, i)
                 assert radii.tolist() == radii_ref, name
                 for c, r, f in zip(centers, radii, flux):
@@ -232,6 +254,19 @@ class TestStackedRounds:
         for f, c, r in zip(flux, centers, used):
             assert abs(f - _mp_circle_flux(phi, c, r)) <= 1e-10 * max(1.0, abs(f))
 
+    def test_a_circle_left_on_a_zero_of_s_has_no_flux(self, enneper):
+        # a circle of radius 0 about the branch point z = 1 stays on the zero
+        # of S however it is nudged: its flux is NaN, left to the caller,
+        # with no error and no warning; the other circle's is the one it has
+        # alone
+        square = ms.rational.RationalMap([1.0, -2.0, 1.0])
+        groups = curvature._flux_groups(ms.WeierstrassData([r * square for r in enneper.data.phi]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flux, used = curvature._round_fluxes(groups, [1 + 0j, 0j], [0.0, 0.5])
+        assert math.isnan(flux[0]) and used.tolist() == [0.0, 0.5]
+        assert flux[1] == curvature._round_fluxes(groups, [0j], [0.5])[0][0]
+
     @pytest.mark.parametrize("m", [3, 6])
     def test_evaluations_per_denominator_and_component(self, m, monkeypatch):
         w = ms.generalized_jorge_meeks(m).data
@@ -245,14 +280,15 @@ class TestStackedRounds:
         calls = _recorded_rounds(monkeypatch)
         monkeypatch.setattr(ms.rational.ComplexPoly, "__call__", counting_call)
         total_curvature_numeric(w)
-        # num and num' once per component, a round on the stacked circles
-        # about the m + 1 finite ends and the outer one; the denominators
-        # are products over their roots, with no polynomial evaluation
+        # num and num' once per component and call, on the stacked circles of
+        # two rounds about the m + 1 finite ends and the outer one; the
+        # denominators are products over their roots, with no polynomial
+        # evaluation
         comps = [r for r in w.phi if not r.is_zero]
         assert len({r.den.coeffs.tobytes() for r in comps}) < len(comps)
-        assert len(calls) >= 2
+        assert len(_rounds(calls)) >= 2
         assert len(shapes) == 2 * len(comps) * len(calls)
-        assert set(shapes) == {(m + 2, curvature.TC_SAMPLES)}
+        assert set(shapes) == {(2 * (m + 2), curvature.TC_SAMPLES)}
 
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
     def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
@@ -292,36 +328,45 @@ class TestStopRules:
 
     def test_returns_the_romberg_diagonal_of_the_recorded_rounds(self, all_entries,
                                                                 monkeypatch):
+        # the rounds are evaluated in pairs, so one round past the stop is
+        # evaluated when the stop falls on the first of a pair, and not read
         calls = _recorded_rounds(monkeypatch)
+        read = _counted_tableau_rounds(monkeypatch)
         for name, w in _checked_data(all_entries):
             calls.clear()
+            read.clear()
             tc = total_curvature_numeric(w)
-            value, rounds = _romberg_stop([-(f[-1] - sum(f[:-1].tolist())) for f, _r in calls])
-            assert len(calls) == rounds, name
+            evaluated = _rounds(calls)
+            value, rounds = _romberg_stop([-(f[-1] - sum(f[:-1].tolist())) for f, _r in evaluated])
+            assert len(read) == rounds, name
+            assert len(evaluated) == rounds + rounds % 2, name
             assert abs(tc - value) <= 1e-14 * max(1.0, abs(value)), name
             exact = -2 * math.pi * gauss_map(w).degree
             assert abs(tc - exact) <= 1e-6 * max(1.0, abs(exact)), name
 
     def _run(self, plane, tcs, monkeypatch, tol=1e-3):
-        """total_curvature_numeric on rounds whose estimates are ``tcs``."""
+        """total_curvature_numeric on rounds whose estimates are ``tcs``:
+        (value, rounds evaluated, rounds the tableau read)."""
         rounds = []
 
         def fake_round(groups, centers, radii):
-            assert len(centers) == 1  # the plane has no finite puncture
-            rounds.append(radii)
-            return np.array([-tcs[len(rounds) - 1]]), np.asarray(radii)
+            assert len(centers) == 2  # two rounds; the plane has no finite puncture
+            i = len(rounds)
+            rounds.extend(radii)
+            return -np.array(tcs[i:i + 2]), np.asarray(radii)
 
         monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
+        read = _counted_tableau_rounds(monkeypatch)
         value = total_curvature_numeric(plane.data, tol=tol)
-        return value, len(rounds)
+        return value, len(rounds), len(read)
 
     def test_geometric_tail_stops_on_the_fourth_round(self, plane, monkeypatch):
         # the first two columns remove c1 q^i and c2 q^2i exactly, so T_{2,2}
         # and T_{3,3} are the limit
         limit = -4 * math.pi
         tcs = [limit + 0.7 * 0.36**i - 0.3 * 0.36 ** (2 * i) for i in range(curvature.TC_ROUNDS)]
-        value, rounds = self._run(plane, tcs, monkeypatch)
-        assert rounds == 4
+        value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
+        assert rounds == evaluated == 4
         assert value == _romberg_stop(tcs)[0]
         assert abs(value - limit) <= 1e-14 * abs(limit)
 
@@ -339,10 +384,55 @@ class TestStopRules:
             self._run(plane, tcs, monkeypatch)
         assert failure.value.estimates == (tcs[-2], tcs[-1])
 
+    def test_unread_round_past_the_stop_raises_nothing(self, plane, monkeypatch):
+        # one geometric column: T_{1,1} and T_{2,2} are the limit, so the
+        # tableau stops on round 2, the first of a pair; round 3, evaluated
+        # with it, has no finite flux and is not read
+        limit = -4 * math.pi
+        tcs = [limit + 0.7 * 0.36**i for i in range(curvature.TC_ROUNDS)]
+        tcs[3] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
+        assert (evaluated, rounds) == (4, 3)
+        assert (value, rounds) == _romberg_stop(tcs)
+        # a round the tableau reads without a finite flux is refused, and
+        # the error names the round and its circle (the plane's outer one)
+        tcs[1] = math.nan
+        with pytest.raises(ConvergenceFailureError,
+                           match=r"on round 1's circle of radius 6\.66667 about 0j"):
+            self._run(plane, tcs, monkeypatch)
+
+    def test_zero_of_s_past_the_stop_is_not_read(self, monkeypatch):
+        # JM m = 1 times (z - z0)^2, z0 where the outer circle of round 3
+        # meets the real axis: the tableau stops on round 2, and round 3,
+        # evaluated with it in one call, has its outer circle nudged off the
+        # zero of S; the value is that of the rounds taken singly, with no
+        # error and no warning
+        base = ms.generalized_jorge_meeks(1).data
+        z0 = _round_radii(base, 3)[1][-1]
+        square = ms.rational.ComplexPoly([z0 * z0, -2 * z0, 1])
+        w = ms.WeierstrassData([ms.RationalMap(r.num * square, r.den) for r in base.phi])
+        calls = _recorded_rounds(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tc = total_curvature_numeric(w)
+        rounds = _rounds(calls)
+        assert len(rounds) == 4
+        assert [r.tolist() for _f, r in rounds[:3]] == [_round_radii(w, i)[1] for i in range(3)]
+        assert rounds[3][1][-1] == _round_radii(w, 3)[1][-1] * 1.0017
+        singly = []
+        for i in range(3):
+            flux = curvature._round_fluxes(curvature._flux_groups(w), *_round_radii(w, i))[0]
+            singly.append(-(flux[-1] - sum(flux[:-1].tolist())))
+        assert _romberg_stop(singly) == (tc, 3)
+
     def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
         calls = _recorded_rounds(monkeypatch)
+        read = _counted_tableau_rounds(monkeypatch)
         assert total_curvature_numeric(plane.data) == 0.0
-        assert len(calls) == 2
+        assert len(read) == len(_rounds(calls)) == 2
+        assert len(calls) == 1
 
 
 class TestCloseEnds:

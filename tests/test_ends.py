@@ -252,22 +252,64 @@ class TestRotationIndex:
                 idx = rotation_index_numeric(entry.data, p, R_LIST, end=e)
                 assert idx == e.rotation_index == abs(e.k - 1), (entry.name, p)
 
+    @pytest.mark.filterwarnings("error")
     def test_runaway_sphere_cut_is_a_typed_error(self, enneper):
-        # a conftest-rule Moebius chart of Enneper: its one end is finite, of
-        # order -4, with no other puncture to cap the radius solve; a Newton
-        # iterate runs off, exp overflows and the cut is not finite (numpy's
-        # SVD then raised LinAlgError)
-        mob = (0.6596376373223017 - 1.5464481715995755j, 3.255730679617354 - 0.863398031940671j,
-               -0.9572716235291744 - 0.7695836956177559j,
-               -0.3008320905071768 - 0.34134954469810547j)
-        w = ms.mobius_precompose(enneper.data, mob)
-        (p,) = w.punctures
-        assert abs(p - (-0.36502 - 0.06314j)) < 1e-5
+        # the two conftest-rule Moebius charts of Enneper in the chart sweep
+        # (UNSOLVED_CUTS) whose one end is finite, of order -4, with no other
+        # puncture to cap the radius solve: a Newton iterate at R = 1e2 runs
+        # off and the cut is not finite, a typed error with no numpy warning
+        runaway = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name == "enneper"]
+        assert len(runaway) == 2
+        for mob, end in runaway:
+            w = ms.mobius_precompose(enneper.data, mob)
+            (p,) = w.punctures
+            assert abs(p - end) < 1e-12
+            e = analyze_end(w, p)
+            assert e.k == 4
+            with pytest.raises(NumericInstabilityError, match="residual nan") as err:
+                rotation_index_numeric(w, p, R_LIST, end=e)
+            assert err.value.diagnostics == {"R": [1e2], "end": repr(p)}
+
+    @pytest.mark.filterwarnings("error")
+    def test_stalled_sphere_cut_names_its_radii(self, counterexample):
+        # the four conftest-rule Moebius charts of the counterexample in the
+        # chart sweep whose finite order -3 end stalls at R = 1e2; the cuts at
+        # all three radii are one solve, and the error names the unsolved R
+        stalled = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name != "enneper"]
+        assert len(stalled) == 4
+        for mob, end in stalled:
+            w = ms.mobius_precompose(counterexample.data, mob)
+            (p,) = [q for q in w.punctures if abs(q - end) < 1e-12]
+            e = analyze_end(w, p)
+            assert e.k == 3
+            with pytest.raises(NumericInstabilityError, match="stalled at residual [0-9]") as err:
+                rotation_index_numeric(w, p, R_LIST, end=e)
+            assert err.value.diagnostics == {"R": [1e2], "end": repr(p)}
+
+    @pytest.mark.parametrize("name, p, k, solved", [("enneper", INF, 4, 8 + 16),
+                                                    ("holomorphic_counterexample", 0j, 3, 8 + 8)])
+    def test_refinement_solves_only_the_midpoints(self, name, p, k, solved):
+        # from 8 angles the projected angle of a k - 1 fold cut jumps by
+        # 2 pi (k - 1) / 8 > pi / 4, so midpoints are inserted until it does
+        # not; each step solves only the new angles, none twice
+        w = getattr(ms, name)().data
         e = analyze_end(w, p)
-        assert e.k == 4
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericInstabilityError, match="residual nan"):
-            rotation_index_numeric(w, p, R_LIST, end=e)
+        assert e.k == k
+        loc, R = e._local, 1e3
+        thetas = 2.0 * math.pi * np.arange(8) / 8
+        pts = ends._solve_sphere_radii(loc, e, thetas, R)[1] / R
+        plane = np.linalg.svd(pts.T, full_matrices=False)[2][:2]
+        asked = []
+
+        def cut(th):
+            asked.append(th)
+            return plane @ (ends._solve_sphere_radii(loc, e, th, R)[1] / R)
+
+        turns = ends._winding_number(cut, thetas, plane @ pts)
+        assert abs(turns) == pytest.approx(k - 1, abs=1e-9)
+        new = np.concatenate(asked)
+        assert new.size == solved
+        assert np.unique(np.concatenate([thetas, new])).size == 8 + solved
 
 
 class TestLimitCircle:
@@ -441,12 +483,64 @@ class TestIntegerPowerEvaluation:
 
 THETAS = 2.0 * np.pi * np.arange(720) / 720
 
+# The six ends, of 882, of the conftest-rule chart sweep (well_conditioned_mobius
+# with default_rng(2001), 28 draws per surface of catalog.entries(jm_range=
+# range(1, 7)), kept where validate passes) whose sphere cut at R = 1e2 has
+# no solution the solve reaches: (surface, Moebius map, end).
+UNSOLVED_CUTS = [
+    ("enneper", (0.6596376373223017 - 1.5464481715995755j, 3.255730679617354 - 0.863398031940671j,
+                 -0.9572716235291744 - 0.7695836956177559j,
+                 -0.3008320905071768 - 0.34134954469810547j),
+     -0.3650171270766681 - 0.06313601447397837j),
+    ("enneper", (0.056420594180430196 + 1.2217554251111813j,
+                 1.0993691813163615 - 0.8455729332061959j,
+                 1.1385536131374523 - 0.21019177364589153j,
+                 -0.01623564528147274 + 0.18872769952624713j),
+     0.04338292955700604 - 0.15775187267797292j),
+    ("holomorphic-counterexample",
+     (-0.6719025523875212 + 0.1186735554560623j, -0.4291220310719605 + 0.5302393686313762j,
+      2.317917057241831 - 0.7830796002328473j, 1.9772004198641138 - 1.0344899420782312j),
+     -0.7545135876408711 + 0.6558965388361115j),
+    ("holomorphic-counterexample",
+     (-0.28663608896082154 - 0.2507845903587672j, -0.26134974458696786 - 0.2287934606514008j,
+      -1.4698314544507738 - 0.503642061672631j, 0.26007238423608303 - 0.7806189904765913j),
+     -0.9120114621145562 - 0.00026179439851233634j),
+    ("holomorphic-counterexample",
+     (0.017597901204335707 + 0.41178121535124956j, 0.017954755517779277 - 0.3738444535680834j,
+      -1.3187348765032176 - 0.6102188664374776j, -0.6474658594879634 + 0.18511583661076217j),
+     0.9043564636290858 + 0.0822512779980398j),
+    ("holomorphic-counterexample",
+     (-0.5792033278205588 - 0.2048919082405142j, -0.1111904381903719 + 0.9227214093801146j,
+      -2.233490492324597 + 0.42068406377216067j, -0.26840279955670987 + 1.2282825491422626j),
+     0.33025276017115013 + 1.4762610124571882j),
+]
+
 
 def _sphere_cut_radii(loc, e):
     """The solved radii at R = 1e2, 1e3, 1e4, and a circle near the cap."""
     radii = [ends._solve_sphere_radii(loc, e, THETAS, R)[0] for R in R_LIST]
     near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
     return radii + [np.full(THETAS.size, near_cap)]
+
+
+class TestBatchedSolve:
+    """``_solve_sphere_radii`` with one R per angle: the cuts at several radii
+    as one Newton batch, as ``rotation_index_numeric`` solves them."""
+
+    def test_per_angle_radii_match_the_scalar_solves(self, all_entries):
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                loc = e._local
+                r, f = ends._solve_sphere_radii(loc, e, np.tile(thetas, len(R_LIST)),
+                                                np.repeat(R_LIST, thetas.size))
+                for R, rb, fb in zip(R_LIST, np.split(r, len(R_LIST)),
+                                     np.split(f, len(R_LIST), axis=1)):
+                    want_r, want_f = ends._solve_sphere_radii(loc, e, thetas, R)
+                    assert np.max(np.abs(rb - want_r) / want_r) <= 1e-13, (entry.name, p, R)
+                    assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
 
 
 class TestPolarEvaluator:

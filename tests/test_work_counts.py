@@ -21,13 +21,19 @@ R_LIST = (1e2, 1e3, 1e4)
 # Sums over the ten surfaces.  Before Aitken extrapolation and grouping by
 # denominator the check took 63 rounds and 1600 polynomial evaluations, and 39
 # and 650 before the Romberg stop and the denominators' evaluation from their
-# roots (2 evaluations per component and round, num and num', remain).  The
+# roots (2 evaluations per component and call, num and num', remain).  With
+# one round a call it took 32 calls and 376 evaluations; a call now holds two
+# rounds (so 2 x round calls are evaluated), at most one of them unread.  The
 # sphere cuts took 795 local-immersion calls before the solver returned its
 # last values, and 657 before Newton on the exact radial derivative; now each
-# evaluation is one call of a polar evaluator (``radial_jet``).
-MAX_ROUNDS = 32
-MAX_TC_EVALUATIONS = 376
-MAX_SPHERE_CUT_EVALUATIONS = 369
+# evaluation is one call of a polar evaluator (``radial_jet``).  With one
+# solve per radius they took 369 evaluations of 132 evaluators; now the
+# radii of an end are one solve, and refinement solves only new angles.
+MAX_ROUND_CALLS = 19
+MAX_ROUNDS_READ = 32
+MAX_TC_EVALUATIONS = 236
+MAX_SPHERE_CUT_EVALUATIONS = 198
+MAX_RADIAL_JETS = 66
 
 
 def test_catalog_work_counts(monkeypatch):
@@ -42,20 +48,9 @@ def test_catalog_work_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, call)
 
-    counted(curvature, "_round_fluxes", "rounds")
+    counted(curvature, "_round_fluxes", "round_calls")
+    counted(curvature, "_romberg_step", "rounds_read")
     counted(ms.rational.ComplexPoly, "__call__", "evaluations")
-    real_jet = ends.LocalImmersion.radial_jet
-
-    def jet_counted(self, thetas, r_max):
-        jet, K = real_jet(self, thetas, r_max)
-
-        def evaluate(x):
-            counts["sphere_cut"] += 1
-            return jet(x)
-
-        return evaluate, K
-
-    monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
     real_tc = curvature.total_curvature_numeric
 
     def tc_counted(*args, **kwargs):
@@ -66,6 +61,19 @@ def test_catalog_work_counts(monkeypatch):
             counts["tc_evaluations"] += counts["evaluations"] - before
 
     monkeypatch.setattr(curvature, "total_curvature_numeric", tc_counted)
+    real_jet = ends.LocalImmersion.radial_jet
+
+    def jet_counted(self, thetas, r_max):
+        counts["radial_jets"] += 1
+        jet, K = real_jet(self, thetas, r_max)
+
+        def evaluate(x):
+            counts["sphere_cut"] += 1
+            return jet(x)
+
+        return evaluate, K
+
+    monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
         rep = ms.run_analysis(w)
@@ -73,9 +81,11 @@ def test_catalog_work_counts(monkeypatch):
         for e in rep.ends:
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
-    assert counts["rounds"] <= MAX_ROUNDS, counts
+    assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
+    assert counts["rounds_read"] <= MAX_ROUNDS_READ, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
     assert counts["sphere_cut"] <= MAX_SPHERE_CUT_EVALUATIONS, counts
+    assert counts["radial_jets"] <= MAX_RADIAL_JETS, counts
 
 
 def test_refused_ends_take_no_curvature_rounds(monkeypatch):
