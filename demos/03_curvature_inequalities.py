@@ -10,7 +10,10 @@ curvature is exactly -2 pi d.  Three classical bounds constrain it:
 
 Equality in the first is equivalent to every end being catenoid-type or
 planar -- checked here across the catalog, together with an independent
-numeric integration of the curvature.
+numeric integration of the curvature.  ``chern_osserman`` is the integer
+report; it checks d against the end orders k_j = -mu_j by the Jorge-Meeks
+identity d = sum_j k_j - 2 (no branch points), so the Chern-Osserman defect
+d - (m - chi) is sum_j (k_j - 2), zero exactly when every end has k_j = 2.
 """
 
 import math
@@ -23,7 +26,7 @@ header = (f"{'surface':<30}{'n':>3}{'m':>3}{'chi':>5}{'d':>3}"
 print(header)
 print("-" * len(header))
 for entry in ms.catalog.entries():
-    rep = ms.curvature_report(entry.data, numeric=False)
+    rep = ms.chern_osserman(entry.data)
     print(f"{entry.name:<30}{entry.data.n:>3}{rep.m:>3}{rep.chi:>5}{rep.d:>3}"
           f"{rep.tc_pi:>6}pi{rep.co_rhs_pi:>6}pi{'Y' if rep.co_equality else 'n':>4}"
           f"{'Y' if rep.full else 'n':>6}{rep.l:>3}"
@@ -36,19 +39,22 @@ print("Numeric cross-check of TC = -2 pi d (Green-identity boundary integral")
 print("of -laplacian(log lambda), disks shrunk until the estimate stabilizes):")
 for name in ("catenoid", "enneper", "holomorphic-counterexample"):
     entry = ms.catalog.get(name)
-    tc = ms.total_curvature_numeric(entry.data, tol=1e-3)
+    tc = ms.total_curvature_numeric(entry.data)
     print(f"  {name:<30} numeric TC = {tc / math.pi:+.5f} pi  "
-          f"(algebraic {ms.curvature_report(entry.data, numeric=False).tc_pi} pi)")
+          f"(algebraic {ms.chern_osserman(entry.data).tc_pi} pi)")
 
 print()
 print("Machine-checked equivalence: equality in the Chern-Osserman bound")
-print("holds exactly when every end is catenoid-type or planar (hence embedded).")
+print("holds exactly when every end is catenoid-type or planar (hence embedded);")
+print("the defect d - (m - chi) is the sum of the end terms k_j - 2.")
 for entry in ms.catalog.entries():
     rep = ms.chern_osserman(entry.data)
     ends = [ms.analyze_end(entry.data, p) for p in entry.data.punctures]
     model = all(e.classification.value in ("catenoid-type", "planar") for e in ends)
-    print(f"  {entry.name:<30} equality={rep.co_equality!s:<5} "
-          f"all ends modelled={model!s:<5} consistent={rep.co_equality == model}")
+    terms = " + ".join(str(e.k - 2) for e in ends)
+    print(f"  {entry.name:<30} defect {rep.d - (rep.m - rep.chi)} = {terms:<17} "
+          f"equality={rep.co_equality!s:<5} all ends modelled={model!s:<5} "
+          f"consistent={rep.co_equality == model}")
 
 print()
 print("The counterexample (z, 1/z^2) in R^4 shows embeddedness alone is not")

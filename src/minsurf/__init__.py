@@ -22,7 +22,6 @@ from .curvature import (
     chern_osserman,
     curvature_report,
     fullness_and_degeneracy,
-    gackstatter_and_ejiri,
     gauss_map,
     total_curvature_numeric,
 )

@@ -42,8 +42,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     data = _load_data(args.input)
-    rep = run_analysis(data, input_sha256=sha256_of(args.input),
-                       tc_tol=1e-3 * args.tol, tol_scale=args.tol)
+    rep = run_analysis(data, input_sha256=sha256_of(args.input), tol_scale=args.tol)
     if not rep.valid:
         raise DatumRejectedError(args.input, rep.validation.messages)
     c = rep.curvature

@@ -5,7 +5,9 @@ derivative components.  Clearing denominators gives a polynomial map into the
 quadric {sum x_j^2 = 0}; its common factor is the product of the finite branch
 points (``WeierstrassData.branch_points``), and once it is removed the map is
 basepoint-free, so the hyperplane-intersection degree d is the max component
-degree less the branching order.  d determines the total curvature -2 pi d.
+degree less the branching order.  d determines the total curvature -2 pi d,
+and is checked against the end orders by the Jorge-Meeks identity
+d = sum_j k_j - 2 - beta (k_j = -mu_j, beta the total branching order).
 A Green-identity boundary integral of -laplacian(log lambda) provides an
 independent numeric value; it reads only each component's num/den and
 den_roots, with the numerators divided by the datum's unit, a power of two
@@ -13,8 +15,8 @@ den_roots, with the numerators divided by the datum's unit, a power of two
 evaluated in one stacked call, each denominator from its roots, and a Romberg
 tableau of the rounds' estimates stops when its diagonal settles.
 
-Equalities in the curvature bounds are detected by integer comparison of the
-pi-multiples, never by float comparison.
+Every bound is an integer pi-multiple, and every equality an integer
+comparison, never a float one.
 """
 
 from __future__ import annotations
@@ -26,25 +28,23 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailureError,
-    DegenerateInputError,
     InternalConsistencyError,
     NumericInstabilityError,
 )
-from .weierstrass import WeierstrassData, metric_order_at
+from .weierstrass import WeierstrassData, branch_divisor, metric_order_at
 
 __all__ = [
     "GaussMap",
     "CurvatureReport",
-    "InequalityResult",
     "gauss_map",
     "total_curvature_numeric",
     "chern_osserman",
     "fullness_and_degeneracy",
-    "gackstatter_and_ejiri",
     "curvature_report",
 ]
 
 RANK_TOL = 1e-8  # singular values below RANK_TOL * sigma_max count as zero
+TC_TOL = 1e-3    # relative tolerance of the Green-identity TC against -2 pi d
 TC_SAMPLES = 32  # samples per circle of the Green-identity check
 TC_ROUNDS = 48   # its shrink rounds before ConvergenceFailureError
 
@@ -58,27 +58,21 @@ class GaussMap:
     degree: int
 
 
-def _times_pi(k: int | None) -> float | None:
-    return None if k is None else k * math.pi
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Curvature data; every bound is carried as an integer pi-multiple
-    (``*_pi``), equality-safe, and its float value derived from it."""
+    """The integers of the curvature bounds, each bound a pi-multiple
+    (``*_pi``) whose float value is derived from it; ``tc_numeric`` is the
+    Green-identity witness, when taken."""
 
     d: int
     m: int
     chi: int
-    co_equality: bool
+    full: bool
+    l: int
+    gackstatter_pi: int
+    ejiri_pi: int
     genus: int = 0
     tc_numeric: float | None = None
-    full: bool | None = None
-    l: int | None = None
-    gackstatter_pi: int | None = None
-    gackstatter_applicable: bool | None = None
-    ejiri_pi: int | None = None
-    ejiri_equality: bool | None = None
 
     @property
     def tc_pi(self) -> int:
@@ -89,21 +83,34 @@ class CurvatureReport:
         return 2 * (self.chi - self.m)
 
     @property
+    def co_equality(self) -> bool:
+        return self.tc_pi == self.co_rhs_pi
+
+    @property
+    def ejiri_equality(self) -> bool:
+        return self.tc_pi == self.ejiri_pi
+
+    @property
+    def gackstatter_applicable(self) -> bool:
+        """The Gackstatter and Ejiri bounds are stated for full immersions."""
+        return self.full
+
+    @property
     def tc_algebraic(self) -> float:
         """TC = -2 pi d."""
-        return _times_pi(self.tc_pi)
+        return self.tc_pi * math.pi
 
     @property
     def co_rhs(self) -> float:
-        return _times_pi(self.co_rhs_pi)
+        return self.co_rhs_pi * math.pi
 
     @property
-    def gackstatter_rhs(self) -> float | None:
-        return _times_pi(self.gackstatter_pi)
+    def gackstatter_rhs(self) -> float:
+        return self.gackstatter_pi * math.pi
 
     @property
-    def ejiri_rhs(self) -> float | None:
-        return _times_pi(self.ejiri_pi)
+    def ejiri_rhs(self) -> float:
+        return self.ejiri_pi * math.pi
 
 
 def gauss_map(w: WeierstrassData) -> GaussMap:
@@ -115,9 +122,7 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
     which the homogenization to the max component degree accounts for) is
     the max numerator degree less the degree of that factor.
     """
-    if all(r.is_zero for r in w.phi):
-        raise DegenerateInputError("all components are zero")
-    _D, nums = w.cleared
+    nums = w.cleared[1]
     degree = max(nj.degree() for nj in nums if not nj.is_zero)
     degree -= sum(m for _z, m in w.branch_points)
     return GaussMap(psi=tuple(nums), degree=int(degree))
@@ -208,7 +213,7 @@ def _romberg_step(rows, tc: float, q: float, tol: float) -> float | None:
     return row[-1] if settled else None
 
 
-def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
+def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
     """Quadrature cross-check of the total curvature.
 
     TC = int K dA = -int laplacian(log lambda) over the finite chart minus
@@ -258,39 +263,45 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = 1e-3) -> float:
                                   estimates=[float(r[0]) for r in rows[-2:]])
 
 
-def chern_osserman(w: WeierstrassData, gmap: GaussMap | None = None) -> CurvatureReport:
-    """Chern-Osserman data: d, TC, chi, the bound 2 pi (chi - m), and equality.
+def chern_osserman(w: WeierstrassData) -> CurvatureReport:
+    """The integer curvature report: d, m, chi, fullness and the three bounds.
 
-    Equality is decided by the integer identity d == m - chi and
-    cross-validated against all end orders being -2; a disagreement would
-    contradict the degree formula and raises an internal-consistency error.
+    d is checked against the end orders k_j = -mu_j and the total branching
+    order beta (``branch_divisor``, finite and at infinity) by the Jorge-Meeks
+    identity d = sum_j k_j - 2 - beta; a disagreement contradicts the degree
+    formula (an unlisted end, say) and raises an internal-consistency error.
+    With beta = 0 the Chern-Osserman defect d - (m - chi) is
+    sum_j (k_j - 2), so equality holds iff every end has order -2.
     """
-    g = gmap if gmap is not None else gauss_map(w)
+    d = gauss_map(w).degree
+    orders = [metric_order_at(w, p) for p in w.punctures]
+    beta = sum(m for _p, m in branch_divisor(w))
+    rhs = -sum(orders) - 2 - beta
+    if d != rhs:
+        raise InternalConsistencyError(
+            f"Gauss-map degree {d} disagrees with end orders {orders} and branching "
+            f"order {beta}: sum_j k_j - 2 - beta = {rhs}")
+    full, l = fullness_and_degeneracy(w)
     m = len(w.punctures)
     chi = 2 - m  # genus 0
-    equality_by_degree = g.degree == (m - chi)
-    orders = [metric_order_at(w, p) for p in w.punctures]
-    equality_by_orders = all(mu == -2 for mu in orders)
-    if equality_by_degree != equality_by_orders:
-        raise InternalConsistencyError(
-            f"degree-based equality {equality_by_degree} disagrees with end orders {orders}"
-        )
-    return CurvatureReport(d=g.degree, m=m, chi=chi, co_equality=equality_by_degree)
+    return CurvatureReport(d=d, m=m, chi=chi, full=full, l=l,
+                           gackstatter_pi=2 * chi + m - 1 - w.n,
+                           ejiri_pi=chi + m - 2 * w.n + 2 * l)
 
 
-def fullness_and_degeneracy(w: WeierstrassData, gmap: GaussMap | None = None):
+def fullness_and_degeneracy(w: WeierstrassData):
     """(full, l): hyperplane test and Gauss-image degeneracy.
 
     full  <=>  no nonzero real v with sum v_j phi_j = 0, i.e. the stacked
-    real/imaginary coefficient matrix of the cleared components has rank n.
-    l = n - rank_C(coefficient matrix): the Gauss image spans a projective
-    subspace of dimension n - 1 - l.  A common factor of the components
-    changes neither rank.
+    real/imaginary coefficient matrix of the cleared numerators
+    (``WeierstrassData.cleared``) has rank n.  l = n - rank_C(coefficient
+    matrix): the Gauss image spans a projective subspace of dimension
+    n - 1 - l.  A common factor of the components changes neither rank.
     """
-    g = gmap if gmap is not None else gauss_map(w)
-    L = max(p.degree() for p in g.psi if not p.is_zero) + 1
+    nums = w.cleared[1]
+    L = max(p.degree() for p in nums if not p.is_zero) + 1
     A = np.zeros((L, w.n), dtype=complex)
-    for j, p in enumerate(g.psi):
+    for j, p in enumerate(nums):
         if not p.is_zero:
             A[: p.coeffs.size, j] = p.coeffs
     sv_c = np.linalg.svd(A, compute_uv=False)
@@ -301,60 +312,20 @@ def fullness_and_degeneracy(w: WeierstrassData, gmap: GaussMap | None = None):
     return rank_r == w.n, w.n - rank_c
 
 
-@dataclass(frozen=True)
-class InequalityResult:
-    gackstatter_pi: int
-    ejiri_pi: int
-    ejiri_equality: bool
-    applicable: bool  # False for non-full data (bounds stated for full immersions)
+def curvature_report(w: WeierstrassData, tc_tol: float = TC_TOL) -> CurvatureReport:
+    """``chern_osserman`` with the Green-identity witness, for a validated datum.
 
-
-def gackstatter_and_ejiri(w: WeierstrassData, gmap: GaussMap | None = None,
-                          fullness=None) -> InequalityResult:
-    """Gackstatter bound (2 chi + m - 1 - n) pi and Ejiri bound (chi + m - 2n + 2l) pi.
-
-    Both are stated for fully immersed surfaces; for non-full data the values
-    are still reported with ``applicable=False``.
+    The witness must agree with -2 pi d to ``tc_tol`` (relative to
+    max(1, 2 pi d)); a disagreement raises ``NumericInstabilityError`` rather
+    than report a wrong number.
     """
-    g = gmap if gmap is not None else gauss_map(w)
-    full, l = fullness if fullness is not None else fullness_and_degeneracy(w, g)
-    m = len(w.punctures)
-    chi = 2 - m
-    gack_pi = 2 * chi + m - 1 - w.n
-    ejiri_pi = chi + m - 2 * w.n + 2 * l
-    equality = (-2 * g.degree) == ejiri_pi
-    return InequalityResult(
-        gackstatter_pi=gack_pi,
-        ejiri_pi=ejiri_pi,
-        ejiri_equality=equality,
-        applicable=full,
-    )
-
-
-def curvature_report(w: WeierstrassData, tc_tol: float = 1e-3,
-                     numeric: bool = True) -> CurvatureReport:
-    """Complete curvature report for a validated datum.
-
-    With ``numeric`` the Green-identity value must agree with -2 pi d to
-    ``tc_tol`` (relative to max(1, 2 pi d)); a disagreement raises
-    ``NumericInstabilityError`` rather than report a wrong number.
-    """
-    g = gauss_map(w)
-    co = chern_osserman(w, g)
-    full, l = fullness_and_degeneracy(w, g)
-    ineq = gackstatter_and_ejiri(w, g, (full, l))
-    tc = None
-    if numeric:
-        tc = total_curvature_numeric(w, tol=tc_tol)
-        if abs(tc - co.tc_algebraic) > tc_tol * max(1.0, abs(co.tc_algebraic)):
-            raise NumericInstabilityError(
-                f"numeric total curvature {tc:.6f} disagrees with -2 pi d = "
-                f"{co.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
-                diagnostics={"tc_numeric": tc, "tc_algebraic": co.tc_algebraic,
-                             "tc_tol": tc_tol},
-            )
-    return replace(
-        co, tc_numeric=tc, full=full, l=l,
-        gackstatter_pi=ineq.gackstatter_pi, gackstatter_applicable=ineq.applicable,
-        ejiri_pi=ineq.ejiri_pi, ejiri_equality=ineq.ejiri_equality,
-    )
+    rep = chern_osserman(w)
+    tc = total_curvature_numeric(w, tol=tc_tol)
+    if abs(tc - rep.tc_algebraic) > tc_tol * max(1.0, abs(rep.tc_algebraic)):
+        raise NumericInstabilityError(
+            f"numeric total curvature {tc:.6f} disagrees with -2 pi d = "
+            f"{rep.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
+            diagnostics={"tc_numeric": tc, "tc_algebraic": rep.tc_algebraic,
+                         "tc_tol": tc_tol},
+        )
+    return replace(rep, tc_numeric=tc)

@@ -199,8 +199,8 @@ class EndAnalysis:
     """Laurent data, adapted frame and classification of one end.
 
     Kept small, since reports are kept: the vectors are copies, not views
-    into the Laurent window (``a_minus2`` is ``_lead`` itself when mu = -2),
-    and ``frame`` is one (3, n) array of rows e1, e2, e3.
+    into the Laurent window, and ``frame`` is one (3, n) array of rows e1,
+    e2, e3.
     """
 
     puncture: object
@@ -214,7 +214,6 @@ class EndAnalysis:
     classification: EndType
     rotation_index: int
     embedded: bool
-    _lead: np.ndarray = field(repr=False, default=None)
     _w: WeierstrassData = field(repr=False, default=None)
 
     @property
@@ -311,7 +310,6 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         classification=classification,
         rotation_index=abs(k - 1),
         embedded=(k == 2),
-        _lead=lead,
         _w=w,
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .curvature import CurvatureReport, curvature_report
+from .curvature import TC_TOL, CurvatureReport, curvature_report
 from .ends import EndAnalysis, EndType, analyze_end
 from .rational import is_infinity
 from .weierstrass import ValidationReport, WeierstrassData, validate
@@ -43,7 +43,7 @@ class AnalysisReport:
 
 
 def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
-                 tc_tol: float = 1e-3, tol_scale: float = 1.0) -> AnalysisReport:
+                 tol_scale: float = 1.0) -> AnalysisReport:
     """Validate, analyze curvature, analyze every end, and cross-check.
 
     The cross-check requires the three verdicts -- equality in the curvature
@@ -52,6 +52,8 @@ def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
     Analysis beyond validation is skipped for invalid data.  The ends are
     analysed before the curvature, so a datum that fails their bilinear
     checks is refused before the Green-identity total curvature is computed.
+    ``tol_scale`` scales the validation tolerances and ``TC_TOL`` by one
+    factor (the CLI's global --tol flag).
     """
     validation = validate(w, tol_scale=tol_scale)
     if not validation.ok:
@@ -62,7 +64,7 @@ def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
             all_ends_embedded=None, equality_consistent=None,
         )
     ends = [analyze_end(w, p) for p in w.punctures]
-    curv = curvature_report(w, tc_tol=tc_tol)
+    curv = curvature_report(w, tc_tol=TC_TOL * tol_scale)
     model_ok = all(e.classification in (EndType.CATENOID_TYPE, EndType.PLANAR) for e in ends)
     embedded_ok = all(e.embedded for e in ends)
     return AnalysisReport(
@@ -119,13 +121,12 @@ def _curvature_dict(c: CurvatureReport):
     }
     if c.tc_numeric is not None:
         out["tc_numeric"] = c.tc_numeric
-    if c.full is not None:
-        out["full"] = c.full
-        out["l"] = c.l
-        out["gackstatter_rhs"] = _pi_value(c.gackstatter_pi)
-        out["gackstatter_applicable"] = c.gackstatter_applicable
-        out["ejiri_rhs"] = _pi_value(c.ejiri_pi)
-        out["ejiri_equality"] = c.ejiri_equality
+    out["full"] = c.full
+    out["l"] = c.l
+    out["gackstatter_rhs"] = _pi_value(c.gackstatter_pi)
+    out["gackstatter_applicable"] = c.gackstatter_applicable
+    out["ejiri_rhs"] = _pi_value(c.ejiri_pi)
+    out["ejiri_equality"] = c.ejiri_equality
     return out
 
 

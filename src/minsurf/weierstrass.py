@@ -72,6 +72,7 @@ __all__ = [
     "detect_punctures",
     "check_residues_real",
     "metric_order_at",
+    "branch_divisor",
     "immersion_eval",
     "immersion_delta",
     "conformal_factor",
@@ -410,12 +411,21 @@ def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> Re
     return ResidueCheck(ok=ok, worst_imag=worst)
 
 
+def branch_divisor(w: WeierstrassData) -> tuple:
+    """Every branch point as (point, order): ``WeierstrassData.branch_points``
+    and infinity, when it is not an end but every form vanishes there."""
+    # the order of phi_j dz at infinity is deg den - deg num - 2
+    at_inf = -2 - max(r.degree_at_infinity() for r in w.phi if not r.is_zero)
+    if at_inf > 0 and not any(is_infinity(p) for p in w.punctures):
+        return w.branch_points + ((INF, at_inf),)
+    return w.branch_points
+
+
 def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     """Full structural validation of a datum.
 
     Besides the null identity, real residues and the end orders, the datum
-    must have no branch point (``WeierstrassData.branch_points``, and
-    infinity when it is not an end but the metric vanishes there).
+    must have no branch point (``branch_divisor``).
 
     ``tol_scale`` scales the null and residue tolerances by one factor (the
     CLI's global --tol flag).
@@ -447,11 +457,7 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
 
-    # the order of phi_j dz at infinity is deg den - deg num - 2
-    branch = w.branch_points
-    at_inf = -2 - max(r.degree_at_infinity() for r in w.phi if not r.is_zero)
-    if at_inf > 0 and not any(is_infinity(p) for p in w.punctures):
-        branch += ((INF, at_inf),)
+    branch = branch_divisor(w)
     if branch:
         points = ", ".join(f"{p if is_infinity(p) else format(p, '.6g')} (order {m})"
                            for p, m in branch)

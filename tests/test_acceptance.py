@@ -68,7 +68,7 @@ def test_criterion_2_generalized_jorge_meeks(m):
     w = ms.generalized_jorge_meeks(m).data
     null = validate_null(w)
     res = check_residues_real(w)
-    rep = ms.curvature_report(w, numeric=False)
+    rep = ms.chern_osserman(w)
     unity = [np.exp(2j * np.pi * k / (m + 1)) for k in range(m + 1)]
     ends_ok = len(w.punctures) == m + 1 and all(
         min(abs(p - u) for u in unity) < 1e-10 for p in w.punctures
@@ -95,7 +95,7 @@ def test_criterion_2_generalized_jorge_meeks(m):
 def test_criterion_3_counterexample():
     t0 = time.perf_counter()
     w = ms.holomorphic_counterexample().data
-    rep = ms.curvature_report(w, numeric=False)
+    rep = ms.chern_osserman(w)
     e0 = analyze_end(w, 0j)
     einf = analyze_end(w, INF)
     checks = [
@@ -116,7 +116,7 @@ def test_criterion_3_counterexample():
 def test_criterion_4_enneper():
     t0 = time.perf_counter()
     w = ms.enneper().data
-    rep = ms.curvature_report(w, numeric=False)
+    rep = ms.chern_osserman(w)
     e = analyze_end(w, INF)
     checks = [
         ("TC=-4pi", rep.tc_pi == -4),

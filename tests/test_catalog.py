@@ -20,7 +20,7 @@ class TestAnnotations:
     def test_expected_values_reproduced(self, all_entries):
         for entry in all_entries:
             exp = entry.expected
-            rep = ms.curvature_report(entry.data, numeric=False)
+            rep = ms.chern_osserman(entry.data)
             assert rep.d == exp.d, entry.name
             assert rep.tc_pi == exp.tc_pi, entry.name
             assert rep.m == exp.num_ends, entry.name
@@ -52,7 +52,7 @@ class TestJorgeMeeks:
     def test_m1_reduces_to_two_ended_r3(self):
         entry = ms.generalized_jorge_meeks(1)
         assert entry.data.n == 3
-        rep = ms.curvature_report(entry.data, numeric=False)
+        rep = ms.chern_osserman(entry.data)
         assert rep.d == 2 and rep.tc_pi == -4 and rep.co_equality
 
     def test_puncture_locations(self, jm2):

@@ -14,11 +14,14 @@ from minsurf.curvature import (
     chern_osserman,
     curvature_report,
     fullness_and_degeneracy,
-    gackstatter_and_ejiri,
     gauss_map,
     total_curvature_numeric,
 )
-from minsurf.errors import ConvergenceFailureError, NumericInstabilityError
+from minsurf.errors import (
+    ConvergenceFailureError,
+    InternalConsistencyError,
+    NumericInstabilityError,
+)
 from minsurf.weierstrass import mobius_precompose
 
 
@@ -60,9 +63,8 @@ class TestTotalCurvature:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_jorge_meeks_algebraic(self, m):
         w = ms.generalized_jorge_meeks(m).data
-        g = gauss_map(w)
-        assert g.degree == 2 * m
-        rep = chern_osserman(w, g)
+        assert gauss_map(w).degree == 2 * m
+        rep = chern_osserman(w)
         assert rep.tc_pi == -4 * m
         assert rep.tc_algebraic == pytest.approx(-4 * m * math.pi)
 
@@ -498,6 +500,13 @@ class TestChernOsserman:
         assert rep.co_rhs == 0.0
         assert rep.tc_algebraic < rep.co_rhs
 
+    def test_unlisted_end_disagrees_with_end_orders(self, counterexample):
+        # the planar end at infinity is left out of the punctures: d = 3, but
+        # the one listed end (k = 3) gives sum_j k_j - 2 - beta = 1
+        w = ms.WeierstrassData(counterexample.data.phi, punctures=(0j,))
+        with pytest.raises(InternalConsistencyError, match="disagrees with end orders"):
+            chern_osserman(w)
+
 
 class TestFullness:
     def test_jorge_meeks_full_nondegenerate(self, jm2):
@@ -519,27 +528,26 @@ class TestFullness:
 class TestGackstatterEjiri:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_jorge_meeks(self, m):
-        w = ms.generalized_jorge_meeks(m).data
-        res = gackstatter_and_ejiri(w)
-        assert res.applicable
-        assert res.ejiri_equality
-        assert (res.gackstatter_pi, res.ejiri_pi) == (1 - 3 * m, -4 * m)
-        assert -2 * gauss_map(w).degree <= res.gackstatter_pi
+        rep = chern_osserman(ms.generalized_jorge_meeks(m).data)
+        assert rep.gackstatter_applicable
+        assert rep.ejiri_equality
+        assert (rep.gackstatter_pi, rep.ejiri_pi) == (1 - 3 * m, -4 * m)
+        assert rep.tc_pi <= rep.gackstatter_pi
 
     def test_catenoid(self, catenoid):
-        res = gackstatter_and_ejiri(catenoid.data)
-        assert res.gackstatter_pi == -2
-        assert -2 * gauss_map(catenoid.data).degree <= res.gackstatter_pi
+        rep = chern_osserman(catenoid.data)
+        assert rep.gackstatter_pi == -2
+        assert rep.tc_pi <= rep.gackstatter_pi
 
     def test_plane_flagged_not_applicable(self, plane):
-        res = gackstatter_and_ejiri(plane.data)
-        assert not res.applicable
-        assert res.ejiri_pi == 0
+        rep = chern_osserman(plane.data)
+        assert not rep.gackstatter_applicable
+        assert rep.ejiri_pi == 0
 
 
 class TestCrossCutting:
     def test_report_is_frozen_with_integer_bounds(self, catenoid):
-        rep = curvature_report(catenoid.data, numeric=False)
+        rep = chern_osserman(catenoid.data)
         assert (rep.gackstatter_pi, rep.ejiri_pi) == (-2, -4)
         assert rep.gackstatter_rhs == -2 * math.pi and rep.ejiri_rhs == -4 * math.pi
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -547,7 +555,7 @@ class TestCrossCutting:
 
     def test_all_inequalities_hold_on_catalog(self, all_entries):
         for entry in all_entries:
-            rep = curvature_report(entry.data, numeric=False)
+            rep = chern_osserman(entry.data)
             assert rep.tc_algebraic <= rep.co_rhs + 1e-9, entry.name
             assert rep.tc_algebraic <= rep.ejiri_rhs + 1e-9, entry.name
             if rep.gackstatter_applicable:

@@ -299,12 +299,14 @@ class TestBranchPoints:
 
     def test_degree_from_common_factor(self, enneper):
         # Osserman: d = sum_j k_j - 2 - beta, with k_j = -mu_j the end orders
-        # and beta the total branching order
+        # and beta the total branching order, at z = 1 and, in the pulled-back
+        # chart, at infinity; chern_osserman checks the same identity
         assert ms.gauss_map(enneper.data).degree == 2
         for name, w in branched_enneper().items():
             beta = sum(m for _p, m in validate(w).branch_points)
             ends = sum(-metric_order_at(w, p) for p in w.punctures)
             assert ms.gauss_map(w).degree == 2 == ends - 2 - beta, name
+            assert ms.chern_osserman(w).d == 2, name
 
     def test_catalog_has_none(self, all_entries):
         for entry in all_entries:
