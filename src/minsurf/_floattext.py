@@ -11,6 +11,8 @@ value whose s lies too near a rounding tie to trust the long-double product,
 takes ``'%.17g' % x`` itself, so the text never differs.  Where long double
 is only 64 bits wide every value does.
 
+``format_int`` writes positive integers from the same 4-digit group words.
+
 A cell is ``WIDTH`` bytes read as ten 4-byte words: the sign, the integer
 part's 16 digits ('0.' for E < 0), a word with the decimal point (for E < 0
 the zeros after it and the leading digit), and 16 more digits of the
@@ -27,14 +29,14 @@ import numpy as np
 
 WIDTH = 40  # bytes per cell; the longest '%.17g' text, '-1.7976931348623157e+308', has 24
 
-# Values near a rounding tie fall back.  10^(16-E) is correctly rounded in
-# long double (exact with a 64-bit mantissa: 5^20 < 2^64), and so is the
-# product s = |x| 10^(16-E); each has a relative error of at most eps_ld / 2.
-# As s < 1e17, the computed s lies within (eps_ld + eps_ld^2 / 4) 1e17 of the
-# exact product, and both round to the same integer unless the computed one
-# lies that close to a half-integer.  The window, 2 eps_ld 1e17, covers this
-# bound twice over; s - rint(s) is exact, so the test against it is too.
-TIE_WINDOW = 2.0 * float(np.finfo(np.longdouble).eps) * 1e17
+# Values near a rounding tie fall back.  10^(16-E) is exact in long double
+# (with a 64-bit mantissa: 5^20 < 2^64) and so is |x|, so only the product
+# s = |x| 10^(16-E) rounds, with a relative error of at most eps_ld / 2.  As
+# s < 1e17, the computed s lies within eps_ld / 2 1e17 of the exact product,
+# and both round to the same integer unless the computed one lies that close
+# to a half-integer.  The window is that bound; s - rint(s) is exact, so the
+# test against it is too.
+TIE_WINDOW = float(np.finfo(np.longdouble).eps) / 2.0 * 1e17
 
 
 def _words(table) -> np.ndarray:
@@ -151,3 +153,23 @@ def format_g17(x) -> np.ndarray:
         cells = np.frombuffer(text, np.uint8).reshape(-1, WIDTH)
         out[slow] = np.where(cells == 32, 0, cells)
     return out.reshape(x.shape + (WIDTH,))
+
+
+def format_int(x) -> np.ndarray:
+    """``'%d' % v`` of every integer 0 < v < 10^16 in x, as a uint8 array
+    x.shape + (w,), by the integer part's 4-digit group words.
+
+    A cell holds a NUL word and then as many groups as the largest value
+    needs, leading zeros NUL, so w = 4 + 4 groups; as in ``format_g17`` the
+    first byte is NUL and the caller squeezes the NULs out.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    int_groups = _tables()[0]
+    groups = -(-len(str(int(x.max(initial=1)))) // 4)
+    words = np.zeros(x.shape + (1 + groups,), np.uint32)
+    zeros = True  # all groups so far are 0000
+    for j in range(groups):
+        q = x // 10 ** (4 * (groups - 1 - j)) % 10_000
+        words[..., 1 + j] = int_groups[q + 10_000 * zeros]
+        zeros = zeros & (q == 0)
+    return words.view(np.uint8)

@@ -11,9 +11,10 @@ d = sum_j k_j - 2 - beta (k_j = -mu_j, beta the total branching order).
 A Green-identity boundary integral of -laplacian(log lambda) provides an
 independent numeric value; it reads only each component's num/den and
 den_roots, with the numerators divided by the datum's unit, a power of two
-(exact, and invisible to d/dr log lambda).  Each shrink round's circles are
-evaluated in one stacked call, each denominator from its roots, and a Romberg
-tableau of the rounds' estimates stops when its diagonal settles.
+(exact, and invisible to d/dr log lambda).  The circles of ``TC_BLOCK``
+shrink rounds are evaluated in one stacked call, each denominator from its
+roots, and a Romberg tableau of the rounds' estimates stops when its diagonal
+settles.
 
 Every bound is an integer pi-multiple, and every equality an integer
 comparison, never a float one.
@@ -47,6 +48,7 @@ RANK_TOL = 1e-8  # singular values below RANK_TOL * sigma_max count as zero
 TC_TOL = 1e-3    # relative tolerance of the Green-identity TC against -2 pi d
 TC_SAMPLES = 32  # samples per circle of the Green-identity check
 TC_ROUNDS = 48   # its shrink rounds before ConvergenceFailureError
+TC_BLOCK = 4     # shrink rounds evaluated in one stacked call
 
 
 @dataclass(frozen=True)
@@ -228,16 +230,17 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
         T_{i,0} = tc_i,   T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j).
 
     The diagonal T_{i,i} is returned once it agrees with T_{i-1,i-1} to
-    0.2 tol max(1, |T_{i,i}|).  The circles of two rounds -- one per finite
-    puncture and the outer one, each -- are evaluated in one stacked call,
-    each numerator once and each denominator from its roots
+    0.2 tol max(1, |T_{i,i}|).  The circles of ``TC_BLOCK`` rounds -- one
+    per finite puncture and the outer one, each -- are evaluated in one
+    stacked call, each numerator once and each denominator from its roots
     (``_round_fluxes``), and the tableau reads them one round at a time, so
-    the value is the one of rounds taken singly.  At most one round past the
-    stop is evaluated, and it is never read: a circle of it without a finite
-    flux raises nothing, while one in a round that is read raises.  The
-    check reads only the components' num/den and ``den_roots``, not the pole
-    or Laurent tables.  Should ``TC_ROUNDS`` rounds pass without a stop, the
-    error carries the raw estimates of the last two.
+    the value is the one of rounds taken singly.  At most ``TC_BLOCK - 1``
+    rounds past the stop are evaluated, and they are never read: a circle of
+    them without a finite flux raises nothing, while one in a round that is
+    read raises.  The check reads only the components' num/den and
+    ``den_roots``, not the pole or Laurent tables.  Should ``TC_ROUNDS``
+    rounds pass without a stop, the error carries the raw estimates of the
+    last two.
     """
     groups = _flux_groups(w)
     fin = w.finite_punctures
@@ -246,10 +249,11 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
     r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
     shrink = 0.6
     rows = [[]]     # the tableau
-    for i in range(0, TC_ROUNDS, 2):
-        radii = [r for j in (i, i + 1)
+    for i in range(0, TC_ROUNDS, TC_BLOCK):
+        radii = [r for j in range(i, i + TC_BLOCK)
                  for r in [eps0 * shrink**j] * len(fin) + [r_out0 / shrink**j]]
-        fluxes, used = (a.reshape(2, -1) for a in _round_fluxes(groups, centers * 2, radii))
+        fluxes, used = (a.reshape(TC_BLOCK, -1)
+                        for a in _round_fluxes(groups, centers * TC_BLOCK, radii))
         for k, flux in enumerate(fluxes):
             if not np.isfinite(flux).all():
                 c = int(np.argmin(np.isfinite(flux)))

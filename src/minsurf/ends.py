@@ -61,6 +61,7 @@ __all__ = [
 BILINEAR_TOL = 1e-9   # |<a,a>| / |a|^2 and |<a_-2, a_-1>| / (|a_-2| (|a_-2| + |a_-1|))
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
+CUT_ANGLES = 64       # angles of each sphere cut of the rotation index, before refinement
 
 
 class EndType(str, Enum):
@@ -449,6 +450,14 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     return np.exp(x), jet(x)[0]
 
 
+def _turning(xy: np.ndarray) -> np.ndarray:
+    """Steps of the projected angle between consecutive points of closed
+    curves (..., 2, N), each taken in [-pi, pi)."""
+    ang = np.arctan2(xy[..., 1, :], xy[..., 0, :])
+    d = np.diff(ang, append=ang[..., :1])
+    return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
 def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6) -> float:
     """Total turning (in turns) of the closed curve theta -> cut(theta).
 
@@ -456,12 +465,7 @@ def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6
     inserted wherever the projected angle jumps by more than pi/4.  Only the
     midpoints are passed to ``cut``, and merged into the sorted angles.
     """
-    def turning(xy):
-        ang = np.arctan2(xy[1], xy[0])
-        d = np.diff(np.append(ang, ang[0]))
-        return (d + math.pi) % (2.0 * math.pi) - math.pi
-
-    d = turning(xy)
+    d = _turning(xy)
     for _ in range(max_refine):
         bad = np.nonzero(np.abs(d) > math.pi / 4.0)[0]
         if bad.size == 0:
@@ -472,8 +476,17 @@ def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6
         xy = np.concatenate([xy, cut(mids)], axis=1)
         order = np.argsort(thetas)
         thetas, xy = thetas[order], xy[:, order]
-        d = turning(xy)
+        d = _turning(xy)
     return float(np.sum(d) / (2.0 * math.pi))
+
+
+def _cut_planes(e: EndAnalysis, pts: np.ndarray) -> np.ndarray:
+    """The plane of each normalized cut of ``pts`` (R, n, N), as (R, 2, n)
+    rows: span(e1, e2) for an order -2 end, else each cut's best-fit plane,
+    from one batched SVD."""
+    if e.k == 2:
+        return np.broadcast_to(e.frame[:2], (len(pts),) + e.frame[:2].shape)
+    return np.linalg.svd(pts.swapaxes(1, 2), full_matrices=False)[2][:, :2]
 
 
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
@@ -481,35 +494,36 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     """Winding number of the normalized sphere cut of the end.
 
     The cuts {f/R : |f| = R} near the end at every radius R are solved in one
-    batch from 64 angles each.  Each is projected onto span(e1, e2) for an
-    order -2 end, or onto the best-fit plane of the curve otherwise, and its
-    winding about the origin counted, refined where the projected angle
-    jumps.  The value must agree across all R; the analytic prediction is
-    |k - 1|.
+    batch from ``CUT_ANGLES`` angles each.  Each is projected onto
+    span(e1, e2) for an order -2 end, or onto the best-fit plane of the curve
+    otherwise, and the turning of all of them is counted in one pass; only a
+    cut whose projected angle jumps by more than pi/4 is refined.  The value
+    must agree across all R; the analytic prediction is |k - 1|.
     """
     e = end if end is not None else analyze_end(w, p)
     loc = e._local
-    thetas = 2.0 * math.pi * np.arange(64) / 64
+    thetas = 2.0 * math.pi * np.arange(CUT_ANGLES) / CUT_ANGLES
     radii = sorted(float(R) for R in R_list)
     cuts = _solve_sphere_radii(loc, e, np.tile(thetas, len(radii)),
                                np.repeat(radii, thetas.size))[1]
+    pts = np.stack(np.split(cuts, len(radii), axis=1)) / np.array(radii)[:, None, None]
+    planes = _cut_planes(e, pts)
+    xy = planes @ pts
+    d = _turning(xy)
+    turns = np.sum(d, axis=1) / (2.0 * math.pi)
+    jumps = np.max(np.abs(d), axis=1) > math.pi / 4.0
     windings = {}
-    for R, pts in zip(radii, np.split(cuts, len(radii), axis=1)):
-        pts = pts / R
-        if e.k == 2:
-            plane = e.frame[:2]
-        else:
-            plane = np.linalg.svd(pts.T, full_matrices=False)[2][:2]
+    for i, R in enumerate(radii):
+        if jumps[i]:
+            def cut(th):
+                return planes[i] @ (_solve_sphere_radii(loc, e, th, R)[1] / R)
 
-        def cut(th):
-            return plane @ (_solve_sphere_radii(loc, e, th, R)[1] / R)
-
-        turns = _winding_number(cut, thetas, plane @ pts)
-        wind = int(round(turns))
-        if abs(turns - wind) > 0.05:
+            turns[i] = _winding_number(cut, thetas, xy[i])
+        wind = int(round(turns[i]))
+        if abs(turns[i] - wind) > 0.05:
             raise NumericInstabilityError(
-                f"non-integer winding {turns:.4f} at R = {R:g}",
-                diagnostics={"R": R, "turns": turns},
+                f"non-integer winding {turns[i]:.4f} at R = {R:g}",
+                diagnostics={"R": R, "turns": float(turns[i])},
             )
         windings[R] = abs(wind)
     values = set(windings.values())

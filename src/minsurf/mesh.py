@@ -277,11 +277,12 @@ def export_obj(mesh: SurfaceMesh, path, projection=None):
     """Write the mesh as OBJ text; n > 3 data goes to a sidecar TSV.
 
     ``v`` lines carry the projected coordinates at full precision (``%.17g``);
-    faces are 1-based.  Each coordinate is formatted once, for its ``v`` line
-    and its sidecar row, and both files are written in blocks of
-    ``EXPORT_BLOCK`` rows.  Returns the list of written paths.
+    faces are 1-based, written like ``%d`` from 4-digit group words.  Each
+    coordinate is formatted once, for its ``v`` line and its sidecar row, and
+    the files are written in blocks of ``EXPORT_BLOCK`` rows.  Returns the
+    list of written paths.
     """
-    from ._floattext import format_g17
+    from ._floattext import format_g17, format_int
 
     verts, faces = mesh.vertices, mesh.faces
     n = verts.shape[1]
@@ -297,8 +298,7 @@ def export_obj(mesh: SurfaceMesh, path, projection=None):
             if side:
                 side.write(_text_rows(cells, b"", b"\t"))
         for start in range(0, len(faces), EXPORT_BLOCK):
-            block = faces[start:start + EXPORT_BLOCK] + 1
-            obj.write(b"f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+            obj.write(_text_rows(format_int(faces[start:start + EXPORT_BLOCK] + 1), b"f", b" "))
         if not (len(verts) or len(faces)):
             obj.write(b"\n")
     return [path] + ([sidecar] if sidecar else [])

@@ -21,8 +21,10 @@ denominator, the Laurent expansions at the ends, the partial fractions --
 reads them from one pole table per datum (``_PoleTable``): each component's
 denominator is rooted once, when the component is reduced
 (``RationalMap.den_roots``), and the roots of all components are merged into
-poles by one rule, ``rational.roots_coincide``.  Each expansion is made once
-per datum too (``_LaurentTable``), and every reader takes a prefix of it.
+poles by one rule, ``rational.roots_coincide``; any other point is matched
+to its pole once.  Each expansion is made once per datum too
+(``_LaurentTable``), and every reader takes a prefix of it; the series of
+all forms at a point are gathered once.
 
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
@@ -242,13 +244,16 @@ class _LaurentTable:
     ``series(j, centre)`` is ``laurent_expand(phi_j, centre)`` (at infinity in
     w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the deepest depth
     any reader takes.  The recurrence does not depend on the depth, so a prefix
-    is bitwise the expansion at its depth.  ``immersions`` is for ``ends``.
+    is bitwise the expansion at its depth.  ``forms`` keeps the tuple of
+    series that ``_form_series`` reads at each sphere point, and
+    ``immersions`` is for ``ends``.
     """
 
     def __init__(self, phi):
         self.phi = phi
         self.depth = max(40, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
         self._series = {}
+        self.forms = {}
         self.immersions = {}
 
     def series(self, j: int, centre) -> LaurentSeries:
@@ -277,7 +282,8 @@ class _PoleTable:
     {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
     part.  ``punctures`` are the poles where some component has negative
     order (a root cancelled by its numerator up to tolerance is a regular
-    point), then infinity when some form has a pole there.
+    point), then infinity when some form has a pole there.  A point off the
+    table is matched to its pole once (``pole_point``).
     """
 
     def __init__(self, phi, laurent: _LaurentTable):
@@ -298,13 +304,16 @@ class _PoleTable:
         )
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
         self.punctures = finite + ((INF,) if at_inf else ())
+        self._resolved = {}
 
     def pole_point(self, p):
         """The pole a sphere point lies at (p counts as a simple root), or p itself."""
         if is_infinity(p) or p in self.poles:
             return p
-        return next((q for q, members in self.poles.items()
-                     if roots_coincide(p, 1, q, _pole_mult(members))), p)
+        if p not in self._resolved:
+            self._resolved[p] = next((q for q, members in self.poles.items()
+                                      if roots_coincide(p, 1, q, _pole_mult(members))), p)
+        return self._resolved[p]
 
 
 def common_denominator(w: "WeierstrassData"):
@@ -358,11 +367,15 @@ def detect_punctures(phi):
 def _form_series(w: WeierstrassData, p):
     """The Laurent table's series of each form phi_j dz at a sphere point: at
     a pole each component at its own root there (from the pole table),
-    elsewhere at p; None for a zero component."""
-    poles = w._poles
-    members = poles.poles.get(poles.pole_point(p), {})
-    return [None if r.is_zero else w._laurent.series(j, members.get(j, (p, 0))[0])
-            for j, r in enumerate(w.phi)]
+    elsewhere at p; None for a zero component.  One tuple per point, kept
+    in the Laurent table's ``forms``."""
+    forms = w._laurent.forms
+    if p not in forms:
+        poles = w._poles
+        members = poles.poles.get(poles.pole_point(p), {})
+        forms[p] = tuple(None if r.is_zero else w._laurent.series(j, members.get(j, (p, 0))[0])
+                         for j, r in enumerate(w.phi))
+    return forms[p]
 
 
 def form_coefficient_window(w: WeierstrassData, p, depth: int = 8):

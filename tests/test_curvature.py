@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -178,9 +179,10 @@ def _recorded_rounds(monkeypatch):
 
 
 def _rounds(calls):
-    """The rounds of the recorded calls, two to a call, as (fluxes, radii)."""
+    """The rounds of the recorded calls, ``TC_BLOCK`` to a call, as (fluxes, radii)."""
+    block = curvature.TC_BLOCK
     return [(f, r) for flux, radii in calls
-            for f, r in zip(np.split(flux, 2), np.split(radii, 2))]
+            for f, r in zip(np.split(flux, block), np.split(radii, block))]
 
 
 def _counted_tableau_rounds(monkeypatch):
@@ -207,8 +209,8 @@ def _checked_data(all_entries):
 
 
 class TestStackedRounds:
-    """Each pair of shrink rounds of the Green-identity check evaluates its
-    circles in one stacked call, each numerator once and each denominator
+    """Each block of ``TC_BLOCK`` shrink rounds of the Green-identity check
+    evaluates its circles in one stacked call, each numerator once and each denominator
     from its roots; its fluxes are the per-circle ones."""
 
     def test_rounds_match_per_circle_reference(self, all_entries, catenoid, monkeypatch):
@@ -222,7 +224,8 @@ class TestStackedRounds:
             w = checked[name]
             calls.clear()
             total_curvature_numeric(w)
-            assert all(radii.size == 2 * len(w.finite_punctures) + 2 for _f, radii in calls)
+            assert all(radii.size == curvature.TC_BLOCK * (len(w.finite_punctures) + 1)
+                       for _f, radii in calls)
             for i, (flux, radii) in enumerate(_rounds(calls)):
                 centers, radii_ref = _round_radii(w, i)
                 assert radii.tolist() == radii_ref, name
@@ -283,14 +286,14 @@ class TestStackedRounds:
         monkeypatch.setattr(ms.rational.ComplexPoly, "__call__", counting_call)
         total_curvature_numeric(w)
         # num and num' once per component and call, on the stacked circles of
-        # two rounds about the m + 1 finite ends and the outer one; the
+        # TC_BLOCK rounds about the m + 1 finite ends and the outer one; the
         # denominators are products over their roots, with no polynomial
         # evaluation
         comps = [r for r in w.phi if not r.is_zero]
         assert len({r.den.coeffs.tobytes() for r in comps}) < len(comps)
         assert len(_rounds(calls)) >= 2
         assert len(shapes) == 2 * len(comps) * len(calls)
-        assert set(shapes) == {(2 * (m + 2), curvature.TC_SAMPLES)}
+        assert set(shapes) == {(curvature.TC_BLOCK * (m + 2), curvature.TC_SAMPLES)}
 
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
     def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
@@ -330,8 +333,8 @@ class TestStopRules:
 
     def test_returns_the_romberg_diagonal_of_the_recorded_rounds(self, all_entries,
                                                                 monkeypatch):
-        # the rounds are evaluated in pairs, so one round past the stop is
-        # evaluated when the stop falls on the first of a pair, and not read
+        # the rounds are evaluated in blocks of TC_BLOCK, so the rounds past
+        # the stop up to the end of its block are evaluated, and not read
         calls = _recorded_rounds(monkeypatch)
         read = _counted_tableau_rounds(monkeypatch)
         for name, w in _checked_data(all_entries):
@@ -341,7 +344,7 @@ class TestStopRules:
             evaluated = _rounds(calls)
             value, rounds = _romberg_stop([-(f[-1] - sum(f[:-1].tolist())) for f, _r in evaluated])
             assert len(read) == rounds, name
-            assert len(evaluated) == rounds + rounds % 2, name
+            assert len(evaluated) == rounds + -rounds % curvature.TC_BLOCK, name
             assert abs(tc - value) <= 1e-14 * max(1.0, abs(value)), name
             exact = -2 * math.pi * gauss_map(w).degree
             assert abs(tc - exact) <= 1e-6 * max(1.0, abs(exact)), name
@@ -352,10 +355,11 @@ class TestStopRules:
         rounds = []
 
         def fake_round(groups, centers, radii):
-            assert len(centers) == 2  # two rounds; the plane has no finite puncture
+            # TC_BLOCK rounds; the plane has no finite puncture
+            assert len(centers) == curvature.TC_BLOCK
             i = len(rounds)
             rounds.extend(radii)
-            return -np.array(tcs[i:i + 2]), np.asarray(radii)
+            return -np.array(tcs[i:i + curvature.TC_BLOCK]), np.asarray(radii)
 
         monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
         read = _counted_tableau_rounds(monkeypatch)
@@ -387,23 +391,33 @@ class TestStopRules:
         assert failure.value.estimates == (tcs[-2], tcs[-1])
 
     def test_unread_round_past_the_stop_raises_nothing(self, plane, monkeypatch):
-        # one geometric column: T_{1,1} and T_{2,2} are the limit, so the
-        # tableau stops on round 2, the first of a pair; round 3, evaluated
-        # with it, has no finite flux and is not read
+        # geometric columns c_j 0.36^(j i): with j columns T_{j,j} and
+        # T_{j+1,j+1} are the limit, so the tableau stops on round j + 1; the
+        # rest of its block (2, 1 and 3 rounds here) is evaluated with it,
+        # has no finite flux and is not read
         limit = -4 * math.pi
-        tcs = [limit + 0.7 * 0.36**i for i in range(curvature.TC_ROUNDS)]
-        tcs[3] = math.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
-        assert (evaluated, rounds) == (4, 3)
-        assert (value, rounds) == _romberg_stop(tcs)
-        # a round the tableau reads without a finite flux is refused, and
-        # the error names the round and its circle (the plane's outer one)
-        tcs[1] = math.nan
-        with pytest.raises(ConvergenceFailureError,
-                           match=r"on round 1's circle of radius 6\.66667 about 0j"):
-            self._run(plane, tcs, monkeypatch)
+        block = curvature.TC_BLOCK
+        for columns, read in (((), 2), ((0.7,), 3), ((0.7, -0.3, 0.5), 5)):
+            tcs = [limit + sum(c * 0.36 ** ((j + 1) * i) for j, c in enumerate(columns))
+                   for i in range(curvature.TC_ROUNDS)]
+            assert _romberg_stop(tcs)[1] == read
+            unread = range(read, read + -read % block)
+            assert 1 <= len(unread) <= block - 1
+            for i in unread:
+                tcs[i] = math.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
+            assert (evaluated, rounds) == (read + len(unread), read)
+            assert (value, rounds) == _romberg_stop(tcs)
+            # a round the tableau reads without a finite flux is refused, and
+            # the error names the round and its circle (the plane's outer one)
+            for i in (1, read - 1):
+                bad = list(tcs)
+                bad[i] = math.nan
+                circle = re.escape(f"on round {i}'s circle of radius {4.0 / 0.6**i:.6g} about 0j")
+                with pytest.raises(ConvergenceFailureError, match=circle):
+                    self._run(plane, bad, monkeypatch)
 
     def test_zero_of_s_past_the_stop_is_not_read(self, monkeypatch):
         # JM m = 1 times (z - z0)^2, z0 where the outer circle of round 3
@@ -430,10 +444,12 @@ class TestStopRules:
         assert _romberg_stop(singly) == (tc, 3)
 
     def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
+        # two rounds read, of the one block evaluated
         calls = _recorded_rounds(monkeypatch)
         read = _counted_tableau_rounds(monkeypatch)
         assert total_curvature_numeric(plane.data) == 0.0
-        assert len(read) == len(_rounds(calls)) == 2
+        assert len(read) == 2
+        assert len(_rounds(calls)) == curvature.TC_BLOCK
         assert len(calls) == 1
 
 

@@ -312,6 +312,29 @@ class TestRotationIndex:
         assert np.unique(np.concatenate([thetas, new])).size == 8 + solved
 
 
+    @pytest.mark.parametrize("name, p, k", [("enneper", INF, 4),
+                                            ("holomorphic_counterexample", 0j, 3)])
+    def test_few_cut_angles_refine_inside_the_rotation_index(self, name, p, k, monkeypatch):
+        # from CUT_ANGLES = 8 the projected angle of a k - 1 fold cut jumps by
+        # 2 pi (k - 1) / 8 > pi / 4 at every radius, so each cut is refined
+        # inside rotation_index_numeric and counts |k - 1| turns
+        monkeypatch.setattr(ends, "CUT_ANGLES", 8)
+        turns = []
+        real = ends._winding_number
+
+        def recorded(cut, thetas, xy, *args):
+            assert thetas.size == xy.shape[1] == 8
+            turns.append(real(cut, thetas, xy, *args))
+            return turns[-1]
+
+        monkeypatch.setattr(ends, "_winding_number", recorded)
+        w = getattr(ms, name)().data
+        e = analyze_end(w, p)
+        assert e.k == k
+        assert rotation_index_numeric(w, p, R_LIST, end=e) == k - 1
+        assert [abs(t) for t in turns] == pytest.approx([k - 1] * len(R_LIST), abs=1e-9)
+
+
 class TestLimitCircle:
     def test_deviation_decreases_catenoid(self, catenoid):
         devs = [limit_circle_deviation(catenoid.data, 0j, R) for R in R_LIST]
@@ -541,6 +564,29 @@ class TestBatchedSolve:
                     want_r, want_f = ends._solve_sphere_radii(loc, e, thetas, R)
                     assert np.max(np.abs(rb - want_r) / want_r) <= 1e-13, (entry.name, p, R)
                     assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
+
+    def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries):
+        # rotation_index_numeric projects the cuts of all radii as one
+        # (R, 2, N) array and takes their turning in one pass; each radius's
+        # plane and turning are bitwise the ones it has alone
+        thetas = 2.0 * np.pi * np.arange(ends.CUT_ANGLES) / ends.CUT_ANGLES
+        radii = np.array(R_LIST)
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                cuts = ends._solve_sphere_radii(e._local, e, np.tile(thetas, radii.size),
+                                                np.repeat(radii, thetas.size))[1]
+                pts = np.stack(np.split(cuts, radii.size, axis=1)) / radii[:, None, None]
+                planes = ends._cut_planes(e, pts)
+                d = ends._turning(planes @ pts)
+                for i, (R, cut) in enumerate(zip(R_LIST, np.split(cuts, radii.size, axis=1))):
+                    alone = cut / R
+                    plane = (e.frame[:2] if e.k == 2
+                             else np.linalg.svd(alone.T, full_matrices=False)[2][:2])
+                    assert np.array_equal(planes[i], plane), (entry.name, p, R)
+                    assert np.array_equal(d[i], ends._turning(plane @ alone)), (entry.name, p, R)
+                    assert np.sum(d, axis=1)[i] == np.sum(d[i]), (entry.name, p, R)
 
 
 class TestPolarEvaluator:

@@ -92,8 +92,36 @@ def test_every_value_can_take_the_fallback(monkeypatch):
 
 
 def test_tie_window_is_the_stated_bound():
+    # the product s = |x| 10^(16-E) < 1e17 is the one rounding: eps_ld / 2 1e17
     eps = float(np.finfo(np.longdouble).eps)
-    assert _floattext.TIE_WINDOW == pytest.approx(2.0 * eps * 1e17)
+    assert _floattext.TIE_WINDOW == pytest.approx(eps / 2.0 * 1e17)
     if eps < 1e-18:  # 80-bit or wider long double: the fast path is taken
         v = 10.0 ** np.linspace(-4, 15.9, 1001)
         assert _floattext._fixed(v, v < 0)[1].mean() > 0.9
+
+
+def test_fractions_at_the_edge_of_the_tie_window():
+    # the values whose computed fraction s - rint(s) lies nearest the edge
+    # 1/2 - TIE_WINDOW, just inside the window (they fall back) and just
+    # outside it (they are trusted), each matching '%.17g'
+    if float(np.finfo(np.longdouble).eps) >= 1e-18:
+        pytest.skip("64-bit long double: every value falls back")
+    rng = np.random.default_rng(20261019)
+    v = 10.0 ** rng.integers(-4, 16, 200_000) * rng.uniform(1.0, 10.0, 200_000)
+    v = v[(v >= 1e-4) & (v < 1e16)]
+    e = np.floor(np.log10(v)).astype(int)
+    e += v >= 10.0 ** (e + 1)
+    e -= v < 10.0 ** e
+    s = v.astype(np.longdouble) * _floattext._tables()[5][e + 4]
+    margin = (np.abs((s - np.rint(s)).astype(float)) - (0.5 - _floattext.TIE_WINDOW))
+    trusted = _floattext._fixed(v, v < 0)[1]
+    assert np.array_equal(trusted, margin < 0)
+    inside = v[margin >= 0][np.argsort(margin[margin >= 0])[:200]]
+    outside = v[margin < 0][np.argsort(-margin[margin < 0])[:200]]
+    assert np.max(margin[margin >= 0]) > 0 and inside.size == outside.size == 200
+    # within one spacing of the fraction of the edge: at most 2^-7, at s < 1e17
+    assert np.sort(margin[margin >= 0])[199] < 2.0**-7
+    assert np.sort(-margin[margin < 0])[199] < 2.0**-7
+    for x in (inside, outside):
+        assert_matches(x)
+        assert_matches(-x)

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import minsurf as ms
-from minsurf import curvature, ends
+from minsurf import curvature, ends, rational, weierstrass
 from minsurf.errors import InternalConsistencyError
 
 R_LIST = (1e2, 1e3, 1e4)
@@ -22,16 +22,17 @@ R_LIST = (1e2, 1e3, 1e4)
 # denominator the check took 63 rounds and 1600 polynomial evaluations, and 39
 # and 650 before the Romberg stop and the denominators' evaluation from their
 # roots (2 evaluations per component and call, num and num', remain).  With
-# one round a call it took 32 calls and 376 evaluations; a call now holds two
-# rounds (so 2 x round calls are evaluated), at most one of them unread.  The
+# one round a call it took 32 calls and 376 evaluations, and 19 and 236 with
+# two; a call now holds TC_BLOCK = 4 rounds (so 4 x round calls are
+# evaluated), at most three of them unread, and each surface takes one.  The
 # sphere cuts took 795 local-immersion calls before the solver returned its
 # last values, and 657 before Newton on the exact radial derivative; now each
 # evaluation is one call of a polar evaluator (``radial_jet``).  With one
 # solve per radius they took 369 evaluations of 132 evaluators; now the
 # radii of an end are one solve, and refinement solves only new angles.
-MAX_ROUND_CALLS = 19
+MAX_ROUND_CALLS = 10
 MAX_ROUNDS_READ = 32
-MAX_TC_EVALUATIONS = 236
+MAX_TC_EVALUATIONS = 120
 MAX_SPHERE_CUT_EVALUATIONS = 198
 MAX_RADIAL_JETS = 66
 
@@ -101,3 +102,25 @@ def test_refused_ends_take_no_curvature_rounds(monkeypatch):
     with pytest.raises(InternalConsistencyError, match="at end 0j: nullity violated"):
         ms.run_analysis(w, tol_scale=1e4)
     assert rounds == []
+
+
+def test_repeat_analysis_matches_no_pole_again(monkeypatch):
+    # the listed punctures of JM m = 6 are not the pole table's roots
+    # bitwise, so each is matched to its pole by roots_coincide; the datum
+    # keeps the match and the forms' series there, so a second analysis
+    # makes no such call
+    calls = []
+    real = rational.roots_coincide
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for owner in (rational, weierstrass):
+        monkeypatch.setattr(owner, "roots_coincide", counted)
+    w = ms.generalized_jorge_meeks(6).data
+    ms.run_analysis(w)
+    assert calls
+    calls.clear()
+    ms.run_analysis(w)
+    assert calls == []
