@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"minsurf {__version__}")
     ap.add_argument("--tol", type=float, default=1.0, metavar="FACTOR",
-                    help="scale the null-identity, residue and total-curvature "
-                         "tolerances by this factor")
+                    help="scale the null-identity, leading-nullity, residue and "
+                         "total-curvature tolerances by this factor")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="structural validation of a datum file")

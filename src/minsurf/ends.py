@@ -43,7 +43,13 @@ from .errors import (
     NumericInstabilityError,
 )
 from .rational import is_infinity
-from .weierstrass import WeierstrassData, form_coefficient_window, immersion_eval, metric_order_at
+from .weierstrass import (
+    BILINEAR_TOL,
+    WeierstrassData,
+    form_coefficient_window,
+    immersion_eval,
+    metric_order_at,
+)
 
 __all__ = [
     "EndType",
@@ -58,7 +64,6 @@ __all__ = [
     "limit_circle_deviation",
 ]
 
-BILINEAR_TOL = 1e-9   # |<a,a>| / |a|^2 and |<a_-2, a_-1>| / (|a_-2| (|a_-2| + |a_-1|))
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 CUT_ANGLES = 64       # angles of each sphere cut of the rotation index, before refinement

@@ -7,10 +7,12 @@ rational functions at finite centers and at infinity (w = 1/z chart).
 
 Each polynomial whose roots are needed is rooted once, by one factorization
 (``roots``, after Zeng, Math. Comp. 74, 2005): the multiplicity structure is
-chosen by its backward error and its roots are refined jointly.  Common
-factors are found by one rule, ``shared_roots``: the roots of one polynomial
-are kept where the others vanish, tested by their Taylor coefficients there
-and never by rooting them too.  A rational map roots its denominator once,
+chosen by its backward error and its roots are refined jointly.  Whether z is
+a root of p is decided by one rule, a backward error within
+``STRUCTURE_TOL``: ``roots`` accepts a structure by it, and common factors
+(``shared_roots``, after the approximate GCD of Zeng and Dayton, ISSAC 2004)
+keep a root of one polynomial where the others and their derivatives pass
+it, never by rooting them too.  A rational map roots its denominator once,
 cancels the numerator at those roots and keeps them (``RationalMap.den_roots``);
 they are the only description of the denominator that a finite Laurent
 expansion reads.
@@ -18,8 +20,7 @@ expansion reads.
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
 reproducible for integer-valued inputs); tolerances enter only through the
-multiplicity structure, common factors and order detection, which all share
-the module constants below.
+module constants below.
 """
 
 from __future__ import annotations
@@ -49,16 +50,15 @@ __all__ = [
 
 # Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
 # 1 + |root|) within which two roots are one point (``roots_coincide``);
-# STRUCTURE_TOL is the weighted backward error up to which a multiplicity
-# structure is accepted (``roots``); SHARED_TOL is the
-# relative size below which a Taylor coefficient at a root of another
-# polynomial counts as zero (``shared_roots``); ORDER_TOL is the relative
-# cutoff deciding that a shifted coefficient is zero when reading off a
-# Laurent order.
+# STRUCTURE_TOL is the backward error up to which z is a root of p: of a
+# multiplicity structure (``roots``) and of a common factor
+# (``_vanishing_order``); ORDER_TOL is the relative cutoff deciding that a
+# shifted coefficient is zero when reading off a Laurent order; TRIM_TOL is
+# the relative size below which a leading coefficient is noise (``trimmed``).
 CLUSTER_RADIUS = 1e-8
 STRUCTURE_TOL = 1e-10
-SHARED_TOL = 1e-7
 ORDER_TOL = 1e-11
+TRIM_TOL = 1e-13
 
 
 class _Infinity:
@@ -197,11 +197,11 @@ class ComplexPoly:
             work = [x / (-root) for x in q]
         return ComplexPoly(work)
 
-    def trimmed(self, rel_tol: float = 1e-13) -> "ComplexPoly":
-        """Strip leading coefficients below rel_tol * norm (noise control)."""
+    def trimmed(self) -> "ComplexPoly":
+        """Strip leading coefficients below ``TRIM_TOL`` * norm (noise control)."""
         if self.is_zero:
             return self
-        cutoff = rel_tol * self.norm()
+        cutoff = TRIM_TOL * self.norm()
         keep = np.nonzero(np.abs(self.coeffs) > cutoff)[0]
         if keep.size == 0:
             return ComplexPoly()
@@ -290,7 +290,7 @@ def roots(p: ComplexPoly):
     Multiplicities sum to the degree; roots are sorted by real, then
     imaginary part.
     """
-    p = _as_poly(p).trimmed(1e-12)
+    p = _as_poly(p).trimmed()
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
     a = p.coeffs[:-1] / p.coeffs[-1]
@@ -333,14 +333,23 @@ def roots_coincide(z: complex, m: int, ref: complex, mref: int,
 
 
 def _vanishing_order(p: ComplexPoly, z: complex, cap: int) -> int:
-    """Order to which p vanishes at z, counted up to cap: the number of its
-    leading Taylor coefficients at z within ``SHARED_TOL`` of the largest.
-    The zero polynomial vanishes to every order."""
+    """Order to which p vanishes at z, counted up to cap: the number of p, p',
+    p'', ... that pass z as a root by the backward error ``roots`` accepts a
+    structure by.  With a the lower monic coefficients of p^(i), z passes when
+    |p^(i)(z) / lead| <= ``STRUCTURE_TOL`` sum_l max(1, |a_l|) |z|^l: z is a
+    root of p^(i) after moving each a_l by at most that relative amount,
+    weighted as ``_refine`` weights it (absolutely below 1, so a root at 0
+    passes).  The zero polynomial vanishes to every order."""
     if p.is_zero:
         return cap
-    taylor = np.abs(p.shift(z).coeffs)
-    small = taylor[:cap] <= SHARED_TOL * taylor.max()
-    return int(small.size if small.all() else np.argmin(small))
+    powers = np.abs(z) ** np.arange(p.degree())
+    for k in range(cap):
+        lead = p.coeffs[-1]
+        weights = np.maximum(1.0, np.abs(p.coeffs[:-1] / lead))
+        if abs(p(z) / lead) > STRUCTURE_TOL * np.dot(weights, powers[:weights.size]):
+            return k
+        p = p.derivative()
+    return cap
 
 
 def shared_roots(base_roots, others):
@@ -350,8 +359,9 @@ def shared_roots(base_roots, others):
 
     This is the one rule for common factors: reducing num/den (rooting den)
     and the branch points of a datum (rooting one cleared numerator).  Only
-    the base is rooted; the others are tested by their Taylor coefficients at
-    its roots, so the regime is that of ``_vanishing_order``.
+    the base is rooted; the others and their derivatives are tested at its
+    roots by their backward error, the rule by which ``roots`` accepts a
+    multiplicity structure (``_vanishing_order``).
     """
     out = []
     for z, m in base_roots:

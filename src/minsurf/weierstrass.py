@@ -29,8 +29,17 @@ all forms at a point are gathered once.
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
 are the common roots of the cleared numerators (``rational.shared_roots`` of
-the lowest-degree one against the rest, one ``roots`` call per datum); at
-infinity, when it is not an end, it is a positive order of every form there.
+the lowest-degree one against the rest, one ``roots`` call per datum), by
+the backward-error rule that also reduces each component; at infinity, when
+it is not an end, it is a positive order of every form there.
+
+``validate`` also reads the null identity at each end: the leading Laurent
+vector must be null to ``BILINEAR_TOL``, the tolerance ``ends.analyze_end``
+gates the same relation by.  Poles closer than ``roots`` can resolve come
+back as one, and that end's leading vector misses nullity by order 1; poles
+that are resolved but close round their leading vectors by about (root
+error) / (separation), which can miss it too.  The message states the
+defect, not which of the two it is.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -84,6 +93,7 @@ __all__ = [
 ]
 
 NULL_TOL = 1e-10        # relative residual for the null identity
+BILINEAR_TOL = 1e-9     # |<a,a>| / |a|^2 and |<a_-2, a_-1>| / (|a_-2| (|a_-2| + |a_-1|))
 RESIDUE_IMAG_TOL = 1e-10
 CLEARANCE_FACTOR = 1e-3  # evaluation clearance = factor * min puncture separation
 
@@ -166,12 +176,18 @@ class WeierstrassData:
         return _ClosedForm(self)
 
     @cached_property
+    def _leads(self) -> np.ndarray:
+        """The leading Laurent vector a_lead of the form at each listed end,
+        one row per puncture."""
+        rows = [form_coefficient_window(self, p, 0)[1][:, 0] for p in self.punctures]
+        return np.array(rows).reshape(len(rows), self.n)
+
+    @cached_property
     def unit(self) -> float:
         """The one unit of magnitude: 2^k with the largest leading Laurent
         coefficient |a_lead,j| over the ends in [2^(k-1), 2^k); 1.0 without
         ends.  Gates divide by it or compare with it; the data is not rescaled."""
-        lead = [form_coefficient_window(self, p, 0)[1][:, 0] for p in self.punctures]
-        m = float(np.max(np.abs(lead))) if lead else 0.0
+        m = float(np.max(np.abs(self._leads))) if self.punctures else 0.0
         return math.ldexp(1.0, math.frexp(m)[1]) if 0.0 < m < math.inf else 1.0
 
     def _default_basepoint(self) -> complex:
@@ -234,8 +250,9 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return (self.null.ok and self.residues.ok and self.orders_ok and self.punctures_ok
-                and not self.branch_points)
+        """Every check passed: each failed check leaves one message or more,
+        and only a failed check leaves one."""
+        return not self.messages
 
 
 class _LaurentTable:
@@ -438,10 +455,14 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     """Full structural validation of a datum.
 
     Besides the null identity, real residues and the end orders, the datum
-    must have no branch point (``branch_divisor``).
+    must have no branch point (``branch_divisor``), and at each listed end the
+    leading Laurent vector a_lead (over ``w.unit``) must be null,
+    |<a_lead, a_lead>| <= ``BILINEAR_TOL`` |a_lead|^2: the null identity read
+    at the end.  Two poles closer than ``roots`` can resolve come back as
+    one, and the leading vector of that end is far from null.
 
-    ``tol_scale`` scales the null and residue tolerances by one factor (the
-    CLI's global --tol flag).
+    ``tol_scale`` scales the null, residue and leading-nullity tolerances by
+    one factor (the CLI's global --tol flag).
     """
     messages = []
     null = validate_null(w, tol=NULL_TOL * tol_scale)
@@ -469,6 +490,12 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
         if mu > -2:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
+    lead = w._leads / w.unit
+    lead_defects = np.abs(np.sum(lead * lead, axis=1)) / np.sum(np.abs(lead) ** 2, axis=1)
+    for p, defect in zip(w.punctures, lead_defects):
+        if defect > BILINEAR_TOL * tol_scale:
+            messages.append(f"end {p!r}: leading Laurent vector not null: "
+                            f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2")
 
     branch = branch_divisor(w)
     if branch:

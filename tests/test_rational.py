@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minsurf as ms
 from minsurf.errors import DegenerateInputError, ZeroFunctionError
 from minsurf.rational import (
     INF,
-    SHARED_TOL,
+    STRUCTURE_TOL,
     ComplexPoly,
     RationalMap,
     laurent_expand,
@@ -98,14 +99,40 @@ class TestGcd:
         (z, m), = common_factor([-1, 1], [], [-1, 0, 1])
         assert abs(z - 1) < 1e-12 and m == 1
 
-    @pytest.mark.parametrize("delta, shared", [(0.9 * SHARED_TOL, True),
-                                               (1.1 * SHARED_TOL, False)])
-    def test_tolerance_edge(self, delta, shared):
-        # num = z - delta against den = z (z - 2): the Taylor coefficients of
-        # num at 0 are (-delta, 1), so the root 0 is shared iff delta <= SHARED_TOL
+    @pytest.mark.parametrize("factor, shared", [(0.9, True), (1.1, False)])
+    def test_tolerance_edge(self, factor, shared):
+        # num = z - delta against den = z (z - 2): num is monic with a_0 =
+        # -delta, so at the root 0 its backward error is |num(0)| / max(1,
+        # delta) = delta, and the root is shared iff delta <= STRUCTURE_TOL
+        delta = factor * STRUCTURE_TOL
         r = RationalMap([-delta, 1], [0, -2, 1])
         assert (r.den.degree() == 1) == shared
         assert r.num.degree() == (0 if shared else 1)
+
+    @pytest.mark.parametrize("root", [0.0, 1e-17])
+    def test_common_root_at_zero(self, root):
+        # the weights max(1, |a_l|) pass a root at 0: the purely relative
+        # sum |a_l| |z|^l would need num(0) to be exactly 0
+        r = RationalMap([-root, 1], [0, -2, 1])
+        assert r.den.degree() == 1 and r.num.degree() == 0
+        assert abs(r.den_roots[0][0] - 2) < 1e-12
+
+    def test_close_zeros_are_no_common_factor(self):
+        # the catenoid's second component pulled back to ends 3e-4 apart: its
+        # numerator has both zeros 3e-4 / sqrt(2) from each double pole, a
+        # backward error of 3.6e-8 there, so the degree-4 denominator stays
+        w = ms.mobius_precompose(ms.catenoid().data, (1, -0.2, 1, -(0.2 + 3e-4)))
+        assert [r.den.degree() for r in w.phi] == [4, 4, 2]
+        assert [m for _z, m in w.phi[1].den_roots] == [2, 2]
+
+    def test_rule_does_not_depend_on_the_origin(self):
+        # a pole 1e-3 relative from the numerator root 10: |num(10.01)| = 8e5
+        # against 1e-10 sum max(1, |a_l|) 10.01^l = 1.1e-2, so it stays
+        r = RationalMap([-1e8, 0, 0, 0, 0, 0, 0, 0, 1], [-10.01, 1])
+        assert r.den.degree() == 1 and r.num.degree() == 8
+        # the close catenoid moved from 0.2 to 10 keeps its poles too
+        w = ms.mobius_precompose(ms.catenoid().data, (1, -10, 1, -(10 + 3e-4)))
+        assert [r.den.degree() for r in w.phi] == [4, 4, 2]
 
 
 # Roots |z| <= 4 at least 0.5 apart: lattice points a + bi (|a + bi| <= 3.6)

@@ -318,6 +318,34 @@ class TestCliCloseEnds:
             codes.append(code)
         assert 0 in codes and 1 in codes
 
+    @staticmethod
+    def _close_file(tmp_path, delta):
+        w = ms.mobius_precompose(ms.catenoid().data, (1, -0.2, 1, -(0.2 + delta)))
+        path = tmp_path / f"close-{delta:g}.wd"
+        wdfile.dump(wdfile.document_from_data(w, label="close"), path)
+        return path
+
+    def test_merged_ends_are_rejected_by_verify(self, tmp_path, capsys):
+        # ends 5e-6 apart merge into one pole, so the chart looks one-ended;
+        # verify names the end whose leading vector misses nullity by 1
+        path = self._close_file(tmp_path, 5e-6)
+        assert cli.main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"{path}: datum rejected"
+        (line,) = err[:-1]
+        assert line.startswith("verify: end (0.2")
+        assert line.endswith("leading Laurent vector not null: "
+                             "|<a_lead, a_lead>| = 1.000e+00 |a_lead|^2")
+
+    def test_resolved_ends_give_the_residue_reason_alone(self, tmp_path, capsys):
+        # ends 3e-4 apart: no false common factor, so no null defect and no
+        # branch point; the residue refusal is the rounding of the expansion
+        path = self._close_file(tmp_path, 3e-4)
+        assert cli.main(["analyze", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"minsurf: {path}: datum rejected: non-real residue: ")
+        assert ";" not in line and "null" not in line and "branch" not in line
+
 
 class TestCliMesh:
     def test_obj_and_sidecar(self, tmp_path, counterexample):

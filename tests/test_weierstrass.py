@@ -323,6 +323,65 @@ class TestBranchPoints:
         assert block["branch_points"] == [] and block["ok"]
 
 
+LEAD = "leading Laurent vector not null: |<a_lead, a_lead>| = "
+
+
+def close_catenoid(p, delta):
+    """The catenoid with its ends at p and p + delta."""
+    return ms.mobius_precompose(ms.catenoid().data, (1, -p, 1, -(p + delta)))
+
+
+def lead_defects(messages):
+    """The leading-nullity defects that validation messages state."""
+    return [float(m.split(LEAD)[1].split()[0]) for m in messages if LEAD in m]
+
+
+class TestClosePoles:
+    """The catenoid with its ends delta apart at 11 positions from 0.2 to 0.5:
+    resolved down to 3e-5, with residue refusals left to the rounding of the
+    expansion, and refused by validation once its double poles merge."""
+
+    POSITIONS = np.linspace(0.2, 0.5, 11)
+
+    def test_ends_1e3_apart(self):
+        outcomes = [ms.run_analysis(close_catenoid(p, 1e-3)) for p in self.POSITIONS]
+        analysed = [rep for rep in outcomes if rep.valid]
+        assert len(analysed) == 6
+        assert all(rep.curvature.d == 2 and rep.curvature.m == 2 for rep in analysed)
+        refused = [rep.validation.messages for rep in outcomes if not rep.valid]
+        assert all(len(msgs) == 1 and msgs[0].startswith("non-real residue") for msgs in refused)
+
+    @pytest.mark.parametrize("delta", [3e-4, 1e-4, 3e-5])
+    def test_resolved_ends_keep_their_denominators(self, delta):
+        # the numerator zeros delta / sqrt(2) from both double poles are no
+        # common factor; the null identity holds and no branch point appears
+        for p in self.POSITIONS:
+            w = close_catenoid(p, delta)
+            assert [r.den.degree() for r in w.phi] == [4, 4, 2], p
+            rep = ms.run_analysis(w)
+            if rep.valid:
+                assert (rep.curvature.d, rep.curvature.m) == (2, 2), p
+                continue
+            msgs = rep.validation.messages
+            assert rep.validation.null.ok and not rep.validation.branch_points, p
+            assert msgs[0].startswith("non-real residue"), (p, msgs)
+            # any further message is a leading vector that misses nullity by
+            # rounding, (root error) / delta, far below a merged pole's 1
+            assert len(lead_defects(msgs)) == len(msgs) - 1, (p, msgs)
+            assert all(d < 1e-6 for d in lead_defects(msgs)), (p, msgs)
+
+    @pytest.mark.parametrize("delta", [1e-5, 5e-6])
+    def test_merged_poles_are_refused(self, delta):
+        # below the resolvable separation the double poles come back as one,
+        # and the chart looks one-ended; validation names that end, whose
+        # leading vector misses nullity by order 1, before analyze_end's own
+        # nullity gate would raise InternalConsistencyError
+        for p in self.POSITIONS:
+            rep = ms.run_analysis(close_catenoid(p, delta))
+            assert not rep.valid and len(rep.validation.end_orders) == 1, p
+            assert lead_defects(rep.validation.messages) == [pytest.approx(1.0)], p
+
+
 class TestMetricOrder:
     def test_catenoid_at_zero(self, catenoid):
         assert metric_order_at(catenoid.data, 0j) == -2
