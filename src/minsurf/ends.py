@@ -10,8 +10,12 @@ end is asymptotic to a catenoid piece (b = |a_{-1}| > 0) or a plane (b = 0);
 for k >= 3 no such model exists.  The intersection of the end with a large
 sphere, rescaled to the unit sphere, limits on a (k-1)-fold covered great
 circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
-Magnitude enters only through the datum's unit (``WeierstrassData.unit``): the
-bilinear gates and the norms a, b are taken of the coefficients over it.
+That circle lies in span(Re a_{-k}, Im a_{-k}), the first two rows of the
+end's frame, so the numeric witness ``rotation_index_numeric`` counts the
+turns of each cut projected onto that plane, sampled at ``CUT_ANGLES`` angles
+per turn of the circle.  Magnitude enters only through the datum's unit
+(``WeierstrassData.unit``): the bilinear gates and the norms a, b are taken of
+the coefficients over it.
 
 Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant fixed by the closed-form
@@ -66,7 +70,7 @@ __all__ = [
 
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
-CUT_ANGLES = 64       # angles of each sphere cut of the rotation index, before refinement
+CUT_ANGLES = 16       # angles of a rotation-index sphere cut per turn of its limit circle
 
 
 class EndType(str, Enum):
@@ -218,9 +222,17 @@ class EndAnalysis:
     a: float
     b: float
     classification: EndType
-    rotation_index: int
-    embedded: bool
     _w: WeierstrassData = field(repr=False, default=None)
+
+    @property
+    def rotation_index(self) -> int:
+        """The rotation index |k - 1| of the end's limit circle."""
+        return abs(self.k - 1)
+
+    @property
+    def embedded(self) -> bool:
+        """Whether the end is embedded: exactly when k = 2."""
+        return self.k == 2
 
     @property
     def _local(self) -> LocalImmersion:
@@ -314,8 +326,6 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         a=a,
         b=b,
         classification=classification,
-        rotation_index=abs(k - 1),
-        embedded=(k == 2),
         _w=w,
     )
 
@@ -463,74 +473,44 @@ def _turning(xy: np.ndarray) -> np.ndarray:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _winding_number(cut, thetas: np.ndarray, xy: np.ndarray, max_refine: int = 6) -> float:
-    """Total turning (in turns) of the closed curve theta -> cut(theta).
-
-    ``xy`` is the (2, N) curve on the sorted angles ``thetas``; midpoints are
-    inserted wherever the projected angle jumps by more than pi/4.  Only the
-    midpoints are passed to ``cut``, and merged into the sorted angles.
-    """
-    d = _turning(xy)
-    for _ in range(max_refine):
-        bad = np.nonzero(np.abs(d) > math.pi / 4.0)[0]
-        if bad.size == 0:
-            break
-        nxt = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
-        mids = ((thetas[bad] + nxt[bad]) / 2.0) % (2.0 * math.pi)
-        thetas = np.concatenate([thetas, mids])
-        xy = np.concatenate([xy, cut(mids)], axis=1)
-        order = np.argsort(thetas)
-        thetas, xy = thetas[order], xy[:, order]
-        d = _turning(xy)
-    return float(np.sum(d) / (2.0 * math.pi))
-
-
-def _cut_planes(e: EndAnalysis, pts: np.ndarray) -> np.ndarray:
-    """The plane of each normalized cut of ``pts`` (R, n, N), as (R, 2, n)
-    rows: span(e1, e2) for an order -2 end, else each cut's best-fit plane,
-    from one batched SVD."""
-    if e.k == 2:
-        return np.broadcast_to(e.frame[:2], (len(pts),) + e.frame[:2].shape)
-    return np.linalg.svd(pts.swapaxes(1, 2), full_matrices=False)[2][:, :2]
+def _radii(R_list) -> list:
+    """The sphere-cut radii as floats; ``ValueError`` unless there is one or
+    more and each is finite and positive."""
+    radii = [float(R) for R in R_list]
+    if not radii or not all(0.0 < R < math.inf for R in radii):
+        raise ValueError(f"sphere-cut radii must be finite and positive, got {radii!r}")
+    return radii
 
 
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
-    """Winding number of the normalized sphere cut of the end.
+    """Winding number of the sphere cut of the end.
 
-    The cuts {f/R : |f| = R} near the end at every radius R are solved in one
-    batch from ``CUT_ANGLES`` angles each.  Each is projected onto
-    span(e1, e2) for an order -2 end, or onto the best-fit plane of the curve
-    otherwise, and the turning of all of them is counted in one pass; only a
-    cut whose projected angle jumps by more than pi/4 is refined.  The value
-    must agree across all R; the analytic prediction is |k - 1|.
+    The cuts {|f| = R} near the end at every radius R are solved in one batch
+    from ``CUT_ANGLES`` angles per turn of the limit circle, at least four
+    turns' worth: N = CUT_ANGLES max(k - 1, 4).  Each is projected onto
+    span(e1, e2) = span(Re a_lead, Im a_lead), the plane of its limit circle,
+    and the turning of all of them is counted in one pass.  The steps of a
+    closed sampled curve sum to a multiple of 2 pi up to rounding; a cut with
+    a step above pi/4 is too coarse for that count to be trusted and raises
+    ``NumericInstabilityError``.  The value must agree across all R; the
+    analytic prediction is |k - 1|.
     """
+    radii = sorted(_radii(R_list))
     e = end if end is not None else analyze_end(w, p)
-    loc = e._local
-    thetas = 2.0 * math.pi * np.arange(CUT_ANGLES) / CUT_ANGLES
-    radii = sorted(float(R) for R in R_list)
-    cuts = _solve_sphere_radii(loc, e, np.tile(thetas, len(radii)),
-                               np.repeat(radii, thetas.size))[1]
-    pts = np.stack(np.split(cuts, len(radii), axis=1)) / np.array(radii)[:, None, None]
-    planes = _cut_planes(e, pts)
-    xy = planes @ pts
-    d = _turning(xy)
-    turns = np.sum(d, axis=1) / (2.0 * math.pi)
-    jumps = np.max(np.abs(d), axis=1) > math.pi / 4.0
+    n = CUT_ANGLES * max(e.k - 1, 4)
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    cuts = _solve_sphere_radii(e._local, e, np.tile(thetas, len(radii)), np.repeat(radii, n))[1]
+    d = _turning(e.frame[:2] @ np.stack(np.split(cuts, len(radii), axis=1)))
+    steps = np.max(np.abs(d), axis=1)
     windings = {}
-    for i, R in enumerate(radii):
-        if jumps[i]:
-            def cut(th):
-                return planes[i] @ (_solve_sphere_radii(loc, e, th, R)[1] / R)
-
-            turns[i] = _winding_number(cut, thetas, xy[i])
-        wind = int(round(turns[i]))
-        if abs(turns[i] - wind) > 0.05:
+    for R, step, turns in zip(radii, steps, np.sum(d, axis=1) / (2.0 * math.pi)):
+        if step > math.pi / 4.0:
             raise NumericInstabilityError(
-                f"non-integer winding {turns[i]:.4f} at R = {R:g}",
-                diagnostics={"R": R, "turns": float(turns[i])},
+                f"sphere cut at R = {R:g} turns by {step:.3f} rad between angles, above pi/4",
+                diagnostics={"R": R, "step": float(step)},
             )
-        windings[R] = abs(wind)
+        windings[R] = abs(int(round(turns)))
     values = set(windings.values())
     if len(values) != 1:
         raise NumericInstabilityError(
@@ -548,10 +528,10 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     the (k-1)-fold covered unit circle; the model curve below carries the
     phase that the integrated leading term actually produces.
     """
+    (R,) = _radii((R,))
     e = end if end is not None else analyze_end(w, p)
-    loc = e._local
     thetas = 2.0 * math.pi * np.arange(720) / 720
-    curve = _solve_sphere_radii(loc, e, thetas, float(R))[1] / float(R)
+    curve = _solve_sphere_radii(e._local, e, thetas, R)[1] / R
     alpha = (e.k - 1) * thetas
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))

@@ -286,53 +286,92 @@ class TestRotationIndex:
                 rotation_index_numeric(w, p, R_LIST, end=e)
             assert err.value.diagnostics == {"R": [1e2], "end": repr(p)}
 
-    @pytest.mark.parametrize("name, p, k, solved", [("enneper", INF, 4, 8 + 16),
-                                                    ("holomorphic_counterexample", 0j, 3, 8 + 8)])
-    def test_refinement_solves_only_the_midpoints(self, name, p, k, solved):
-        # from 8 angles the projected angle of a k - 1 fold cut jumps by
-        # 2 pi (k - 1) / 8 > pi / 4, so midpoints are inserted until it does
-        # not; each step solves only the new angles, none twice
-        w = getattr(ms, name)().data
-        e = analyze_end(w, p)
-        assert e.k == k
-        loc, R = e._local, 1e3
-        thetas = 2.0 * math.pi * np.arange(8) / 8
-        pts = ends._solve_sphere_radii(loc, e, thetas, R)[1] / R
-        plane = np.linalg.svd(pts.T, full_matrices=False)[2][:2]
-        asked = []
-
-        def cut(th):
-            asked.append(th)
-            return plane @ (ends._solve_sphere_radii(loc, e, th, R)[1] / R)
-
-        turns = ends._winding_number(cut, thetas, plane @ pts)
-        assert abs(turns) == pytest.approx(k - 1, abs=1e-9)
-        new = np.concatenate(asked)
-        assert new.size == solved
-        assert np.unique(np.concatenate([thetas, new])).size == 8 + solved
-
-
     @pytest.mark.parametrize("name, p, k", [("enneper", INF, 4),
                                             ("holomorphic_counterexample", 0j, 3)])
-    def test_few_cut_angles_refine_inside_the_rotation_index(self, name, p, k, monkeypatch):
-        # from CUT_ANGLES = 8 the projected angle of a k - 1 fold cut jumps by
-        # 2 pi (k - 1) / 8 > pi / 4 at every radius, so each cut is refined
-        # inside rotation_index_numeric and counts |k - 1| turns
-        monkeypatch.setattr(ends, "CUT_ANGLES", 8)
-        turns = []
-        real = ends._winding_number
-
-        def recorded(cut, thetas, xy, *args):
-            assert thetas.size == xy.shape[1] == 8
-            turns.append(real(cut, thetas, xy, *args))
-            return turns[-1]
-
-        monkeypatch.setattr(ends, "_winding_number", recorded)
+    def test_too_few_cut_angles_are_refused(self, name, p, k, monkeypatch):
+        # from one angle per turn the 4 angles of a k - 1 fold cut step by
+        # 2 pi (k - 1) / 4 >= pi: too coarse to count turns, so the witness
+        # refuses at the first radius, naming it and the step, and returns
+        # no integer
+        monkeypatch.setattr(ends, "CUT_ANGLES", 1)
         w = getattr(ms, name)().data
         e = analyze_end(w, p)
         assert e.k == k
-        assert rotation_index_numeric(w, p, R_LIST, end=e) == k - 1
-        assert [abs(t) for t in turns] == pytest.approx([k - 1] * len(R_LIST), abs=1e-9)
+        with pytest.raises(NumericInstabilityError, match=r"at R = 100 turns by") as err:
+            rotation_index_numeric(w, p, R_LIST, end=e)
+        assert err.value.diagnostics["R"] == 1e2
+        assert err.value.diagnostics["step"] > math.pi / 4.0
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_generalized_enneper_takes_its_angles_from_k(self, m):
+        # phi = ((1 - z^2m) / 2, i (1 + z^2m) / 2, z^m) has one end, at
+        # infinity, of order k = 2m + 2: its cut winds 2m + 1 times, so
+        # 64 angles would step by more than pi/4; 16 (k - 1) do not
+        one = ms.ComplexPoly([1])
+        w = ms.WeierstrassData([
+            ms.RationalMap(ms.ComplexPoly([0.5] + [0] * (2 * m - 1) + [-0.5]), one),
+            ms.RationalMap(ms.ComplexPoly([0.5j] + [0] * (2 * m - 1) + [0.5j]), one),
+            ms.RationalMap(ms.ComplexPoly([0] * m + [1]), one),
+        ])
+        (p,) = w.punctures
+        e = analyze_end(w, p)
+        assert e.k == 2 * m + 2
+        assert rotation_index_numeric(w, p, R_LIST, end=e) == 2 * m + 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_chart_sweep(self, monkeypatch):
+        # every end of the conftest-rule chart sweep (UNSOLVED_CUTS) gives
+        # |k - 1|, its cuts sampled with no step above pi/4, except the six
+        # whose cut at R = 1e2 the radius solve cannot reach
+        from conftest import well_conditioned_mobius
+
+        largest = []
+        real = ends._turning
+
+        def recorded(xy):
+            d = real(xy)
+            largest.extend(np.max(np.abs(d), axis=-1))
+            return d
+
+        monkeypatch.setattr(ends, "_turning", recorded)
+        rng = np.random.default_rng(2001)
+        charts, refused = 0, []
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            for _ in range(28):
+                mob = well_conditioned_mobius(entry.data, rng)
+                w = ms.mobius_precompose(entry.data, mob)
+                if not w.validate().ok:
+                    continue
+                charts += 1
+                for p in w.punctures:
+                    e = analyze_end(w, p)
+                    try:
+                        idx = rotation_index_numeric(w, p, R_LIST, end=e)
+                    except NumericInstabilityError as err:
+                        assert "radius solve stalled" in str(err), (entry.name, p)
+                        assert err.diagnostics == {"R": [1e2], "end": repr(p)}
+                        refused.append((entry.name, mob, p))
+                        continue
+                    assert idx == abs(e.k - 1), (entry.name, mob, p)
+        assert charts == 277 and len(largest) == 3 * (903 - 6)
+        assert max(largest) < math.pi / 4.0
+        assert len(refused) == len(UNSOLVED_CUTS)
+        for (name, mob, p), (want_name, want_mob, end) in zip(refused, UNSOLVED_CUTS):
+            assert (name, mob) == (want_name, want_mob) and abs(p - end) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radii", [(), (0.0,), (-1e2,), (math.nan,), (math.inf,),
+                                       (1e2, 1e3, math.inf)])
+    def test_bad_radii_are_refused_before_any_solve(self, catenoid, radii, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sphere cut solved")
+
+        monkeypatch.setattr(ends, "_solve_sphere_radii", unreachable)
+        with pytest.raises(ValueError, match="finite and positive"):
+            rotation_index_numeric(catenoid.data, 0j, radii)
+        if len(radii) == 1:
+            with pytest.raises(ValueError, match="finite and positive"):
+                limit_circle_deviation(catenoid.data, 0j, radii[0])
 
 
 class TestLimitCircle:
@@ -506,10 +545,11 @@ class TestIntegerPowerEvaluation:
 
 THETAS = 2.0 * np.pi * np.arange(720) / 720
 
-# The six ends, of 882, of the conftest-rule chart sweep (well_conditioned_mobius
-# with default_rng(2001), 28 draws per surface of catalog.entries(jm_range=
-# range(1, 7)), kept where validate passes) whose sphere cut at R = 1e2 has
-# no solution the solve reaches: (surface, Moebius map, end).
+# The six ends, of the 903 ends of 277 charts of the conftest-rule chart sweep
+# (well_conditioned_mobius with default_rng(2001), 28 draws per surface of
+# catalog.entries(jm_range=range(1, 7)), kept where validate passes), whose
+# sphere cut at R = 1e2 has no solution the solve reaches: (surface, Moebius
+# map, end), in the order of the sweep.
 UNSOLVED_CUTS = [
     ("enneper", (0.6596376373223017 - 1.5464481715995755j, 3.255730679617354 - 0.863398031940671j,
                  -0.9572716235291744 - 0.7695836956177559j,
@@ -566,27 +606,22 @@ class TestBatchedSolve:
                     assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
 
     def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries):
-        # rotation_index_numeric projects the cuts of all radii as one
-        # (R, 2, N) array and takes their turning in one pass; each radius's
-        # plane and turning are bitwise the ones it has alone
-        thetas = 2.0 * np.pi * np.arange(ends.CUT_ANGLES) / ends.CUT_ANGLES
-        radii = np.array(R_LIST)
+        # rotation_index_numeric projects the cuts of all radii onto the
+        # end's frame plane as one (R, 2, N) array and takes their turning in
+        # one pass; each radius's turning is bitwise the one it has alone
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
                 e = analyze_end(w, p)
-                cuts = ends._solve_sphere_radii(e._local, e, np.tile(thetas, radii.size),
-                                                np.repeat(radii, thetas.size))[1]
-                pts = np.stack(np.split(cuts, radii.size, axis=1)) / radii[:, None, None]
-                planes = ends._cut_planes(e, pts)
-                d = ends._turning(planes @ pts)
-                for i, (R, cut) in enumerate(zip(R_LIST, np.split(cuts, radii.size, axis=1))):
-                    alone = cut / R
-                    plane = (e.frame[:2] if e.k == 2
-                             else np.linalg.svd(alone.T, full_matrices=False)[2][:2])
-                    assert np.array_equal(planes[i], plane), (entry.name, p, R)
-                    assert np.array_equal(d[i], ends._turning(plane @ alone)), (entry.name, p, R)
-                    assert np.sum(d, axis=1)[i] == np.sum(d[i]), (entry.name, p, R)
+                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                thetas = 2.0 * np.pi * np.arange(n) / n
+                cuts = ends._solve_sphere_radii(e._local, e, np.tile(thetas, len(R_LIST)),
+                                                np.repeat(R_LIST, n))[1]
+                d = ends._turning(e.frame[:2] @ np.stack(np.split(cuts, len(R_LIST), axis=1)))
+                for i, (R, cut) in enumerate(zip(R_LIST, np.split(cuts, len(R_LIST), axis=1))):
+                    alone = ends._turning(e.frame[:2] @ cut)
+                    assert np.array_equal(d[i], alone), (entry.name, p, R)
+                    assert np.sum(d, axis=1)[i] == np.sum(alone), (entry.name, p, R)
 
 
 class TestPolarEvaluator:
