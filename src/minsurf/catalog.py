@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ends import EndType
-from .rational import INF, ComplexPoly, RationalMap
+from .rational import INF, ComplexPoly, RationalMap, RootTable
 from .weierstrass import WeierstrassData
 
 __all__ = [
@@ -56,10 +56,11 @@ class CatalogEntry:
 
 def catenoid() -> CatalogEntry:
     """phi = ((1 - z^2)/(2 z^2), i (1 + z^2)/(2 z^2), 1/z): two catenoid ends."""
+    table = RootTable()
     phi = (
-        RationalMap([1.0, 0.0, -1.0], [0.0, 0.0, 2.0]),
-        RationalMap([1j, 0.0, 1j], [0.0, 0.0, 2.0]),
-        RationalMap([1.0], [0.0, 1.0]),
+        table.rational_map([1.0, 0.0, -1.0], [0.0, 0.0, 2.0]),
+        table.rational_map([1j, 0.0, 1j], [0.0, 0.0, 2.0]),
+        table.rational_map([1.0], [0.0, 1.0]),
     )
     data = WeierstrassData(phi, punctures=(0j, INF), label="catenoid")
     expected = ExpectedValues(
@@ -129,6 +130,7 @@ def generalized_jorge_meeks(m: int) -> CatalogEntry:
     base[0] = -1.0
     base[m + 1] = 1.0
     den = ComplexPoly(np.convolve(base, base))  # (z^(m+1) - 1)^2
+    table = RootTable()
     phi = []
     for j in range(m):
         g = np.zeros(2 * m - j + 1, dtype=complex)
@@ -137,11 +139,11 @@ def generalized_jorge_meeks(m: int) -> CatalogEntry:
         h = np.zeros(2 * m - j + 1, dtype=complex)
         h[j] = 0.5j
         h[2 * m - j] = 0.5j
-        phi.append(RationalMap(ComplexPoly(g), den))
-        phi.append(RationalMap(ComplexPoly(h), den))
+        phi.append(table.rational_map(ComplexPoly(g), den))
+        phi.append(table.rational_map(ComplexPoly(h), den))
     last = np.zeros(m + 1, dtype=complex)
     last[m] = math.sqrt(m)
-    phi.append(RationalMap(ComplexPoly(last), den))
+    phi.append(table.rational_map(ComplexPoly(last), den))
 
     punctures = tuple(
         complex(math.cos(2.0 * math.pi * t / (m + 1)), math.sin(2.0 * math.pi * t / (m + 1)))
@@ -174,11 +176,12 @@ def holomorphic_counterexample() -> CatalogEntry:
     end at infinity is.  That the curve itself is injective is a separate
     fact, not an embeddedness of its ends.  phi = (1/2, -i/2, -z^-3, i z^-3).
     """
+    table = RootTable()
     phi = (
         RationalMap([0.5]),
         RationalMap([-0.5j]),
-        RationalMap([-1.0], [0.0, 0.0, 0.0, 1.0]),
-        RationalMap([1j], [0.0, 0.0, 0.0, 1.0]),
+        table.rational_map([-1.0], [0.0, 0.0, 0.0, 1.0]),
+        table.rational_map([1j], [0.0, 0.0, 0.0, 1.0]),
     )
     data = WeierstrassData(phi, punctures=(0j, INF), label="holomorphic-counterexample")
     expected = ExpectedValues(

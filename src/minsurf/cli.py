@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, catalog, wdfile
+from . import __version__, catalog, mesh, wdfile
 from .errors import (ConvergenceFailureError, DatumRejectedError, MinsurfError, ParseError,
                      UsageError)
-from .mesh import build_mesh, check_projection, export_obj, sample_domain
 from .rational import is_infinity
 from .report import report_to_json, run_analysis, sha256_of
 from .weierstrass import validate
@@ -94,15 +93,16 @@ def cmd_mesh(args) -> int:
     projection = None
     if args.project:
         try:
-            projection = check_projection([int(x) - 1 for x in args.project.split(",")], data.n)
+            axes = [int(x) - 1 for x in args.project.split(",")]
+            projection = mesh.check_projection(axes, data.n)
         except ValueError:
             raise UsageError(f"--project takes three distinct axes from 1 to {data.n}, "
                              f"not {args.project!r}") from None
-    tri = sample_domain(data, r_min=args.rmin, r_max=args.rmax, res=args.res)
-    mesh = build_mesh(data, tri)
-    written = export_obj(mesh, args.output, projection=projection)
-    print(f"{written[0]}: {mesh.vertices.shape[0]} vertices, "
-          f"{mesh.faces.shape[0]} faces"
+    tri = mesh.sample_domain(data, r_min=args.rmin, r_max=args.rmax, res=args.res)
+    surface = mesh.build_mesh(data, tri)
+    written = mesh.export_obj(surface, args.output, projection=projection)
+    print(f"{written[0]}: {surface.vertices.shape[0]} vertices, "
+          f"{surface.faces.shape[0]} faces"
           + (f" (+ sidecar {written[1]})" if len(written) > 1 else ""))
     return 0
 

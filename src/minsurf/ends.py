@@ -143,7 +143,9 @@ class LocalImmersion:
     evaluator ``_polar_jet`` on the leading ``K`` terms, t given by its angle
     and log radius.  Tail terms whose bound max|c| max|t|^p on the evaluation
     set is below ``TAIL_REL`` of the leading term's are dropped: at
-    sphere-cut radii most of the 40 are.
+    sphere-cut radii most of the 40 are.  A window with a coefficient past
+    the float range (a datum scaled near the top of it, with close
+    punctures) raises ``NumericInstabilityError``.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -152,6 +154,14 @@ class LocalImmersion:
         else:
             conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
         mu, C = form_coefficient_window(w, p, 40)
+        if not np.isfinite(C).all():
+            # a coefficient past the float range has no size to bound its
+            # term by, so it can be neither summed nor dropped as tail
+            e = int(mu) + int(np.argmin(np.isfinite(C).all(axis=0)))
+            raise NumericInstabilityError(
+                f"the Laurent coefficient of t^{e} at the end leaves the float range",
+                diagnostics={"end": repr(p), "exponent": e},
+            )
         self.mu = int(mu)
         exps = mu + np.arange(C.shape[1])
         log_mask = exps == -1

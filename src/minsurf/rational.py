@@ -25,6 +25,7 @@ module constants below.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "PartialFractions",
     "partial_fractions",
     "residue",
-    "compose_mobius",
 ]
 
 # Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
@@ -375,6 +375,64 @@ def shared_roots(base_roots, others):
     return out
 
 
+class RootTable:
+    """``roots`` of each distinct polynomial of one datum build, found once.
+
+    The rational maps of one build (a ``.wd`` file, a catalog datum, a Moebius
+    chart) share one table, keyed by coefficient bytes: components with one
+    denominator root it once, and so do the datum's own later calls
+    (``RationalMap.den_roots`` after a cancellation, ``compose_mobius`` rooting
+    a numerator).  ``roots`` is deterministic, so a hit is bitwise the call it
+    replaces.  A table lives as long as the maps that hold it.
+    """
+
+    __slots__ = ("_found",)
+
+    def __init__(self):
+        self._found = {}
+
+    def roots(self, p: ComplexPoly) -> tuple:
+        key = p.coeffs.tobytes()
+        found = self._found.get(key)
+        if found is None:
+            found = self._found[key] = tuple(roots(p))
+        return found
+
+    def rational_map(self, num, den=(1.0,)) -> "RationalMap":
+        """``RationalMap(num, den)``, its denominators rooted by this table."""
+        r = RationalMap.__new__(RationalMap)
+        r._reduce(_as_poly(num), _as_poly(den), self)
+        return r
+
+    def compose_mobius(self, r: "RationalMap", mobius) -> "RationalMap":
+        """The 1-form r dz pulled back under T(z) = (a z + b)/(c z + d): the
+        reduced rational map r(T) T', rooted by this table.
+
+        The denominator is factored at ``r.den_roots``; the numerator at its
+        roots by r's own table.  T' = det / td^2 enters the balance of the td
+        powers, so the result is built, and its denominator rooted, once.
+        """
+        a, b, c, d = (complex(x) for x in mobius)
+        top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
+        if abs(a * d - b * c) <= 1e-12 * top**2:
+            raise DegenerateInputError("Moebius map is singular")
+        a, b, c, d = a / top, b / top, c / top, d / top
+        r = _as_rational(r)
+        if r.is_zero:
+            return self.rational_map(ComplexPoly())
+        td = ComplexPoly([d, c])
+        pn, kn = _compose_factored(r.num, a, b, c, d,
+                                   r._table.roots(r.num) if r.num.degree() >= 1 else ())
+        pd, kd = _compose_factored(r.den, a, b, c, d, r.den_roots)
+        # r(T) T' = (Pn / td^kn) / (Pd / td^kd) * det / td^2: balance the td powers.
+        pn = pn * (a * d - b * c)
+        for _ in range(kd - kn - 2):
+            pn = pn * td
+        for _ in range(kn + 2 - kd):
+            pd = pd * td
+        return self.rational_map(pn, pd)
+
+
 class RationalMap:
     """Ratio of complex polynomials, kept in reduced form.
 
@@ -382,14 +440,16 @@ class RationalMap:
     (``shared_roots``), so poles of ``den`` are genuine poles of the map.
     ``den_roots`` are the roots of ``den`` with multiplicities, found at most
     once: at construction, or on first use when nothing needed reducing or a
-    cancellation changed ``den``.
+    cancellation changed ``den``.  Both go through the map's ``RootTable``,
+    its own or the one of the build it belongs to.
     """
 
-    __slots__ = ("num", "den", "_den_roots")
+    __slots__ = ("num", "den", "_den_roots", "_table")
 
     def __init__(self, num, den=(1.0,)):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        self._reduce(_as_poly(num), _as_poly(den), RootTable())
+
+    def _reduce(self, num: ComplexPoly, den: ComplexPoly, table: RootTable) -> None:
         if den.is_zero:
             raise DegenerateInputError("denominator is the zero polynomial")
         den_roots = None
@@ -397,7 +457,7 @@ class RationalMap:
             num, den = ComplexPoly(), ComplexPoly([1.0])
         elif num.degree() >= 1 and den.degree() >= 1:
             num, den = num.trimmed(), den.trimmed()
-            den_roots = tuple(roots(den)) if den.degree() >= 1 else ()
+            den_roots = table.roots(den) if den.degree() >= 1 else ()
             common = shared_roots(den_roots, [num])
             for r, m in common:
                 num = num.deflate(r, m)
@@ -407,13 +467,14 @@ class RationalMap:
         self.num = num
         self.den = den
         self._den_roots = den_roots
+        self._table = table
 
     @property
     def den_roots(self) -> tuple:
         """``roots(den)`` as a tuple of (root, multiplicity); empty for a
         constant denominator."""
         if self._den_roots is None:
-            self._den_roots = tuple(roots(self.den)) if self.den.degree() >= 1 else ()
+            self._den_roots = self._table.roots(self.den) if self.den.degree() >= 1 else ()
         return self._den_roots
 
     @property
@@ -483,21 +544,29 @@ def _series_order(coeffs: np.ndarray) -> int:
 
 
 def _series_quotient(p: ComplexPoly, q: ComplexPoly, depth: int):
-    """Order and depth+1 coefficients of p/q as a Laurent series at 0."""
+    """Order and depth+1 coefficients of p/q as a Laurent series at 0.
+
+    The recurrence stops at the first coefficient that leaves the float
+    range (deep terms of a datum scaled near the top of it): that one and
+    every later one are NaN, never a value.  ``LocalImmersion`` refuses a
+    window with a NaN term.
+    """
     a = p.coeffs
     b = q.coeffs
     alpha = _series_order(a)
     beta = _series_order(b)
     at = a[alpha:]
     bt = b[beta:]
-    s = np.zeros(depth + 1, dtype=complex)
-    s[0] = at[0] / bt[0]
-    for k in range(1, depth + 1):
-        acc = at[k] if k < at.size else 0j
-        jmax = min(k, bt.size - 1)
-        for j in range(1, jmax + 1):
-            acc -= bt[j] * s[k - j]
-        s[k] = acc / bt[0]
+    s = np.full(depth + 1, np.nan, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(depth + 1):
+            acc = at[k] if k < at.size else 0j
+            for j in range(1, min(k, bt.size - 1) + 1):
+                acc -= bt[j] * s[k - j]
+            acc = acc / bt[0]
+            if not cmath.isfinite(acc):
+                break
+            s[k] = acc
     return alpha - beta, s
 
 
@@ -602,31 +671,3 @@ def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):
             for _ in range(m):
                 acc = acc * lin
     return acc, k
-
-
-def compose_mobius(r: RationalMap, mobius) -> RationalMap:
-    """The 1-form r dz pulled back under T(z) = (a z + b)/(c z + d): the
-    reduced rational map r(T) T'.
-
-    The denominator is factored at ``r.den_roots``; the numerator is rooted
-    here.  T' = det / td^2 enters the balance of the td powers, so the
-    result is built, and its denominator rooted, once.
-    """
-    a, b, c, d = (complex(x) for x in mobius)
-    top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
-    if abs(a * d - b * c) <= 1e-12 * top**2:
-        raise DegenerateInputError("Moebius map is singular")
-    a, b, c, d = a / top, b / top, c / top, d / top
-    r = _as_rational(r)
-    if r.is_zero:
-        return RationalMap(ComplexPoly())
-    td = ComplexPoly([d, c])
-    pn, kn = _compose_factored(r.num, a, b, c, d, roots(r.num) if r.num.degree() >= 1 else ())
-    pd, kd = _compose_factored(r.den, a, b, c, d, r.den_roots)
-    # r(T) T' = (Pn / td^kn) / (Pd / td^kd) * det / td^2: balance the td powers.
-    pn = pn * (a * d - b * c)
-    for _ in range(kd - kn - 2):
-        pn = pn * td
-    for _ in range(kn + 2 - kd):
-        pd = pd * td
-    return RationalMap(pn, pd)

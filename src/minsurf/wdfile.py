@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .rational import INF, RationalMap, is_infinity
+from .rational import INF, RootTable, is_infinity
 from .weierstrass import WeierstrassData
 
 __all__ = ["WdDocument", "load", "loads", "dump", "dumps", "document_from_data"]
@@ -42,9 +42,10 @@ class WdDocument:
     basepoint: list | None
 
     def to_data(self) -> WeierstrassData:
+        table = RootTable()  # components with one denominator root it once
         phi = []
         for num, den in self.components:
-            phi.append(RationalMap(
+            phi.append(table.rational_map(
                 [complex(re, im) for re, im in num],
                 [complex(re, im) for re, im in den],
             ))

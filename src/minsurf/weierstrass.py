@@ -29,9 +29,10 @@ all forms at a point are gathered once.
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
 are the common roots of the cleared numerators (``rational.shared_roots`` of
-the lowest-degree one against the rest, one ``roots`` call per datum), by
-the backward-error rule that also reduces each component; at infinity, when
-it is not an end, it is a positive order of every form there.
+the lowest-degree one against the rest, rooted once by the components'
+``rational.RootTable``), by the backward-error rule that also reduces each
+component; at infinity, when it is not an end, it is a positive order of
+every form there.
 
 ``validate`` also reads the null identity at each end: the leading Laurent
 vector must be null to ``BILINEAR_TOL``, the tolerance ``ends.analyze_end``
@@ -64,11 +65,10 @@ from .rational import (
     ComplexPoly,
     LaurentSeries,
     RationalMap,
-    compose_mobius,
+    RootTable,
     is_infinity,
     laurent_expand,
     partial_fractions,
-    roots,
     roots_coincide,
     shared_roots,
 )
@@ -163,13 +163,14 @@ class WeierstrassData:
     @cached_property
     def branch_points(self) -> tuple:
         """Finite branch points as (point, order): the common roots of the
-        cleared numerators, found once.  Their orders sum to the degree of the
-        numerators' common factor."""
+        cleared numerators, found once (by the components' ``RootTable``).
+        Their orders sum to the degree of the numerators' common factor."""
         nums = [p for p in self.cleared[1] if not p.is_zero]
         base = min(nums, key=lambda p: p.degree())
         if base.degree() < 1:
             return ()
-        return tuple(shared_roots(roots(base), [p for p in nums if p is not base]))
+        table = self.phi[0]._table
+        return tuple(shared_roots(table.roots(base), [p for p in nums if p is not base]))
 
     @cached_property
     def _closed_form(self) -> "_ClosedForm":
@@ -603,6 +604,8 @@ def mobius_precompose(w: WeierstrassData, mobius) -> WeierstrassData:
     """Pull the datum back under z -> (a z + b)/(c z + d).
 
     The components transform as 1-forms: phi_j -> (phi_j o T) T'.  Punctures
-    are re-detected; the basepoint is re-derived by the default rule.
+    are re-detected; the basepoint is re-derived by the default rule.  The
+    pulled-back forms share one ``RootTable``.
     """
-    return WeierstrassData([compose_mobius(r, mobius) for r in w.phi], label=w.label)
+    table = RootTable()
+    return WeierstrassData([table.compose_mobius(r, mobius) for r in w.phi], label=w.label)

@@ -303,6 +303,16 @@ class TestLaurent:
         with pytest.raises(ZeroFunctionError):
             laurent_expand(RationalMap(ComplexPoly()), 0j)
 
+    @pytest.mark.filterwarnings("error")
+    def test_coefficients_past_the_float_range_are_nan(self):
+        # 2^1000 / (z - 1/100) at 0: |s_k| = 2^1000 100^(k+1) leaves the float
+        # range at k = 3; the coefficients before are exactly 2^1000 times the
+        # unscaled ones, and that one and every later one are NaN
+        want = laurent_expand(RationalMap([1.0], [-0.01, 1.0]), 0j, 8).coeffs
+        got = laurent_expand(RationalMap([2.0**1000], [-0.01, 1.0]), 0j, 8).coeffs
+        assert got[:3].tolist() == (2.0**1000 * want[:3]).tolist()
+        assert np.isnan(got[3:]).all() and np.isfinite(want).all()
+
     def test_truncation_error_scaling(self):
         # the scaled remainder must stay bounded as h -> 0 over 3 decades;
         # depth kept low so truncation stays above the double-precision floor

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from strategies import null_curve, null_curves
 
 import minsurf as ms
-from minsurf.errors import MinsurfError
+from minsurf.ends import LocalImmersion
+from minsurf.errors import MinsurfError, NumericInstabilityError
 from minsurf.weierstrass import form_coefficient_window, validate
 
 EXPONENTS = (1, -1, 7, 60, -60, 400, -400, 900, -900)
@@ -122,6 +123,36 @@ class TestPowerOfTwoScaling:
         assert got["validation"]["messages"] == [
             "non-real residue: worst imaginary part 1.174e+09"]
         assert_scaled_report(got, want, 2.0**60)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_laurent_tail_past_the_float_range(self):
+        # hypothesis found this draw: at s = 2^900 the deep coefficients of
+        # its Laurent table overflow (they were inf - inf, with
+        # RuntimeWarnings); they are NaN now, unread, and the residue
+        # refusal is exactly s times the unscaled one
+        w = null_curve(np.random.default_rng(249)).data
+        want = report(w)
+        assert want["validation"]["messages"] == [
+            "non-real residue: worst imaginary part 1.966e-09"]
+        for j in EXPONENTS:
+            assert_scaled_report(report(scaled(w, 2.0**j)), want, 2.0**j)
+
+    @pytest.mark.filterwarnings("error")
+    def test_close_ends_past_the_float_range_are_refused(self, catenoid):
+        # the catenoid with its ends 0.01 apart: at s = 2^900 its Laurent
+        # coefficients at each end leave the float range from t^18 on, whose
+        # term bound at the reference radius is still ~1e-14 of the leading
+        # one; the local immersion refuses them rather than truncate there
+        w = ms.mobius_precompose(catenoid.data, (1, -0.25, 1, -0.26))
+        big = scaled(w, 2.0**900)
+        want = report(w)
+        assert want["validation"]["ok"] and len(want["ends"]) == 2
+        assert_scaled_report(report(big), want, 2.0**900)
+        for p in w.punctures:
+            LocalImmersion(w, p)
+            LocalImmersion(scaled(w, 2.0**400), p)
+            with pytest.raises(NumericInstabilityError, match="t\\^18 at the end leaves"):
+                LocalImmersion(big, p)
 
     @settings(max_examples=15, deadline=None)
     @given(null_curves(), st.sampled_from(EXPONENTS))

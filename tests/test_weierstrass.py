@@ -122,33 +122,38 @@ class TestPoleTable:
 
     def test_roots_calls_per_moebius_pullback(self, monkeypatch):
         # each component is pulled back as a 1-form in one step, T' included:
-        # one roots() on its numerator, one on the new denominator, and the
-        # analysis reuses the latter
+        # its numerator is rooted by the base datum's RootTable and the new
+        # denominator by the chart's, so each distinct polynomial once: the
+        # 9 numerators (for the first chart only) and 2 denominators, which
+        # the analysis reuses
         base = ms.generalized_jorge_meeks(4).data
         assert all(r.den_roots for r in base.phi)
         calls = self._count_roots(monkeypatch)
         w = ms.mobius_precompose(base, (1, -0.3, 0.2, 1))
-        assert len(calls) == 2 * len(w.phi) == 18
+        assert len(calls) == len(w.phi) + 2 == 11
         assert sum(any(p is r.num for r in base.phi) for p in calls) == len(w.phi)
-        assert sum(any(p is r.den for r in w.phi) for p in calls) == len(w.phi)
+        assert sum(any(p is r.den for r in w.phi) for p in calls) == 2
+        assert len({r.den.coeffs.tobytes() for r in w.phi}) == 2
+        ms.mobius_precompose(base, (1, 0.3, -0.2, 1))
+        assert len(calls) == 13
         assert ms.run_analysis(w).valid
-        assert len(calls) <= 2 * len(w.phi) + 1
+        assert len(calls) <= 14
 
     def _check_roots_calls(self, monkeypatch, name):
-        # counted from construction on: one roots() per component denominator
-        # in total (when the component is reduced), and one other per datum,
-        # on a cleared numerator, for its branch points
+        # counted from construction on: each distinct polynomial once (the
+        # components of one build share a RootTable), the branch points'
+        # cleared numerator included, every component denominator among them,
+        # and besides those at most that one numerator
         calls = self._count_roots(monkeypatch)
         w = self.DATA[name]()
         built = len(calls)
         assert ms.run_analysis(w).valid
-        dens = [r.den for r in w.phi if r.den.degree() >= 1]
-        on_dens = [p for p in calls if any(p is d for d in dens)]
-        assert len(on_dens) == len(dens)
-        assert all(sum(p is d for p in on_dens) == 1 for d in dens)
-        others = [p for p in calls[built:] if not any(p is d for d in dens)]
-        assert len(others) <= 1
-        assert all(any(p is q for q in w.cleared[1]) for p in others)
+        keys = [p.coeffs.tobytes() for p in calls]
+        assert len(set(keys)) == len(keys)
+        dens = {r.den.coeffs.tobytes() for r in w.phi if r.den.degree() >= 1}
+        nums = {q.coeffs.tobytes() for q in w.cleared[1]}
+        later = set(keys[built:]) - dens
+        assert dens <= set(keys) and later <= nums and len(later) <= 1
         # the partial fractions of the immersion reuse the denominators' roots
         before = len(calls)
         immersion_eval(w, 0.3 + 0.1j)

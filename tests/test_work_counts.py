@@ -11,10 +11,11 @@ deviation at R = 1e3.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf import curvature, ends, rational, weierstrass
+from minsurf import curvature, ends, rational, wdfile, weierstrass
 from minsurf.errors import InternalConsistencyError
 
 R_LIST = (1e2, 1e3, 1e4)
@@ -124,3 +125,39 @@ def test_repeat_analysis_matches_no_pole_again(monkeypatch):
     calls.clear()
     ms.run_analysis(w)
     assert calls == []
+
+
+# roots() calls on JM m = 6, each distinct polynomial once: the forms of one
+# build share a RootTable.  Without it, building the datum took 13 calls (one
+# denominator, once per component), its first analysis 7 (2 distinct), its
+# five conftest-rule Moebius charts after that analysis 130, and reading it
+# back from its .wd file 13 (2 distinct).  The charts' 22 polynomials are
+# those not rooted by the analysis already.
+MAX_ROOTS_BUILD = 1
+MAX_ROOTS_ANALYSIS = 2
+MAX_ROOTS_CHARTS = 22
+MAX_ROOTS_FILE = 2
+
+
+def test_each_distinct_polynomial_is_rooted_once(monkeypatch):
+    from conftest import well_conditioned_mobius
+
+    calls = []
+    real = rational.roots
+    monkeypatch.setattr(rational, "roots", lambda p: calls.append(p) or real(p))
+
+    def count():
+        n = len(calls)
+        calls.clear()
+        return n
+
+    w = ms.generalized_jorge_meeks(6).data
+    assert count() <= MAX_ROOTS_BUILD
+    ms.run_analysis(w)
+    assert count() <= MAX_ROOTS_ANALYSIS
+    rng = np.random.default_rng(2001)
+    for _ in range(5):
+        ms.mobius_precompose(w, well_conditioned_mobius(w, rng))
+    assert count() <= MAX_ROOTS_CHARTS
+    wdfile.loads(wdfile.dumps(wdfile.document_from_data(w))).to_data()
+    assert count() <= MAX_ROOTS_FILE
