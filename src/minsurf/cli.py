@@ -28,7 +28,7 @@ def _fmt_point(p):
 
 def cmd_verify(args) -> int:
     data = _load_data(args.input)
-    report = validate(data, tol_scale=args.tol)
+    report = validate(data)
     for msg in report.messages:
         print(f"verify: {msg}", file=sys.stderr)
     if report.ok:
@@ -41,7 +41,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     data = _load_data(args.input)
-    rep = run_analysis(data, input_sha256=sha256_of(args.input), tol_scale=args.tol)
+    rep = run_analysis(data, input_sha256=sha256_of(args.input))
     if not rep.valid:
         raise DatumRejectedError(args.input, rep.validation.messages)
     c = rep.curvature
@@ -87,7 +87,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_mesh(args) -> int:
     data = _load_data(args.input)
-    report = validate(data, tol_scale=args.tol)
+    report = validate(data)
     if not report.ok:
         raise DatumRejectedError(args.input, report.messages)
     projection = None
@@ -114,9 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finite-total-curvature minimal surfaces.",
     )
     ap.add_argument("--version", action="version", version=f"minsurf {__version__}")
-    ap.add_argument("--tol", type=float, default=1.0, metavar="FACTOR",
-                    help="scale the null-identity, leading-nullity, residue and "
-                         "total-curvature tolerances by this factor")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="structural validation of a datum file")

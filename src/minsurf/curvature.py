@@ -73,8 +73,11 @@ class CurvatureReport:
     l: int
     gackstatter_pi: int
     ejiri_pi: int
-    genus: int = 0
     tc_numeric: float | None = None
+
+    @property
+    def genus(self) -> int:
+        return 0
 
     @property
     def tc_pi(self) -> int:
@@ -203,19 +206,19 @@ def _round_fluxes(groups, centers, radii):
     return flux, rad
 
 
-def _romberg_step(rows, tc: float, q: float, tol: float) -> float | None:
+def _romberg_step(rows, tc: float, q: float) -> float | None:
     """Add the next round's estimate ``tc`` to the Romberg tableau ``rows``
     in the error ratio ``q``: rows[i + 1] = [T_{i,0}, ..., T_{i,i}], rows[0]
     empty.  Returns T_{i,i} once it agrees with T_{i-1,i-1}, else None."""
     row = [tc]
     for j, above in enumerate(rows[-1], 1):
         row.append((row[-1] - q**j * above) / (1.0 - q**j))
-    settled = len(rows) > 1 and abs(row[-1] - rows[-1][-1]) <= 0.2 * tol * max(1.0, abs(row[-1]))
+    settled = len(rows) > 1 and abs(row[-1] - rows[-1][-1]) <= 0.2 * TC_TOL * max(1.0, abs(row[-1]))
     rows.append(row)
     return row[-1] if settled else None
 
 
-def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
+def total_curvature_numeric(w: WeierstrassData) -> float:
     """Quadrature cross-check of the total curvature.
 
     TC = int K dA = -int laplacian(log lambda) over the finite chart minus
@@ -230,7 +233,7 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
         T_{i,0} = tc_i,   T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j).
 
     The diagonal T_{i,i} is returned once it agrees with T_{i-1,i-1} to
-    0.2 tol max(1, |T_{i,i}|).  The circles of ``TC_BLOCK`` rounds -- one
+    0.2 ``TC_TOL`` max(1, |T_{i,i}|).  The circles of ``TC_BLOCK`` rounds -- one
     per finite puncture and the outer one, each -- are evaluated in one
     stacked call, each numerator once and each denominator from its roots
     (``_round_fluxes``), and the tableau reads them one round at a time, so
@@ -260,7 +263,7 @@ def total_curvature_numeric(w: WeierstrassData, tol: float = TC_TOL) -> float:
                 raise ConvergenceFailureError(
                     f"conformal factor vanished or overflowed on round {i + k}'s circle "
                     f"of radius {used[k, c]:.6g} about {centers[c]}")
-            value = _romberg_step(rows, -(flux[-1] - sum(flux[:-1].tolist())), shrink**2, tol)
+            value = _romberg_step(rows, -(flux[-1] - sum(flux[:-1].tolist())), shrink**2)
             if value is not None:
                 return value
     raise ConvergenceFailureError("total-curvature boundary terms did not stabilize",
@@ -316,20 +319,20 @@ def fullness_and_degeneracy(w: WeierstrassData):
     return rank_r == w.n, w.n - rank_c
 
 
-def curvature_report(w: WeierstrassData, tc_tol: float = TC_TOL) -> CurvatureReport:
+def curvature_report(w: WeierstrassData) -> CurvatureReport:
     """``chern_osserman`` with the Green-identity witness, for a validated datum.
 
-    The witness must agree with -2 pi d to ``tc_tol`` (relative to
+    The witness must agree with -2 pi d to ``TC_TOL`` (relative to
     max(1, 2 pi d)); a disagreement raises ``NumericInstabilityError`` rather
     than report a wrong number.
     """
     rep = chern_osserman(w)
-    tc = total_curvature_numeric(w, tol=tc_tol)
-    if abs(tc - rep.tc_algebraic) > tc_tol * max(1.0, abs(rep.tc_algebraic)):
+    tc = total_curvature_numeric(w)
+    if abs(tc - rep.tc_algebraic) > TC_TOL * max(1.0, abs(rep.tc_algebraic)):
         raise NumericInstabilityError(
             f"numeric total curvature {tc:.6f} disagrees with -2 pi d = "
-            f"{rep.tc_algebraic:.6f} beyond relative tolerance {tc_tol:g}",
+            f"{rep.tc_algebraic:.6f} beyond relative tolerance {TC_TOL:g}",
             diagnostics={"tc_numeric": tc, "tc_algebraic": rep.tc_algebraic,
-                         "tc_tol": tc_tol},
+                         "tc_tol": TC_TOL},
         )
     return replace(rep, tc_numeric=tc)

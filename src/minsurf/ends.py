@@ -53,6 +53,7 @@ from .weierstrass import (
     form_coefficient_window,
     immersion_eval,
     metric_order_at,
+    null_defect,
 )
 
 __all__ = [
@@ -294,14 +295,13 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
 
     unit = w.unit
     lead_u, a1c_u = lead / unit, a1c / unit
-    size = float(np.linalg.norm(lead_u))
-    null_pair = complex(np.sum(lead_u * lead_u))
-    if abs(null_pair) > BILINEAR_TOL * size**2:
+    defect = float(null_defect(lead_u))
+    if defect > BILINEAR_TOL:
         raise InternalConsistencyError(
-            f"<a_lead, a_lead> = {null_pair / size**2:.3e} |a_lead|^2 at end {p!r}: "
-            "nullity violated"
+            f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2 at end {p!r}: nullity violated"
         )
     if mu == -2:
+        size = float(np.linalg.norm(lead_u))
         cross = complex(np.sum(lead_u * a1c_u))
         scale = size * (size + float(np.linalg.norm(a1c_u)))
         if abs(cross) > BILINEAR_TOL * scale:
@@ -428,14 +428,16 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
 
     R is one radius, or one per angle: the cuts at several radii are then one
     batch, with one phase table.  Newton on x = log r, vectorized over all
-    angles, with the exact slope g' = <f, df/dx> / |f|^2 of g = log|f| - log R
-    from the local immersion's polar evaluator.  It starts from the asymptotic
-    radius (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and stops at
-    max|g| < 1e-13; where g' is not finite and negative the step takes the
-    asymptotic slope -(k-1).  An iterate that runs off to a non-finite cut
-    ends the solve, which then raises ``NumericInstabilityError`` like one
-    that stalls, naming every R with an angle left unsolved; the non-finite
-    values are caught there, so numpy warns of none of them.
+    angles, with the exact slope g' = <u, df/dx> / (R |u|^2) of g = log|u|,
+    u = f / R, from the local immersion's polar evaluator; f is divided by R
+    before it is squared, so no scale of the surface under- or overflows it.
+    It starts from the asymptotic radius (|f| grows like 2a/((k-1) r^{k-1})
+    toward the end) and stops at max|g| < 1e-13; where g' is not finite and
+    negative the step takes the asymptotic slope -(k-1).  An iterate that
+    runs off to a non-finite cut ends the solve, which then raises
+    ``NumericInstabilityError`` like one that stalls, naming every R with an
+    angle left unsolved; the non-finite values are caught there, so numpy
+    warns of none of them.
     The phase table is built for twice the largest starting radius; should a
     solved radius need more terms than it holds, it is built again and the
     solve goes on.  The immersion values are those of the converged step, so
@@ -443,7 +445,6 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     """
     k, a = e.k, e.a
     R = np.broadcast_to(np.asarray(R, dtype=float), thetas.shape)
-    log_R = np.log(R)
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
     x_cap = math.log(cap)
@@ -452,8 +453,9 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(80):
             f, df = jet(x)
-            size = np.linalg.norm(f, axis=0)
-            g = np.log(size) - log_R
+            u = f / R
+            size = np.linalg.norm(u, axis=0)
+            g = np.log(size)
             resid = float(np.max(np.abs(g)))
             if resid < 1e-13:
                 r_top = math.exp(float(np.max(x)))
@@ -463,7 +465,7 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
                 continue
             if not math.isfinite(resid):
                 break
-            slope = np.einsum("ij,ij->j", f / size, df) / size
+            slope = np.einsum("ij,ij->j", u, df) / (R * size**2)
             newton = np.isfinite(slope) & (slope < 0.0)
             x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     if not resid <= 1e-9:

@@ -316,20 +316,19 @@ def roots(p: ComplexPoly):
                   key=lambda t: (t[0].real, t[0].imag))
 
 
-def roots_coincide(z: complex, m: int, ref: complex, mref: int,
-                   radius: float = CLUSTER_RADIUS) -> bool:
+def roots_coincide(z: complex, m: int, ref: complex, mref: int) -> bool:
     """Whether a root z of multiplicity m is the same point as a root ref of
     multiplicity mref, of the same or another polynomial.
 
-    The distance must be within ``radius * (1 + |ref|)``.  Roots from
+    The distance must be within ``CLUSTER_RADIUS * (1 + |ref|)``.  Roots from
     ``roots`` agree to ~1e-12, but a multiple root moves by ~(eps cond)^(1/m)
     when its coefficients are perturbed, so a match involving one (a listed
     puncture, or another component's root) uses the radius widened to 1e-5.
     This is the one rule by which the pole table merges the denominator roots
     of a datum into poles.
     """
-    tol = radius if max(m, mref) == 1 else max(radius, 1e-5)
-    return abs(z - ref) <= tol * (1.0 + abs(ref))
+    radius = CLUSTER_RADIUS if max(m, mref) == 1 else 1e-5
+    return abs(z - ref) <= radius * (1.0 + abs(ref))
 
 
 def _vanishing_order(p: ComplexPoly, z: complex, cap: int) -> int:

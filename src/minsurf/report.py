@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .curvature import TC_TOL, CurvatureReport, curvature_report
+from .curvature import CurvatureReport, curvature_report
 from .ends import EndAnalysis, EndType, analyze_end
 from .rational import is_infinity
 from .weierstrass import ValidationReport, WeierstrassData, validate
@@ -25,6 +25,11 @@ __all__ = ["AnalysisReport", "run_analysis", "report_to_json"]
 
 @dataclass
 class AnalysisReport:
+    """The analysis of one datum, its verdicts derived from it (None for an
+    invalid datum).  The cross-check requires the three -- equality in the
+    curvature bound, every end catenoid-type or planar, every end embedded --
+    to agree: they are equivalent for complete finite-total-curvature surfaces."""
+
     label: str
     n: int
     input_sha256: str | None
@@ -32,49 +37,45 @@ class AnalysisReport:
     validation: ValidationReport
     curvature: CurvatureReport | None
     ends: list[EndAnalysis] | None
-    co_equality: bool | None
-    all_ends_catenoid_or_planar: bool | None
-    all_ends_embedded: bool | None
-    equality_consistent: bool | None
 
     @property
     def valid(self) -> bool:
         return self.validation.ok
 
+    @property
+    def co_equality(self) -> bool | None:
+        return None if self.curvature is None else self.curvature.co_equality
 
-def run_analysis(w: WeierstrassData, input_sha256: str | None = None,
-                 tol_scale: float = 1.0) -> AnalysisReport:
-    """Validate, analyze curvature, analyze every end, and cross-check.
+    @property
+    def all_ends_catenoid_or_planar(self) -> bool | None:
+        return None if self.ends is None else all(
+            e.classification is not EndType.HIGHER_ORDER for e in self.ends)
 
-    The cross-check requires the three verdicts -- equality in the curvature
-    bound, every end catenoid-type or planar, every end embedded -- to agree
-    (they are equivalent for complete finite-total-curvature surfaces).
+    @property
+    def all_ends_embedded(self) -> bool | None:
+        return None if self.ends is None else all(e.embedded for e in self.ends)
+
+    @property
+    def equality_consistent(self) -> bool | None:
+        return None if self.curvature is None else (
+            self.co_equality == self.all_ends_catenoid_or_planar == self.all_ends_embedded)
+
+
+def run_analysis(w: WeierstrassData, input_sha256: str | None = None) -> AnalysisReport:
+    """Validate, analyze every end, then the curvature.
+
     Analysis beyond validation is skipped for invalid data.  The ends are
     analysed before the curvature, so a datum that fails their bilinear
     checks is refused before the Green-identity total curvature is computed.
-    ``tol_scale`` scales the validation tolerances and ``TC_TOL`` by one
-    factor (the CLI's global --tol flag).
     """
-    validation = validate(w, tol_scale=tol_scale)
-    if not validation.ok:
-        return AnalysisReport(
-            label=w.label, n=w.n, input_sha256=input_sha256, tool_version=__version__,
-            validation=validation, curvature=None, ends=None,
-            co_equality=None, all_ends_catenoid_or_planar=None,
-            all_ends_embedded=None, equality_consistent=None,
-        )
-    ends = [analyze_end(w, p) for p in w.punctures]
-    curv = curvature_report(w, tc_tol=TC_TOL * tol_scale)
-    model_ok = all(e.classification in (EndType.CATENOID_TYPE, EndType.PLANAR) for e in ends)
-    embedded_ok = all(e.embedded for e in ends)
-    return AnalysisReport(
-        label=w.label, n=w.n, input_sha256=input_sha256, tool_version=__version__,
-        validation=validation, curvature=curv, ends=ends,
-        co_equality=curv.co_equality,
-        all_ends_catenoid_or_planar=model_ok,
-        all_ends_embedded=embedded_ok,
-        equality_consistent=(curv.co_equality == model_ok == embedded_ok),
-    )
+    validation = validate(w)
+    ends = curv = None
+    if validation.ok:
+        ends = [analyze_end(w, p) for p in w.punctures]
+        curv = curvature_report(w)
+    return AnalysisReport(label=w.label, n=w.n, input_sha256=input_sha256,
+                          tool_version=__version__, validation=validation,
+                          curvature=curv, ends=ends)
 
 
 def sha256_of(path) -> str:

@@ -35,12 +35,12 @@ component; at infinity, when it is not an end, it is a positive order of
 every form there.
 
 ``validate`` also reads the null identity at each end: the leading Laurent
-vector must be null to ``BILINEAR_TOL``, the tolerance ``ends.analyze_end``
-gates the same relation by.  Poles closer than ``roots`` can resolve come
-back as one, and that end's leading vector misses nullity by order 1; poles
-that are resolved but close round their leading vectors by about (root
-error) / (separation), which can miss it too.  The message states the
-defect, not which of the two it is.
+vector's ``null_defect`` must be within ``BILINEAR_TOL``, the defect and
+tolerance ``ends.analyze_end`` gates the same relation by.  Poles closer than
+``roots`` can resolve come back as one, and that end's leading vector misses
+nullity by order 1; poles that are resolved but close round their leading
+vectors by about (root error) / (separation), which can miss it too.  The
+message states the defect, not which of the two it is.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -204,16 +204,8 @@ class WeierstrassData:
                 return cand
         raise DegenerateInputError("could not place a default basepoint")
 
-    # -- conveniences (thin wrappers over the module operations) ------------
-
     def validate(self) -> "ValidationReport":
         return validate(self)
-
-    def immersion(self, z):
-        return immersion_eval(self, z)
-
-    def metric_order_at(self, p) -> int:
-        return metric_order_at(self, p)
 
     def __repr__(self):
         return f"WeierstrassData(n={self.n}, label={self.label!r}, punctures={self.punctures!r})"
@@ -354,7 +346,7 @@ def common_denominator(w: "WeierstrassData"):
     return D, nums
 
 
-def validate_null(w: WeierstrassData, tol: float = NULL_TOL) -> NullCheck:
+def validate_null(w: WeierstrassData) -> NullCheck:
     """Check the conformality identity sum phi_j^2 = 0 as a rational identity.
 
     The numerator of the sum over the common denominator must vanish; the
@@ -366,7 +358,7 @@ def validate_null(w: WeierstrassData, tol: float = NULL_TOL) -> NullCheck:
     total = sum(squares, ComplexPoly())
     scale = max(sq.norm() for sq in squares)
     defect = total.norm() / scale if scale > 0.0 else total.norm()
-    return NullCheck(ok=defect <= tol, defect=defect)
+    return NullCheck(ok=defect <= NULL_TOL, defect=defect)
 
 
 def detect_punctures(phi):
@@ -426,20 +418,27 @@ def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
     return np.array([0j if s is None else s.coefficient(-1) for s in _form_series(w, p)])
 
 
-def _residues_real(residues, tol: float, unit: float):
-    """(ok, worst imaginary part): imaginary parts within
-    tol (unit + max |residue|), ``unit`` the datum's ``WeierstrassData.unit``."""
+def _residues_real(residues, unit: float):
+    """(ok, worst imaginary part): imaginary parts within ``RESIDUE_IMAG_TOL``
+    (unit + max |residue|), ``unit`` the datum's ``WeierstrassData.unit``."""
     res = np.asarray(residues, dtype=complex).ravel()
     if not res.size:
         return True, 0.0
     worst = float(np.max(np.abs(res.imag)))
-    return worst <= tol * (unit + float(np.max(np.abs(res)))), worst
+    return worst <= RESIDUE_IMAG_TOL * (unit + float(np.max(np.abs(res)))), worst
 
 
-def check_residues_real(w: WeierstrassData, tol: float = RESIDUE_IMAG_TOL) -> ResidueCheck:
+def check_residues_real(w: WeierstrassData) -> ResidueCheck:
     """All residues of the form at all ends must be real (period closing)."""
-    ok, worst = _residues_real([form_residue_vector(w, p) for p in w.punctures], tol, w.unit)
+    ok, worst = _residues_real([form_residue_vector(w, p) for p in w.punctures], w.unit)
     return ResidueCheck(ok=ok, worst_imag=worst)
+
+
+def null_defect(a: np.ndarray) -> np.ndarray:
+    """|<a, a>| / |a|^2 of each vector a along the last axis: the leading-
+    nullity defect that ``validate`` and ``ends.analyze_end`` gate by
+    ``BILINEAR_TOL``."""
+    return np.abs(np.sum(a * a, axis=-1)) / np.sum(np.abs(a) ** 2, axis=-1)
 
 
 def branch_divisor(w: WeierstrassData) -> tuple:
@@ -452,7 +451,7 @@ def branch_divisor(w: WeierstrassData) -> tuple:
     return w.branch_points
 
 
-def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
+def validate(w: WeierstrassData) -> ValidationReport:
     """Full structural validation of a datum.
 
     Besides the null identity, real residues and the end orders, the datum
@@ -461,15 +460,12 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
     |<a_lead, a_lead>| <= ``BILINEAR_TOL`` |a_lead|^2: the null identity read
     at the end.  Two poles closer than ``roots`` can resolve come back as
     one, and the leading vector of that end is far from null.
-
-    ``tol_scale`` scales the null, residue and leading-nullity tolerances by
-    one factor (the CLI's global --tol flag).
     """
     messages = []
-    null = validate_null(w, tol=NULL_TOL * tol_scale)
+    null = validate_null(w)
     if not null.ok:
         messages.append(f"null identity violated: defect {null.defect:.3e}")
-    res = check_residues_real(w, tol=RESIDUE_IMAG_TOL * tol_scale)
+    res = check_residues_real(w)
     if not res.ok:
         messages.append(f"non-real residue: worst imaginary part {res.worst_imag:.3e}")
 
@@ -491,10 +487,8 @@ def validate(w: WeierstrassData, tol_scale: float = 1.0) -> ValidationReport:
         if mu > -2:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
-    lead = w._leads / w.unit
-    lead_defects = np.abs(np.sum(lead * lead, axis=1)) / np.sum(np.abs(lead) ** 2, axis=1)
-    for p, defect in zip(w.punctures, lead_defects):
-        if defect > BILINEAR_TOL * tol_scale:
+    for p, defect in zip(w.punctures, null_defect(w._leads / w.unit)):
+        if defect > BILINEAR_TOL:
             messages.append(f"end {p!r}: leading Laurent vector not null: "
                             f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2")
 
@@ -535,7 +529,7 @@ class _ClosedForm:
                 residues.append(c[0])
                 terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
             components.append((anti, tuple(terms)))
-        ok, worst = _residues_real(residues, RESIDUE_IMAG_TOL, w.unit)
+        ok, worst = _residues_real(residues, w.unit)
         if not ok:
             raise NonRealResidueError(
                 f"non-real residue (imaginary part {worst:.3e}): the immersion "

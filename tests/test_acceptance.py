@@ -37,7 +37,7 @@ def test_criterion_1_catenoid():
     t0 = time.perf_counter()
     entry = ms.catenoid()
     w = entry.data
-    rep = ms.curvature_report(w, tc_tol=1e-3)
+    rep = ms.curvature_report(w)
     checks = [
         ("d=2", rep.d == 2),
         ("tc_algebraic=-4pi", rep.tc_algebraic == -4.0 * math.pi),

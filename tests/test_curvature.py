@@ -78,25 +78,26 @@ class TestTotalCurvature:
         assert rep.tc_pi == 0 and rep.tc_algebraic == 0.0
 
     def test_catenoid_numeric(self, catenoid):
-        tc = total_curvature_numeric(catenoid.data, tol=1e-3)
+        tc = total_curvature_numeric(catenoid.data)
         assert abs(tc + 4 * math.pi) <= 1e-3 * 4 * math.pi
 
     def test_plane_numeric(self, plane):
-        assert abs(total_curvature_numeric(plane.data, tol=1e-3)) <= 1e-3
+        assert abs(total_curvature_numeric(plane.data)) <= 1e-3
 
     def test_jorge_meeks_m2_numeric(self, jm2):
-        tc = total_curvature_numeric(jm2.data, tol=1e-3)
+        tc = total_curvature_numeric(jm2.data)
         assert abs(tc + 8 * math.pi) <= 1e-3 * 8 * math.pi
 
     def test_wrong_sign_numeric_refused(self, catenoid, monkeypatch):
         # a Green-identity value of the wrong sign must be refused, not reported
         monkeypatch.setattr(curvature, "total_curvature_numeric",
-                            lambda w, tol: 4 * math.pi)
+                            lambda w: 4 * math.pi)
         with pytest.raises(NumericInstabilityError) as err:
-            curvature_report(catenoid.data, tc_tol=1e-3)
+            curvature_report(catenoid.data)
         diag = err.value.diagnostics
         assert diag["tc_algebraic"] == pytest.approx(-4 * math.pi)
         assert diag["tc_numeric"] == pytest.approx(4 * math.pi, rel=1e-3)
+        assert diag["tc_tol"] == curvature.TC_TOL == 1e-3
 
     def test_finite_high_order_end_charts(self, catenoid, enneper):
         # an Enneper chart with a finite order -4 end, drawn as the benchmark
@@ -110,7 +111,7 @@ class TestTotalCurvature:
         charts = [mobius_precompose(enneper.data, well_conditioned_mobius(enneper.data, rng)),
                   mobius_precompose(catenoid.data, (1, -0.25, 1, -0.26))]
         for w in charts:
-            rep = curvature_report(w, tc_tol=1e-3)
+            rep = curvature_report(w)
             assert rep.tc_pi == -4
             assert abs(rep.tc_numeric + 4 * math.pi) <= 1e-3 * 4 * math.pi
 
@@ -310,12 +311,12 @@ class TestStackedRounds:
         assert [(f.tolist(), r.tolist()) for f, r in calls] == plain
 
 
-def _romberg_stop(tcs, tol=1e-3):
+def _romberg_stop(tcs):
     """(value, rounds) of the stop rule on the estimates ``tcs``, as stated:
     T_{i,0} = tc_i, T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j) with
     q = 0.36, and T_{i,i} is returned once within 0.2 tol max(1, |T_{i,i}|)
-    of T_{i-1,i-1}.  None if it never is."""
-    q = 0.36
+    of T_{i-1,i-1}, tol = TC_TOL = 1e-3.  None if it never is."""
+    q, tol = 0.36, 1e-3
     T = {}
     for i, tc in enumerate(tcs):
         T[i, 0] = tc
@@ -349,7 +350,7 @@ class TestStopRules:
             exact = -2 * math.pi * gauss_map(w).degree
             assert abs(tc - exact) <= 1e-6 * max(1.0, abs(exact)), name
 
-    def _run(self, plane, tcs, monkeypatch, tol=1e-3):
+    def _run(self, plane, tcs, monkeypatch):
         """total_curvature_numeric on rounds whose estimates are ``tcs``:
         (value, rounds evaluated, rounds the tableau read)."""
         rounds = []
@@ -363,7 +364,7 @@ class TestStopRules:
 
         monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
         read = _counted_tableau_rounds(monkeypatch)
-        value = total_curvature_numeric(plane.data, tol=tol)
+        value = total_curvature_numeric(plane.data)
         return value, len(rounds), len(read)
 
     def test_geometric_tail_stops_on_the_fourth_round(self, plane, monkeypatch):
@@ -579,7 +580,7 @@ class TestCrossCutting:
 
     def test_numeric_matches_algebraic_on_catalog(self, all_entries):
         for entry in all_entries:
-            rep = curvature_report(entry.data, tc_tol=1e-3)
+            rep = curvature_report(entry.data)
             assert abs(rep.tc_numeric - rep.tc_algebraic) <= 1e-3 * max(
                 1.0, abs(rep.tc_algebraic)
             ), entry.name

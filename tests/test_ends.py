@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from minsurf.errors import (
     NumericInstabilityError,
 )
 from minsurf.rational import INF, is_infinity
-from minsurf.weierstrass import form_coefficient_window, form_residue_vector
+from minsurf.weierstrass import form_coefficient_window, form_residue_vector, validate
 
 R_LIST = (1e2, 1e3, 1e4)
 
@@ -110,6 +111,18 @@ class TestAnalyzeEnd:
                 analyze_end(w, 0j)
         else:
             assert analyze_end(w, 0j).classification is EndType.CATENOID_TYPE
+
+    def test_nullity_gate_reads_validations_defect(self):
+        # the catenoid with phi_1 off by one part in 1e7: validation rejects
+        # it by the leading-nullity defect, and analyze_end, called on the
+        # unvalidated datum, refuses it by the same defect
+        phi = ms.catenoid().data.phi
+        w = ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]])
+        message = next(m for m in validate(w).messages if m.startswith("end 0j: leading"))
+        defect = message.split(" = ")[1].split()[0]
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape(f"= {defect} |a_lead|^2 at end 0j: nullity violated")):
+            analyze_end(w, 0j)
 
     @pytest.mark.parametrize("gap", [3e-3, 1e-3])
     def test_close_catenoid_ends_pass_the_bilinear_checks(self, catenoid, gap):

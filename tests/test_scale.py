@@ -154,6 +154,15 @@ class TestPowerOfTwoScaling:
             with pytest.raises(NumericInstabilityError, match="t\\^18 at the end leaves"):
                 LocalImmersion(big, p)
 
+    @pytest.mark.parametrize("j", (-900, -500, 0, 500, 900))
+    def test_sphere_cuts_at_any_scale(self, catenoid, j):
+        # the cuts |f| = R are solved on f / R: |f|^2 underflowed at 2^-900
+        # and overflowed at 2^500 and 2^900 ("stalled at residual inf")
+        s = 2.0**j
+        w = scaled(catenoid.data, s)
+        for p in w.punctures:
+            assert ms.rotation_index_numeric(w, p, [s * R for R in (1e2, 1e3, 1e4)]) == 1
+
     @settings(max_examples=15, deadline=None)
     @given(null_curves(), st.sampled_from(EXPONENTS))
     def test_any_null_curve_scales_exactly(self, curve, j):

@@ -11,7 +11,7 @@ import pytest
 
 import minsurf as ms
 from minsurf import cli, wdfile
-from minsurf.errors import ParseError
+from minsurf.errors import InternalConsistencyError, ParseError
 
 
 # child interpreters import the minsurf under test, with or without PYTHONPATH
@@ -421,30 +421,49 @@ class TestCliFaultCharts:
         assert rep["curvature"]["d"] == d
         assert sorted(e["mu"] for e in rep["ends"]) == orders
 
-    @pytest.mark.parametrize("kind", ["rejected", "refused"])
-    def test_refusal_forms(self, tmp_path, kind):
-        # validation's rejection (branched Enneper) and any other refusal (here
-        # the bilinear nullity check on the catenoid with phi_1 off by one part
-        # in 1e7, which validates under --tol 1e4) are one "minsurf:" line
-        # each, exit 1; mesh rejects with analyze's line
+    @pytest.mark.parametrize("kind", ["rejected", "refused", "residue"])
+    def test_refusal_forms(self, tmp_path, capsys, monkeypatch, kind):
+        # validation's rejections (branched Enneper; the catenoid with phi_3
+        # times 1 + 1e-8 i, a non-real residue) and a refusal after it (here
+        # end analysis made to refuse the valid catenoid) are one "minsurf:"
+        # line each, exit 1; verify and mesh reject what validation rejects,
+        # mesh with analyze's line
         from conftest import branched_enneper
 
         phi = ms.catenoid().data.phi
-        w = (branched_enneper()["enneper-branched"] if kind == "rejected"
-             else ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]]))
+        w = {"rejected": lambda: branched_enneper()["enneper-branched"],
+             "refused": lambda: ms.catenoid().data,
+             "residue": lambda: ms.WeierstrassData([*phi[:2], phi[2] * (1 + 1e-8j)])}[kind]()
         path = tmp_path / f"{kind}.wd"
         wdfile.dump(wdfile.document_from_data(w, label=kind), path)
-        out = run_cli(*(() if kind == "rejected" else ("--tol", "1e4")), "analyze", path)
-        lines = out.stderr.splitlines()
-        assert out.returncode == 1 and "Traceback" not in out.stderr
-        assert len(lines) == 1 and lines[0].startswith("minsurf: "), out.stderr
-        if kind == "rejected":
-            assert lines[0].startswith(f"minsurf: {path}: datum rejected: branch points ")
-            obj = tmp_path / "out.obj"
-            mesh = run_cli("mesh", path, "-o", obj)
-            assert mesh.returncode == 1 and mesh.stderr == out.stderr and not obj.exists()
-        else:
-            assert "nullity violated" in lines[0]
+        if kind == "refused":
+            def refuse(w, p):
+                raise InternalConsistencyError(f"at end {p!r}: nullity violated")
+
+            monkeypatch.setattr("minsurf.report.analyze_end", refuse)
+        assert cli.main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("minsurf: "), err
+        if kind == "refused":
+            assert lines[0] == "minsurf: at end 0j: nullity violated"
+            return
+        reason = "branch points " if kind == "rejected" else "null identity violated"
+        assert lines[0].startswith(f"minsurf: {path}: datum rejected: {reason}"), err
+        if kind == "residue":
+            assert "non-real residue: worst imaginary part 1.000e-08" in lines[0]
+        assert cli.main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"{path}: datum rejected"
+        obj = tmp_path / "out.obj"
+        assert cli.main(["mesh", str(path), "-o", str(obj)]) == 1
+        assert capsys.readouterr().err == err and not obj.exists()
+
+    def test_no_tolerance_flag(self, catenoid_file, capsys):
+        # every gate reads its one module constant: --tol is a usage error
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["--tol", "1e4", "analyze", str(catenoid_file)])
+        assert usage.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: minsurf ")
 
 
 class TestImport:

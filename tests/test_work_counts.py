@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from minsurf import curvature, ends, rational, wdfile, weierstrass
+from minsurf import curvature, ends, rational, report, wdfile, weierstrass
 from minsurf.errors import InternalConsistencyError
 
 R_LIST = (1e2, 1e3, 1e4)
@@ -91,17 +91,28 @@ def test_catalog_work_counts(monkeypatch):
 
 
 def test_refused_ends_take_no_curvature_rounds(monkeypatch):
-    # the catenoid with phi_1 off by one part in 1e7 passes validation under
-    # tol_scale 1e4 but fails the bilinear nullity check of its end at 0; the
-    # ends are analysed first, so no Green-identity round is paid
+    # the catenoid with phi_1 off by one part in 1e7 is rejected by
+    # validation, its leading Laurent vectors not null; and a datum that
+    # validates but whose end analysis refuses it (analyze_end made to raise
+    # here: no natural datum is known to) is refused before the curvature.
+    # Neither pays a Green-identity round
     rounds = []
     real = curvature._round_fluxes
     monkeypatch.setattr(curvature, "_round_fluxes",
                         lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
     phi = ms.catenoid().data.phi
-    w = ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]])
+    rep = ms.run_analysis(ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]]))
+    assert not rep.valid and rep.curvature is None and rep.ends is None
+    assert any("leading Laurent vector not null" in m for m in rep.validation.messages)
+
+    def refuse(w, p):
+        raise InternalConsistencyError(f"at end {p!r}: nullity violated")
+
+    monkeypatch.setattr(report, "analyze_end", refuse)
+    w = ms.catenoid().data
+    assert weierstrass.validate(w).ok
     with pytest.raises(InternalConsistencyError, match="at end 0j: nullity violated"):
-        ms.run_analysis(w, tol_scale=1e4)
+        ms.run_analysis(w)
     assert rounds == []
 
 
