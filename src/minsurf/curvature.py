@@ -165,45 +165,33 @@ def _round_fluxes(groups, centers, radii):
     z_j)), so phi' = num'/den - phi den'/den, with no finite differencing
     and no Horner evaluation of den.  The circles are stacked into one
     array, so each numerator is evaluated once for all of them, and each
-    circle's flux is the one it has alone.  A circle on which a sample hits
-    a zero of S has its radius nudged and is evaluated again, together with
-    any other circle so nudged; after six tries its flux is NaN.  Non-finite
-    values are left to the caller, and numpy warns of none.  Returns
-    (fluxes, radii used).
+    circle's flux is the one it has alone.  S vanishes only at a branch
+    point, which ``validate`` refuses; a circle with a sample on a zero of S
+    gets a NaN flux.  Non-finite values are left to the caller, and numpy
+    warns of none.  Returns (fluxes, radii).
     """
     theta = np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False)
     e = np.exp(1j * theta)
-    centers = np.asarray(centers, dtype=complex)
+    c = np.asarray(centers, dtype=complex)[:, None]
     rad = np.array(radii, dtype=float)
-    flux = np.full(rad.size, math.nan)
-    todo = np.arange(rad.size)
-    for attempt in range(6):
-        if attempt:
-            rad[todo] *= 1.0017
-        c = centers[todo, None]
-        t = rad[todo, None] * e
-        z = c + t
-        num = np.zeros_like(z)
-        S = np.zeros(z.shape)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lead, den_roots, members in groups:
-                den = np.full(z.shape, lead, dtype=complex)
-                log_slope = np.zeros_like(z)
-                for root, m in den_roots:
-                    factor = t + (c - root)
-                    den *= factor**m
-                    log_slope += m / factor
-                for n, dn in members:
-                    v = n(z) / den
-                    num += (dn(z) / den - v * log_slope) * np.conj(v)
-                    S += np.abs(v) ** 2
-            ok = np.min(S, axis=1) > 1e-280
-            vals = np.real(e * num[ok] / S[ok]) * rad[todo[ok], None]
-        flux[todo[ok]] = np.mean(vals, axis=1) * 2.0 * math.pi
-        todo = todo[~ok]
-        if not todo.size:
-            break
-    return flux, rad
+    t = rad[:, None] * e
+    z = c + t
+    num = np.zeros_like(z)
+    S = np.zeros(z.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lead, den_roots, members in groups:
+            den = np.full(z.shape, lead, dtype=complex)
+            log_slope = np.zeros_like(z)
+            for root, m in den_roots:
+                factor = t + (c - root)
+                den *= factor**m
+                log_slope += m / factor
+            for n, dn in members:
+                v = n(z) / den
+                num += (dn(z) / den - v * log_slope) * np.conj(v)
+                S += np.abs(v) ** 2
+        vals = np.real(e * num / np.where(S > 1e-280, S, np.nan)) * rad[:, None]
+    return np.mean(vals, axis=1) * 2.0 * math.pi, rad
 
 
 def _romberg_step(rows, tc: float, q: float) -> float | None:

@@ -407,8 +407,11 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
     bound of a catenoid-type/planar end is that the ratio stays bounded as the
     radius shrinks: the ratio at the last radius is at most 3 times that two
     radii before.  f - f0 is one series, the local one minus the model's,
-    so no rounding of two values of size a/r enters the ratios.
+    so no rounding of two values of size a/r enters the ratios.  An end of
+    another datum raises ``ValueError``.
     """
+    if e._w is not w:
+        raise ValueError(f"end {e.puncture!r} is an end of {e._w!r}, not of {w!r}")
     radii = [float(r) for r in radii]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
@@ -494,6 +497,16 @@ def _radii(R_list) -> list:
     return radii
 
 
+def _end_of(w: WeierstrassData, p, end: EndAnalysis | None) -> EndAnalysis:
+    """``end``, or ``analyze_end(w, p)`` when it is None; ``ValueError`` when
+    ``end`` is not the analysis of the end p of w."""
+    if end is None:
+        return analyze_end(w, p)
+    if end._w is not w or end.puncture != p:
+        raise ValueError(f"end {end.puncture!r} of {end._w!r} is not the end {p!r} of {w!r}")
+    return end
+
+
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the sphere cut of the end.
@@ -506,10 +519,11 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     closed sampled curve sum to a multiple of 2 pi up to rounding; a cut with
     a step above pi/4 is too coarse for that count to be trusted and raises
     ``NumericInstabilityError``.  The value must agree across all R; the
-    analytic prediction is |k - 1|.
+    analytic prediction is |k - 1|.  ``end``, when given, must be the
+    analysis of the end p of w (``ValueError`` otherwise).
     """
     radii = sorted(_radii(R_list))
-    e = end if end is not None else analyze_end(w, p)
+    e = _end_of(w, p, end)
     n = CUT_ANGLES * max(e.k - 1, 4)
     thetas = 2.0 * math.pi * np.arange(n) / n
     cuts = _solve_sphere_radii(e._local, e, np.tile(thetas, len(radii)), np.repeat(radii, n))[1]
@@ -538,10 +552,11 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
 
     In the frame aligned with the leading coefficient the cut converges to
     the (k-1)-fold covered unit circle; the model curve below carries the
-    phase that the integrated leading term actually produces.
+    phase that the integrated leading term actually produces.  ``end``, when
+    given, must be the analysis of the end p of w (``ValueError`` otherwise).
     """
     (R,) = _radii((R,))
-    e = end if end is not None else analyze_end(w, p)
+    e = _end_of(w, p, end)
     thetas = 2.0 * math.pi * np.arange(720) / 720
     curve = _solve_sphere_radii(e._local, e, thetas, R)[1] / R
     alpha = (e.k - 1) * thetas

@@ -12,10 +12,13 @@ a root of p is decided by one rule, a backward error within
 ``STRUCTURE_TOL``: ``roots`` accepts a structure by it, and common factors
 (``shared_roots``, after the approximate GCD of Zeng and Dayton, ISSAC 2004)
 keep a root of one polynomial where the others and their derivatives pass
-it, never by rooting them too.  A rational map roots its denominator once,
-cancels the numerator at those roots and keeps them (``RationalMap.den_roots``);
-they are the only description of the denominator that a finite Laurent
-expansion reads.
+it, never by rooting them too.  A rational map trims its numerator and
+denominator once, roots its denominator once, cancels the numerator at those
+roots and keeps them (``RationalMap.den_roots``); they are the only
+description of the denominator that a finite Laurent expansion reads.  So
+every Laurent order is one of these integers: a multiplicity among the
+denominator roots, an order of vanishing of the numerator, or a difference
+of trimmed degrees at infinity.
 
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
@@ -51,13 +54,12 @@ __all__ = [
 # Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
 # 1 + |root|) within which two roots are one point (``roots_coincide``);
 # STRUCTURE_TOL is the backward error up to which z is a root of p: of a
-# multiplicity structure (``roots``) and of a common factor
-# (``_vanishing_order``); ORDER_TOL is the relative cutoff deciding that a
-# shifted coefficient is zero when reading off a Laurent order; TRIM_TOL is
-# the relative size below which a leading coefficient is noise (``trimmed``).
+# multiplicity structure (``roots``), of a common factor and of a Laurent
+# order (``_vanishing_order``); TRIM_TOL is the relative size below which a
+# leading coefficient is noise (``trimmed``), so it decides every degree, and
+# with it every order at infinity.
 CLUSTER_RADIUS = 1e-8
 STRUCTURE_TOL = 1e-10
-ORDER_TOL = 1e-11
 TRIM_TOL = 1e-13
 
 
@@ -435,8 +437,9 @@ class RootTable:
 class RationalMap:
     """Ratio of complex polynomials, kept in reduced form.
 
-    Construction roots ``den`` once and cancels ``num`` at the roots it shares
-    (``shared_roots``), so poles of ``den`` are genuine poles of the map.
+    Construction trims ``num`` and ``den`` (``trimmed``), so each degree is
+    decided once, then roots ``den`` once and cancels ``num`` at the roots it
+    shares (``shared_roots``), so poles of ``den`` are genuine poles of the map.
     ``den_roots`` are the roots of ``den`` with multiplicities, found at most
     once: at construction, or on first use when nothing needed reducing or a
     cancellation changed ``den``.  Both go through the map's ``RootTable``,
@@ -451,12 +454,15 @@ class RationalMap:
     def _reduce(self, num: ComplexPoly, den: ComplexPoly, table: RootTable) -> None:
         if den.is_zero:
             raise DegenerateInputError("denominator is the zero polynomial")
+        if not (np.isfinite(num.coeffs).all() and np.isfinite(den.coeffs).all()):
+            # the trim would read such a coefficient's neighbours as noise
+            raise DegenerateInputError("a coefficient is not finite")
+        num, den = num.trimmed(), den.trimmed()
         den_roots = None
         if num.is_zero:
             num, den = ComplexPoly(), ComplexPoly([1.0])
         elif num.degree() >= 1 and den.degree() >= 1:
-            num, den = num.trimmed(), den.trimmed()
-            den_roots = table.roots(den) if den.degree() >= 1 else ()
+            den_roots = table.roots(den)
             common = shared_roots(den_roots, [num])
             for r, m in common:
                 num = num.deflate(r, m)
@@ -535,27 +541,15 @@ class LaurentSeries:
         return t**self.order * npoly.polyval(t, self.coeffs)
 
 
-def _series_order(coeffs: np.ndarray) -> int:
-    mags = np.abs(coeffs)
-    top = mags.max()
-    idx = np.nonzero(mags > ORDER_TOL * top)[0]
-    return int(idx[0])
-
-
-def _series_quotient(p: ComplexPoly, q: ComplexPoly, depth: int):
-    """Order and depth+1 coefficients of p/q as a Laurent series at 0.
+def _series_quotient(at: np.ndarray, bt: np.ndarray, depth: int) -> np.ndarray:
+    """The first depth+1 Taylor coefficients at 0 of a/b, from the ascending
+    coefficients ``at`` and ``bt`` of a and b, bt[0] != 0.
 
     The recurrence stops at the first coefficient that leaves the float
     range (deep terms of a datum scaled near the top of it): that one and
     every later one are NaN, never a value.  ``LocalImmersion`` refuses a
     window with a NaN term.
     """
-    a = p.coeffs
-    b = q.coeffs
-    alpha = _series_order(a)
-    beta = _series_order(b)
-    at = a[alpha:]
-    bt = b[beta:]
     s = np.full(depth + 1, np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(depth + 1):
@@ -566,20 +560,22 @@ def _series_quotient(p: ComplexPoly, q: ComplexPoly, depth: int):
             if not cmath.isfinite(acc):
                 break
             s[k] = acc
-    return alpha - beta, s
+    return s
 
 
 def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     """Laurent expansion of a rational function at a sphere point.
 
-    At a finite centre c the denominator's Taylor coefficients come from its
-    factors, lead * prod (t + c - z_j)^m_j over ``r.den_roots``, so at one of
-    those roots the coefficients below the pole's order are exactly zero and
-    the order never rests on rounding noise clearing ``ORDER_TOL``.  That
-    holds at the root itself only, so ``weierstrass`` expands each component
-    at its own denominator root, from the datum's pole table.  At infinity
-    the expansion is in w = 1/z and describes function values only; the
-    1-form Jacobian dz = -dw/w^2 is applied by the caller.
+    The order is decided where the roots are, never read off coefficients.
+    A finite centre c within ``roots_coincide`` of a root of ``r.den_roots``
+    is that root, and the pole's order is its multiplicity; the
+    denominator's Taylor coefficients come from its factors, lead *
+    prod (t + c - z_j)^m_j, so the ones below that order are exactly zero.
+    The numerator vanishes at c to the order ``_vanishing_order`` gives, the
+    rule that also cancels common factors.  At infinity the expansion is in
+    w = 1/z, and its order is deg den - deg num, of the polynomials trimmed
+    at construction; it describes function values only, and the 1-form
+    Jacobian dz = -dw/w^2 is applied by the caller.
     """
     r = _as_rational(r)
     if r.is_zero:
@@ -587,16 +583,15 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if is_infinity(center):
-        pn = ComplexPoly(r.num.coeffs[::-1])
-        pd = ComplexPoly(r.den.coeffs[::-1])
-        base = r.den.degree() - r.num.degree()
-        rel, coeffs = _series_quotient(pn, pd, depth)
-        return LaurentSeries(INF, base + rel, coeffs)
+        coeffs = _series_quotient(ComplexPoly(r.num.coeffs[::-1]).coeffs,
+                                  ComplexPoly(r.den.coeffs[::-1]).coeffs, depth)
+        return LaurentSeries(INF, r.den.degree() - r.num.degree(), coeffs)
     c = complex(center)
-    lead = r.den.coeffs[sum(m for _z, m in r.den_roots)]
-    den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], lead)
-    rel, coeffs = _series_quotient(r.num.shift(c), den, depth)
-    return LaurentSeries(c, rel, coeffs)
+    c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
+    den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], r.den.coeffs[-1])
+    zero = _vanishing_order(r.num, c, r.num.degree())
+    coeffs = _series_quotient(r.num.shift(c).coeffs[zero:], den.coeffs[pole:], depth)
+    return LaurentSeries(c, zero - pole, coeffs)
 
 
 @dataclass(frozen=True, eq=False)

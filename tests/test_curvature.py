@@ -244,27 +244,28 @@ class TestStackedRounds:
                 horner_worst = max(horner_worst, abs(_horner_circle_flux(w.phi, c, r) - ref))
         assert horner_worst > 0.1
 
-    def test_only_the_circle_on_a_zero_of_s_is_nudged(self, enneper):
+    def test_only_the_circle_through_a_zero_of_s_has_no_flux(self, enneper):
         # Enneper times (z - 1)^2: a branch point at z = 1, where every
         # component vanishes exactly; the theta = 0 sample of the unit circle
-        # about 0 is exactly 1
+        # about 0 is exactly 1, so that circle's flux is NaN, with no warning,
+        # and the other two are the ones they have alone
         square = ms.rational.RationalMap([1.0, -2.0, 1.0])
         phi = [r * square for r in enneper.data.phi]
         groups = curvature._flux_groups(ms.WeierstrassData(phi))
         assert len(groups) == 1
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
-        flux, used = curvature._round_fluxes(groups, centers, radii)
-        assert used.tolist() == [1.0 * 1.0017, 0.5, 0.3]
-        # the nudged circle passes 0.0017 from the double zero of S, where
-        # the numerators lose digits to cancellation: 6.5e-12 relative
-        for f, c, r in zip(flux, centers, used):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flux, used = curvature._round_fluxes(groups, centers, radii)
+        assert used.tolist() == radii
+        assert math.isnan(flux[0])
+        for f, c, r in zip(flux[1:], centers[1:], used[1:]):
             assert abs(f - _mp_circle_flux(phi, c, r)) <= 1e-10 * max(1.0, abs(f))
 
     def test_a_circle_left_on_a_zero_of_s_has_no_flux(self, enneper):
-        # a circle of radius 0 about the branch point z = 1 stays on the zero
-        # of S however it is nudged: its flux is NaN, left to the caller,
-        # with no error and no warning; the other circle's is the one it has
-        # alone
+        # a circle of radius 0 about the branch point z = 1 is the zero of S:
+        # its flux is NaN, left to the caller, with no error and no warning;
+        # the other circle's is the one it has alone
         square = ms.rational.RationalMap([1.0, -2.0, 1.0])
         groups = curvature._flux_groups(ms.WeierstrassData([r * square for r in enneper.data.phi]))
         with warnings.catch_warnings():
@@ -276,6 +277,10 @@ class TestStackedRounds:
     @pytest.mark.parametrize("m", [3, 6])
     def test_evaluations_per_denominator_and_component(self, m, monkeypatch):
         w = ms.generalized_jorge_meeks(m).data
+        # the datum's unit is read off its Laurent table, whose orders test
+        # the numerators at the ends; build it first, so that only the
+        # witness's own evaluations are counted
+        w.unit
         shapes = []
         real_call = ms.rational.ComplexPoly.__call__
 
@@ -423,9 +428,9 @@ class TestStopRules:
     def test_zero_of_s_past_the_stop_is_not_read(self, monkeypatch):
         # JM m = 1 times (z - z0)^2, z0 where the outer circle of round 3
         # meets the real axis: the tableau stops on round 2, and round 3,
-        # evaluated with it in one call, has its outer circle nudged off the
-        # zero of S; the value is that of the rounds taken singly, with no
-        # error and no warning
+        # evaluated with it in one call, has no flux on its outer circle,
+        # which meets the zero of S; it is not read, and the value is that of
+        # the rounds taken singly, with no error and no warning
         base = ms.generalized_jorge_meeks(1).data
         z0 = _round_radii(base, 3)[1][-1]
         square = ms.rational.ComplexPoly([z0 * z0, -2 * z0, 1])
@@ -437,7 +442,8 @@ class TestStopRules:
         rounds = _rounds(calls)
         assert len(rounds) == 4
         assert [r.tolist() for _f, r in rounds[:3]] == [_round_radii(w, i)[1] for i in range(3)]
-        assert rounds[3][1][-1] == _round_radii(w, 3)[1][-1] * 1.0017
+        assert rounds[3][1].tolist() == _round_radii(w, 3)[1]
+        assert math.isnan(rounds[3][0][-1]) and np.isfinite(rounds[3][0][:-1]).all()
         singly = []
         for i in range(3):
             flux = curvature._round_fluxes(curvature._flux_groups(w), *_round_radii(w, i))[0]
@@ -523,6 +529,44 @@ class TestChernOsserman:
         w = ms.WeierstrassData(counterexample.data.phi, punctures=(0j,))
         with pytest.raises(InternalConsistencyError, match="disagrees with end orders"):
             chern_osserman(w)
+
+
+def tiny_top_term(name, eps):
+    """Enneper with eps z^4 added to the numerator of phi_1, or the catenoid
+    with eps z^3: a top coefficient eps times the largest one (0.5 and 1)."""
+    if name == "enneper":
+        phi = [ms.RationalMap([0.5, 0.0, -0.5, 0.0, eps]), ms.RationalMap([0.5j, 0.0, 0.5j]),
+               ms.RationalMap([0.0, 1.0])]
+        return ms.WeierstrassData(phi, punctures=(ms.INF,)), 0.5
+    phi = [ms.RationalMap([1.0, 0.0, -1.0, eps], [0.0, 0.0, 2.0]),
+           ms.RationalMap([1j, 0.0, 1j], [0.0, 0.0, 2.0]), ms.RationalMap([1.0], [0.0, 1.0])]
+    return ms.WeierstrassData(phi, punctures=(0j, ms.INF)), 1.0
+
+
+TINY_TOP_TERMS = [1e-14, 1e-13, 2e-13, 1e-12, 3e-12, 1e-11, 2e-11]
+
+
+class TestOneVanishingRule:
+    """The Gauss-map degree and the end orders read one set of integers: a
+    top coefficient is a degree and an order at infinity alike, or neither
+    when the trim drops it, so a datum that validates never fails the
+    Jorge-Meeks identity with an ``InternalConsistencyError``."""
+
+    @pytest.mark.parametrize("eps", TINY_TOP_TERMS)
+    @pytest.mark.parametrize("name", ["enneper", "catenoid"])
+    def test_a_tiny_top_term_is_an_order_or_is_trimmed(self, name, eps):
+        w, top = tiny_top_term(name, eps)
+        trimmed = eps <= ms.rational.TRIM_TOL * top
+        assert w.phi[0].num.degree() == (2 if trimmed else 4 if name == "enneper" else 3)
+        rep = ms.run_analysis(w)
+        assert rep.valid == trimmed
+        if trimmed:
+            assert rep.curvature.d == 2
+        else:
+            # the kept term is the end's order: -6 (Enneper) or -3 (catenoid),
+            # with the leading vector (eps, 0, 0), which is not null
+            assert dict(rep.validation.end_orders)[ms.INF] == (-6 if name == "enneper" else -3)
+            assert any("leading Laurent vector not null" in m for m in rep.validation.messages)
 
 
 class TestFullness:

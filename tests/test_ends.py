@@ -386,6 +386,28 @@ class TestRotationIndex:
             with pytest.raises(ValueError, match="finite and positive"):
                 limit_circle_deviation(catenoid.data, 0j, radii[0])
 
+    def test_an_end_it_was_not_asked_about_is_refused(self, catenoid, enneper, monkeypatch):
+        # the witness winds the end it is given, so an end of another datum
+        # (Enneper's would give 3 here) or of another puncture is refused
+        # before any solve
+        def unreachable(*args):
+            raise AssertionError("sphere cut solved")
+
+        w = catenoid.data
+        other_datum = analyze_end(enneper.data, INF)
+        other_puncture = analyze_end(w, INF)
+        same_coefficients = analyze_end(ms.catenoid().data, 0j)
+        monkeypatch.setattr(ends, "_solve_sphere_radii", unreachable)
+        for e in (other_datum, other_puncture, same_coefficients):
+            with pytest.raises(ValueError, match="is not the end 0j"):
+                rotation_index_numeric(w, 0j, R_LIST, end=e)
+            with pytest.raises(ValueError, match="is not the end 0j"):
+                limit_circle_deviation(w, 0j, 1e2, end=e)
+        with pytest.raises(ValueError, match="not of"):
+            verify_asymptotic(w, same_coefficients, [1e-1, 1e-2, 1e-3])
+        monkeypatch.undo()
+        assert rotation_index_numeric(w, 0j, R_LIST, end=analyze_end(w, 0j)) == 1
+
 
 class TestLimitCircle:
     def test_deviation_decreases_catenoid(self, catenoid):

@@ -303,6 +303,52 @@ class TestLaurent:
         with pytest.raises(ZeroFunctionError):
             laurent_expand(RationalMap(ComplexPoly()), 0j)
 
+    def test_centre_off_a_simple_pole_is_the_pole(self):
+        # 3 / (z - 0.3) asked 1e-9 off its root, within roots_coincide: the
+        # expansion is made at the root, with the pole's order and residue
+        r = RationalMap([3.0], [-0.3, 1.0])
+        ((root, _m),) = r.den_roots
+        s = laurent_expand(r, root + 1e-9, depth=2)
+        assert (s.center, s.order) == (root, -1)
+        assert abs(s.coeffs[0] - 3.0) <= 1e-14
+        assert residue(r, root + 1e-9) == residue(r, root)
+
+    def test_centre_off_a_double_pole_is_the_pole(self, jm2):
+        # JM m = 2's double pole at 1, asked 1e-7 off, within roots_coincide
+        # for a double root: h_0 = i (1 + z^4) / (2 (z^3 - 1)^2) has order -2
+        # there, leading coefficient i / 9 (1 + z^4 = 2 over (z^2 + z + 1)^2 = 9)
+        # and residue (N' Q - 2 N Q') / Q^3 = 0, N = i (1 + z^4) / 2,
+        # Q = z^2 + z + 1
+        r = jm2.data.phi[1]
+        ((root, mult),) = [(z, m) for z, m in r.den_roots if abs(z - 1.0) < 1e-6]
+        assert mult == 2
+        for c in (1.0 + 1e-7, 1.0 - 1e-7j):
+            s = laurent_expand(r, c, depth=3)
+            assert (s.center, s.order) == (root, -2)
+            assert s.coeffs.tolist() == laurent_expand(r, root, depth=3).coeffs.tolist()
+            assert abs(s.coeffs[0] - 1j / 9.0) < 1e-12
+            assert abs(residue(r, c)) < 1e-12
+
+    def test_top_coefficients_are_trimmed_at_construction(self):
+        # a polynomial component and a constant numerator are trimmed as a
+        # reduced map is, so the order at infinity is deg den - deg num
+        poly = RationalMap([0.5, 0.0, -0.5, 0.0, 1e-14])
+        assert poly.num.degree() == 2
+        assert laurent_expand(poly, INF, 0).order == -2
+        const = RationalMap([1.0], [0.0, 1.0, 1e-15])
+        assert const.den.degree() == 1
+        assert laurent_expand(const, INF, 0).order == 1
+        kept = RationalMap([0.5, 0.0, -0.5, 0.0, 1e-12])
+        assert kept.num.degree() == 4 and laurent_expand(kept, INF, 0).order == -4
+
+    @pytest.mark.parametrize("num, den", [([np.inf, 1.0], [1.0]), ([np.nan, 1.0], [0.0, 1.0]),
+                                          ([1.0], [np.inf, 1.0])])
+    def test_a_coefficient_that_is_not_finite_is_refused(self, num, den):
+        # relative to it every other coefficient would be trimmed as noise,
+        # leaving a zero map or a wrong degree
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            RationalMap(num, den)
+
     @pytest.mark.filterwarnings("error")
     def test_coefficients_past_the_float_range_are_nan(self):
         # 2^1000 / (z - 1/100) at 0: |s_k| = 2^1000 100^(k+1) leaves the float

@@ -298,6 +298,25 @@ class TestCliScaled:
             assert rep["verdicts"]["co_equality"] == want.co_equality, entry.name
 
 
+class TestCliTinyTopTerm:
+    @pytest.mark.parametrize("eps", [1e-14, 1e-13, 1e-12, 1e-11])
+    def test_verify_and_analyze_agree(self, tmp_path, capsys, enneper, eps):
+        # Enneper with eps z^4 added to the numerator of phi_1, written to
+        # the file as coefficients: below the trim it is Enneper, above it
+        # an order -6 end that is not null; verify and analyze decide it
+        # alike, and neither reports degree and end orders at odds
+        doc = json.loads(wdfile.dumps(wdfile.document_from_data(enneper.data)))
+        doc["components"][0]["num"] += [[0.0, 0.0], [eps, 0.0]]
+        path = tmp_path / "tiny.wd"
+        path.write_text(json.dumps(doc))
+        codes = [cli.main([command, str(path)]) for command in ("verify", "analyze")]
+        err = capsys.readouterr().err
+        assert codes == ([0, 0] if eps <= 0.5 * ms.rational.TRIM_TOL else [1, 1])
+        assert "disagrees with end orders" not in err
+        if codes[0]:
+            assert "leading Laurent vector not null" in err
+
+
 class TestCliCloseEnds:
     def test_every_chart_exits_with_one_line(self, tmp_path, capsys):
         # the catenoid with ends 1e-3 apart at 31 positions: each analyses or
