@@ -12,9 +12,10 @@ A Green-identity boundary integral of -laplacian(log lambda) provides an
 independent numeric value; it reads only each component's num/den and
 den_roots, with the numerators divided by the datum's unit, a power of two
 (exact, and invisible to d/dr log lambda).  The circles of ``TC_BLOCK``
-shrink rounds are evaluated in one stacked call, each denominator from its
-roots, and a Romberg tableau of the rounds' estimates stops when its diagonal
-settles.
+shrink rounds are evaluated in one stacked call, each numerator and its
+derivative as a coefficient array by ``rational.horner`` and each
+denominator from its roots, and a Romberg tableau of the rounds' estimates
+stops when its diagonal settles.
 
 Every bound is an integer pi-multiple, and every equality an integer
 comparison, never a float one.
@@ -32,6 +33,7 @@ from .errors import (
     InternalConsistencyError,
     NumericInstabilityError,
 )
+from .rational import horner
 from .weierstrass import WeierstrassData, branch_divisor, metric_order_at
 
 __all__ = [
@@ -135,7 +137,8 @@ def gauss_map(w: WeierstrassData) -> GaussMap:
 
 def _flux_groups(w: WeierstrassData):
     """Nonzero components grouped by denominator, as (lead, den_roots, [(num,
-    num'), ...]), every numerator divided by the datum's ``unit``.
+    num'), ...]), each numerator the coefficient array of the component's
+    divided by the datum's ``unit``, a zero derivative as ``[0]``.
 
     A denominator is carried by its roots: next to close multiple roots
     Horner's rule on its coefficients loses the digits its factors keep.
@@ -150,7 +153,8 @@ def _flux_groups(w: WeierstrassData):
         _lead, _roots, members = groups.setdefault(r.den.coeffs.tobytes(),
                                                    (r.den.coeffs[-1], r.den_roots, []))
         num = r.num * (1.0 / w.unit)
-        members.append((num, num.derivative()))
+        dnum = num.derivative().coeffs
+        members.append((num.coeffs, dnum if dnum.size else np.zeros(1, dtype=complex)))
     return list(groups.values())
 
 
@@ -187,8 +191,8 @@ def _round_fluxes(groups, centers, radii):
                 den *= factor**m
                 log_slope += m / factor
             for n, dn in members:
-                v = n(z) / den
-                num += (dn(z) / den - v * log_slope) * np.conj(v)
+                v = horner(z, n) / den
+                num += (horner(z, dn) / den - v * log_slope) * np.conj(v)
                 S += np.abs(v) ** 2
         vals = np.real(e * num / np.where(S > 1e-280, S, np.nan)) * rad[:, None]
     return np.mean(vals, axis=1) * 2.0 * math.pi, rad

@@ -13,7 +13,9 @@ circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
 That circle lies in span(Re a_{-k}, Im a_{-k}), the first two rows of the
 end's frame, so the numeric witness ``rotation_index_numeric`` counts the
 turns of each cut projected onto that plane, sampled at ``CUT_ANGLES`` angles
-per turn of the circle.  Magnitude enters only through the datum's unit
+per turn of the circle.  The cuts at all its radii are one Newton batch on a
+process-wide, read-only angle grid, projected and turned by one product and
+one reshape.  Magnitude enters only through the datum's unit
 (``WeierstrassData.unit``): the bilinear gates and the norms a, b are taken of
 the coefficients over it.
 
@@ -26,7 +28,8 @@ are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
 end.  Every reader of an end's series -- immersion values, the sphere cuts
 |f| = R (Newton on log r per angle, with the exact radial derivative), the
 asymptotic model and its check -- goes through one polar evaluator,
-``_polar_jet``, of t as angle and log radius; the local immersion keeps the
+``_polar_jet``, of t as angle and log radius, its phases one cos and one
+sin of the (power x angle) outer product; the local immersion keeps the
 terms above 1e-18 of the leading one.  The asymptotic check
 evaluates the local series minus the model as one table, so the terms they
 share cancel before any rounding.
@@ -34,6 +37,7 @@ share cancel before any rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,8 +96,10 @@ def _polar_jet(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray,
     and d/dlog r multiplies it by p.  The log term is 2 (Re c x - Im c theta),
     theta on the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
     [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
-    [value; derivative] coefficients give both in one real matrix product;
-    only r^p (by row products) and x change between calls.
+    [value; derivative] coefficients give both in one real matrix product.
+    The phases cos p theta, sin p theta are taken once, of the (power x
+    angle) outer product; only r^p (by row products of r) and x change
+    between calls.
     """
     n, K = anti.shape
     powers = lo + np.arange(K)
@@ -106,14 +112,12 @@ def _polar_jet(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray,
     coef[0, :, 2 * K + 1] = -log.imag
     coef[0, :, 2 * K + 2] = constant
     coef = coef.reshape(2 * n, -1)
-    phases = np.empty((K, thetas.size), dtype=complex)
-    phases[0] = np.exp(1j * lo * thetas)
-    turn = np.exp(1j * thetas)
-    for j in range(1, K):
-        np.multiply(phases[j - 1], turn, out=phases[j])
-    table = np.stack([phases.real, phases.imag])                # (2, K, N)
+    angles = np.multiply.outer(powers, thetas)
+    table = np.empty((2,) + angles.shape)                        # (2, K, N)
+    np.cos(angles, out=table[0])
+    np.sin(angles, out=table[1])
     rows = np.empty((2 * K + 3, thetas.size))
-    rows[2 * K + 1] = np.angle(turn)
+    rows[2 * K + 1] = np.angle(np.exp(1j * thetas))
     rows[2 * K + 2] = 1.0
     scaled = rows[:2 * K].reshape(2, K, -1)
     powers_of_r = np.empty((K, thetas.size))
@@ -255,6 +259,17 @@ class EndAnalysis:
         return cache[self.puncture]
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a vector by ``np.linalg.norm``'s own formula, the square
+    root of v.v (of Re v.Re v + Im v.Im v when complex) taken of v raveled,
+    so bitwise its value without its generic wrapper.  The ravel matters: a
+    dot product of a strided view may sum in another order."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
+
+
 def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Deterministic third frame vector: the standard basis vector with the
     largest component orthogonal to span(e1, e2), Gram-Schmidt normalized."""
@@ -265,7 +280,7 @@ def _orthonormal_completion(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
         u = np.zeros(n)
         u[i] = 1.0
         r = u - (u @ e1) * e1 - (u @ e2) * e2
-        nr = float(np.linalg.norm(r))
+        nr = _norm(r)
         if nr > best_norm + 1e-12:
             best_r, best_norm = r, nr
     return best_r / best_norm
@@ -301,9 +316,9 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
             f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2 at end {p!r}: nullity violated"
         )
     if mu == -2:
-        size = float(np.linalg.norm(lead_u))
+        size = _norm(lead_u)
         cross = complex(np.sum(lead_u * a1c_u))
-        scale = size * (size + float(np.linalg.norm(a1c_u)))
+        scale = size * (size + _norm(a1c_u))
         if abs(cross) > BILINEAR_TOL * scale:
             raise InternalConsistencyError(
                 f"<a_-2, a_-1> = {cross / scale:.3e} |a_-2| (|a_-2| + |a_-1|) at end {p!r}: "
@@ -311,11 +326,11 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
             )
 
     # a is nonzero, and |Im a_lead| within ~2e-9 a of it, by the nullity gate
-    a = unit * float(np.linalg.norm(lead_u.real))
+    a = unit * _norm(lead_u.real)
     e1 = lead.real / a
     e2 = lead.imag / a
     b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2
-    b = unit * float(np.linalg.norm(b_vec / unit))
+    b = unit * _norm(b_vec / unit)
     if b > PLANAR_TOL * a:
         e3 = b_vec / b
     else:
@@ -431,9 +446,10 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
 
     R is one radius, or one per angle: the cuts at several radii are then one
     batch, with one phase table.  Newton on x = log r, vectorized over all
-    angles, with the exact slope g' = <u, df/dx> / (R |u|^2) of g = log|u|,
-    u = f / R, from the local immersion's polar evaluator; f is divided by R
-    before it is squared, so no scale of the surface under- or overflows it.
+    angles, with the exact slope g' = <u, df/dx> / (R |u|^2) of
+    g = log|u| = log(u.u) / 2, u = f / R, from the local immersion's polar
+    evaluator; u.u is one einsum, which the slope reuses, and f is divided by
+    R before it is squared, so no scale of the surface under- or overflows it.
     It starts from the asymptotic radius (|f| grows like 2a/((k-1) r^{k-1})
     toward the end) and stops at max|g| < 1e-13; where g' is not finite and
     negative the step takes the asymptotic slope -(k-1).  An iterate that
@@ -447,7 +463,7 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     callers need not evaluate them again.
     """
     k, a = e.k, e.a
-    R = np.broadcast_to(np.asarray(R, dtype=float), thetas.shape)
+    R = np.full(thetas.shape, R, dtype=float)
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
     x_cap = math.log(cap)
@@ -457,9 +473,9 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
         for _ in range(80):
             f, df = jet(x)
             u = f / R
-            size = np.linalg.norm(u, axis=0)
-            g = np.log(size)
-            resid = float(np.max(np.abs(g)))
+            sq = np.einsum("ij,ij->j", u, u)
+            g = 0.5 * np.log(sq)
+            resid = float(np.abs(g).max())
             if resid < 1e-13:
                 r_top = math.exp(float(np.max(x)))
                 if loc._kept_terms(r_top) <= K:
@@ -468,7 +484,7 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
                 continue
             if not math.isfinite(resid):
                 break
-            slope = np.einsum("ij,ij->j", u, df) / (R * size**2)
+            slope = np.einsum("ij,ij->j", u, df) / (R * sq)
             newton = np.isfinite(slope) & (slope < 0.0)
             x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     if not resid <= 1e-9:
@@ -480,12 +496,25 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
     return np.exp(x), jet(x)[0]
 
 
-def _turning(xy: np.ndarray) -> np.ndarray:
-    """Steps of the projected angle between consecutive points of closed
-    curves (..., 2, N), each taken in [-pi, pi)."""
-    ang = np.arctan2(xy[..., 1, :], xy[..., 0, :])
-    d = np.diff(ang, append=ang[..., :1])
+def _cut_turning(frame: np.ndarray, cuts: np.ndarray, count: int) -> np.ndarray:
+    """The turning steps of ``count`` closed sphere cuts laid side by side in
+    ``cuts`` (n, count N), projected onto span(frame[0], frame[1]) by one
+    product and one reshape: a (count, N) array of the steps of the projected
+    angle between consecutive points, each in [-pi, pi), each row the steps
+    its cut has alone."""
+    x, y = (frame[:2] @ cuts).reshape(2, count, -1)
+    ang = np.arctan2(y, x)
+    d = np.diff(ang, append=ang[:, :1])
     return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
+@functools.cache
+def _cut_angles(n: int, count: int) -> np.ndarray:
+    """The angles 2 pi j / n of a sphere cut, repeated for ``count`` radii:
+    one read-only array per (n, count) for the whole process."""
+    grid = np.tile(2.0 * math.pi * np.arange(n) / n, count)
+    grid.flags.writeable = False
+    return grid
 
 
 def _radii(R_list) -> list:
@@ -525,12 +554,10 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     radii = sorted(_radii(R_list))
     e = _end_of(w, p, end)
     n = CUT_ANGLES * max(e.k - 1, 4)
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    cuts = _solve_sphere_radii(e._local, e, np.tile(thetas, len(radii)), np.repeat(radii, n))[1]
-    d = _turning(e.frame[:2] @ np.stack(np.split(cuts, len(radii), axis=1)))
-    steps = np.max(np.abs(d), axis=1)
+    cuts = _solve_sphere_radii(e._local, e, _cut_angles(n, len(radii)), np.repeat(radii, n))[1]
+    d = _cut_turning(e.frame, cuts, len(radii))
     windings = {}
-    for R, step, turns in zip(radii, steps, np.sum(d, axis=1) / (2.0 * math.pi)):
+    for R, step, turns in zip(radii, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
         if step > math.pi / 4.0:
             raise NumericInstabilityError(
                 f"sphere cut at R = {R:g} turns by {step:.3f} rad between angles, above pi/4",

@@ -23,7 +23,10 @@ of trimmed degrees at infinity.
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
 reproducible for integer-valued inputs); tolerances enter only through the
-module constants below.
+module constants below.  Polynomials are evaluated by one Horner (``horner``)
+and divided by one long division (``poly_quotient``), in the operations of
+``numpy.polynomial``'s ``polyval`` and ``polydiv``, so bitwise their values
+without their generic wrappers; minsurf imports no ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateInputError, ZeroFunctionError
 
@@ -45,6 +47,8 @@ __all__ = [
     "LaurentSeries",
     "roots",
     "shared_roots",
+    "horner",
+    "poly_quotient",
     "laurent_expand",
     "PartialFractions",
     "partial_fractions",
@@ -77,6 +81,37 @@ INF = _Infinity()
 
 def is_infinity(p) -> bool:
     return isinstance(p, _Infinity)
+
+
+def horner(z, coeffs: np.ndarray):
+    """The polynomial with ascending ``coeffs`` (1-D, nonempty) at z, by
+    Horner's rule in the operations of ``numpy.polynomial``'s ``polyval``:
+    ``coeffs[-1] + z*0``, then ``c + acc*z`` down to the constant.  So it is
+    bitwise that value, z*0 making a non-finite z give NaN, without the
+    generic wrapper's cost: the steps update one array in place (addition
+    commutes bitwise) and add the coefficients as Python numbers, which
+    convert to the same doubles.  Empty ``coeffs`` raise ``IndexError`` as
+    there.
+    """
+    acc = coeffs[-1] + z * 0
+    for c in coeffs[-2::-1].tolist():
+        acc *= z
+        acc += c
+    return acc
+
+
+def poly_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The quotient of num / den, ascending complex coefficients whose
+    leading ones are nonzero, by the operations of ``numpy.polynomial``'s
+    ``polydiv`` (long division by the monic den[:-1] / den[-1]), so bitwise
+    its quotient."""
+    if num.size < den.size:
+        return num[:1] * 0
+    rem = num.copy()
+    lower = den[:-1] / den[-1]
+    for j in range(num.size - 1, den.size - 2, -1):
+        rem[j - den.size + 1:j] -= lower * rem[j]
+    return rem[den.size - 1:] / den[-1]
 
 
 class ComplexPoly:
@@ -115,7 +150,7 @@ class ComplexPoly:
         if self.is_zero:
             z = np.asarray(z)
             return np.zeros(z.shape, dtype=complex) if z.ndim else 0j
-        return npoly.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        return horner(np.asarray(z, dtype=complex), self.coeffs)
 
     def __repr__(self):
         return f"ComplexPoly({self.coeffs.tolist()!r})"
@@ -538,7 +573,7 @@ class LaurentSeries:
     def __call__(self, t):
         """Evaluate the truncated series at local coordinate t (t != 0)."""
         t = np.asarray(t, dtype=complex)
-        return t**self.order * npoly.polyval(t, self.coeffs)
+        return t**self.order * horner(t, self.coeffs)
 
 
 def _series_quotient(at: np.ndarray, bt: np.ndarray, depth: int) -> np.ndarray:
@@ -618,11 +653,10 @@ def partial_fractions(r: RationalMap, expansions=None) -> PartialFractions:
         return PartialFractions(ComplexPoly(), ())
     if r.den.degree() < 1:
         return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
-    quo, _rem = npoly.polydiv(r.num.coeffs, r.den.coeffs)
     if expansions is None:
         expansions = [(p, laurent_expand(r, p, r.den.degree())) for p, _m in r.den_roots]
     poles = tuple((p, s.coeffs[-s.order - 1::-1].copy()) for p, s in expansions if s.order < 0)
-    return PartialFractions(ComplexPoly(quo), poles)
+    return PartialFractions(ComplexPoly(poly_quotient(r.num.coeffs, r.den.coeffs)), poles)
 
 
 def residue(r: RationalMap, pole) -> complex:

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateInputError,
@@ -66,6 +65,7 @@ from .rational import (
     LaurentSeries,
     RationalMap,
     RootTable,
+    horner,
     is_infinity,
     laurent_expand,
     partial_fractions,
@@ -352,12 +352,17 @@ def validate_null(w: WeierstrassData) -> NullCheck:
     The numerator of the sum over the common denominator must vanish; the
     defect is its max coefficient magnitude relative to the size of the
     individual squared terms.  The numerators are divided by ``w.unit``
-    first (exact), so the squares neither overflow nor underflow.
+    first (exact), so the squares neither overflow nor underflow.  The
+    squares are coefficient arrays, summed in component order.
     """
-    squares = [nj * nj for nj in (n * (1.0 / w.unit) for n in w.cleared[1])]
-    total = sum(squares, ComplexPoly())
-    scale = max(sq.norm() for sq in squares)
-    defect = total.norm() / scale if scale > 0.0 else total.norm()
+    squares = [np.convolve(c, c) for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1])
+               if c.size]
+    total = np.zeros(max(sq.size for sq in squares), dtype=complex)
+    for sq in squares:
+        total[:sq.size] += sq
+    scale = max(float(np.abs(sq).max()) for sq in squares)
+    size = float(np.abs(total).max())
+    defect = size / scale if scale > 0.0 else size
     return NullCheck(ok=defect <= NULL_TOL, defect=defect)
 
 
@@ -542,13 +547,13 @@ class _ClosedForm:
         """The immersion plus a fixed constant at z; shape (n,) + z.shape."""
         out = np.empty((len(self.components),) + z.shape)
         for j, (anti, terms) in enumerate(self.components):
-            hol = npoly.polyval(z, anti) if anti.size else np.zeros(z.shape, dtype=complex)
+            hol = horner(z, anti) if anti.size else np.zeros(z.shape, dtype=complex)
             logs = np.zeros(z.shape)
             for p, res, powers in terms:
                 d = z - p
                 if powers.size:
                     t = 1.0 / d
-                    hol = hol + t * npoly.polyval(t, powers)
+                    hol = hol + t * horner(t, powers)
                 logs = logs + res * np.log(np.abs(d))
             out[j] = 2.0 * (np.real(hol) + logs)
         return out

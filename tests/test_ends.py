@@ -339,14 +339,14 @@ class TestRotationIndex:
         from conftest import well_conditioned_mobius
 
         largest = []
-        real = ends._turning
+        real = ends._cut_turning
 
-        def recorded(xy):
-            d = real(xy)
+        def recorded(frame, cuts, count):
+            d = real(frame, cuts, count)
             largest.extend(np.max(np.abs(d), axis=-1))
             return d
 
-        monkeypatch.setattr(ends, "_turning", recorded)
+        monkeypatch.setattr(ends, "_cut_turning", recorded)
         rng = np.random.default_rng(2001)
         charts, refused = 0, []
         for entry in ms.catalog.entries(jm_range=range(1, 7)):
@@ -640,23 +640,32 @@ class TestBatchedSolve:
                     assert np.max(np.abs(rb - want_r) / want_r) <= 1e-13, (entry.name, p, R)
                     assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
 
-    def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries):
+    def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries,
+                                                                   monkeypatch):
         # rotation_index_numeric projects the cuts of all radii onto the
-        # end's frame plane as one (R, 2, N) array and takes their turning in
-        # one pass; each radius's turning is bitwise the one it has alone
+        # end's frame plane by one product and one reshape (``_cut_turning``)
+        # and takes their turning in one pass; each radius's turning is
+        # bitwise the one it has alone
+        batches = []
+        real = ends._cut_turning
+
+        def recorded(frame, cuts, count):
+            d = real(frame, cuts, count)
+            batches.append((frame, cuts, count, d))
+            return d
+
+        monkeypatch.setattr(ends, "_cut_turning", recorded)
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
-                e = analyze_end(w, p)
-                n = ends.CUT_ANGLES * max(e.k - 1, 4)
-                thetas = 2.0 * np.pi * np.arange(n) / n
-                cuts = ends._solve_sphere_radii(e._local, e, np.tile(thetas, len(R_LIST)),
-                                                np.repeat(R_LIST, n))[1]
-                d = ends._turning(e.frame[:2] @ np.stack(np.split(cuts, len(R_LIST), axis=1)))
-                for i, (R, cut) in enumerate(zip(R_LIST, np.split(cuts, len(R_LIST), axis=1))):
-                    alone = ends._turning(e.frame[:2] @ cut)
-                    assert np.array_equal(d[i], alone), (entry.name, p, R)
-                    assert np.sum(d, axis=1)[i] == np.sum(alone), (entry.name, p, R)
+                rotation_index_numeric(w, p, R_LIST)
+        assert len(batches) == sum(len(entry.data.punctures) for entry in all_entries)
+        for frame, cuts, count, d in batches:
+            assert count == len(R_LIST) and d.shape == (count, cuts.shape[1] // count)
+            for i, cut in enumerate(np.split(cuts, count, axis=1)):
+                alone = real(frame, cut, 1)
+                assert np.array_equal(d[i], alone[0]), i
+                assert np.sum(d, axis=1)[i] == np.sum(alone), i
 
 
 class TestPolarEvaluator:

@@ -1,4 +1,5 @@
-"""``import minsurf`` executes the analysis modules only.
+"""``import minsurf`` executes the analysis modules only, and a
+``minsurf analyze`` imports no ``numpy.polynomial``.
 
 ``catalog``, ``mesh`` and ``quadrature`` are put into ``sys.modules``
 unexecuted and run on their first attribute access; the catalog and mesh
@@ -47,12 +48,15 @@ def executed(names):
 
 
 def test_analyze_executes_no_lazy_module(tmp_path):
+    # nor imports numpy.polynomial: minsurf evaluates and divides
+    # polynomials by its own Horner and long division (rational.horner,
+    # rational.poly_quotient)
     path = tmp_path / "jm2.wd"
     wdfile.dump(wdfile.document_from_data(ms.generalized_jorge_meeks(2).data), path)
     code = ("import sys, types\nimport minsurf.cli\n"
             "assert minsurf.cli.main(['analyze', sys.argv[1]]) == 0\n"
-            f"print({executed(LAZY)})")
-    assert child(code, path) == "[False, False, False]"
+            f"print({executed(LAZY)}, 'numpy.polynomial' in sys.modules)")
+    assert child(code, path) == "[False, False, False] False"
 
 
 def test_catalog_and_mesh_commands_load_their_modules(tmp_path):

@@ -12,8 +12,10 @@ from minsurf.rational import (
     STRUCTURE_TOL,
     ComplexPoly,
     RationalMap,
+    horner,
     laurent_expand,
     partial_fractions,
+    poly_quotient,
     residue,
     roots,
     shared_roots,
@@ -63,6 +65,58 @@ class TestPolyArith:
             ref = np.convolve(a, b)
             assert np.array_equal(prod, ref[: prod.size])
             assert np.array_equal((pa * pb).coeffs, (pb * pa).coeffs)
+
+
+def _normal(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and \
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestInHouseHornerAndDivision:
+    """``horner`` and ``poly_quotient`` replace ``numpy.polynomial``'s
+    ``polyval`` and ``polydiv`` in minsurf, so they must be bitwise them."""
+
+    def test_horner_is_polyval_bitwise(self):
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(26)
+        special = [0j, -0.0 + 0j, 1e3 * np.exp(0.7j), -1e3 + 0j, complex(np.inf, 0.0),
+                   complex(0.0, -np.inf), complex(np.nan, 0.0), complex(np.inf, np.nan)]
+        for degree in range(21):
+            c = _normal(rng, degree + 1)
+            for padded in (c, np.concatenate([c, np.zeros(3, dtype=complex)])):
+                grid = _normal(rng, (3, 4)) * 10.0 ** rng.uniform(-3, 3, (3, 4))
+                grid.flat[:len(special)] = special
+                for z in [complex(grid[0, 1]), *special, 2.5, np.asarray(grid[1, 2]),
+                          np.asarray(complex(np.inf, 0.0)), grid]:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        assert _same_bits(horner(z, padded), polyval(z, padded)), (degree, z)
+        with pytest.raises(IndexError):
+            polyval(0.5j, np.zeros(0, dtype=complex))
+        with pytest.raises(IndexError):
+            horner(0.5j, np.zeros(0, dtype=complex))
+
+    def test_complex_poly_evaluates_by_horner(self):
+        rng = np.random.default_rng(27)
+        z = _normal(rng, (2, 3))
+        p = ComplexPoly(_normal(rng, 7))
+        assert _same_bits(p(z), horner(z, p.coeffs))
+        assert _same_bits(p(0.25 - 1j), horner(np.asarray(0.25 - 1j), p.coeffs))
+
+    def test_quotient_is_polydiv_bitwise(self):
+        from numpy.polynomial.polynomial import polydiv
+
+        rng = np.random.default_rng(28)
+        for num_degree in range(21):
+            for den_degree in range(21):
+                num, den = _normal(rng, num_degree + 1), _normal(rng, den_degree + 1)
+                den *= 10.0 ** rng.uniform(-3, 3)
+                assert _same_bits(poly_quotient(num, den), polydiv(num, den)[0]), \
+                    (num_degree, den_degree)
 
 
 def common_factor(base, *others):

@@ -52,7 +52,9 @@ def test_catalog_work_counts(monkeypatch):
 
     counted(curvature, "_round_fluxes", "round_calls")
     counted(curvature, "_romberg_step", "rounds_read")
-    counted(ms.rational.ComplexPoly, "__call__", "evaluations")
+    # the Green-identity numerators are coefficient arrays, evaluated by
+    # curvature's Horner, not by ComplexPoly.__call__
+    counted(curvature, "horner", "evaluations")
     real_tc = curvature.total_curvature_numeric
 
     def tc_counted(*args, **kwargs):
@@ -76,13 +78,30 @@ def test_catalog_work_counts(monkeypatch):
         return evaluate, K
 
     monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
+    grids = []
+    real_grid = ends._cut_angles
+
+    def grid_counted(n, count):
+        grid = real_grid(n, count)
+        grids.append((n, count, grid))
+        return grid
+
+    monkeypatch.setattr(ends, "_cut_angles", grid_counted)
+    real_grid.cache_clear()
+    witnessed = 0
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
         rep = ms.run_analysis(w)
         assert rep.curvature.tc_numeric is not None, entry.name
+        witnessed += len(rep.ends)
         for e in rep.ends:
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
+    # the angle grid is built once per distinct (N, radii) and shared, read
+    # only: every catalog end has N = 64, so once in all
+    assert real_grid.cache_info().misses == len({(n, c) for n, c, _g in grids}) == 1
+    assert len(grids) == witnessed and len({id(g) for _n, _c, g in grids}) == 1
+    assert not grids[0][2].flags.writeable
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
     assert counts["rounds_read"] <= MAX_ROUNDS_READ, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
