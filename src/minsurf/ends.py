@@ -13,9 +13,9 @@ circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
 That circle lies in span(Re a_{-k}, Im a_{-k}), the first two rows of the
 end's frame, so the numeric witness ``rotation_index_numeric`` counts the
 turns of each cut projected onto that plane, sampled at ``CUT_ANGLES`` angles
-per turn of the circle.  The cuts at all its radii are one Newton batch on a
-process-wide, read-only angle grid, projected and turned by one product and
-one reshape.  Magnitude enters only through the datum's unit
+per turn of the circle.  The cuts at all its radii are one Newton batch on
+the grid of N angles 2 pi j / N, projected and turned by one product and one
+reshape.  Magnitude enters only through the datum's unit
 (``WeierstrassData.unit``): the bilinear gates and the norms a, b are taken of
 the coefficients over it.
 
@@ -28,16 +28,18 @@ are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
 end.  Every reader of an end's series -- immersion values, the sphere cuts
 |f| = R (Newton on log r per angle, with the exact radial derivative), the
 asymptotic model and its check -- goes through one polar evaluator,
-``_polar_jet``, of t as angle and log radius, its phases one cos and one
-sin of the (power x angle) outer product; the local immersion keeps the
-terms above 1e-18 of the leading one.  The asymptotic check
-evaluates the local series minus the model as one table, so the terms they
-share cancel before any rounding.
+``_polar_jet``, of t as angle and log radius.  The sphere cuts read its
+phases cos p theta, sin p theta from one read-only table per angle count N
+for the whole process, keyed by no datum and widened by the powers it lacks
+(``_grid_phases``); a caller at other angles takes them directly, one cos
+and one sin of the (power x angle) outer product.  The local immersion
+keeps the terms above 1e-18 of the leading one, and its stacked coefficient
+matrix is built once.  The asymptotic check evaluates the local series minus
+the model as one table, so the terms they share cancel before any rounding.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,50 +86,103 @@ class EndType(str, Enum):
     HIGHER_ORDER = "higher-order"
 
 
-def _polar_jet(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray,
-               thetas: np.ndarray):
-    """The polar evaluator of an end's series at fixed angles: ``jet``.
+def _phases(powers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """cos p theta and sin p theta of every power p and angle theta: one cos
+    and one sin of the (power x angle) outer product, a (2, K, N) array."""
+    angles = np.multiply.outer(powers, thetas)
+    table = np.empty((2,) + angles.shape)
+    np.cos(angles, out=table[0])
+    np.sin(angles, out=table[1])
+    return table
 
-    The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
-    with anti an (n, K) table and log, constant (n,) vectors.  ``jet(x)``
-    returns f and df/dlog r at the points e^x e^{i thetas}, one log-radius x
-    per angle, as two (n, len(thetas)) arrays.  With t^p = r^p e^{i p theta},
-    each term is 2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta),
-    and d/dlog r multiplies it by p.  The log term is 2 (Re c x - Im c theta),
-    theta on the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
-    [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
-    [value; derivative] coefficients give both in one real matrix product.
-    The phases cos p theta, sin p theta are taken once, of the (power x
-    angle) outer product; only r^p (by row products of r) and x change
-    between calls.
-    """
+
+def _angle_phases(lo: int, K: int, thetas: np.ndarray):
+    """The phases of the powers lo .. lo + K - 1 at arbitrary angles, taken
+    directly, as ``_polar_jet`` reads them: (2, K, 1, N), and the principal
+    angles of thetas."""
+    return _phases(lo + np.arange(K), thetas)[:, :, None], np.angle(np.exp(1j * thetas))
+
+
+# n -> (first power, (2, P, n) phases of the powers first .. first + P - 1 at
+# the angles 2 pi j / n, their principal angles), each array read-only
+_GRID_PHASES: dict = {}
+
+
+def _grid_phases(n: int, lo: int, K: int):
+    """The phases of the powers lo .. lo + K - 1 on the grid of n angles
+    2 pi j / n: a read-only (2, K, 1, n) slice of one table per n for the
+    whole process, keyed by no datum, and the grid's principal angles.  The
+    table holds the powers asked for so far; a power outside them widens it
+    by the missing rows alone, so each row is taken once."""
+    first, table, principal = _GRID_PHASES.get(n, (lo, np.empty((2, 0, n)), None))
+    top = first + table.shape[1]
+    if lo < first or lo + K > top:
+        thetas = 2.0 * math.pi * np.arange(n) / n
+        parts = [_phases(np.arange(lo, first), thetas)] if lo < first else []
+        parts.append(table)
+        if lo + K > top:
+            parts.append(_phases(np.arange(top, lo + K), thetas))
+        first, table = min(lo, first), np.concatenate(parts, axis=1)
+        if principal is None:
+            principal = np.angle(np.exp(1j * thetas))
+            principal.flags.writeable = False
+        table.flags.writeable = False
+        _GRID_PHASES[n] = first, table, principal
+    return table[:, lo - first:lo - first + K, None], principal
+
+
+def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """The stacked [value; derivative] coefficients of ``_polar_jet``'s rows,
+    a (2n, 2K + 3) matrix: columns for the K cos rows, the K sin rows, then
+    x, theta and 1."""
     n, K = anti.shape
     powers = lo + np.arange(K)
     anti = 2.0 * anti
     log = 2.0 * log
-    coef = np.zeros((2, n, 2 * K + 3))      # [value; derivative] against the rows
+    coef = np.zeros((2, n, 2 * K + 3))
     for block, c in zip(coef, (anti, anti * powers)):
         block[:, :K], block[:, K:2 * K] = c.real, -c.imag
     coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
     coef[0, :, 2 * K + 1] = -log.imag
     coef[0, :, 2 * K + 2] = constant
-    coef = coef.reshape(2 * n, -1)
-    angles = np.multiply.outer(powers, thetas)
-    table = np.empty((2,) + angles.shape)                        # (2, K, N)
-    np.cos(angles, out=table[0])
-    np.sin(angles, out=table[1])
-    rows = np.empty((2 * K + 3, thetas.size))
-    rows[2 * K + 1] = np.angle(np.exp(1j * thetas))
+    return coef.reshape(2 * n, -1)
+
+
+def _polar_jet(coef: np.ndarray, lo: int, phases: np.ndarray, principal: np.ndarray,
+               count: int = 1):
+    """The polar evaluator of an end's series at fixed angles: ``jet``.
+
+    The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
+    with anti an (n, K) table and log, constant (n,) vectors, given by its
+    ``_jet_coef`` matrix.  ``jet(x)`` returns f and df/dlog r at the points
+    e^x e^{i theta}, one log-radius x per angle, the N angles of ``phases``
+    repeated ``count`` times, as two (n, count N) arrays.  With
+    t^p = r^p e^{i p theta}, each term is
+    2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r
+    multiplies it by p.  The log term is 2 (Re c x - Im c theta), theta on
+    the principal branch (-pi, pi] (``principal``), with derivative 2 Re c.
+    So the rows [r^p cos p theta; r^p sin p theta; x; theta; 1] against the
+    stacked coefficients give both in one real matrix product.  The phases
+    cos p theta, sin p theta, a (2, K, 1, N) array, are given: from
+    ``_grid_phases`` on a grid, from ``_angle_phases`` at other angles.  Only
+    r^p (by row products of r, shape (K, count, N), broadcast against the
+    phases) and x change between calls.
+    """
+    n = coef.shape[0] // 2
+    K, N = phases.shape[1], principal.size
+    rows = np.empty((2 * K + 3, count * N))
+    rows[2 * K + 1].reshape(count, N)[:] = principal
     rows[2 * K + 2] = 1.0
-    scaled = rows[:2 * K].reshape(2, K, -1)
-    powers_of_r = np.empty((K, thetas.size))
+    scaled = rows[:2 * K].reshape(2, K, count, N)
+    powers_of_r = np.empty((K, count * N))
+    grid_powers = powers_of_r.reshape(K, count, N)
 
     def jet(x: np.ndarray):
         r = np.exp(x)
         powers_of_r[0] = np.exp(lo * x)
         for j in range(1, K):
             np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
-        np.multiply(table, powers_of_r, out=scaled)
+        np.multiply(phases, grid_powers, out=scaled)
         rows[2 * K] = x
         out = coef @ rows
         return out[:n], out[n:]
@@ -146,11 +201,12 @@ class LocalImmersion:
 
     Every evaluation, the anchor included, is one call of the polar
     evaluator ``_polar_jet`` on the leading ``K`` terms, t given by its angle
-    and log radius.  Tail terms whose bound max|c| max|t|^p on the evaluation
-    set is below ``TAIL_REL`` of the leading term's are dropped: at
-    sphere-cut radii most of the 40 are.  A window with a coefficient past
-    the float range (a datum scaled near the top of it, with close
-    punctures) raises ``NumericInstabilityError``.
+    and log radius; the stacked coefficient matrix of all 41 terms is built
+    once, and an evaluator takes the columns of its K.  Tail terms whose
+    bound max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
+    leading term's are dropped: at sphere-cut radii most of the 40 are.  A
+    window with a coefficient past the float range (a datum scaled near the
+    top of it, with close punctures) raises ``NumericInstabilityError``.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -186,8 +242,10 @@ class LocalImmersion:
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         z_ref = 1.0 / self.r_ref if is_infinity(p) else complex(p) + self.r_ref
         K = self._kept_terms(self.r_ref)
-        series = _polar_jet(anti[:, :K], self._lo, self.log_coeff, np.zeros(w.n), np.zeros(1))
+        series = _polar_jet(_jet_coef(anti[:, :K], self._lo, self.log_coeff, np.zeros(w.n)),
+                            self._lo, *_angle_phases(self._lo, K, np.zeros(1)))
         self.constant = immersion_eval(w, z_ref) - series(np.log([self.r_ref]))[0][:, 0]
+        self._coef = _jet_coef(anti, self._lo, self.log_coeff, self.constant)
 
     def _kept_terms(self, r_max: float) -> int:
         """Terms kept for |t| <= r_max: through the last whose bound is at
@@ -202,12 +260,20 @@ class LocalImmersion:
                 f"local coordinate beyond the chart radius {self._cap:.3g}"
             )
 
-    def radial_jet(self, thetas: np.ndarray, r_max: float):
+    def _columns(self, K: int) -> np.ndarray:
+        """The coefficient matrix of the leading K terms: their columns of
+        the one built over all 41."""
+        T = self._anti.shape[1]
+        c = self._coef
+        return np.concatenate((c[:, :K], c[:, T:T + K], c[:, 2 * T:]), axis=1)
+
+    def radial_jet(self, n: int, count: int, r_max: float):
         """The sphere cuts' evaluator: ``(jet, K)``, ``jet`` the polar
-        evaluator at the angles ``thetas`` of the ``K`` terms that ``__call__``
-        keeps for |t| <= r_max."""
+        evaluator of the ``K`` terms that ``__call__`` keeps for |t| <= r_max,
+        at ``count`` repeats of the grid of n angles 2 pi j / n, its phases
+        read from the process-wide table (``_grid_phases``)."""
         K = self._kept_terms(r_max)
-        return _polar_jet(self._anti[:, :K], self._lo, self.log_coeff, self.constant, thetas), K
+        return _polar_jet(self._columns(K), self._lo, *_grid_phases(n, self._lo, K), count), K
 
     def __call__(self, t) -> np.ndarray:
         """Immersion values at local coordinates t; shape (n, len(t))."""
@@ -215,7 +281,7 @@ class LocalImmersion:
         r_max = float(np.max(np.abs(t)))
         self._check_radius(r_max)
         K = self._kept_terms(r_max)
-        jet = _polar_jet(self._anti[:, :K], self._lo, self.log_coeff, self.constant, np.angle(t))
+        jet = _polar_jet(self._columns(K), self._lo, *_angle_phases(self._lo, K, np.angle(t)))
         return jet(np.log(np.abs(t)))[0]
 
 
@@ -367,7 +433,8 @@ class AsymptoticModel:
 
     def __call__(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=complex))
-        jet = _polar_jet(-self.a2[:, None], -1, self.log_vec, self.constant, np.angle(t))
+        jet = _polar_jet(_jet_coef(-self.a2[:, None], -1, self.log_vec, self.constant), -1,
+                         *_angle_phases(-1, 1, np.angle(t)))
         return jet(np.log(np.abs(t)))[0]
 
 
@@ -376,8 +443,8 @@ def _residual_jet(loc: LocalImmersion, model: AsymptoticModel, thetas: np.ndarra
     model's subtracted coefficientwise, so the terms they share cancel exactly."""
     anti = loc._anti.copy()
     anti[:, -1 - loc._lo] += model.a2
-    return _polar_jet(anti, loc._lo, loc.log_coeff - model.log_vec,
-                      loc.constant - model.constant, thetas)
+    coef = _jet_coef(anti, loc._lo, loc.log_coeff - model.log_vec, loc.constant - model.constant)
+    return _polar_jet(coef, loc._lo, *_angle_phases(loc._lo, anti.shape[1], thetas))
 
 
 def asymptotic_model(e: EndAnalysis, force_planar: bool = False) -> AsymptoticModel:
@@ -441,38 +508,44 @@ def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
     return AsymptoticCheck(radii=tuple(radii), ratios=tuple(ratios), bounded=bounded)
 
 
-def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray, R):
-    """Solve |f(r e^{i theta})| = R for r per angle; returns (r, f(r e^{i theta})).
+def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, n: int, radii):
+    """Solve |f(r e^{i theta})| = R for r on the grid of n angles
+    theta_j = 2 pi j / n, at every R in ``radii``; returns (r, f(r e^{i theta})),
+    the cuts laid side by side in the order of ``radii``, of shape (count n,)
+    and (dim, count n).
 
-    R is one radius, or one per angle: the cuts at several radii are then one
-    batch, with one phase table.  Newton on x = log r, vectorized over all
-    angles, with the exact slope g' = <u, df/dx> / (R |u|^2) of
-    g = log|u| = log(u.u) / 2, u = f / R, from the local immersion's polar
-    evaluator; u.u is one einsum, which the slope reuses, and f is divided by
-    R before it is squared, so no scale of the surface under- or overflows it.
-    It starts from the asymptotic radius (|f| grows like 2a/((k-1) r^{k-1})
-    toward the end) and stops at max|g| < 1e-13; where g' is not finite and
-    negative the step takes the asymptotic slope -(k-1).  An iterate that
-    runs off to a non-finite cut ends the solve, which then raises
+    The cuts at all radii are one batch, their phases read from one table per
+    n for the whole process (``_grid_phases``).  Newton on x = log r,
+    vectorized over all angles, with the exact slope
+    g' = <u, df/dx> / (R |u|^2) of g = log|u| = log(u.u) / 2, u = f / R,
+    from the local immersion's polar evaluator; u.u is one einsum, which the
+    slope reuses, and f is divided by R before it is squared, so no scale of
+    the surface under- or overflows it.  It starts, per radius, from the
+    asymptotic radius (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and
+    stops at max|g| < 1e-13; where g' is not finite and negative the step
+    takes the asymptotic slope -(k-1).  An iterate that runs off to a
+    non-finite cut ends the solve, which then raises
     ``NumericInstabilityError`` like one that stalls, naming every R with an
     angle left unsolved; the non-finite values are caught there, so numpy
     warns of none of them.
-    The phase table is built for twice the largest starting radius; should a
-    solved radius need more terms than it holds, it is built again and the
-    solve goes on.  The immersion values are those of the converged step, so
+    The evaluator keeps the terms needed at twice the largest starting
+    radius; should a solved radius need more, it takes them and the solve
+    goes on.  The immersion values are those of the converged step, so
     callers need not evaluate them again.
     """
     k, a = e.k, e.a
-    R = np.full(thetas.shape, R, dtype=float)
+    R = np.array(radii, dtype=float)
+    count = R.size
+    per_radius = R[:, None]
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
     x_cap = math.log(cap)
-    x = np.log(np.minimum(r0, cap))
-    jet, K = loc.radial_jet(thetas, min(2.0 * float(np.max(r0)), cap))
+    x = np.repeat(np.log(np.minimum(r0, cap)), n)
+    jet, K = loc.radial_jet(n, count, min(2.0 * float(np.max(r0)), cap))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(80):
             f, df = jet(x)
-            u = f / R
+            u = (f.reshape(-1, count, n) / per_radius).reshape(f.shape)
             sq = np.einsum("ij,ij->j", u, u)
             g = 0.5 * np.log(sq)
             resid = float(np.abs(g).max())
@@ -480,18 +553,18 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, thetas: np.ndarray,
                 r_top = math.exp(float(np.max(x)))
                 if loc._kept_terms(r_top) <= K:
                     return np.exp(x), f
-                jet, K = loc.radial_jet(thetas, r_top)
+                jet, K = loc.radial_jet(n, count, r_top)
                 continue
             if not math.isfinite(resid):
                 break
-            slope = np.einsum("ij,ij->j", u, df) / (R * sq)
+            slope = np.einsum("ij,ij->j", u, df) / (sq.reshape(count, n) * per_radius).ravel()
             newton = np.isfinite(slope) & (slope < 0.0)
             x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     if not resid <= 1e-9:
-        unsolved = sorted({float(v) for v in R[~(np.abs(g) <= 1e-9)]})
+        left = ~(np.abs(g) <= 1e-9).reshape(count, n).all(axis=1)
         raise NumericInstabilityError(
             f"sphere-cut radius solve stalled at residual {resid:.3e}",
-            diagnostics={"R": unsolved, "end": repr(e.puncture)},
+            diagnostics={"R": sorted({float(v) for v in R[left]}), "end": repr(e.puncture)},
         )
     return np.exp(x), jet(x)[0]
 
@@ -506,15 +579,6 @@ def _cut_turning(frame: np.ndarray, cuts: np.ndarray, count: int) -> np.ndarray:
     ang = np.arctan2(y, x)
     d = np.diff(ang, append=ang[:, :1])
     return (d + math.pi) % (2.0 * math.pi) - math.pi
-
-
-@functools.cache
-def _cut_angles(n: int, count: int) -> np.ndarray:
-    """The angles 2 pi j / n of a sphere cut, repeated for ``count`` radii:
-    one read-only array per (n, count) for the whole process."""
-    grid = np.tile(2.0 * math.pi * np.arange(n) / n, count)
-    grid.flags.writeable = False
-    return grid
 
 
 def _radii(R_list) -> list:
@@ -554,7 +618,7 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     radii = sorted(_radii(R_list))
     e = _end_of(w, p, end)
     n = CUT_ANGLES * max(e.k - 1, 4)
-    cuts = _solve_sphere_radii(e._local, e, _cut_angles(n, len(radii)), np.repeat(radii, n))[1]
+    cuts = _solve_sphere_radii(e._local, e, n, radii)[1]
     d = _cut_turning(e.frame, cuts, len(radii))
     windings = {}
     for R, step, turns in zip(radii, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
@@ -585,7 +649,7 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     (R,) = _radii((R,))
     e = _end_of(w, p, end)
     thetas = 2.0 * math.pi * np.arange(720) / 720
-    curve = _solve_sphere_radii(e._local, e, thetas, R)[1] / R
+    curve = _solve_sphere_radii(e._local, e, thetas.size, (R,))[1] / R
     alpha = (e.k - 1) * thetas
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))

@@ -621,12 +621,22 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
         coeffs = _series_quotient(ComplexPoly(r.num.coeffs[::-1]).coeffs,
                                   ComplexPoly(r.den.coeffs[::-1]).coeffs, depth)
         return LaurentSeries(INF, r.den.degree() - r.num.degree(), coeffs)
-    c = complex(center)
-    c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
+    c, zero, pole = _finite_orders(r, center)
     den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], r.den.coeffs[-1])
-    zero = _vanishing_order(r.num, c, r.num.degree())
     coeffs = _series_quotient(r.num.shift(c).coeffs[zero:], den.coeffs[pole:], depth)
     return LaurentSeries(c, zero - pole, coeffs)
+
+
+def _finite_orders(r: RationalMap, center) -> tuple:
+    """(c, zero, pole) of a nonzero r at a finite centre, as ``laurent_expand``
+    decides them: c is the root of ``r.den_roots`` within ``roots_coincide``
+    of the centre (as a simple root), else the centre; pole is that root's
+    multiplicity (0 off the roots); zero is ``_vanishing_order`` of the
+    numerator at c.  The Laurent order there is zero - pole, read without
+    expanding a series."""
+    c = complex(center)
+    c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
+    return c, _vanishing_order(r.num, c, r.num.degree()), pole
 
 
 @dataclass(frozen=True, eq=False)

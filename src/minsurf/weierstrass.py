@@ -65,6 +65,7 @@ from .rational import (
     LaurentSeries,
     RationalMap,
     RootTable,
+    _finite_orders,
     horner,
     is_infinity,
     laurent_expand,
@@ -153,7 +154,7 @@ class WeierstrassData:
     @cached_property
     def _poles(self) -> "_PoleTable":
         """Built on first use; at construction only when detecting punctures."""
-        return _PoleTable(self.phi, self._laurent)
+        return _PoleTable(self.phi)
 
     @cached_property
     def cleared(self):
@@ -292,11 +293,14 @@ class _PoleTable:
     {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
     part.  ``punctures`` are the poles where some component has negative
     order (a root cancelled by its numerator up to tolerance is a regular
-    point), then infinity when some form has a pole there.  A point off the
-    table is matched to its pole once (``pole_point``).
+    point), then infinity when some form has a pole there.  The orders are
+    those ``laurent_expand`` gives, read by its own rule
+    (``rational._finite_orders``) without expanding a series, so a datum
+    expands one only when a reader asks for it.  A point off the table is
+    matched to its pole once (``pole_point``).
     """
 
-    def __init__(self, phi, laurent: _LaurentTable):
+    def __init__(self, phi):
         poles: dict = {}
         for j, r in enumerate(phi):
             for z, m in r.den_roots:
@@ -308,12 +312,13 @@ class _PoleTable:
                     root, have = poles[point].get(j, (z, 0))
                     poles[point][j] = (root, have + m)
         self.poles = dict(sorted(poles.items(), key=lambda it: (it[0].real, it[0].imag)))
-        finite = tuple(
-            z for z, members in self.poles.items()
-            if min(laurent.series(j, root).order for j, (root, _m) in members.items()) < 0
-        )
+        finite = []
+        for z, members in self.poles.items():
+            orders = [_finite_orders(phi[j], root) for j, (root, _m) in members.items()]
+            if min(zero - pole for _c, zero, pole in orders) < 0:
+                finite.append(z)
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
-        self.punctures = finite + ((INF,) if at_inf else ())
+        self.punctures = tuple(finite) + ((INF,) if at_inf else ())
         self._resolved = {}
 
     def pole_point(self, p):
@@ -376,7 +381,7 @@ def detect_punctures(phi):
     phi = _as_rational_tuple(phi)
     if all(r.is_zero for r in phi):
         raise DegenerateInputError("all components are zero")
-    return list(_PoleTable(phi, _LaurentTable(phi)).punctures)
+    return list(_PoleTable(phi).punctures)
 
 
 def _form_series(w: WeierstrassData, p):

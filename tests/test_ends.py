@@ -501,9 +501,9 @@ class FloatPowerImmersion(LocalImmersion):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         return self._series(t) + self.constant[:, None]
 
-    def radial_jet(self, thetas, r_max):
+    def radial_jet(self, n, count, r_max):
         # the sphere cuts' evaluator: d/dlog r of t^p is p t^p, of log t is 1
-        phase = np.exp(1j * thetas)
+        phase = np.exp(1j * np.tile(2.0 * np.pi * np.arange(n) / n, count))
 
         def jet(x):
             t = np.exp(x) * phase
@@ -616,27 +616,25 @@ UNSOLVED_CUTS = [
 
 def _sphere_cut_radii(loc, e):
     """The solved radii at R = 1e2, 1e3, 1e4, and a circle near the cap."""
-    radii = [ends._solve_sphere_radii(loc, e, THETAS, R)[0] for R in R_LIST]
+    radii = [ends._solve_sphere_radii(loc, e, THETAS.size, (R,))[0] for R in R_LIST]
     near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
     return radii + [np.full(THETAS.size, near_cap)]
 
 
 class TestBatchedSolve:
-    """``_solve_sphere_radii`` with one R per angle: the cuts at several radii
-    as one Newton batch, as ``rotation_index_numeric`` solves them."""
+    """``_solve_sphere_radii`` at several radii: the cuts at all of them as
+    one Newton batch, as ``rotation_index_numeric`` solves them."""
 
     def test_per_angle_radii_match_the_scalar_solves(self, all_entries):
-        thetas = 2.0 * np.pi * np.arange(64) / 64
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
                 e = analyze_end(w, p)
                 loc = e._local
-                r, f = ends._solve_sphere_radii(loc, e, np.tile(thetas, len(R_LIST)),
-                                                np.repeat(R_LIST, thetas.size))
+                r, f = ends._solve_sphere_radii(loc, e, 64, R_LIST)
                 for R, rb, fb in zip(R_LIST, np.split(r, len(R_LIST)),
                                      np.split(f, len(R_LIST), axis=1)):
-                    want_r, want_f = ends._solve_sphere_radii(loc, e, thetas, R)
+                    want_r, want_f = ends._solve_sphere_radii(loc, e, 64, (R,))
                     assert np.max(np.abs(rb - want_r) / want_r) <= 1e-13, (entry.name, p, R)
                     assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
 
@@ -668,6 +666,110 @@ class TestBatchedSolve:
                 assert np.sum(d, axis=1)[i] == np.sum(alone), i
 
 
+class TestPhaseTable:
+    """``ends._grid_phases``: the sphere cuts' phases, one read-only table per
+    angle count for the whole process, widened on demand."""
+
+    def test_rows_are_the_direct_phases(self, monkeypatch):
+        # bitwise np.cos / np.sin of the (power x angle) outer product, for
+        # random power ranges, negative ones included, before and after the
+        # table widens below and above
+        monkeypatch.setattr(ends, "_GRID_PHASES", {})
+        rng = np.random.default_rng(27)
+        widened = set()
+        for _ in range(60):
+            n = int(rng.choice([16, 48, 64, 720]))
+            lo, K = int(rng.integers(-20, 6)), int(rng.integers(1, 42))
+            before = ends._GRID_PHASES.get(n)
+            table, principal = ends._grid_phases(n, lo, K)
+            after = ends._GRID_PHASES[n]
+            if before is not None and before[1].shape != after[1].shape:
+                widened.add("below" if after[0] < before[0] else "above")
+            thetas = 2.0 * np.pi * np.arange(n) / n
+            angles = np.multiply.outer(lo + np.arange(K), thetas)
+            assert table.shape == (2, K, 1, n)
+            assert np.array_equal(table[0, :, 0], np.cos(angles)), (n, lo, K)
+            assert np.array_equal(table[1, :, 0], np.sin(angles)), (n, lo, K)
+            assert np.array_equal(principal, np.angle(np.exp(1j * thetas)))
+            assert not table.flags.writeable and not principal.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0, 0] = 0.0
+        assert widened == {"below", "above"}
+
+    def test_rows_are_kept_when_it_widens(self, monkeypatch):
+        # a widened table holds the rows it held, bitwise, and a slice taken
+        # before it widened stays valid
+        monkeypatch.setattr(ends, "_GRID_PHASES", {})
+        old, principal = ends._grid_phases(64, -1, 8)
+        kept = old.copy()
+        table, again = ends._grid_phases(64, -3, 44)
+        assert again is principal
+        assert np.array_equal(table[:, 2:10], kept) and np.array_equal(old, kept)
+        assert ends._GRID_PHASES[64][0] == -3 and ends._GRID_PHASES[64][1].shape == (2, 44, 64)
+
+
+class DirectPhaseImmersion(LocalImmersion):
+    """The sphere cuts' evaluator without the phase table: its phases one cos
+    and one sin of the (power x angle) outer product over all count n angles
+    of a batch, its coefficient matrix rebuilt from the Laurent terms on
+    every call, as the evaluator was before the table."""
+
+    def radial_jet(self, n, count, r_max):
+        K = self._kept_terms(r_max)
+        thetas = np.tile(2.0 * np.pi * np.arange(n) / n, count)
+        dim = self._anti.shape[0]
+        powers = self._lo + np.arange(K)
+        anti, log = 2.0 * self._anti[:, :K], 2.0 * self.log_coeff
+        coef = np.zeros((2, dim, 2 * K + 3))
+        for block, c in zip(coef, (anti, anti * powers)):
+            block[:, :K], block[:, K:2 * K] = c.real, -c.imag
+        coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
+        coef[0, :, 2 * K + 1] = -log.imag
+        coef[0, :, 2 * K + 2] = self.constant
+        coef = coef.reshape(2 * dim, -1)
+        angles = np.multiply.outer(powers, thetas)
+        phases = np.stack((np.cos(angles), np.sin(angles)))
+        rows = np.empty((2 * K + 3, thetas.size))
+        rows[2 * K + 1] = np.angle(np.exp(1j * thetas))
+        rows[2 * K + 2] = 1.0
+
+        def jet(x):
+            r = np.exp(x)
+            powers_of_r = np.empty((K, x.size))
+            powers_of_r[0] = np.exp(self._lo * x)
+            for j in range(1, K):
+                powers_of_r[j] = powers_of_r[j - 1] * r
+            rows[:2 * K] = (phases * powers_of_r).reshape(2 * K, -1)
+            rows[2 * K] = x
+            out = coef @ rows
+            return out[:dim], out[dim:]
+
+        return jet, K
+
+
+class TestWitnessRegression:
+    def test_cuts_are_bitwise_those_of_direct_phases(self, monkeypatch):
+        # every catalog end's radii and cuts, at the witness's radii and at
+        # the limit-circle deviation's 720 angles, are bitwise those of the
+        # evaluator with directly computed phases and a per-call matrix
+        monkeypatch.setattr(ends, "_GRID_PHASES", {})
+        witnessed = 0
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                loc, ref = e._local, DirectPhaseImmersion(w, p)
+                assert np.array_equal(ref.constant, loc.constant)
+                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                for angles, radii in ((n, R_LIST), (720, (1e3,))):
+                    r, f = ends._solve_sphere_radii(loc, e, angles, radii)
+                    want_r, want_f = ends._solve_sphere_radii(ref, e, angles, radii)
+                    assert np.array_equal(r, want_r), (entry.name, p, radii)
+                    assert np.array_equal(f, want_f), (entry.name, p, radii)
+                witnessed += 1
+        assert witnessed == 33
+
+
 class TestPolarEvaluator:
     """``LocalImmersion.radial_jet``, the sphere cuts' evaluator, against the
     float-power reference and a central difference of it."""
@@ -682,7 +784,7 @@ class TestPolarEvaluator:
                 orders.add(loc.mu)
                 for r in _sphere_cut_radii(loc, e):
                     x = np.log(r)
-                    f, df = loc.radial_jet(THETAS, float(np.max(r)))[0](x)
+                    f, df = loc.radial_jet(THETAS.size, 1, float(np.max(r)))[0](x)
                     want = ref(r * np.exp(1j * THETAS))
                     scale = np.max(np.linalg.norm(want, axis=0))
                     assert np.max(np.linalg.norm(f - want, axis=0)) <= 1e-14 * scale, \
@@ -701,17 +803,17 @@ class TestPolarEvaluator:
         w = jm2.data
         p = w.punctures[0]
         e, loc = analyze_end(w, p), LocalImmersion(w, p)
-        want_r, want_f = ends._solve_sphere_radii(loc, e, THETAS, 1e2)
+        want_r, want_f = ends._solve_sphere_radii(loc, e, THETAS.size, (1e2,))
         real = LocalImmersion.radial_jet
         sizes = []
 
-        def short_first(self, thetas, r_max):
-            jet, K = real(self, thetas, r_max if sizes else 1e-2 * r_max)
+        def short_first(self, n, count, r_max):
+            jet, K = real(self, n, count, r_max if sizes else 1e-2 * r_max)
             sizes.append(K)
             return jet, K
 
         monkeypatch.setattr(LocalImmersion, "radial_jet", short_first)
-        r, f = ends._solve_sphere_radii(loc, e, THETAS, 1e2)
+        r, f = ends._solve_sphere_radii(loc, e, THETAS.size, (1e2,))
         assert len(sizes) == 2 and sizes[0] < sizes[1]
         assert np.max(np.abs(r - want_r) / want_r) < 1e-13
         assert np.max(np.abs(f - want_f)) < 1e-12 * 1e2
@@ -725,8 +827,8 @@ class WrongSlopeImmersion(LocalImmersion):
         super().__init__(w, p)
         self.evaluations = 0
 
-    def radial_jet(self, thetas, r_max):
-        jet, K = super().radial_jet(thetas, r_max)
+    def radial_jet(self, n, count, r_max):
+        jet, K = super().radial_jet(n, count, r_max)
 
         def flipped(x):
             self.evaluations += 1
@@ -744,16 +846,16 @@ class TestSolverFallback:
                 e = analyze_end(w, p)
                 loc, stub = LocalImmersion(w, p), WrongSlopeImmersion(w, p)
                 for R in R_LIST:
-                    want_r, _f = ends._solve_sphere_radii(loc, e, THETAS, R)
-                    r, f = ends._solve_sphere_radii(stub, e, THETAS, R)
+                    want_r, _f = ends._solve_sphere_radii(loc, e, THETAS.size, (R,))
+                    r, f = ends._solve_sphere_radii(stub, e, THETAS.size, (R,))
                     assert np.max(np.abs(np.linalg.norm(f, axis=0) / R - 1.0)) < 1e-12
                     assert np.max(np.abs(r - want_r) / want_r) < 1e-12, (entry.name, p, R)
 
     def test_stall_raises(self, catenoid):
         # a cut that |f| never reaches: the radius climbs to the cap and stays
         class Unreachable(WrongSlopeImmersion):
-            def radial_jet(self, thetas, r_max):
-                jet, K = super().radial_jet(thetas, r_max)
+            def radial_jet(self, n, count, r_max):
+                jet, K = super().radial_jet(n, count, r_max)
 
                 def constant(x):
                     f, _df = jet(x)
@@ -765,7 +867,7 @@ class TestSolverFallback:
         stub = Unreachable(w, 0j)
         stub._cap = 1.0
         with pytest.raises(NumericInstabilityError, match="stalled"):
-            ends._solve_sphere_radii(stub, analyze_end(w, 0j), THETAS, 1e3)
+            ends._solve_sphere_radii(stub, analyze_end(w, 0j), THETAS.size, (1e3,))
         assert stub.evaluations == 80
 
 

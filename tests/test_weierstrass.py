@@ -219,6 +219,40 @@ class TestLaurentTable:
         assert analysis_round() == [1] * 5
         assert len(calls) == 45
 
+    def test_building_a_datum_expands_no_series(self, monkeypatch):
+        # the pole table reads the order of each component at each pole by
+        # laurent_expand's own rule, without expanding a series: on the 280
+        # conftest-rule charts building a datum and its punctures expands
+        # none, and each order and puncture is the one the series give
+        from conftest import well_conditioned_mobius
+        from minsurf import rational
+
+        expand = rational.laurent_expand
+        calls = self._count_expansions(monkeypatch)
+        rng = np.random.default_rng(2001)
+        charts = 0
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            for _ in range(28):
+                mob = well_conditioned_mobius(entry.data, rng)
+                calls.clear()
+                w = ms.mobius_precompose(entry.data, mob)
+                punctures = w.punctures
+                assert calls == [], entry.name
+                finite = []
+                for z, members in w._poles.poles.items():
+                    orders = []
+                    for j, (root, _m) in members.items():
+                        series = expand(w.phi[j], root, w._laurent.depth)
+                        c, zero, pole = rational._finite_orders(w.phi[j], root)
+                        assert (c, zero - pole) == (series.center, series.order), (entry.name, z, j)
+                        orders.append(series.order)
+                    if min(orders) < 0:
+                        finite.append(z)
+                assert punctures[:len(finite)] == tuple(finite), entry.name
+                assert all(is_infinity(p) for p in punctures[len(finite):]), entry.name
+                charts += 1
+        assert charts == 280
+
     @staticmethod
     def _reference_window(w, p, depth):
         """The window from ``laurent_expand`` called directly at that depth."""

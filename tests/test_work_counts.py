@@ -31,6 +31,7 @@ R_LIST = (1e2, 1e3, 1e4)
 # evaluation is one call of a polar evaluator (``radial_jet``).  With one
 # solve per radius they took 369 evaluations of 132 evaluators; now the
 # radii of an end are one solve, and refinement solves only new angles.
+# An evaluator reads its phases from a process-wide table per angle count.
 MAX_ROUND_CALLS = 10
 MAX_ROUNDS_READ = 32
 MAX_TC_EVALUATIONS = 120
@@ -67,9 +68,9 @@ def test_catalog_work_counts(monkeypatch):
     monkeypatch.setattr(curvature, "total_curvature_numeric", tc_counted)
     real_jet = ends.LocalImmersion.radial_jet
 
-    def jet_counted(self, thetas, r_max):
+    def jet_counted(self, n, count, r_max):
         counts["radial_jets"] += 1
-        jet, K = real_jet(self, thetas, r_max)
+        jet, K = real_jet(self, n, count, r_max)
 
         def evaluate(x):
             counts["sphere_cut"] += 1
@@ -78,16 +79,24 @@ def test_catalog_work_counts(monkeypatch):
         return evaluate, K
 
     monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
-    grids = []
-    real_grid = ends._cut_angles
+    rows = Counter()
+    real_phases = ends._phases
 
-    def grid_counted(n, count):
-        grid = real_grid(n, count)
-        grids.append((n, count, grid))
-        return grid
+    def phases_counted(powers, thetas):
+        rows.update((thetas.size, int(q)) for q in powers)
+        return real_phases(powers, thetas)
 
-    monkeypatch.setattr(ends, "_cut_angles", grid_counted)
-    real_grid.cache_clear()
+    monkeypatch.setattr(ends, "_phases", phases_counted)
+    monkeypatch.setattr(ends, "_GRID_PHASES", {})
+    slices = []
+    real_grid = ends._grid_phases
+
+    def grid_counted(n, lo, K):
+        table, principal = real_grid(n, lo, K)
+        slices.append((n, table, principal))
+        return table, principal
+
+    monkeypatch.setattr(ends, "_grid_phases", grid_counted)
     witnessed = 0
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
@@ -97,11 +106,16 @@ def test_catalog_work_counts(monkeypatch):
         for e in rep.ends:
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
-    # the angle grid is built once per distinct (N, radii) and shared, read
-    # only: every catalog end has N = 64, so once in all
-    assert real_grid.cache_info().misses == len({(n, c) for n, c, _g in grids}) == 1
-    assert len(grids) == witnessed and len({id(g) for _n, _c, g in grids}) == 1
-    assert not grids[0][2].flags.writeable
+    # the phases of the cuts come from one table per distinct angle count N,
+    # each row of which is taken once and shared, read only: every catalog
+    # end's witness has N = 64, and the limit-circle deviation N = 720
+    assert set(ends._GRID_PHASES) == {n for n, _t, _p in slices} == {64, 720}
+    for n, (first, table, principal) in ends._GRID_PHASES.items():
+        taken = [p for m, p in rows.elements() if m == n]
+        assert sorted(taken) == list(range(first, first + table.shape[1])), n
+        assert not table.flags.writeable and not principal.flags.writeable
+    assert all(not t.flags.writeable and not p.flags.writeable for _n, t, p in slices)
+    assert len({id(p) for n, _t, p in slices if n == 64}) == 1
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
     assert counts["rounds_read"] <= MAX_ROUNDS_READ, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
