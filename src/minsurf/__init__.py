@@ -26,10 +26,8 @@ from .ends import (
     EndType,
     LocalImmersion,
     analyze_end,
-    asymptotic_model,
     limit_circle_deviation,
     rotation_index_numeric,
-    verify_asymptotic,
 )
 from .rational import (
     INF,

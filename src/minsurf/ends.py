@@ -25,17 +25,15 @@ immersion at a reference radius; this is the immersion itself to spectral
 accuracy, and working in t keeps full relative precision at radii far below
 the evaluation clearance, where z = p + t would round t away.  Coefficients
 are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
-end.  Every reader of an end's series -- immersion values, the sphere cuts
-|f| = R (Newton on log r per angle, with the exact radial derivative), the
-asymptotic model and its check -- goes through one polar evaluator,
-``_polar_jet``, of t as angle and log radius.  The sphere cuts read its
-phases cos p theta, sin p theta from one read-only table per angle count N
-for the whole process, keyed by no datum and widened by the powers it lacks
-(``_grid_phases``); a caller at other angles takes them directly, one cos
-and one sin of the (power x angle) outer product.  The local immersion
-keeps the terms above 1e-18 of the leading one, and its stacked coefficient
-matrix is built once.  The asymptotic check evaluates the local series minus
-the model as one table, so the terms they share cancel before any rounding.
+end.  Every reader of an end's series -- immersion values and the sphere
+cuts |f| = R (Newton on log r per angle, with the exact radial derivative)
+-- goes through one polar evaluator, ``_polar_jet``, of t as angle and log
+radius.  The sphere cuts read its phases cos p theta, sin p theta from one
+read-only table per angle count N for the whole process, keyed by no datum
+and widened by the powers it lacks (``_grid_phases``); a caller at other
+angles takes them directly, one cos and one sin of the (power x angle)
+outer product.  The local immersion keeps the terms above 1e-18 of the
+leading one, and its stacked coefficient matrix is built once.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import numpy as np
 from .errors import (
     EvaluationNearSingularityError,
     InternalConsistencyError,
-    ModelUndefinedError,
     NumericInstabilityError,
 )
 from .rational import is_infinity
@@ -65,12 +62,8 @@ from .weierstrass import (
 __all__ = [
     "EndType",
     "EndAnalysis",
-    "AsymptoticModel",
-    "AsymptoticCheck",
     "LocalImmersion",
     "analyze_end",
-    "asymptotic_model",
-    "verify_asymptotic",
     "rotation_index_numeric",
     "limit_circle_deviation",
 ]
@@ -131,10 +124,10 @@ def _grid_phases(n: int, lo: int, K: int):
     return table[:, lo - first:lo - first + K, None], principal
 
 
-def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray) -> np.ndarray:
+def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
     """The stacked [value; derivative] coefficients of ``_polar_jet``'s rows,
     a (2n, 2K + 3) matrix: columns for the K cos rows, the K sin rows, then
-    x, theta and 1."""
+    x, theta and 1.  The constant, the value rows' last column, is left 0."""
     n, K = anti.shape
     powers = lo + np.arange(K)
     anti = 2.0 * anti
@@ -144,7 +137,6 @@ def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray) 
         block[:, :K], block[:, K:2 * K] = c.real, -c.imag
     coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
     coef[0, :, 2 * K + 1] = -log.imag
-    coef[0, :, 2 * K + 2] = constant
     return coef.reshape(2 * n, -1)
 
 
@@ -202,8 +194,9 @@ class LocalImmersion:
     Every evaluation, the anchor included, is one call of the polar
     evaluator ``_polar_jet`` on the leading ``K`` terms, t given by its angle
     and log radius; the stacked coefficient matrix of all 41 terms is built
-    once, and an evaluator takes the columns of its K.  Tail terms whose
-    bound max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
+    once, its constant column written when the anchor has fixed C, and an
+    evaluator takes the columns of its K.  Tail terms whose bound
+    max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
     leading term's are dropped: at sphere-cut radii most of the 40 are.  A
     window with a coefficient past the float range (a datum scaled near the
     top of it, with close punctures) raises ``NumericInstabilityError``.
@@ -241,11 +234,11 @@ class LocalImmersion:
         self.r_ref = 0.5 if not math.isfinite(conv) else float(min(0.2 * conv, 0.5))
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         z_ref = 1.0 / self.r_ref if is_infinity(p) else complex(p) + self.r_ref
+        self._coef = _jet_coef(anti, self._lo, self.log_coeff)
         K = self._kept_terms(self.r_ref)
-        series = _polar_jet(_jet_coef(anti[:, :K], self._lo, self.log_coeff, np.zeros(w.n)),
-                            self._lo, *_angle_phases(self._lo, K, np.zeros(1)))
+        series = _polar_jet(self._columns(K), self._lo, *_angle_phases(self._lo, K, np.zeros(1)))
         self.constant = immersion_eval(w, z_ref) - series(np.log([self.r_ref]))[0][:, 0]
-        self._coef = _jet_coef(anti, self._lo, self.log_coeff, self.constant)
+        self._coef[:w.n, -1] = self.constant
 
     def _kept_terms(self, r_max: float) -> int:
         """Terms kept for |t| <= r_max: through the last whose bound is at
@@ -419,93 +412,6 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         classification=classification,
         _w=w,
     )
-
-
-@dataclass
-class AsymptoticModel:
-    """Catenoid/plane piece f0(t) = 2 Re(-a2/t) + 2 a1 log|t| + C in the end chart:
-    the one-term series -a2 t^-1 with log vector a1 (``log_vec``)."""
-
-    a2: np.ndarray
-    log_vec: np.ndarray
-    constant: np.ndarray
-    r_ref: float
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        jet = _polar_jet(_jet_coef(-self.a2[:, None], -1, self.log_vec, self.constant), -1,
-                         *_angle_phases(-1, 1, np.angle(t)))
-        return jet(np.log(np.abs(t)))[0]
-
-
-def _residual_jet(loc: LocalImmersion, model: AsymptoticModel, thetas: np.ndarray):
-    """The polar evaluator of f - f0: all 41 terms of the local series with the
-    model's subtracted coefficientwise, so the terms they share cancel exactly."""
-    anti = loc._anti.copy()
-    anti[:, -1 - loc._lo] += model.a2
-    coef = _jet_coef(anti, loc._lo, loc.log_coeff - model.log_vec, loc.constant - model.constant)
-    return _polar_jet(coef, loc._lo, *_angle_phases(loc._lo, anti.shape[1], thetas))
-
-
-def asymptotic_model(e: EndAnalysis, force_planar: bool = False) -> AsymptoticModel:
-    """The leading catenoid/plane piece of an order -2 end.
-
-    The model keeps only the t^-2 and residue terms of the form; its constant
-    is fixed by matching the mean immersion value on the reference circle
-    (the model's translation freedom resolved deterministically).  For a
-    higher-order end no model exists unless ``force_planar`` builds the
-    deliberately wrong plane piece used as a negative control.
-    """
-    if e.classification is EndType.HIGHER_ORDER and not force_planar:
-        raise ModelUndefinedError(
-            f"end {e.puncture!r} has order {e.mu}: asymptotic to neither a "
-            "catenoid-type end nor a planar end"
-        )
-    if e.classification is EndType.CATENOID_TYPE:
-        log_vec = e.a_minus1
-    else:  # planar, or the deliberately wrong plane piece on a higher-order end
-        log_vec = np.zeros_like(e.a_minus1)
-    loc = e._local
-    model = AsymptoticModel(a2=e.a_minus2, log_vec=log_vec, constant=loc.constant,
-                            r_ref=loc.r_ref)
-    thetas = 2.0 * math.pi * np.arange(16) / 16.0
-    f_minus_f0 = _residual_jet(loc, model, thetas)(np.full(16, math.log(loc.r_ref)))[0]
-    model.constant = loc.constant + f_minus_f0.mean(axis=1)
-    return model
-
-
-@dataclass(frozen=True)
-class AsymptoticCheck:
-    radii: tuple
-    ratios: tuple
-    bounded: bool
-
-
-def verify_asymptotic(w: WeierstrassData, e: EndAnalysis, radii,
-                      model: AsymptoticModel | None = None) -> AsymptoticCheck:
-    """Sup of |f - f0| / |t| on circles of decreasing local radius.
-
-    f is read from the local immersion of the end ``e`` of ``w``; the defining
-    bound of a catenoid-type/planar end is that the ratio stays bounded as the
-    radius shrinks: the ratio at the last radius is at most 3 times that two
-    radii before.  f - f0 is one series, the local one minus the model's,
-    so no rounding of two values of size a/r enters the ratios.  An end of
-    another datum raises ``ValueError``.
-    """
-    if e._w is not w:
-        raise ValueError(f"end {e.puncture!r} is an end of {e._w!r}, not of {w!r}")
-    radii = [float(r) for r in radii]
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    if model is None:
-        model = asymptotic_model(e)
-    loc = e._local
-    loc._check_radius(radii[0])
-    jet = _residual_jet(loc, model, 2.0 * math.pi * np.arange(64) / 64)
-    ratios = [float(np.max(np.linalg.norm(jet(np.full(64, math.log(r)))[0], axis=0))) / r
-              for r in radii]
-    bounded = ratios[-1] <= 3.0 * ratios[-3 if len(ratios) >= 3 else 0]
-    return AsymptoticCheck(radii=tuple(radii), ratios=tuple(ratios), bounded=bounded)
 
 
 def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, n: int, radii):

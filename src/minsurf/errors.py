@@ -25,10 +25,6 @@ class SingularMetricError(MinsurfError, ValueError):
     """Metric quantity requested at a puncture, where it is singular."""
 
 
-class ModelUndefinedError(MinsurfError, ValueError):
-    """No catenoid/plane asymptotic model exists for this end."""
-
-
 class ParseError(MinsurfError, ValueError):
     """Malformed input document. Carries line/column when available."""
 

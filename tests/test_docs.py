@@ -1,6 +1,7 @@
-"""The README quotes the program's constants as they are: every quoted
-`NAME = value` is a minsurf module constant with that value, and every
-quoted `*_TOL` name exists."""
+"""The README and the demos name the program as it is: every quoted
+`NAME = value` is a minsurf module constant with that value, every quoted
+`*_TOL` name exists, every quoted call of an underscored name is a name of a
+minsurf module, and every `ms.<name>` of a demo is a name of minsurf."""
 
 import ast
 import importlib
@@ -10,18 +11,23 @@ from pathlib import Path
 
 import minsurf
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 # constant-style names have an underscore; single letters are the maths
 QUOTE = re.compile(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+) = ([^`]+)`")
 TOL_NAME = re.compile(r"\b[A-Z][A-Z0-9_]*_TOL\b")
+
+
+def _modules():
+    return [importlib.import_module(f"minsurf.{info.name}")
+            for info in pkgutil.iter_modules(minsurf.__path__)]
 
 
 def _constants():
     """Every upper-case module-level name of every minsurf module, with the
     values it has (one per module that defines it)."""
     found = {}
-    for info in pkgutil.iter_modules(minsurf.__path__):
-        module = importlib.import_module(f"minsurf.{info.name}")
+    for module in _modules():
         for name, value in vars(module).items():
             if name.isupper():
                 found.setdefault(name, []).append(value)
@@ -48,3 +54,21 @@ def test_quoted_tolerance_names_exist():
              for name in TOL_NAME.findall(span)}
     assert named
     assert sorted(named - set(constants)) == []
+
+
+def test_quoted_calls_name_the_program():
+    # `name(...)` with an underscore in the name is a program call, not maths
+    calls = {name.rsplit(".", 1)[-1]
+             for span in _code_spans(README.read_text(encoding="utf-8"))
+             for name in re.findall(r"([A-Za-z_][\w.]*)\(", span)}
+    calls = {name for name in calls if "_" in name}
+    assert calls
+    modules = [minsurf, *_modules()]
+    assert sorted(n for n in calls if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_demo_names_exist():
+    named = {(demo.name, name) for demo in sorted((ROOT / "demos").glob("*.py"))
+             for name in re.findall(r"\bms\.(\w+)", demo.read_text(encoding="utf-8"))}
+    assert named
+    assert sorted((demo, name) for demo, name in named if not hasattr(minsurf, name)) == []

@@ -1,13 +1,16 @@
-"""The public surface: every name a minsurf module exports exists, and none
-takes a tolerance."""
+"""The public surface: every name a minsurf module exports exists, none
+takes a tolerance, and every error class is raised somewhere."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import minsurf
+from minsurf import errors
 
 MODULES = ["minsurf"] + [f"minsurf.{m.name}" for m in pkgutil.iter_modules(minsurf.__path__)]
 
@@ -36,3 +39,17 @@ def test_no_export_takes_a_tolerance(name):
                 continue
             takes += [f"{n}({p})" for p in params if "tol" in p.lower()]
     assert takes == []
+
+
+def test_every_error_class_is_raised():
+    # an error no module raises (`raise X(`) is dead weight in errors.py
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.MinsurfError)}
+    raised = set()
+    for path in Path(minsurf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert len(classes) > 1
+    assert sorted(classes - raised - {"MinsurfError"}) == []
