@@ -36,16 +36,13 @@ from .rational import (
     RationalMap,
     is_infinity,
     laurent_expand,
-    residue,
     roots,
     shared_roots,
 )
 from .report import AnalysisReport, report_to_json, run_analysis
 from .weierstrass import (
-    MetricSample,
     WeierstrassData,
     check_residues_real,
-    conformal_factor,
     detect_punctures,
     immersion_eval,
     metric_order_at,

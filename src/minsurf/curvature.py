@@ -65,8 +65,8 @@ class GaussMap:
 @dataclass(frozen=True)
 class CurvatureReport:
     """The integers of the curvature bounds, each bound a pi-multiple
-    (``*_pi``) whose float value is derived from it; ``tc_numeric`` is the
-    Green-identity witness, when taken."""
+    (``*_pi``); ``tc_algebraic`` is the float -2 pi d that the Green-identity
+    witness ``tc_numeric``, when taken, is compared with."""
 
     d: int
     m: int
@@ -106,18 +106,6 @@ class CurvatureReport:
     def tc_algebraic(self) -> float:
         """TC = -2 pi d."""
         return self.tc_pi * math.pi
-
-    @property
-    def co_rhs(self) -> float:
-        return self.co_rhs_pi * math.pi
-
-    @property
-    def gackstatter_rhs(self) -> float:
-        return self.gackstatter_pi * math.pi
-
-    @property
-    def ejiri_rhs(self) -> float:
-        return self.ejiri_pi * math.pi
 
 
 def gauss_map(w: WeierstrassData) -> GaussMap:

@@ -370,7 +370,7 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     unit = w.unit
     lead_u, a1c_u = lead / unit, a1c / unit
     defect = float(null_defect(lead_u))
-    if defect > BILINEAR_TOL:
+    if not defect <= BILINEAR_TOL:
         raise InternalConsistencyError(
             f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2 at end {p!r}: nullity violated"
         )

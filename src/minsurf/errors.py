@@ -21,10 +21,6 @@ class NonRealResidueError(MinsurfError, ValueError):
     """A residue of the form is not real: the immersion is not single-valued."""
 
 
-class SingularMetricError(MinsurfError, ValueError):
-    """Metric quantity requested at a puncture, where it is singular."""
-
-
 class ParseError(MinsurfError, ValueError):
     """Malformed input document. Carries line/column when available."""
 

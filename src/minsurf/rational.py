@@ -18,7 +18,9 @@ roots and keeps them (``RationalMap.den_roots``); they are the only
 description of the denominator that a finite Laurent expansion reads.  So
 every Laurent order is one of these integers: a multiplicity among the
 denominator roots, an order of vanishing of the numerator, or a difference
-of trimmed degrees at infinity.
+of trimmed degrees at infinity.  ``partial_fractions`` expands nothing
+itself: it reads each principal part off the Laurent series its caller gives
+at those roots (a datum's Laurent table).
 
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
@@ -52,7 +54,6 @@ __all__ = [
     "laurent_expand",
     "PartialFractions",
     "partial_fractions",
-    "residue",
 ]
 
 # Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
@@ -447,13 +448,16 @@ class RootTable:
         The denominator is factored at ``r.den_roots``; the numerator at its
         roots by r's own table.  T' = det / td^2 enters the balance of the td
         powers, so the result is built, and its denominator rooted, once.
+        The coefficients are projective: they are divided by the largest
+        before the determinant is tested, so any finite multiple is T.
         """
         a, b, c, d = (complex(x) for x in mobius)
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise DegenerateInputError("a Moebius coefficient is not finite")
         top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
-        if abs(a * d - b * c) <= 1e-12 * top**2:
-            raise DegenerateInputError("Moebius map is singular")
         a, b, c, d = a / top, b / top, c / top, d / top
-        r = _as_rational(r)
+        if abs(a * d - b * c) <= 1e-12:
+            raise DegenerateInputError("Moebius map is singular")
         if r.is_zero:
             return self.rational_map(ComplexPoly())
         td = ComplexPoly([d, c])
@@ -526,10 +530,6 @@ class RationalMap:
 
     def __repr__(self):
         return f"RationalMap({self.num.coeffs.tolist()!r}, {self.den.coeffs.tolist()!r})"
-
-    def derivative(self) -> "RationalMap":
-        n, d = self.num, self.den
-        return RationalMap(n.derivative() * d - n * d.derivative(), d * d)
 
     def __mul__(self, other):
         other = _as_rational(other)
@@ -612,7 +612,6 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     at construction; it describes function values only, and the 1-form
     Jacobian dz = -dw/w^2 is applied by the caller.
     """
-    r = _as_rational(r)
     if r.is_zero:
         raise ZeroFunctionError("Laurent order undefined for the zero function")
     if depth < 0:
@@ -650,46 +649,20 @@ class PartialFractions:
     poles: tuple
 
 
-def partial_fractions(r: RationalMap, expansions=None) -> PartialFractions:
+def partial_fractions(r: RationalMap, expansions) -> PartialFractions:
     """Polynomial part and principal parts at every finite pole.
 
     The principal part at each root of ``r.den`` is read off the Laurent
-    series of r there: ``expansions``, (root, series) pairs, when the caller
-    has them (a datum's Laurent table does), else expanded to depth
-    ``deg den`` at ``r.den_roots``.
+    series of r there, which the caller gives: ``expansions``, (root, series)
+    pairs at ``r.den_roots``, each of depth -order - 1 or more (a datum's
+    Laurent table holds them).
     """
-    r = _as_rational(r)
     if r.is_zero:
         return PartialFractions(ComplexPoly(), ())
     if r.den.degree() < 1:
         return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
-    if expansions is None:
-        expansions = [(p, laurent_expand(r, p, r.den.degree())) for p, _m in r.den_roots]
     poles = tuple((p, s.coeffs[-s.order - 1::-1].copy()) for p, s in expansions if s.order < 0)
     return PartialFractions(ComplexPoly(poly_quotient(r.num.coeffs, r.den.coeffs)), poles)
-
-
-def residue(r: RationalMap, pole) -> complex:
-    """Residue of r at a finite point, or of the 1-form r dz at infinity.
-
-    Finite points: the coefficient of (z - pole)^(-1); regular points give 0.
-    At infinity the standard 1-form convention in the w = 1/z chart applies:
-    res_inf(r dz) = -[w^1 coefficient of r(1/w)].
-    """
-    r = _as_rational(r)
-    if r.is_zero:
-        return 0j
-    probe = laurent_expand(r, pole, 0)
-    if is_infinity(pole):
-        target = 1
-        if probe.order > target:
-            return 0j
-        s = laurent_expand(r, pole, target - probe.order)
-        return -s.coefficient(target)
-    if probe.order > -1:
-        return 0j
-    s = laurent_expand(r, pole, -1 - probe.order)
-    return s.coefficient(-1)
 
 
 def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):

@@ -4,7 +4,7 @@ A datum is an n-tuple of rational maps phi_j with d f_j = 2 Re(phi_j dz),
 together with the puncture set (the ends) on the Riemann sphere.  This module
 checks the structural requirements -- the null (conformality) identity
 sum phi_j^2 = 0, reality of all residues, and complete finite-total-curvature
-end orders mu <= -2 -- and evaluates the immersion and its conformal factor.
+end orders mu <= -2 -- and evaluates the immersion.
 
 The immersion is evaluated in closed form, not by path integration.  Split
 each component into partial fractions, phi_j = q_j + sum_p sum_l c_{p,l}
@@ -57,7 +57,6 @@ from .errors import (
     DegenerateInputError,
     EvaluationNearSingularityError,
     NonRealResidueError,
-    SingularMetricError,
 )
 from .rational import (
     INF,
@@ -76,7 +75,6 @@ from .rational import (
 
 __all__ = [
     "WeierstrassData",
-    "MetricSample",
     "NullCheck",
     "ResidueCheck",
     "ValidationReport",
@@ -87,7 +85,6 @@ __all__ = [
     "branch_divisor",
     "immersion_eval",
     "immersion_delta",
-    "conformal_factor",
     "form_residue_vector",
     "common_denominator",
     "mobius_precompose",
@@ -210,14 +207,6 @@ class WeierstrassData:
 
     def __repr__(self):
         return f"WeierstrassData(n={self.n}, label={self.label!r}, punctures={self.punctures!r})"
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Conformal factor sample: ds^2 = lambda_sq |dz|^2 at z."""
-
-    z: complex
-    lambda_sq: float
 
 
 @dataclass(frozen=True)
@@ -447,8 +436,10 @@ def check_residues_real(w: WeierstrassData) -> ResidueCheck:
 def null_defect(a: np.ndarray) -> np.ndarray:
     """|<a, a>| / |a|^2 of each vector a along the last axis: the leading-
     nullity defect that ``validate`` and ``ends.analyze_end`` gate by
-    ``BILINEAR_TOL``."""
-    return np.abs(np.sum(a * a, axis=-1)) / np.sum(np.abs(a) ** 2, axis=-1)
+    ``BILINEAR_TOL``.  A vector whose squares underflow has the defect NaN,
+    which fails the gate; numpy warns of none."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.abs(np.sum(a * a, axis=-1)) / np.sum(np.abs(a) ** 2, axis=-1)
 
 
 def branch_divisor(w: WeierstrassData) -> tuple:
@@ -498,7 +489,7 @@ def validate(w: WeierstrassData) -> ValidationReport:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
     for p, defect in zip(w.punctures, null_defect(w._leads / w.unit)):
-        if defect > BILINEAR_TOL:
+        if not defect <= BILINEAR_TOL:
             messages.append(f"end {p!r}: leading Laurent vector not null: "
                             f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2")
 
@@ -592,16 +583,6 @@ def immersion_eval(w: WeierstrassData, z) -> np.ndarray:
 def immersion_delta(w: WeierstrassData, z1, z2) -> np.ndarray:
     """f(z2) - f(z1) (points or arrays, as immersion_eval)."""
     return immersion_eval(w, z2) - immersion_eval(w, z1)
-
-
-def conformal_factor(w: WeierstrassData, z) -> MetricSample:
-    """lambda_sq = 2 sum |phi_j(z)|^2 (the conformal factor of ds^2)."""
-    z = complex(z)
-    for p in w.finite_punctures:
-        if abs(z - p) <= 1e-12 * (1.0 + abs(p)):
-            raise SingularMetricError(f"metric is singular at puncture {p}")
-    lam = 2.0 * float(sum(abs(r(z)) ** 2 for r in w.phi))
-    return MetricSample(z=z, lambda_sq=lam)
 
 
 def mobius_precompose(w: WeierstrassData, mobius) -> WeierstrassData:

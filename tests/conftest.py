@@ -92,3 +92,19 @@ def path_integral(w, waypoints):
     val, _err = integrate_vector(lambda zs: np.stack([r(zs) for r in w.phi]), pieces,
                                  epsabs=1e-12, epsrel=1e-10)
     return 2.0 * val.real
+
+
+def metric_sq(w, z):
+    """lambda^2 = 2 sum |phi_j(z)|^2, the conformal factor of ds^2 =
+    lambda^2 |dz|^2 at a point z off the punctures: the reference the
+    conformality checks compare |df|^2 / |dz|^2 with."""
+    return 2.0 * float(sum(abs(r(z)) ** 2 for r in w.phi))
+
+
+def laurent_coefficient(r, center, exponent):
+    """The coefficient of the local coordinate (z - center, or w = 1/z at
+    infinity) to the power ``exponent`` in ``laurent_expand(r, center)``,
+    0 below the order.  The residue of r dz is the coefficient of -1 at a
+    finite point and minus the coefficient of w^1 at infinity."""
+    order = ms.laurent_expand(r, center, 0).order
+    return ms.laurent_expand(r, center, max(0, exponent - order)).coefficient(exponent)

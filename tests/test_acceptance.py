@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from conftest import path_integral, well_conditioned_mobius
+from conftest import laurent_coefficient, metric_sq, path_integral, well_conditioned_mobius
 from minsurf.ends import EndType, analyze_end, limit_circle_deviation
-from minsurf.rational import INF, RationalMap, residue, roots
+from minsurf.rational import INF, RationalMap, roots
 from minsurf.weierstrass import (
     check_residues_real,
-    conformal_factor,
     immersion_delta,
     immersion_eval,
     mobius_precompose,
@@ -83,9 +82,9 @@ def test_criterion_2_generalized_jorge_meeks(m):
         ("co_equality", rep.co_equality is True),
         ("full", rep.full is True),
         ("l = 0", rep.l == 0),
-        ("ejiri rhs = -4m pi", round(rep.ejiri_rhs / math.pi) == -4 * m),
+        ("ejiri rhs = -4m pi", rep.ejiri_pi == -4 * m),
         ("ejiri equality", rep.ejiri_equality is True),
-        ("gackstatter holds", rep.tc_algebraic <= rep.gackstatter_rhs + 1e-9),
+        ("gackstatter holds", rep.tc_pi <= rep.gackstatter_pi),
     ]
     elapsed = time.perf_counter() - t0
     if m == 4:
@@ -122,7 +121,7 @@ def test_criterion_4_enneper():
     checks = [
         ("TC=-4pi", rep.tc_pi == -4),
         ("CO bound 0", rep.co_rhs_pi == 0),
-        ("strict inequality", rep.tc_algebraic < rep.co_rhs and not rep.co_equality),
+        ("strict inequality", rep.tc_pi < rep.co_rhs_pi and not rep.co_equality),
         ("single end", rep.m == 1),
         ("mu=-4", e.mu == -4),
         ("numeric index 3", ms.rotation_index_numeric(w, INF, R_LIST, end=e) == 3),
@@ -172,7 +171,8 @@ def test_criterion_7_property_tests(all_entries):
         r = RationalMap(num, den)
         if r.is_zero or r.den.degree() < 1:
             continue
-        total = sum(residue(r, z) for z, _ in roots(r.den)) + residue(r, INF)
+        total = (sum(laurent_coefficient(r, z, -1) for z, _ in roots(r.den))
+                 - laurent_coefficient(r, INF, 1))
         worst = max(worst, abs(total))
         done += 1
     checks.append(("residue sum zero (100 random)", worst < 1e-9))
@@ -189,7 +189,7 @@ def test_criterion_7_property_tests(all_entries):
                 continue
             h = 1e-6 * np.exp(2j * np.pi * rng.random())
             df = immersion_delta(w, z, z + h)
-            lam2 = conformal_factor(w, z).lambda_sq
+            lam2 = metric_sq(w, z)
             if abs(float(df @ df) / abs(h) ** 2 - lam2) >= 1e-3 * lam2:
                 conf_ok = False
             done += 1

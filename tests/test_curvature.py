@@ -502,26 +502,26 @@ class TestChernOsserman:
     def test_catenoid_equality(self, catenoid):
         rep = chern_osserman(catenoid.data)
         assert (rep.chi, rep.m) == (0, 2)
-        assert rep.co_rhs == pytest.approx(-4 * math.pi)
+        assert rep.co_rhs_pi == -4
         assert rep.co_equality
 
     def test_counterexample_strict(self, counterexample):
         rep = chern_osserman(counterexample.data)
-        assert rep.co_rhs == pytest.approx(-4 * math.pi)
-        assert rep.tc_algebraic == pytest.approx(-6 * math.pi)
+        assert rep.co_rhs_pi == -4
+        assert rep.tc_pi == -6
         assert not rep.co_equality
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_jorge_meeks_equality(self, m):
         rep = chern_osserman(ms.generalized_jorge_meeks(m).data)
         assert rep.chi == 1 - m and rep.m == m + 1
-        assert rep.co_rhs == pytest.approx(-4 * m * math.pi)
+        assert rep.co_rhs_pi == -4 * m
         assert rep.co_equality
 
     def test_enneper_strict(self, enneper):
         rep = chern_osserman(enneper.data)
-        assert rep.co_rhs == 0.0
-        assert rep.tc_algebraic < rep.co_rhs
+        assert rep.co_rhs_pi == 0
+        assert rep.tc_pi < rep.co_rhs_pi
 
     def test_unlisted_end_disagrees_with_end_orders(self, counterexample):
         # the planar end at infinity is left out of the punctures: d = 3, but
@@ -610,17 +610,16 @@ class TestCrossCutting:
     def test_report_is_frozen_with_integer_bounds(self, catenoid):
         rep = chern_osserman(catenoid.data)
         assert (rep.gackstatter_pi, rep.ejiri_pi) == (-2, -4)
-        assert rep.gackstatter_rhs == -2 * math.pi and rep.ejiri_rhs == -4 * math.pi
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.full = False
 
     def test_all_inequalities_hold_on_catalog(self, all_entries):
         for entry in all_entries:
             rep = chern_osserman(entry.data)
-            assert rep.tc_algebraic <= rep.co_rhs + 1e-9, entry.name
-            assert rep.tc_algebraic <= rep.ejiri_rhs + 1e-9, entry.name
+            assert rep.tc_pi <= rep.co_rhs_pi, entry.name
+            assert rep.tc_pi <= rep.ejiri_pi, entry.name
             if rep.gackstatter_applicable:
-                assert rep.tc_algebraic <= rep.gackstatter_rhs + 1e-9, entry.name
+                assert rep.tc_pi <= rep.gackstatter_pi, entry.name
 
     def test_numeric_matches_algebraic_on_catalog(self, all_entries):
         for entry in all_entries:

@@ -21,15 +21,14 @@ LAZY = ("minsurf.mesh", "minsurf.catalog", "minsurf.quadrature")
 # sorted(minsurf.__all__) when every module was executed on import
 PUBLIC = [
     "AnalysisReport", "CatalogEntry", "ComplexPoly", "CurvatureReport", "EndAnalysis",
-    "EndType", "GaussMap", "INF", "LaurentSeries", "LocalImmersion", "MetricSample",
-    "RationalMap", "SurfaceMesh", "WeierstrassData", "analyze_end", "build_mesh",
-    "catalog", "catenoid", "check_residues_real", "chern_osserman",
-    "conformal_factor", "curvature", "curvature_report", "detect_punctures", "ends", "enneper",
-    "errors", "export_obj", "fullness_and_degeneracy", "gauss_map", "generalized_jorge_meeks",
-    "holomorphic_counterexample", "immersion_eval", "is_infinity", "laurent_expand",
-    "limit_circle_deviation", "mesh", "metric_order_at", "mobius_precompose", "plane",
-    "quadrature", "rational", "report", "report_to_json", "residue", "roots",
-    "rotation_index_numeric", "run_analysis", "sample_domain", "shared_roots",
+    "EndType", "GaussMap", "INF", "LaurentSeries", "LocalImmersion", "RationalMap",
+    "SurfaceMesh", "WeierstrassData", "analyze_end", "build_mesh", "catalog", "catenoid",
+    "check_residues_real", "chern_osserman", "curvature", "curvature_report",
+    "detect_punctures", "ends", "enneper", "errors", "export_obj", "fullness_and_degeneracy",
+    "gauss_map", "generalized_jorge_meeks", "holomorphic_counterexample", "immersion_eval",
+    "is_infinity", "laurent_expand", "limit_circle_deviation", "mesh", "metric_order_at",
+    "mobius_precompose", "plane", "quadrature", "rational", "report", "report_to_json",
+    "roots", "rotation_index_numeric", "run_analysis", "sample_domain", "shared_roots",
     "total_curvature_numeric", "validate_null", "weierstrass",
 ]
 

@@ -12,8 +12,8 @@ from minsurf import mesh as mesh_module
 from minsurf.errors import EvaluationNearSingularityError, MeshBudgetError, MeshTopologyError
 from minsurf.mesh import (RING_RATIO, ParamTriangulation, SurfaceMesh, build_mesh, export_obj,
                           sample_domain)
+from conftest import metric_sq
 from minsurf.rational import is_infinity
-from minsurf.weierstrass import conformal_factor
 
 
 def parse_obj(path):
@@ -109,7 +109,7 @@ class TestBuildMesh:
                 continue
             ds = np.linalg.norm(mesh.vertices[j] - mesh.vertices[i])
             mid = (mesh.param[i] + mesh.param[j]) / 2
-            lam = np.sqrt(conformal_factor(catenoid.data, mid).lambda_sq)
+            lam = np.sqrt(metric_sq(catenoid.data, mid))
             assert abs(ds - lam * abs(dz)) < 0.1 * lam * abs(dz)
             checked += 1
         assert checked > 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minsurf as ms
+from conftest import laurent_coefficient
 from minsurf.errors import DegenerateInputError, ZeroFunctionError
 from minsurf.rational import (
     INF,
@@ -16,7 +17,6 @@ from minsurf.rational import (
     laurent_expand,
     partial_fractions,
     poly_quotient,
-    residue,
     roots,
     shared_roots,
 )
@@ -365,7 +365,7 @@ class TestLaurent:
         s = laurent_expand(r, root + 1e-9, depth=2)
         assert (s.center, s.order) == (root, -1)
         assert abs(s.coeffs[0] - 3.0) <= 1e-14
-        assert residue(r, root + 1e-9) == residue(r, root)
+        assert laurent_coefficient(r, root + 1e-9, -1) == laurent_coefficient(r, root, -1)
 
     def test_centre_off_a_double_pole_is_the_pole(self, jm2):
         # JM m = 2's double pole at 1, asked 1e-7 off, within roots_coincide
@@ -381,7 +381,7 @@ class TestLaurent:
             assert (s.center, s.order) == (root, -2)
             assert s.coeffs.tolist() == laurent_expand(r, root, depth=3).coeffs.tolist()
             assert abs(s.coeffs[0] - 1j / 9.0) < 1e-12
-            assert abs(residue(r, c)) < 1e-12
+            assert abs(laurent_coefficient(r, c, -1)) < 1e-12
 
     def test_top_coefficients_are_trimmed_at_construction(self):
         # a polynomial component and a constant numerator are trimmed as a
@@ -433,6 +433,13 @@ class TestLaurent:
             assert ratios[-1] <= 10.0 * ratios[0] + 1e-6
 
 
+def expanded_partial_fractions(r):
+    """``partial_fractions`` of r with its Laurent series at ``r.den_roots``,
+    expanded to depth ``deg den``."""
+    return partial_fractions(r, [(p, laurent_expand(r, p, r.den.degree()))
+                                 for p, _m in r.den_roots])
+
+
 class TestPartialFractions:
     def test_reconstructs_random_rationals(self):
         rng = np.random.default_rng(61)
@@ -440,7 +447,7 @@ class TestPartialFractions:
             num = rng.normal(size=rng.integers(1, 7)) + 1j * rng.normal(size=1)
             den = rng.normal(size=rng.integers(2, 6)) + 1j * rng.normal(size=1)
             r = RationalMap(num, den)
-            pf = partial_fractions(r)
+            pf = expanded_partial_fractions(r)
             for z in rng.normal(size=4) * 3 + 1j * rng.normal(size=4) * 3:
                 val = pf.poly(z) + sum(
                     np.polyval(c[::-1], 1 / (z - p)) / (z - p) for p, c in pf.poles
@@ -449,11 +456,11 @@ class TestPartialFractions:
 
     def test_catenoid_components_by_hand(self, catenoid):
         # (1 - z^2)/(2 z^2) = -1/2 + (1/2) z^-2; 1/z has residue 1
-        pf = partial_fractions(catenoid.data.phi[0])
+        pf = expanded_partial_fractions(catenoid.data.phi[0])
         assert np.allclose(pf.poly.coeffs, [-0.5])
         (p, c), = pf.poles
         assert abs(p) < 1e-12 and np.allclose(c, [0, 0.5])
-        (p, c), = partial_fractions(catenoid.data.phi[2]).poles
+        (p, c), = expanded_partial_fractions(catenoid.data.phi[2]).poles
         assert abs(p) < 1e-12 and np.allclose(c, [1])
 
     def test_one_roots_call(self, monkeypatch):
@@ -464,27 +471,21 @@ class TestPartialFractions:
         real_roots = rat.roots
         monkeypatch.setattr(rat, "roots", lambda p: calls.append(p) or real_roots(p))
         r = RationalMap([1, 2, 3, 4, 5, 6], [0, 0, -1, 0, 0, 1])
-        assert len(partial_fractions(r).poles) == 4
+        assert len(expanded_partial_fractions(r).poles) == 4
         assert len(calls) == 1
+
+    def test_expansions_are_required(self, catenoid):
+        # the principal parts are read off the caller's series, never expanded
+        # here; a datum's Laurent table is the one source of them
+        with pytest.raises(TypeError):
+            partial_fractions(catenoid.data.phi[0])
+        assert not hasattr(RationalMap, "derivative") and not hasattr(ms.rational, "residue")
 
 
 class TestResidue:
-    def test_simple_pole(self):
-        assert abs(residue(RationalMap([1], [0, 1]), 0j) - 1) < 1e-14
-
-    def test_double_pole_no_residue(self):
-        assert abs(residue(RationalMap([1], [0, 0, 1]), 0j)) < 1e-14
-
-    def test_catenoid_third_component(self):
-        s = laurent_expand(RationalMap([1], [0, 1]), 0j, depth=1)
-        assert s.order == -1 and abs(s.coeffs[0] - 1) < 1e-14  # oracle
-        assert abs(residue(RationalMap([1], [0, 1]), 0j) - 1) < 1e-14
-
-    def test_regular_point_gives_zero(self):
-        assert residue(RationalMap([1], [0, 1]), 2.0 + 0j) == 0
-
     def test_residue_sum_zero_random(self):
-        # residues over all poles plus the 1/z-chart residue at infinity
+        # residues over all poles plus the 1/z-chart residue at infinity, read
+        # off the Laurent expansions: -[w^1 coefficient] there
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 100:
@@ -493,7 +494,7 @@ class TestResidue:
             r = RationalMap(num, den)
             if r.is_zero or r.den.degree() < 1:
                 continue
-            total = sum(residue(r, z) for z, _ in roots(r.den))
-            total += residue(r, INF)
+            total = sum(laurent_coefficient(r, z, -1) for z, _ in roots(r.den))
+            total -= laurent_coefficient(r, INF, 1)
             assert abs(total) < 1e-9
             checked += 1

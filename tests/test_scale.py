@@ -19,7 +19,7 @@ from strategies import null_curve, null_curves
 
 import minsurf as ms
 from minsurf.ends import LocalImmersion
-from minsurf.errors import MinsurfError, NumericInstabilityError
+from minsurf.errors import DegenerateInputError, MinsurfError, NumericInstabilityError
 from minsurf.weierstrass import form_coefficient_window, validate
 
 EXPONENTS = (1, -1, 7, 60, -60, 400, -400, 900, -900)
@@ -167,6 +167,37 @@ class TestPowerOfTwoScaling:
     @given(null_curves(), st.sampled_from(EXPONENTS))
     def test_any_null_curve_scales_exactly(self, curve, j):
         assert_scaled_report(report(scaled(curve.data, 2.0**j)), report(curve.data), 2.0**j)
+
+
+class TestProjectiveMoebius:
+    """Moebius coefficients are projective: lambda M is the map M for every
+    lambda that keeps the coefficients in the float range."""
+
+    M = (1, 0.25, 0.5, 1.5)
+
+    @staticmethod
+    def chart(w):
+        return ([(r.num.coeffs.tobytes(), r.den.coeffs.tobytes()) for r in w.phi],
+                repr(w.punctures))
+
+    @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
+    def test_scaled_coefficients_give_the_same_chart(self, entry):
+        # the determinant is taken of the normalized coefficients, so it
+        # neither overflows at 2^600 nor reads as singular at 2^-600
+        want = self.chart(ms.mobius_precompose(entry.data, self.M))
+        for j in (-600, -520, 0, 520, 600):
+            got = ms.mobius_precompose(entry.data, [2.0**j * x for x in self.M])
+            assert self.chart(got) == want, j
+
+    @pytest.mark.parametrize("j", (-600, 0, 600))
+    def test_a_singular_map_is_refused_at_any_scale(self, catenoid, j):
+        with pytest.raises(DegenerateInputError, match="singular"):
+            ms.mobius_precompose(catenoid.data, [2.0**j * x for x in (1, 2, 2, 4)])
+
+    @pytest.mark.parametrize("bad", (np.inf, np.nan))
+    def test_a_coefficient_that_is_not_finite_is_refused(self, catenoid, bad):
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            ms.mobius_precompose(catenoid.data, (bad, 0, 0, 1))
 
 
 class TestDecimalScaling:

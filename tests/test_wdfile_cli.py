@@ -97,6 +97,20 @@ class TestCliVerify:
         assert out.returncode == 1
         assert "null" in out.stderr
 
+    def test_an_underflowed_leading_vector_is_rejected(self, tmp_path, catenoid):
+        # the catenoid with phi_1 = 1e308 (1 + z) / (2 z^2): over the unit,
+        # 2^1023, the leading vector at infinity underflows and its null
+        # defect is 0/0; a NaN defect fails the gate, and numpy warns of none
+        doc = json.loads(wdfile.dumps(wdfile.document_from_data(catenoid.data)))
+        doc["components"][0]["num"] = [[1e308, 0], [1e308, 0]]
+        path = tmp_path / "huge.wd"
+        path.write_text(json.dumps(doc))
+        out = run_cli("verify", path)
+        assert out.returncode == 1
+        assert "RuntimeWarning" not in out.stderr
+        for end in ("0j", "inf"):
+            assert f"verify: end {end}: leading Laurent vector not null" in out.stderr
+
     def test_malformed_file_exit_two(self, tmp_path):
         path = tmp_path / "broken.wd"
         path.write_text("{ not json")
