@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .curvature import (
     CurvatureReport,
-    GaussMap,
     chern_osserman,
     curvature_report,
     fullness_and_degeneracy,

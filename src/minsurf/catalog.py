@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ends import EndType
+from .errors import UsageError
 from .rational import INF, ComplexPoly, RationalMap, RootTable
 from .weierstrass import WeierstrassData
 
@@ -124,7 +125,7 @@ def generalized_jorge_meeks(m: int) -> CatalogEntry:
     curvature -4 m pi.
     """
     if not (1 <= int(m) <= 6):
-        raise ValueError(f"m must be between 1 and 6, got {m!r}")
+        raise UsageError(f"m must be between 1 and 6, got {m!r}")
     m = int(m)
     base = np.zeros(m + 2, dtype=complex)
     base[0] = -1.0
@@ -202,12 +203,13 @@ def entries(jm_range=(1, 2, 3, 4)):
 
 
 _FACTORIES = {
-    "catenoid": lambda m=None: catenoid(),
-    "plane": lambda m=None: plane(),
-    "enneper": lambda m=None: enneper(),
-    "holomorphic-counterexample": lambda m=None: holomorphic_counterexample(),
-    "generalized-jorge-meeks": lambda m=None: generalized_jorge_meeks(2 if m is None else m),
+    "catenoid": catenoid,
+    "plane": plane,
+    "enneper": enneper,
+    "holomorphic-counterexample": holomorphic_counterexample,
+    "generalized-jorge-meeks": generalized_jorge_meeks,
 }
+_DEFAULT_PARAMETER = {"generalized-jorge-meeks": 2}  # the entries that take one
 
 
 def names():
@@ -215,11 +217,16 @@ def names():
 
 
 def get(name: str, m: int | None = None) -> CatalogEntry:
-    """Catalog entry by CLI name; raises KeyError for unknown names."""
+    """Catalog entry by CLI name; raises KeyError for unknown names and
+    ``UsageError`` for a parameter given to an entry that takes none."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown catalog entry {name!r}; available: {', '.join(names())}"
         ) from None
-    return factory(m)
+    if name in _DEFAULT_PARAMETER:
+        return factory(_DEFAULT_PARAMETER[name] if m is None else m)
+    if m is not None:
+        raise UsageError(f"catalog entry {name!r} takes no parameter, got {m!r}")
+    return factory()

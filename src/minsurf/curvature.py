@@ -37,7 +37,6 @@ from .rational import horner
 from .weierstrass import WeierstrassData, branch_divisor, metric_order_at
 
 __all__ = [
-    "GaussMap",
     "CurvatureReport",
     "gauss_map",
     "total_curvature_numeric",
@@ -51,15 +50,6 @@ TC_TOL = 1e-3    # relative tolerance of the Green-identity TC against -2 pi d
 TC_SAMPLES = 32  # samples per circle of the Green-identity check
 TC_ROUNDS = 48   # its shrink rounds before ConvergenceFailureError
 TC_BLOCK = 4     # shrink rounds evaluated in one stacked call
-
-
-@dataclass(frozen=True)
-class GaussMap:
-    """Cleared projective components and the map degree (the max component
-    degree less the degree of their common factor)."""
-
-    psi: tuple
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -108,19 +98,18 @@ class CurvatureReport:
         return self.tc_pi * math.pi
 
 
-def gauss_map(w: WeierstrassData) -> GaussMap:
-    """Projective Gauss map [phi_1 : ... : phi_n] in cleared form.
+def gauss_map(w: WeierstrassData) -> int:
+    """The degree of the projective Gauss map [phi_1 : ... : phi_n].
 
-    The common denominator is projectively irrelevant once cleared, and so is
+    The map in cleared form is [psi_1 : ... : psi_n], psi = ``w.cleared[1]``:
+    the common denominator is projectively irrelevant once cleared, and so is
     the numerators' common factor, whose roots are the finite branch points.
     The hyperplane-intersection degree (including the fiber over infinity,
     which the homogenization to the max component degree accounts for) is
     the max numerator degree less the degree of that factor.
     """
-    nums = w.cleared[1]
-    degree = max(nj.degree() for nj in nums if not nj.is_zero)
-    degree -= sum(m for _z, m in w.branch_points)
-    return GaussMap(psi=tuple(nums), degree=int(degree))
+    degree = max(nj.degree() for nj in w.cleared[1] if not nj.is_zero)
+    return int(degree - sum(m for _z, m in w.branch_points))
 
 
 def _flux_groups(w: WeierstrassData):
@@ -260,7 +249,7 @@ def chern_osserman(w: WeierstrassData) -> CurvatureReport:
     With beta = 0 the Chern-Osserman defect d - (m - chi) is
     sum_j (k_j - 2), so equality holds iff every end has order -2.
     """
-    d = gauss_map(w).degree
+    d = gauss_map(w)
     orders = [metric_order_at(w, p) for p in w.punctures]
     beta = sum(m for _p, m in branch_divisor(w))
     rhs = -sum(orders) - 2 - beta

@@ -15,7 +15,8 @@ end's frame, so the numeric witness ``rotation_index_numeric`` counts the
 turns of each cut projected onto that plane, sampled at ``CUT_ANGLES`` angles
 per turn of the circle.  The cuts at all its radii are one Newton batch on
 the grid of N angles 2 pi j / N, projected and turned by one product and one
-reshape.  Magnitude enters only through the datum's unit
+reshape; ``limit_circle_deviation`` reads the cut at its one radius on the
+same grid.  Magnitude enters only through the datum's unit
 (``WeierstrassData.unit``): the bilinear gates and the norms a, b are taken of
 the coefficients over it.
 
@@ -25,15 +26,15 @@ immersion at a reference radius; this is the immersion itself to spectral
 accuracy, and working in t keeps full relative precision at radii far below
 the evaluation clearance, where z = p + t would round t away.  Coefficients
 are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
-end.  Every reader of an end's series -- immersion values and the sphere
-cuts |f| = R (Newton on log r per angle, with the exact radial derivative)
--- goes through one polar evaluator, ``_polar_jet``, of t as angle and log
-radius.  The sphere cuts read its phases cos p theta, sin p theta from one
-read-only table per angle count N for the whole process, keyed by no datum
-and widened by the powers it lacks (``_grid_phases``); a caller at other
-angles takes them directly, one cos and one sin of the (power x angle)
-outer product.  The local immersion keeps the terms above 1e-18 of the
-leading one, and its stacked coefficient matrix is built once.
+end.  Every reader of an end's series -- the anchor of its constant and the
+sphere cuts |f| = R (Newton on log r per angle, with the exact radial
+derivative) -- goes through one polar evaluator, ``_polar_jet``, on a grid of
+n angles 2 pi j / n with one log radius per angle; the anchor is the one-angle
+grid, theta = 0.  Its phases cos p theta, sin p theta come from one read-only
+table of all ``TERMS`` powers per angle count n and first power for the whole
+process, keyed by no datum (``_grid_phases``).  The local immersion keeps the
+terms above 1e-18 of the leading one, and its stacked coefficient matrix is
+built once.
 """
 
 from __future__ import annotations
@@ -44,11 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    EvaluationNearSingularityError,
-    InternalConsistencyError,
-    NumericInstabilityError,
-)
+from .errors import InternalConsistencyError, NumericInstabilityError
 from .rational import is_infinity
 from .weierstrass import (
     BILINEAR_TOL,
@@ -71,6 +68,7 @@ __all__ = [
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 CUT_ANGLES = 16       # angles of a rotation-index sphere cut per turn of its limit circle
+TERMS = 41            # Laurent terms of a local immersion
 
 
 class EndType(str, Enum):
@@ -89,39 +87,23 @@ def _phases(powers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return table
 
 
-def _angle_phases(lo: int, K: int, thetas: np.ndarray):
-    """The phases of the powers lo .. lo + K - 1 at arbitrary angles, taken
-    directly, as ``_polar_jet`` reads them: (2, K, 1, N), and the principal
-    angles of thetas."""
-    return _phases(lo + np.arange(K), thetas)[:, :, None], np.angle(np.exp(1j * thetas))
-
-
-# n -> (first power, (2, P, n) phases of the powers first .. first + P - 1 at
-# the angles 2 pi j / n, their principal angles), each array read-only
+# (n, lo) -> ((2, TERMS, 1, n) phases of the powers lo .. lo + TERMS - 1 at the
+# angles 2 pi j / n, their principal angles), both read-only
 _GRID_PHASES: dict = {}
 
 
-def _grid_phases(n: int, lo: int, K: int):
-    """The phases of the powers lo .. lo + K - 1 on the grid of n angles
-    2 pi j / n: a read-only (2, K, 1, n) slice of one table per n for the
-    whole process, keyed by no datum, and the grid's principal angles.  The
-    table holds the powers asked for so far; a power outside them widens it
-    by the missing rows alone, so each row is taken once."""
-    first, table, principal = _GRID_PHASES.get(n, (lo, np.empty((2, 0, n)), None))
-    top = first + table.shape[1]
-    if lo < first or lo + K > top:
+def _grid_phases(n: int, lo: int):
+    """The phases of the TERMS powers lo .. lo + TERMS - 1 on the grid of n
+    angles 2 pi j / n, a read-only (2, TERMS, 1, n) table built once per
+    (n, lo) for the whole process and keyed by no datum, and the grid's
+    principal angles."""
+    if (n, lo) not in _GRID_PHASES:
         thetas = 2.0 * math.pi * np.arange(n) / n
-        parts = [_phases(np.arange(lo, first), thetas)] if lo < first else []
-        parts.append(table)
-        if lo + K > top:
-            parts.append(_phases(np.arange(top, lo + K), thetas))
-        first, table = min(lo, first), np.concatenate(parts, axis=1)
-        if principal is None:
-            principal = np.angle(np.exp(1j * thetas))
-            principal.flags.writeable = False
-        table.flags.writeable = False
-        _GRID_PHASES[n] = first, table, principal
-    return table[:, lo - first:lo - first + K, None], principal
+        table = _phases(lo + np.arange(TERMS), thetas)[:, :, None]
+        principal = np.angle(np.exp(1j * thetas))
+        table.flags.writeable = principal.flags.writeable = False
+        _GRID_PHASES[n, lo] = table, principal
+    return _GRID_PHASES[n, lo]
 
 
 def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
@@ -140,34 +122,35 @@ def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
     return coef.reshape(2 * n, -1)
 
 
-def _polar_jet(coef: np.ndarray, lo: int, phases: np.ndarray, principal: np.ndarray,
-               count: int = 1):
-    """The polar evaluator of an end's series at fixed angles: ``jet``.
+def _polar_jet(coef: np.ndarray, lo: int, n: int, count: int = 1):
+    """The polar evaluator of an end's series on the grid of n angles
+    theta_j = 2 pi j / n: ``jet``.
 
     The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
-    with anti an (n, K) table and log, constant (n,) vectors, given by its
+    with anti a (dim, K) table and log, constant (dim,) vectors, given by its
     ``_jet_coef`` matrix.  ``jet(x)`` returns f and df/dlog r at the points
-    e^x e^{i theta}, one log-radius x per angle, the N angles of ``phases``
-    repeated ``count`` times, as two (n, count N) arrays.  With
+    e^x e^{i theta}, one log-radius x per angle, the n angles repeated
+    ``count`` times, as two (dim, count n) arrays.  With
     t^p = r^p e^{i p theta}, each term is
     2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r
     multiplies it by p.  The log term is 2 (Re c x - Im c theta), theta on
-    the principal branch (-pi, pi] (``principal``), with derivative 2 Re c.
-    So the rows [r^p cos p theta; r^p sin p theta; x; theta; 1] against the
-    stacked coefficients give both in one real matrix product.  The phases
-    cos p theta, sin p theta, a (2, K, 1, N) array, are given: from
-    ``_grid_phases`` on a grid, from ``_angle_phases`` at other angles.  Only
-    r^p (by row products of r, shape (K, count, N), broadcast against the
-    phases) and x change between calls.
+    the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
+    [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
+    coefficients give both in one real matrix product.  The phases
+    cos p theta, sin p theta are the first K rows of the grid's table
+    (``_grid_phases``); only r^p (by row products of r, shape (K, count, n),
+    broadcast against the phases) and x change between calls.
     """
-    n = coef.shape[0] // 2
-    K, N = phases.shape[1], principal.size
-    rows = np.empty((2 * K + 3, count * N))
-    rows[2 * K + 1].reshape(count, N)[:] = principal
+    dim = coef.shape[0] // 2
+    K = (coef.shape[1] - 3) // 2
+    table, principal = _grid_phases(n, lo)
+    phases = table[:, :K]
+    rows = np.empty((2 * K + 3, count * n))
+    rows[2 * K + 1].reshape(count, n)[:] = principal
     rows[2 * K + 2] = 1.0
-    scaled = rows[:2 * K].reshape(2, K, count, N)
-    powers_of_r = np.empty((K, count * N))
-    grid_powers = powers_of_r.reshape(K, count, N)
+    scaled = rows[:2 * K].reshape(2, K, count, n)
+    powers_of_r = np.empty((K, count * n))
+    grid_powers = powers_of_r.reshape(K, count, n)
 
     def jet(x: np.ndarray):
         r = np.exp(x)
@@ -177,7 +160,7 @@ def _polar_jet(coef: np.ndarray, lo: int, phases: np.ndarray, principal: np.ndar
         np.multiply(phases, grid_powers, out=scaled)
         rows[2 * K] = x
         out = coef @ rows
-        return out[:n], out[n:]
+        return out[:dim], out[dim:]
 
     return jet
 
@@ -185,21 +168,23 @@ def _polar_jet(coef: np.ndarray, lo: int, phases: np.ndarray, principal: np.ndar
 class LocalImmersion:
     """The immersion near one end, via its integrated Laurent expansion.
 
-    f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C over 41
-    Laurent terms, with the constant C fixed once by matching the closed-form
-    immersion (``immersion_eval``) at a reference radius.  Valid for |t|
-    below roughly half the distance to the next singularity; only Re(log)
-    enters, so the log branch is immaterial (the residue vector is real).
+    f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C over
+    ``TERMS`` Laurent terms, with the constant C fixed once by matching the
+    closed-form immersion (``immersion_eval``) at a reference radius.  Valid
+    for |t| below roughly half the distance to the next singularity; only
+    Re(log) enters, so the log branch is immaterial (the residue vector is
+    real).
 
-    Every evaluation, the anchor included, is one call of the polar
-    evaluator ``_polar_jet`` on the leading ``K`` terms, t given by its angle
-    and log radius; the stacked coefficient matrix of all 41 terms is built
-    once, its constant column written when the anchor has fixed C, and an
-    evaluator takes the columns of its K.  Tail terms whose bound
-    max|c| max|t|^p on the evaluation set is below ``TAIL_REL`` of the
-    leading term's are dropped: at sphere-cut radii most of the 40 are.  A
-    window with a coefficient past the float range (a datum scaled near the
-    top of it, with close punctures) raises ``NumericInstabilityError``.
+    Every evaluation, the anchor at theta = 0 included, is one call of the
+    polar evaluator ``_polar_jet`` on the leading ``K`` terms, on a grid of
+    angles and at one log radius per angle; the stacked coefficient matrix
+    of all ``TERMS`` terms is built once, its constant column written when
+    the anchor has fixed C, and an evaluator takes the columns of its K.
+    Tail terms whose bound max|c| max|t|^p on the evaluation set is below
+    ``TAIL_REL`` of the leading term's are dropped: at sphere-cut radii most
+    of them are.  A window with a coefficient past the float range (a datum
+    scaled near the top of it, with close punctures) raises
+    ``NumericInstabilityError``.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -207,7 +192,7 @@ class LocalImmersion:
             conv = min((1.0 / abs(q) for q in w.finite_punctures if q != 0), default=math.inf)
         else:
             conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
-        mu, C = form_coefficient_window(w, p, 40)
+        mu, C = form_coefficient_window(w, p, TERMS - 1)
         if not np.isfinite(C).all():
             # a coefficient past the float range has no size to bound its
             # term by, so it can be neither summed nor dropped as tail
@@ -220,7 +205,7 @@ class LocalImmersion:
         exps = mu + np.arange(C.shape[1])
         log_mask = exps == -1
         self.log_coeff = C[:, log_mask].sum(axis=1)
-        # antiderivative coefficients of t^lo .. t^(lo+40); t^0 (the log) is zero
+        # antiderivative coefficients of t^lo .. t^(lo+TERMS-1); t^0 (the log) is zero
         self._lo = self.mu + 1
         anti = np.zeros_like(C)
         anti[:, ~log_mask] = C[:, ~log_mask] / (exps[~log_mask] + 1)
@@ -236,7 +221,9 @@ class LocalImmersion:
         z_ref = 1.0 / self.r_ref if is_infinity(p) else complex(p) + self.r_ref
         self._coef = _jet_coef(anti, self._lo, self.log_coeff)
         K = self._kept_terms(self.r_ref)
-        series = _polar_jet(self._columns(K), self._lo, *_angle_phases(self._lo, K, np.zeros(1)))
+        # the one-angle grid is theta = 0; not radial_jet, which a subclass may
+        # override and whose state it may set only after this returns
+        series = _polar_jet(self._columns(K), self._lo, 1)
         self.constant = immersion_eval(w, z_ref) - series(np.log([self.r_ref]))[0][:, 0]
         self._coef[:w.n, -1] = self.constant
 
@@ -247,35 +234,19 @@ class LocalImmersion:
         above = self._log_rel_mag + self._rel_power * log_r >= math.log(TAIL_REL)
         return above.size - int(np.argmax(above[::-1]))
 
-    def _check_radius(self, r_max: float) -> None:
-        if r_max > self._cap:
-            raise EvaluationNearSingularityError(
-                f"local coordinate beyond the chart radius {self._cap:.3g}"
-            )
-
     def _columns(self, K: int) -> np.ndarray:
         """The coefficient matrix of the leading K terms: their columns of
-        the one built over all 41."""
+        the one built over all TERMS."""
         T = self._anti.shape[1]
         c = self._coef
         return np.concatenate((c[:, :K], c[:, T:T + K], c[:, 2 * T:]), axis=1)
 
     def radial_jet(self, n: int, count: int, r_max: float):
-        """The sphere cuts' evaluator: ``(jet, K)``, ``jet`` the polar
-        evaluator of the ``K`` terms that ``__call__`` keeps for |t| <= r_max,
-        at ``count`` repeats of the grid of n angles 2 pi j / n, its phases
-        read from the process-wide table (``_grid_phases``)."""
+        """The immersion's evaluator: ``(jet, K)``, ``jet`` the polar
+        evaluator of the ``K`` terms kept for |t| <= r_max, at ``count``
+        repeats of the grid of n angles 2 pi j / n."""
         K = self._kept_terms(r_max)
-        return _polar_jet(self._columns(K), self._lo, *_grid_phases(n, self._lo, K), count), K
-
-    def __call__(self, t) -> np.ndarray:
-        """Immersion values at local coordinates t; shape (n, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        r_max = float(np.max(np.abs(t)))
-        self._check_radius(r_max)
-        K = self._kept_terms(r_max)
-        jet = _polar_jet(self._columns(K), self._lo, *_angle_phases(self._lo, K, np.angle(t)))
-        return jet(np.log(np.abs(t)))[0]
+        return _polar_jet(self._columns(K), self._lo, n, count), K
 
 
 @dataclass(slots=True)
@@ -506,25 +477,32 @@ def _end_of(w: WeierstrassData, p, end: EndAnalysis | None) -> EndAnalysis:
     return end
 
 
+def _witness_cuts(w: WeierstrassData, p, R_list, end: EndAnalysis | None):
+    """The witnesses' common prologue: the radii sorted, the end, and its
+    sphere cuts at every radius, solved in one batch on the grid of
+    N = CUT_ANGLES max(k - 1, 4) angles (``CUT_ANGLES`` angles per turn of
+    the limit circle, at least four turns' worth), laid side by side as one
+    (dim, count N) array."""
+    radii = sorted(_radii(R_list))
+    e = _end_of(w, p, end)
+    n = CUT_ANGLES * max(e.k - 1, 4)
+    return radii, e, _solve_sphere_radii(e._local, e, n, radii)[1]
+
+
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the sphere cut of the end.
 
-    The cuts {|f| = R} near the end at every radius R are solved in one batch
-    from ``CUT_ANGLES`` angles per turn of the limit circle, at least four
-    turns' worth: N = CUT_ANGLES max(k - 1, 4).  Each is projected onto
-    span(e1, e2) = span(Re a_lead, Im a_lead), the plane of its limit circle,
-    and the turning of all of them is counted in one pass.  The steps of a
-    closed sampled curve sum to a multiple of 2 pi up to rounding; a cut with
-    a step above pi/4 is too coarse for that count to be trusted and raises
-    ``NumericInstabilityError``.  The value must agree across all R; the
-    analytic prediction is |k - 1|.  ``end``, when given, must be the
-    analysis of the end p of w (``ValueError`` otherwise).
+    The cuts {|f| = R} near the end at every radius R (``_witness_cuts``) are
+    each projected onto span(e1, e2) = span(Re a_lead, Im a_lead), the plane
+    of its limit circle, and the turning of all of them is counted in one
+    pass.  The steps of a closed sampled curve sum to a multiple of 2 pi up
+    to rounding; a cut with a step above pi/4 is too coarse for that count
+    to be trusted and raises ``NumericInstabilityError``.  The value must
+    agree across all R; the analytic prediction is |k - 1|.  ``end``, when
+    given, must be the analysis of the end p of w (``ValueError`` otherwise).
     """
-    radii = sorted(_radii(R_list))
-    e = _end_of(w, p, end)
-    n = CUT_ANGLES * max(e.k - 1, 4)
-    cuts = _solve_sphere_radii(e._local, e, n, radii)[1]
+    radii, e, cuts = _witness_cuts(w, p, R_list, end)
     d = _cut_turning(e.frame, cuts, len(radii))
     windings = {}
     for R, step, turns in zip(radii, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
@@ -549,14 +527,14 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
 
     In the frame aligned with the leading coefficient the cut converges to
     the (k-1)-fold covered unit circle; the model curve below carries the
-    phase that the integrated leading term actually produces.  ``end``, when
-    given, must be the analysis of the end p of w (``ValueError`` otherwise).
+    phase that the integrated leading term actually produces.  The cut is
+    solved as ``rotation_index_numeric`` solves its cuts, on the same grid of
+    angles.  ``end``, when given, must be the analysis of the end p of w
+    (``ValueError`` otherwise).
     """
-    (R,) = _radii((R,))
-    e = _end_of(w, p, end)
-    thetas = 2.0 * math.pi * np.arange(720) / 720
-    curve = _solve_sphere_radii(e._local, e, thetas.size, (R,))[1] / R
-    alpha = (e.k - 1) * thetas
+    (R,), e, cut = _witness_cuts(w, p, (R,), end)
+    n = cut.shape[1]
+    alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))
-    return float(np.max(np.linalg.norm(curve - model, axis=0)))
+    return float(np.max(np.linalg.norm(cut / R - model, axis=0)))

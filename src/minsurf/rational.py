@@ -497,6 +497,12 @@ class RationalMap:
             # the trim would read such a coefficient's neighbours as noise
             raise DegenerateInputError("a coefficient is not finite")
         num, den = num.trimmed(), den.trimmed()
+        with np.errstate(over="ignore", invalid="ignore"):
+            over_lead = num.coeffs * (1.0 / den.coeffs[-1])
+        if not np.isfinite(over_lead).all():
+            # the datum's common denominator divides by it, and would overflow
+            raise DegenerateInputError(
+                "a numerator coefficient over the denominator's leading one is not finite")
         den_roots = None
         if num.is_zero:
             num, den = ComplexPoly(), ComplexPoly([1.0])

@@ -3,7 +3,7 @@
 Layout::
 
     {
-      "label": "catenoid",
+      "label": "catenoid",                   # optional string; null is absent
       "n": 3,
       "components": [
         {"num": [[re, im], ...], "den": [[re, im], ...]},   # ascending powers
@@ -119,8 +119,11 @@ def loads(text: str) -> WdDocument:
     basepoint = None
     if raw.get("basepoint") is not None:
         basepoint = _pairs([raw["basepoint"]], "basepoint")[0]
+    label = raw.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ParseError(f"'label' must be a string or null, got {label!r}")
     return WdDocument(
-        label=str(raw.get("label", "")),
+        label=label or "",
         n=n,
         components=components,
         punctures=punctures,

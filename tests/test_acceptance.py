@@ -218,10 +218,10 @@ def test_criterion_7_property_tests(all_entries):
                 ms.generalized_jorge_meeks(1), ms.generalized_jorge_meeks(2)]
     mob_ok = True
     for entry in surfaces:
-        d0 = ms.gauss_map(entry.data).degree
+        d0 = ms.gauss_map(entry.data)
         for _ in range(4):
             mob = well_conditioned_mobius(entry.data, rng)
-            if ms.gauss_map(mobius_precompose(entry.data, mob)).degree != d0:
+            if ms.gauss_map(mobius_precompose(entry.data, mob)) != d0:
                 mob_ok = False
     checks.append(("Moebius invariance of d (20 maps)", mob_ok))
     _verdict(7, "property tests", checks)

@@ -7,6 +7,7 @@ import minsurf as ms
 from minsurf import catalog
 from conftest import laurent_coefficient
 from minsurf.ends import analyze_end
+from minsurf.errors import UsageError
 
 
 class TestAnnotations:
@@ -63,6 +64,8 @@ class TestJorgeMeeks:
     def test_parameter_range(self, m):
         with pytest.raises(ValueError):
             ms.generalized_jorge_meeks(m)
+        with pytest.raises(UsageError):
+            ms.generalized_jorge_meeks(m)
 
 
 class TestRegistry:
@@ -78,3 +81,9 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             catalog.get("nosuch")
+
+    def test_parameter_to_an_entry_that_takes_none(self):
+        with pytest.raises(UsageError, match="takes no parameter"):
+            catalog.get("catenoid", 3)
+        assert catalog.get("catenoid").name == "catenoid"
+        assert catalog.get("generalized-jorge-meeks").data.n == 5

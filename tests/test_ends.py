@@ -362,6 +362,16 @@ class TestEqualityEquivalence:
         assert not rep.co_equality
 
 
+GRID_THETAS = 2.0 * np.pi * np.arange(64) / 64
+
+
+def _on_circle(loc, r):
+    """The local immersion on the circle |t| = r at the 64 angles of
+    GRID_THETAS, by its polar evaluator: shape (n, 64)."""
+    jet, _K = loc.radial_jet(GRID_THETAS.size, 1, r)
+    return jet(np.full(GRID_THETAS.size, np.log(r)))[0]
+
+
 class TestLocalImmersion:
     def test_matches_path_integral(self, jm2):
         from conftest import path_integral
@@ -370,12 +380,11 @@ class TestLocalImmersion:
         p = w.punctures[0]
         loc = LocalImmersion(w, p)
         r = 0.12
-        for theta in (0.3, 2.1, 4.4):
-            t = r * np.exp(1j * theta)
-            z = p + t
+        local = _on_circle(loc, r)
+        for j in (3, 21, 45):  # the grid angles nearest 0.3, 2.1 and 4.4
+            z = p + r * np.exp(1j * GRID_THETAS[j])
             direct = path_integral(w, [w.basepoint, z])
-            local = loc(np.array([t]))[:, 0]
-            assert np.max(np.abs(direct - local)) < 1e-8
+            assert np.max(np.abs(direct - local[:, j])) < 1e-8
 
     def test_builds_where_the_anchor_path_passes_an_end(self, enneper):
         # an Enneper chart whose straight basepoint-to-anchor path runs close
@@ -388,9 +397,10 @@ class TestLocalImmersion:
         (p,) = w.punctures
         loc = LocalImmersion(w, p)
         assert loc.mu == -4
-        t = 0.3 * loc.r_ref * np.exp(0.7j)
-        direct = ms.immersion_eval(w, p + t)
-        assert np.max(np.abs(loc(np.array([t]))[:, 0] - direct)) < 1e-8 * np.max(np.abs(direct))
+        r = 0.3 * loc.r_ref
+        local = _on_circle(loc, r)[:, 7]  # the grid angle nearest 0.7
+        direct = ms.immersion_eval(w, p + r * np.exp(1j * GRID_THETAS[7]))
+        assert np.max(np.abs(local - direct)) < 1e-8 * np.max(np.abs(direct))
 
 
     def test_matches_mpmath(self, jm2):
@@ -437,13 +447,13 @@ def _assert_matches_mpmath(w, p):
     of the error within 1e-14 of the sup of |f| on each circle."""
     loc = LocalImmersion(w, p)
     mu, C = form_coefficient_window(w, p, 40)
-    thetas = 2.0 * np.pi * np.arange(64) / 64
+    thetas = GRID_THETAS
     with mpmath.workdps(40):
         terms = [[mpmath.mpc(c) / (mu + k + 1) for k, c in enumerate(row) if mu + k != -1]
                  for row in C]
         log_c = [mpmath.mpc(c) for c in C[:, -1 - mu]] if mu <= -1 else [0] * w.n
         for r in (1e-1, 1e-2, 1e-3, 1e-4):
-            got = loc(r * np.exp(1j * thetas))
+            got = _on_circle(loc, r)
             err = scale = 0
             for i, theta in enumerate(thetas):
                 t = mpmath.mpf(r) * mpmath.expj(mpmath.mpf(theta))
@@ -506,7 +516,6 @@ class TestIntegerPowerEvaluation:
         return [loc.r_ref, 1e-2, 1e-4, 1e-6, near_cap]
 
     def test_matches_float_powers(self, all_entries):
-        thetas = 2.0 * np.pi * np.arange(64) / 64
         orders = set()
         for entry in all_entries:
             w = entry.data
@@ -514,9 +523,8 @@ class TestIntegerPowerEvaluation:
                 loc, ref = LocalImmersion(w, p), FloatPowerImmersion(w, p)
                 orders.add(loc.mu)
                 for r in self._radii(loc):
-                    t = r * np.exp(1j * thetas)
-                    want = ref(t)
-                    err = np.max(np.linalg.norm(loc(t) - want, axis=0))
+                    want = ref(r * np.exp(1j * GRID_THETAS))
+                    err = np.max(np.linalg.norm(_on_circle(loc, r) - want, axis=0))
                     assert err <= 1e-14 * np.max(np.linalg.norm(want, axis=0)), (entry.name, p, r)
         assert orders == {-2, -3, -4}
 
@@ -628,45 +636,42 @@ class TestBatchedSolve:
 
 
 class TestPhaseTable:
-    """``ends._grid_phases``: the sphere cuts' phases, one read-only table per
-    angle count for the whole process, widened on demand."""
+    """``ends._grid_phases``: the polar evaluator's phases, one read-only
+    table of all TERMS powers per angle count and first power for the whole
+    process."""
 
-    def test_rows_are_the_direct_phases(self, monkeypatch):
+    def test_tables_are_the_direct_phases(self, monkeypatch):
         # bitwise np.cos / np.sin of the (power x angle) outer product, for
-        # random power ranges, negative ones included, before and after the
-        # table widens below and above
+        # random first powers, negative ones included, on grids of one angle
+        # and more
         monkeypatch.setattr(ends, "_GRID_PHASES", {})
         rng = np.random.default_rng(27)
-        widened = set()
         for _ in range(60):
-            n = int(rng.choice([16, 48, 64, 720]))
-            lo, K = int(rng.integers(-20, 6)), int(rng.integers(1, 42))
-            before = ends._GRID_PHASES.get(n)
-            table, principal = ends._grid_phases(n, lo, K)
-            after = ends._GRID_PHASES[n]
-            if before is not None and before[1].shape != after[1].shape:
-                widened.add("below" if after[0] < before[0] else "above")
+            n, lo = int(rng.choice([1, 16, 48, 64, 720])), int(rng.integers(-20, 6))
+            table, principal = ends._grid_phases(n, lo)
             thetas = 2.0 * np.pi * np.arange(n) / n
-            angles = np.multiply.outer(lo + np.arange(K), thetas)
-            assert table.shape == (2, K, 1, n)
-            assert np.array_equal(table[0, :, 0], np.cos(angles)), (n, lo, K)
-            assert np.array_equal(table[1, :, 0], np.sin(angles)), (n, lo, K)
+            angles = np.multiply.outer(lo + np.arange(ends.TERMS), thetas)
+            assert table.shape == (2, ends.TERMS, 1, n)
+            assert np.array_equal(table[0, :, 0], np.cos(angles)), (n, lo)
+            assert np.array_equal(table[1, :, 0], np.sin(angles)), (n, lo)
             assert np.array_equal(principal, np.angle(np.exp(1j * thetas)))
             assert not table.flags.writeable and not principal.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0, 0, 0] = 0.0
-        assert widened == {"below", "above"}
 
-    def test_rows_are_kept_when_it_widens(self, monkeypatch):
-        # a widened table holds the rows it held, bitwise, and a slice taken
-        # before it widened stays valid
+    def test_each_table_is_built_once(self, monkeypatch):
+        # one _phases call per (n, lo), and the same arrays on every later call
         monkeypatch.setattr(ends, "_GRID_PHASES", {})
-        old, principal = ends._grid_phases(64, -1, 8)
-        kept = old.copy()
-        table, again = ends._grid_phases(64, -3, 44)
-        assert again is principal
-        assert np.array_equal(table[:, 2:10], kept) and np.array_equal(old, kept)
-        assert ends._GRID_PHASES[64][0] == -3 and ends._GRID_PHASES[64][1].shape == (2, 44, 64)
+        calls = []
+        real = ends._phases
+        monkeypatch.setattr(ends, "_phases", lambda *args: calls.append(args) or real(*args))
+        table, principal = ends._grid_phases(64, -1)
+        again, same = ends._grid_phases(64, -1)
+        assert again is table and same is principal
+        ends._grid_phases(64, -3)
+        ends._grid_phases(1, -1)
+        assert len(calls) == 3
+        assert set(ends._GRID_PHASES) == {(64, -1), (64, -3), (1, -1)}
 
 
 class DirectPhaseImmersion(LocalImmersion):
@@ -711,8 +716,9 @@ class DirectPhaseImmersion(LocalImmersion):
 class TestWitnessRegression:
     def test_cuts_are_bitwise_those_of_direct_phases(self, monkeypatch):
         # every catalog end's radii and cuts, at the witness's radii and at
-        # the limit-circle deviation's 720 angles, are bitwise those of the
-        # evaluator with directly computed phases and a per-call matrix
+        # the limit-circle deviation's one radius, on the grid of both, are
+        # bitwise those of the evaluator with directly computed phases and a
+        # per-call matrix
         monkeypatch.setattr(ends, "_GRID_PHASES", {})
         witnessed = 0
         for entry in ms.catalog.entries(jm_range=range(1, 7)):
@@ -722,9 +728,9 @@ class TestWitnessRegression:
                 loc, ref = e._local, DirectPhaseImmersion(w, p)
                 assert np.array_equal(ref.constant, loc.constant)
                 n = ends.CUT_ANGLES * max(e.k - 1, 4)
-                for angles, radii in ((n, R_LIST), (720, (1e3,))):
-                    r, f = ends._solve_sphere_radii(loc, e, angles, radii)
-                    want_r, want_f = ends._solve_sphere_radii(ref, e, angles, radii)
+                for radii in (R_LIST, (1e3,)):
+                    r, f = ends._solve_sphere_radii(loc, e, n, radii)
+                    want_r, want_f = ends._solve_sphere_radii(ref, e, n, radii)
                     assert np.array_equal(r, want_r), (entry.name, p, radii)
                     assert np.array_equal(f, want_f), (entry.name, p, radii)
                 witnessed += 1

@@ -21,7 +21,7 @@ LAZY = ("minsurf.mesh", "minsurf.catalog", "minsurf.quadrature")
 # sorted(minsurf.__all__) when every module was executed on import
 PUBLIC = [
     "AnalysisReport", "CatalogEntry", "ComplexPoly", "CurvatureReport", "EndAnalysis",
-    "EndType", "GaussMap", "INF", "LaurentSeries", "LocalImmersion", "RationalMap",
+    "EndType", "INF", "LaurentSeries", "LocalImmersion", "RationalMap",
     "SurfaceMesh", "WeierstrassData", "analyze_end", "build_mesh", "catalog", "catenoid",
     "check_residues_real", "chern_osserman", "curvature", "curvature_report",
     "detect_punctures", "ends", "enneper", "errors", "export_obj", "fullness_and_degeneracy",

@@ -404,6 +404,21 @@ class TestLaurent:
             RationalMap(num, den)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("num, den, refused", [([1e308], [1e-308], True),
+                                                   ([1e308, 1.0], [0.0, 0.5], True),
+                                                   ([1e308, 1.0], [0.0, 1.0], False)])
+    def test_a_numerator_past_the_float_range_over_the_leading_denominator_coefficient(
+            self, num, den, refused):
+        # the datum's common denominator divides each numerator by its
+        # denominator's leading coefficient: 1e308 / 0.5 leaves the float
+        # range and is refused here, with no warning; 1e308 / 1 does not
+        if refused:
+            with pytest.raises(DegenerateInputError, match="leading one is not finite"):
+                RationalMap(num, den)
+        else:
+            assert RationalMap(num, den).num.coeffs[0] == 1e308
+
+    @pytest.mark.filterwarnings("error")
     def test_coefficients_past_the_float_range_are_nan(self):
         # 2^1000 / (z - 1/100) at 0: |s_k| = 2^1000 100^(k+1) leaves the float
         # range at k = 3; the coefficients before are exactly 2^1000 times the

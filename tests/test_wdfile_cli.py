@@ -19,9 +19,9 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(Path(ms.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(*args):
+def run_cli(*args, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "minsurf.cli", *map(str, args)],
+        [sys.executable, *flags, "-m", "minsurf.cli", *map(str, args)],
         capture_output=True, text=True, env=CHILD_ENV,
     )
 
@@ -49,6 +49,18 @@ class TestFormat:
         z = 1.7 - 0.4j
         for r1, r2 in zip(data.phi, catenoid.data.phi):
             assert abs(r1(z) - r2(z)) < 1e-14
+
+    def test_null_label_is_absent(self, catenoid, capsys, tmp_path):
+        # read as no label, as a null punctures or basepoint is, not as "None"
+        doc = json.loads(wdfile.dumps(wdfile.document_from_data(catenoid.data)))
+        doc["label"] = None
+        path = tmp_path / "unnamed.wd"
+        path.write_text(json.dumps(doc))
+        assert wdfile.load(path).label == ""
+        report = tmp_path / "r.json"
+        assert cli.main(["analyze", str(path), "--json", str(report)]) == 0
+        assert "label:            (unnamed)" in capsys.readouterr().out.splitlines()
+        assert json.loads(report.read_text())["label"] == ""
 
     def test_punctures_optional(self, tmp_path, catenoid):
         doc = wdfile.document_from_data(catenoid.data)
@@ -111,6 +123,22 @@ class TestCliVerify:
         for end in ("0j", "inf"):
             assert f"verify: end {end}: leading Laurent vector not null" in out.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_a_component_past_the_float_range_over_its_denominator_exit_one(
+            self, tmp_path, catenoid, command):
+        # component 0 = 1e308 / 1e-308: its numerator over its denominator's
+        # leading coefficient overflows, so the common denominator would
+        # hold inf and every check after it NaN; it is refused on reading,
+        # with one message and, under -W error, no warning
+        doc = json.loads(wdfile.dumps(wdfile.document_from_data(catenoid.data)))
+        doc["components"][0] = {"num": [[1e308, 0]], "den": [[1e-308, 0]]}
+        path = tmp_path / "over.wd"
+        path.write_text(json.dumps(doc))
+        out = run_cli(command, path, flags=("-W", "error"))
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            "minsurf: a numerator coefficient over the denominator's leading one is not finite"]
+
     def test_malformed_file_exit_two(self, tmp_path):
         path = tmp_path / "broken.wd"
         path.write_text("{ not json")
@@ -168,6 +196,10 @@ class TestCliStrictParse:
     def test_non_finite_coefficient(self, tmp_path, catenoid_doc, value):
         catenoid_doc["components"][0]["num"][0][0] = value
         self._analyze(tmp_path, catenoid_doc)
+
+    @pytest.mark.parametrize("label", [7, True, ["catenoid"], {"name": "catenoid"}])
+    def test_non_string_label(self, tmp_path, catenoid_doc, label):
+        self._analyze(tmp_path, dict(catenoid_doc, label=label))
 
     @pytest.mark.parametrize("punctures", [5, "inf"])
     def test_non_list_punctures(self, tmp_path, catenoid_doc, punctures):
@@ -250,6 +282,23 @@ class TestCliCatalog:
         out = run_cli("catalog", "nosuch")
         assert out.returncode == 2
         assert "catenoid" in out.stderr  # lists available names
+
+    @pytest.mark.parametrize("m", [9, 0, -1])
+    def test_parameter_out_of_range_exit_two(self, tmp_path, capsys, m):
+        # the family's range is 1 .. 6: one line, no traceback, no file
+        path = tmp_path / "jm.wd"
+        argv = ["catalog", "generalized-jorge-meeks", "--param", str(m), "-o", str(path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"minsurf: m must be between 1 and 6, got {m}"]
+        assert not path.exists()
+
+    def test_parameter_to_an_entry_that_takes_none_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "catenoid.wd"
+        assert cli.main(["catalog", "catenoid", "--param", "3", "-o", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "minsurf: catalog entry 'catenoid' takes no parameter, got 3"]
+        assert not path.exists()
 
 
 class TestCliBranched:

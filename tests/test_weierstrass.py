@@ -335,11 +335,11 @@ class TestBranchPoints:
         # Osserman: d = sum_j k_j - 2 - beta, with k_j = -mu_j the end orders
         # and beta the total branching order, at z = 1 and, in the pulled-back
         # chart, at infinity; chern_osserman checks the same identity
-        assert ms.gauss_map(enneper.data).degree == 2
+        assert ms.gauss_map(enneper.data) == 2
         for name, w in branched_enneper().items():
             beta = sum(m for _p, m in validate(w).branch_points)
             ends = sum(-metric_order_at(w, p) for p in w.punctures)
-            assert ms.gauss_map(w).degree == 2 == ends - 2 - beta, name
+            assert ms.gauss_map(w) == 2 == ends - 2 - beta, name
             assert ms.chern_osserman(w).d == 2, name
 
     def test_catalog_has_none(self, all_entries):
@@ -531,8 +531,8 @@ class TestMobius:
 
         rng = np.random.default_rng(41)
         for entry in (catenoid, enneper):
-            d0 = ms.gauss_map(entry.data).degree
+            d0 = ms.gauss_map(entry.data)
             for _ in range(3):
                 mob = well_conditioned_mobius(entry.data, rng)
                 w2 = mobius_precompose(entry.data, mob)
-                assert ms.gauss_map(w2).degree == d0
+                assert ms.gauss_map(w2) == d0

@@ -31,7 +31,8 @@ R_LIST = (1e2, 1e3, 1e4)
 # evaluation is one call of a polar evaluator (``radial_jet``).  With one
 # solve per radius they took 369 evaluations of 132 evaluators; now the
 # radii of an end are one solve, and refinement solves only new angles.
-# An evaluator reads its phases from a process-wide table per angle count.
+# An evaluator reads its phases from a process-wide table per angle count
+# and first power.
 MAX_ROUND_CALLS = 10
 MAX_ROUNDS_READ = 32
 MAX_TC_EVALUATIONS = 120
@@ -79,24 +80,15 @@ def test_catalog_work_counts(monkeypatch):
         return evaluate, K
 
     monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
-    rows = Counter()
+    built = []
     real_phases = ends._phases
 
     def phases_counted(powers, thetas):
-        rows.update((thetas.size, int(q)) for q in powers)
+        built.append((thetas.size, int(powers[0]), powers.size))
         return real_phases(powers, thetas)
 
     monkeypatch.setattr(ends, "_phases", phases_counted)
     monkeypatch.setattr(ends, "_GRID_PHASES", {})
-    slices = []
-    real_grid = ends._grid_phases
-
-    def grid_counted(n, lo, K):
-        table, principal = real_grid(n, lo, K)
-        slices.append((n, table, principal))
-        return table, principal
-
-    monkeypatch.setattr(ends, "_grid_phases", grid_counted)
     witnessed = 0
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
@@ -106,16 +98,14 @@ def test_catalog_work_counts(monkeypatch):
         for e in rep.ends:
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
-    # the phases of the cuts come from one table per distinct angle count N,
-    # each row of which is taken once and shared, read only: every catalog
-    # end's witness has N = 64, and the limit-circle deviation N = 720
-    assert set(ends._GRID_PHASES) == {n for n, _t, _p in slices} == {64, 720}
-    for n, (first, table, principal) in ends._GRID_PHASES.items():
-        taken = [p for m, p in rows.elements() if m == n]
-        assert sorted(taken) == list(range(first, first + table.shape[1])), n
+    # the phases come from one table of all TERMS powers per angle count n and
+    # first power lo, built once and read only: every catalog end's witness
+    # and deviation have n = 64, and the anchor of its constant n = 1; the
+    # ends of orders -2, -3 and -4 have lo = -1, -2 and -3
+    assert set(ends._GRID_PHASES) == {(n, lo) for n in (1, 64) for lo in (-1, -2, -3)}
+    assert sorted(built) == sorted((n, lo, ends.TERMS) for n, lo in ends._GRID_PHASES)
+    for table, principal in ends._GRID_PHASES.values():
         assert not table.flags.writeable and not principal.flags.writeable
-    assert all(not t.flags.writeable and not p.flags.writeable for _n, t, p in slices)
-    assert len({id(p) for n, _t, p in slices if n == 64}) == 1
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
     assert counts["rounds_read"] <= MAX_ROUNDS_READ, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
