@@ -36,7 +36,7 @@ for entry in ms.catalog.entries():
 
 print()
 print("Numeric cross-check of TC = -2 pi d (Green-identity boundary integral")
-print("of -laplacian(log lambda), disks shrunk until the estimate stabilizes):")
+print("of -laplacian(log lambda), a circle about each finite end and an outer one):")
 for name in ("catenoid", "enneper", "holomorphic-counterexample"):
     entry = ms.catalog.get(name)
     tc = ms.total_curvature_numeric(entry.data)

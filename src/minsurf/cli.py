@@ -11,8 +11,7 @@ import argparse
 import sys
 
 from . import __version__, catalog, mesh, wdfile
-from .errors import (ConvergenceFailureError, DatumRejectedError, MinsurfError, ParseError,
-                     UsageError)
+from .errors import DatumRejectedError, MinsurfError, ParseError, UsageError
 from .rational import is_infinity
 from .report import report_to_json, run_analysis, sha256_of
 from .weierstrass import validate
@@ -157,9 +156,7 @@ def main(argv=None) -> int:
         print(f"minsurf: {exc}", file=sys.stderr)
         return 2
     except MinsurfError as exc:
-        last = exc.estimates if isinstance(exc, ConvergenceFailureError) else ()
-        tail = f" (last estimates {', '.join(f'{x:.12g}' for x in last)})" if last else ""
-        print(f"minsurf: {exc}{tail}", file=sys.stderr)
+        print(f"minsurf: {exc}", file=sys.stderr)
         return 1
 
 

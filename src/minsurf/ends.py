@@ -515,7 +515,7 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     values = set(windings.values())
     if len(values) != 1:
         raise NumericInstabilityError(
-            "winding number did not stabilize across radii",
+            "winding number differs across radii",
             diagnostics=windings,
         )
     return values.pop()

@@ -52,11 +52,7 @@ class NumericInstabilityError(MinsurfError, RuntimeError):
 
 
 class ConvergenceFailureError(MinsurfError, RuntimeError):
-    """Iteration budget exhausted. Carries the last two estimates."""
-
-    def __init__(self, message, estimates=None):
-        super().__init__(message)
-        self.estimates = tuple(estimates) if estimates is not None else ()
+    """Iteration budget exhausted, or a numeric witness without a finite value."""
 
 
 class UsageError(MinsurfError, ValueError):

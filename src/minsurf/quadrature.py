@@ -135,10 +135,7 @@ def integrate_vector(f, pieces, epsabs: float = 1e-12, epsrel: float = 1e-10,
             if piece_err <= tol:
                 break
             if n_int >= max_intervals:
-                raise ConvergenceFailureError(
-                    "path quadrature did not converge",
-                    estimates=(piece_val, piece_err),
-                )
+                raise ConvergenceFailureError("path quadrature did not converge")
             neg_err, a, b, _v, _e = heapq.heappop(heap)
             m = 0.5 * (a + b)
             v1, e1 = _gk15(f, piece, a, m)

@@ -34,6 +34,7 @@ without their generic wrappers; minsurf imports no ``numpy.polynomial``.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,10 +144,6 @@ class ComplexPoly:
         """Degree; -1 for the zero polynomial."""
         return self.coeffs.size - 1
 
-    def norm(self) -> float:
-        """Max coefficient magnitude (0 for the zero polynomial)."""
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
     def __call__(self, z):
         if self.is_zero:
             z = np.asarray(z)
@@ -236,11 +233,17 @@ class ComplexPoly:
         return ComplexPoly(work)
 
     def trimmed(self) -> "ComplexPoly":
-        """Strip leading coefficients below ``TRIM_TOL`` * norm (noise control)."""
+        """Strip leading coefficients below ``TRIM_TOL`` times the largest
+        modulus (noise control).
+
+        The moduli are compared after an exact scaling by the power of two
+        that brings every real and imaginary part below 1, so none overflows.
+        """
         if self.is_zero:
             return self
-        cutoff = TRIM_TOL * self.norm()
-        keep = np.nonzero(np.abs(self.coeffs) > cutoff)[0]
+        part = float(np.max(np.abs(self.coeffs.view(float))))
+        mags = np.abs(self.coeffs * math.ldexp(1.0, -math.frexp(part)[1]))
+        keep = np.nonzero(mags > TRIM_TOL * np.max(mags))[0]
         if keep.size == 0:
             return ComplexPoly()
         return ComplexPoly(self.coeffs[: keep[-1] + 1])
@@ -498,7 +501,12 @@ class RationalMap:
             raise DegenerateInputError("a coefficient is not finite")
         num, den = num.trimmed(), den.trimmed()
         with np.errstate(over="ignore", invalid="ignore"):
-            over_lead = num.coeffs * (1.0 / den.coeffs[-1])
+            inv = 1.0 / den.coeffs[-1]
+            over_lead = num.coeffs * inv
+        if inv == 0:
+            # complex division by it overflows, and every quotient by it reads 0
+            raise DegenerateInputError(
+                "the denominator's leading coefficient has no reciprocal in the float range")
         if not np.isfinite(over_lead).all():
             # the datum's common denominator divides by it, and would overflow
             raise DegenerateInputError(

@@ -185,9 +185,15 @@ class WeierstrassData:
     def unit(self) -> float:
         """The one unit of magnitude: 2^k with the largest leading Laurent
         coefficient |a_lead,j| over the ends in [2^(k-1), 2^k); 1.0 without
-        ends.  Gates divide by it or compare with it; the data is not rescaled."""
+        ends.  Gates divide by it or compare with it; the data is not rescaled.
+        A largest coefficient of 2^1023 or more, whose unit would be past the
+        float range, is refused."""
         m = float(np.max(np.abs(self._leads))) if self.punctures else 0.0
-        return math.ldexp(1.0, math.frexp(m)[1]) if 0.0 < m < math.inf else 1.0
+        if m >= 2.0**1023:
+            raise DegenerateInputError(
+                f"a leading Laurent coefficient of modulus {m:.6g} has no power-of-two "
+                "unit in the float range")
+        return math.ldexp(1.0, math.frexp(m)[1]) if m > 0.0 else 1.0
 
     def _default_basepoint(self) -> complex:
         fin = self.finite_punctures

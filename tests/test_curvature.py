@@ -160,90 +160,59 @@ def _horner_circle_flux(phi, center, radius):
     return float(np.mean(np.real(e * num / S) * radius) * 2.0 * math.pi)
 
 
-def _round_radii(w, i):
+def _round_circles(w):
+    """The one round's circles as stated: ``TC_RADIUS`` times the minimum
+    separation about each finite puncture, and 1 + max |p| over
+    ``TC_RADIUS`` about 0."""
     fin = w.finite_punctures
-    eps0 = 0.08 * w.min_separation
-    r_out0 = 4.0 * (1.0 + max((abs(p) for p in fin), default=0.0))
-    return [*fin, 0j], [eps0 * 0.6**i] * len(fin) + [r_out0 / 0.6**i]
+    rho = 1.0 + max((abs(p) for p in fin), default=0.0)
+    return [*fin, 0j], [curvature.TC_RADIUS * w.min_separation] * len(fin) \
+        + [rho / curvature.TC_RADIUS]
 
 
 def _recorded_rounds(monkeypatch):
-    """Wrap ``_round_fluxes``; returns the list its (fluxes, radii) go to."""
+    """Wrap ``_round_fluxes``; returns the list its (fluxes, centers, radii) go to."""
     calls = []
     real_round = curvature._round_fluxes
 
-    def recording_round(*args):
-        out = real_round(*args)
-        calls.append(out)
+    def recording_round(groups, centers, radii):
+        out = real_round(groups, centers, radii)
+        calls.append((out, list(centers), list(radii)))
         return out
 
     monkeypatch.setattr(curvature, "_round_fluxes", recording_round)
     return calls
 
 
-def _rounds(calls):
-    """The rounds of the recorded calls, ``TC_BLOCK`` to a call, as (fluxes, radii)."""
-    block = curvature.TC_BLOCK
-    return [(f, r) for flux, radii in calls
-            for f, r in zip(np.split(flux, block), np.split(radii, block))]
-
-
-def _counted_tableau_rounds(monkeypatch):
-    """Wrap ``_romberg_step``; returns the list that gets one entry a round
-    the tableau reads."""
-    read = []
-    real_step = curvature._romberg_step
-
-    def counting_step(*args):
-        read.append(1)
-        return real_step(*args)
-
-    monkeypatch.setattr(curvature, "_romberg_step", counting_step)
-    return read
-
-
-def _checked_data(all_entries):
-    from conftest import well_conditioned_mobius
-
-    jm2 = next(e for e in all_entries if e.name == "generalized-jorge-meeks-m2").data
-    chart = mobius_precompose(jm2, well_conditioned_mobius(jm2, np.random.default_rng(5)))
-    assert len(chart.finite_punctures) >= 2
-    return [(e.name, e.data) for e in all_entries] + [("jm2-chart", chart)]
-
-
 class TestStackedRounds:
-    """Each block of ``TC_BLOCK`` shrink rounds of the Green-identity check
-    evaluates its circles in one stacked call, each numerator once and each denominator
-    from its roots; its fluxes are the per-circle ones."""
+    """The one round of the Green-identity check evaluates its circles in one
+    stacked call, each numerator once and each denominator from its roots;
+    its fluxes are the per-circle ones."""
 
-    def test_rounds_match_per_circle_reference(self, all_entries, catenoid, monkeypatch):
-        # against a 40-digit evaluation of the same num/den, on the rounds the
-        # check takes (JM m = 3, a JM m = 2 chart) and on rounds 0..10 of the
-        # catenoid with ends 1e-3 apart, where Horner's rule on den's
-        # coefficients is off by more than 0.1 (it loses the double roots)
+    def test_rounds_match_per_circle_reference(self, jm2, catenoid, monkeypatch):
+        # against a 40-digit evaluation of the same num/den, on the one round
+        # the check takes: JM m = 3, a JM m = 2 chart, and the catenoid with
+        # ends 1e-3 apart, where Horner's rule on den's coefficients is off by
+        # more than 0.1 (it loses the double roots)
+        from conftest import well_conditioned_mobius
+
+        chart = mobius_precompose(jm2.data,
+                                  well_conditioned_mobius(jm2.data, np.random.default_rng(5)))
+        assert len(chart.finite_punctures) >= 2
         calls = _recorded_rounds(monkeypatch)
-        checked = dict(_checked_data(all_entries))
-        for name in ("generalized-jorge-meeks-m3", "jm2-chart"):
-            w = checked[name]
+        horner_worst = 0.0
+        for name, w in (("generalized-jorge-meeks-m3", ms.generalized_jorge_meeks(3).data),
+                        ("jm2-chart", chart), ("close-catenoid", _close_catenoid(catenoid))):
             calls.clear()
             total_curvature_numeric(w)
-            assert all(radii.size == curvature.TC_BLOCK * (len(w.finite_punctures) + 1)
-                       for _f, radii in calls)
-            for i, (flux, radii) in enumerate(_rounds(calls)):
-                centers, radii_ref = _round_radii(w, i)
-                assert radii.tolist() == radii_ref, name
-                for c, r, f in zip(centers, radii, flux):
-                    assert abs(f - _mp_circle_flux(w.phi, c, r)) <= 1e-13 * max(1.0, abs(f)), name
-        w = _close_catenoid(catenoid)
-        groups = curvature._flux_groups(w)
-        horner_worst = 0.0
-        for i in range(11):
-            centers, radii = _round_radii(w, i)
-            flux, used = curvature._round_fluxes(groups, centers, radii)
-            for c, r, f in zip(centers, used, flux):
+            ((flux, centers, radii),) = calls
+            assert (centers, radii) == _round_circles(w), name
+            for c, r, f in zip(centers, radii, flux):
                 ref = _mp_circle_flux(w.phi, c, r)
-                assert abs(f - ref) <= 1e-11 * abs(ref), (i, c)
-                horner_worst = max(horner_worst, abs(_horner_circle_flux(w.phi, c, r) - ref))
+                assert abs(f - ref) <= 1e-13 * max(1.0, abs(ref)), (name, c)
+                if name == "close-catenoid":
+                    horner_worst = max(horner_worst,
+                                       abs(_horner_circle_flux(w.phi, c, r) - ref))
         assert horner_worst > 0.1
 
     def test_only_the_circle_through_a_zero_of_s_has_no_flux(self, enneper):
@@ -258,10 +227,9 @@ class TestStackedRounds:
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flux, used = curvature._round_fluxes(groups, centers, radii)
-        assert used.tolist() == radii
+            flux = curvature._round_fluxes(groups, centers, radii)
         assert math.isnan(flux[0])
-        for f, c, r in zip(flux[1:], centers[1:], used[1:]):
+        for f, c, r in zip(flux[1:], centers[1:], radii[1:]):
             assert abs(f - _mp_circle_flux(phi, c, r)) <= 1e-10 * max(1.0, abs(f))
 
     def test_a_circle_left_on_a_zero_of_s_has_no_flux(self, enneper):
@@ -272,9 +240,9 @@ class TestStackedRounds:
         groups = curvature._flux_groups(ms.WeierstrassData([r * square for r in enneper.data.phi]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            flux, used = curvature._round_fluxes(groups, [1 + 0j, 0j], [0.0, 0.5])
-        assert math.isnan(flux[0]) and used.tolist() == [0.0, 0.5]
-        assert flux[1] == curvature._round_fluxes(groups, [0j], [0.5])[0][0]
+            flux = curvature._round_fluxes(groups, [1 + 0j, 0j], [0.0, 0.5])
+        assert math.isnan(flux[0])
+        assert flux[1] == curvature._round_fluxes(groups, [0j], [0.5])[0]
 
     @pytest.mark.parametrize("m", [3, 6])
     def test_evaluations_per_denominator_and_component(self, m, monkeypatch):
@@ -293,173 +261,115 @@ class TestStackedRounds:
         calls = _recorded_rounds(monkeypatch)
         monkeypatch.setattr(curvature, "horner", counting_horner)
         total_curvature_numeric(w)
-        # num and num' once per component and call, on the stacked circles of
-        # TC_BLOCK rounds about the m + 1 finite ends and the outer one; the
+        # num and num' once per component, in the one call, on the stacked
+        # circles about the m + 1 finite ends and the outer one; the
         # denominators are products over their roots, with no polynomial
         # evaluation
         comps = [r for r in w.phi if not r.is_zero]
         assert len({r.den.coeffs.tobytes() for r in comps}) < len(comps)
-        assert len(_rounds(calls)) >= 2
-        assert len(shapes) == 2 * len(comps) * len(calls)
-        assert set(shapes) == {(curvature.TC_BLOCK * (m + 2), curvature.TC_SAMPLES)}
+        assert len(calls) == 1
+        assert len(shapes) == 2 * len(comps)
+        assert set(shapes) == {(m + 2, curvature.TC_SAMPLES)}
 
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
     def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
         # d/dr log lambda is invariant under phi -> s phi and the numerators are
-        # brought to order one by a power of two, so every round is bitwise
+        # brought to order one by a power of two, so the round is bitwise
         # the unscaled one -- also where S itself would under- or overflow
         w = catenoid.data
         scaled = ms.WeierstrassData([ms.RationalMap(r.num * s, r.den) for r in w.phi])
         calls = _recorded_rounds(monkeypatch)
         tc = total_curvature_numeric(w)
-        plain = [(f.tolist(), r.tolist()) for f, r in calls]
+        plain = [(f.tolist(), r) for f, _c, r in calls]
         calls.clear()
         assert total_curvature_numeric(scaled) == tc
-        assert [(f.tolist(), r.tolist()) for f, r in calls] == plain
+        assert [(f.tolist(), r) for f, _c, r in calls] == plain
 
 
-def _romberg_stop(tcs):
-    """(value, rounds) of the stop rule on the estimates ``tcs``, as stated:
-    T_{i,0} = tc_i, T_{i,j} = (T_{i,j-1} - q^j T_{i-1,j-1}) / (1 - q^j) with
-    q = 0.36, and T_{i,i} is returned once within 0.2 tol max(1, |T_{i,i}|)
-    of T_{i-1,i-1}, tol = TC_TOL = 1e-3.  None if it never is."""
-    q, tol = 0.36, 1e-3
-    T = {}
-    for i, tc in enumerate(tcs):
-        T[i, 0] = tc
-        for j in range(1, i + 1):
-            T[i, j] = (T[i, j - 1] - q**j * T[i - 1, j - 1]) / (1 - q**j)
-        if i and abs(T[i, i] - T[i - 1, i - 1]) <= 0.2 * tol * max(1.0, abs(T[i, i])):
-            return T[i, i], i + 1
-    return None
+def generalized_enneper(a):
+    """Enneper's forms with g = z^a, f = 1: one end, at infinity, of order
+    -(2a + 2), with leading coefficients of modulus 1/2 and 1, so unit 1."""
+    zeros = [0.0] * (2 * a - 1)
+    return ms.WeierstrassData([ms.RationalMap([0.5, *zeros, -0.5]),
+                               ms.RationalMap([0.5j, *zeros, 0.5j]),
+                               ms.RationalMap([0.0] * a + [1.0])])
 
 
-class TestStopRules:
-    """The one stop rule: the diagonal of a Romberg tableau in the error
-    ratios 0.36^j of the rounds (the radii shrink by 0.6, and the boundary
-    terms are even power series in them)."""
+def _sweep(family):
+    """The data of one family of the one-round sweep."""
+    if family == "catalog":
+        return [e.data for e in ms.catalog.entries(jm_range=range(1, 7))]
+    if family == "charts":
+        # the conftest-rule chart sweep: 28 draws per catalog surface
+        from conftest import well_conditioned_mobius
 
-    def test_returns_the_romberg_diagonal_of_the_recorded_rounds(self, all_entries,
-                                                                monkeypatch):
-        # the rounds are evaluated in blocks of TC_BLOCK, so the rounds past
-        # the stop up to the end of its block are evaluated, and not read
+        rng = np.random.default_rng(2001)
+        return [mobius_precompose(e.data, well_conditioned_mobius(e.data, rng))
+                for e in ms.catalog.entries(jm_range=range(1, 7)) for _ in range(28)]
+    if family.startswith("close-"):
+        gap = float(family[len("close-"):])
+        return [mobius_precompose(ms.catenoid().data, (1, -p, 1, -(p + gap)))
+                for p in np.linspace(0.2, 0.5, 31)]
+    from strategies import null_curve
+
+    rng = np.random.default_rng(11)
+    return [null_curve(rng, int(family[-1])).data for _ in range(200)]
+
+
+class TestOneRound:
+    """One round of circles, at radii whose flux errors, quadratic in the
+    radius ratios, are far below the comparison's ``TC_TOL``."""
+
+    @pytest.mark.parametrize("family, analysed, refused", [
+        ("catalog", 10, 0), ("charts", 277, 3), ("close-1e-2", 31, 0),
+        ("close-1e-3", 22, 9), ("null-k2", 198, 2), ("null-k3", 197, 3)])
+    def test_within_1e_minus_7_of_minus_two_pi_d(self, family, analysed, refused):
+        # the round is within 1e-7 of -2 pi d (relative to max(1, 2 pi |d|))
+        # on every datum that analyses; the counts of analysed and refused
+        # data are pinned, every refusal coming from validation
+        counts = [0, 0]
+        for w in _sweep(family):
+            rep = ms.run_analysis(w)
+            counts[rep.curvature is None] += 1
+            if rep.curvature is not None:
+                exact = rep.curvature.tc_algebraic
+                assert abs(rep.curvature.tc_numeric - exact) <= 1e-7 * max(1.0, abs(exact))
+        assert counts == [analysed, refused]
+
+    def test_plane_has_no_inner_circle(self, plane, monkeypatch):
         calls = _recorded_rounds(monkeypatch)
-        read = _counted_tableau_rounds(monkeypatch)
-        for name, w in _checked_data(all_entries):
-            calls.clear()
-            read.clear()
-            tc = total_curvature_numeric(w)
-            evaluated = _rounds(calls)
-            value, rounds = _romberg_stop([-(f[-1] - sum(f[:-1].tolist())) for f, _r in evaluated])
-            assert len(read) == rounds, name
-            assert len(evaluated) == rounds + -rounds % curvature.TC_BLOCK, name
-            assert abs(tc - value) <= 1e-14 * max(1.0, abs(value)), name
-            exact = -2 * math.pi * gauss_map(w)
-            assert abs(tc - exact) <= 1e-6 * max(1.0, abs(exact)), name
-
-    def _run(self, plane, tcs, monkeypatch):
-        """total_curvature_numeric on rounds whose estimates are ``tcs``:
-        (value, rounds evaluated, rounds the tableau read)."""
-        rounds = []
-
-        def fake_round(groups, centers, radii):
-            # TC_BLOCK rounds; the plane has no finite puncture
-            assert len(centers) == curvature.TC_BLOCK
-            i = len(rounds)
-            rounds.extend(radii)
-            return -np.array(tcs[i:i + curvature.TC_BLOCK]), np.asarray(radii)
-
-        monkeypatch.setattr(curvature, "_round_fluxes", fake_round)
-        read = _counted_tableau_rounds(monkeypatch)
-        value = total_curvature_numeric(plane.data)
-        return value, len(rounds), len(read)
-
-    def test_geometric_tail_stops_on_the_fourth_round(self, plane, monkeypatch):
-        # the first two columns remove c1 q^i and c2 q^2i exactly, so T_{2,2}
-        # and T_{3,3} are the limit
-        limit = -4 * math.pi
-        tcs = [limit + 0.7 * 0.36**i - 0.3 * 0.36 ** (2 * i) for i in range(curvature.TC_ROUNDS)]
-        value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
-        assert rounds == evaluated == 4
-        assert value == _romberg_stop(tcs)[0]
-        assert abs(value - limit) <= 1e-14 * abs(limit)
-
-    @pytest.mark.parametrize("tcs", [[10.0 + 0.01 * i for i in range(48)],
-                                     [2.0**i for i in range(48)]])
-    def test_no_extrapolation_for_q_at_least_one(self, plane, tcs, monkeypatch):
-        # q = 1 and q = 2: the diagonal never settles, so nothing is returned
-        assert len(tcs) == curvature.TC_ROUNDS and _romberg_stop(tcs) is None
-        with pytest.raises(ConvergenceFailureError):
-            self._run(plane, tcs, monkeypatch)
-
-    def test_failure_carries_the_last_two_estimates(self, plane, monkeypatch):
-        tcs = [2.0**i for i in range(curvature.TC_ROUNDS)]
-        with pytest.raises(ConvergenceFailureError) as failure:
-            self._run(plane, tcs, monkeypatch)
-        assert failure.value.estimates == (tcs[-2], tcs[-1])
-
-    def test_unread_round_past_the_stop_raises_nothing(self, plane, monkeypatch):
-        # geometric columns c_j 0.36^(j i): with j columns T_{j,j} and
-        # T_{j+1,j+1} are the limit, so the tableau stops on round j + 1; the
-        # rest of its block (2, 1 and 3 rounds here) is evaluated with it,
-        # has no finite flux and is not read
-        limit = -4 * math.pi
-        block = curvature.TC_BLOCK
-        for columns, read in (((), 2), ((0.7,), 3), ((0.7, -0.3, 0.5), 5)):
-            tcs = [limit + sum(c * 0.36 ** ((j + 1) * i) for j, c in enumerate(columns))
-                   for i in range(curvature.TC_ROUNDS)]
-            assert _romberg_stop(tcs)[1] == read
-            unread = range(read, read + -read % block)
-            assert 1 <= len(unread) <= block - 1
-            for i in unread:
-                tcs[i] = math.nan
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                value, evaluated, rounds = self._run(plane, tcs, monkeypatch)
-            assert (evaluated, rounds) == (read + len(unread), read)
-            assert (value, rounds) == _romberg_stop(tcs)
-            # a round the tableau reads without a finite flux is refused, and
-            # the error names the round and its circle (the plane's outer one)
-            for i in (1, read - 1):
-                bad = list(tcs)
-                bad[i] = math.nan
-                circle = re.escape(f"on round {i}'s circle of radius {4.0 / 0.6**i:.6g} about 0j")
-                with pytest.raises(ConvergenceFailureError, match=circle):
-                    self._run(plane, bad, monkeypatch)
-
-    def test_zero_of_s_past_the_stop_is_not_read(self, monkeypatch):
-        # JM m = 1 times (z - z0)^2, z0 where the outer circle of round 3
-        # meets the real axis: the tableau stops on round 2, and round 3,
-        # evaluated with it in one call, has no flux on its outer circle,
-        # which meets the zero of S; it is not read, and the value is that of
-        # the rounds taken singly, with no error and no warning
-        base = ms.generalized_jorge_meeks(1).data
-        z0 = _round_radii(base, 3)[1][-1]
-        square = ms.rational.ComplexPoly([z0 * z0, -2 * z0, 1])
-        w = ms.WeierstrassData([ms.RationalMap(r.num * square, r.den) for r in base.phi])
-        calls = _recorded_rounds(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tc = total_curvature_numeric(w)
-        rounds = _rounds(calls)
-        assert len(rounds) == 4
-        assert [r.tolist() for _f, r in rounds[:3]] == [_round_radii(w, i)[1] for i in range(3)]
-        assert rounds[3][1].tolist() == _round_radii(w, 3)[1]
-        assert math.isnan(rounds[3][0][-1]) and np.isfinite(rounds[3][0][:-1]).all()
-        singly = []
-        for i in range(3):
-            flux = curvature._round_fluxes(curvature._flux_groups(w), *_round_radii(w, i))[0]
-            singly.append(-(flux[-1] - sum(flux[:-1].tolist())))
-        assert _romberg_stop(singly) == (tc, 3)
-
-    def test_plane_stops_after_two_rounds(self, plane, monkeypatch):
-        # two rounds read, of the one block evaluated
-        calls = _recorded_rounds(monkeypatch)
-        read = _counted_tableau_rounds(monkeypatch)
         assert total_curvature_numeric(plane.data) == 0.0
-        assert len(read) == 2
-        assert len(_rounds(calls)) == curvature.TC_BLOCK
-        assert len(calls) == 1
+        ((_flux, centers, radii),) = calls
+        assert (centers, radii) == ([0j], [1.0 / curvature.TC_RADIUS])
+
+    @pytest.mark.parametrize("circle", [0, 2, 3])
+    def test_a_circle_without_a_finite_flux_is_refused(self, jm2, circle, monkeypatch):
+        # the error names the circle: of JM m = 2's three finite ends, the
+        # first and the last, and the outer circle
+        real_round = curvature._round_fluxes
+
+        def one_nan(groups, centers, radii):
+            flux = real_round(groups, centers, radii)
+            flux[circle] = math.nan
+            return flux
+
+        monkeypatch.setattr(curvature, "_round_fluxes", one_nan)
+        centers, radii = _round_circles(jm2.data)
+        assert len(centers) == 4
+        named = re.escape(f"on the circle of radius {radii[circle]:.6g} about {centers[circle]}")
+        with pytest.raises(ConvergenceFailureError, match=named):
+            total_curvature_numeric(jm2.data)
+
+    def test_outer_circle_at_the_edge_of_the_float_range(self):
+        # sum |phi_j|^2 on the outer circle R = 1e5 is about R^(4a) / 2 for
+        # g = z^a: 5e299 at a = 15, which analyses to d = 30, and 5e319 at
+        # a = 16, past the float range, which is refused with the circle named
+        rep = ms.run_analysis(generalized_enneper(15))
+        assert rep.curvature.d == 30
+        assert abs(rep.curvature.tc_numeric + 60 * math.pi) <= 1e-7 * 60 * math.pi
+        with pytest.raises(ConvergenceFailureError,
+                           match=re.escape("on the circle of radius 100000 about 0j")):
+            ms.run_analysis(generalized_enneper(16))
 
 
 class TestCloseEnds:

@@ -1,7 +1,7 @@
 """Deterministic work counts of the numeric cross-checks over the catalog.
 
 Counts, not timings: a change that makes the Green-identity total curvature
-take more rounds or evaluations, or the sphere cuts take more Newton steps,
+take more calls or evaluations, or the sphere cuts take more Newton steps,
 fails here on any machine.  The workload is that of the
 benchmark's ``analyze-catalog``: catenoid, plane, Enneper, the holomorphic
 counterexample and Jorge-Meeks m = 1..6, each analysed once, with the
@@ -24,8 +24,8 @@ R_LIST = (1e2, 1e3, 1e4)
 # and 650 before the Romberg stop and the denominators' evaluation from their
 # roots (2 evaluations per component and call, num and num', remain).  With
 # one round a call it took 32 calls and 376 evaluations, and 19 and 236 with
-# two; a call now holds TC_BLOCK = 4 rounds (so 4 x round calls are
-# evaluated), at most three of them unread, and each surface takes one.  The
+# two; with four rounds a call each surface took one call, as it does now
+# that one round at fixed radii replaces the extrapolated rounds.  The
 # sphere cuts took 795 local-immersion calls before the solver returned its
 # last values, and 657 before Newton on the exact radial derivative; now each
 # evaluation is one call of a polar evaluator (``radial_jet``).  With one
@@ -34,7 +34,6 @@ R_LIST = (1e2, 1e3, 1e4)
 # An evaluator reads its phases from a process-wide table per angle count
 # and first power.
 MAX_ROUND_CALLS = 10
-MAX_ROUNDS_READ = 32
 MAX_TC_EVALUATIONS = 120
 MAX_SPHERE_CUT_EVALUATIONS = 198
 MAX_RADIAL_JETS = 66
@@ -53,7 +52,6 @@ def test_catalog_work_counts(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     counted(curvature, "_round_fluxes", "round_calls")
-    counted(curvature, "_romberg_step", "rounds_read")
     # the Green-identity numerators are coefficient arrays, evaluated by
     # curvature's Horner, not by ComplexPoly.__call__
     counted(curvature, "horner", "evaluations")
@@ -107,7 +105,6 @@ def test_catalog_work_counts(monkeypatch):
     for table, principal in ends._GRID_PHASES.values():
         assert not table.flags.writeable and not principal.flags.writeable
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
-    assert counts["rounds_read"] <= MAX_ROUNDS_READ, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
     assert counts["sphere_cut"] <= MAX_SPHERE_CUT_EVALUATIONS, counts
     assert counts["radial_jets"] <= MAX_RADIAL_JETS, counts
