@@ -22,8 +22,9 @@ README's sweep (catalog, Moebius charts, close catenoids, null curves) is
     error       7.2e-7   7.2e-9   7.2e-11   2.1e-11   2.1e-9
 
 and rounding takes over below 1e-6.  A smaller radius buys nothing against
-``TC_TOL`` and moves the outer circle farther out, where |phi|^2 overflows
-at ends at infinity of smaller order k.
+``TC_TOL`` and moves the outer circle farther out, where a phi_j overflows at
+ends at infinity of smaller order k: Enneper's forms with g = z^a (k = 2a + 2)
+analyse up to a = 30 and are refused, the circle named, from a = 31.
 
 Every bound is an integer pi-multiple, and every equality an integer
 comparison, never a float one.
@@ -153,10 +154,13 @@ def _round_fluxes(groups, centers, radii):
     z_j)), so phi' = num'/den - phi den'/den, with no finite differencing
     and no Horner evaluation of den.  The circles are stacked into one
     array, so each numerator is evaluated once for all of them, and each
-    circle's flux is the one it has alone.  S vanishes only at a branch
-    point, which ``validate`` refuses; a circle with a sample on a zero of S,
-    or on which S overflows, gets a NaN flux.  Non-finite values are left to
-    the caller, and numpy warns of none.
+    circle's flux is the one it has alone.  Each sample's phi_j and phi_j'
+    are divided by one power of two (``frexp`` of its largest part of a
+    phi_j) before they are squared: exact, and the flux is homogeneous of
+    degree 0 per sample.  S vanishes only at a branch point, which
+    ``validate`` refuses; a circle with a sample on a zero of S, or on which
+    a phi_j overflows, gets a NaN flux.  Non-finite values are left to the
+    caller, and numpy warns of none.
     """
     theta = np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False)
     e = np.exp(1j * theta)
@@ -164,8 +168,7 @@ def _round_fluxes(groups, centers, radii):
     rad = np.array(radii, dtype=float)
     t = rad[:, None] * e
     z = c + t
-    num = np.zeros_like(z)
-    S = np.zeros(z.shape)
+    phi, dphi = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lead, den_roots, members in groups:
             den = np.full(z.shape, lead, dtype=complex)
@@ -176,8 +179,14 @@ def _round_fluxes(groups, centers, radii):
                 log_slope += m / factor
             for n, dn in members:
                 v = horner(z, n) / den
-                num += (horner(z, dn) / den - v * log_slope) * np.conj(v)
-                S += np.abs(v) ** 2
+                phi.append(v)
+                dphi.append(horner(z, dn) / den - v * log_slope)
+        v, dv = np.array(phi), np.array(dphi)
+        top = np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=0)
+        scale = np.ldexp(1.0, -np.frexp(top)[1])
+        v *= scale
+        num = (dv * scale * np.conj(v)).sum(axis=0)
+        S = (np.abs(v) ** 2).sum(axis=0)
         vals = np.real(e * num / np.where((S > 1e-280) & (S < np.inf), S, np.nan)) * rad[:, None]
     return np.mean(vals, axis=1) * 2.0 * math.pi
 
@@ -192,7 +201,7 @@ def total_curvature_numeric(w: WeierstrassData) -> float:
     lambda is -k log|t| plus a real-analytic function near a puncture, an
     inner flux is its limit plus an even power series in eps / sep, and the
     outer one in (1 + max |p|) / R.  A circle without a finite flux -- through
-    a zero of S, or an outer circle on which sum |phi_j|^2 overflows -- is
+    a zero of S, or an outer circle on which a phi_j overflows -- is
     refused.
     """
     fin = w.finite_punctures

@@ -21,20 +21,19 @@ same grid.  Magnitude enters only through the datum's unit
 the coefficients over it.
 
 Near-end immersion values are computed from the termwise-integrated Laurent
-series in the local coordinate, its constant fixed by the closed-form
-immersion at a reference radius; this is the immersion itself to spectral
-accuracy, and working in t keeps full relative precision at radii far below
-the evaluation clearance, where z = p + t would round t away.  Coefficients
-are prefixes of the datum's Laurent table; it keeps one LocalImmersion per
-end.  Every reader of an end's series -- the anchor of its constant and the
-sphere cuts |f| = R (Newton on log r per angle, with the exact radial
-derivative) -- goes through one polar evaluator, ``_polar_jet``, on a grid of
-n angles 2 pi j / n with one log radius per angle; the anchor is the one-angle
-grid, theta = 0.  Its phases cos p theta, sin p theta come from one read-only
-table of all ``TERMS`` powers per angle count n and first power for the whole
-process, keyed by no datum (``_grid_phases``).  The local immersion keeps the
-terms above 1e-18 of the leading one, and its stacked coefficient matrix is
-built once.
+series in the local coordinate, its constant the regular part of the
+closed-form immersion at the end (``weierstrass._ClosedForm.end_constant``);
+this is the immersion itself to spectral accuracy, and working in t keeps
+full relative precision at radii far below the evaluation clearance, where
+z = p + t would round t away.  Coefficients are prefixes of the datum's
+Laurent table; it keeps one LocalImmersion per end.  The sphere cuts |f| = R
+(Newton on log r per angle, with the exact radial derivative) read the series
+through one polar evaluator, ``_polar_jet``, on a grid of n angles 2 pi j / n
+with one log radius per angle.  Its phases cos p theta, sin p theta come from
+one read-only table of all ``TERMS`` powers per angle count n and first power
+for the whole process, keyed by no datum (``_grid_phases``).  The local
+immersion keeps the terms above 1e-18 of the leading one, and its stacked
+coefficient matrix is built once.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from .errors import InternalConsistencyError, NumericInstabilityError
 from .rational import is_infinity
 from .weierstrass import (
     BILINEAR_TOL,
+    TERMS,
     WeierstrassData,
     form_coefficient_window,
-    immersion_eval,
     metric_order_at,
     null_defect,
 )
@@ -68,7 +67,6 @@ __all__ = [
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 CUT_ANGLES = 16       # angles of a rotation-index sphere cut per turn of its limit circle
-TERMS = 41            # Laurent terms of a local immersion
 
 
 class EndType(str, Enum):
@@ -122,7 +120,7 @@ def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
     return coef.reshape(2 * n, -1)
 
 
-def _polar_jet(coef: np.ndarray, lo: int, n: int, count: int = 1):
+def _polar_jet(coef: np.ndarray, lo: int, n: int, count: int):
     """The polar evaluator of an end's series on the grid of n angles
     theta_j = 2 pi j / n: ``jet``.
 
@@ -169,22 +167,22 @@ class LocalImmersion:
     """The immersion near one end, via its integrated Laurent expansion.
 
     f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C over
-    ``TERMS`` Laurent terms, with the constant C fixed once by matching the
-    closed-form immersion (``immersion_eval``) at a reference radius.  Valid
-    for |t| below roughly half the distance to the next singularity; only
-    Re(log) enters, so the log branch is immaterial (the residue vector is
-    real).
+    ``TERMS`` Laurent terms.  The constant C is the closed form's regular
+    part at the end (``_ClosedForm.end_constant``): the series has no t^0
+    term, so C is the value that the closed form keeps when the end's own
+    principal part and log term are left out.  Valid for |t| below roughly
+    half the distance to the next singularity; only Re(log) enters, so the
+    log branch is immaterial (the residue vector is real).
 
-    Every evaluation, the anchor at theta = 0 included, is one call of the
-    polar evaluator ``_polar_jet`` on the leading ``K`` terms, on a grid of
-    angles and at one log radius per angle; the stacked coefficient matrix
-    of all ``TERMS`` terms is built once, its constant column written when
-    the anchor has fixed C, and an evaluator takes the columns of its K.
-    Tail terms whose bound max|c| max|t|^p on the evaluation set is below
-    ``TAIL_REL`` of the leading term's are dropped: at sphere-cut radii most
-    of them are.  A window with a coefficient past the float range (a datum
-    scaled near the top of it, with close punctures) raises
-    ``NumericInstabilityError``.
+    Every evaluation is one call of the polar evaluator ``_polar_jet`` on
+    the leading ``K`` terms, on a grid of angles and at one log radius per
+    angle; the stacked coefficient matrix of all ``TERMS`` terms, its
+    constant column included, is built once, and an evaluator takes the
+    columns of its K.  Tail terms whose bound max|c| max|t|^p on the
+    evaluation set is below ``TAIL_REL`` of the leading term's are dropped:
+    at sphere-cut radii most of them are.  A window with a coefficient past
+    the float range (a datum scaled near the top of it, with close
+    punctures) raises ``NumericInstabilityError``.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -216,15 +214,9 @@ class LocalImmersion:
         lead = int(np.argmax(np.isfinite(log_mag)))
         self._log_rel_mag = log_mag - log_mag[lead]
         self._rel_power = np.arange(anti.shape[1]) - lead
-        self.r_ref = 0.5 if not math.isfinite(conv) else float(min(0.2 * conv, 0.5))
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
-        z_ref = 1.0 / self.r_ref if is_infinity(p) else complex(p) + self.r_ref
         self._coef = _jet_coef(anti, self._lo, self.log_coeff)
-        K = self._kept_terms(self.r_ref)
-        # the one-angle grid is theta = 0; not radial_jet, which a subclass may
-        # override and whose state it may set only after this returns
-        series = _polar_jet(self._columns(K), self._lo, 1)
-        self.constant = immersion_eval(w, z_ref) - series(np.log([self.r_ref]))[0][:, 0]
+        self.constant = w._closed_form.end_constant(w, p)
         self._coef[:w.n, -1] = self.constant
 
     def _kept_terms(self, r_max: float) -> int:

@@ -18,17 +18,18 @@ roots and keeps them (``RationalMap.den_roots``); they are the only
 description of the denominator that a finite Laurent expansion reads.  So
 every Laurent order is one of these integers: a multiplicity among the
 denominator roots, an order of vanishing of the numerator, or a difference
-of trimmed degrees at infinity.  ``partial_fractions`` expands nothing
-itself: it reads each principal part off the Laurent series its caller gives
-at those roots (a datum's Laurent table).
+of trimmed degrees at infinity.  The expansions at the denominator roots
+and at infinity hold every principal part of the map, its polynomial part
+too (infinity's), so no partial-fraction split is made here: a datum's
+closed-form immersion reads them off its Laurent table.
 
 Coefficients are double-precision complex pairs, ascending powers.  Addition,
 subtraction and multiplication are exact floating-point operations (bitwise
 reproducible for integer-valued inputs); tolerances enter only through the
-module constants below.  Polynomials are evaluated by one Horner (``horner``)
-and divided by one long division (``poly_quotient``), in the operations of
-``numpy.polynomial``'s ``polyval`` and ``polydiv``, so bitwise their values
-without their generic wrappers; minsurf imports no ``numpy.polynomial``.
+module constants below.  Polynomials are evaluated by one Horner
+(``horner``), in the operations of ``numpy.polynomial``'s ``polyval``, so
+bitwise its value without its generic wrapper; minsurf imports no
+``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ __all__ = [
     "roots",
     "shared_roots",
     "horner",
-    "poly_quotient",
     "laurent_expand",
-    "PartialFractions",
-    "partial_fractions",
 ]
 
 # Shared tolerance constants.  CLUSTER_RADIUS is the radius (scaled by
@@ -100,20 +98,6 @@ def horner(z, coeffs: np.ndarray):
         acc *= z
         acc += c
     return acc
-
-
-def poly_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The quotient of num / den, ascending complex coefficients whose
-    leading ones are nonzero, by the operations of ``numpy.polynomial``'s
-    ``polydiv`` (long division by the monic den[:-1] / den[-1]), so bitwise
-    its quotient."""
-    if num.size < den.size:
-        return num[:1] * 0
-    rem = num.copy()
-    lower = den[:-1] / den[-1]
-    for j in range(num.size - 1, den.size - 2, -1):
-        rem[j - den.size + 1:j] -= lower * rem[j]
-    return rem[den.size - 1:] / den[-1]
 
 
 class ComplexPoly:
@@ -329,9 +313,14 @@ def roots(p: ComplexPoly):
     the same count the one with the smallest backward error is kept.  When
     none is within the tolerance, the smallest backward error wins.
     Multiplicities sum to the degree; roots are sorted by real, then
-    imaginary part.
+    imaginary part.  A non-finite coefficient is refused: the trim would
+    read its neighbours as noise.
     """
-    p = _as_poly(p).trimmed()
+    p = _as_poly(p)
+    if not np.isfinite(p.coeffs).all():
+        k = int(np.argmin(np.isfinite(p.coeffs)))
+        raise DegenerateInputError(f"roots undefined: the coefficient of z^{k} is not finite")
+    p = p.trimmed()
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
     a = p.coeffs[:-1] / p.coeffs[-1]
@@ -379,16 +368,19 @@ def _vanishing_order(p: ComplexPoly, z: complex, cap: int) -> int:
     |p^(i)(z) / lead| <= ``STRUCTURE_TOL`` sum_l max(1, |a_l|) |z|^l: z is a
     root of p^(i) after moving each a_l by at most that relative amount,
     weighted as ``_refine`` weights it (absolutely below 1, so a root at 0
-    passes).  The zero polynomial vanishes to every order."""
-    if p.is_zero:
-        return cap
-    powers = np.abs(z) ** np.arange(p.degree())
-    for k in range(cap):
-        lead = p.coeffs[-1]
-        weights = np.maximum(1.0, np.abs(p.coeffs[:-1] / lead))
-        if abs(p(z) / lead) > STRUCTURE_TOL * np.dot(weights, powers[:weights.size]):
-            return k
-        p = p.derivative()
+    passes).  A z that is not finite has a NaN residual and passes for no
+    root, and numpy warns of none.  The zero polynomial vanishes to every
+    order."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        powers = np.abs(z) ** np.arange(max(p.degree(), 0))
+        for k in range(cap):
+            if p.is_zero:
+                break
+            lead = p.coeffs[-1]
+            weights = np.maximum(1.0, np.abs(p.coeffs[:-1] / lead))
+            if not abs(p(z) / lead) <= STRUCTURE_TOL * np.dot(weights, powers[:weights.size]):
+                return k
+            p = p.derivative()
     return cap
 
 
@@ -650,33 +642,6 @@ def _finite_orders(r: RationalMap, center) -> tuple:
     c = complex(center)
     c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
     return c, _vanishing_order(r.num, c, r.num.degree()), pole
-
-
-@dataclass(frozen=True, eq=False)
-class PartialFractions:
-    """r(z) = poly(z) + sum over poles p of sum_l principal[l-1] (z - p)^(-l).
-
-    ``poles`` holds (p, principal) pairs; ``principal[0]`` is the residue.
-    """
-
-    poly: ComplexPoly
-    poles: tuple
-
-
-def partial_fractions(r: RationalMap, expansions) -> PartialFractions:
-    """Polynomial part and principal parts at every finite pole.
-
-    The principal part at each root of ``r.den`` is read off the Laurent
-    series of r there, which the caller gives: ``expansions``, (root, series)
-    pairs at ``r.den_roots``, each of depth -order - 1 or more (a datum's
-    Laurent table holds them).
-    """
-    if r.is_zero:
-        return PartialFractions(ComplexPoly(), ())
-    if r.den.degree() < 1:
-        return PartialFractions(r.num * (1.0 / r.den.coeffs[0]), ())
-    poles = tuple((p, s.coeffs[-s.order - 1::-1].copy()) for p, s in expansions if s.order < 0)
-    return PartialFractions(ComplexPoly(poly_quotient(r.num.coeffs, r.den.coeffs)), poles)
 
 
 def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):

@@ -14,11 +14,15 @@ each component into partial fractions, phi_j = q_j + sum_p sum_l c_{p,l}
              + 2 sum_p c_{p,1} log|z - p|  + const,    Q_j' = q_j,
 
 the classical explicit form (Osserman, Ann. Math. 80, 1964; Jorge-Meeks,
-Topology 22, 1983).  The partial-fraction table is built once per datum.
+Topology 22, 1983).  ``_ClosedForm`` builds it once per datum and splits
+nothing: each principal part is a prefix of the Laurent table's series at
+its pole, q_j one at infinity.  Its regular part at an end is that end's
+constant (``_ClosedForm.end_constant``), which ``ends.LocalImmersion`` adds
+to its integrated series.
 
 Every stage that needs the poles -- puncture detection, the common
-denominator, the Laurent expansions at the ends, the partial fractions --
-reads them from one pole table per datum (``_PoleTable``): each component's
+denominator, the Laurent expansions at the ends, the closed form -- reads
+them from one pole table per datum (``_PoleTable``): each component's
 denominator is rooted once, when the component is reduced
 (``RationalMap.den_roots``), and the roots of all components are merged into
 poles by one rule, ``rational.roots_coincide``; any other point is matched
@@ -68,7 +72,6 @@ from .rational import (
     horner,
     is_infinity,
     laurent_expand,
-    partial_fractions,
     roots_coincide,
     shared_roots,
 )
@@ -94,6 +97,7 @@ NULL_TOL = 1e-10        # relative residual for the null identity
 BILINEAR_TOL = 1e-9     # |<a,a>| / |a|^2 and |<a_-2, a_-1>| / (|a_-2| (|a_-2| + |a_-1|))
 RESIDUE_IMAG_TOL = 1e-10
 CLEARANCE_FACTOR = 1e-3  # evaluation clearance = factor * min puncture separation
+TERMS = 41               # Laurent terms of an end's local immersion (ends.LocalImmersion)
 
 
 def _as_rational_tuple(phi):
@@ -249,15 +253,16 @@ class _LaurentTable:
 
     ``series(j, centre)`` is ``laurent_expand(phi_j, centre)`` (at infinity in
     w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the deepest depth
-    any reader takes.  The recurrence does not depend on the depth, so a prefix
-    is bitwise the expansion at its depth.  ``forms`` keeps the tuple of
-    series that ``_form_series`` reads at each sphere point, and
+    any reader takes: ``TERMS - 1`` for an end's local immersion, or more for
+    a component of high degree.  The recurrence does not depend on the depth,
+    so a prefix is bitwise the expansion at its depth.  ``forms`` keeps the
+    tuple of series that ``_form_series`` reads at each sphere point, and
     ``immersions`` is for ``ends``.
     """
 
     def __init__(self, phi):
         self.phi = phi
-        self.depth = max(40, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
+        self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
         self._series = {}
         self.forms = {}
         self.immersions = {}
@@ -517,24 +522,31 @@ def validate(w: WeierstrassData) -> ValidationReport:
 
 
 class _ClosedForm:
-    """Partial-fraction table of a datum: the immersion up to its constant.
+    """The closed-form immersion of a datum up to its constant, every
+    principal part a prefix of a Laurent-table series.
 
-    Per component, the coefficients of Q_j (ascending) and, per finite pole,
-    (p, real residue, coefficients of t^1, t^2, ... with t = 1/(z - p)) of
-    the integrated principal part.
+    Per component, the coefficients of Q_j (ascending), Q_j' = q_j the
+    principal part at infinity (the series there is -q_j(1/w) / w^2 +
+    O(1/w)), and per finite pole (p, real residue, coefficients of t^1,
+    t^2, ... with t = 1/(z - p)) of the integrated principal part.
     """
 
     def __init__(self, w: WeierstrassData):
         components = []
         residues = []
         for j, r in enumerate(w.phi):
-            pf = partial_fractions(r, [(p, w._laurent.series(j, p)) for p, _m in r.den_roots])
-            q = pf.poly.coeffs
-            anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)]) if q.size else q
+            anti = np.zeros(0, dtype=complex)
+            if r.degree_at_infinity() >= 0:
+                s = w._laurent.series(j, INF)
+                q = -s.coeffs[:-s.order - 1][::-1]
+                anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)])
             terms = []
-            for p, c in pf.poles:
-                residues.append(c[0])
-                terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
+            for p, _m in r.den_roots:
+                s = w._laurent.series(j, p)
+                if s.order < 0:
+                    c = s.coeffs[-s.order - 1::-1]
+                    residues.append(c[0])
+                    terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
             components.append((anti, tuple(terms)))
         ok, worst = _residues_real(residues, w.unit)
         if not ok:
@@ -545,20 +557,36 @@ class _ClosedForm:
         self.components = tuple(components)
         self.origin = self.primitive(np.asarray(w.basepoint))
 
+    @staticmethod
+    def _component(anti: np.ndarray, terms: tuple, z: np.ndarray) -> np.ndarray:
+        """One component's primitive at z: 2 Re Q_j(z) plus, for each pole
+        in ``terms``, its integrated principal part and 2 res log|z - p|."""
+        hol = horner(z, anti) if anti.size else np.zeros(z.shape, dtype=complex)
+        logs = np.zeros(z.shape)
+        for p, res, powers in terms:
+            d = z - p
+            if powers.size:
+                t = 1.0 / d
+                hol = hol + t * horner(t, powers)
+            logs = logs + res * np.log(np.abs(d))
+        return 2.0 * (np.real(hol) + logs)
+
     def primitive(self, z: np.ndarray) -> np.ndarray:
         """The immersion plus a fixed constant at z; shape (n,) + z.shape."""
-        out = np.empty((len(self.components),) + z.shape)
-        for j, (anti, terms) in enumerate(self.components):
-            hol = horner(z, anti) if anti.size else np.zeros(z.shape, dtype=complex)
-            logs = np.zeros(z.shape)
-            for p, res, powers in terms:
-                d = z - p
-                if powers.size:
-                    t = 1.0 / d
-                    hol = hol + t * horner(t, powers)
-                logs = logs + res * np.log(np.abs(d))
-            out[j] = 2.0 * (np.real(hol) + logs)
-        return out
+        return np.array([self._component(anti, terms, z) for anti, terms in self.components])
+
+    def end_constant(self, w: WeierstrassData, p) -> np.ndarray:
+        """The constant of the immersion's series at the end p, shape (n,):
+        each component's primitive at its series' centre there, that root's
+        principal part and log term left out, less ``origin``.  At infinity
+        Q_j has no constant term, and the poles' parts and log|1 - p/z|
+        vanish, so it is -``origin``."""
+        if is_infinity(p):
+            return -self.origin
+        centres = (p if s is None else s.center for s in _form_series(w, p))
+        return np.array([self._component(anti, tuple(t for t in terms if t[0] != c),
+                                         np.asarray(c))
+                         for (anti, terms), c in zip(self.components, centres)]) - self.origin
 
 
 def _refuse_near_punctures(w: WeierstrassData, z: np.ndarray) -> None:

@@ -160,6 +160,32 @@ def _horner_circle_flux(phi, center, radius):
     return float(np.mean(np.real(e * num / S) * radius) * 2.0 * math.pi)
 
 
+def _unscaled_round_fluxes(groups, centers, radii):
+    """``_round_fluxes`` without its per-sample scaling: phi_j' conj(phi_j)
+    and |phi_j|^2 summed as they are, one component at a time."""
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, curvature.TC_SAMPLES, endpoint=False))
+    c = np.asarray(centers, dtype=complex)[:, None]
+    rad = np.array(radii, dtype=float)
+    t = rad[:, None] * e
+    z = c + t
+    num = np.zeros_like(z)
+    S = np.zeros(z.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lead, den_roots, members in groups:
+            den = np.full(z.shape, lead, dtype=complex)
+            log_slope = np.zeros_like(z)
+            for root, m in den_roots:
+                factor = t + (c - root)
+                den *= factor**m
+                log_slope += m / factor
+            for n, dn in members:
+                v = curvature.horner(z, n) / den
+                num += (curvature.horner(z, dn) / den - v * log_slope) * np.conj(v)
+                S += np.abs(v) ** 2
+        vals = np.real(e * num / np.where((S > 1e-280) & (S < np.inf), S, np.nan)) * rad[:, None]
+    return np.mean(vals, axis=1) * 2.0 * math.pi
+
+
 def _round_circles(w):
     """The one round's circles as stated: ``TC_RADIUS`` times the minimum
     separation about each finite puncture, and 1 + max |p| over
@@ -271,6 +297,16 @@ class TestStackedRounds:
         assert len(shapes) == 2 * len(comps)
         assert set(shapes) == {(m + 2, curvature.TC_SAMPLES)}
 
+    @pytest.mark.parametrize("family", ["catalog", "charts"])
+    def test_sample_scaling_is_bitwise_invisible(self, family):
+        # each sample's phi_j and phi_j' are divided by a power of two
+        # before they are squared and summed: exact, so wherever the
+        # unscaled sums stay in the float range the fluxes are theirs
+        for w in _sweep(family):
+            groups, (centers, radii) = curvature._flux_groups(w), _round_circles(w)
+            got = curvature._round_fluxes(groups, centers, radii)
+            assert got.tobytes() == _unscaled_round_fluxes(groups, centers, radii).tobytes()
+
     @pytest.mark.parametrize("s", [2.0**-600, 2.0**-3, 2.0**5, 2.0**600])
     def test_power_of_two_scale_is_bitwise_invisible(self, s, catenoid, monkeypatch):
         # d/dr log lambda is invariant under phi -> s phi and the numerators are
@@ -361,15 +397,16 @@ class TestOneRound:
             total_curvature_numeric(jm2.data)
 
     def test_outer_circle_at_the_edge_of_the_float_range(self):
-        # sum |phi_j|^2 on the outer circle R = 1e5 is about R^(4a) / 2 for
-        # g = z^a: 5e299 at a = 15, which analyses to d = 30, and 5e319 at
-        # a = 16, past the float range, which is refused with the circle named
-        rep = ms.run_analysis(generalized_enneper(15))
-        assert rep.curvature.d == 30
-        assert abs(rep.curvature.tc_numeric + 60 * math.pi) <= 1e-7 * 60 * math.pi
+        # |phi_1| on the outer circle R = 1e5 is about R^(2a) / 2 for g = z^a,
+        # and each sample is scaled by a power of two before it is squared:
+        # 5e299 at a = 30, which analyses to d = 60, and 5e309 at a = 31,
+        # past the float range, which is refused with the circle named
+        rep = ms.run_analysis(generalized_enneper(30))
+        assert rep.curvature.d == 60
+        assert abs(rep.curvature.tc_numeric + 120 * math.pi) <= 1e-7 * 120 * math.pi
         with pytest.raises(ConvergenceFailureError,
                            match=re.escape("on the circle of radius 100000 about 0j")):
-            ms.run_analysis(generalized_enneper(16))
+            ms.run_analysis(generalized_enneper(31))
 
 
 class TestCloseEnds:

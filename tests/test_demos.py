@@ -19,8 +19,8 @@ def run_demo(demo: Path, workdir: Path):
     lands there, in a child interpreter that imports minsurf from src."""
     script = workdir / demo.name
     shutil.copy(demo, script)
-    return subprocess.run([sys.executable, str(script)], cwd=workdir, capture_output=True,
-                          text=True, timeout=300,
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=workdir, capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
 
 

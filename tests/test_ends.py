@@ -387,8 +387,9 @@ class TestLocalImmersion:
             assert np.max(np.abs(direct - local[:, j])) < 1e-8
 
     def test_builds_where_the_anchor_path_passes_an_end(self, enneper):
-        # an Enneper chart whose straight basepoint-to-anchor path runs close
-        # past the order -4 end; the anchor is closed-form, so no path matters
+        # an Enneper chart where a straight path from the basepoint to the
+        # end's neighbourhood runs close past the order -4 end; the constant
+        # is read off the closed form, so no path matters
         mob = (complex(0.04931968294274557, -1.1429566337463961),
                complex(-2.1666121593182464, 0.5995576979640092),
                complex(0.7238102522772645, -0.8764085171864693),
@@ -397,11 +398,29 @@ class TestLocalImmersion:
         (p,) = w.punctures
         loc = LocalImmersion(w, p)
         assert loc.mu == -4
-        r = 0.3 * loc.r_ref
+        r = 0.15  # the chart's one end has no other puncture near it
         local = _on_circle(loc, r)[:, 7]  # the grid angle nearest 0.7
         direct = ms.immersion_eval(w, p + r * np.exp(1j * GRID_THETAS[7]))
         assert np.max(np.abs(local - direct)) < 1e-8 * np.max(np.abs(direct))
 
+    def test_builds_without_evaluating_the_immersion(self, all_entries, monkeypatch):
+        # the constant is the closed form's regular part at the end, read
+        # without evaluating the immersion at any point
+        calls = []
+        real = ms.weierstrass.immersion_eval
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ms.weierstrass, "immersion_eval", counted)
+        monkeypatch.setattr(ends, "immersion_eval", counted, raising=False)
+        built = 0
+        for entry in all_entries:
+            for p in entry.data.punctures:
+                LocalImmersion(entry.data, p)
+                built += 1
+        assert built == 20 and calls == []
 
     def test_matches_mpmath(self, jm2):
         # the polar evaluator against the same 41 Laurent terms and constant
@@ -470,8 +489,9 @@ def _assert_matches_mpmath(w, p):
 class FloatPowerImmersion(LocalImmersion):
     """The local immersion as first written: every term t ** p taken as a
     complex power with a float exponent, all 40 of them on every call, and
-    its own constant from the closed form at the reference radius.  Only the
-    chart radii (``r_ref``, ``_cap``) come from ``LocalImmersion``."""
+    its own constant from the closed form at an anchor radius, r_anchor =
+    min(0.36 cap, 0.5).  Only the chart's cap (``_cap``) comes from
+    ``LocalImmersion``."""
 
     def __init__(self, w, p):
         super().__init__(w, p)
@@ -481,9 +501,10 @@ class FloatPowerImmersion(LocalImmersion):
         self._ref_powers = (exps[keep] + 1).astype(float)
         self._ref_anti = C[:, keep] / (exps[keep] + 1)
         self._ref_log = C[:, ~keep].sum(axis=1)
-        z_ref = 1.0 / self.r_ref if is_infinity(p) else p + self.r_ref
-        self.constant = (ms.immersion_eval(w, z_ref)
-                         - self._series(np.array([self.r_ref + 0j]))[:, 0])
+        self.r_anchor = min(0.36 * self._cap, 0.5)
+        z_anchor = 1.0 / self.r_anchor if is_infinity(p) else p + self.r_anchor
+        self.constant = (ms.immersion_eval(w, z_anchor)
+                         - self._series(np.array([self.r_anchor + 0j]))[:, 0])
 
     def _series(self, t):
         tp = t[None, :] ** self._ref_powers[:, None]
@@ -511,9 +532,9 @@ class TestIntegerPowerEvaluation:
     formula on every catalog end, at every scale it is used."""
 
     @staticmethod
-    def _radii(loc):
-        near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
-        return [loc.r_ref, 1e-2, 1e-4, 1e-6, near_cap]
+    def _radii(ref):
+        near_cap = 0.99 * ref._cap if math.isfinite(ref._cap) else 1.0
+        return [ref.r_anchor, 1e-2, 1e-4, 1e-6, near_cap]
 
     def test_matches_float_powers(self, all_entries):
         orders = set()
@@ -522,7 +543,7 @@ class TestIntegerPowerEvaluation:
             for p in w.punctures:
                 loc, ref = LocalImmersion(w, p), FloatPowerImmersion(w, p)
                 orders.add(loc.mu)
-                for r in self._radii(loc):
+                for r in self._radii(ref):
                     want = ref(r * np.exp(1j * GRID_THETAS))
                     err = np.max(np.linalg.norm(_on_circle(loc, r) - want, axis=0))
                     assert err <= 1e-14 * np.max(np.linalg.norm(want, axis=0)), (entry.name, p, r)

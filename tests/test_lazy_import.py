@@ -47,9 +47,9 @@ def executed(names):
 
 
 def test_analyze_executes_no_lazy_module(tmp_path):
-    # nor imports numpy.polynomial: minsurf evaluates and divides
-    # polynomials by its own Horner and long division (rational.horner,
-    # rational.poly_quotient)
+    # nor imports numpy.polynomial: minsurf evaluates polynomials by its
+    # own Horner (rational.horner), and the closed form reads its
+    # polynomial parts off the Laurent table instead of dividing
     path = tmp_path / "jm2.wd"
     wdfile.dump(wdfile.document_from_data(ms.generalized_jorge_meeks(2).data), path)
     code = ("import sys, types\nimport minsurf.cli\n"

@@ -13,10 +13,9 @@ from minsurf.rational import (
     STRUCTURE_TOL,
     ComplexPoly,
     RationalMap,
+    _vanishing_order,
     horner,
     laurent_expand,
-    partial_fractions,
-    poly_quotient,
     roots,
     shared_roots,
 )
@@ -76,9 +75,9 @@ def _same_bits(a, b):
         np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-class TestInHouseHornerAndDivision:
-    """``horner`` and ``poly_quotient`` replace ``numpy.polynomial``'s
-    ``polyval`` and ``polydiv`` in minsurf, so they must be bitwise them."""
+class TestInHouseHorner:
+    """``horner`` replaces ``numpy.polynomial``'s ``polyval`` in minsurf, so
+    it must be bitwise it."""
 
     def test_horner_is_polyval_bitwise(self):
         from numpy.polynomial.polynomial import polyval
@@ -106,17 +105,6 @@ class TestInHouseHornerAndDivision:
         p = ComplexPoly(_normal(rng, 7))
         assert _same_bits(p(z), horner(z, p.coeffs))
         assert _same_bits(p(0.25 - 1j), horner(np.asarray(0.25 - 1j), p.coeffs))
-
-    def test_quotient_is_polydiv_bitwise(self):
-        from numpy.polynomial.polynomial import polydiv
-
-        rng = np.random.default_rng(28)
-        for num_degree in range(21):
-            for den_degree in range(21):
-                num, den = _normal(rng, num_degree + 1), _normal(rng, den_degree + 1)
-                den *= 10.0 ** rng.uniform(-3, 3)
-                assert _same_bits(poly_quotient(num, den), polydiv(num, den)[0]), \
-                    (num_degree, den_degree)
 
 
 def common_factor(base, *others):
@@ -289,6 +277,20 @@ class TestRoots:
         with pytest.raises(DegenerateInputError):
             roots(ComplexPoly([3.0]))
 
+    @pytest.mark.parametrize("c", [np.inf, complex(0.0, -np.inf), np.nan])
+    def test_a_coefficient_that_is_not_finite_is_named(self, c):
+        # the trim would read its neighbours as noise, and report a constant
+        with pytest.raises(DegenerateInputError, match=r"coefficient of z\^0 is not finite"):
+            roots(ComplexPoly([c, 1]))
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, -np.inf)])
+    def test_a_point_that_is_not_finite_is_no_root(self, z):
+        # its residual is not finite, which fails the root test, with no
+        # warning; only the zero polynomial vanishes to every order
+        assert _vanishing_order(ComplexPoly([1, 1]), z, 5) == 0
+        assert _vanishing_order(ComplexPoly([0, 0, 1]), 0j, 5) == 2
+        assert _vanishing_order(ComplexPoly(), z, 5) == 5
+
 
 class TestMultiplicityStructure:
     """``roots`` keeps the structure with the fewest distinct roots whose
@@ -459,53 +461,97 @@ class TestLaurent:
             assert ratios[-1] <= 10.0 * ratios[0] + 1e-6
 
 
-def expanded_partial_fractions(r):
-    """``partial_fractions`` of r with its Laurent series at ``r.den_roots``,
-    expanded to depth ``deg den``."""
-    return partial_fractions(r, [(p, laurent_expand(r, p, r.den.degree()))
-                                 for p, _m in r.den_roots])
+def real_residue_rational(rng):
+    """r = q + sum over poles p of sum_l c[l-1] (z - p)^-l with real residues
+    c[0]: (r, [(p, c), ...]), one to three poles at least 0.5 apart, each of
+    order one to three, and q of degree up to 2 (or zero)."""
+    while True:
+        points = _normal(rng, int(rng.integers(1, 4)))
+        if all(abs(a - b) >= 0.5 for i, a in enumerate(points) for b in points[i + 1:]):
+            break
+    parts = []
+    for p in points:
+        c = _normal(rng, int(rng.integers(1, 4)))
+        c[0] = c[0].real
+        parts.append((complex(p), c))
+    den = ComplexPoly.from_roots([(p, c.size) for p, c in parts])
+    num = ComplexPoly(_normal(rng, int(rng.integers(0, 4)))) * den
+    for p, c in parts:
+        rest = ComplexPoly.from_roots([(o, d.size) for o, d in parts if o != p])
+        for order, cl in enumerate(c, 1):
+            num = num + ComplexPoly.from_roots([(p, c.size - order)], cl) * rest
+    return RationalMap(num, den), parts
+
+
+def closed_form_of(r):
+    """The closed form's (antiderivative of q, integrated principal parts) of
+    r, taken as a component of a datum, all three of whose components are r."""
+    return ms.WeierstrassData([r, r, r])._closed_form.components[0]
 
 
 class TestPartialFractions:
+    """The closed form (``weierstrass._ClosedForm``) takes every principal
+    part from the datum's Laurent table, the polynomial part too: it is the
+    principal part at infinity."""
+
     def test_reconstructs_random_rationals(self):
+        # Q' plus each pole's residue / (z - p) and the derivative of its
+        # integrated principal part is r, and the parts are the planted ones
         rng = np.random.default_rng(61)
         for _ in range(30):
-            num = rng.normal(size=rng.integers(1, 7)) + 1j * rng.normal(size=1)
-            den = rng.normal(size=rng.integers(2, 6)) + 1j * rng.normal(size=1)
-            r = RationalMap(num, den)
-            pf = expanded_partial_fractions(r)
-            for z in rng.normal(size=4) * 3 + 1j * rng.normal(size=4) * 3:
-                val = pf.poly(z) + sum(
-                    np.polyval(c[::-1], 1 / (z - p)) / (z - p) for p, c in pf.poles
-                )
+            r, parts = real_residue_rational(rng)
+            anti, terms = closed_form_of(r)
+            assert len(terms) == len(parts)
+            for (p, res, powers), (want_p, c) in zip(terms, sorted(
+                    parts, key=lambda pc: (pc[0].real, pc[0].imag))):
+                assert abs(p - want_p) <= 1e-8 and abs(res - c[0].real) <= 1e-8
+                assert np.allclose(-powers * np.arange(1, powers.size + 1), c[1:], atol=1e-8)
+            for z in _normal(rng, 4) * 3:
+                val = sum(k * a * z ** (k - 1) for k, a in enumerate(anti) if k) + sum(
+                    res / (z - p) - sum((i + 1) * c * (z - p) ** -(i + 2)
+                                        for i, c in enumerate(powers))
+                    for p, res, powers in terms)
                 assert abs(val - r(z)) <= 1e-9 * (1 + abs(r(z)))
 
-    def test_catenoid_components_by_hand(self, catenoid):
-        # (1 - z^2)/(2 z^2) = -1/2 + (1/2) z^-2; 1/z has residue 1
-        pf = expanded_partial_fractions(catenoid.data.phi[0])
-        assert np.allclose(pf.poly.coeffs, [-0.5])
-        (p, c), = pf.poles
-        assert abs(p) < 1e-12 and np.allclose(c, [0, 0.5])
-        (p, c), = expanded_partial_fractions(catenoid.data.phi[2]).poles
-        assert abs(p) < 1e-12 and np.allclose(c, [1])
+    def test_catenoid_components_by_hand(self):
+        # (1 - z^2)/(2 z^2) = -1/2 + (1/2) z^-2: Q = -z/2, and the integrated
+        # part -(1/2) z^-1 with no log term; 1/z is log|z| alone
+        (anti, terms), _, (anti2, terms2) = ms.catenoid().data._closed_form.components
+        assert np.allclose(anti, [0, -0.5])
+        (p, res, powers), = terms
+        assert abs(p) < 1e-12 and abs(res) < 1e-15 and np.allclose(powers, [-0.5])
+        (p, res, powers), = terms2
+        assert abs(p) < 1e-12 and res == pytest.approx(1.0)
+        assert anti2.size == 0 and powers.size == 0
 
     def test_one_roots_call(self, monkeypatch):
-        # construction roots the denominator; the partial fractions reuse it
-        import minsurf.rational as rat
-
+        # construction roots the denominator; the closed form reads the
+        # series at those roots and roots nothing
         calls = []
-        real_roots = rat.roots
-        monkeypatch.setattr(rat, "roots", lambda p: calls.append(p) or real_roots(p))
-        r = RationalMap([1, 2, 3, 4, 5, 6], [0, 0, -1, 0, 0, 1])
-        assert len(expanded_partial_fractions(r).poles) == 4
+        real_roots = ms.rational.roots
+        monkeypatch.setattr(ms.rational, "roots", lambda p: calls.append(p) or real_roots(p))
+        r, parts = real_residue_rational(np.random.default_rng(62))
+        assert len(closed_form_of(r)[1]) == len(parts)
         assert len(calls) == 1
 
-    def test_expansions_are_required(self, catenoid):
-        # the principal parts are read off the caller's series, never expanded
-        # here; a datum's Laurent table is the one source of them
-        with pytest.raises(TypeError):
-            partial_fractions(catenoid.data.phi[0])
+    @pytest.mark.parametrize("entry", [ms.catenoid, ms.enneper, ms.holomorphic_counterexample],
+                             ids=["catenoid", "enneper", "counterexample"])
+    def test_expansions_are_required(self, entry, monkeypatch):
+        # no partial-fraction layer is left: every principal part, the
+        # polynomial part (infinity's) included, is read off the datum's
+        # Laurent table, and building the closed form expands nothing else
+        for name in ("partial_fractions", "PartialFractions", "poly_quotient"):
+            assert not hasattr(ms.rational, name), name
         assert not hasattr(RationalMap, "derivative") and not hasattr(ms.rational, "residue")
+        calls = []
+        real = ms.weierstrass.laurent_expand
+        monkeypatch.setattr(ms.weierstrass, "laurent_expand",
+                            lambda r, c, depth: calls.append((r, c)) or real(r, c, depth))
+        w = entry().data
+        w._closed_form
+        kept = w._laurent._series
+        assert len(calls) == len(kept)
+        assert {(j, INF) for j, r in enumerate(w.phi) if r.degree_at_infinity() >= 0} <= set(kept)
 
 
 class TestResidue:

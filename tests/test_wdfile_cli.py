@@ -20,8 +20,10 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 
 def run_cli(*args, flags=()):
+    # a numpy warning fails the child as it fails the suite (pyproject.toml)
     return subprocess.run(
-        [sys.executable, *flags, "-m", "minsurf.cli", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", *flags, "-m", "minsurf.cli",
+         *map(str, args)],
         capture_output=True, text=True, env=CHILD_ENV,
     )
 

@@ -98,9 +98,9 @@ def test_catalog_work_counts(monkeypatch):
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
     # the phases come from one table of all TERMS powers per angle count n and
     # first power lo, built once and read only: every catalog end's witness
-    # and deviation have n = 64, and the anchor of its constant n = 1; the
-    # ends of orders -2, -3 and -4 have lo = -1, -2 and -3
-    assert set(ends._GRID_PHASES) == {(n, lo) for n in (1, 64) for lo in (-1, -2, -3)}
+    # and deviation have n = 64, and the ends of orders -2, -3 and -4 have
+    # lo = -1, -2 and -3
+    assert set(ends._GRID_PHASES) == {(64, lo) for lo in (-1, -2, -3)}
     assert sorted(built) == sorted((n, lo, ends.TERMS) for n, lo in ends._GRID_PHASES)
     for table, principal in ends._GRID_PHASES.values():
         assert not table.flags.writeable and not principal.flags.writeable
