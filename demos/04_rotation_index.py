@@ -1,13 +1,19 @@
 """Rotation index of the sphere cut: |k - 1|, embedded exactly when k = 2.
 
 Near an end of order -k the rescaled intersection of the surface with a
-large sphere converges to a (k-1)-fold covered great circle.  The winding
-number of that curve is measured numerically here -- solving |f| = R per
-direction, projecting onto the asymptotic plane -- and compared with the
-analytic value |k - 1| for increasing R.
+large sphere converges to a (k-1)-fold covered great circle.  Each end's
+rotation certificate bounds the rest of the end's series against its
+leading term on a punctured disc 0 < |t| <= r0 of the local coordinate:
+there |f| falls strictly along every ray, and the cut's projection onto the
+asymptotic plane stays within delta of the leading term's (k-1)-fold
+circle, so every cut |f| = R with R >= R0 winds exactly k - 1 times.  The
+margin is 1 - delta at r0.  Radii below R0 are solved numerically (|f| = R
+per direction, projected onto the asymptotic plane and its turning counted);
+here every radius is certified.
 """
 
 import minsurf as ms
+from minsurf.ends import certify_rotation_index
 from minsurf.rational import INF
 
 R_LIST = (1e2, 1e3, 1e4)
@@ -20,12 +26,14 @@ cases = [
     ("counterexample (z, 1/z^2) at inf", ms.holomorphic_counterexample().data, INF),
 ]
 
-print(f"{'end':<36}{'k':>3}{'|k-1|':>7}{'numeric':>9}{'embedded':>10}")
-print("-" * 65)
+print(f"{'end':<36}{'k':>3}{'|k-1|':>7}{'numeric':>9}{'embedded':>10}{'R0':>10}{'margin':>8}")
+print("-" * 83)
 for label, w, p in cases:
     e = ms.analyze_end(w, p)
     idx = ms.rotation_index_numeric(w, p, R_LIST, end=e)
-    print(f"{label:<36}{e.k:>3}{e.rotation_index:>7}{idx:>9}{str(e.embedded):>10}")
+    cert = certify_rotation_index(w, p, end=e)
+    print(f"{label:<36}{e.k:>3}{e.rotation_index:>7}{idx:>9}{str(e.embedded):>10}"
+          f"{cert.R0:>10.3g}{cert.margin:>8.3f}")
 
 print()
 print("Convergence to the limit circle (sup distance of the normalized cut")

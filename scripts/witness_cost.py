@@ -1,0 +1,67 @@
+"""Per-end cost of the rotation-index witness on freshly built data.
+
+For each of the ten surfaces of the benchmark's ``analyze-catalog`` workload
+(catenoid, plane, Enneper, the holomorphic counterexample and Jorge-Meeks
+m = 1..6), every round rebuilds the datum from its coefficient arrays, as
+``minsurf analyze`` builds it from a file, runs ``run_analysis`` and then
+times ``rotation_index_numeric`` at R = 1e2, 1e3, 1e4 on each end; the
+first witness call on a datum also builds the end's local immersion.  It
+prints one JSON object: the median per-end witness time in milliseconds per
+surface and its sum over a catalog round, and the median warm per-end time
+(the same datum witnessed again).  Process time, so other processes on the
+machine count less.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/witness_cost.py [--rounds N]
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+import minsurf as ms
+
+R_LIST = (1e2, 1e3, 1e4)
+
+
+def rebuilt(w):
+    return ms.WeierstrassData([ms.RationalMap(r.num.coeffs.copy(), r.den.coeffs.copy())
+                               for r in w.phi], punctures=w.punctures, label=w.label)
+
+
+def witness_ms(w, ends):
+    t = time.process_time()
+    for e in ends:
+        ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
+    return 1e3 * (time.process_time() - t) / len(ends)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=30)
+    args = parser.parse_args()
+    entries = ms.catalog.entries(jm_range=range(1, 7))
+    fresh = {e.name: [] for e in entries}
+    warm = {e.name: [] for e in entries}
+    for _ in range(args.rounds):
+        for entry in entries:
+            w = rebuilt(entry.data)
+            rep = ms.run_analysis(w)
+            fresh[entry.name].append(witness_ms(w, rep.ends))
+            warm[entry.name].append(witness_ms(w, rep.ends))
+    per_end = {name: round(statistics.median(v), 4) for name, v in fresh.items()}
+    per_end_warm = {name: round(statistics.median(v), 4) for name, v in warm.items()}
+    ends = {e.name: len(e.data.punctures) for e in entries}
+    print(json.dumps({
+        "rounds": args.rounds,
+        "fresh_per_end_ms": per_end,
+        "warm_per_end_ms": per_end_warm,
+        "fresh_round_ms": round(sum(per_end[n] * ends[n] for n in ends), 3),
+        "warm_round_ms": round(sum(per_end_warm[n] * ends[n] for n in ends), 3),
+    }))
+
+
+if __name__ == "__main__":
+    main()

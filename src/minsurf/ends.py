@@ -11,14 +11,21 @@ for k >= 3 no such model exists.  The intersection of the end with a large
 sphere, rescaled to the unit sphere, limits on a (k-1)-fold covered great
 circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
 That circle lies in span(Re a_{-k}, Im a_{-k}), the first two rows of the
-end's frame, so the numeric witness ``rotation_index_numeric`` counts the
-turns of each cut projected onto that plane, sampled at ``CUT_ANGLES`` angles
-per turn of the circle.  The cuts at all its radii are one Newton batch on
-the grid of N angles 2 pi j / N, projected and turned by one product and one
-reshape; ``limit_circle_deviation`` reads the cut at its one radius on the
-same grid.  Magnitude enters only through the datum's unit
-(``WeierstrassData.unit``): the bilinear gates and the norms a, b are taken of
-the coefficients over it.
+end's frame.  The witness ``rotation_index_numeric`` proves the count for
+every radius from the end's own R0 on: the end's rotation certificate
+(``certify_rotation_index``), computed on every call from the local
+immersion's table, bounds the rest of the series against its leading term
+on a punctured disc 0 < |t| <= r0, where |f| then falls strictly along every
+ray and each cut |f| = R with R >= R0 winds k - 1 times about that plane
+(Rouche, in its dog-on-a-leash form).  Only radii below R0, or every radius
+of an end with no certificate, are sampled: it counts the turns of each cut
+projected onto the plane, sampled at ``CUT_ANGLES`` angles per turn of the
+circle, the cuts at all those radii one Newton batch on the grid of N angles
+2 pi j / N, projected and turned by one product and one reshape.
+``limit_circle_deviation`` reads the cut at its one radius on the same grid.
+Magnitude enters only through the datum's unit (``WeierstrassData.unit``):
+the bilinear gates, the norms a, b and every bound of the certificate are
+taken of the coefficients over it.
 
 Near-end immersion values are computed from the termwise-integrated Laurent
 series in the local coordinate, its constant the regular part of the
@@ -50,6 +57,7 @@ from .weierstrass import (
     BILINEAR_TOL,
     TERMS,
     WeierstrassData,
+    _pole_mult,
     form_coefficient_window,
     metric_order_at,
     null_defect,
@@ -60,6 +68,8 @@ __all__ = [
     "EndAnalysis",
     "LocalImmersion",
     "analyze_end",
+    "RotationCertificate",
+    "certify_rotation_index",
     "rotation_index_numeric",
     "limit_circle_deviation",
 ]
@@ -67,6 +77,8 @@ __all__ = [
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 CUT_ANGLES = 16       # angles of a rotation-index sphere cut per turn of its limit circle
+CERT_STEPS = 128      # radii r_top 2^(-i/4), i < CERT_STEPS, a rotation certificate tries
+FREE_TOP = 64.0       # its r_top at an end with no other pole
 
 
 class EndType(str, Enum):
@@ -102,6 +114,15 @@ def _grid_phases(n: int, lo: int):
         table.flags.writeable = principal.flags.writeable = False
         _GRID_PHASES[n, lo] = table, principal
     return _GRID_PHASES[n, lo]
+
+
+# the rotation certificate's grid r = top 2^(-i/4), i < CERT_STEPS: the
+# powers p = 1 .. TERMS - 1 of its series, and the rows (r / top)^p, then
+# log(top / r) (r / top)^p, for p = 1 .. TERMS
+_CERT_P = np.arange(1, TERMS)
+_CERT_ROWS = 2.0 ** (-0.25 * np.multiply.outer(np.arange(1, TERMS + 1), np.arange(CERT_STEPS)))
+_CERT_ROWS = np.concatenate((_CERT_ROWS, 0.25 * math.log(2.0) * np.arange(CERT_STEPS) * _CERT_ROWS))
+_CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = False
 
 
 def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
@@ -469,41 +490,215 @@ def _end_of(w: WeierstrassData, p, end: EndAnalysis | None) -> EndAnalysis:
     return end
 
 
-def _witness_cuts(w: WeierstrassData, p, R_list, end: EndAnalysis | None):
-    """The witnesses' common prologue: the radii sorted, the end, and its
-    sphere cuts at every radius, solved in one batch on the grid of
-    N = CUT_ANGLES max(k - 1, 4) angles (``CUT_ANGLES`` angles per turn of
+def _witness_cuts(e: EndAnalysis, radii: list) -> np.ndarray:
+    """The end's sphere cuts at every radius, solved in one batch on the grid
+    of N = CUT_ANGLES max(k - 1, 4) angles (``CUT_ANGLES`` angles per turn of
     the limit circle, at least four turns' worth), laid side by side as one
     (dim, count N) array."""
-    radii = sorted(_radii(R_list))
-    e = _end_of(w, p, end)
     n = CUT_ANGLES * max(e.k - 1, 4)
-    return radii, e, _solve_sphere_radii(e._local, e, n, radii)[1]
+    return _solve_sphere_radii(e._local, e, n, radii)[1]
+
+
+@dataclass(frozen=True, slots=True)
+class RotationCertificate:
+    """The rotation index of an end, proved on the punctured disc
+    0 < |t| <= r0 of its local coordinate (``certify_rotation_index``):
+    every sphere cut |f| = R with R >= R0 is one closed curve there, and its
+    projection onto span(Re a_lead, Im a_lead) winds ``index`` = k - 1 times.
+    ``margin`` is 1 - delta at r0, delta the bound of |f - L| / |L| on
+    |t| = r0, L the leading term."""
+
+    index: int
+    r0: float
+    R0: float
+    margin: float
+
+
+def _form_bound(w: WeierstrassData, p, rho: float) -> float:
+    """An upper bound, over ``w.unit``, of the 2-norm of the form's
+    coefficients on the circle |t| = rho of the end's local coordinate (at
+    infinity, of phi(1/w) / w^2), or inf when a pole other than the end's
+    own lies on or inside that circle.  With phi = N / D, N the cleared
+    numerators and D the monic common denominator (``w.cleared``), |N(z)| is
+    at most |N|_F (sum_{i<L} |z|^2i)^(1/2) at the largest |z| on the circle
+    (Cauchy-Schwarz per component, |N|_F the norm of all L coefficients of
+    all components), and |D(z)| is at least the product over its factored
+    roots of |z - pole|^mult >= (|p - pole| - rho)^mult, (rho - |p - pole|)^mult
+    at the end's own pole, and (1/rho - |pole|)^mult at infinity, where
+    |z| = 1/rho."""
+    at_inf = is_infinity(p)
+    size = 1.0 / rho if at_inf else abs(p) + rho
+    own = None if at_inf else w._poles.pole_point(p)
+    low = rho * rho if at_inf else 1.0
+    for pole, members in w._poles.poles.items():
+        if at_inf:
+            gap = size - abs(pole)
+        else:
+            gap = abs(p - pole) - rho if pole != own else rho - abs(p - pole)
+        if not gap > 0.0:
+            return math.inf
+        for _ in range(_pole_mult(members)):
+            low *= gap
+    nums = w.cleared[1]
+    powers = 0.0
+    for _ in range(max(q.coeffs.size for q in nums)):
+        powers = powers * size * size + 1.0
+    top = _norm(np.concatenate([q.coeffs for q in nums]) / w.unit) * math.sqrt(powers)
+    return top / low if low > 0.0 else math.inf
+
+
+def _lead_split(loc: LocalImmersion, unit: float):
+    """The singular values s_max, s_min of [Re A, Im A], A the leading
+    antiderivative vector over ``unit``, and the norms of the later terms,
+    the log coefficient and the constant (over ``unit``) in and across
+    span(Re A, Im A), as rows (2, TERMS + 1); None when A spans no plane.
+
+    The plane's orthonormal basis is chol^-1 [Re A; Im A], chol the
+    Cholesky factor of their Gram matrix, and s_max^2 + s_min^2 = |Re A|^2 +
+    |Im A|^2, s_max s_min = det chol.
+    """
+    cols = np.concatenate((loc._anti, loc.log_coeff[:, None], loc.constant[:, None]), axis=1)
+    real = (cols / unit).view(float)  # (Re, Im) column pairs
+    lead = real[:, :2].T
+    dots = lead @ real
+    (g11, g12), (_, g22) = dots[:, :2].tolist()
+    b2 = g22 - g12 * g12 / g11 if g11 > 0.0 else 0.0
+    if not b2 > 0.0:
+        return None
+    a, b = math.sqrt(g11), math.sqrt(b2)
+    to_plane = np.array([[1.0 / a, 0.0], [-g12 / (g11 * b), 1.0 / b]])
+    inside = to_plane @ dots[:, 2:]
+    across = real[:, 2:] - (to_plane @ lead).T @ inside
+    squares = np.array([np.einsum("ij,ij->j", inside, inside),
+                        np.einsum("ij,ij->j", across, across)])
+    frob = g11 + g22
+    s_max = math.sqrt(0.5 * (frob + math.sqrt(max(frob * frob - 4.0 * (a * b) ** 2, 0.0))))
+    return s_max, a * b / s_max, np.sqrt(squares[:, 0::2] + squares[:, 1::2])
+
+
+def certify_rotation_index(w: WeierstrassData, p,
+                           end: EndAnalysis | None = None) -> RotationCertificate | None:
+    """The rotation index of the end p certified for every sphere-cut radius
+    R >= R0, or None when no radius of its grid qualifies; computed afresh
+    from the end's local immersion table.  ``end``, when given, must be the
+    analysis of the end p of w (``ValueError`` otherwise).
+
+    With m = k - 1 and A = anti_0 the leading antiderivative vector, write
+    f = L + E on |t| = r, L = 2 Re(A t^-m).  Then
+    2 s_min r^-m <= |L| <= 2 s_max r^-m, s_min and s_max the singular values
+    of [Re A, Im A] (the nullity defect counted, not assumed away), and L
+    lies in their plane.  E is split into its parts in that plane and across
+    it (``_lead_split``), each bounded by 2 sum_p |anti_p| r^(p-m) over the
+    table's later terms (|anti_p| the norm of that part of the vector), plus
+    the terms past the table (the Cauchy estimate |c_e| <= M rho^-e, M
+    ``_form_bound`` on a circle of radius rho inside the series' disc,
+    counted in both parts), 2 |c| (|log r| + pi) for the log term and |C|
+    for the constant; d/dlog r of each the same way, every term times its
+    power.  delta, delta' (in the plane) and eps, eps' (across it) are these
+    bounds over 2 s_min r^-m.  All increase with r (each term is a positive
+    power of r times a constant, and (|log r| + pi) r^m increases since
+    m (pi - log r) > 1 for r < 1), so where
+    m (1 - delta) > delta' (1 + delta) + eps eps' at r0, the largest such r
+    on the grid r_top 2^(-i/4), i < CERT_STEPS, it holds on all of (0, r0],
+    and so does delta < 1.  There
+    d|f|^2/dlog r <= 2 |L|^2 (delta' (1 + delta) + eps eps' - m (1 - delta))
+    < 0, so |f| falls strictly along every ray, and every cut |f| = R with
+    R >= R0, the bound of |f| on |t| = r0, meets each ray once.  Its
+    projection onto the plane stays within delta |L| < |L| of L, which
+    winds m times, so it winds m times too (Rouche, in its dog-on-a-leash
+    form).  r_top is 0.9 of the chart cap, and at most 1 where there is a
+    log term, so that |log r| = -log r; rho is 1.5 of the cap (the cap is
+    0.55 of the distance to the next puncture).  At an end with no other
+    puncture r_top is 1, or ``FREE_TOP`` without a log term, and rho is
+    4 r_top.  Every quantity is taken over ``w.unit``, so r0 and the margin
+    1 - delta do not depend on the datum's scale, and R0 is proportional to
+    it.  No certificate when the table does not reach the log term
+    (k >= TERMS).
+    """
+    e = _end_of(w, p, end)
+    loc = e._local
+    m = -loc.mu - 1
+    first = TERMS - m  # the first power of t past the table's antiderivative
+    if m < 1 or first < 1:
+        return None
+    limit = 1.0 if loc.log_coeff.any() else FREE_TOP
+    if math.isfinite(loc._cap):
+        top, rho = min(0.9 * loc._cap, limit), 1.5 * loc._cap
+    else:
+        top, rho = limit, 4.0 * limit
+    if not top > 0.0:
+        return None
+    with np.errstate(all="ignore"):
+        split = _lead_split(loc, w.unit)
+        if split is None:
+            return None
+        s_max, s_min, norms = split
+        size = 2.0 * s_min
+        if not size > 0.0:
+            return None
+        norms = norms / size
+        # delta, delta', eps, eps' times r^m: weights (part, value or slope)
+        # of the rows of _CERT_ROWS, (r/top)^p and log(top/r) (r/top)^p
+        weights = np.zeros((2, 2, 2 * TERMS))
+        series = weights[:, 0, :TERMS - 1] = norms[:, :TERMS - 1] * (2.0 * top**_CERT_P)
+        weights[:, 1, :TERMS - 1] = series * np.abs(_CERT_P - m)
+        # |log r| = log(top/r) - log top, as top <= 1 where there is a log term
+        log_term = 2.0 * top**m * norms[:, TERMS - 1]
+        weights[:, 0, m - 1] += log_term * (math.pi - math.log(top)) + top**m * norms[:, TERMS]
+        weights[:, 0, TERMS + m - 1] = log_term
+        weights[:, 1, m - 1] += log_term
+        # the tail, its 1 / (1 - r/rho) taken at r = top, as a multiple of (r/top)^TERMS
+        tail = (2.0 * _form_bound(w, e.puncture, rho) * rho / first * (top / rho) ** first
+                * top**m / (1.0 - top / rho) / size)
+        weights[:, :, TERMS - 1] = tail, first * tail
+        delta, d_delta, eps, d_eps = weights.reshape(4, -1) @ _CERT_ROWS
+        ok = m * (1.0 - delta) > d_delta * (1.0 + delta) + eps * d_eps
+        i = int(np.argmax(ok))
+        if not ok[i]:
+            return None
+        r_m = top**m * _CERT_ROWS[m - 1, i]
+        R0 = float(w.unit * (np.hypot(2.0 * s_max + delta[i] * size, eps[i] * size) / r_m))
+    if not R0 < math.inf:
+        return None
+    return RotationCertificate(index=m, r0=top * float(_CERT_ROWS[0, i]), R0=R0,
+                               margin=float(1.0 - delta[i]))
 
 
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the sphere cut of the end.
 
-    The cuts {|f| = R} near the end at every radius R (``_witness_cuts``) are
-    each projected onto span(e1, e2) = span(Re a_lead, Im a_lead), the plane
-    of its limit circle, and the turning of all of them is counted in one
-    pass.  The steps of a closed sampled curve sum to a multiple of 2 pi up
-    to rounding; a cut with a step above pi/4 is too coarse for that count
-    to be trusted and raises ``NumericInstabilityError``.  The value must
-    agree across all R; the analytic prediction is |k - 1|.  ``end``, when
-    given, must be the analysis of the end p of w (``ValueError`` otherwise).
+    Every radius R >= R0 of the end's rotation certificate
+    (``certify_rotation_index``) is answered by it: the cut there winds
+    k - 1 times, proved on the punctured disc 0 < |t| <= r0 of the local
+    coordinate, and no cut is solved.  The cuts {|f| = R} at the radii below
+    R0, or at every radius when the end has no certificate, are solved in
+    one batch (``_witness_cuts``), each projected onto span(e1, e2) =
+    span(Re a_lead, Im a_lead), the plane of its limit circle, and the
+    turning of all of them is counted in one pass.  The steps of a closed
+    sampled curve sum to a multiple of 2 pi up to rounding; a cut with a
+    step above pi/4 is too coarse for that count to be trusted and raises
+    ``NumericInstabilityError``.  The value must agree across all R,
+    certified or solved; the analytic prediction is |k - 1|.  ``end``, when
+    given, must be the analysis of the end p of w (``ValueError``
+    otherwise).
     """
-    radii, e, cuts = _witness_cuts(w, p, R_list, end)
-    d = _cut_turning(e.frame, cuts, len(radii))
+    radii = sorted(_radii(R_list))
+    e = _end_of(w, p, end)
+    cert = certify_rotation_index(w, p, e)
+    solve = radii if cert is None else [R for R in radii if R < cert.R0]
+    if not solve:
+        return cert.index
+    d = _cut_turning(e.frame, _witness_cuts(e, solve), len(solve))
     windings = {}
-    for R, step, turns in zip(radii, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
+    for R, step, turns in zip(solve, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
         if step > math.pi / 4.0:
             raise NumericInstabilityError(
                 f"sphere cut at R = {R:g} turns by {step:.3f} rad between angles, above pi/4",
                 diagnostics={"R": R, "step": float(step)},
             )
         windings[R] = abs(int(round(turns)))
+    windings.update((R, cert.index) for R in radii[len(solve):])
     values = set(windings.values())
     if len(values) != 1:
         raise NumericInstabilityError(
@@ -524,7 +719,9 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     angles.  ``end``, when given, must be the analysis of the end p of w
     (``ValueError`` otherwise).
     """
-    (R,), e, cut = _witness_cuts(w, p, (R,), end)
+    (R,) = _radii((R,))
+    e = _end_of(w, p, end)
+    cut = _witness_cuts(e, [R])
     n = cut.shape[1]
     alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))

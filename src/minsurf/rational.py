@@ -220,13 +220,17 @@ class ComplexPoly:
         """Strip leading coefficients below ``TRIM_TOL`` times the largest
         modulus (noise control).
 
-        The moduli are compared after an exact scaling by the power of two
-        that brings every real and imaginary part below 1, so none overflows.
+        The moduli are compared after an exact scaling of every real and
+        imaginary part by the power of two that brings the largest of them
+        below 1, so none overflows; the parts are scaled one by one
+        (``np.ldexp``), as the factor itself is past the float range when
+        the coefficients are subnormal.
         """
         if self.is_zero:
             return self
-        part = float(np.max(np.abs(self.coeffs.view(float))))
-        mags = np.abs(self.coeffs * math.ldexp(1.0, -math.frexp(part)[1]))
+        parts = self.coeffs.view(float)
+        exponent = -math.frexp(float(np.max(np.abs(parts))))[1]
+        mags = np.abs(np.ldexp(parts, exponent).view(complex))
         keep = np.nonzero(mags > TRIM_TOL * np.max(mags))[0]
         if keep.size == 0:
             return ComplexPoly()

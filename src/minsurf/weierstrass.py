@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -191,13 +192,16 @@ class WeierstrassData:
         coefficient |a_lead,j| over the ends in [2^(k-1), 2^k); 1.0 without
         ends.  Gates divide by it or compare with it; the data is not rescaled.
         A largest coefficient of 2^1023 or more, whose unit would be past the
-        float range, is refused."""
-        m = float(np.max(np.abs(self._leads))) if self.punctures else 0.0
-        if m >= 2.0**1023:
+        float range, is refused, and so is one below 2^-1024 (0 where the
+        leading coefficients underflowed), whose unit's reciprocal would be."""
+        if not self.punctures:
+            return 1.0
+        m = float(np.max(np.abs(self._leads)))
+        if not 2.0**-1024 <= m < 2.0**1023:
             raise DegenerateInputError(
                 f"a leading Laurent coefficient of modulus {m:.6g} has no power-of-two "
                 "unit in the float range")
-        return math.ldexp(1.0, math.frexp(m)[1]) if m > 0.0 else 1.0
+        return math.ldexp(1.0, math.frexp(m)[1])
 
     def _default_basepoint(self) -> complex:
         fin = self.finite_punctures
@@ -280,7 +284,7 @@ class _LaurentTable:
 
 def _pole_mult(members) -> int:
     """Order of a pole in the common denominator: its largest component order."""
-    return max(m for _root, m in members.values())
+    return max(members.values(), key=itemgetter(1))[1]
 
 
 class _PoleTable:

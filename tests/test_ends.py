@@ -26,6 +26,14 @@ from minsurf.weierstrass import form_coefficient_window, form_residue_vector, va
 R_LIST = (1e2, 1e3, 1e4)
 
 
+def solved_windings(e, radii):
+    """The windings of the end's sphere cuts at ``radii``, solved by Newton
+    and turned as ``rotation_index_numeric`` does below its certified
+    radius, and the largest step of each."""
+    d = ends._cut_turning(e.frame, ends._witness_cuts(e, list(radii)), len(radii))
+    return [abs(round(x)) for x in d.sum(axis=1) / (2.0 * math.pi)], np.abs(d).max(axis=1)
+
+
 class TestAnalyzeEnd:
     def test_catenoid_at_zero_exact(self, catenoid):
         e = analyze_end(catenoid.data, 0j)
@@ -159,7 +167,8 @@ class TestRotationIndex:
     def test_runaway_sphere_cut_is_a_typed_error(self, enneper):
         # the two conftest-rule Moebius charts of Enneper in the chart sweep
         # (UNSOLVED_CUTS) whose one end is finite, of order -4, with no other
-        # puncture to cap the radius solve: a Newton iterate at R = 1e2 runs
+        # puncture to cap the radius solve: R = 1e2 is below the end's
+        # certified radius, so the witness solves it, a Newton iterate runs
         # off and the cut is not finite, a typed error with no numpy warning
         runaway = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name == "enneper"]
         assert len(runaway) == 2
@@ -169,6 +178,7 @@ class TestRotationIndex:
             assert abs(p - end) < 1e-12
             e = analyze_end(w, p)
             assert e.k == 4
+            assert ends.certify_rotation_index(w, p, end=e).R0 > 1e2
             with pytest.raises(NumericInstabilityError, match="residual nan") as err:
                 rotation_index_numeric(w, p, R_LIST, end=e)
             assert err.value.diagnostics == {"R": [1e2], "end": repr(p)}
@@ -176,8 +186,9 @@ class TestRotationIndex:
     @pytest.mark.filterwarnings("error")
     def test_stalled_sphere_cut_names_its_radii(self, counterexample):
         # the four conftest-rule Moebius charts of the counterexample in the
-        # chart sweep whose finite order -3 end stalls at R = 1e2; the cuts at
-        # all three radii are one solve, and the error names the unsolved R
+        # chart sweep whose finite order -3 end stalls at R = 1e2, below its
+        # certified radius; the cuts at the radii below it are one solve, and
+        # the error names the unsolved R
         stalled = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name != "enneper"]
         assert len(stalled) == 4
         for mob, end in stalled:
@@ -185,6 +196,7 @@ class TestRotationIndex:
             (p,) = [q for q in w.punctures if abs(q - end) < 1e-12]
             e = analyze_end(w, p)
             assert e.k == 3
+            assert ends.certify_rotation_index(w, p, end=e).R0 > 1e2
             with pytest.raises(NumericInstabilityError, match="stalled at residual [0-9]") as err:
                 rotation_index_numeric(w, p, R_LIST, end=e)
             assert err.value.diagnostics == {"R": [1e2], "end": repr(p)}
@@ -194,22 +206,27 @@ class TestRotationIndex:
     def test_too_few_cut_angles_are_refused(self, name, p, k, monkeypatch):
         # from one angle per turn the 4 angles of a k - 1 fold cut step by
         # 2 pi (k - 1) / 4 >= pi: too coarse to count turns, so the witness
-        # refuses at the first radius, naming it and the step, and returns
-        # no integer
+        # refuses at the first radius it solves, half the end's certified
+        # radius, naming it and the step, and returns no integer; the
+        # radii of R_LIST are certified and solve no cut
         monkeypatch.setattr(ends, "CUT_ANGLES", 1)
         w = getattr(ms, name)().data
         e = analyze_end(w, p)
         assert e.k == k
-        with pytest.raises(NumericInstabilityError, match=r"at R = 100 turns by") as err:
-            rotation_index_numeric(w, p, R_LIST, end=e)
-        assert err.value.diagnostics["R"] == 1e2
+        low = ends.certify_rotation_index(w, p, end=e).R0 / 2.0
+        assert low < 1e2
+        with pytest.raises(NumericInstabilityError, match=f"at R = {low:g} turns by") as err:
+            rotation_index_numeric(w, p, (low,) + R_LIST, end=e)
+        assert err.value.diagnostics["R"] == low
         assert err.value.diagnostics["step"] > math.pi / 4.0
+        assert rotation_index_numeric(w, p, R_LIST, end=e) == k - 1
 
     @pytest.mark.parametrize("m", [4, 8])
     def test_generalized_enneper_takes_its_angles_from_k(self, m):
         # phi = ((1 - z^2m) / 2, i (1 + z^2m) / 2, z^m) has one end, at
         # infinity, of order k = 2m + 2: its cut winds 2m + 1 times, so
-        # 64 angles would step by more than pi/4; 16 (k - 1) do not
+        # 64 angles would step by more than pi/4; 16 (k - 1) do not.  The
+        # radii of R_LIST are certified; the cuts there, solved, agree
         one = ms.ComplexPoly([1])
         w = ms.WeierstrassData([
             ms.RationalMap(ms.ComplexPoly([0.5] + [0] * (2 * m - 1) + [-0.5]), one),
@@ -220,25 +237,31 @@ class TestRotationIndex:
         e = analyze_end(w, p)
         assert e.k == 2 * m + 2
         assert rotation_index_numeric(w, p, R_LIST, end=e) == 2 * m + 1
+        assert ends.certify_rotation_index(w, p, end=e).R0 < 1e2
+        windings, steps = solved_windings(e, R_LIST)
+        assert windings == [2 * m + 1] * 3 and max(steps) < math.pi / 4.0
 
     @pytest.mark.filterwarnings("error")
     def test_chart_sweep(self, monkeypatch):
-        # every end of the conftest-rule chart sweep (UNSOLVED_CUTS) gives
-        # |k - 1|, its cuts sampled with no step above pi/4, except the six
-        # whose cut at R = 1e2 the radius solve cannot reach
+        # every end of the conftest-rule chart sweep (UNSOLVED_CUTS) has a
+        # rotation certificate of index |k - 1|, 865 of them for every radius
+        # of R_LIST; below R0 the witness solves 45 cuts, none with a step
+        # above pi/4, and gives |k - 1|, except at the six ends whose cut at
+        # R = 1e2 the radius solve cannot reach.  Solved directly, the cuts
+        # of every other end at all of R_LIST give |k - 1| too, with no step
+        # above pi/4
         from conftest import well_conditioned_mobius
 
-        largest = []
+        witnessed, solved = [], []
         real = ends._cut_turning
 
         def recorded(frame, cuts, count):
             d = real(frame, cuts, count)
-            largest.extend(np.max(np.abs(d), axis=-1))
+            witnessed.extend(np.max(np.abs(d), axis=-1))
             return d
 
-        monkeypatch.setattr(ends, "_cut_turning", recorded)
         rng = np.random.default_rng(2001)
-        charts, refused = 0, []
+        charts, certified, refused = 0, 0, []
         for entry in ms.catalog.entries(jm_range=range(1, 7)):
             for _ in range(28):
                 mob = well_conditioned_mobius(entry.data, rng)
@@ -248,16 +271,25 @@ class TestRotationIndex:
                 charts += 1
                 for p in w.punctures:
                     e = analyze_end(w, p)
+                    cert = ends.certify_rotation_index(w, p, end=e)
+                    assert cert.index == abs(e.k - 1), (entry.name, mob, p)
+                    certified += cert.R0 <= R_LIST[0]
                     try:
-                        idx = rotation_index_numeric(w, p, R_LIST, end=e)
+                        with monkeypatch.context() as m:
+                            m.setattr(ends, "_cut_turning", recorded)
+                            idx = rotation_index_numeric(w, p, R_LIST, end=e)
                     except NumericInstabilityError as err:
                         assert "radius solve stalled" in str(err), (entry.name, p)
                         assert err.diagnostics == {"R": [1e2], "end": repr(p)}
                         refused.append((entry.name, mob, p))
                         continue
                     assert idx == abs(e.k - 1), (entry.name, mob, p)
-        assert charts == 277 and len(largest) == 3 * (903 - 6)
-        assert max(largest) < math.pi / 4.0
+                    windings, steps = solved_windings(e, R_LIST)
+                    assert windings == [idx] * 3, (entry.name, mob, p)
+                    solved.extend(steps)
+        assert charts == 277 and certified == 865
+        assert len(witnessed) == 45 and max(witnessed) < math.pi / 4.0
+        assert len(solved) == 3 * (903 - 6) and max(solved) < math.pi / 4.0
         assert len(refused) == len(UNSOLVED_CUTS)
         for (name, mob, p), (want_name, want_mob, end) in zip(refused, UNSOLVED_CUTS):
             assert (name, mob) == (want_name, want_mob) and abs(p - end) < 1e-12
@@ -558,14 +590,17 @@ class TestIntegerPowerEvaluation:
         assert loc._kept_terms(0.99 * loc._cap) == 41
 
     def test_same_verdicts_as_float_powers(self, all_entries, monkeypatch):
+        # the catalog's ends are certified at R_LIST, so the cuts the
+        # verdicts of float powers are compared on are solved directly
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
                 e = analyze_end(w, p)
-                got = rotation_index_numeric(w, p, R_LIST, end=e)
+                got = solved_windings(e, R_LIST)[0]
+                assert got == [rotation_index_numeric(w, p, R_LIST, end=e)] * 3
                 with monkeypatch.context() as m:
                     m.setitem(w._laurent.immersions, p, FloatPowerImmersion(w, p))
-                    assert rotation_index_numeric(w, p, R_LIST, end=e) == got
+                    assert solved_windings(e, R_LIST)[0] == got
 
 
 THETAS = 2.0 * np.pi * np.arange(720) / 720
@@ -628,32 +663,23 @@ class TestBatchedSolve:
                     assert np.max(np.abs(rb - want_r) / want_r) <= 1e-13, (entry.name, p, R)
                     assert np.max(np.abs(fb - want_f)) <= 1e-12 * R, (entry.name, p, R)
 
-    def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries,
-                                                                   monkeypatch):
-        # rotation_index_numeric projects the cuts of all radii onto the
-        # end's frame plane by one product and one reshape (``_cut_turning``)
-        # and takes their turning in one pass; each radius's turning is
-        # bitwise the one it has alone
-        batches = []
-        real = ends._cut_turning
-
-        def recorded(frame, cuts, count):
-            d = real(frame, cuts, count)
-            batches.append((frame, cuts, count, d))
-            return d
-
-        monkeypatch.setattr(ends, "_cut_turning", recorded)
+    def test_batched_planes_and_turning_match_the_per_radius_ones(self, all_entries):
+        # the witness projects the cuts of all the radii it solves onto the
+        # end's frame plane by one product and one reshape
+        # (``_cut_turning``) and takes their turning in one pass; each
+        # radius's turning is bitwise the one it has alone.  The catalog's
+        # ends are certified at R_LIST, so their cuts are solved here directly
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
-                rotation_index_numeric(w, p, R_LIST)
-        assert len(batches) == sum(len(entry.data.punctures) for entry in all_entries)
-        for frame, cuts, count, d in batches:
-            assert count == len(R_LIST) and d.shape == (count, cuts.shape[1] // count)
-            for i, cut in enumerate(np.split(cuts, count, axis=1)):
-                alone = real(frame, cut, 1)
-                assert np.array_equal(d[i], alone[0]), i
-                assert np.sum(d, axis=1)[i] == np.sum(alone), i
+                e = analyze_end(w, p)
+                cuts = ends._witness_cuts(e, list(R_LIST))
+                d = ends._cut_turning(e.frame, cuts, len(R_LIST))
+                assert d.shape == (len(R_LIST), cuts.shape[1] // len(R_LIST))
+                for i, cut in enumerate(np.split(cuts, len(R_LIST), axis=1)):
+                    alone = ends._cut_turning(e.frame, cut, 1)
+                    assert np.array_equal(d[i], alone[0]), i
+                    assert np.sum(d, axis=1)[i] == np.sum(alone), i
 
 
 class TestPhaseTable:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from strategies import null_curve, null_curves
 
 import minsurf as ms
+from minsurf import ends
 from minsurf.ends import LocalImmersion
 from minsurf.errors import DegenerateInputError, MinsurfError, NumericInstabilityError
 from minsurf.weierstrass import form_coefficient_window, validate
@@ -92,6 +93,18 @@ class TestUnit:
     def test_unit_is_one_without_ends(self, catenoid):
         assert ms.WeierstrassData(catenoid.data.phi, punctures=()).unit == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", (2.0**-1030, 1e-310, 4.64e-322, 5e-324))
+    def test_subnormal_data_is_refused(self, s):
+        # below 2^-1024 the unit's reciprocal is past the float range, and at
+        # 5e-324 the leading coefficients underflow to 0 (the plane's
+        # components to 0 themselves): each is refused with one typed error
+        # and no warning, where the trim's scaling factor overflowed
+        for entry in CATALOG:
+            with pytest.raises(DegenerateInputError,
+                               match="no power-of-two unit|all components are zero"):
+                ms.run_analysis(scaled(entry.data, s))
+
 
 class TestPowerOfTwoScaling:
     @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
@@ -157,11 +170,46 @@ class TestPowerOfTwoScaling:
     @pytest.mark.parametrize("j", (-900, -500, 0, 500, 900))
     def test_sphere_cuts_at_any_scale(self, catenoid, j):
         # the cuts |f| = R are solved on f / R: |f|^2 underflowed at 2^-900
-        # and overflowed at 2^500 and 2^900 ("stalled at residual inf")
+        # and overflowed at 2^500 and 2^900 ("stalled at residual inf").
+        # The witness answers these radii from the certificate, so the cuts
+        # are solved here directly, and below its R0 by the witness
         s = 2.0**j
         w = scaled(catenoid.data, s)
+        radii = [s * R for R in (1e2, 1e3, 1e4)]
         for p in w.punctures:
-            assert ms.rotation_index_numeric(w, p, [s * R for R in (1e2, 1e3, 1e4)]) == 1
+            e = ms.analyze_end(w, p)
+            assert ms.rotation_index_numeric(w, p, radii, end=e) == 1
+            d = ends._cut_turning(e.frame, ends._witness_cuts(e, radii), 3)
+            assert np.array_equal(np.abs(np.round(d.sum(axis=1) / (2.0 * math.pi))), [1.0] * 3)
+            low = ends.certify_rotation_index(w, p, end=e).R0 / 2.0
+            assert ms.rotation_index_numeric(w, p, [low] + radii, end=e) == 1
+
+    @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
+    def test_rotation_certificates_scale_exactly(self, entry):
+        # every quantity of the certificate is taken over the unit: r0 and
+        # the margin are bitwise the unscaled ones, R0 is exactly 2^j times
+        # it, and the index is the same
+        w = entry.data
+        for p in w.punctures:
+            want = ends.certify_rotation_index(w, p)
+            assert want.R0 < 1e2
+            for j in EXPONENTS:
+                got = ends.certify_rotation_index(scaled(w, 2.0**j), p)
+                assert (got.index, got.r0, got.margin) == (want.index, want.r0, want.margin)
+                assert got.R0 == 2.0**j * want.R0, (entry.name, p, j)
+
+    def test_null_curve_certificates_scale_exactly(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            w = null_curve(rng).data
+            if not validate(w).ok:
+                continue
+            for p in w.punctures:
+                want = ends.certify_rotation_index(w, p)
+                for j in EXPONENTS:
+                    got = ends.certify_rotation_index(scaled(w, 2.0**j), p)
+                    assert (got.index, got.r0, got.margin) == (want.index, want.r0, want.margin)
+                    assert got.R0 == 2.0**j * want.R0
 
     @settings(max_examples=15, deadline=None)
     @given(null_curves(), st.sampled_from(EXPONENTS))

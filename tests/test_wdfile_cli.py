@@ -156,6 +156,14 @@ class TestCliVerify:
           {"num": [[0, 1]], "den": [[1, 0]]},
           {"num": [[0, 0]], "den": [[1, 0]]}],
          "minsurf: the denominator's leading coefficient has no reciprocal in the float range"),
+        # a plane whose coefficients are subnormal: the power-of-two factor
+        # the trim scales its moduli by is past the float range, and so
+        # would be the reciprocal of its unit
+        ([{"num": [[4.64e-322, 0]], "den": [[1, 0]]},
+          {"num": [[0, 4.64e-322]], "den": [[1, 0]]},
+          {"num": [[0, 0]], "den": [[1, 0]]}],
+         "minsurf: a leading Laurent coefficient of modulus 4.64422e-322 has no power-of-two "
+         "unit in the float range"),
     ])
     def test_a_magnitude_past_the_float_range_exit_one(self, tmp_path, command, components,
                                                        message):
