@@ -7,9 +7,9 @@ leading term on a punctured disc 0 < |t| <= r0 of the local coordinate:
 there |f| falls strictly along every ray, and the cut's projection onto the
 asymptotic plane stays within delta of the leading term's (k-1)-fold
 circle, so every cut |f| = R with R >= R0 winds exactly k - 1 times.  The
-margin is 1 - delta at r0.  Radii below R0 are solved numerically (|f| = R
-per direction, projected onto the asymptotic plane and its turning counted);
-here every radius is certified.
+margin is 1 - delta at r0.  The certificate is the only witness of the
+index: a radius below R0 is refused, not sampled.  Here every radius is at
+least R0.
 """
 
 import minsurf as ms

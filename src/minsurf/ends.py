@@ -11,18 +11,15 @@ for k >= 3 no such model exists.  The intersection of the end with a large
 sphere, rescaled to the unit sphere, limits on a (k-1)-fold covered great
 circle, giving rotation index |k - 1| and embeddedness exactly when k = 2.
 That circle lies in span(Re a_{-k}, Im a_{-k}), the first two rows of the
-end's frame.  The witness ``rotation_index_numeric`` proves the count for
-every radius from the end's own R0 on: the end's rotation certificate
-(``certify_rotation_index``), computed on every call from the local
-immersion's table, bounds the rest of the series against its leading term
-on a punctured disc 0 < |t| <= r0, where |f| then falls strictly along every
-ray and each cut |f| = R with R >= R0 winds k - 1 times about that plane
-(Rouche, in its dog-on-a-leash form).  Only radii below R0, or every radius
-of an end with no certificate, are sampled: it counts the turns of each cut
-projected onto the plane, sampled at ``CUT_ANGLES`` angles per turn of the
-circle, the cuts at all those radii one Newton batch on the grid of N angles
-2 pi j / N, projected and turned by one product and one reshape.
-``limit_circle_deviation`` reads the cut at its one radius on the same grid.
+end's frame.  The witness ``rotation_index_numeric`` reads only the end's
+rotation certificate (``certify_rotation_index``), computed on every call
+from the local immersion's table: it bounds the rest of the series against
+its leading term on a punctured disc 0 < |t| <= r0, where |f| then falls
+strictly along every ray and each cut |f| = R with R >= R0 winds k - 1 times
+about that plane (Rouche, in its dog-on-a-leash form).  A radius below R0,
+or any radius of an end with no certificate, is refused, not sampled.
+``limit_circle_deviation`` solves the cut at its one radius by Newton on the
+grid of N angles 2 pi j / N.
 Magnitude enters only through the datum's unit (``WeierstrassData.unit``):
 the bilinear gates, the norms a, b and every bound of the certificate are
 taken of the coefficients over it.
@@ -33,14 +30,13 @@ closed-form immersion at the end (``weierstrass._ClosedForm.end_constant``);
 this is the immersion itself to spectral accuracy, and working in t keeps
 full relative precision at radii far below the evaluation clearance, where
 z = p + t would round t away.  Coefficients are prefixes of the datum's
-Laurent table; it keeps one LocalImmersion per end.  The sphere cuts |f| = R
-(Newton on log r per angle, with the exact radial derivative) read the series
-through one polar evaluator, ``_polar_jet``, on a grid of n angles 2 pi j / n
-with one log radius per angle.  Its phases cos p theta, sin p theta come from
-one read-only table of all ``TERMS`` powers per angle count n and first power
-for the whole process, keyed by no datum (``_grid_phases``).  The local
-immersion keeps the terms above 1e-18 of the leading one, and its stacked
-coefficient matrix is built once.
+Laurent table; it keeps one LocalImmersion per end, which refuses an end
+whose series has a term past the ``TERMS`` it reads.  The sphere cut
+|f| = R (Newton on log r per angle, with the exact radial derivative) reads
+the series through one polar evaluator, ``_polar_jet``, on a grid of n
+angles 2 pi j / n with one log radius per angle; each evaluator builds its
+own phases cos p theta, sin p theta and its own coefficient matrix over the
+terms it keeps, those above 1e-18 of the leading one.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ __all__ = [
 
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
 TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
-CUT_ANGLES = 16       # angles of a rotation-index sphere cut per turn of its limit circle
+CUT_ANGLES = 16       # angles of a sphere cut per turn of its limit circle
 CERT_STEPS = 128      # radii r_top 2^(-i/4), i < CERT_STEPS, a rotation certificate tries
 FREE_TOP = 64.0       # its r_top at an end with no other pole
 
@@ -97,25 +93,6 @@ def _phases(powers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return table
 
 
-# (n, lo) -> ((2, TERMS, 1, n) phases of the powers lo .. lo + TERMS - 1 at the
-# angles 2 pi j / n, their principal angles), both read-only
-_GRID_PHASES: dict = {}
-
-
-def _grid_phases(n: int, lo: int):
-    """The phases of the TERMS powers lo .. lo + TERMS - 1 on the grid of n
-    angles 2 pi j / n, a read-only (2, TERMS, 1, n) table built once per
-    (n, lo) for the whole process and keyed by no datum, and the grid's
-    principal angles."""
-    if (n, lo) not in _GRID_PHASES:
-        thetas = 2.0 * math.pi * np.arange(n) / n
-        table = _phases(lo + np.arange(TERMS), thetas)[:, :, None]
-        principal = np.angle(np.exp(1j * thetas))
-        table.flags.writeable = principal.flags.writeable = False
-        _GRID_PHASES[n, lo] = table, principal
-    return _GRID_PHASES[n, lo]
-
-
 # the rotation certificate's grid r = top 2^(-i/4), i < CERT_STEPS: the
 # powers p = 1 .. TERMS - 1 of its series, and the rows (r / top)^p, then
 # log(top / r) (r / top)^p, for p = 1 .. TERMS
@@ -125,10 +102,10 @@ _CERT_ROWS = np.concatenate((_CERT_ROWS, 0.25 * math.log(2.0) * np.arange(CERT_S
 _CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = False
 
 
-def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
+def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray) -> np.ndarray:
     """The stacked [value; derivative] coefficients of ``_polar_jet``'s rows,
     a (2n, 2K + 3) matrix: columns for the K cos rows, the K sin rows, then
-    x, theta and 1.  The constant, the value rows' last column, is left 0."""
+    x, theta and 1, the constant in the value rows' last column."""
     n, K = anti.shape
     powers = lo + np.arange(K)
     anti = 2.0 * anti
@@ -138,45 +115,43 @@ def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray) -> np.ndarray:
         block[:, :K], block[:, K:2 * K] = c.real, -c.imag
     coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
     coef[0, :, 2 * K + 1] = -log.imag
+    coef[0, :, 2 * K + 2] = constant
     return coef.reshape(2 * n, -1)
 
 
-def _polar_jet(coef: np.ndarray, lo: int, n: int, count: int):
+def _polar_jet(coef: np.ndarray, lo: int, n: int):
     """The polar evaluator of an end's series on the grid of n angles
     theta_j = 2 pi j / n: ``jet``.
 
     The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
     with anti a (dim, K) table and log, constant (dim,) vectors, given by its
     ``_jet_coef`` matrix.  ``jet(x)`` returns f and df/dlog r at the points
-    e^x e^{i theta}, one log-radius x per angle, the n angles repeated
-    ``count`` times, as two (dim, count n) arrays.  With
-    t^p = r^p e^{i p theta}, each term is
+    e^x e^{i theta}, one log-radius x per angle, as two (dim, n) arrays.
+    With t^p = r^p e^{i p theta}, each term is
     2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r
     multiplies it by p.  The log term is 2 (Re c x - Im c theta), theta on
     the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
     [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
     coefficients give both in one real matrix product.  The phases
-    cos p theta, sin p theta are the first K rows of the grid's table
-    (``_grid_phases``); only r^p (by row products of r, shape (K, count, n),
-    broadcast against the phases) and x change between calls.
+    cos p theta, sin p theta of the K powers are taken once (``_phases``);
+    only r^p (by row products of r) and x change between calls.
     """
     dim = coef.shape[0] // 2
     K = (coef.shape[1] - 3) // 2
-    table, principal = _grid_phases(n, lo)
-    phases = table[:, :K]
-    rows = np.empty((2 * K + 3, count * n))
-    rows[2 * K + 1].reshape(count, n)[:] = principal
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    phases = _phases(lo + np.arange(K), thetas)
+    rows = np.empty((2 * K + 3, n))
+    rows[2 * K + 1] = np.angle(np.exp(1j * thetas))
     rows[2 * K + 2] = 1.0
-    scaled = rows[:2 * K].reshape(2, K, count, n)
-    powers_of_r = np.empty((K, count * n))
-    grid_powers = powers_of_r.reshape(K, count, n)
+    scaled = rows[:2 * K].reshape(2, K, n)
+    powers_of_r = np.empty((K, n))
 
     def jet(x: np.ndarray):
         r = np.exp(x)
         powers_of_r[0] = np.exp(lo * x)
         for j in range(1, K):
             np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
-        np.multiply(phases, grid_powers, out=scaled)
+        np.multiply(phases, powers_of_r, out=scaled)
         rows[2 * K] = x
         out = coef @ rows
         return out[:dim], out[dim:]
@@ -197,13 +172,13 @@ class LocalImmersion:
 
     Every evaluation is one call of the polar evaluator ``_polar_jet`` on
     the leading ``K`` terms, on a grid of angles and at one log radius per
-    angle; the stacked coefficient matrix of all ``TERMS`` terms, its
-    constant column included, is built once, and an evaluator takes the
-    columns of its K.  Tail terms whose bound max|c| max|t|^p on the
-    evaluation set is below ``TAIL_REL`` of the leading term's are dropped:
-    at sphere-cut radii most of them are.  A window with a coefficient past
-    the float range (a datum scaled near the top of it, with close
-    punctures) raises ``NumericInstabilityError``.
+    angle.  Tail terms whose bound max|c| max|t|^p on the evaluation set is
+    below ``TAIL_REL`` of the leading term's are dropped: at sphere-cut radii
+    most of them are.  A window with a coefficient past the float range (a
+    datum scaled near the top of it, with close punctures) raises
+    ``NumericInstabilityError``, and so does an end of order k > ``TERMS``
+    whose series has a nonzero term between the window's last one and t^0:
+    the series would be cut short silently.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -211,7 +186,10 @@ class LocalImmersion:
             conv = min((1.0 / abs(q) for q in w.finite_punctures if q != 0), default=math.inf)
         else:
             conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
-        mu, C = form_coefficient_window(w, p, TERMS - 1)
+        # the table reaches t^-1, past the window of TERMS terms when k > TERMS
+        k = -metric_order_at(w, p)
+        mu, C = form_coefficient_window(w, p, max(TERMS, k) - 1)
+        C, past = C[:, :TERMS], C[:, TERMS:]
         if not np.isfinite(C).all():
             # a coefficient past the float range has no size to bound its
             # term by, so it can be neither summed nor dropped as tail
@@ -220,8 +198,14 @@ class LocalImmersion:
                 f"the Laurent coefficient of t^{e} at the end leaves the float range",
                 diagnostics={"end": repr(p), "exponent": e},
             )
+        if past.any():
+            raise NumericInstabilityError(
+                f"the series at the end of order k = {k} has a nonzero term past the "
+                f"TERMS = {TERMS} its local immersion reads",
+                diagnostics={"end": repr(p), "k": k, "TERMS": TERMS},
+            )
         self.mu = int(mu)
-        exps = mu + np.arange(C.shape[1])
+        exps = mu + np.arange(TERMS)
         log_mask = exps == -1
         self.log_coeff = C[:, log_mask].sum(axis=1)
         # antiderivative coefficients of t^lo .. t^(lo+TERMS-1); t^0 (the log) is zero
@@ -234,11 +218,9 @@ class LocalImmersion:
             log_mag = np.log(np.max(np.abs(anti), axis=0))
         lead = int(np.argmax(np.isfinite(log_mag)))
         self._log_rel_mag = log_mag - log_mag[lead]
-        self._rel_power = np.arange(anti.shape[1]) - lead
+        self._rel_power = np.arange(TERMS) - lead
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
-        self._coef = _jet_coef(anti, self._lo, self.log_coeff)
         self.constant = w._closed_form.end_constant(w, p)
-        self._coef[:w.n, -1] = self.constant
 
     def _kept_terms(self, r_max: float) -> int:
         """Terms kept for |t| <= r_max: through the last whose bound is at
@@ -247,19 +229,13 @@ class LocalImmersion:
         above = self._log_rel_mag + self._rel_power * log_r >= math.log(TAIL_REL)
         return above.size - int(np.argmax(above[::-1]))
 
-    def _columns(self, K: int) -> np.ndarray:
-        """The coefficient matrix of the leading K terms: their columns of
-        the one built over all TERMS."""
-        T = self._anti.shape[1]
-        c = self._coef
-        return np.concatenate((c[:, :K], c[:, T:T + K], c[:, 2 * T:]), axis=1)
-
-    def radial_jet(self, n: int, count: int, r_max: float):
+    def radial_jet(self, n: int, r_max: float):
         """The immersion's evaluator: ``(jet, K)``, ``jet`` the polar
-        evaluator of the ``K`` terms kept for |t| <= r_max, at ``count``
-        repeats of the grid of n angles 2 pi j / n."""
+        evaluator of the ``K`` terms kept for |t| <= r_max on the grid of n
+        angles 2 pi j / n."""
         K = self._kept_terms(r_max)
-        return _polar_jet(self._columns(K), self._lo, n, count), K
+        coef = _jet_coef(self._anti[:, :K], self._lo, self.log_coeff, self.constant)
+        return _polar_jet(coef, self._lo, n), K
 
 
 @dataclass(slots=True)
@@ -398,44 +374,37 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     )
 
 
-def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, n: int, radii):
+def _solve_sphere_cut(loc: LocalImmersion, e: EndAnalysis, n: int, R: float):
     """Solve |f(r e^{i theta})| = R for r on the grid of n angles
-    theta_j = 2 pi j / n, at every R in ``radii``; returns (r, f(r e^{i theta})),
-    the cuts laid side by side in the order of ``radii``, of shape (count n,)
-    and (dim, count n).
+    theta_j = 2 pi j / n; returns (r, f(r e^{i theta})), of shape (n,) and
+    (dim, n).
 
-    The cuts at all radii are one batch, their phases read from one table per
-    n for the whole process (``_grid_phases``).  Newton on x = log r,
-    vectorized over all angles, with the exact slope
+    Newton on x = log r, vectorized over all angles, with the exact slope
     g' = <u, df/dx> / (R |u|^2) of g = log|u| = log(u.u) / 2, u = f / R,
     from the local immersion's polar evaluator; u.u is one einsum, which the
     slope reuses, and f is divided by R before it is squared, so no scale of
-    the surface under- or overflows it.  It starts, per radius, from the
-    asymptotic radius (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and
-    stops at max|g| < 1e-13; where g' is not finite and negative the step
-    takes the asymptotic slope -(k-1).  An iterate that runs off to a
-    non-finite cut ends the solve, which then raises
-    ``NumericInstabilityError`` like one that stalls, naming every R with an
-    angle left unsolved; the non-finite values are caught there, so numpy
+    the surface under- or overflows it.  It starts from the asymptotic radius
+    (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and stops at
+    max|g| < 1e-13; where g' is not finite and negative the step takes the
+    asymptotic slope -(k-1).  An iterate that runs off to a non-finite cut
+    ends the solve, which then raises ``NumericInstabilityError`` like one
+    that stalls, naming R; the non-finite values are caught there, so numpy
     warns of none of them.
-    The evaluator keeps the terms needed at twice the largest starting
-    radius; should a solved radius need more, it takes them and the solve
-    goes on.  The immersion values are those of the converged step, so
-    callers need not evaluate them again.
+    The evaluator keeps the terms needed at twice the starting radius;
+    should the solved radius need more, it takes them and the solve goes on.
+    The immersion values are those of the converged step, so callers need
+    not evaluate them again.
     """
     k, a = e.k, e.a
-    R = np.array(radii, dtype=float)
-    count = R.size
-    per_radius = R[:, None]
     r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
     cap = loc._cap * 0.9
     x_cap = math.log(cap)
-    x = np.repeat(np.log(np.minimum(r0, cap)), n)
-    jet, K = loc.radial_jet(n, count, min(2.0 * float(np.max(r0)), cap))
+    x = np.full(n, math.log(min(r0, cap)))
+    jet, K = loc.radial_jet(n, min(2.0 * r0, cap))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(80):
             f, df = jet(x)
-            u = (f.reshape(-1, count, n) / per_radius).reshape(f.shape)
+            u = f / R
             sq = np.einsum("ij,ij->j", u, u)
             g = 0.5 * np.log(sq)
             resid = float(np.abs(g).max())
@@ -443,32 +412,19 @@ def _solve_sphere_radii(loc: LocalImmersion, e: EndAnalysis, n: int, radii):
                 r_top = math.exp(float(np.max(x)))
                 if loc._kept_terms(r_top) <= K:
                     return np.exp(x), f
-                jet, K = loc.radial_jet(n, count, r_top)
+                jet, K = loc.radial_jet(n, r_top)
                 continue
             if not math.isfinite(resid):
                 break
-            slope = np.einsum("ij,ij->j", u, df) / (sq.reshape(count, n) * per_radius).ravel()
+            slope = np.einsum("ij,ij->j", u, df) / (sq * R)
             newton = np.isfinite(slope) & (slope < 0.0)
             x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
     if not resid <= 1e-9:
-        left = ~(np.abs(g) <= 1e-9).reshape(count, n).all(axis=1)
         raise NumericInstabilityError(
             f"sphere-cut radius solve stalled at residual {resid:.3e}",
-            diagnostics={"R": sorted({float(v) for v in R[left]}), "end": repr(e.puncture)},
+            diagnostics={"R": R, "end": repr(e.puncture)},
         )
     return np.exp(x), jet(x)[0]
-
-
-def _cut_turning(frame: np.ndarray, cuts: np.ndarray, count: int) -> np.ndarray:
-    """The turning steps of ``count`` closed sphere cuts laid side by side in
-    ``cuts`` (n, count N), projected onto span(frame[0], frame[1]) by one
-    product and one reshape: a (count, N) array of the steps of the projected
-    angle between consecutive points, each in [-pi, pi), each row the steps
-    its cut has alone."""
-    x, y = (frame[:2] @ cuts).reshape(2, count, -1)
-    ang = np.arctan2(y, x)
-    d = np.diff(ang, append=ang[:, :1])
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _radii(R_list) -> list:
@@ -488,15 +444,6 @@ def _end_of(w: WeierstrassData, p, end: EndAnalysis | None) -> EndAnalysis:
     if end._w is not w or end.puncture != p:
         raise ValueError(f"end {end.puncture!r} of {end._w!r} is not the end {p!r} of {w!r}")
     return end
-
-
-def _witness_cuts(e: EndAnalysis, radii: list) -> np.ndarray:
-    """The end's sphere cuts at every radius, solved in one batch on the grid
-    of N = CUT_ANGLES max(k - 1, 4) angles (``CUT_ANGLES`` angles per turn of
-    the limit circle, at least four turns' worth), laid side by side as one
-    (dim, count N) array."""
-    n = CUT_ANGLES * max(e.k - 1, 4)
-    return _solve_sphere_radii(e._local, e, n, radii)[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -666,46 +613,31 @@ def certify_rotation_index(w: WeierstrassData, p,
 
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
-    """Winding number of the sphere cut of the end.
+    """Winding number of the sphere cut of the end, read from its rotation
+    certificate (``certify_rotation_index``).
 
-    Every radius R >= R0 of the end's rotation certificate
-    (``certify_rotation_index``) is answered by it: the cut there winds
-    k - 1 times, proved on the punctured disc 0 < |t| <= r0 of the local
-    coordinate, and no cut is solved.  The cuts {|f| = R} at the radii below
-    R0, or at every radius when the end has no certificate, are solved in
-    one batch (``_witness_cuts``), each projected onto span(e1, e2) =
-    span(Re a_lead, Im a_lead), the plane of its limit circle, and the
-    turning of all of them is counted in one pass.  The steps of a closed
-    sampled curve sum to a multiple of 2 pi up to rounding; a cut with a
-    step above pi/4 is too coarse for that count to be trusted and raises
-    ``NumericInstabilityError``.  The value must agree across all R,
-    certified or solved; the analytic prediction is |k - 1|.  ``end``, when
-    given, must be the analysis of the end p of w (``ValueError``
+    The cut {|f| = R} at every radius R >= R0 winds k - 1 times about
+    span(e1, e2) = span(Re a_lead, Im a_lead), the plane of its limit circle,
+    proved on the punctured disc 0 < |t| <= r0 of the local coordinate; no
+    cut is solved.  A radius below R0, or any radius of an end with no
+    certificate, raises ``NumericInstabilityError`` whose diagnostics name
+    those radii, R0 (None without a certificate) and the end.  ``end``,
+    when given, must be the analysis of the end p of w (``ValueError``
     otherwise).
     """
-    radii = sorted(_radii(R_list))
+    radii = _radii(R_list)
     e = _end_of(w, p, end)
     cert = certify_rotation_index(w, p, e)
-    solve = radii if cert is None else [R for R in radii if R < cert.R0]
-    if not solve:
-        return cert.index
-    d = _cut_turning(e.frame, _witness_cuts(e, solve), len(solve))
-    windings = {}
-    for R, step, turns in zip(solve, np.abs(d).max(axis=1), d.sum(axis=1) / (2.0 * math.pi)):
-        if step > math.pi / 4.0:
-            raise NumericInstabilityError(
-                f"sphere cut at R = {R:g} turns by {step:.3f} rad between angles, above pi/4",
-                diagnostics={"R": R, "step": float(step)},
-            )
-        windings[R] = abs(int(round(turns)))
-    windings.update((R, cert.index) for R in radii[len(solve):])
-    values = set(windings.values())
-    if len(values) != 1:
+    below = sorted(R for R in radii if cert is None or R < cert.R0)
+    if below:
+        reason = ("the end has no rotation certificate" if cert is None
+                  else f"below the end's certified radius R0 = {cert.R0:g}")
         raise NumericInstabilityError(
-            "winding number differs across radii",
-            diagnostics=windings,
+            f"rotation index at R = {', '.join(f'{R:g}' for R in below)}: {reason}",
+            diagnostics={"R": below, "R0": None if cert is None else cert.R0,
+                         "end": repr(e.puncture)},
         )
-    return values.pop()
+    return cert.index
 
 
 def limit_circle_deviation(w: WeierstrassData, p, R: float,
@@ -715,14 +647,15 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     In the frame aligned with the leading coefficient the cut converges to
     the (k-1)-fold covered unit circle; the model curve below carries the
     phase that the integrated leading term actually produces.  The cut is
-    solved as ``rotation_index_numeric`` solves its cuts, on the same grid of
-    angles.  ``end``, when given, must be the analysis of the end p of w
+    solved on the grid of N = CUT_ANGLES max(k - 1, 4) angles
+    (``CUT_ANGLES`` per turn of the limit circle, at least four turns'
+    worth).  ``end``, when given, must be the analysis of the end p of w
     (``ValueError`` otherwise).
     """
     (R,) = _radii((R,))
     e = _end_of(w, p, end)
-    cut = _witness_cuts(e, [R])
-    n = cut.shape[1]
+    n = CUT_ANGLES * max(e.k - 1, 4)
+    cut = _solve_sphere_cut(e._local, e, n, R)[1]
     alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))

@@ -318,7 +318,9 @@ def roots(p: ComplexPoly):
     none is within the tolerance, the smallest backward error wins.
     Multiplicities sum to the degree; roots are sorted by real, then
     imaginary part.  A non-finite coefficient is refused: the trim would
-    read its neighbours as noise.
+    read its neighbours as noise.  So is a monic coefficient past the float
+    range (a coefficient near the top of it over a small leading one): the
+    companion matrix would not be finite.
     """
     p = _as_poly(p)
     if not np.isfinite(p.coeffs).all():
@@ -327,7 +329,12 @@ def roots(p: ComplexPoly):
     p = p.trimmed()
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
-    a = p.coeffs[:-1] / p.coeffs[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = p.coeffs[:-1] / p.coeffs[-1]
+    if not np.isfinite(a).all():
+        k = int(np.argmin(np.isfinite(a)))
+        raise DegenerateInputError(
+            f"roots undefined: the coefficient of z^{k} over the leading one is not finite")
     raw = np.roots(p.coeffs[::-1])
     fits = []
     for parts in _linkage_levels(raw):

@@ -1,10 +1,12 @@
 """The README and the demos name the program as it is: every quoted
 `NAME = value` is a minsurf module constant with that value, every quoted
 `*_TOL` name exists, every quoted call of an underscored name is a name of a
-minsurf module, and every `ms.<name>` of a demo is a name of minsurf."""
+minsurf module, every quoted private name is an attribute of a minsurf module
+or of a class in one, and every `ms.<name>` of a demo is a name of minsurf."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -65,6 +67,21 @@ def test_quoted_calls_name_the_program():
     assert calls
     modules = [minsurf, *_modules()]
     assert sorted(n for n in calls if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_quoted_private_names_name_the_program():
+    # a bare or dotted name whose last part has one leading underscore, such
+    # as `_round_fluxes` or `weierstrass._ClosedForm`, names a private part
+    # of the program, which the README must not go on naming once it is gone
+    private = {name.rsplit(".", 1)[-1]
+               for span in _code_spans(README.read_text(encoding="utf-8"))
+               for name in re.findall(r"[A-Za-z_][\w.]*", span)
+               if re.match(r"_[A-Za-z]", name.rsplit(".", 1)[-1])}
+    assert private
+    owners = _modules()
+    owners += [cls for module in owners for cls in vars(module).values()
+               if inspect.isclass(cls) and cls.__module__.startswith("minsurf")]
+    assert sorted(n for n in private if not any(hasattr(o, n) for o in owners)) == []
 
 
 def test_demo_names_exist():

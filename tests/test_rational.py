@@ -283,6 +283,17 @@ class TestRoots:
         with pytest.raises(DegenerateInputError, match=r"coefficient of z\^0 is not finite"):
             roots(ComplexPoly([c, 1]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_monic_coefficient_past_the_float_range_is_refused(self):
+        # (z^2 - 1)^2 times 2^-1024, a branch-point polynomial of a datum with
+        # a denominator coefficient at the top of the float range: numpy
+        # divides by the reciprocal of the subnormal lead, which overflows,
+        # so the monic coefficients are not finite, a typed refusal with no
+        # warning (np.roots raised LinAlgError)
+        lead = 2.0**-1024
+        with pytest.raises(DegenerateInputError, match=r"z\^0 over the leading one is not finite"):
+            roots(ComplexPoly([lead, 0.0, -2.0 * lead, 0.0, lead]))
+
     @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, -np.inf)])
     def test_a_point_that_is_not_finite_is_no_root(self, z):
         # its residual is not finite, which fails the root test, with no

@@ -171,18 +171,21 @@ class TestPowerOfTwoScaling:
     def test_sphere_cuts_at_any_scale(self, catenoid, j):
         # the cuts |f| = R are solved on f / R: |f|^2 underflowed at 2^-900
         # and overflowed at 2^500 and 2^900 ("stalled at residual inf").
-        # The witness answers these radii from the certificate, so the cuts
-        # are solved here directly, and below its R0 by the witness
+        # The deviation at 2^j R is bitwise the unscaled one at R; the
+        # witness answers 2^j R and refuses half of 2^j R0, naming it
         s = 2.0**j
         w = scaled(catenoid.data, s)
         radii = [s * R for R in (1e2, 1e3, 1e4)]
         for p in w.punctures:
             e = ms.analyze_end(w, p)
+            want = [ms.limit_circle_deviation(catenoid.data, p, R) for R in (1e2, 1e3, 1e4)]
+            assert [ms.limit_circle_deviation(w, p, R, end=e) for R in radii] == want
             assert ms.rotation_index_numeric(w, p, radii, end=e) == 1
-            d = ends._cut_turning(e.frame, ends._witness_cuts(e, radii), 3)
-            assert np.array_equal(np.abs(np.round(d.sum(axis=1) / (2.0 * math.pi))), [1.0] * 3)
-            low = ends.certify_rotation_index(w, p, end=e).R0 / 2.0
-            assert ms.rotation_index_numeric(w, p, [low] + radii, end=e) == 1
+            R0 = ends.certify_rotation_index(w, p, end=e).R0
+            assert R0 == s * ends.certify_rotation_index(catenoid.data, p).R0
+            with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
+                ms.rotation_index_numeric(w, p, [R0 / 2.0] + radii, end=e)
+            assert err.value.diagnostics["R"] == [R0 / 2.0]
 
     @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
     def test_rotation_certificates_scale_exactly(self, entry):

@@ -174,6 +174,22 @@ class TestCliVerify:
         assert out.returncode == 1
         assert out.stderr.splitlines() == [message]
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_a_monic_coefficient_past_the_float_range_exit_one(self, tmp_path, command):
+        # JM m = 1 with the leading coefficient of its third denominator at
+        # the top of the float range: a polynomial of its branch-point test
+        # then has a coefficient past the float range over its leading one,
+        # which numpy's companion matrix refused with LinAlgError
+        doc = json.loads(wdfile.dumps(wdfile.document_from_data(
+            ms.generalized_jorge_meeks(1).data)))
+        doc["components"][2]["den"][4][0] = 1.7976931348623157e308
+        path = tmp_path / "monic.wd"
+        path.write_text(json.dumps(doc))
+        out = run_cli(command, path, flags=("-W", "error"))
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            "minsurf: roots undefined: the coefficient of z^0 over the leading one is not finite"]
+
     def test_malformed_file_exit_two(self, tmp_path):
         path = tmp_path / "broken.wd"
         path.write_text("{ not json")

@@ -6,8 +6,8 @@ fails here on any machine.  The workload is that of the
 benchmark's ``analyze-catalog``: catenoid, plane, Enneper, the holomorphic
 counterexample and Jorge-Meeks m = 1..6, each analysed once, with the
 numeric rotation index of every end at R = 1e2, 1e3, 1e4 and the limit-circle
-deviation at R = 1e3.  Every catalog end's rotation certificate covers those
-radii, so the witness solves no sphere cut there.
+deviation at R = 1e3.  The witness reads only the rotation certificate,
+which covers those radii on every catalog end, so it solves no sphere cut.
 """
 
 from collections import Counter
@@ -31,12 +31,11 @@ R_LIST = (1e2, 1e3, 1e4)
 # last values, and 657 before Newton on the exact radial derivative; now each
 # evaluation is one call of a polar evaluator (``radial_jet``).  With one
 # solve per radius they took 369 evaluations of 132 evaluators; now the
-# radii of an end are one solve, and refinement solves only new angles.
-# An evaluator reads its phases from a process-wide table per angle count
-# and first power.  The witness took 101 of the 198 evaluations and 33 of the
-# 66 evaluators until every catalog end's rotation certificate covered
-# R = 1e2, 1e3 and 1e4: it now solves no cut there, and the deviation's one
-# solve per end takes the rest.
+# radii of an end were one solve, and refinement solves only new angles.
+# The witness took 101 of the 198 evaluations and 33 of the 66 evaluators
+# until every catalog end's rotation certificate covered R = 1e2, 1e3 and
+# 1e4; it now reads only the certificate and solves no cut, and the
+# deviation's one solve per end takes the rest.
 MAX_ROUND_CALLS = 10
 MAX_TC_EVALUATIONS = 120
 MAX_SPHERE_CUT_EVALUATIONS = 97
@@ -71,9 +70,9 @@ def test_catalog_work_counts(monkeypatch):
     monkeypatch.setattr(curvature, "total_curvature_numeric", tc_counted)
     real_jet = ends.LocalImmersion.radial_jet
 
-    def jet_counted(self, n, count, r_max):
+    def jet_counted(self, n, r_max):
         counts["radial_jets"] += 1
-        jet, K = real_jet(self, n, count, r_max)
+        jet, K = real_jet(self, n, r_max)
 
         def evaluate(x):
             counts["sphere_cut"] += 1
@@ -82,15 +81,6 @@ def test_catalog_work_counts(monkeypatch):
         return evaluate, K
 
     monkeypatch.setattr(ends.LocalImmersion, "radial_jet", jet_counted)
-    built = []
-    real_phases = ends._phases
-
-    def phases_counted(powers, thetas):
-        built.append((thetas.size, int(powers[0]), powers.size))
-        return real_phases(powers, thetas)
-
-    monkeypatch.setattr(ends, "_phases", phases_counted)
-    monkeypatch.setattr(ends, "_GRID_PHASES", {})
     witnessed = witness_jets = 0
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
@@ -102,14 +92,6 @@ def test_catalog_work_counts(monkeypatch):
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
             witness_jets += counts["radial_jets"] - before
             ends.limit_circle_deviation(w, e.puncture, 1e3, end=e)
-    # the phases come from one table of all TERMS powers per angle count n and
-    # first power lo, built once and read only: every catalog end's witness
-    # and deviation have n = 64, and the ends of orders -2, -3 and -4 have
-    # lo = -1, -2 and -3
-    assert set(ends._GRID_PHASES) == {(64, lo) for lo in (-1, -2, -3)}
-    assert sorted(built) == sorted((n, lo, ends.TERMS) for n, lo in ends._GRID_PHASES)
-    for table, principal in ends._GRID_PHASES.values():
-        assert not table.flags.writeable and not principal.flags.writeable
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
     assert counts["sphere_cut"] <= MAX_SPHERE_CUT_EVALUATIONS, counts
