@@ -35,7 +35,9 @@ for entry in ms.catalog.entries(jm_range=(2,)):
 
 print("Each embedded end is witnessed geometrically: its sphere cut, rescaled")
 print("to the unit sphere, tends to a great circle covered once, so its")
-print("deviation from that circle falls as R grows.")
+print("deviation from that circle falls as R grows.  The cut is bisected on")
+print("each ray inside the disc of the end's rotation certificate, where it")
+print("has one root; a radius below the certified R0 is refused.")
 print()
 R_LIST = (1e2, 1e3, 1e4)
 cat = ms.catenoid().data

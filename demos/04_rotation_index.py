@@ -8,8 +8,10 @@ there |f| falls strictly along every ray, and the cut's projection onto the
 asymptotic plane stays within delta of the leading term's (k-1)-fold
 circle, so every cut |f| = R with R >= R0 winds exactly k - 1 times.  The
 margin is 1 - delta at r0.  The certificate is the only witness of the
-index: a radius below R0 is refused, not sampled.  Here every radius is at
-least R0.
+index, and the limit-circle deviation keeps its regime: a radius below R0
+is refused by both, not sampled.  The deviation bisects its cut |f| = R in
+log r on each ray inside (0, r0], where the cut has exactly one root.  Here
+every radius is at least R0.
 """
 
 import minsurf as ms

@@ -16,10 +16,11 @@ rotation certificate (``certify_rotation_index``), computed on every call
 from the local immersion's table: it bounds the rest of the series against
 its leading term on a punctured disc 0 < |t| <= r0, where |f| then falls
 strictly along every ray and each cut |f| = R with R >= R0 winds k - 1 times
-about that plane (Rouche, in its dog-on-a-leash form).  A radius below R0,
-or any radius of an end with no certificate, is refused, not sampled.
-``limit_circle_deviation`` solves the cut at its one radius by Newton on the
-grid of N angles 2 pi j / N.
+about that plane (Rouche, in its dog-on-a-leash form).  Both witnesses,
+the index and ``limit_circle_deviation``, keep that one regime: a radius
+below R0, or any radius of an end with no certificate, is refused.  The
+deviation bisects its one cut in log r on each ray of a grid of N angles
+2 pi j / N inside the certificate's disc, where that cut has one root.
 Magnitude enters only through the datum's unit (``WeierstrassData.unit``):
 the bilinear gates, the norms a, b and every bound of the certificate are
 taken of the coefficients over it.
@@ -31,12 +32,9 @@ this is the immersion itself to spectral accuracy, and working in t keeps
 full relative precision at radii far below the evaluation clearance, where
 z = p + t would round t away.  Coefficients are prefixes of the datum's
 Laurent table; it keeps one LocalImmersion per end, which refuses an end
-whose series has a term past the ``TERMS`` it reads.  The sphere cut
-|f| = R (Newton on log r per angle, with the exact radial derivative) reads
-the series through one polar evaluator, ``_polar_jet``, on a grid of n
-angles 2 pi j / n with one log radius per angle; each evaluator builds its
-own phases cos p theta, sin p theta and its own coefficient matrix over the
-terms it keeps, those above 1e-18 of the leading one.
+whose series has a term past the ``TERMS`` it reads.  The series is
+evaluated by one method, ``LocalImmersion.polar``, over all its terms at
+one log radius per angle.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ __all__ = [
 ]
 
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
-TAIL_REL = 1e-18      # local-immersion terms bounded below TAIL_REL * leading are cut
 CUT_ANGLES = 16       # angles of a sphere cut per turn of its limit circle
 CERT_STEPS = 128      # radii r_top 2^(-i/4), i < CERT_STEPS, a rotation certificate tries
 FREE_TOP = 64.0       # its r_top at an end with no other pole
@@ -83,16 +80,6 @@ class EndType(str, Enum):
     HIGHER_ORDER = "higher-order"
 
 
-def _phases(powers: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """cos p theta and sin p theta of every power p and angle theta: one cos
-    and one sin of the (power x angle) outer product, a (2, K, N) array."""
-    angles = np.multiply.outer(powers, thetas)
-    table = np.empty((2,) + angles.shape)
-    np.cos(angles, out=table[0])
-    np.sin(angles, out=table[1])
-    return table
-
-
 # the rotation certificate's grid r = top 2^(-i/4), i < CERT_STEPS: the
 # powers p = 1 .. TERMS - 1 of its series, and the rows (r / top)^p, then
 # log(top / r) (r / top)^p, for p = 1 .. TERMS
@@ -100,63 +87,6 @@ _CERT_P = np.arange(1, TERMS)
 _CERT_ROWS = 2.0 ** (-0.25 * np.multiply.outer(np.arange(1, TERMS + 1), np.arange(CERT_STEPS)))
 _CERT_ROWS = np.concatenate((_CERT_ROWS, 0.25 * math.log(2.0) * np.arange(CERT_STEPS) * _CERT_ROWS))
 _CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = False
-
-
-def _jet_coef(anti: np.ndarray, lo: int, log: np.ndarray, constant: np.ndarray) -> np.ndarray:
-    """The stacked [value; derivative] coefficients of ``_polar_jet``'s rows,
-    a (2n, 2K + 3) matrix: columns for the K cos rows, the K sin rows, then
-    x, theta and 1, the constant in the value rows' last column."""
-    n, K = anti.shape
-    powers = lo + np.arange(K)
-    anti = 2.0 * anti
-    log = 2.0 * log
-    coef = np.zeros((2, n, 2 * K + 3))
-    for block, c in zip(coef, (anti, anti * powers)):
-        block[:, :K], block[:, K:2 * K] = c.real, -c.imag
-    coef[0, :, 2 * K] = coef[1, :, 2 * K + 2] = log.real
-    coef[0, :, 2 * K + 1] = -log.imag
-    coef[0, :, 2 * K + 2] = constant
-    return coef.reshape(2 * n, -1)
-
-
-def _polar_jet(coef: np.ndarray, lo: int, n: int):
-    """The polar evaluator of an end's series on the grid of n angles
-    theta_j = 2 pi j / n: ``jet``.
-
-    The series is f(t) = 2 Re(sum_p anti_p t^(lo+p) + log log t) + constant,
-    with anti a (dim, K) table and log, constant (dim,) vectors, given by its
-    ``_jet_coef`` matrix.  ``jet(x)`` returns f and df/dlog r at the points
-    e^x e^{i theta}, one log-radius x per angle, as two (dim, n) arrays.
-    With t^p = r^p e^{i p theta}, each term is
-    2 Re(c t^p) = r^p (2 Re c cos p theta - 2 Im c sin p theta), and d/dlog r
-    multiplies it by p.  The log term is 2 (Re c x - Im c theta), theta on
-    the principal branch (-pi, pi], with derivative 2 Re c.  So the rows
-    [r^p cos p theta; r^p sin p theta; x; theta; 1] against the stacked
-    coefficients give both in one real matrix product.  The phases
-    cos p theta, sin p theta of the K powers are taken once (``_phases``);
-    only r^p (by row products of r) and x change between calls.
-    """
-    dim = coef.shape[0] // 2
-    K = (coef.shape[1] - 3) // 2
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    phases = _phases(lo + np.arange(K), thetas)
-    rows = np.empty((2 * K + 3, n))
-    rows[2 * K + 1] = np.angle(np.exp(1j * thetas))
-    rows[2 * K + 2] = 1.0
-    scaled = rows[:2 * K].reshape(2, K, n)
-    powers_of_r = np.empty((K, n))
-
-    def jet(x: np.ndarray):
-        r = np.exp(x)
-        powers_of_r[0] = np.exp(lo * x)
-        for j in range(1, K):
-            np.multiply(powers_of_r[j - 1], r, out=powers_of_r[j])
-        np.multiply(phases, powers_of_r, out=scaled)
-        rows[2 * K] = x
-        out = coef @ rows
-        return out[:dim], out[dim:]
-
-    return jet
 
 
 class LocalImmersion:
@@ -170,11 +100,8 @@ class LocalImmersion:
     half the distance to the next singularity; only Re(log) enters, so the
     log branch is immaterial (the residue vector is real).
 
-    Every evaluation is one call of the polar evaluator ``_polar_jet`` on
-    the leading ``K`` terms, on a grid of angles and at one log radius per
-    angle.  Tail terms whose bound max|c| max|t|^p on the evaluation set is
-    below ``TAIL_REL`` of the leading term's are dropped: at sphere-cut radii
-    most of them are.  A window with a coefficient past the float range (a
+    Its one evaluation, ``polar``, sums all ``TERMS`` terms at the points
+    t = e^x e^{i theta}.  A window with a coefficient past the float range (a
     datum scaled near the top of it, with close punctures) raises
     ``NumericInstabilityError``, and so does an end of order k > ``TERMS``
     whose series has a nonzero term between the window's last one and t^0:
@@ -192,7 +119,7 @@ class LocalImmersion:
         C, past = C[:, :TERMS], C[:, TERMS:]
         if not np.isfinite(C).all():
             # a coefficient past the float range has no size to bound its
-            # term by, so it can be neither summed nor dropped as tail
+            # term by, so it can be neither summed nor certified
             e = int(mu) + int(np.argmin(np.isfinite(C).all(axis=0)))
             raise NumericInstabilityError(
                 f"the Laurent coefficient of t^{e} at the end leaves the float range",
@@ -213,29 +140,18 @@ class LocalImmersion:
         anti = np.zeros_like(C)
         anti[:, ~log_mask] = C[:, ~log_mask] / (exps[~log_mask] + 1)
         self._anti = anti
-        # log max|c_p| over the leading (first nonzero) term's, and p - p_lead
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(np.max(np.abs(anti), axis=0))
-        lead = int(np.argmax(np.isfinite(log_mag)))
-        self._log_rel_mag = log_mag - log_mag[lead]
-        self._rel_power = np.arange(TERMS) - lead
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         self.constant = w._closed_form.end_constant(w, p)
 
-    def _kept_terms(self, r_max: float) -> int:
-        """Terms kept for |t| <= r_max: through the last whose bound is at
-        least TAIL_REL of the leading term's (log of the ratio below)."""
-        log_r = math.log(r_max) if r_max > 0.0 else -math.inf
-        above = self._log_rel_mag + self._rel_power * log_r >= math.log(TAIL_REL)
-        return above.size - int(np.argmax(above[::-1]))
-
-    def radial_jet(self, n: int, r_max: float):
-        """The immersion's evaluator: ``(jet, K)``, ``jet`` the polar
-        evaluator of the ``K`` terms kept for |t| <= r_max on the grid of n
-        angles 2 pi j / n."""
-        K = self._kept_terms(r_max)
-        coef = _jet_coef(self._anti[:, :K], self._lo, self.log_coeff, self.constant)
-        return _polar_jet(coef, self._lo, n), K
+    def polar(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """The immersion at t = e^x e^{i theta}, one log radius x per angle:
+        2 Re(anti . exp(powers (x) log t) + log_coeff log t) + C, log t =
+        x + i theta with theta taken to the principal branch (-pi, pi]; a
+        (dim, n) array."""
+        log_t = x + 1j * np.angle(np.exp(1j * thetas))
+        series = self._anti @ np.exp(np.multiply.outer(self._lo + np.arange(TERMS), log_t))
+        series += np.multiply.outer(self.log_coeff, log_t)
+        return 2.0 * series.real + self.constant[:, None]
 
 
 @dataclass(slots=True)
@@ -372,59 +288,6 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         classification=classification,
         _w=w,
     )
-
-
-def _solve_sphere_cut(loc: LocalImmersion, e: EndAnalysis, n: int, R: float):
-    """Solve |f(r e^{i theta})| = R for r on the grid of n angles
-    theta_j = 2 pi j / n; returns (r, f(r e^{i theta})), of shape (n,) and
-    (dim, n).
-
-    Newton on x = log r, vectorized over all angles, with the exact slope
-    g' = <u, df/dx> / (R |u|^2) of g = log|u| = log(u.u) / 2, u = f / R,
-    from the local immersion's polar evaluator; u.u is one einsum, which the
-    slope reuses, and f is divided by R before it is squared, so no scale of
-    the surface under- or overflows it.  It starts from the asymptotic radius
-    (|f| grows like 2a/((k-1) r^{k-1}) toward the end) and stops at
-    max|g| < 1e-13; where g' is not finite and negative the step takes the
-    asymptotic slope -(k-1).  An iterate that runs off to a non-finite cut
-    ends the solve, which then raises ``NumericInstabilityError`` like one
-    that stalls, naming R; the non-finite values are caught there, so numpy
-    warns of none of them.
-    The evaluator keeps the terms needed at twice the starting radius;
-    should the solved radius need more, it takes them and the solve goes on.
-    The immersion values are those of the converged step, so callers need
-    not evaluate them again.
-    """
-    k, a = e.k, e.a
-    r0 = (2.0 * a / ((k - 1) * R)) ** (1.0 / (k - 1))
-    cap = loc._cap * 0.9
-    x_cap = math.log(cap)
-    x = np.full(n, math.log(min(r0, cap)))
-    jet, K = loc.radial_jet(n, min(2.0 * r0, cap))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(80):
-            f, df = jet(x)
-            u = f / R
-            sq = np.einsum("ij,ij->j", u, u)
-            g = 0.5 * np.log(sq)
-            resid = float(np.abs(g).max())
-            if resid < 1e-13:
-                r_top = math.exp(float(np.max(x)))
-                if loc._kept_terms(r_top) <= K:
-                    return np.exp(x), f
-                jet, K = loc.radial_jet(n, r_top)
-                continue
-            if not math.isfinite(resid):
-                break
-            slope = np.einsum("ij,ij->j", u, df) / (sq * R)
-            newton = np.isfinite(slope) & (slope < 0.0)
-            x = np.minimum(x - g / np.where(newton, slope, 1.0 - k), x_cap)
-    if not resid <= 1e-9:
-        raise NumericInstabilityError(
-            f"sphere-cut radius solve stalled at residual {resid:.3e}",
-            diagnostics={"R": R, "end": repr(e.puncture)},
-        )
-    return np.exp(x), jet(x)[0]
 
 
 def _radii(R_list) -> list:
@@ -611,6 +474,26 @@ def certify_rotation_index(w: WeierstrassData, p,
                                margin=float(1.0 - delta[i]))
 
 
+def _certified(w: WeierstrassData, p, radii: list,
+               end: EndAnalysis | None) -> tuple[EndAnalysis, RotationCertificate]:
+    """The end's analysis and rotation certificate, when every radius is at
+    least its R0; otherwise ``NumericInstabilityError`` whose diagnostics
+    name the radii below R0, R0 (None for an end with no certificate) and
+    the end.  The one regime of both witnesses."""
+    e = _end_of(w, p, end)
+    cert = certify_rotation_index(w, p, e)
+    below = sorted(R for R in radii if cert is None or R < cert.R0)
+    if below:
+        reason = ("the end has no rotation certificate" if cert is None
+                  else f"below the end's certified radius R0 = {cert.R0:g}")
+        raise NumericInstabilityError(
+            f"rotation index at R = {', '.join(f'{R:g}' for R in below)}: {reason}",
+            diagnostics={"R": below, "R0": None if cert is None else cert.R0,
+                         "end": repr(e.puncture)},
+        )
+    return e, cert
+
+
 def rotation_index_numeric(w: WeierstrassData, p, R_list,
                            end: EndAnalysis | None = None) -> int:
     """Winding number of the sphere cut of the end, read from its rotation
@@ -625,19 +508,38 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     when given, must be the analysis of the end p of w (``ValueError``
     otherwise).
     """
-    radii = _radii(R_list)
-    e = _end_of(w, p, end)
-    cert = certify_rotation_index(w, p, e)
-    below = sorted(R for R in radii if cert is None or R < cert.R0)
-    if below:
-        reason = ("the end has no rotation certificate" if cert is None
-                  else f"below the end's certified radius R0 = {cert.R0:g}")
-        raise NumericInstabilityError(
-            f"rotation index at R = {', '.join(f'{R:g}' for R in below)}: {reason}",
-            diagnostics={"R": below, "R0": None if cert is None else cert.R0,
-                         "end": repr(e.puncture)},
-        )
-    return cert.index
+    return _certified(w, p, _radii(R_list), end)[1].index
+
+
+def _sphere_cut(loc: LocalImmersion, n: int, R: float, r0: float) -> np.ndarray:
+    """The sphere cut |f| = R of an end certified on 0 < |t| <= r0 for R, on
+    the grid of n angles theta_j = 2 pi j / n: f there, a (dim, n) array.
+
+    On each ray |f| falls strictly and |f(r0 e^{i theta})| <= R0 <= R, so
+    |f| = R has one root in (0, r0]; it is bisected in x = log r.  hi starts
+    at log r0, and lo moves down by log 2 until |f| >= R on every ray, which
+    ends, as |f| grows without bound toward the end (a value that is not
+    finite counts as above R).  The bisection stops where no midpoint lies
+    strictly between lo and hi, and returns f at hi.  f is divided by R
+    before it is squared, so no scale of the surface under- or overflows it.
+    """
+    thetas = 2.0 * math.pi * np.arange(n) / n
+
+    def below(x):
+        u = loc.polar(x, thetas) / R
+        return np.einsum("ij,ij->j", u, u) < 1.0
+
+    hi = np.full(n, math.log(r0))
+    lo = hi - math.log(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while below(lo).any():
+            lo -= math.log(2.0)
+        mid = 0.5 * (lo + hi)
+        while ((lo < mid) & (mid < hi)).any():
+            inside = below(mid)
+            hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
+            mid = 0.5 * (lo + hi)
+    return loc.polar(hi, thetas)
 
 
 def limit_circle_deviation(w: WeierstrassData, p, R: float,
@@ -647,15 +549,17 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     In the frame aligned with the leading coefficient the cut converges to
     the (k-1)-fold covered unit circle; the model curve below carries the
     phase that the integrated leading term actually produces.  The cut is
-    solved on the grid of N = CUT_ANGLES max(k - 1, 4) angles
+    bisected (``_sphere_cut``) inside the disc of the end's rotation
+    certificate, on the grid of N = CUT_ANGLES max(k - 1, 4) angles
     (``CUT_ANGLES`` per turn of the limit circle, at least four turns'
-    worth).  ``end``, when given, must be the analysis of the end p of w
-    (``ValueError`` otherwise).
+    worth).  R below the end's R0, or at an end with no certificate, is
+    refused as by ``rotation_index_numeric``.  ``end``, when given, must be
+    the analysis of the end p of w (``ValueError`` otherwise).
     """
     (R,) = _radii((R,))
-    e = _end_of(w, p, end)
+    e, cert = _certified(w, p, [R], end)
     n = CUT_ANGLES * max(e.k - 1, 4)
-    cut = _solve_sphere_cut(e._local, e, n, R)[1]
+    cut = _sphere_cut(e._local, n, R, cert.r0)
     alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
     model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
               + np.multiply.outer(e.frame[1], np.sin(alpha)))

@@ -318,9 +318,14 @@ def roots(p: ComplexPoly):
     none is within the tolerance, the smallest backward error wins.
     Multiplicities sum to the degree; roots are sorted by real, then
     imaginary part.  A non-finite coefficient is refused: the trim would
-    read its neighbours as noise.  So is a monic coefficient past the float
-    range (a coefficient near the top of it over a small leading one): the
-    companion matrix would not be finite.
+    read its neighbours as noise.  Before the monic division every real and
+    imaginary part is scaled (``np.ldexp``) by the power of two that brings
+    the leading coefficient's largest part into [1/2, 1), as numpy's complex
+    division of a subnormal lead would overflow its reciprocal; the scaling
+    is exact, and leaves the monic coefficients bitwise, wherever they are
+    normal.
+    After the trim no coefficient exceeds 1/``TRIM_TOL`` times the lead, so
+    the monic coefficients and the companion matrix are finite.
     """
     p = _as_poly(p)
     if not np.isfinite(p.coeffs).all():
@@ -329,13 +334,11 @@ def roots(p: ComplexPoly):
     p = p.trimmed()
     if p.is_zero or p.degree() == 0:
         raise DegenerateInputError("roots undefined for zero/constant polynomial")
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = p.coeffs[:-1] / p.coeffs[-1]
-    if not np.isfinite(a).all():
-        k = int(np.argmin(np.isfinite(a)))
-        raise DegenerateInputError(
-            f"roots undefined: the coefficient of z^{k} over the leading one is not finite")
-    raw = np.roots(p.coeffs[::-1])
+    lead = p.coeffs[-1]
+    exponent = -math.frexp(max(abs(lead.real), abs(lead.imag)))[1]
+    coeffs = np.ldexp(p.coeffs.view(float), exponent).view(complex)
+    a = coeffs[:-1] / coeffs[-1]
+    raw = np.roots(coeffs[::-1])
     fits = []
     for parts in _linkage_levels(raw):
         fit = _refine(a, np.array([raw[list(c)].mean() for c in parts]),

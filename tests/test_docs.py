@@ -2,7 +2,9 @@
 `NAME = value` is a minsurf module constant with that value, every quoted
 `*_TOL` name exists, every quoted call of an underscored name is a name of a
 minsurf module, every quoted private name is an attribute of a minsurf module
-or of a class in one, and every `ms.<name>` of a demo is a name of minsurf."""
+or of a class in one, and every `ms.<name>` of a demo is a name of minsurf.
+The private names that the program's own docstrings and comments quote in
+double backquotes obey the README's rule."""
 
 import ast
 import importlib
@@ -69,19 +71,41 @@ def test_quoted_calls_name_the_program():
     assert sorted(n for n in calls if not any(hasattr(m, n) for m in modules)) == []
 
 
-def test_quoted_private_names_name_the_program():
-    # a bare or dotted name whose last part has one leading underscore, such
-    # as `_round_fluxes` or `weierstrass._ClosedForm`, names a private part
-    # of the program, which the README must not go on naming once it is gone
-    private = {name.rsplit(".", 1)[-1]
-               for span in _code_spans(README.read_text(encoding="utf-8"))
-               for name in re.findall(r"[A-Za-z_][\w.]*", span)
-               if re.match(r"_[A-Za-z]", name.rsplit(".", 1)[-1])}
-    assert private
+def _private_names(spans):
+    """The last parts of the bare or dotted names in ``spans`` that have one
+    leading underscore, such as `_round_fluxes` or `weierstrass._ClosedForm`;
+    a name after `*` (the pattern `*_pi`) is no name."""
+    return {name.rsplit(".", 1)[-1]
+            for span in spans
+            for name in re.findall(r"(?<![\w*])[A-Za-z_][\w.]*", span)
+            if re.match(r"_[A-Za-z]", name.rsplit(".", 1)[-1])}
+
+
+def _missing_from_the_program(names):
     owners = _modules()
     owners += [cls for module in owners for cls in vars(module).values()
                if inspect.isclass(cls) and cls.__module__.startswith("minsurf")]
-    assert sorted(n for n in private if not any(hasattr(o, n) for o in owners)) == []
+    return sorted(n for n in names if not any(hasattr(o, n) for o in owners))
+
+
+def test_quoted_private_names_name_the_program():
+    # a private part of the program, which the README must not go on naming
+    # once it is gone
+    private = _private_names(_code_spans(README.read_text(encoding="utf-8")))
+    assert private
+    assert _missing_from_the_program(private) == []
+
+
+def test_source_quotes_name_the_program():
+    # the same rule for the ``name`` spans of the program's docstrings and
+    # comments and of the demos, so that none goes on naming a deleted helper
+    files = sorted((ROOT / "src" / "minsurf").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    private = {(path.name, name) for path in files
+               for name in _private_names(re.findall(r"``([^`]+)``",
+                                                     path.read_text(encoding="utf-8")))}
+    assert private
+    missing = set(_missing_from_the_program({name for _path, name in private}))
+    assert sorted(pair for pair in private if pair[1] in missing) == []
 
 
 def test_demo_names_exist():

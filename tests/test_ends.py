@@ -167,23 +167,28 @@ class TestRotationIndex:
                 assert idx == e.rotation_index == abs(e.k - 1), (entry.name, p)
 
     def test_certified_from_R0_on_and_refused_below(self, all_entries):
-        # one regime: R = R0 is answered |k - 1|, and the float just below
-        # it is refused, the error naming that radius, R0 and the end
+        # one regime for both witnesses: R = R0 is answered, |k - 1| and a
+        # finite deviation, and the float just below it is refused, the
+        # error naming that radius, R0 and the end
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
                 e = analyze_end(w, p)
                 R0 = ends.certify_rotation_index(w, p, end=e).R0
                 assert rotation_index_numeric(w, p, (R0,), end=e) == abs(e.k - 1)
+                assert math.isfinite(limit_circle_deviation(w, p, R0, end=e)), (entry.name, p)
                 below = float(np.nextafter(R0, 0.0))
                 with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
                     rotation_index_numeric(w, p, (R0, below) + R_LIST, end=e)
+                assert err.value.diagnostics == {"R": [below], "R0": R0, "end": repr(p)}
+                with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
+                    limit_circle_deviation(w, p, below, end=e)
                 assert err.value.diagnostics == {"R": [below], "R0": R0, "end": repr(p)}
 
     def test_an_end_without_a_certificate_is_refused(self):
         # the generalized Enneper end of k = 42 >= TERMS: its table does not
         # reach the log term, so it has no certificate, and every radius is
-        # refused with R0 None
+        # refused with R0 None, by both witnesses
         w = generalized_enneper(20)
         (p,) = w.punctures
         e = analyze_end(w, p)
@@ -191,15 +196,17 @@ class TestRotationIndex:
         with pytest.raises(NumericInstabilityError, match="no rotation certificate") as err:
             rotation_index_numeric(w, p, R_LIST, end=e)
         assert err.value.diagnostics == {"R": list(R_LIST), "R0": None, "end": repr(p)}
+        with pytest.raises(NumericInstabilityError, match="no rotation certificate") as err:
+            limit_circle_deviation(w, p, 1e2, end=e)
+        assert err.value.diagnostics == {"R": [1e2], "R0": None, "end": repr(p)}
 
     @pytest.mark.filterwarnings("error")
-    def test_runaway_sphere_cut_is_a_typed_error(self, enneper):
+    def test_order_four_ends_with_no_other_puncture_are_refused_below_R0(self, enneper):
         # the two conftest-rule Moebius charts of Enneper in the chart sweep
         # (UNSOLVED_CUTS) whose one end is finite, of order -4, with no other
-        # puncture to cap the radius solve: at R = 1e2 a Newton iterate of the
-        # deviation's cut runs off and the cut is not finite, a typed error
-        # with no numpy warning; the witness refuses R = 1e2, below the
-        # end's certified radius, and names it
+        # puncture: R = 1e2 is below the end's certified radius, so both
+        # witnesses refuse it, naming R0 (Newton on the deviation's cut ran
+        # off to a non-finite cut there)
         runaway = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name == "enneper"]
         assert len(runaway) == 2
         for mob, end in runaway:
@@ -208,17 +215,14 @@ class TestRotationIndex:
             assert abs(p - end) < 1e-12
             e = analyze_end(w, p)
             assert e.k == 4
-            with pytest.raises(NumericInstabilityError, match="residual nan") as err:
-                limit_circle_deviation(w, p, 1e2, end=e)
-            assert err.value.diagnostics == {"R": 1e2, "end": repr(p)}
             _assert_refused_below_R0(w, p, e)
 
     @pytest.mark.filterwarnings("error")
-    def test_stalled_sphere_cut_names_its_radii(self, counterexample):
+    def test_order_three_ends_are_refused_below_R0(self, counterexample):
         # the four conftest-rule Moebius charts of the counterexample in the
-        # chart sweep whose finite order -3 end stalls at R = 1e2: the
-        # deviation's cut there is a typed error naming R, and the witness
-        # refuses R = 1e2, below the end's certified radius
+        # chart sweep whose finite order -3 end has R0 above 1e2: both
+        # witnesses refuse R = 1e2, naming R0 (Newton on the deviation's cut
+        # stalled there)
         stalled = [(mob, end) for name, mob, end in UNSOLVED_CUTS if name != "enneper"]
         assert len(stalled) == 4
         for mob, end in stalled:
@@ -226,9 +230,6 @@ class TestRotationIndex:
             (p,) = [q for q in w.punctures if abs(q - end) < 1e-12]
             e = analyze_end(w, p)
             assert e.k == 3
-            with pytest.raises(NumericInstabilityError, match="stalled at residual [0-9]") as err:
-                limit_circle_deviation(w, p, 1e2, end=e)
-            assert err.value.diagnostics == {"R": 1e2, "end": repr(p)}
             _assert_refused_below_R0(w, p, e)
 
     @pytest.mark.parametrize("m", [4, 8])
@@ -249,10 +250,10 @@ class TestRotationIndex:
     @pytest.mark.filterwarnings("error")
     def test_chart_sweep(self):
         # every end of the conftest-rule chart sweep (UNSOLVED_CUTS) has a
-        # rotation certificate of index |k - 1|; at R_LIST the witness
-        # answers the 865 ends certified from R = 1e2 on and refuses the
-        # other 38, the six UNSOLVED_CUTS among them, each error naming the
-        # radii below R0 and R0
+        # rotation certificate of index |k - 1| and a finite deviation at its
+        # own R0; at R_LIST the witness answers the 865 ends certified from
+        # R = 1e2 on and refuses the other 38, the six UNSOLVED_CUTS among
+        # them, each error naming the radii below R0 and R0
         from conftest import well_conditioned_mobius
 
         rng = np.random.default_rng(2001)
@@ -268,6 +269,8 @@ class TestRotationIndex:
                     e = analyze_end(w, p)
                     cert = ends.certify_rotation_index(w, p, end=e)
                     assert cert.index == abs(e.k - 1), (entry.name, mob, p)
+                    dev = limit_circle_deviation(w, p, cert.R0, end=e)
+                    assert math.isfinite(dev), (entry.name, mob, p)
                     try:
                         idx = rotation_index_numeric(w, p, R_LIST, end=e)
                     except NumericInstabilityError as err:
@@ -290,7 +293,7 @@ class TestRotationIndex:
         def unreachable(*args):
             raise AssertionError("sphere cut solved")
 
-        monkeypatch.setattr(ends, "_solve_sphere_cut", unreachable)
+        monkeypatch.setattr(ends, "_sphere_cut", unreachable)
         with pytest.raises(ValueError, match="finite and positive"):
             rotation_index_numeric(catenoid.data, 0j, radii)
         if len(radii) == 1:
@@ -308,7 +311,7 @@ class TestRotationIndex:
         other_datum = analyze_end(enneper.data, INF)
         other_puncture = analyze_end(w, INF)
         same_coefficients = analyze_end(ms.catenoid().data, 0j)
-        monkeypatch.setattr(ends, "_solve_sphere_cut", unreachable)
+        monkeypatch.setattr(ends, "_sphere_cut", unreachable)
         for e in (other_datum, other_puncture, same_coefficients):
             with pytest.raises(ValueError, match="is not the end 0j"):
                 rotation_index_numeric(w, 0j, R_LIST, end=e)
@@ -319,15 +322,20 @@ class TestRotationIndex:
 
 
 def _assert_refused_below_R0(w, p, e):
-    """The witness refuses R = 1e2 at the end p, below its certified radius
-    R0, naming R and R0, and answers |k - 1| from R0 on."""
+    """Both witnesses refuse R = 1e2 at the end p, below its certified radius
+    R0, naming R and R0; from R0 on the index is |k - 1| and the deviation
+    is finite."""
     R0 = ends.certify_rotation_index(w, p, end=e).R0
     assert R0 > 1e2
     with pytest.raises(NumericInstabilityError, match=f"R0 = {R0:g}") as err:
         rotation_index_numeric(w, p, R_LIST, end=e)
     assert err.value.diagnostics == {"R": [R for R in R_LIST if R < R0], "R0": R0,
                                      "end": repr(p)}
+    with pytest.raises(NumericInstabilityError, match=f"R0 = {R0:g}") as err:
+        limit_circle_deviation(w, p, 1e2, end=e)
+    assert err.value.diagnostics == {"R": [1e2], "R0": R0, "end": repr(p)}
     assert rotation_index_numeric(w, p, (R0,), end=e) == e.k - 1
+    assert math.isfinite(limit_circle_deviation(w, p, R0, end=e))
 
 
 class TestLimitCircle:
@@ -401,8 +409,7 @@ GRID_THETAS = 2.0 * np.pi * np.arange(64) / 64
 def _on_circle(loc, r):
     """The local immersion on the circle |t| = r at the 64 angles of
     GRID_THETAS, by its polar evaluator: shape (n, 64)."""
-    jet, _K = loc.radial_jet(GRID_THETAS.size, r)
-    return jet(np.full(GRID_THETAS.size, np.log(r)))[0]
+    return loc.polar(np.full(GRID_THETAS.size, np.log(r)), GRID_THETAS)
 
 
 class TestLocalImmersion:
@@ -459,7 +466,7 @@ class TestLocalImmersion:
         # the polar evaluator against the same 41 Laurent terms and constant
         # summed in 40 digits, at 64 angles on the circles r = 1e-1 .. 1e-4
         # about the first end of JM m = 2: the sup of the error is within
-        # 1e-14 of the sup of |f| on each circle (at most 1.2e-15 measured)
+        # 1e-14 of the sup of |f| on each circle (at most 1.1e-15 measured)
         _assert_matches_mpmath(jm2.data, jm2.data.punctures[0])
 
     def test_matches_mpmath_at_an_order_three_end(self, counterexample):
@@ -467,29 +474,12 @@ class TestLocalImmersion:
         # leading term is t^-2 and whose window has no log term
         _assert_matches_mpmath(counterexample.data, 0j)
 
-    def test_build_and_certificate_take_no_evaluator(self, all_entries, monkeypatch):
-        # neither building the local immersion nor certifying its end builds
-        # a coefficient matrix or a phase table: only an evaluator does
-        calls = []
-        for name in ("_jet_coef", "_phases"):
-            real = getattr(ends, name)
-            monkeypatch.setattr(ends, name,
-                                lambda *args, real=real: calls.append(args) or real(*args))
-        for entry in all_entries:
-            for p in entry.data.punctures:
-                loc = LocalImmersion(entry.data, p)
-                entry.data._laurent.immersions[p] = loc
-                ends.certify_rotation_index(entry.data, p)
-        assert calls == []
-        _on_circle(loc, 0.1)
-        assert len(calls) == 2
-
     @pytest.mark.parametrize("m, k", [(19, 40), (20, 42)])
     def test_an_end_the_window_covers_is_built(self, m, k):
         # the generalized Enneper end of order k reads TERMS = 41 terms:
         # at k = 40 they reach t^-1, and at k = 42 the one left out, t^-1, is
         # exactly 0, so the immersion is the closed form's on |w| = 0.9
-        # (8.8e-15 and 9.1e-15 measured)
+        # (9.1e-15 and 9.1e-15 measured)
         w = generalized_enneper(m)
         (p,) = w.punctures
         loc = LocalImmersion(w, p)
@@ -574,22 +564,14 @@ class FloatPowerImmersion(LocalImmersion):
         t = np.atleast_1d(np.asarray(t, dtype=complex))
         return self._series(t) + self.constant[:, None]
 
-    def radial_jet(self, n, r_max):
-        # the sphere cuts' evaluator: d/dlog r of t^p is p t^p, of log t is 1
-        phase = np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
-
-        def jet(x):
-            t = np.exp(x) * phase
-            tp = t[None, :] ** self._ref_powers[:, None]
-            df = 2.0 * ((self._ref_anti * self._ref_powers) @ tp + self._ref_log[:, None]).real
-            return self(t), df
-
-        return jet, self._ref_powers.size
+    def polar(self, x, thetas):
+        return self(np.exp(x) * np.exp(1j * thetas))
 
 
 class TestIntegerPowerEvaluation:
-    """The polar evaluation with its tail cut matches the float-power
-    formula on every catalog end, at every scale it is used."""
+    """The polar evaluation, exp(p log t) for each integer power p, matches
+    the float-power formula t ** p on every catalog end, at every scale it
+    is used."""
 
     @staticmethod
     def _radii(ref):
@@ -609,18 +591,10 @@ class TestIntegerPowerEvaluation:
                     assert err <= 1e-14 * np.max(np.linalg.norm(want, axis=0)), (entry.name, p, r)
         assert orders == {-2, -3, -4}
 
-    def test_tail_is_cut_at_sphere_cut_radii(self, jm2):
-        # at |t| = 1e-4 all but a few of the 41 terms fall below 1e-18 of the
-        # leading one; near the cap every term is kept
-        loc = LocalImmersion(jm2.data, jm2.data.punctures[0])
-        assert loc._anti.shape[1] == 41
-        assert loc._kept_terms(1e-4) < 8
-        assert loc._kept_terms(0.99 * loc._cap) == 41
-
     def test_same_deviations_as_float_powers(self, all_entries, monkeypatch):
-        # the limit-circle deviation read through float powers agrees with
-        # the polar evaluator's at every radius of R_LIST (2.1e-16 apart at
-        # most, measured)
+        # the limit-circle deviation read through float powers and the
+        # anchor constant agrees with the polar evaluator's at every radius
+        # of R_LIST
         for entry in all_entries:
             w = entry.data
             for p in w.punctures:
@@ -632,13 +606,12 @@ class TestIntegerPowerEvaluation:
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (entry.name, p)
 
 
-THETAS = 2.0 * np.pi * np.arange(720) / 720
-
 # The six ends, of the 903 ends of 277 charts of the conftest-rule chart sweep
 # (well_conditioned_mobius with default_rng(2001), 28 draws per surface of
-# catalog.entries(jm_range=range(1, 7)), kept where validate passes), whose
-# sphere cut at R = 1e2 has no solution the solve reaches: (surface, Moebius
-# map, end), in the order of the sweep.
+# catalog.entries(jm_range=range(1, 7)), kept where validate passes) whose
+# sphere cut at R = 1e2 a Newton solve did not reach, each certified only
+# from an R0 above 1e2: (surface, Moebius map, end), in the order of the
+# sweep.
 UNSOLVED_CUTS = [
     ("enneper", (0.6596376373223017 - 1.5464481715995755j, 3.255730679617354 - 0.863398031940671j,
                  -0.9572716235291744 - 0.7695836956177559j,
@@ -666,114 +639,6 @@ UNSOLVED_CUTS = [
       -2.233490492324597 + 0.42068406377216067j, -0.26840279955670987 + 1.2282825491422626j),
      0.33025276017115013 + 1.4762610124571882j),
 ]
-
-
-def _sphere_cut_radii(loc, e):
-    """The solved radii at R = 1e2, 1e3, 1e4, and a circle near the cap."""
-    radii = [ends._solve_sphere_cut(loc, e, THETAS.size, R)[0] for R in R_LIST]
-    near_cap = 0.99 * loc._cap if math.isfinite(loc._cap) else 1.0
-    return radii + [np.full(THETAS.size, near_cap)]
-
-
-class TestPolarEvaluator:
-    """``LocalImmersion.radial_jet``, the sphere cuts' evaluator, against the
-    float-power reference and a central difference of it."""
-
-    def test_value_and_radial_derivative(self, all_entries):
-        orders = set()
-        for entry in all_entries:
-            w = entry.data
-            for p in w.punctures:
-                e, loc = analyze_end(w, p), LocalImmersion(w, p)
-                ref = FloatPowerImmersion(w, p)
-                orders.add(loc.mu)
-                for r in _sphere_cut_radii(loc, e):
-                    x = np.log(r)
-                    f, df = loc.radial_jet(THETAS.size, float(np.max(r)))[0](x)
-                    want = ref(r * np.exp(1j * THETAS))
-                    scale = np.max(np.linalg.norm(want, axis=0))
-                    assert np.max(np.linalg.norm(f - want, axis=0)) <= 1e-14 * scale, \
-                        (entry.name, p, r[0])
-                    h = 1e-5
-                    diff = (ref(np.exp(x + h + 1j * THETAS))
-                            - ref(np.exp(x - h + 1j * THETAS))) / (2.0 * h)
-                    err = np.max(np.linalg.norm(df - diff, axis=0))
-                    assert err <= 1e-8 * np.max(np.linalg.norm(diff, axis=0)), \
-                        (entry.name, p, r[0])
-        assert orders == {-2, -3, -4}
-
-    def test_short_table_is_built_again(self, jm2, monkeypatch):
-        # a first table cut for radii 100x too small holds too few terms; the
-        # solve builds it again and converges to the same cut
-        w = jm2.data
-        p = w.punctures[0]
-        e, loc = analyze_end(w, p), LocalImmersion(w, p)
-        want_r, want_f = ends._solve_sphere_cut(loc, e, THETAS.size, 1e2)
-        real = LocalImmersion.radial_jet
-        sizes = []
-
-        def short_first(self, n, r_max):
-            jet, K = real(self, n, r_max if sizes else 1e-2 * r_max)
-            sizes.append(K)
-            return jet, K
-
-        monkeypatch.setattr(LocalImmersion, "radial_jet", short_first)
-        r, f = ends._solve_sphere_cut(loc, e, THETAS.size, 1e2)
-        assert len(sizes) == 2 and sizes[0] < sizes[1]
-        assert np.max(np.abs(r - want_r) / want_r) < 1e-13
-        assert np.max(np.abs(f - want_f)) < 1e-12 * 1e2
-
-
-class WrongSlopeImmersion(LocalImmersion):
-    """The local immersion with the sign of its radial derivative flipped, so
-    that no Newton step is taken; ``evaluations`` counts the jet calls."""
-
-    def __init__(self, w, p):
-        super().__init__(w, p)
-        self.evaluations = 0
-
-    def radial_jet(self, n, r_max):
-        jet, K = super().radial_jet(n, r_max)
-
-        def flipped(x):
-            self.evaluations += 1
-            f, df = jet(x)
-            return f, -df
-
-        return flipped, K
-
-
-class TestSolverFallback:
-    def test_wrong_slope_falls_back_to_asymptotic_step(self, all_entries):
-        for entry in all_entries:
-            w = entry.data
-            for p in w.punctures:
-                e = analyze_end(w, p)
-                loc, stub = LocalImmersion(w, p), WrongSlopeImmersion(w, p)
-                for R in R_LIST:
-                    want_r, _f = ends._solve_sphere_cut(loc, e, THETAS.size, R)
-                    r, f = ends._solve_sphere_cut(stub, e, THETAS.size, R)
-                    assert np.max(np.abs(np.linalg.norm(f, axis=0) / R - 1.0)) < 1e-12
-                    assert np.max(np.abs(r - want_r) / want_r) < 1e-12, (entry.name, p, R)
-
-    def test_stall_raises(self, catenoid):
-        # a cut that |f| never reaches: the radius climbs to the cap and stays
-        class Unreachable(WrongSlopeImmersion):
-            def radial_jet(self, n, r_max):
-                jet, K = super().radial_jet(n, r_max)
-
-                def constant(x):
-                    f, _df = jet(x)
-                    return np.full_like(f, 2e3), np.zeros_like(f)
-
-                return constant, K
-
-        w = catenoid.data
-        stub = Unreachable(w, 0j)
-        stub._cap = 1.0
-        with pytest.raises(NumericInstabilityError, match="stalled"):
-            ends._solve_sphere_cut(stub, analyze_end(w, 0j), THETAS.size, 1e3)
-        assert stub.evaluations == 80
 
 
 class TestScaleFreeEnds:

@@ -284,15 +284,24 @@ class TestRoots:
             roots(ComplexPoly([c, 1]))
 
     @pytest.mark.filterwarnings("error")
-    def test_a_monic_coefficient_past_the_float_range_is_refused(self):
+    def test_a_subnormal_lead_is_scaled_before_the_monic_division(self):
         # (z^2 - 1)^2 times 2^-1024, a branch-point polynomial of a datum with
         # a denominator coefficient at the top of the float range: numpy
         # divides by the reciprocal of the subnormal lead, which overflows,
-        # so the monic coefficients are not finite, a typed refusal with no
-        # warning (np.roots raised LinAlgError)
+        # so the monic coefficients were not finite and it was refused; the
+        # exact power-of-two scaling of its parts roots it, with no warning
         lead = 2.0**-1024
-        with pytest.raises(DegenerateInputError, match=r"z\^0 over the leading one is not finite"):
-            roots(ComplexPoly([lead, 0.0, -2.0 * lead, 0.0, lead]))
+        got = roots(ComplexPoly([lead, 0.0, -2.0 * lead, 0.0, lead]))
+        assert [m for _z, m in got] == [2, 2]
+        assert np.allclose([z for z, _m in got], [-1.0, 1.0], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_coefficient_past_the_float_range_over_the_lead_is_refused(self):
+        # 1.7e308 over a lead of 0.5 would leave the float range in the
+        # monic division; relative to it the lead is noise, so the trim
+        # leaves a constant, which is refused, with no warning
+        with pytest.raises(DegenerateInputError, match="zero/constant polynomial"):
+            roots(ComplexPoly([1.7e308, 0.5]))
 
     @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, -np.inf)])
     def test_a_point_that_is_not_finite_is_no_root(self, z):

@@ -175,11 +175,14 @@ class TestCliVerify:
         assert out.stderr.splitlines() == [message]
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
-    def test_a_monic_coefficient_past_the_float_range_exit_one(self, tmp_path, command):
+    def test_a_denominator_coefficient_at_the_top_of_the_float_range_is_rejected_exit_one(
+            self, tmp_path, command):
         # JM m = 1 with the leading coefficient of its third denominator at
         # the top of the float range: a polynomial of its branch-point test
-        # then has a coefficient past the float range over its leading one,
-        # which numpy's companion matrix refused with LinAlgError
+        # is then (z^2 - 1)^2 times 2^-1024, whose subnormal lead numpy's
+        # monic division overflowed (the datum was refused there, and before
+        # that np.roots raised LinAlgError); it is rooted, and the datum
+        # reaches its own rejection, with no warning
         doc = json.loads(wdfile.dumps(wdfile.document_from_data(
             ms.generalized_jorge_meeks(1).data)))
         doc["components"][2]["den"][4][0] = 1.7976931348623157e308
@@ -187,8 +190,14 @@ class TestCliVerify:
         path.write_text(json.dumps(doc))
         out = run_cli(command, path, flags=("-W", "error"))
         assert out.returncode == 1
-        assert out.stderr.splitlines() == [
-            "minsurf: roots undefined: the coefficient of z^0 over the leading one is not finite"]
+        lines = out.stderr.splitlines()
+        if command == "verify":
+            assert lines[0] == "verify: null identity violated: defect 2.000e+00"
+            assert lines[-1] == f"{path}: datum rejected"
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith(
+                f"minsurf: {path}: datum rejected: null identity violated: defect 2.000e+00; ")
 
     def test_malformed_file_exit_two(self, tmp_path):
         path = tmp_path / "broken.wd"
