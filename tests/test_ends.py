@@ -474,6 +474,21 @@ class TestLocalImmersion:
         # leading term is t^-2 and whose window has no log term
         _assert_matches_mpmath(counterexample.data, 0j)
 
+    def test_build_and_certificate_take_no_evaluator(self, all_entries, monkeypatch):
+        # neither building the local immersion nor certifying its end sums
+        # the series: only the deviation's sphere cut does
+        calls = []
+        real = LocalImmersion.polar
+        monkeypatch.setattr(LocalImmersion, "polar",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        for entry in all_entries:
+            for p in entry.data.punctures:
+                entry.data._laurent.immersions[p] = LocalImmersion(entry.data, p)
+                ends.certify_rotation_index(entry.data, p)
+        assert calls == []
+        limit_circle_deviation(entry.data, p, 1e2)
+        assert calls
+
     @pytest.mark.parametrize("m, k", [(19, 40), (20, 42)])
     def test_an_end_the_window_covers_is_built(self, m, k):
         # the generalized Enneper end of order k reads TERMS = 41 terms:
@@ -604,6 +619,96 @@ class TestIntegerPowerEvaluation:
                     m.setitem(w._laurent.immersions, p, FloatPowerImmersion(w, p))
                     want = [limit_circle_deviation(w, p, R, end=e) for R in R_LIST]
                 assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (entry.name, p)
+
+
+def _inside(f, R):
+    """Whether each column of f lies strictly inside the sphere |f| = R, by
+    the sphere cut's own test."""
+    u = f / R
+    return np.einsum("ij,ij->j", u, u) < 1.0
+
+
+class TestSphereCut:
+    """``_sphere_cut``, the bisection of |f| = R in log r on the disc of the
+    end's rotation certificate."""
+
+    def test_cut_lies_on_the_sphere(self, all_entries):
+        # at every radius of R_LIST at least the end's R0, each point of the
+        # cut is on the inner side of the sphere, within 1e-14 of it
+        # (2.1e-15 at most, measured)
+        cuts = 0
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                cert = ends.certify_rotation_index(w, p, end=e)
+                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                for R in (R for R in R_LIST if R >= cert.R0):
+                    f = ends._sphere_cut(e._local, n, R, cert.r0)
+                    assert f.shape == (w.n, n)
+                    rel = np.linalg.norm(f, axis=0) / R
+                    assert np.max(np.abs(rel - 1.0)) <= 1e-14, (entry.name, p, R)
+                    u = f / R
+                    assert (np.einsum("ij,ij->j", u, u) <= 1.0).all(), (entry.name, p, R)
+                    cuts += 1
+        assert cuts == 3 * 20
+
+    def _recorded_cut(self, loc, n, R, r0, monkeypatch):
+        """The cut and every (x, f) at which it evaluated the series."""
+        calls = []
+        real = LocalImmersion.polar
+
+        def recorded(self, x, thetas):
+            f = real(self, x, thetas)
+            calls.append((np.array(x, dtype=float), f))
+            return f
+
+        monkeypatch.setattr(LocalImmersion, "polar", recorded)
+        return ends._sphere_cut(loc, n, R, r0), calls
+
+    def test_lower_end_steps_down_by_log_two_until_every_ray_is_outside(self, enneper,
+                                                                      monkeypatch):
+        # Enneper's end at R = 1e4 lies a few halvings of r below r0: lo
+        # starts one halving below log r0 and steps down by log 2 while any
+        # ray is inside the sphere, and stops at the first lo outside on all
+        n, R = 64, 1e4
+        w = enneper.data
+        e = analyze_end(w, INF)
+        cert = ends.certify_rotation_index(w, INF, end=e)
+        _cut, calls = self._recorded_cut(e._local, n, R, cert.r0, monkeypatch)
+        lo = np.full(n, math.log(cert.r0)) - math.log(2.0)
+        steps = 0
+        for x, f in calls:
+            assert np.array_equal(x, lo)
+            steps += 1
+            if not _inside(f, R).any():
+                break
+            lo = lo - math.log(2.0)
+        assert steps >= 3
+        assert _inside(calls[steps - 2][1], R).any()
+
+    def test_bisection_stops_at_adjacent_floats(self, all_entries, monkeypatch):
+        # after the lower end's steps each evaluation is at the midpoint of
+        # its ray's bracket; the cut is read at hi, once no midpoint lies
+        # strictly between lo and hi on any ray
+        for entry in all_entries:
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                cert = ends.certify_rotation_index(w, p, end=e)
+                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                with monkeypatch.context() as m:
+                    cut, calls = self._recorded_cut(e._local, n, 1e4, cert.r0, m)
+                first = next(i for i, (_x, f) in enumerate(calls) if not _inside(f, 1e4).any())
+                lo, hi = calls[first][0], np.full(n, math.log(cert.r0))
+                for x, f in calls[first + 1:-1]:
+                    assert np.array_equal(x, 0.5 * (lo + hi))
+                    inside = _inside(f, 1e4)
+                    hi, lo = np.where(inside, x, hi), np.where(inside, lo, x)
+                mid = 0.5 * (lo + hi)
+                assert not ((lo < mid) & (mid < hi)).any(), (entry.name, p)
+                assert np.array_equal(calls[-1][0], hi) and np.array_equal(calls[-1][1], cut)
+                assert len(calls) - first - 2 <= 64, (entry.name, p)
 
 
 # The six ends, of the 903 ends of 277 charts of the conftest-rule chart sweep

@@ -295,6 +295,28 @@ class TestRoots:
         assert [m for _z, m in got] == [2, 2]
         assert np.allclose([z for z, _m in got], [-1.0, 1.0], rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("j", [-1000, -60, 1, 60, 1000])
+    def test_a_power_of_two_scaling_leaves_the_roots_bitwise(self, j):
+        # the parts are scaled exactly to a lead in [1/2, 1) before the monic
+        # division, so p and 2^j p, all of whose parts are normal, have the
+        # same roots to the bit
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=6) + 1j * rng.normal(size=6)
+        assert roots(ComplexPoly(np.ldexp(c.view(float), j).view(complex))) == \
+            roots(ComplexPoly(c))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_subnormal_lead_whose_imaginary_part_is_largest_is_scaled(self):
+        # i (z^2 + 1) 2^-1070: the lead's only part is imaginary and
+        # subnormal; the scaling reads the largest of its parts, and the
+        # roots are those of i (z^2 + 1), to the bit, with no warning
+        tiny = ComplexPoly(np.array([1j, 0.0, 1j]) * 2.0**-1070)
+        got = roots(tiny)
+        assert got == roots(ComplexPoly([1j, 0.0, 1j]))
+        assert [m for _z, m in got] == [1, 1]
+        assert np.allclose(sorted((z for z, _m in got), key=lambda z: z.imag), [-1j, 1j],
+                           rtol=0.0, atol=1e-14)
+
     @pytest.mark.filterwarnings("error")
     def test_a_coefficient_past_the_float_range_over_the_lead_is_refused(self):
         # 1.7e308 over a lead of 0.5 would leave the float range in the
