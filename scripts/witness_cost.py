@@ -8,8 +8,10 @@ times ``rotation_index_numeric`` at R = 1e2, 1e3, 1e4 on each end; the
 first witness call on a datum also builds the end's local immersion.  It
 prints one JSON object: the median per-end witness time in milliseconds per
 surface and its sum over a catalog round, and the median warm per-end time
-(the same datum witnessed again).  Process time, so other processes on the
-machine count less.
+(the same datum witnessed again); next to them, the ``run_analysis``
+milliseconds per catalog round, fresh (the rebuilt datum's first analysis)
+and warm (the same datum analysed again), each the sum over the surfaces of
+their medians.  Process time, so other processes on the machine count less.
 
 Run from the root of a checkout:
 
@@ -31,6 +33,12 @@ def rebuilt(w):
                                for r in w.phi], punctures=w.punctures, label=w.label)
 
 
+def analysis_ms(w):
+    t = time.process_time()
+    rep = ms.run_analysis(w)
+    return rep, 1e3 * (time.process_time() - t)
+
+
 def witness_ms(w, ends):
     t = time.process_time()
     for e in ends:
@@ -45,12 +53,16 @@ def main():
     entries = ms.catalog.entries(jm_range=range(1, 7))
     fresh = {e.name: [] for e in entries}
     warm = {e.name: [] for e in entries}
+    analysis = {e.name: [] for e in entries}
+    analysis_warm = {e.name: [] for e in entries}
     for _ in range(args.rounds):
         for entry in entries:
             w = rebuilt(entry.data)
-            rep = ms.run_analysis(w)
+            rep, ms_fresh = analysis_ms(w)
+            analysis[entry.name].append(ms_fresh)
             fresh[entry.name].append(witness_ms(w, rep.ends))
             warm[entry.name].append(witness_ms(w, rep.ends))
+            analysis_warm[entry.name].append(analysis_ms(w)[1])
     per_end = {name: round(statistics.median(v), 4) for name, v in fresh.items()}
     per_end_warm = {name: round(statistics.median(v), 4) for name, v in warm.items()}
     ends = {e.name: len(e.data.punctures) for e in entries}
@@ -60,6 +72,8 @@ def main():
         "warm_per_end_ms": per_end_warm,
         "fresh_round_ms": round(sum(per_end[n] * ends[n] for n in ends), 3),
         "warm_round_ms": round(sum(per_end_warm[n] * ends[n] for n in ends), 3),
+        "fresh_analysis_round_ms": round(sum(map(statistics.median, analysis.values())), 3),
+        "warm_analysis_round_ms": round(sum(map(statistics.median, analysis_warm.values())), 3),
     }))
 
 

@@ -58,6 +58,9 @@ RANK_TOL = 1e-8  # singular values below RANK_TOL * sigma_max count as zero
 TC_TOL = 1e-3    # relative tolerance of the Green-identity TC against -2 pi d
 TC_SAMPLES = 32  # samples per circle of the Green-identity check
 TC_RADIUS = 1e-5  # its inner radius / separation = (1 + max|p|) / outer radius
+# e^{i theta} at the samples of a circle, theta = 2 pi j / TC_SAMPLES
+_TC_PHASES = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False))
+_TC_PHASES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,11 @@ def _flux_groups(w: WeierstrassData):
             continue
         _lead, _roots, members = groups.setdefault(r.den.coeffs.tobytes(),
                                                    (r.den.coeffs[-1], r.den_roots, []))
-        num = r.num * (1.0 / w.unit)
-        dnum = num.derivative().coeffs
-        members.append((num.coeffs, dnum if dnum.size else np.zeros(1, dtype=complex)))
+        num = r.num.coeffs * (1.0 / w.unit)
+        if not num[-1]:
+            num = np.trim_zeros(num, "b")  # a leading coefficient that underflowed
+        dnum = num[1:] * np.arange(1, num.size) if num.size > 1 else np.zeros(1, dtype=complex)
+        members.append((num, dnum))
     return list(groups.values())
 
 
@@ -162,8 +167,7 @@ def _round_fluxes(groups, centers, radii):
     a phi_j overflows, gets a NaN flux.  Non-finite values are left to the
     caller, and numpy warns of none.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=False)
-    e = np.exp(1j * theta)
+    e = _TC_PHASES
     c = np.asarray(centers, dtype=complex)[:, None]
     rad = np.array(radii, dtype=float)
     t = rad[:, None] * e
@@ -172,7 +176,7 @@ def _round_fluxes(groups, centers, radii):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lead, den_roots, members in groups:
             den = np.full(z.shape, lead, dtype=complex)
-            log_slope = np.zeros_like(z)
+            log_slope = np.zeros(z.shape, dtype=complex)
             for root, m in den_roots:
                 factor = t + (c - root)
                 den *= factor**m
@@ -187,8 +191,9 @@ def _round_fluxes(groups, centers, radii):
         v *= scale
         num = (dv * scale * np.conj(v)).sum(axis=0)
         S = (np.abs(v) ** 2).sum(axis=0)
-        vals = np.real(e * num / np.where((S > 1e-280) & (S < np.inf), S, np.nan)) * rad[:, None]
-    return np.mean(vals, axis=1) * 2.0 * math.pi
+        vals = (e * num / np.where((S > 1e-280) & (S < np.inf), S, np.nan)).real * rad[:, None]
+    # the mean over each circle's samples, as np.mean sums and divides
+    return vals.sum(axis=1) / TC_SAMPLES * 2.0 * math.pi
 
 
 def total_curvature_numeric(w: WeierstrassData) -> float:

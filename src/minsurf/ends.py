@@ -82,11 +82,13 @@ class EndType(str, Enum):
 
 # the rotation certificate's grid r = top 2^(-i/4), i < CERT_STEPS: the
 # powers p = 1 .. TERMS - 1 of its series, and the rows (r / top)^p, then
-# log(top / r) (r / top)^p, for p = 1 .. TERMS
+# log(top / r) (r / top)^p, for p = 1 .. TERMS; row m of _CERT_SLOPES holds
+# |p - m|, the slope weight of the power p for an end of index m
 _CERT_P = np.arange(1, TERMS)
 _CERT_ROWS = 2.0 ** (-0.25 * np.multiply.outer(np.arange(1, TERMS + 1), np.arange(CERT_STEPS)))
 _CERT_ROWS = np.concatenate((_CERT_ROWS, 0.25 * math.log(2.0) * np.arange(CERT_STEPS) * _CERT_ROWS))
-_CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = False
+_CERT_SLOPES = np.abs(np.subtract.outer(np.arange(TERMS), _CERT_P)).astype(float)
+_CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = _CERT_SLOPES.flags.writeable = False
 
 
 class LocalImmersion:
@@ -252,7 +254,7 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         )
     if mu == -2:
         size = _norm(lead_u)
-        cross = complex(np.sum(lead_u * a1c_u))
+        cross = complex((lead_u * a1c_u).sum())
         scale = size * (size + _norm(a1c_u))
         if abs(cross) > BILINEAR_TOL * scale:
             raise InternalConsistencyError(
@@ -365,7 +367,8 @@ def _lead_split(loc: LocalImmersion, unit: float):
 
     The plane's orthonormal basis is chol^-1 [Re A; Im A], chol the
     Cholesky factor of their Gram matrix, and s_max^2 + s_min^2 = |Re A|^2 +
-    |Im A|^2, s_max s_min = det chol.
+    |Im A|^2, s_max s_min = det chol.  Each part's squares are summed over
+    its rows in row order.
     """
     cols = np.concatenate((loc._anti, loc.log_coeff[:, None], loc.constant[:, None]), axis=1)
     real = (cols / unit).view(float)  # (Re, Im) column pairs
@@ -379,11 +382,15 @@ def _lead_split(loc: LocalImmersion, unit: float):
     to_plane = np.array([[1.0 / a, 0.0], [-g12 / (g11 * b), 1.0 / b]])
     inside = to_plane @ dots[:, 2:]
     across = real[:, 2:] - (to_plane @ lead).T @ inside
-    squares = np.array([np.einsum("ij,ij->j", inside, inside),
-                        np.einsum("ij,ij->j", across, across)])
+    inside *= inside
+    across *= across
+    squares = np.empty((2, inside.shape[1]))
+    np.add(inside[0], inside[1], out=squares[0])
+    np.add.reduce(across, axis=0, out=squares[1])
+    norms = squares[:, 0::2] + squares[:, 1::2]
     frob = g11 + g22
     s_max = math.sqrt(0.5 * (frob + math.sqrt(max(frob * frob - 4.0 * (a * b) ** 2, 0.0))))
-    return s_max, a * b / s_max, np.sqrt(squares[:, 0::2] + squares[:, 1::2])
+    return s_max, a * b / s_max, np.sqrt(norms, out=norms)
 
 
 def certify_rotation_index(w: WeierstrassData, p,
@@ -423,7 +430,7 @@ def certify_rotation_index(w: WeierstrassData, p,
     4 r_top.  Every quantity is taken over ``w.unit``, so r0 and the margin
     1 - delta do not depend on the datum's scale, and R0 is proportional to
     it.  No certificate when the table does not reach the log term
-    (k >= TERMS).
+    (k > TERMS).
     """
     e = _end_of(w, p, end)
     loc = e._local
@@ -446,40 +453,46 @@ def certify_rotation_index(w: WeierstrassData, p,
         size = 2.0 * s_min
         if not size > 0.0:
             return None
-        norms = norms / size
+        norms /= size
         # delta, delta', eps, eps' times r^m: weights (part, value or slope)
         # of the rows of _CERT_ROWS, (r/top)^p and log(top/r) (r/top)^p
         weights = np.zeros((2, 2, 2 * TERMS))
-        series = weights[:, 0, :TERMS - 1] = norms[:, :TERMS - 1] * (2.0 * top**_CERT_P)
-        weights[:, 1, :TERMS - 1] = series * np.abs(_CERT_P - m)
+        series = np.multiply(norms[:, :TERMS - 1], 2.0 * top**_CERT_P,
+                             out=weights[:, 0, :TERMS - 1])
+        np.multiply(series, _CERT_SLOPES[m], out=weights[:, 1, :TERMS - 1])
         # |log r| = log(top/r) - log top, as top <= 1 where there is a log term
-        log_term = 2.0 * top**m * norms[:, TERMS - 1]
-        weights[:, 0, m - 1] += log_term * (math.pi - math.log(top)) + top**m * norms[:, TERMS]
-        weights[:, 0, TERMS + m - 1] = log_term
-        weights[:, 1, m - 1] += log_term
+        top_m = top**m
+        for part, (log_norm, constant_norm) in zip(weights, norms[:, TERMS - 1:].tolist()):
+            log_term = 2.0 * top_m * log_norm
+            part[0, m - 1] += log_term * (math.pi - math.log(top)) + top_m * constant_norm
+            part[0, TERMS + m - 1] = log_term
+            part[1, m - 1] += log_term
         # the tail, its 1 / (1 - r/rho) taken at r = top, as a multiple of (r/top)^TERMS
         tail = (2.0 * _form_bound(w, e.puncture, rho) * rho / first * (top / rho) ** first
-                * top**m / (1.0 - top / rho) / size)
+                * top_m / (1.0 - top / rho) / size)
         weights[:, :, TERMS - 1] = tail, first * tail
-        delta, d_delta, eps, d_eps = weights.reshape(4, -1) @ _CERT_ROWS
+        # the rows past log(top/r) (r/top)^m have weight 0, so the product
+        # stops before them: each term it leaves out would add an exact 0
+        delta, d_delta, eps, d_eps = weights.reshape(4, -1)[:, :TERMS + m] @ _CERT_ROWS[:TERMS + m]
         ok = m * (1.0 - delta) > d_delta * (1.0 + delta) + eps * d_eps
-        i = int(np.argmax(ok))
+        i = int(ok.argmax())
         if not ok[i]:
             return None
-        r_m = top**m * _CERT_ROWS[m - 1, i]
-        R0 = float(w.unit * (np.hypot(2.0 * s_max + delta[i] * size, eps[i] * size) / r_m))
+        d, r_m = float(delta[i]), top_m * float(_CERT_ROWS[m - 1, i])
+        R0 = float(w.unit * (np.hypot(2.0 * s_max + d * size, float(eps[i]) * size) / r_m))
     if not R0 < math.inf:
         return None
     return RotationCertificate(index=m, r0=top * float(_CERT_ROWS[0, i]), R0=R0,
-                               margin=float(1.0 - delta[i]))
+                               margin=1.0 - d)
 
 
-def _certified(w: WeierstrassData, p, radii: list,
-               end: EndAnalysis | None) -> tuple[EndAnalysis, RotationCertificate]:
+def _certified(w: WeierstrassData, p, radii: list, end: EndAnalysis | None,
+               witness: str) -> tuple[EndAnalysis, RotationCertificate]:
     """The end's analysis and rotation certificate, when every radius is at
-    least its R0; otherwise ``NumericInstabilityError`` whose diagnostics
-    name the radii below R0, R0 (None for an end with no certificate) and
-    the end.  The one regime of both witnesses."""
+    least its R0; otherwise ``NumericInstabilityError``, its text naming the
+    ``witness`` refused, whose diagnostics name the radii below R0, R0 (None
+    for an end with no certificate) and the end.  The one regime of both
+    witnesses."""
     e = _end_of(w, p, end)
     cert = certify_rotation_index(w, p, e)
     below = sorted(R for R in radii if cert is None or R < cert.R0)
@@ -487,7 +500,7 @@ def _certified(w: WeierstrassData, p, radii: list,
         reason = ("the end has no rotation certificate" if cert is None
                   else f"below the end's certified radius R0 = {cert.R0:g}")
         raise NumericInstabilityError(
-            f"rotation index at R = {', '.join(f'{R:g}' for R in below)}: {reason}",
+            f"{witness} at R = {', '.join(f'{R:g}' for R in below)}: {reason}",
             diagnostics={"R": below, "R0": None if cert is None else cert.R0,
                          "end": repr(e.puncture)},
         )
@@ -508,7 +521,7 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     when given, must be the analysis of the end p of w (``ValueError``
     otherwise).
     """
-    return _certified(w, p, _radii(R_list), end)[1].index
+    return _certified(w, p, _radii(R_list), end, "rotation index")[1].index
 
 
 def _sphere_cut(loc: LocalImmersion, n: int, R: float, r0: float) -> np.ndarray:
@@ -557,7 +570,7 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     the analysis of the end p of w (``ValueError`` otherwise).
     """
     (R,) = _radii((R,))
-    e, cert = _certified(w, p, [R], end)
+    e, cert = _certified(w, p, [R], end, "limit-circle deviation")
     n = CUT_ANGLES * max(e.k - 1, 4)
     cut = _sphere_cut(e._local, n, R, cert.r0)
     alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)

@@ -364,13 +364,13 @@ def validate_null(w: WeierstrassData) -> NullCheck:
     first (exact), so the squares neither overflow nor underflow.  The
     squares are coefficient arrays, summed in component order.
     """
-    squares = [np.convolve(c, c) for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1])
-               if c.size]
-    total = np.zeros(max(sq.size for sq in squares), dtype=complex)
-    for sq in squares:
-        total[:sq.size] += sq
-    scale = max(float(np.abs(sq).max()) for sq in squares)
-    size = float(np.abs(total).max())
+    nums = [c for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1]) if c.size]
+    squares = np.zeros((len(nums), 2 * max(c.size for c in nums) - 1), dtype=complex)
+    for sq, c in zip(squares, nums):
+        sq[:2 * c.size - 1] = np.convolve(c, c)
+    # the rows are added in order, as ``add.reduce`` sums the first axis
+    scale = float(np.abs(squares).max())
+    size = float(np.abs(squares.sum(axis=0)).max())
     defect = size / scale if scale > 0.0 else size
     return NullCheck(ok=defect <= NULL_TOL, defect=defect)
 
@@ -438,8 +438,8 @@ def _residues_real(residues, unit: float):
     res = np.asarray(residues, dtype=complex).ravel()
     if not res.size:
         return True, 0.0
-    worst = float(np.max(np.abs(res.imag)))
-    return worst <= RESIDUE_IMAG_TOL * (unit + float(np.max(np.abs(res)))), worst
+    worst = float(np.abs(res.imag).max())
+    return worst <= RESIDUE_IMAG_TOL * (unit + float(np.abs(res).max())), worst
 
 
 def check_residues_real(w: WeierstrassData) -> ResidueCheck:
@@ -454,7 +454,7 @@ def null_defect(a: np.ndarray) -> np.ndarray:
     ``BILINEAR_TOL``.  A vector whose squares underflow has the defect NaN,
     which fails the gate; numpy warns of none."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.abs(np.sum(a * a, axis=-1)) / np.sum(np.abs(a) ** 2, axis=-1)
+        return np.abs((a * a).sum(axis=-1)) / (np.abs(a) ** 2).sum(axis=-1)
 
 
 def branch_divisor(w: WeierstrassData) -> tuple:

@@ -37,6 +37,13 @@ def generalized_enneper(m):
     ])
 
 
+def holomorphic_end(a):
+    """phi = (z^a, i z^a, 1, i) / 2 in R^4: one end, at infinity, of order
+    k = a + 2, whose series there has the terms t^-k and t^-2."""
+    return ms.WeierstrassData([ms.RationalMap(ms.ComplexPoly([0] * a + [c])) for c in (0.5, 0.5j)]
+                              + [ms.RationalMap(ms.ComplexPoly([c])) for c in (0.5, 0.5j)])
+
+
 class TestAnalyzeEnd:
     def test_catenoid_at_zero_exact(self, catenoid):
         e = analyze_end(catenoid.data, 0j)
@@ -178,27 +185,53 @@ class TestRotationIndex:
                 assert rotation_index_numeric(w, p, (R0,), end=e) == abs(e.k - 1)
                 assert math.isfinite(limit_circle_deviation(w, p, R0, end=e)), (entry.name, p)
                 below = float(np.nextafter(R0, 0.0))
-                with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
+                refused = re.escape(f" at R = {below:g}: below the end's certified radius")
+                with pytest.raises(NumericInstabilityError, match="^rotation index" + refused) as err:
                     rotation_index_numeric(w, p, (R0, below) + R_LIST, end=e)
                 assert err.value.diagnostics == {"R": [below], "R0": R0, "end": repr(p)}
-                with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
+                with pytest.raises(NumericInstabilityError,
+                                   match="^limit-circle deviation" + refused) as err:
                     limit_circle_deviation(w, p, below, end=e)
                 assert err.value.diagnostics == {"R": [below], "R0": R0, "end": repr(p)}
 
     def test_an_end_without_a_certificate_is_refused(self):
-        # the generalized Enneper end of k = 42 >= TERMS: its table does not
+        # the generalized Enneper end of k = 42 > TERMS: its table does not
         # reach the log term, so it has no certificate, and every radius is
-        # refused with R0 None, by both witnesses
+        # refused with R0 None, by both witnesses, each naming itself
         w = generalized_enneper(20)
         (p,) = w.punctures
         e = analyze_end(w, p)
         assert e.k == 42 and ends.certify_rotation_index(w, p, end=e) is None
-        with pytest.raises(NumericInstabilityError, match="no rotation certificate") as err:
+        with pytest.raises(NumericInstabilityError, match="^rotation index at R = 100, 1000, "
+                           "10000: the end has no rotation certificate$") as err:
             rotation_index_numeric(w, p, R_LIST, end=e)
         assert err.value.diagnostics == {"R": list(R_LIST), "R0": None, "end": repr(p)}
-        with pytest.raises(NumericInstabilityError, match="no rotation certificate") as err:
+        with pytest.raises(NumericInstabilityError, match="^limit-circle deviation at R = 100: "
+                           "the end has no rotation certificate$") as err:
             limit_circle_deviation(w, p, 1e2, end=e)
         assert err.value.diagnostics == {"R": [1e2], "R0": None, "end": repr(p)}
+
+    def test_an_end_of_order_TERMS_is_certified(self):
+        # (z^39, i z^39, 1, i) / 2 has one end, at infinity, of order
+        # k = 41 = TERMS: its table reaches the log term (zero here), so the
+        # end is certified, index 40 on 0 < |t| <= 2^-0.25 from R0 = 25.66 on
+        w = holomorphic_end(39)
+        e = analyze_end(w, INF)
+        cert = ends.certify_rotation_index(w, INF, end=e)
+        assert e.k == 41 and cert.index == 40 and cert.r0 == 2.0**-0.25
+        assert cert.R0 == pytest.approx(25.655, abs=1e-3)
+        assert rotation_index_numeric(w, INF, (cert.R0,) + R_LIST, end=e) == 40
+        assert math.isfinite(limit_circle_deviation(w, INF, cert.R0, end=e))
+
+    def test_an_end_of_order_past_TERMS_with_a_later_term_is_refused(self):
+        # at k = 43 the 1/2 and i/2 components leave a nonzero t^-2 term past
+        # the window's last one, so the local immersion refuses the end
+        w = holomorphic_end(41)
+        assert analyze_end(w, INF).k == 43
+        with pytest.raises(NumericInstabilityError,
+                           match="order k = 43 has a nonzero term past the TERMS = 41") as err:
+            LocalImmersion(w, INF)
+        assert err.value.diagnostics == {"end": "inf", "k": 43, "TERMS": 41}
 
     @pytest.mark.filterwarnings("error")
     def test_order_four_ends_with_no_other_puncture_are_refused_below_R0(self, enneper):

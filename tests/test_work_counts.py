@@ -153,3 +153,26 @@ def test_each_distinct_polynomial_is_rooted_once(monkeypatch):
     assert count() <= MAX_ROOTS_CHARTS
     wdfile.loads(wdfile.dumps(wdfile.document_from_data(w))).to_data()
     assert count() <= MAX_ROOTS_FILE
+
+
+def test_witness_kernels_build_no_polynomial(monkeypatch):
+    # on warm data (each datum analysed once) the Green-identity witness
+    # reads the components' coefficient arrays and the rotation certificate
+    # the local immersion's table: neither constructs a ComplexPoly.  The
+    # witness built two per nonzero component and call, its numerator over
+    # the unit and that numerator's derivative
+    data = [entry.data for entry in ms.catalog.entries(jm_range=range(1, 7))]
+    reports = [ms.run_analysis(w) for w in data]
+    built = []
+    real = rational.ComplexPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(rational.ComplexPoly, "__init__", counted)
+    for w, rep in zip(data, reports):
+        assert curvature.total_curvature_numeric(w) == rep.curvature.tc_numeric
+        for e in rep.ends:
+            assert ends.certify_rotation_index(w, e.puncture, e) is not None
+    assert built == []
