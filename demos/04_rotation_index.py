@@ -9,9 +9,10 @@ asymptotic plane stays within delta of the leading term's (k-1)-fold
 circle, so every cut |f| = R with R >= R0 winds exactly k - 1 times.  The
 margin is 1 - delta at r0.  The certificate is the only witness of the
 index, and the limit-circle deviation keeps its regime: a radius below R0
-is refused by both, not sampled.  The deviation bisects its cut |f| = R in
-log r on each ray inside (0, r0], where the cut has exactly one root.  Here
-every radius is at least R0.
+is refused by both, not sampled.  The deviation is a bound read off the
+same certificate: the cut |f| = R lies in |t| <= r0 (R0/R)^(1/(k-1)), where
+the rest of the series is within a proved fraction of the leading term.
+Here every radius is at least R0.
 """
 
 import minsurf as ms
@@ -38,8 +39,8 @@ for label, w, p in cases:
           f"{cert.R0:>10.3g}{cert.margin:>8.3f}")
 
 print()
-print("Convergence to the limit circle (sup distance of the normalized cut")
-print("from the (k-1)-fold circle in the aligned frame, decreasing in R):")
+print("Convergence to the limit circle (a proved bound of the sup distance of")
+print("the normalized cut from the (k-1)-fold circle in the aligned frame):")
 for label, w, p in cases:
     devs = [ms.limit_circle_deviation(w, p, R) for R in R_LIST]
     print(f"  {label:<36}" + "  ".join(f"R=1e{int(2 + i)}: {d:.2e}"

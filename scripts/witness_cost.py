@@ -1,4 +1,5 @@
-"""Per-end cost of the rotation-index witness on freshly built data.
+"""Per-end cost of the rotation-index witness and the limit-circle deviation
+on freshly built data.
 
 For each of the ten surfaces of the benchmark's ``analyze-catalog`` workload
 (catenoid, plane, Enneper, the holomorphic counterexample and Jorge-Meeks
@@ -11,7 +12,10 @@ surface and its sum over a catalog round, and the median warm per-end time
 (the same datum witnessed again); next to them, the ``run_analysis``
 milliseconds per catalog round, fresh (the rebuilt datum's first analysis)
 and warm (the same datum analysed again), each the sum over the surfaces of
-their medians.  Process time, so other processes on the machine count less.
+their medians; and the median time of one ``limit_circle_deviation`` call
+per surface, at R = 1e2, 1e3, 1e4 on each end of the warm datum, with its
+sum over the cuts of a catalog round.  Process time, so other processes on
+the machine count less.
 
 Run from the root of a checkout:
 
@@ -46,6 +50,14 @@ def witness_ms(w, ends):
     return 1e3 * (time.process_time() - t) / len(ends)
 
 
+def deviation_ms(w, ends):
+    t = time.process_time()
+    for e in ends:
+        for R in R_LIST:
+            ms.limit_circle_deviation(w, e.puncture, R, end=e)
+    return 1e3 * (time.process_time() - t) / (len(ends) * len(R_LIST))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=30)
@@ -55,6 +67,7 @@ def main():
     warm = {e.name: [] for e in entries}
     analysis = {e.name: [] for e in entries}
     analysis_warm = {e.name: [] for e in entries}
+    deviation = {e.name: [] for e in entries}
     for _ in range(args.rounds):
         for entry in entries:
             w = rebuilt(entry.data)
@@ -63,8 +76,10 @@ def main():
             fresh[entry.name].append(witness_ms(w, rep.ends))
             warm[entry.name].append(witness_ms(w, rep.ends))
             analysis_warm[entry.name].append(analysis_ms(w)[1])
+            deviation[entry.name].append(deviation_ms(w, rep.ends))
     per_end = {name: round(statistics.median(v), 4) for name, v in fresh.items()}
     per_end_warm = {name: round(statistics.median(v), 4) for name, v in warm.items()}
+    per_cut = {name: round(statistics.median(v), 4) for name, v in deviation.items()}
     ends = {e.name: len(e.data.punctures) for e in entries}
     print(json.dumps({
         "rounds": args.rounds,
@@ -74,6 +89,8 @@ def main():
         "warm_round_ms": round(sum(per_end_warm[n] * ends[n] for n in ends), 3),
         "fresh_analysis_round_ms": round(sum(map(statistics.median, analysis.values())), 3),
         "warm_analysis_round_ms": round(sum(map(statistics.median, analysis_warm.values())), 3),
+        "deviation_per_cut_ms": per_cut,
+        "deviation_round_ms": round(sum(per_cut[n] * ends[n] for n in ends) * len(R_LIST), 3),
     }))
 
 

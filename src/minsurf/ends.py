@@ -19,22 +19,19 @@ strictly along every ray and each cut |f| = R with R >= R0 winds k - 1 times
 about that plane (Rouche, in its dog-on-a-leash form).  Both witnesses,
 the index and ``limit_circle_deviation``, keep that one regime: a radius
 below R0, or any radius of an end with no certificate, is refused.  The
-deviation bisects its one cut in log r on each ray of a grid of N angles
-2 pi j / N inside the certificate's disc, where that cut has one root.
-Magnitude enters only through the datum's unit (``WeierstrassData.unit``):
-the bilinear gates, the norms a, b and every bound of the certificate are
+deviation is a bound read off the same certificate's grid sums: the cut
+at R lies inside a radius of the disc that shrinks like R^(-1/m), and there
+the rest of the series is small against its leading term.  Magnitude
+enters only through the datum's unit (``WeierstrassData.unit``): the
+bilinear gates, the norms a, b and every bound of the certificate are
 taken of the coefficients over it.
 
-Near-end immersion values are computed from the termwise-integrated Laurent
-series in the local coordinate, its constant the regular part of the
-closed-form immersion at the end (``weierstrass._ClosedForm.end_constant``);
-this is the immersion itself to spectral accuracy, and working in t keeps
-full relative precision at radii far below the evaluation clearance, where
-z = p + t would round t away.  Coefficients are prefixes of the datum's
-Laurent table; it keeps one LocalImmersion per end, which refuses an end
-whose series has a term past the ``TERMS`` it reads.  The series is
-evaluated by one method, ``LocalImmersion.polar``, over all its terms at
-one log radius per angle.
+Near an end the immersion is the termwise-integrated Laurent series in the
+local coordinate, its constant the regular part of the closed-form
+immersion at the end (``weierstrass._ClosedForm.end_constant``).
+Coefficients are prefixes of the datum's Laurent table; it keeps one
+LocalImmersion per end, which refuses an end whose series has a term past
+the ``TERMS`` it reads.  The program bounds that series and never sums it.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .weierstrass import (
     BILINEAR_TOL,
     TERMS,
     WeierstrassData,
-    _pole_mult,
     form_coefficient_window,
     metric_order_at,
     null_defect,
@@ -69,7 +65,6 @@ __all__ = [
 ]
 
 PLANAR_TOL = 1e-8     # b <= PLANAR_TOL * a classifies the end as planar
-CUT_ANGLES = 16       # angles of a sphere cut per turn of its limit circle
 CERT_STEPS = 128      # radii r_top 2^(-i/4), i < CERT_STEPS, a rotation certificate tries
 FREE_TOP = 64.0       # its r_top at an end with no other pole
 
@@ -92,22 +87,23 @@ _CERT_P.flags.writeable = _CERT_ROWS.flags.writeable = _CERT_SLOPES.flags.writea
 
 
 class LocalImmersion:
-    """The immersion near one end, via its integrated Laurent expansion.
+    """The immersion near one end, as the table of its integrated Laurent series.
 
     f(t) = 2 Re( sum_{e != -1} c_e t^{e+1}/(e+1) + c_{-1} log t ) + C over
-    ``TERMS`` Laurent terms.  The constant C is the closed form's regular
-    part at the end (``_ClosedForm.end_constant``): the series has no t^0
-    term, so C is the value that the closed form keeps when the end's own
-    principal part and log term are left out.  Valid for |t| below roughly
-    half the distance to the next singularity; only Re(log) enters, so the
-    log branch is immaterial (the residue vector is real).
+    ``TERMS`` Laurent terms: the table _anti holds the coefficients of
+    t^(mu+1) .. t^(mu+TERMS) (t^0 the log's place, zero), ``log_coeff``
+    c_{-1} and ``constant`` C.  C is the closed form's regular part at the
+    end (``_ClosedForm.end_constant``): the series has no t^0 term, so C is
+    the value that the closed form keeps when the end's own principal part
+    and log term are left out.  Valid for |t| below roughly half the
+    distance to the next singularity (_cap is 0.55 of it); only Re(log)
+    enters, so the log branch is immaterial (the residue vector is real).
 
-    Its one evaluation, ``polar``, sums all ``TERMS`` terms at the points
-    t = e^x e^{i theta}.  A window with a coefficient past the float range (a
-    datum scaled near the top of it, with close punctures) raises
-    ``NumericInstabilityError``, and so does an end of order k > ``TERMS``
-    whose series has a nonzero term between the window's last one and t^0:
-    the series would be cut short silently.
+    A window with a coefficient past the float range (a datum scaled near
+    the top of it, with close punctures) raises ``NumericInstabilityError``,
+    and so does an end of order k > ``TERMS`` whose series has a nonzero
+    term between the window's last one and t^0: the series would be cut
+    short silently.
     """
 
     def __init__(self, w: WeierstrassData, p):
@@ -137,23 +133,11 @@ class LocalImmersion:
         exps = mu + np.arange(TERMS)
         log_mask = exps == -1
         self.log_coeff = C[:, log_mask].sum(axis=1)
-        # antiderivative coefficients of t^lo .. t^(lo+TERMS-1); t^0 (the log) is zero
-        self._lo = self.mu + 1
         anti = np.zeros_like(C)
         anti[:, ~log_mask] = C[:, ~log_mask] / (exps[~log_mask] + 1)
         self._anti = anti
         self._cap = 0.55 * conv if math.isfinite(conv) else math.inf
         self.constant = w._closed_form.end_constant(w, p)
-
-    def polar(self, x: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """The immersion at t = e^x e^{i theta}, one log radius x per angle:
-        2 Re(anti . exp(powers (x) log t) + log_coeff log t) + C, log t =
-        x + i theta with theta taken to the principal branch (-pi, pi]; a
-        (dim, n) array."""
-        log_t = x + 1j * np.angle(np.exp(1j * thetas))
-        series = self._anti @ np.exp(np.multiply.outer(self._lo + np.arange(TERMS), log_t))
-        series += np.multiply.outer(self.log_coeff, log_t)
-        return 2.0 * series.real + self.constant[:, None]
 
 
 @dataclass(slots=True)
@@ -318,12 +302,17 @@ class RotationCertificate:
     every sphere cut |f| = R with R >= R0 is one closed curve there, and its
     projection onto span(Re a_lead, Im a_lead) winds ``index`` = k - 1 times.
     ``margin`` is 1 - delta at r0, delta the bound of |f - L| / |L| on
-    |t| = r0, L the leading term."""
+    |t| = r0, L the leading term.  ``limit_circle_deviation`` reads the rest:
+    delta and eps on the grid from r0 down, ``_delta`` and ``_eps`` (views of
+    the grid sums), and ``_nu``, the departure of L from its circle."""
 
     index: int
     r0: float
     R0: float
     margin: float
+    _delta: np.ndarray = field(repr=False, compare=False)
+    _eps: np.ndarray = field(repr=False, compare=False)
+    _nu: float = field(repr=False, compare=False)
 
 
 def _form_bound(w: WeierstrassData, p, rho: float) -> float:
@@ -342,14 +331,14 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
     size = 1.0 / rho if at_inf else abs(p) + rho
     own = None if at_inf else w._poles.pole_point(p)
     low = rho * rho if at_inf else 1.0
-    for pole, members in w._poles.poles.items():
+    for pole, mult in w._poles.mult.items():
         if at_inf:
             gap = size - abs(pole)
         else:
             gap = abs(p - pole) - rho if pole != own else rho - abs(p - pole)
         if not gap > 0.0:
             return math.inf
-        for _ in range(_pole_mult(members)):
+        for _ in range(mult):
             low *= gap
     nums = w.cleared[1]
     powers = 0.0
@@ -361,14 +350,19 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
 
 def _lead_split(loc: LocalImmersion, unit: float):
     """The singular values s_max, s_min of [Re A, Im A], A the leading
-    antiderivative vector over ``unit``, and the norms of the later terms,
-    the log coefficient and the constant (over ``unit``) in and across
+    antiderivative vector over ``unit``, the leading term's departure
+    nu = max(1 - s_min / |Re A|, s_max / |Re A| - 1) from its circle
+    (``limit_circle_deviation``), and the norms of the later terms, the log
+    coefficient and the constant (over ``unit``) in and across
     span(Re A, Im A), as rows (2, TERMS + 1); None when A spans no plane.
 
     The plane's orthonormal basis is chol^-1 [Re A; Im A], chol the
     Cholesky factor of their Gram matrix, and s_max^2 + s_min^2 = |Re A|^2 +
-    |Im A|^2, s_max s_min = det chol.  Each part's squares are summed over
-    its rows in row order.
+    |Im A|^2, s_max s_min = det chol.  nu is taken of s_max^2 - |Re A|^2 and
+    |Re A|^2 - s_min^2 from gap = s_max^2 - s_min^2 = sqrt((g11 - g22)^2 +
+    4 g12^2), g the Gram matrix, as s_max and s_min lose half their digits
+    where they are close.  Each part's squares are summed over its rows in
+    row order.
     """
     cols = np.concatenate((loc._anti, loc.log_coeff[:, None], loc.constant[:, None]), axis=1)
     real = (cols / unit).view(float)  # (Re, Im) column pairs
@@ -390,7 +384,10 @@ def _lead_split(loc: LocalImmersion, unit: float):
     norms = squares[:, 0::2] + squares[:, 1::2]
     frob = g11 + g22
     s_max = math.sqrt(0.5 * (frob + math.sqrt(max(frob * frob - 4.0 * (a * b) ** 2, 0.0))))
-    return s_max, a * b / s_max, np.sqrt(norms, out=norms)
+    s_min = a * b / s_max
+    gap, skew = math.sqrt((g11 - g22) ** 2 + 4.0 * g12 * g12), g11 - g22
+    nu = max((gap - skew) / (2.0 * a * (s_max + a)), (gap + skew) / (2.0 * a * (a + s_min)))
+    return s_max, s_min, nu, np.sqrt(norms, out=norms)
 
 
 def certify_rotation_index(w: WeierstrassData, p,
@@ -449,7 +446,7 @@ def certify_rotation_index(w: WeierstrassData, p,
         split = _lead_split(loc, w.unit)
         if split is None:
             return None
-        s_max, s_min, norms = split
+        s_max, s_min, nu, norms = split
         size = 2.0 * s_min
         if not size > 0.0:
             return None
@@ -483,7 +480,7 @@ def certify_rotation_index(w: WeierstrassData, p,
     if not R0 < math.inf:
         return None
     return RotationCertificate(index=m, r0=top * float(_CERT_ROWS[0, i]), R0=R0,
-                               margin=1.0 - d)
+                               margin=1.0 - d, _delta=delta[i:], _eps=eps[i:], _nu=nu)
 
 
 def _certified(w: WeierstrassData, p, radii: list, end: EndAnalysis | None,
@@ -524,56 +521,31 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     return _certified(w, p, _radii(R_list), end, "rotation index")[1].index
 
 
-def _sphere_cut(loc: LocalImmersion, n: int, R: float, r0: float) -> np.ndarray:
-    """The sphere cut |f| = R of an end certified on 0 < |t| <= r0 for R, on
-    the grid of n angles theta_j = 2 pi j / n: f there, a (dim, n) array.
-
-    On each ray |f| falls strictly and |f(r0 e^{i theta})| <= R0 <= R, so
-    |f| = R has one root in (0, r0]; it is bisected in x = log r.  hi starts
-    at log r0, and lo moves down by log 2 until |f| >= R on every ray, which
-    ends, as |f| grows without bound toward the end (a value that is not
-    finite counts as above R).  The bisection stops where no midpoint lies
-    strictly between lo and hi, and returns f at hi.  f is divided by R
-    before it is squared, so no scale of the surface under- or overflows it.
-    """
-    thetas = 2.0 * math.pi * np.arange(n) / n
-
-    def below(x):
-        u = loc.polar(x, thetas) / R
-        return np.einsum("ij,ij->j", u, u) < 1.0
-
-    hi = np.full(n, math.log(r0))
-    lo = hi - math.log(2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while below(lo).any():
-            lo -= math.log(2.0)
-        mid = 0.5 * (lo + hi)
-        while ((lo < mid) & (mid < hi)).any():
-            inside = below(mid)
-            hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
-            mid = 0.5 * (lo + hi)
-    return loc.polar(hi, thetas)
-
-
 def limit_circle_deviation(w: WeierstrassData, p, R: float,
                            end: EndAnalysis | None = None) -> float:
-    """Sup distance of the normalized sphere cut from its limit circle.
+    """A proved bound of the sup distance of the rescaled sphere cut
+    (1/R)(|f| = R) from its limit circle, the (k-1)-fold model curve
+    -(e1 cos m theta + e2 sin m theta), m = k - 1, read off the end's
+    rotation certificate; no series is evaluated.
 
-    In the frame aligned with the leading coefficient the cut converges to
-    the (k-1)-fold covered unit circle; the model curve below carries the
-    phase that the integrated leading term actually produces.  The cut is
-    bisected (``_sphere_cut``) inside the disc of the end's rotation
-    certificate, on the grid of N = CUT_ANGLES max(k - 1, 4) angles
-    (``CUT_ANGLES`` per turn of the limit circle, at least four turns'
-    worth).  R below the end's R0, or at an end with no certificate, is
-    refused as by ``rotation_index_numeric``.  ``end``, when given, must be
-    the analysis of the end p of w (``ValueError`` otherwise).
+    With f = L + E as in ``certify_rotation_index`` and eta = hypot(delta,
+    eps), |E| <= eta |L| on |t| = r.  As delta and eps increase with r,
+    |f| <= R0 (r0/|t|)^m on the disc, so the cut lies in |t| <= r_R =
+    r0 (R0/R)^(1/m); r_i is the smallest grid radius at or above r_R, found
+    by comparing its (r_i/r0)^m, a row of the grid, with R0/R.  There
+    |f/|f| - L/|L|| <= 2 |E|/|L| <= 2 eta(r_i).  The model is
+    L / (2 |Re A| r^-m), and |L| / (2 r^-m) = |Re A cos m theta + Im A sin
+    m theta| takes every value of [s_min, s_max] as theta turns, |Re A|
+    (theta = 0) among them, so the sup of |L/|L| - model| is
+    nu = max(1 - s_min/|Re A|, s_max/|Re A| - 1), of the order of the
+    leading vector's nullity defect.  The bound is min(2, 2 eta(r_i) + nu):
+    delta < 1 keeps f within a right angle of L, so 2 bounds it too.
+
+    R below the end's R0, or at an end with no certificate, is refused as
+    by ``rotation_index_numeric``.  ``end``, when given, must be the
+    analysis of the end p of w (``ValueError`` otherwise).
     """
     (R,) = _radii((R,))
-    e, cert = _certified(w, p, [R], end, "limit-circle deviation")
-    n = CUT_ANGLES * max(e.k - 1, 4)
-    cut = _sphere_cut(e._local, n, R, cert.r0)
-    alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
-    model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
-              + np.multiply.outer(e.frame[1], np.sin(alpha)))
-    return float(np.max(np.linalg.norm(cut / R - model, axis=0)))
+    cert = _certified(w, p, [R], end, "limit-circle deviation")[1]
+    j = int(np.count_nonzero(_CERT_ROWS[cert.index - 1, :cert._delta.size] >= cert.R0 / R)) - 1
+    return min(2.0, 2.0 * math.hypot(cert._delta[j], cert._eps[j]) + cert._nu)

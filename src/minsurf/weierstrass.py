@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -282,11 +281,6 @@ class _LaurentTable:
         return self._series[key]
 
 
-def _pole_mult(members) -> int:
-    """Order of a pole in the common denominator: its largest component order."""
-    return max(members.values(), key=itemgetter(1))[1]
-
-
 class _PoleTable:
     """The poles of the components of a datum, found once.
 
@@ -295,10 +289,12 @@ class _PoleTable:
     roots of all components are merged into poles by ``roots_coincide``.
     ``poles`` maps each pole, the first root merged into it, to its members
     {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
-    part.  ``punctures`` are the poles where some component has negative
-    order (a root cancelled by its numerator up to tolerance is a regular
-    point), then infinity when some form has a pole there.  The orders are
-    those ``laurent_expand`` gives, read by its own rule
+    part, and ``mult`` maps it, in the same order, to its order in the
+    common denominator: its largest component multiplicity, kept as the
+    members merge.  ``punctures`` are the poles where some component has
+    negative order (a root cancelled by its numerator up to tolerance is a
+    regular point), then infinity when some form has a pole there.  The
+    orders are those ``laurent_expand`` gives, read by its own rule
     (``rational._finite_orders``) without expanding a series, so a datum
     expands one only when a reader asks for it.  A point off the table is
     matched to its pole once (``pole_point``).
@@ -306,16 +302,18 @@ class _PoleTable:
 
     def __init__(self, phi):
         poles: dict = {}
+        mult: dict = {}
         for j, r in enumerate(phi):
             for z, m in r.den_roots:
-                point = next((q for q, members in poles.items()
-                              if roots_coincide(z, m, q, _pole_mult(members))), None)
+                point = next((q for q in poles if roots_coincide(z, m, q, mult[q])), None)
                 if point is None:
-                    poles[z] = {j: (z, m)}
+                    poles[z], mult[z] = {j: (z, m)}, m
                 else:
                     root, have = poles[point].get(j, (z, 0))
                     poles[point][j] = (root, have + m)
+                    mult[point] = max(mult[point], have + m)
         self.poles = dict(sorted(poles.items(), key=lambda it: (it[0].real, it[0].imag)))
+        self.mult = {z: mult[z] for z in self.poles}
         finite = []
         for z, members in self.poles.items():
             orders = [_finite_orders(phi[j], root) for j, (root, _m) in members.items()]
@@ -330,8 +328,8 @@ class _PoleTable:
         if is_infinity(p) or p in self.poles:
             return p
         if p not in self._resolved:
-            self._resolved[p] = next((q for q, members in self.poles.items()
-                                      if roots_coincide(p, 1, q, _pole_mult(members))), p)
+            self._resolved[p] = next((q for q, m in self.mult.items()
+                                      if roots_coincide(p, 1, q, m)), p)
         return self._resolved[p]
 
 
@@ -342,8 +340,7 @@ def common_denominator(w: "WeierstrassData"):
     zero numerators).  D has one root per pole of the datum's pole table,
     with the largest multiplicity of any component there.
     """
-    poles = w._poles.poles
-    mult = {z: _pole_mult(members) for z, members in poles.items()}
+    poles, mult = w._poles.poles, w._poles.mult
     D = ComplexPoly.from_roots(mult.items())
     nums = []
     for j, r in enumerate(w.phi):

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import minsurf as ms
+from minsurf.ends import analyze_end, certify_rotation_index
 from minsurf.quadrature import integrate_vector, route_path
 from minsurf.rational import is_infinity
+from minsurf.weierstrass import TERMS
+
+CUT_ANGLES = 16  # angles of a sampled sphere cut per turn of its limit circle
 
 
 @pytest.fixture(scope="session")
@@ -108,3 +114,64 @@ def laurent_coefficient(r, center, exponent):
     finite point and minus the coefficient of w^1 at infinity."""
     order = ms.laurent_expand(r, center, 0).order
     return ms.laurent_expand(r, center, max(0, exponent - order)).coefficient(exponent)
+
+
+def polar(loc, x, thetas):
+    """The local immersion ``loc`` summed from its table at the points
+    t = e^x e^{i theta}, one log radius x per angle: 2 Re(sum_p anti_p
+    exp((mu+1+p) log t) + log_coeff log t) + constant, log t = x + i theta
+    with theta taken to the principal branch (-pi, pi]; a (dim, n) array.
+    The reference the deviation bound and the table are checked against."""
+    log_t = x + 1j * np.angle(np.exp(1j * thetas))
+    series = loc._anti @ np.exp(np.multiply.outer(loc.mu + 1 + np.arange(TERMS), log_t))
+    series += np.multiply.outer(loc.log_coeff, log_t)
+    return 2.0 * series.real + loc.constant[:, None]
+
+
+def sphere_cut(loc, n, R, r0):
+    """The sphere cut |f| = R of an end certified on 0 < |t| <= r0 for R, on
+    the grid of n angles theta_j = 2 pi j / n: f there, a (dim, n) array.
+
+    On each ray |f| falls strictly and |f(r0 e^{i theta})| <= R0 <= R, so
+    |f| = R has one root in (0, r0]; it is bisected in x = log r.  hi starts
+    at log r0, and lo moves down by log 2 until |f| >= R on every ray, which
+    ends, as |f| grows without bound toward the end (a value that is not
+    finite counts as above R).  The bisection stops where no midpoint lies
+    strictly between lo and hi, and returns f at hi.  f is divided by R
+    before it is squared, so no scale of the surface under- or overflows it.
+    """
+    thetas = 2.0 * math.pi * np.arange(n) / n
+
+    def below(x):
+        u = polar(loc, x, thetas) / R
+        return np.einsum("ij,ij->j", u, u) < 1.0
+
+    hi = np.full(n, math.log(r0))
+    lo = hi - math.log(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while below(lo).any():
+            lo -= math.log(2.0)
+        mid = 0.5 * (lo + hi)
+        while ((lo < mid) & (mid < hi)).any():
+            inside = below(mid)
+            hi, lo = np.where(inside, mid, hi), np.where(inside, lo, mid)
+            mid = 0.5 * (lo + hi)
+    return polar(loc, hi, thetas)
+
+
+def sampled_deviation(w, p, R, end=None):
+    """The sup distance of the sampled sphere cut (1/R)(|f| = R) from the
+    (k-1)-fold covered model circle -(e1 cos (k-1) theta + e2 sin (k-1)
+    theta) of the end's frame, k read from ``end``: the cut is bisected
+    (``sphere_cut``) inside the disc of the end's rotation certificate, on
+    N = CUT_ANGLES max(k - 1, 4) angles.  The independent reference of
+    ``limit_circle_deviation``; R must be at least the end's R0."""
+    e = analyze_end(w, p) if end is None else end
+    cert = certify_rotation_index(w, p, end=e)
+    assert cert is not None and R >= cert.R0, (p, R)
+    n = CUT_ANGLES * max(e.k - 1, 4)
+    cut = sphere_cut(e._local, n, R, cert.r0)
+    alpha = (e.k - 1) * (2.0 * math.pi * np.arange(n) / n)
+    model = -(np.multiply.outer(e.frame[0], np.cos(alpha))
+              + np.multiply.outer(e.frame[1], np.sin(alpha)))
+    return float(np.max(np.linalg.norm(cut / R - model, axis=0)))

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from conftest import laurent_coefficient, metric_sq, path_integral, well_conditioned_mobius
-from minsurf.ends import EndType, analyze_end, limit_circle_deviation
+from conftest import (
+    laurent_coefficient,
+    metric_sq,
+    path_integral,
+    sampled_deviation,
+    well_conditioned_mobius,
+)
+from minsurf.ends import EndType, analyze_end
 from minsurf.rational import INF, RationalMap, roots
 from minsurf.weierstrass import (
     check_residues_real,
@@ -148,7 +154,7 @@ def test_criterion_6_limit_curve_suite(all_entries):
     for entry in all_entries:
         for p in entry.data.punctures:
             e = analyze_end(entry.data, p)
-            devs = [ms.limit_circle_deviation(entry.data, p, R, end=e) for R in R_LIST]
+            devs = [sampled_deviation(entry.data, p, R, end=e) for R in R_LIST]
             # exact-model ends (the plane) sit at rounding noise for every R
             decreasing = (devs[0] > devs[1] > devs[2]) or max(devs) < 1e-9
             wind = ms.rotation_index_numeric(entry.data, p, R_LIST, end=e)
@@ -237,12 +243,12 @@ def test_criterion_8_asymptotic_bounds(all_entries):
             e = analyze_end(entry.data, p)
             if e.mu != -2:
                 continue
-            devs = [limit_circle_deviation(entry.data, p, R, end=e) for R in R_LIST]
+            devs = [sampled_deviation(entry.data, p, R, end=e) for R in R_LIST]
             ok = devs[0] > devs[1] > devs[2] or max(devs) < 1e-9
             checks.append((f"{entry.name}@{p!r} tends to its circle", ok))
     # negative control: the order -3 end, a double cover, read as a single one
     ce = ms.holomorphic_counterexample().data
     single = dataclasses.replace(analyze_end(ce, 0j), k=2)
-    devs = [limit_circle_deviation(ce, 0j, R, end=single) for R in R_LIST]
+    devs = [sampled_deviation(ce, 0j, R, end=single) for R in R_LIST]
     checks.append(("double cover read as a single one stays off", min(devs) > 1.0))
     _verdict(8, "limit-circle suite", checks)

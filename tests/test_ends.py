@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import conftest
 import minsurf as ms
+from conftest import CUT_ANGLES, polar, sampled_deviation
 from minsurf import ends
 from minsurf.ends import (
     EndType,
@@ -20,7 +22,7 @@ from minsurf.ends import (
     rotation_index_numeric,
 )
 from minsurf.errors import InternalConsistencyError, NumericInstabilityError
-from minsurf.rational import INF, is_infinity
+from minsurf.rational import INF
 from minsurf.weierstrass import form_coefficient_window, form_residue_vector, validate
 
 R_LIST = (1e2, 1e3, 1e4)
@@ -268,25 +270,28 @@ class TestRotationIndex:
     @pytest.mark.parametrize("m", [4, 8])
     def test_generalized_enneper_takes_its_angles_from_k(self, m):
         # the end of order k = 2m + 2 winds 2m + 1 times, certified below
-        # R = 1e2; the deviation's cut takes 16 angles per turn of that
-        # circle, 16 (k - 1) in all, and falls toward it
+        # R = 1e2; the sampled cut takes 16 angles per turn of that circle,
+        # 16 (k - 1) in all, falls toward it, and stays within the bound
         w = generalized_enneper(m)
         (p,) = w.punctures
         e = analyze_end(w, p)
         assert e.k == 2 * m + 2
         assert ends.certify_rotation_index(w, p, end=e).R0 < 1e2
         assert rotation_index_numeric(w, p, R_LIST, end=e) == 2 * m + 1
-        devs = [limit_circle_deviation(w, p, R, end=e) for R in R_LIST]
+        devs = [sampled_deviation(w, p, R, end=e) for R in R_LIST]
         assert devs[0] > devs[1] > devs[2], devs
         assert devs[2] < 0.03, devs
+        for R, dev in zip(R_LIST, devs):
+            assert dev <= limit_circle_deviation(w, p, R, end=e) + 1e-15, (R, dev)
 
     @pytest.mark.filterwarnings("error")
     def test_chart_sweep(self):
         # every end of the conftest-rule chart sweep (UNSOLVED_CUTS) has a
-        # rotation certificate of index |k - 1| and a finite deviation at its
-        # own R0; at R_LIST the witness answers the 865 ends certified from
-        # R = 1e2 on and refuses the other 38, the six UNSOLVED_CUTS among
-        # them, each error naming the radii below R0 and R0
+        # rotation certificate of index |k - 1| and a deviation bound at its
+        # own R0; at 10 R0 and 1e4 R0 the bound is below 2, falls, and holds
+        # the sampled cut; at R_LIST the witness answers the 865 ends
+        # certified from R = 1e2 on and refuses the other 38, the six
+        # UNSOLVED_CUTS among them, each error naming the radii below R0 and R0
         from conftest import well_conditioned_mobius
 
         rng = np.random.default_rng(2001)
@@ -302,8 +307,13 @@ class TestRotationIndex:
                     e = analyze_end(w, p)
                     cert = ends.certify_rotation_index(w, p, end=e)
                     assert cert.index == abs(e.k - 1), (entry.name, mob, p)
-                    dev = limit_circle_deviation(w, p, cert.R0, end=e)
-                    assert math.isfinite(dev), (entry.name, mob, p)
+                    assert limit_circle_deviation(w, p, cert.R0, end=e) <= 2.0
+                    radii = [10.0 * cert.R0, 1e4 * cert.R0]
+                    bounds = [limit_circle_deviation(w, p, R, end=e) for R in radii]
+                    assert 2.0 > bounds[0] > bounds[1], (entry.name, mob, p, bounds)
+                    for R, bound in zip(radii, bounds):
+                        sample = sampled_deviation(w, p, R, end=e)
+                        assert sample <= bound + 1e-15, (entry.name, mob, p, R)
                     try:
                         idx = rotation_index_numeric(w, p, R_LIST, end=e)
                     except NumericInstabilityError as err:
@@ -322,11 +332,11 @@ class TestRotationIndex:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("radii", [(), (0.0,), (-1e2,), (math.nan,), (math.inf,),
                                        (1e2, 1e3, math.inf)])
-    def test_bad_radii_are_refused_before_any_solve(self, catenoid, radii, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("sphere cut solved")
+    def test_bad_radii_are_refused_before_any_certificate(self, catenoid, radii, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("end certified")
 
-        monkeypatch.setattr(ends, "_sphere_cut", unreachable)
+        monkeypatch.setattr(ends, "certify_rotation_index", unreachable)
         with pytest.raises(ValueError, match="finite and positive"):
             rotation_index_numeric(catenoid.data, 0j, radii)
         if len(radii) == 1:
@@ -336,15 +346,15 @@ class TestRotationIndex:
     def test_an_end_it_was_not_asked_about_is_refused(self, catenoid, enneper, monkeypatch):
         # the witness winds the end it is given, so an end of another datum
         # (Enneper's would give 3 here) or of another puncture is refused
-        # before any solve
-        def unreachable(*args):
-            raise AssertionError("sphere cut solved")
+        # before any certificate
+        def unreachable(*args, **kwargs):
+            raise AssertionError("end certified")
 
         w = catenoid.data
         other_datum = analyze_end(enneper.data, INF)
         other_puncture = analyze_end(w, INF)
         same_coefficients = analyze_end(ms.catenoid().data, 0j)
-        monkeypatch.setattr(ends, "_sphere_cut", unreachable)
+        monkeypatch.setattr(ends, "certify_rotation_index", unreachable)
         for e in (other_datum, other_puncture, same_coefficients):
             with pytest.raises(ValueError, match="is not the end 0j"):
                 rotation_index_numeric(w, 0j, R_LIST, end=e)
@@ -372,16 +382,20 @@ def _assert_refused_below_R0(w, p, e):
 
 
 class TestLimitCircle:
+    """The sampled deviation (``conftest.sampled_deviation``), the reference
+    the bound is checked against: its cut falls toward the circle it is
+    read against, at the rate of the end's next terms."""
+
     def test_deviation_decreases_catenoid(self, catenoid):
-        devs = [limit_circle_deviation(catenoid.data, 0j, R) for R in R_LIST]
+        devs = [sampled_deviation(catenoid.data, 0j, R) for R in R_LIST]
         assert devs[0] > devs[1] > devs[2]
 
     def test_plane_deviation_floor(self, plane):
-        devs = [limit_circle_deviation(plane.data, INF, R) for R in R_LIST]
+        devs = [sampled_deviation(plane.data, INF, R) for R in R_LIST]
         assert max(devs) < 1e-9
 
     def test_counterexample_double_cover_model(self, counterexample):
-        devs = [limit_circle_deviation(counterexample.data, 0j, R) for R in R_LIST]
+        devs = [sampled_deviation(counterexample.data, 0j, R) for R in R_LIST]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-2
 
@@ -394,7 +408,7 @@ class TestLimitCircle:
                 e = analyze_end(entry.data, p)
                 if e.mu != -2:
                     continue
-                devs = [limit_circle_deviation(entry.data, p, R, end=e) for R in R_LIST]
+                devs = [sampled_deviation(entry.data, p, R, end=e) for R in R_LIST]
                 assert devs[0] > devs[1] > devs[2] or max(devs) < 1e-9, (entry.name, p, devs)
                 for R, dev in zip(R_LIST, devs):
                     assert dev < 4.0 * math.log(R) / R, (entry.name, p, R, dev)
@@ -402,7 +416,7 @@ class TestLimitCircle:
     def test_double_cover_falls_like_one_over_R(self, counterexample):
         # the order -3 end has no log term: R times the deviation settles
         # (4.04, 4.03, 4.03 measured), each decade of R a tenth of it
-        devs = [limit_circle_deviation(counterexample.data, 0j, R) for R in R_LIST]
+        devs = [sampled_deviation(counterexample.data, 0j, R) for R in R_LIST]
         for a, b in zip(devs, devs[1:]):
             assert 9.0 < a / b < 11.0, devs
 
@@ -413,7 +427,79 @@ class TestLimitCircle:
         # diameter 2 at every R (1.99999, 2.0000, 2.0000 measured)
         e = dataclasses.replace(analyze_end(counterexample.data, 0j), k=k)
         for R in R_LIST:
-            assert limit_circle_deviation(counterexample.data, 0j, R, end=e) > 1.99, R
+            assert sampled_deviation(counterexample.data, 0j, R, end=e) > 1.99, R
+
+
+# the radii of the bound's checks, as multiples of each end's R0
+R0_MULTIPLES = (1.0, 10.0, 100.0, 1e4, 1e8)
+
+
+class TestDeviationBound:
+    """``limit_circle_deviation``, the bound read off the rotation
+    certificate, against the sampled cut."""
+
+    def test_bound_holds_the_sampled_cut_and_falls(self):
+        # the 33 ends of the catalog with Jorge-Meeks m = 1..6, at
+        # R0 x R0_MULTIPLES: no sample exceeds the bound by more than the
+        # rounding of the plane's cut (7.4e-16 measured), below 2 the bound
+        # falls strictly, and at 10 R0 it is below 2
+        cuts = 0
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                R0 = ends.certify_rotation_index(w, p, end=e).R0
+                bounds = []
+                for R in (R0 * c for c in R0_MULTIPLES):
+                    bound = limit_circle_deviation(w, p, R, end=e)
+                    assert sampled_deviation(w, p, R, end=e) <= bound + 1e-15, (entry.name, p, R)
+                    bounds.append(bound)
+                    cuts += 1
+                assert bounds[1] < 2.0, (entry.name, p, bounds)
+                assert all(b < a for a, b in zip(bounds, bounds[1:]) if a < 2.0), bounds
+        assert cuts == 33 * len(R0_MULTIPLES)
+
+    def test_nu_is_the_sup_of_the_leading_terms_departure(self):
+        # |L| / (2 r^-m) = |Re A cos a + Im A sin a|, a = m theta, and the
+        # model is L / (2 |Re A| r^-m): on 4096 angles the sup of
+        # |L/|L| - model| is within 3.1e-16 of nu (measured), though nu
+        # reaches 3.7e-15 on the rounded Jorge-Meeks data; nu from s_max and
+        # s_min themselves, which lose half their digits here, read 9.4e-9
+        a = 2.0 * np.pi * np.arange(4096) / 4096
+        largest = 0.0
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            w = entry.data
+            for p in w.punctures:
+                e = analyze_end(w, p)
+                nu = ends.certify_rotation_index(w, p, end=e)._nu
+                A = e._local._anti[:, 0] / w.unit
+                lead = np.multiply.outer(A.real, np.cos(a)) + np.multiply.outer(A.imag, np.sin(a))
+                model = lead / np.linalg.norm(A.real)
+                sup = np.max(np.linalg.norm(lead / np.linalg.norm(lead, axis=0) - model, axis=0))
+                assert abs(sup - nu) <= 5e-16, (entry.name, p, nu, sup)
+                largest = max(largest, nu)
+        assert largest > 3e-15
+
+    @pytest.mark.parametrize("name, p", [("catenoid", 0j), ("enneper", INF),
+                                         ("holomorphic_counterexample", 0j)])
+    def test_bound_reads_the_grid_radius_at_or_above_the_cut(self, name, p):
+        # at R = R0 2^(m c / 4) the cut's radius r_R = r0 (R0 / R)^(1/m) is
+        # r0 2^(-c/4), the grid's radius c steps below r0: just above that R
+        # the bound reads delta and eps there, and just below it, where r_R
+        # is above that radius, one step up
+        w = getattr(ms, name)().data
+        e = analyze_end(w, p)
+        cert = ends.certify_rotation_index(w, p, end=e)
+        m = cert.index
+
+        def read(c):
+            return min(2.0, 2.0 * math.hypot(cert._delta[c], cert._eps[c]) + cert._nu)
+
+        assert limit_circle_deviation(w, p, cert.R0, end=e) == read(0)
+        for c in range(1, 24):
+            R = cert.R0 * 2.0 ** (0.25 * m * c)
+            assert limit_circle_deviation(w, p, R * (1.0 + 1e-12), end=e) == read(c), c
+            assert limit_circle_deviation(w, p, R * (1.0 - 1e-12), end=e) == read(c - 1), c
 
 
 class TestEqualityEquivalence:
@@ -441,8 +527,8 @@ GRID_THETAS = 2.0 * np.pi * np.arange(64) / 64
 
 def _on_circle(loc, r):
     """The local immersion on the circle |t| = r at the 64 angles of
-    GRID_THETAS, by its polar evaluator: shape (n, 64)."""
-    return loc.polar(np.full(GRID_THETAS.size, np.log(r)), GRID_THETAS)
+    GRID_THETAS, summed from its table (``conftest.polar``): shape (n, 64)."""
+    return polar(loc, np.full(GRID_THETAS.size, np.log(r)), GRID_THETAS)
 
 
 class TestLocalImmersion:
@@ -496,7 +582,7 @@ class TestLocalImmersion:
         assert built == 20 and calls == []
 
     def test_matches_mpmath(self, jm2):
-        # the polar evaluator against the same 41 Laurent terms and constant
+        # the table's sum against the same 41 Laurent terms and constant
         # summed in 40 digits, at 64 angles on the circles r = 1e-1 .. 1e-4
         # about the first end of JM m = 2: the sup of the error is within
         # 1e-14 of the sup of |f| on each circle (at most 1.1e-15 measured)
@@ -506,21 +592,6 @@ class TestLocalImmersion:
         # the same check at the counterexample's order -3 end at 0, whose
         # leading term is t^-2 and whose window has no log term
         _assert_matches_mpmath(counterexample.data, 0j)
-
-    def test_build_and_certificate_take_no_evaluator(self, all_entries, monkeypatch):
-        # neither building the local immersion nor certifying its end sums
-        # the series: only the deviation's sphere cut does
-        calls = []
-        real = LocalImmersion.polar
-        monkeypatch.setattr(LocalImmersion, "polar",
-                            lambda self, *args: calls.append(args) or real(self, *args))
-        for entry in all_entries:
-            for p in entry.data.punctures:
-                entry.data._laurent.immersions[p] = LocalImmersion(entry.data, p)
-                ends.certify_rotation_index(entry.data, p)
-        assert calls == []
-        limit_circle_deviation(entry.data, p, 1e2)
-        assert calls
 
     @pytest.mark.parametrize("m, k", [(19, 40), (20, 42)])
     def test_an_end_the_window_covers_is_built(self, m, k):
@@ -584,76 +655,6 @@ def _assert_matches_mpmath(w, p):
             assert err <= 1e-14 * scale, (r, float(err / scale))
 
 
-class FloatPowerImmersion(LocalImmersion):
-    """The local immersion as first written: every term t ** p taken as a
-    complex power with a float exponent, all 40 of them on every call, and
-    its own constant from the closed form at an anchor radius, r_anchor =
-    min(0.36 cap, 0.5).  Only the chart's cap (``_cap``) comes from
-    ``LocalImmersion``."""
-
-    def __init__(self, w, p):
-        super().__init__(w, p)
-        mu, C = form_coefficient_window(w, p, 40)
-        exps = mu + np.arange(C.shape[1])
-        keep = exps != -1
-        self._ref_powers = (exps[keep] + 1).astype(float)
-        self._ref_anti = C[:, keep] / (exps[keep] + 1)
-        self._ref_log = C[:, ~keep].sum(axis=1)
-        self.r_anchor = min(0.36 * self._cap, 0.5)
-        z_anchor = 1.0 / self.r_anchor if is_infinity(p) else p + self.r_anchor
-        self.constant = (ms.immersion_eval(w, z_anchor)
-                         - self._series(np.array([self.r_anchor + 0j]))[:, 0])
-
-    def _series(self, t):
-        tp = t[None, :] ** self._ref_powers[:, None]
-        return 2.0 * (self._ref_anti @ tp + np.multiply.outer(self._ref_log, np.log(t))).real
-
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=complex))
-        return self._series(t) + self.constant[:, None]
-
-    def polar(self, x, thetas):
-        return self(np.exp(x) * np.exp(1j * thetas))
-
-
-class TestIntegerPowerEvaluation:
-    """The polar evaluation, exp(p log t) for each integer power p, matches
-    the float-power formula t ** p on every catalog end, at every scale it
-    is used."""
-
-    @staticmethod
-    def _radii(ref):
-        near_cap = 0.99 * ref._cap if math.isfinite(ref._cap) else 1.0
-        return [ref.r_anchor, 1e-2, 1e-4, 1e-6, near_cap]
-
-    def test_matches_float_powers(self, all_entries):
-        orders = set()
-        for entry in all_entries:
-            w = entry.data
-            for p in w.punctures:
-                loc, ref = LocalImmersion(w, p), FloatPowerImmersion(w, p)
-                orders.add(loc.mu)
-                for r in self._radii(ref):
-                    want = ref(r * np.exp(1j * GRID_THETAS))
-                    err = np.max(np.linalg.norm(_on_circle(loc, r) - want, axis=0))
-                    assert err <= 1e-14 * np.max(np.linalg.norm(want, axis=0)), (entry.name, p, r)
-        assert orders == {-2, -3, -4}
-
-    def test_same_deviations_as_float_powers(self, all_entries, monkeypatch):
-        # the limit-circle deviation read through float powers and the
-        # anchor constant agrees with the polar evaluator's at every radius
-        # of R_LIST
-        for entry in all_entries:
-            w = entry.data
-            for p in w.punctures:
-                e = analyze_end(w, p)
-                got = [limit_circle_deviation(w, p, R, end=e) for R in R_LIST]
-                with monkeypatch.context() as m:
-                    m.setitem(w._laurent.immersions, p, FloatPowerImmersion(w, p))
-                    want = [limit_circle_deviation(w, p, R, end=e) for R in R_LIST]
-                assert np.max(np.abs(np.subtract(got, want))) <= 1e-14, (entry.name, p)
-
-
 def _inside(f, R):
     """Whether each column of f lies strictly inside the sphere |f| = R, by
     the sphere cut's own test."""
@@ -662,8 +663,8 @@ def _inside(f, R):
 
 
 class TestSphereCut:
-    """``_sphere_cut``, the bisection of |f| = R in log r on the disc of the
-    end's rotation certificate."""
+    """``conftest.sphere_cut``, the reference bisection of |f| = R in log r
+    on the disc of the end's rotation certificate."""
 
     def test_cut_lies_on_the_sphere(self, all_entries):
         # at every radius of R_LIST at least the end's R0, each point of the
@@ -675,9 +676,9 @@ class TestSphereCut:
             for p in w.punctures:
                 e = analyze_end(w, p)
                 cert = ends.certify_rotation_index(w, p, end=e)
-                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                n = CUT_ANGLES * max(e.k - 1, 4)
                 for R in (R for R in R_LIST if R >= cert.R0):
-                    f = ends._sphere_cut(e._local, n, R, cert.r0)
+                    f = conftest.sphere_cut(e._local, n, R, cert.r0)
                     assert f.shape == (w.n, n)
                     rel = np.linalg.norm(f, axis=0) / R
                     assert np.max(np.abs(rel - 1.0)) <= 1e-14, (entry.name, p, R)
@@ -689,15 +690,14 @@ class TestSphereCut:
     def _recorded_cut(self, loc, n, R, r0, monkeypatch):
         """The cut and every (x, f) at which it evaluated the series."""
         calls = []
-        real = LocalImmersion.polar
 
-        def recorded(self, x, thetas):
-            f = real(self, x, thetas)
+        def recorded(loc, x, thetas):
+            f = polar(loc, x, thetas)
             calls.append((np.array(x, dtype=float), f))
             return f
 
-        monkeypatch.setattr(LocalImmersion, "polar", recorded)
-        return ends._sphere_cut(loc, n, R, r0), calls
+        monkeypatch.setattr(conftest, "polar", recorded)
+        return conftest.sphere_cut(loc, n, R, r0), calls
 
     def test_lower_end_steps_down_by_log_two_until_every_ray_is_outside(self, enneper,
                                                                       monkeypatch):
@@ -729,7 +729,7 @@ class TestSphereCut:
             for p in w.punctures:
                 e = analyze_end(w, p)
                 cert = ends.certify_rotation_index(w, p, end=e)
-                n = ends.CUT_ANGLES * max(e.k - 1, 4)
+                n = CUT_ANGLES * max(e.k - 1, 4)
                 with monkeypatch.context() as m:
                     cut, calls = self._recorded_cut(e._local, n, 1e4, cert.r0, m)
                 first = next(i for i, (_x, f) in enumerate(calls) if not _inside(f, 1e4).any())

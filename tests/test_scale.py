@@ -169,23 +169,24 @@ class TestPowerOfTwoScaling:
 
     @pytest.mark.parametrize("j", (-900, -500, 0, 500, 900))
     def test_sphere_cuts_at_any_scale(self, catenoid, j):
-        # the cuts |f| = R are solved on f / R: |f|^2 underflowed at 2^-900
-        # and overflowed at 2^500 and 2^900 ("stalled at residual inf").
-        # The deviation at 2^j R is bitwise the unscaled one at R; the
-        # witness answers 2^j R and refuses half of 2^j R0, naming it
+        # the deviation bound at 2^j R is bitwise the unscaled one at R, at
+        # R0 x (1, 10, 100, 1e4, 1e8) and at R_LIST: it reads the grid
+        # radius off R0 / R.  The witness answers 2^j R and refuses half of
+        # 2^j R0, naming it
         s = 2.0**j
         w = scaled(catenoid.data, s)
         radii = [s * R for R in (1e2, 1e3, 1e4)]
         for p in w.punctures:
             e = ms.analyze_end(w, p)
-            want = [ms.limit_circle_deviation(catenoid.data, p, R) for R in (1e2, 1e3, 1e4)]
-            assert [ms.limit_circle_deviation(w, p, R, end=e) for R in radii] == want
+            R0 = ends.certify_rotation_index(catenoid.data, p).R0
+            unscaled = [R0 * c for c in (1.0, 10.0, 100.0, 1e4, 1e8)] + [1e2, 1e3, 1e4]
+            want = [ms.limit_circle_deviation(catenoid.data, p, R) for R in unscaled]
+            assert [ms.limit_circle_deviation(w, p, s * R, end=e) for R in unscaled] == want
             assert ms.rotation_index_numeric(w, p, radii, end=e) == 1
-            R0 = ends.certify_rotation_index(w, p, end=e).R0
-            assert R0 == s * ends.certify_rotation_index(catenoid.data, p).R0
+            assert ends.certify_rotation_index(w, p, end=e).R0 == s * R0
             with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:
-                ms.rotation_index_numeric(w, p, [R0 / 2.0] + radii, end=e)
-            assert err.value.diagnostics["R"] == [R0 / 2.0]
+                ms.rotation_index_numeric(w, p, [s * R0 / 2.0] + radii, end=e)
+            assert err.value.diagnostics["R"] == [s * R0 / 2.0]
 
     @pytest.mark.parametrize("entry", CATALOG, ids=[e.name for e in CATALOG])
     def test_rotation_certificates_scale_exactly(self, entry):

@@ -6,7 +6,7 @@ that of the benchmark's ``analyze-catalog``: catenoid, plane, Enneper, the
 holomorphic counterexample and Jorge-Meeks m = 1..6, each analysed once,
 with the numeric rotation index of every end at R = 1e2, 1e3, 1e4.  The
 witness reads only the rotation certificate, which covers those radii on
-every catalog end, so it evaluates no series.
+every catalog end.
 """
 
 from collections import Counter
@@ -25,10 +25,7 @@ R_LIST = (1e2, 1e3, 1e4)
 # roots (2 evaluations per component and call, num and num', remain).  With
 # one round a call it took 32 calls and 376 evaluations, and 19 and 236 with
 # two; with four rounds a call each surface took one call, as it does now
-# that one round at fixed radii replaces the extrapolated rounds.  The
-# witness took 101 of the sphere cuts' 198 series evaluations until every
-# catalog end's rotation certificate covered R = 1e2, 1e3 and 1e4; it now
-# reads only the certificate and evaluates none.
+# that one round at fixed radii replaces the extrapolated rounds.
 MAX_ROUND_CALLS = 10
 MAX_TC_EVALUATIONS = 120
 
@@ -59,7 +56,6 @@ def test_catalog_work_counts(monkeypatch):
             counts["tc_evaluations"] += counts["evaluations"] - before
 
     monkeypatch.setattr(curvature, "total_curvature_numeric", tc_counted)
-    counted(ends.LocalImmersion, "polar", "series")
     for entry in ms.catalog.entries(jm_range=range(1, 7)):
         w = entry.data
         rep = ms.run_analysis(w)
@@ -68,7 +64,6 @@ def test_catalog_work_counts(monkeypatch):
             ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
     assert counts["round_calls"] <= MAX_ROUND_CALLS, counts
     assert counts["tc_evaluations"] <= MAX_TC_EVALUATIONS, counts
-    assert counts["series"] == 0, counts
 
 
 def test_refused_ends_take_no_curvature_rounds(monkeypatch):
