@@ -40,9 +40,9 @@ print("against its leading term.  A radius below the certified R0 is refused.")
 print()
 R_LIST = (1e2, 1e3, 1e4)
 cat = ms.catenoid().data
-devs = [ms.limit_circle_deviation(cat, 0j, R) for R in R_LIST]
+devs = ms.limit_circle_deviation(cat, 0j, R_LIST)
 print(f"catenoid end at 0 (k = 2):        deviation bounds = {[f'{d:.3g}' for d in devs]}")
 
 ce = ms.holomorphic_counterexample().data
-devs = [ms.limit_circle_deviation(ce, 0j, R) for R in R_LIST]
+devs = ms.limit_circle_deviation(ce, 0j, R_LIST)
 print(f"counterexample end at 0 (k = 3):  deviation bounds = {[f'{d:.3g}' for d in devs]}")

@@ -42,7 +42,7 @@ print()
 print("Convergence to the limit circle (a proved bound of the sup distance of")
 print("the normalized cut from the (k-1)-fold circle in the aligned frame):")
 for label, w, p in cases:
-    devs = [ms.limit_circle_deviation(w, p, R) for R in R_LIST]
+    devs = ms.limit_circle_deviation(w, p, R_LIST)
     print(f"  {label:<36}" + "  ".join(f"R=1e{int(2 + i)}: {d:.2e}"
                                        for i, d in enumerate(devs)))
 

@@ -12,9 +12,9 @@ surface and its sum over a catalog round, and the median warm per-end time
 (the same datum witnessed again); next to them, the ``run_analysis``
 milliseconds per catalog round, fresh (the rebuilt datum's first analysis)
 and warm (the same datum analysed again), each the sum over the surfaces of
-their medians; and the median time of one ``limit_circle_deviation`` call
-per surface, at R = 1e2, 1e3, 1e4 on each end of the warm datum, with its
-sum over the cuts of a catalog round.  Process time, so other processes on
+their medians; and the median time per cut of ``limit_circle_deviation``
+per surface, one call at R = 1e2, 1e3, 1e4 on each end of the warm datum,
+with its sum over the cuts of a catalog round.  Process time, so other processes on
 the machine count less.
 
 Run from the root of a checkout:
@@ -53,8 +53,7 @@ def witness_ms(w, ends):
 def deviation_ms(w, ends):
     t = time.process_time()
     for e in ends:
-        for R in R_LIST:
-            ms.limit_circle_deviation(w, e.puncture, R, end=e)
+        ms.limit_circle_deviation(w, e.puncture, R_LIST, end=e)
     return 1e3 * (time.process_time() - t) / (len(ends) * len(R_LIST))
 
 

@@ -19,9 +19,10 @@ strictly along every ray and each cut |f| = R with R >= R0 winds k - 1 times
 about that plane (Rouche, in its dog-on-a-leash form).  Both witnesses,
 the index and ``limit_circle_deviation``, keep that one regime: a radius
 below R0, or any radius of an end with no certificate, is refused.  The
-deviation is a bound read off the same certificate's grid sums: the cut
-at R lies inside a radius of the disc that shrinks like R^(-1/m), and there
-the rest of the series is small against its leading term.  Magnitude
+deviation, one bound per radius of a list, is read off one certificate's
+grid sums: the cut at R lies inside a radius of the disc that shrinks like
+R^(-1/m), and there the rest of the series is small against its leading
+term.  Magnitude
 enters only through the datum's unit (``WeierstrassData.unit``): the
 bilinear gates, the norms a, b and every bound of the certificate are
 taken of the coefficients over it.
@@ -29,9 +30,11 @@ taken of the coefficients over it.
 Near an end the immersion is the termwise-integrated Laurent series in the
 local coordinate, its constant the regular part of the closed-form
 immersion at the end (``weierstrass._ClosedForm.end_constant``).
-Coefficients are prefixes of the datum's Laurent table; it keeps one
-LocalImmersion per end, which refuses an end whose series has a term past
-the ``TERMS`` it reads.  The program bounds that series and never sums it.
+``analyze_end`` and ``LocalImmersion`` index the end's one window of the
+datum's Laurent table (``weierstrass.form_coefficient_window``), which
+reaches the log term of every end; the table keeps one LocalImmersion per
+end, which refuses an end whose series has a term past the ``TERMS`` it
+reads.  The program bounds that series and never sums it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .weierstrass import (
     TERMS,
     WeierstrassData,
     form_coefficient_window,
-    metric_order_at,
     null_defect,
 )
 
@@ -111,10 +113,10 @@ class LocalImmersion:
             conv = min((1.0 / abs(q) for q in w.finite_punctures if q != 0), default=math.inf)
         else:
             conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
-        # the table reaches t^-1, past the window of TERMS terms when k > TERMS
-        k = -metric_order_at(w, p)
-        mu, C = form_coefficient_window(w, p, max(TERMS, k) - 1)
-        C, past = C[:, :TERMS], C[:, TERMS:]
+        # the window reaches t^-1, past the TERMS terms read when k > TERMS
+        mu, C = form_coefficient_window(w, p)
+        k = -mu
+        C, past = C[:, :TERMS], C[:, TERMS:k]
         if not np.isfinite(C).all():
             # a coefficient past the float range has no size to bound its
             # term by, so it can be neither summed nor certified
@@ -218,15 +220,11 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     taken of the coefficients divided by the datum's ``unit`` (exact), so
     they neither underflow nor overflow; a and b are unit * |v / unit|.
     """
-    depth = max(8, 4 - metric_order_at(w, p))
-    mu, C = form_coefficient_window(w, p, depth)
+    mu, C = form_coefficient_window(w, p)
     k = -mu
     lead = C[:, 0].copy()
-    if mu == -2:
-        a2 = lead
-    else:
-        a2 = C[:, -2 - mu].copy() if 0 <= -2 - mu <= depth else np.zeros(w.n, dtype=complex)
-    a1c = C[:, -1 - mu] if 0 <= -1 - mu <= depth else np.zeros(w.n, dtype=complex)
+    a2 = C[:, k - 2].copy() if k >= 2 else np.zeros(w.n, dtype=complex)
+    a1c = C[:, k - 1] if k >= 1 else np.zeros(w.n, dtype=complex)
     a1 = a1c.real.copy()
 
     unit = w.unit
@@ -329,7 +327,7 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
     |z| = 1/rho."""
     at_inf = is_infinity(p)
     size = 1.0 / rho if at_inf else abs(p) + rho
-    own = None if at_inf else w._poles.pole_point(p)
+    own = None if at_inf else w._laurent.window(p).pole
     low = rho * rho if at_inf else 1.0
     for pole, mult in w._poles.mult.items():
         if at_inf:
@@ -357,11 +355,13 @@ def _lead_split(loc: LocalImmersion, unit: float):
     span(Re A, Im A), as rows (2, TERMS + 1); None when A spans no plane.
 
     The plane's orthonormal basis is chol^-1 [Re A; Im A], chol the
-    Cholesky factor of their Gram matrix, and s_max^2 + s_min^2 = |Re A|^2 +
-    |Im A|^2, s_max s_min = det chol.  nu is taken of s_max^2 - |Re A|^2 and
-    |Re A|^2 - s_min^2 from gap = s_max^2 - s_min^2 = sqrt((g11 - g22)^2 +
-    4 g12^2), g the Gram matrix, as s_max and s_min lose half their digits
-    where they are close.  Each part's squares are summed over its rows in
+    Cholesky factor of their Gram matrix g, and s_max^2 + s_min^2 = g11 +
+    g22, s_max s_min = det chol.  The gap s_max^2 - s_min^2 is taken as
+    sqrt((g11 - g22)^2 + 4 g12^2), not as sqrt((g11 + g22)^2 - 4 det g),
+    which cancels where s_max and s_min are close, as nullity makes them
+    at every end; s_max^2 is (g11 + g22 + gap) / 2, s_min = det chol /
+    s_max, and nu is taken of s_max^2 - |Re A|^2 and |Re A|^2 - s_min^2
+    from the gap too.  Each part's squares are summed over its rows in
     row order.
     """
     cols = np.concatenate((loc._anti, loc.log_coeff[:, None], loc.constant[:, None]), axis=1)
@@ -382,10 +382,9 @@ def _lead_split(loc: LocalImmersion, unit: float):
     np.add(inside[0], inside[1], out=squares[0])
     np.add.reduce(across, axis=0, out=squares[1])
     norms = squares[:, 0::2] + squares[:, 1::2]
-    frob = g11 + g22
-    s_max = math.sqrt(0.5 * (frob + math.sqrt(max(frob * frob - 4.0 * (a * b) ** 2, 0.0))))
-    s_min = a * b / s_max
     gap, skew = math.sqrt((g11 - g22) ** 2 + 4.0 * g12 * g12), g11 - g22
+    s_max = math.sqrt(0.5 * (g11 + g22 + gap))
+    s_min = a * b / s_max
     nu = max((gap - skew) / (2.0 * a * (s_max + a)), (gap + skew) / (2.0 * a * (a + s_min)))
     return s_max, s_min, nu, np.sqrt(norms, out=norms)
 
@@ -521,12 +520,13 @@ def rotation_index_numeric(w: WeierstrassData, p, R_list,
     return _certified(w, p, _radii(R_list), end, "rotation index")[1].index
 
 
-def limit_circle_deviation(w: WeierstrassData, p, R: float,
-                           end: EndAnalysis | None = None) -> float:
-    """A proved bound of the sup distance of the rescaled sphere cut
+def limit_circle_deviation(w: WeierstrassData, p, R_list,
+                           end: EndAnalysis | None = None) -> list:
+    """Proved bounds of the sup distance of the rescaled sphere cut
     (1/R)(|f| = R) from its limit circle, the (k-1)-fold model curve
-    -(e1 cos m theta + e2 sin m theta), m = k - 1, read off the end's
-    rotation certificate; no series is evaluated.
+    -(e1 cos m theta + e2 sin m theta), m = k - 1, one per radius R of
+    ``R_list``, read off the end's rotation certificate, computed once per
+    call; no series is evaluated.
 
     With f = L + E as in ``certify_rotation_index`` and eta = hypot(delta,
     eps), |E| <= eta |L| on |t| = r.  As delta and eps increase with r,
@@ -541,11 +541,16 @@ def limit_circle_deviation(w: WeierstrassData, p, R: float,
     leading vector's nullity defect.  The bound is min(2, 2 eta(r_i) + nu):
     delta < 1 keeps f within a right angle of L, so 2 bounds it too.
 
-    R below the end's R0, or at an end with no certificate, is refused as
-    by ``rotation_index_numeric``.  ``end``, when given, must be the
-    analysis of the end p of w (``ValueError`` otherwise).
+    The radii are checked as by ``rotation_index_numeric``, and a radius
+    below the end's R0, or any radius of an end with no certificate, is
+    refused as there.  ``end``, when given, must be the analysis of the end
+    p of w (``ValueError`` otherwise).
     """
-    (R,) = _radii((R,))
-    cert = _certified(w, p, [R], end, "limit-circle deviation")[1]
-    j = int(np.count_nonzero(_CERT_ROWS[cert.index - 1, :cert._delta.size] >= cert.R0 / R)) - 1
-    return min(2.0, 2.0 * math.hypot(cert._delta[j], cert._eps[j]) + cert._nu)
+    radii = _radii(R_list)
+    cert = _certified(w, p, radii, end, "limit-circle deviation")[1]
+    rows = _CERT_ROWS[cert.index - 1, :cert._delta.size]
+    bounds = []
+    for R in radii:
+        j = int(np.count_nonzero(rows >= cert.R0 / R)) - 1
+        bounds.append(min(2.0, 2.0 * math.hypot(cert._delta[j], cert._eps[j]) + cert._nu))
+    return bounds

@@ -23,10 +23,10 @@ and at infinity hold every principal part of the map, its polynomial part
 too (infinity's), so no partial-fraction split is made here: a datum's
 closed-form immersion reads them off its Laurent table.
 
-Coefficients are double-precision complex pairs, ascending powers.  Addition,
-subtraction and multiplication are exact floating-point operations (bitwise
-reproducible for integer-valued inputs); tolerances enter only through the
-module constants below.  Polynomials are evaluated by one Horner
+Coefficients are double-precision complex pairs, ascending powers.
+Multiplication is an exact floating-point operation (bitwise reproducible
+for integer-valued inputs); tolerances enter only through the module
+constants below.  Polynomials are evaluated by one Horner
 (``horner``), in the operations of ``numpy.polynomial``'s ``polyval``, so
 bitwise its value without its generic wrapper; minsurf imports no
 ``numpy.polynomial``.
@@ -138,25 +138,6 @@ class ComplexPoly:
         return f"ComplexPoly({self.coeffs.tolist()!r})"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        c = np.zeros(n, dtype=complex)
-        c[: self.coeffs.size] += self.coeffs
-        c[: other.coeffs.size] += other.coeffs
-        return ComplexPoly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexPoly(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -545,29 +526,12 @@ class RationalMap:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def __call__(self, z):
-        return self.num(z) / self.den(z)
-
     def __repr__(self):
         return f"RationalMap({self.num.coeffs.tolist()!r}, {self.den.coeffs.tolist()!r})"
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        return RationalMap(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def degree_at_infinity(self) -> int:
         """deg num - deg den: growth exponent of the function at infinity."""
         return self.num.degree() - self.den.degree()
-
-
-def _as_rational(r) -> RationalMap:
-    if isinstance(r, RationalMap):
-        return r
-    if isinstance(r, ComplexPoly):
-        return RationalMap(r)
-    return RationalMap(ComplexPoly([complex(r)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,18 +546,6 @@ class LaurentSeries:
     center: object
     order: int
     coeffs: np.ndarray = field(repr=False)
-
-    def coefficient(self, exponent: int) -> complex:
-        """Coefficient at an exponent, zero outside the stored window."""
-        k = exponent - self.order
-        if 0 <= k < self.coeffs.size:
-            return complex(self.coeffs[k])
-        return 0j
-
-    def __call__(self, t):
-        """Evaluate the truncated series at local coordinate t (t != 0)."""
-        t = np.asarray(t, dtype=complex)
-        return t**self.order * horner(t, self.coeffs)
 
 
 def _series_quotient(at: np.ndarray, bt: np.ndarray, depth: int) -> np.ndarray:

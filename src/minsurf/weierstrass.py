@@ -25,10 +25,15 @@ denominator, the Laurent expansions at the ends, the closed form -- reads
 them from one pole table per datum (``_PoleTable``): each component's
 denominator is rooted once, when the component is reduced
 (``RationalMap.den_roots``), and the roots of all components are merged into
-poles by one rule, ``rational.roots_coincide``; any other point is matched
-to its pole once.  Each expansion is made once per datum too
-(``_LaurentTable``), and every reader takes a prefix of it; the series of
-all forms at a point are gathered once.
+poles by one rule, ``rational.roots_coincide``.  Each expansion is made once
+per datum too (``_LaurentTable``), at one depth, and each sphere point read
+has one record there (``_Window``): its metric order, the window of all
+forms' coefficients, each component's centre and the point's pole, to
+which any other point is matched once.  Every reader of an end's Laurent
+data slices that record.  The residues have one gate, ``check_residues_real``,
+a column of the window at each listed end and at each pole that none lies
+at: ``validate`` reports it and the closed form refuses a datum that fails
+it.
 
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
@@ -52,7 +57,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +93,6 @@ __all__ = [
     "branch_divisor",
     "immersion_eval",
     "immersion_delta",
-    "form_residue_vector",
     "common_denominator",
     "mobius_precompose",
 ]
@@ -150,7 +154,7 @@ class WeierstrassData:
 
     @cached_property
     def _laurent(self) -> "_LaurentTable":
-        return _LaurentTable(self.phi)
+        return _LaurentTable(self.phi, self._poles)
 
     @cached_property
     def _poles(self) -> "_PoleTable":
@@ -182,7 +186,7 @@ class WeierstrassData:
     def _leads(self) -> np.ndarray:
         """The leading Laurent vector a_lead of the form at each listed end,
         one row per puncture."""
-        rows = [form_coefficient_window(self, p, 0)[1][:, 0] for p in self.punctures]
+        rows = [self._laurent.window(p).C[:, 0] for p in self.punctures]
         return np.array(rows).reshape(len(rows), self.n)
 
     @cached_property
@@ -251,23 +255,37 @@ class ValidationReport:
         return not self.messages
 
 
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """The Laurent data of the forms phi_j dz at one sphere point: the metric
+    order ``mu``; the read-only (n, depth + 1) window ``C``, C[j, k] the
+    coefficient of t^(mu + k) in the j-th form; each component's centre; and
+    the ``pole`` the point lies at, or the point itself."""
+
+    mu: int
+    C: np.ndarray = field(repr=False)
+    centres: tuple
+    pole: object
+
+
 class _LaurentTable:
-    """The Laurent series of the forms phi_j dz of a datum, each made once.
+    """The Laurent data of the forms phi_j dz of a datum, each made once.
 
     ``series(j, centre)`` is ``laurent_expand(phi_j, centre)`` (at infinity in
-    w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the deepest depth
-    any reader takes: ``TERMS - 1`` for an end's local immersion, or more for
-    a component of high degree.  The recurrence does not depend on the depth,
-    so a prefix is bitwise the expansion at its depth.  ``forms`` keeps the
-    tuple of series that ``_form_series`` reads at each sphere point, and
-    ``immersions`` is for ``ends``.
+    w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the table's one
+    depth: ``TERMS - 1`` for an end's local immersion, or more, so that it
+    holds the log term t^-1 of every end (column k - 1 <= max degree + 1).
+    ``window(p)`` is the one record of a sphere point (``_Window``), which
+    every reader of an end's coefficients slices.  ``immersions`` is for
+    ``ends``.
     """
 
-    def __init__(self, phi):
+    def __init__(self, phi, poles: "_PoleTable"):
         self.phi = phi
+        self.poles = poles
         self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
         self._series = {}
-        self.forms = {}
+        self._windows = {}
         self.immersions = {}
 
     def series(self, j: int, centre) -> LaurentSeries:
@@ -279,6 +297,27 @@ class _LaurentTable:
             s.coeffs.flags.writeable = False
             self._series[key] = s
         return self._series[key]
+
+    def window(self, p) -> _Window:
+        """The record of the sphere point p, built once: each component
+        expanded at its own root of p's pole (p counts as a simple root),
+        elsewhere at p."""
+        if p not in self._windows:
+            poles = self.poles
+            pole = p if is_infinity(p) or p in poles.poles else next(
+                (q for q, m in poles.mult.items() if roots_coincide(p, 1, q, m)), p)
+            members = poles.poles.get(pole, {})
+            series = [None if r.is_zero else self.series(j, members.get(j, (p, 0))[0])
+                      for j, r in enumerate(self.phi)]
+            mu = min(s.order for s in series if s is not None)
+            C = np.zeros((len(series), self.depth + 1), dtype=complex)
+            for row, s in zip(C, series):
+                if s is not None:
+                    row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
+            C.flags.writeable = False
+            centres = tuple(p if s is None else s.center for s in series)
+            self._windows[p] = _Window(mu, C, centres, pole)
+        return self._windows[p]
 
 
 class _PoleTable:
@@ -297,7 +336,7 @@ class _PoleTable:
     orders are those ``laurent_expand`` gives, read by its own rule
     (``rational._finite_orders``) without expanding a series, so a datum
     expands one only when a reader asks for it.  A point off the table is
-    matched to its pole once (``pole_point``).
+    matched to its pole in its record (``_LaurentTable.window``).
     """
 
     def __init__(self, phi):
@@ -321,16 +360,6 @@ class _PoleTable:
                 finite.append(z)
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
         self.punctures = tuple(finite) + ((INF,) if at_inf else ())
-        self._resolved = {}
-
-    def pole_point(self, p):
-        """The pole a sphere point lies at (p counts as a simple root), or p itself."""
-        if is_infinity(p) or p in self.poles:
-            return p
-        if p not in self._resolved:
-            self._resolved[p] = next((q for q, m in self.mult.items()
-                                      if roots_coincide(p, 1, q, m)), p)
-        return self._resolved[p]
 
 
 def common_denominator(w: "WeierstrassData"):
@@ -385,34 +414,11 @@ def detect_punctures(phi):
     return list(_PoleTable(phi).punctures)
 
 
-def _form_series(w: WeierstrassData, p):
-    """The Laurent table's series of each form phi_j dz at a sphere point: at
-    a pole each component at its own root there (from the pole table),
-    elsewhere at p; None for a zero component.  One tuple per point, kept
-    in the Laurent table's ``forms``."""
-    forms = w._laurent.forms
-    if p not in forms:
-        poles = w._poles
-        members = poles.poles.get(poles.pole_point(p), {})
-        forms[p] = tuple(None if r.is_zero else w._laurent.series(j, members.get(j, (p, 0))[0])
-                         for j, r in enumerate(w.phi))
-    return forms[p]
-
-
-def form_coefficient_window(w: WeierstrassData, p, depth: int = 8):
-    """Stacked form coefficients at an end, a prefix of the Laurent table.
-
-    Returns (mu, C) where mu is the metric order (min form order) and C is an
-    (n, depth+1) matrix with C[j, k] the coefficient of the local coordinate
-    to the power mu + k in the j-th component of the form.
-    """
-    series = _form_series(w, p)
-    mu = min(s.order for s in series if s is not None)
-    C = np.zeros((w.n, depth + 1), dtype=complex)
-    for j, s in enumerate(series):
-        if s is not None and s.order - mu <= depth:
-            C[j, s.order - mu:] = s.coeffs[: depth + 1 - (s.order - mu)]
-    return mu, C
+def form_coefficient_window(w: WeierstrassData, p):
+    """(mu, C) of the point's record (``_Window``): the metric order and the
+    read-only window of the forms' coefficients, the same array each read."""
+    win = w._laurent.window(p)
+    return win.mu, win.C
 
 
 def metric_order_at(w: WeierstrassData, p) -> int:
@@ -421,28 +427,24 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     At punctures of valid complete finite-total-curvature data mu <= -2; at a
     regular point the value is nonnegative (a non-end).
     """
-    return min(s.order for s in _form_series(w, p) if s is not None)
-
-
-def form_residue_vector(w: WeierstrassData, p) -> np.ndarray:
-    """Residue vector of the 1-form at an end (w-chart convention at infinity)."""
-    return np.array([0j if s is None else s.coefficient(-1) for s in _form_series(w, p)])
-
-
-def _residues_real(residues, unit: float):
-    """(ok, worst imaginary part): imaginary parts within ``RESIDUE_IMAG_TOL``
-    (unit + max |residue|), ``unit`` the datum's ``WeierstrassData.unit``."""
-    res = np.asarray(residues, dtype=complex).ravel()
-    if not res.size:
-        return True, 0.0
-    worst = float(np.abs(res.imag).max())
-    return worst <= RESIDUE_IMAG_TOL * (unit + float(np.abs(res).max())), worst
+    return w._laurent.window(p).mu
 
 
 def check_residues_real(w: WeierstrassData) -> ResidueCheck:
-    """All residues of the form at all ends must be real (period closing)."""
-    ok, worst = _residues_real([form_residue_vector(w, p) for p in w.punctures], w.unit)
-    return ResidueCheck(ok=ok, worst_imag=worst)
+    """The one residue gate: the residue vectors of the form at the listed
+    ends and at each pole no listed end lies at, which the closed form
+    integrates too (column -1 - mu of each window, zero at a regular point),
+    must be real (period closing), imaginary parts within
+    ``RESIDUE_IMAG_TOL`` (unit + max |residue|), ``unit`` the datum's
+    ``WeierstrassData.unit``.  ``validate`` reports it, and the closed form
+    refuses a datum it fails."""
+    windows = [w._laurent.window(p) for p in w.punctures]
+    listed = {win.pole for win in windows}
+    windows += [w._laurent.window(q) for q in w._poles.punctures if q not in listed]
+    res = np.array([win.C[:, -1 - win.mu] for win in windows if win.mu < 0])
+    worst = float(np.abs(res.imag).max(initial=0.0))
+    bound = RESIDUE_IMAG_TOL * (w.unit + float(np.abs(res).max(initial=0.0)))
+    return ResidueCheck(ok=worst <= bound, worst_imag=worst)
 
 
 def null_defect(a: np.ndarray) -> np.ndarray:
@@ -483,7 +485,7 @@ def validate(w: WeierstrassData) -> ValidationReport:
         messages.append(f"non-real residue: worst imaginary part {res.worst_imag:.3e}")
 
     # listed punctures are matched to the detected ones through the pole table
-    at = [w._poles.pole_point(q) for q in w.punctures]
+    at = [w._laurent.window(q).pole for q in w.punctures]
     punctures_ok = True
     for p in w._poles.punctures:
         if p not in at:
@@ -533,8 +535,13 @@ class _ClosedForm:
     """
 
     def __init__(self, w: WeierstrassData):
+        res = check_residues_real(w)
+        if not res.ok:
+            raise NonRealResidueError(
+                f"non-real residue (imaginary part {res.worst_imag:.3e}): the immersion "
+                "has a period and no single-valued closed form"
+            )
         components = []
-        residues = []
         for j, r in enumerate(w.phi):
             anti = np.zeros(0, dtype=complex)
             if r.degree_at_infinity() >= 0:
@@ -546,15 +553,8 @@ class _ClosedForm:
                 s = w._laurent.series(j, p)
                 if s.order < 0:
                     c = s.coeffs[-s.order - 1::-1]
-                    residues.append(c[0])
                     terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
             components.append((anti, tuple(terms)))
-        ok, worst = _residues_real(residues, w.unit)
-        if not ok:
-            raise NonRealResidueError(
-                f"non-real residue (imaginary part {worst:.3e}): the immersion "
-                "has a period and no single-valued closed form"
-            )
         self.components = tuple(components)
         self.origin = self.primitive(np.asarray(w.basepoint))
 
@@ -584,10 +584,10 @@ class _ClosedForm:
         vanish, so it is -``origin``."""
         if is_infinity(p):
             return -self.origin
-        centres = (p if s is None else s.center for s in _form_series(w, p))
         return np.array([self._component(anti, tuple(t for t in terms if t[0] != c),
                                          np.asarray(c))
-                         for (anti, terms), c in zip(self.components, centres)]) - self.origin
+                         for (anti, terms), c in zip(self.components,
+                                                     w._laurent.window(p).centres)]) - self.origin
 
 
 def _refuse_near_punctures(w: WeierstrassData, z: np.ndarray) -> None:

@@ -90,12 +90,30 @@ def well_conditioned_mobius(w, rng):
             return tuple(mob)
 
 
+def poly_sum(p, q):
+    """The polynomial p + q, its coefficients summed into a zero array."""
+    c = np.zeros(max(p.coeffs.size, q.coeffs.size), dtype=complex)
+    c[:p.coeffs.size] += p.coeffs
+    c[:q.coeffs.size] += q.coeffs
+    return ms.ComplexPoly(c)
+
+
+def value(r, z):
+    """The rational map r at z (a point or an array), num(z) / den(z)."""
+    return r.num(z) / r.den(z)
+
+
+def scaled(r, s):
+    """The rational map s r, its numerator scaled by s."""
+    return ms.RationalMap(r.num * s, r.den)
+
+
 def path_integral(w, waypoints):
     """2 Re int phi dz along the polyline through ``waypoints``, by adaptive
     Gauss-Kronrod quadrature with detours around the punctures: the
     reference the closed-form immersion is checked against."""
     pieces = route_path([complex(z) for z in waypoints], w.finite_punctures, w.clearance)
-    val, _err = integrate_vector(lambda zs: np.stack([r(zs) for r in w.phi]), pieces,
+    val, _err = integrate_vector(lambda zs: np.stack([value(r, zs) for r in w.phi]), pieces,
                                  epsabs=1e-12, epsrel=1e-10)
     return 2.0 * val.real
 
@@ -104,16 +122,18 @@ def metric_sq(w, z):
     """lambda^2 = 2 sum |phi_j(z)|^2, the conformal factor of ds^2 =
     lambda^2 |dz|^2 at a point z off the punctures: the reference the
     conformality checks compare |df|^2 / |dz|^2 with."""
-    return 2.0 * float(sum(abs(r(z)) ** 2 for r in w.phi))
+    return 2.0 * float(sum(abs(value(r, z)) ** 2 for r in w.phi))
 
 
 def laurent_coefficient(r, center, exponent):
     """The coefficient of the local coordinate (z - center, or w = 1/z at
     infinity) to the power ``exponent`` in ``laurent_expand(r, center)``,
-    0 below the order.  The residue of r dz is the coefficient of -1 at a
-    finite point and minus the coefficient of w^1 at infinity."""
+    0 below the order: an entry of the series' ``coeffs``.  The residue of
+    r dz is the coefficient of -1 at a finite point and minus the
+    coefficient of w^1 at infinity."""
     order = ms.laurent_expand(r, center, 0).order
-    return ms.laurent_expand(r, center, max(0, exponent - order)).coefficient(exponent)
+    s = ms.laurent_expand(r, center, max(0, exponent - order))
+    return complex(s.coeffs[exponent - order]) if exponent >= order else 0j
 
 
 def polar(loc, x, thetas):

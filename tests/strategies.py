@@ -27,6 +27,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import minsurf as ms
+from conftest import poly_sum
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def _derivative(poles, orders, principal, poly):
             [(q, oq + 1) for j, (q, oq) in enumerate(zip(poles, orders)) if j != i])
         # d/dz c_l (z - p)^-l = -l c_l (z - p)^(-l-1), over (z - p)^(o+1)
         for l in range(1, o + 1):
-            num = num + others * ms.ComplexPoly.from_roots([(p, o - l)], lead=-l * c[l - 1])
+            num = poly_sum(num, others * ms.ComplexPoly.from_roots([(p, o - l)], lead=-l * c[l - 1]))
     return num, den
 
 

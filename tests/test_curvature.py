@@ -246,8 +246,8 @@ class TestStackedRounds:
         # component vanishes exactly; the theta = 0 sample of the unit circle
         # about 0 is exactly 1, so that circle's flux is NaN, with no warning,
         # and the other two are the ones they have alone
-        square = ms.rational.RationalMap([1.0, -2.0, 1.0])
-        phi = [r * square for r in enneper.data.phi]
+        square = ms.ComplexPoly([1.0, -2.0, 1.0])
+        phi = [ms.RationalMap(r.num * square, r.den) for r in enneper.data.phi]
         groups = curvature._flux_groups(ms.WeierstrassData(phi))
         assert len(groups) == 1
         centers, radii = [0j, 0j, 2 + 0j], [1.0, 0.5, 0.3]
@@ -262,8 +262,9 @@ class TestStackedRounds:
         # a circle of radius 0 about the branch point z = 1 is the zero of S:
         # its flux is NaN, left to the caller, with no error and no warning;
         # the other circle's is the one it has alone
-        square = ms.rational.RationalMap([1.0, -2.0, 1.0])
-        groups = curvature._flux_groups(ms.WeierstrassData([r * square for r in enneper.data.phi]))
+        square = ms.ComplexPoly([1.0, -2.0, 1.0])
+        groups = curvature._flux_groups(ms.WeierstrassData(
+            [ms.RationalMap(r.num * square, r.den) for r in enneper.data.phi]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             flux = curvature._round_fluxes(groups, [1 + 0j, 0j], [0.0, 0.5])

@@ -83,7 +83,7 @@ class TestUnit:
     def test_unit_is_the_binade_of_the_largest_lead(self):
         for entry in CATALOG:
             w = entry.data
-            lead = max(float(np.max(np.abs(form_coefficient_window(w, p, 0)[1][:, 0])))
+            lead = max(float(np.max(np.abs(form_coefficient_window(w, p)[1][:, 0])))
                        for p in w.punctures)
             k = math.frexp(w.unit)[1] - 1
             assert w.unit == 2.0**k and 2.0 ** (k - 1) <= lead < 2.0**k, entry.name
@@ -180,8 +180,8 @@ class TestPowerOfTwoScaling:
             e = ms.analyze_end(w, p)
             R0 = ends.certify_rotation_index(catenoid.data, p).R0
             unscaled = [R0 * c for c in (1.0, 10.0, 100.0, 1e4, 1e8)] + [1e2, 1e3, 1e4]
-            want = [ms.limit_circle_deviation(catenoid.data, p, R) for R in unscaled]
-            assert [ms.limit_circle_deviation(w, p, s * R, end=e) for R in unscaled] == want
+            want = ms.limit_circle_deviation(catenoid.data, p, unscaled)
+            assert ms.limit_circle_deviation(w, p, [s * R for R in unscaled], end=e) == want
             assert ms.rotation_index_numeric(w, p, radii, end=e) == 1
             assert ends.certify_rotation_index(w, p, end=e).R0 == s * R0
             with pytest.raises(NumericInstabilityError, match="below the end's certified") as err:

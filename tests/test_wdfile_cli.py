@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
+from conftest import scaled, value
 from minsurf import cli, wdfile
 from minsurf.errors import InternalConsistencyError, ParseError
 
@@ -50,7 +51,7 @@ class TestFormat:
         assert data.n == 3
         z = 1.7 - 0.4j
         for r1, r2 in zip(data.phi, catenoid.data.phi):
-            assert abs(r1(z) - r2(z)) < 1e-14
+            assert abs(value(r1, z) - value(r2, z)) < 1e-14
 
     def test_null_label_is_absent(self, catenoid, capsys, tmp_path):
         # read as no label, as a null punctures or basepoint is, not as "None"
@@ -571,7 +572,7 @@ class TestCliFaultCharts:
         phi = ms.catenoid().data.phi
         w = {"rejected": lambda: branched_enneper()["enneper-branched"],
              "refused": lambda: ms.catenoid().data,
-             "residue": lambda: ms.WeierstrassData([*phi[:2], phi[2] * (1 + 1e-8j)])}[kind]()
+             "residue": lambda: ms.WeierstrassData([*phi[:2], scaled(phi[2], 1 + 1e-8j)])}[kind]()
         path = tmp_path / f"{kind}.wd"
         wdfile.dump(wdfile.document_from_data(w, label=kind), path)
         if kind == "refused":

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import minsurf as ms
-from conftest import branched_enneper, metric_sq
+from conftest import branched_enneper, laurent_coefficient, metric_sq
 from minsurf.errors import EvaluationNearSingularityError, NonRealResidueError
 from minsurf.rational import INF, RationalMap, is_infinity, laurent_expand
 from minsurf.weierstrass import (
     WeierstrassData,
     check_residues_real,
     detect_punctures,
-    form_residue_vector,
+    form_coefficient_window,
     immersion_delta,
     immersion_eval,
     metric_order_at,
@@ -273,23 +273,28 @@ class TestLaurentTable:
                         C[j, k] = s[1][mu + k - s[0]]
         return mu, C
 
-    @pytest.mark.parametrize("depths", [(0, 2, 8, 40), (40, 8, 2, 0)])
-    def test_windows_are_bitwise_prefixes(self, depths):
-        from minsurf.weierstrass import form_coefficient_window
-
+    def test_windows_are_bitwise_prefixes(self):
+        # each point has one window, at the Laurent table's depth; its
+        # prefixes are bitwise the direct expansions at their own depths,
+        # and a second read returns the same read-only array
         for entry in (ms.holomorphic_counterexample(), ms.generalized_jorge_meeks(3)):
             w = entry.data
-            for depth in depths:
-                for p in w.punctures:
-                    mu, C = form_coefficient_window(w, p, depth)
+            for p in w.punctures:
+                mu, C = form_coefficient_window(w, p)
+                assert C.shape == (w.n, w._laurent.depth + 1)
+                for depth in (0, 2, 8, 40):
                     ref_mu, ref = self._reference_window(w, p, depth)
                     assert mu == ref_mu
-                    assert C.tobytes() == ref.tobytes()
+                    assert C[:, :depth + 1].tobytes() == ref.tobytes()
+                again = form_coefficient_window(w, p)
+                assert again[0] == mu and again[1] is C
+                assert not C.flags.writeable
 
 
 class TestResiduesReal:
     def test_catenoid_residue_vector(self, catenoid):
-        res = form_residue_vector(catenoid.data, 0j)
+        mu, C = form_coefficient_window(catenoid.data, 0j)
+        res = C[:, -1 - mu]
         assert np.allclose(res, [0, 0, 1], atol=1e-13)
         assert check_residues_real(catenoid.data).ok
 
@@ -486,6 +491,36 @@ class TestImmersion:
             with pytest.raises(NonRealResidueError):
                 immersion_eval(w, 1 + 1j)
 
+    def test_residue_at_infinity_refused_alike(self):
+        # three simple poles of residue 1 + 2.5e-10 i: the finite residues
+        # pass against 1e-10 (2 + 1), but the residue at infinity, -3 times
+        # theirs, does not (7.5e-10 against 1e-10 (2 + 3)); validation and
+        # evaluation read the one gate, so both refuse the datum
+        c = 1 + 2.5e-10j
+        num = (np.convolve([-0.5j, 1], [0.5, 1]) + np.convolve([-0.5j, 1], [-0.5, 1])
+               + np.convolve([0.5, 1], [-0.5, 1])) * c
+        third = RationalMap(num, np.convolve(np.convolve([-0.5, 1], [0.5, 1]), [-0.5j, 1]))
+        w = WeierstrassData([RationalMap([0.5]), RationalMap([-0.5j]), third])
+        assert len(w.punctures) == 4 and is_infinity(w.punctures[-1]) and w.unit == 2.0
+        check = check_residues_real(w)
+        assert not check.ok and check.worst_imag == pytest.approx(7.5e-10, rel=1e-6)
+        assert any(m.startswith("non-real residue") for m in validate(w).messages)
+        with pytest.raises(NonRealResidueError, match="imaginary part 7.500e-10"):
+            immersion_eval(w, 2 + 1j)
+
+    def test_residue_at_an_unlisted_pole_refused_alike(self, catenoid):
+        # phi_3 = 1/z + i/(z - 1) - i/(z + 1) with only 0 and infinity
+        # listed: their residues are real, but the closed form integrates
+        # the poles at +-1 too, so the gate reads them, and validation and
+        # evaluation both refuse the datum for its residues +-i
+        phi = catenoid.data.phi[:2] + (RationalMap([-1, 2j, 1], [0, -1, 0, 1]),)
+        w = WeierstrassData(phi, punctures=(0j, INF), basepoint=0.5j)
+        check = check_residues_real(w)
+        assert not check.ok and check.worst_imag == pytest.approx(1.0, rel=1e-12)
+        assert "non-real residue: worst imaginary part 1.000e+00" in validate(w).messages
+        with pytest.raises(NonRealResidueError, match="imaginary part 1.000e"):
+            immersion_eval(w, 2 + 1j)
+
     def test_vectorized_matches_pointwise(self, jm2):
         zs = np.array([[1.5 + 0.5j, -0.3 + 0.2j], [0.4 - 1.1j, 2.0 + 0j]])
         got = immersion_eval(jm2.data, zs)
@@ -519,7 +554,7 @@ class TestConformalFactor:
             for z in (1.4 + 0.6j, -0.5 + 1.6j):
                 f = lambda q: immersion_eval(w, q)
                 lap = (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h**2
-                third = sum(6.0 * abs(laurent_expand(r, z, 3).coefficient(3))
+                third = sum(6.0 * abs(laurent_coefficient(r, z, 3))
                             for r in w.phi if not r.is_zero)
                 assert np.max(np.abs(lap)) <= h**2 * (2.0 * third + 1.0)
 

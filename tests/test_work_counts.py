@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import minsurf as ms
+from conftest import scaled
 from minsurf import curvature, ends, rational, report, wdfile, weierstrass
 from minsurf.errors import InternalConsistencyError
 
@@ -77,7 +78,7 @@ def test_refused_ends_take_no_curvature_rounds(monkeypatch):
     monkeypatch.setattr(curvature, "_round_fluxes",
                         lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
     phi = ms.catenoid().data.phi
-    rep = ms.run_analysis(ms.WeierstrassData([phi[0] * (1 + 1e-7), *phi[1:]]))
+    rep = ms.run_analysis(ms.WeierstrassData([scaled(phi[0], 1 + 1e-7), *phi[1:]]))
     assert not rep.valid and rep.curvature is None and rep.ends is None
     assert any("leading Laurent vector not null" in m for m in rep.validation.messages)
 
