@@ -31,7 +31,7 @@ Near an end the immersion is the termwise-integrated Laurent series in the
 local coordinate, its constant the regular part of the closed-form
 immersion at the end (``weierstrass._ClosedForm.end_constant``).
 ``analyze_end`` and ``LocalImmersion`` index the end's one window of the
-datum's Laurent table (``weierstrass.form_coefficient_window``), which
+datum's Laurent table (``weierstrass._LaurentTable.window``), which
 reaches the log term of every end; the table keeps one LocalImmersion per
 end, which refuses an end whose series has a term past the ``TERMS`` it
 reads.  The program bounds that series and never sums it.
@@ -51,7 +51,6 @@ from .weierstrass import (
     BILINEAR_TOL,
     TERMS,
     WeierstrassData,
-    form_coefficient_window,
     null_defect,
 )
 
@@ -114,9 +113,9 @@ class LocalImmersion:
         else:
             conv = min((abs(q - p) for q in w.finite_punctures if q != p), default=math.inf)
         # the window reaches t^-1, past the TERMS terms read when k > TERMS
-        mu, C = form_coefficient_window(w, p)
-        k = -mu
-        C, past = C[:, :TERMS], C[:, TERMS:k]
+        win = w._laurent.window(p)
+        mu, k = win.mu, -win.mu
+        C, past = win.C[:, :TERMS], win.C[:, TERMS:k]
         if not np.isfinite(C).all():
             # a coefficient past the float range has no size to bound its
             # term by, so it can be neither summed nor certified
@@ -220,8 +219,8 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     taken of the coefficients divided by the datum's ``unit`` (exact), so
     they neither underflow nor overflow; a and b are unit * |v / unit|.
     """
-    mu, C = form_coefficient_window(w, p)
-    k = -mu
+    win = w._laurent.window(p)
+    mu, C, k = win.mu, win.C, -win.mu
     lead = C[:, 0].copy()
     a2 = C[:, k - 2].copy() if k >= 2 else np.zeros(w.n, dtype=complex)
     a1c = C[:, k - 1] if k >= 1 else np.zeros(w.n, dtype=complex)

@@ -312,7 +312,7 @@ class _LaurentTable:
             mu = min(s.order for s in series if s is not None)
             C = np.zeros((len(series), self.depth + 1), dtype=complex)
             for row, s in zip(C, series):
-                if s is not None:
+                if s is not None and s.order - mu <= self.depth:
                     row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
             C.flags.writeable = False
             centres = tuple(p if s is None else s.center for s in series)
@@ -412,13 +412,6 @@ def detect_punctures(phi):
     if all(r.is_zero for r in phi):
         raise DegenerateInputError("all components are zero")
     return list(_PoleTable(phi).punctures)
-
-
-def form_coefficient_window(w: WeierstrassData, p):
-    """(mu, C) of the point's record (``_Window``): the metric order and the
-    read-only window of the forms' coefficients, the same array each read."""
-    win = w._laurent.window(p)
-    return win.mu, win.C
 
 
 def metric_order_at(w: WeierstrassData, p) -> int:

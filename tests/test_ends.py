@@ -23,7 +23,7 @@ from minsurf.ends import (
 )
 from minsurf.errors import InternalConsistencyError, NumericInstabilityError
 from minsurf.rational import INF
-from minsurf.weierstrass import TERMS, form_coefficient_window, validate
+from minsurf.weierstrass import TERMS, validate
 
 R_LIST = (1e2, 1e3, 1e4)
 
@@ -88,7 +88,7 @@ class TestAnalyzeEnd:
         for entry in all_entries:
             for p in entry.data.punctures:
                 e = analyze_end(entry.data, p)
-                lead = form_coefficient_window(entry.data, p)[1][:, 0]
+                lead = entry.data._laurent.window(p).C[:, 0]
                 scale = np.linalg.norm(lead) ** 2
                 assert abs(np.sum(lead * lead)) <= 1e-9 * scale
                 if e.mu == -2:
@@ -154,8 +154,8 @@ class TestAnalyzeEnd:
     def test_residue_vectors_close_globally(self, all_entries):
         # sum of the residue vectors over all ends vanishes on the sphere
         for entry in all_entries:
-            windows = [form_coefficient_window(entry.data, p) for p in entry.data.punctures]
-            total = sum(C[:, -1 - mu] for mu, C in windows)
+            windows = [entry.data._laurent.window(p) for p in entry.data.punctures]
+            total = sum(win.C[:, -1 - win.mu] for win in windows)
             assert np.max(np.abs(total)) < 1e-10, entry.name
 
 
@@ -675,8 +675,8 @@ def _assert_matches_mpmath(w, p):
     constant summed in 40 digits, at 64 angles on r = 1e-1 .. 1e-4: the sup
     of the error within 1e-14 of the sup of |f| on each circle."""
     loc = LocalImmersion(w, p)
-    mu, C = form_coefficient_window(w, p)
-    C = C[:, :TERMS]
+    win = w._laurent.window(p)
+    mu, C = win.mu, win.C[:, :TERMS]
     thetas = GRID_THETAS
     with mpmath.workdps(40):
         terms = [[mpmath.mpc(c) / (mu + k + 1) for k, c in enumerate(row) if mu + k != -1]
@@ -839,7 +839,7 @@ class TestScaleFreeEnds:
         assert [e.mu for e in got.ends] == [e.mu for e in want.ends]
         assert [e.classification for e in got.ends] == [e.classification for e in want.ends]
         for g, u in zip(got.ends, want.ends):
-            lead = form_coefficient_window(scaled, g.puncture)[1][:, 0]
+            lead = scaled._laurent.window(g.puncture).C[:, 0]
             assert g.a == pytest.approx(1e-300 * u.a, rel=1e-14)
             assert g.b == pytest.approx(1e-300 * u.b, rel=1e-12, abs=1e-310)
             assert np.allclose(g.frame, u.frame, atol=1e-12)
@@ -860,7 +860,7 @@ class TestScaleFreeEnds:
                                       punctures=w.punctures)
             for p in w.punctures:
                 e, t = analyze_end(w, p), analyze_end(tiny, p)
-                lead = form_coefficient_window(w, p)[1][:, 0]
+                lead = w._laurent.window(p).C[:, 0]
                 assert e.a == float(np.linalg.norm(lead.real)), entry.name
                 a1, e1, e2 = e.a_minus1, lead.real / e.a, lead.imag / e.a
                 b_vec = a1 - (a1 @ e1) * e1 - (a1 @ e2) * e2

@@ -21,7 +21,7 @@ import minsurf as ms
 from minsurf import ends
 from minsurf.ends import LocalImmersion
 from minsurf.errors import DegenerateInputError, MinsurfError, NumericInstabilityError
-from minsurf.weierstrass import form_coefficient_window, validate
+from minsurf.weierstrass import validate
 
 EXPONENTS = (1, -1, 7, 60, -60, 400, -400, 900, -900)
 NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
@@ -83,7 +83,7 @@ class TestUnit:
     def test_unit_is_the_binade_of_the_largest_lead(self):
         for entry in CATALOG:
             w = entry.data
-            lead = max(float(np.max(np.abs(form_coefficient_window(w, p)[1][:, 0])))
+            lead = max(float(np.max(np.abs(w._laurent.window(p).C[:, 0])))
                        for p in w.punctures)
             k = math.frexp(w.unit)[1] - 1
             assert w.unit == 2.0**k and 2.0 ** (k - 1) <= lead < 2.0**k, entry.name

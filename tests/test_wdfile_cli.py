@@ -96,21 +96,23 @@ class TestCliVerify:
         out = run_cli("verify", catenoid_file)
         assert out.returncode == 0
 
-    def test_invalid_datum_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("components", [
         # constant non-null datum
+        [{"num": [[1, 0]], "den": [[1, 0]]}, {"num": [[0, 0]], "den": [[1, 0]]},
+         {"num": [[0, 0]], "den": [[1, 0]]}],
+        # (z^25, z^-25, 1): the forms' orders at 0 lie 50 apart, past the
+        # Laurent table's depth 40
+        [{"num": [[0, 0]] * 25 + [[1, 0]], "den": [[1, 0]]},
+         {"num": [[1, 0]], "den": [[0, 0]] * 25 + [[1, 0]]},
+         {"num": [[1, 0]], "den": [[1, 0]]}],
+    ], ids=["constant", "orders-far-apart"])
+    def test_invalid_datum_exit_one(self, tmp_path, components):
         path = tmp_path / "bad.wd"
-        path.write_text(json.dumps({
-            "n": 3,
-            "label": "bad",
-            "components": [
-                {"num": [[1, 0]], "den": [[1, 0]]},
-                {"num": [[0, 0]], "den": [[1, 0]]},
-                {"num": [[0, 0]], "den": [[1, 0]]},
-            ],
-        }))
+        path.write_text(json.dumps({"n": 3, "label": "bad", "components": components}))
         out = run_cli("verify", path)
         assert out.returncode == 1
-        assert "null" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert "null identity violated" in out.stderr
 
     def test_an_underflowed_leading_vector_is_rejected(self, tmp_path, catenoid):
         # the catenoid with phi_1 = 1e308 (1 + z) / (2 z^2): over the unit,

@@ -13,7 +13,6 @@ from minsurf.weierstrass import (
     WeierstrassData,
     check_residues_real,
     detect_punctures,
-    form_coefficient_window,
     immersion_delta,
     immersion_eval,
     metric_order_at,
@@ -280,21 +279,36 @@ class TestLaurentTable:
         for entry in (ms.holomorphic_counterexample(), ms.generalized_jorge_meeks(3)):
             w = entry.data
             for p in w.punctures:
-                mu, C = form_coefficient_window(w, p)
+                win = w._laurent.window(p)
+                mu, C = win.mu, win.C
                 assert C.shape == (w.n, w._laurent.depth + 1)
                 for depth in (0, 2, 8, 40):
                     ref_mu, ref = self._reference_window(w, p, depth)
                     assert mu == ref_mu
                     assert C[:, :depth + 1].tobytes() == ref.tobytes()
-                again = form_coefficient_window(w, p)
-                assert again[0] == mu and again[1] is C
+                again = w._laurent.window(p)
+                assert again is win and again.C is C
                 assert not C.flags.writeable
+
+    def test_orders_past_the_depth_apart_are_reported(self):
+        # (z^25, z^-25, 1): at 0 the first form's order lies 50 above mu,
+        # past the table's depth 40, so its row of the window is zero there;
+        # validation and the analysis report the datum as non-null
+        w = WeierstrassData([RationalMap([0.0] * 25 + [1.0]),
+                             RationalMap([1.0], [0.0] * 25 + [1.0]), RationalMap([1.0])])
+        assert w._laurent.depth == 40
+        win = w._laurent.window(0j)
+        assert win.mu == -25 and not win.C[0].any()
+        null = "null identity violated: defect 1.000e+00"
+        assert validate(w).messages[0] == null
+        rep = ms.run_analysis(w)
+        assert not rep.valid and rep.validation.messages[0] == null
 
 
 class TestResiduesReal:
     def test_catenoid_residue_vector(self, catenoid):
-        mu, C = form_coefficient_window(catenoid.data, 0j)
-        res = C[:, -1 - mu]
+        win = catenoid.data._laurent.window(0j)
+        res = win.C[:, -1 - win.mu]
         assert np.allclose(res, [0, 0, 1], atol=1e-13)
         assert check_residues_real(catenoid.data).ok
 
