@@ -328,7 +328,7 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
     size = 1.0 / rho if at_inf else abs(p) + rho
     own = None if at_inf else w._laurent.window(p).pole
     low = rho * rho if at_inf else 1.0
-    for pole, mult in w._poles.mult.items():
+    for pole, mult in w._laurent.mult.items():
         if at_inf:
             gap = size - abs(pole)
         else:

@@ -156,17 +156,19 @@ class ComplexPoly:
         return ComplexPoly(self.coeffs[1:] * k)
 
     def shift(self, c: complex) -> "ComplexPoly":
-        """Taylor coefficients of p(c + t): repeated synthetic division."""
+        """Taylor coefficients of p(c + t): repeated synthetic division; one
+        past the float range is inf or NaN, where ``laurent_expand`` stops."""
         if self.is_zero:
             return ComplexPoly()
         work = list(self.coeffs[::-1])  # descending
         taylor = []
-        while work:
-            q = [work[0]]
-            for a in work[1:]:
-                q.append(a + c * q[-1])
-            taylor.append(q[-1])
-            work = q[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while work:
+                q = [work[0]]
+                for a in work[1:]:
+                    q.append(a + c * q[-1])
+                taylor.append(q[-1])
+                work = q[:-1]
         return ComplexPoly(taylor)
 
     def deflate(self, root: complex, mult: int = 1) -> "ComplexPoly":
@@ -349,8 +351,8 @@ def roots_coincide(z: complex, m: int, ref: complex, mref: int) -> bool:
     ``roots`` agree to ~1e-12, but a multiple root moves by ~(eps cond)^(1/m)
     when its coefficients are perturbed, so a match involving one (a listed
     puncture, or another component's root) uses the radius widened to 1e-5.
-    This is the one rule by which the pole table merges the denominator roots
-    of a datum into poles.
+    This is the one rule by which the denominator roots of a datum are
+    merged into poles.
     """
     radius = CLUSTER_RADIUS if max(m, mref) == 1 else 1e-5
     return abs(z - ref) <= radius * (1.0 + abs(ref))

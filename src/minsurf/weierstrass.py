@@ -15,25 +15,19 @@ each component into partial fractions, phi_j = q_j + sum_p sum_l c_{p,l}
 
 the classical explicit form (Osserman, Ann. Math. 80, 1964; Jorge-Meeks,
 Topology 22, 1983).  ``_ClosedForm`` builds it once per datum and splits
-nothing: each principal part is a prefix of the Laurent table's series at
-its pole, q_j one at infinity.  Its regular part at an end is that end's
+nothing: each principal part is a block of columns of the Laurent window at
+its pole, q_j that at infinity.  Its regular part at an end is that end's
 constant (``_ClosedForm.end_constant``), which ``ends.LocalImmersion`` adds
 to its integrated series.
 
-Every stage that needs the poles -- puncture detection, the common
-denominator, the Laurent expansions at the ends, the closed form -- reads
-them from one pole table per datum (``_PoleTable``): each component's
-denominator is rooted once, when the component is reduced
-(``RationalMap.den_roots``), and the roots of all components are merged into
-poles by one rule, ``rational.roots_coincide``.  Each expansion is made once
-per datum too (``_LaurentTable``), at one depth, and each sphere point read
-has one record there (``_Window``): its metric order, the window of all
-forms' coefficients, each component's centre and the point's pole, to
-which any other point is matched once.  Every reader of an end's Laurent
-data slices that record.  The residues have one gate, ``check_residues_real``,
-a column of the window at each listed end and at each pole that none lies
-at: ``validate`` reports it and the closed form refuses a datum that fails
-it.
+Each datum has one table of its poles and Laurent data (``_LaurentTable``):
+each denominator is rooted once (``RationalMap.den_roots``), the roots are
+merged into poles by one rule (``rational.roots_coincide``), each expansion
+is made once, and each sphere point read has one record (``_Window``), which
+every reader of its Laurent data slices.  The residue gate,
+``check_residues_real``, and the closed form read the same windows, one per
+pole (``_pole_windows``); ``validate`` reports the gate, and the closed form
+refuses a datum that fails it.
 
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
@@ -105,10 +99,7 @@ TERMS = 41               # Laurent terms of an end's local immersion (ends.Local
 
 
 def _as_rational_tuple(phi):
-    out = []
-    for r in phi:
-        out.append(r if isinstance(r, RationalMap) else RationalMap(r))
-    return tuple(out)
+    return tuple(r if isinstance(r, RationalMap) else RationalMap(r) for r in phi)
 
 
 class WeierstrassData:
@@ -122,7 +113,7 @@ class WeierstrassData:
         if all(r.is_zero for r in self.phi):
             raise DegenerateInputError("all components are zero")
         if punctures is None:
-            self.punctures = self._poles.punctures
+            self.punctures = self._laurent.punctures
         else:
             self.punctures = tuple(INF if is_infinity(p) else complex(p) for p in punctures)
         self.label = str(label)
@@ -154,12 +145,8 @@ class WeierstrassData:
 
     @cached_property
     def _laurent(self) -> "_LaurentTable":
-        return _LaurentTable(self.phi, self._poles)
-
-    @cached_property
-    def _poles(self) -> "_PoleTable":
         """Built on first use; at construction only when detecting punctures."""
-        return _PoleTable(self.phi)
+        return _LaurentTable(self.phi)
 
     @cached_property
     def cleared(self):
@@ -201,9 +188,9 @@ class WeierstrassData:
             return 1.0
         m = float(np.max(np.abs(self._leads)))
         if not 2.0**-1024 <= m < 2.0**1023:
+            size = f"of modulus {m:.6g}" if math.isfinite(m) else "past the float range"
             raise DegenerateInputError(
-                f"a leading Laurent coefficient of modulus {m:.6g} has no power-of-two "
-                "unit in the float range")
+                f"a leading Laurent coefficient {size} has no power-of-two unit in the float range")
         return math.ldexp(1.0, math.frexp(m)[1])
 
     def _default_basepoint(self) -> complex:
@@ -269,79 +256,23 @@ class _Window:
 
 
 class _LaurentTable:
-    """The Laurent data of the forms phi_j dz of a datum, each made once.
+    """The poles and the Laurent data of the forms phi_j dz of a datum.
 
-    ``series(j, centre)`` is ``laurent_expand(phi_j, centre)`` (at infinity in
-    w = 1/z, with the Jacobian dz = -dw/w^2), read-only, at the table's one
-    depth: ``TERMS - 1`` for an end's local immersion, or more, so that it
-    holds the log term t^-1 of every end (column k - 1 <= max degree + 1).
-    ``window(p)`` is the one record of a sphere point (``_Window``), which
-    every reader of an end's coefficients slices.  ``immersions`` is for
-    ``ends``.
-    """
-
-    def __init__(self, phi, poles: "_PoleTable"):
-        self.phi = phi
-        self.poles = poles
-        self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
-        self._series = {}
-        self._windows = {}
-        self.immersions = {}
-
-    def series(self, j: int, centre) -> LaurentSeries:
-        key = (j, centre)
-        if key not in self._series:
-            s = laurent_expand(self.phi[j], centre, self.depth)
-            if is_infinity(centre):
-                s = LaurentSeries(INF, s.order - 2, -s.coeffs)
-            s.coeffs.flags.writeable = False
-            self._series[key] = s
-        return self._series[key]
-
-    def window(self, p) -> _Window:
-        """The record of the sphere point p, built once: each component
-        expanded at its own root of p's pole (p counts as a simple root),
-        elsewhere at p."""
-        if p not in self._windows:
-            poles = self.poles
-            pole = p if is_infinity(p) or p in poles.poles else next(
-                (q for q, m in poles.mult.items() if roots_coincide(p, 1, q, m)), p)
-            members = poles.poles.get(pole, {})
-            series = [None if r.is_zero else self.series(j, members.get(j, (p, 0))[0])
-                      for j, r in enumerate(self.phi)]
-            mu = min(s.order for s in series if s is not None)
-            C = np.zeros((len(series), self.depth + 1), dtype=complex)
-            for row, s in zip(C, series):
-                if s is not None and s.order - mu <= self.depth:
-                    row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
-            C.flags.writeable = False
-            centres = tuple(p if s is None else s.center for s in series)
-            self._windows[p] = _Window(mu, C, centres, pole)
-        return self._windows[p]
-
-
-class _PoleTable:
-    """The poles of the components of a datum, found once.
-
-    Each component's denominator roots are its ``den_roots``, found once
-    when it was reduced (empty for zero and polynomial components).  The
-    roots of all components are merged into poles by ``roots_coincide``.
-    ``poles`` maps each pole, the first root merged into it, to its members
-    {j: (root of phi_j there, multiplicity)}, sorted by real then imaginary
-    part, and ``mult`` maps it, in the same order, to its order in the
-    common denominator: its largest component multiplicity, kept as the
-    members merge.  ``punctures`` are the poles where some component has
-    negative order (a root cancelled by its numerator up to tolerance is a
-    regular point), then infinity when some form has a pole there.  The
-    orders are those ``laurent_expand`` gives, read by its own rule
-    (``rational._finite_orders``) without expanding a series, so a datum
-    expands one only when a reader asks for it.  A point off the table is
-    matched to its pole in its record (``_LaurentTable.window``).
+    ``poles`` maps each pole, the first of the components' ``den_roots``
+    merged into it by ``roots_coincide``, to its members {j: (root of phi_j
+    there, multiplicity)}, sorted by real then imaginary part; ``mult`` maps
+    it to its order in the common denominator, the members' largest.
+    ``punctures`` are the poles where some form has negative order, read by
+    ``rational._finite_orders`` without expanding a series, then infinity
+    when some form has a pole there.  ``window(p)`` is the one record of a
+    sphere point (``_Window``), matched to its pole; each component is
+    expanded once per centre (at infinity in w = 1/z, with dz = -dw/w^2) at
+    one depth, ``TERMS - 1`` for an end's local immersion or more, to hold
+    the log term t^-1 of every end.  ``immersions`` is for ``ends``.
     """
 
     def __init__(self, phi):
-        poles: dict = {}
-        mult: dict = {}
+        poles, mult = {}, {}
         for j, r in enumerate(phi):
             for z, m in r.den_roots:
                 point = next((q for q in poles if roots_coincide(z, m, q, mult[q])), None)
@@ -360,16 +291,50 @@ class _PoleTable:
                 finite.append(z)
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
         self.punctures = tuple(finite) + ((INF,) if at_inf else ())
+        self.phi = phi
+        self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
+        self._series = {}
+        self._windows = {}
+        self.immersions = {}
+
+    def window(self, p) -> _Window:
+        """The record of the sphere point p, built once: each component
+        expanded at its own root of p's pole (p counts as a simple root),
+        elsewhere at p."""
+        if p not in self._windows:
+            pole = p if is_infinity(p) or p in self.poles else next(
+                (q for q, m in self.mult.items() if roots_coincide(p, 1, q, m)), p)
+            members = self.poles.get(pole, {})
+            series = []
+            for j, r in enumerate(self.phi):
+                centre = members.get(j, (p, 0))[0]
+                if not r.is_zero and (j, centre) not in self._series:
+                    s = laurent_expand(r, centre, self.depth)
+                    if is_infinity(centre):
+                        s = LaurentSeries(INF, s.order - 2, -s.coeffs)
+                    s.coeffs.flags.writeable = False
+                    self._series[j, centre] = s
+                series.append(None if r.is_zero else self._series[j, centre])
+            mu = min(s.order for s in series if s is not None)
+            C = np.zeros((len(series), self.depth + 1), dtype=complex)
+            for row, s in zip(C, series):
+                if s is not None and s.order - mu <= self.depth:
+                    row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
+            C.flags.writeable = False
+            centres = tuple(p if s is None else s.center for s in series)
+            self._windows[p] = _Window(mu, C, centres, pole)
+        return self._windows[p]
 
 
 def common_denominator(w: "WeierstrassData"):
     """Monic LCM of the denominators and the cleared numerators.
 
     Returns (D, nums) with phi_j = nums[j] / D exactly (zero components give
-    zero numerators).  D has one root per pole of the datum's pole table,
-    with the largest multiplicity of any component there.
+    zero numerators).  D has one root per pole of the datum's
+    ``_LaurentTable``, with the largest multiplicity of any component there.
+    A numerator with a coefficient past the float range is refused.
     """
-    poles, mult = w._poles.poles, w._poles.mult
+    poles, mult = w._laurent.poles, w._laurent.mult
     D = ComplexPoly.from_roots(mult.items())
     nums = []
     for j, r in enumerate(w.phi):
@@ -377,7 +342,10 @@ def common_denominator(w: "WeierstrassData"):
             nums.append(ComplexPoly())
             continue
         missing = [(z, m - poles[z].get(j, (z, 0))[1]) for z, m in mult.items()]
-        nums.append(r.num * ComplexPoly.from_roots(missing) * (1.0 / r.den.coeffs[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nums.append(r.num * ComplexPoly.from_roots(missing) * (1.0 / r.den.coeffs[-1]))
+    if not all(np.isfinite(q.coeffs).all() for q in nums):
+        raise DegenerateInputError("a cleared numerator has a coefficient past the float range")
     return D, nums
 
 
@@ -387,16 +355,20 @@ def validate_null(w: WeierstrassData) -> NullCheck:
     The numerator of the sum over the common denominator must vanish; the
     defect is its max coefficient magnitude relative to the size of the
     individual squared terms.  The numerators are divided by ``w.unit``
-    first (exact), so the squares neither overflow nor underflow.  The
+    first (exact), so that in the regime of scale the squares neither
+    overflow nor underflow; squares past the float range are refused.  The
     squares are coefficient arrays, summed in component order.
     """
-    nums = [c for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1]) if c.size]
-    squares = np.zeros((len(nums), 2 * max(c.size for c in nums) - 1), dtype=complex)
-    for sq, c in zip(squares, nums):
-        sq[:2 * c.size - 1] = np.convolve(c, c)
-    # the rows are added in order, as ``add.reduce`` sums the first axis
-    scale = float(np.abs(squares).max())
-    size = float(np.abs(squares.sum(axis=0)).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        nums = [c for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1]) if c.size]
+        squares = np.zeros((len(nums), 2 * max(c.size for c in nums) - 1), dtype=complex)
+        for sq, c in zip(squares, nums):
+            sq[:2 * c.size - 1] = np.convolve(c, c)
+        # the rows are added in order, as ``add.reduce`` sums the first axis
+        scale = float(np.abs(squares).max())
+        size = float(np.abs(squares.sum(axis=0)).max())
+    if not (math.isfinite(scale) and math.isfinite(size)):
+        raise DegenerateInputError("the cleared numerators' squares leave the float range")
     defect = size / scale if scale > 0.0 else size
     return NullCheck(ok=defect <= NULL_TOL, defect=defect)
 
@@ -411,7 +383,7 @@ def detect_punctures(phi):
     phi = _as_rational_tuple(phi)
     if all(r.is_zero for r in phi):
         raise DegenerateInputError("all components are zero")
-    return list(_PoleTable(phi).punctures)
+    return list(_LaurentTable(phi).punctures)
 
 
 def metric_order_at(w: WeierstrassData, p) -> int:
@@ -423,18 +395,26 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     return w._laurent.window(p).mu
 
 
+def _pole_windows(w: WeierstrassData) -> list:
+    """The window of each pole of the form (mu < 0), one per pole: the listed
+    ends' first, then that of each table puncture no listed end lies at.
+    The residue gate and the closed form read these and no other."""
+    windows = {}
+    for p in w.punctures + w._laurent.punctures:
+        if p not in windows:
+            win = w._laurent.window(p)
+            windows.setdefault(win.pole, win)
+    return [win for win in windows.values() if win.mu < 0]
+
+
 def check_residues_real(w: WeierstrassData) -> ResidueCheck:
-    """The one residue gate: the residue vectors of the form at the listed
-    ends and at each pole no listed end lies at, which the closed form
-    integrates too (column -1 - mu of each window, zero at a regular point),
-    must be real (period closing), imaginary parts within
+    """The one residue gate: the residue vectors of the form at its poles
+    (``_pole_windows``, column -1 - mu of each window), which the closed
+    form integrates, must be real (period closing), imaginary parts within
     ``RESIDUE_IMAG_TOL`` (unit + max |residue|), ``unit`` the datum's
     ``WeierstrassData.unit``.  ``validate`` reports it, and the closed form
     refuses a datum it fails."""
-    windows = [w._laurent.window(p) for p in w.punctures]
-    listed = {win.pole for win in windows}
-    windows += [w._laurent.window(q) for q in w._poles.punctures if q not in listed]
-    res = np.array([win.C[:, -1 - win.mu] for win in windows if win.mu < 0])
+    res = np.array([win.C[:, -1 - win.mu] for win in _pole_windows(w)])
     worst = float(np.abs(res.imag).max(initial=0.0))
     bound = RESIDUE_IMAG_TOL * (w.unit + float(np.abs(res).max(initial=0.0)))
     return ResidueCheck(ok=worst <= bound, worst_imag=worst)
@@ -477,10 +457,10 @@ def validate(w: WeierstrassData) -> ValidationReport:
     if not res.ok:
         messages.append(f"non-real residue: worst imaginary part {res.worst_imag:.3e}")
 
-    # listed punctures are matched to the detected ones through the pole table
+    # listed punctures are matched to the detected ones through the table
     at = [w._laurent.window(q).pole for q in w.punctures]
     punctures_ok = True
-    for p in w._poles.punctures:
+    for p in w._laurent.punctures:
         if p not in at:
             punctures_ok = False
             messages.append(f"pole at {p!r} is not listed among the punctures")
@@ -496,9 +476,10 @@ def validate(w: WeierstrassData) -> ValidationReport:
             messages.append(f"end {p!r} has order {mu} > -2: "
                             "not a complete finite-total-curvature end")
     for p, defect in zip(w.punctures, null_defect(w._leads / w.unit)):
-        if not defect <= BILINEAR_TOL:
-            messages.append(f"end {p!r}: leading Laurent vector not null: "
-                            f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2")
+        if not defect <= BILINEAR_TOL:  # NaN where the squares over the unit underflow
+            detail = ("its squares over the unit underflow" if math.isnan(defect)
+                      else f"|<a_lead, a_lead>| = {defect:.3e} |a_lead|^2")
+            messages.append(f"end {p!r}: leading Laurent vector not null: {detail}")
 
     branch = branch_divisor(w)
     if branch:
@@ -519,12 +500,13 @@ def validate(w: WeierstrassData) -> ValidationReport:
 
 class _ClosedForm:
     """The closed-form immersion of a datum up to its constant, every
-    principal part a prefix of a Laurent-table series.
+    principal part the columns C[:, :-mu] of a window of ``_pole_windows``.
 
     Per component, the coefficients of Q_j (ascending), Q_j' = q_j the
-    principal part at infinity (the series there is -q_j(1/w) / w^2 +
-    O(1/w)), and per finite pole (p, real residue, coefficients of t^1,
-    t^2, ... with t = 1/(z - p)) of the integrated principal part.
+    principal part at infinity (the window there is -q_j(1/w) / w^2 + O(1/w),
+    its residue not integrated), and per finite pole, sorted by real then
+    imaginary part, (p, real residue, coefficients of t^1, t^2, ... with
+    t = 1/(z - p)) of the integrated principal part, p the component's root.
     """
 
     def __init__(self, w: WeierstrassData):
@@ -534,21 +516,20 @@ class _ClosedForm:
                 f"non-real residue (imaginary part {res.worst_imag:.3e}): the immersion "
                 "has a period and no single-valued closed form"
             )
-        components = []
-        for j, r in enumerate(w.phi):
-            anti = np.zeros(0, dtype=complex)
-            if r.degree_at_infinity() >= 0:
-                s = w._laurent.series(j, INF)
-                q = -s.coeffs[:-s.order - 1][::-1]
-                anti = np.concatenate([[0j], q / np.arange(1, q.size + 1)])
-            terms = []
-            for p, _m in r.den_roots:
-                s = w._laurent.series(j, p)
-                if s.order < 0:
-                    c = s.coeffs[-s.order - 1::-1]
-                    terms.append((p, c[0].real, -c[1:] / np.arange(1, c.size)))
-            components.append((anti, tuple(terms)))
-        self.components = tuple(components)
+        antis = [np.zeros(0, dtype=complex)] * w.n
+        terms = [[] for _ in w.phi]
+        for win in _pole_windows(w):
+            for j, row in enumerate(win.C[:, :-win.mu]):
+                c = np.trim_zeros(row, "f")[::-1]  # c[l - 1] the coefficient of t^-l
+                powers = -c[1:] / np.arange(1, c.size)
+                if is_infinity(win.pole):
+                    if c.size > 1:
+                        antis[j] = np.concatenate([[0j], powers])
+                elif c.size:
+                    terms[j].append((win.centres[j], c[0].real, powers))
+        self.components = tuple(
+            (anti, tuple(sorted(t, key=lambda term: (term[0].real, term[0].imag))))
+            for anti, t in zip(antis, terms))
         self.origin = self.primitive(np.asarray(w.basepoint))
 
     @staticmethod

@@ -15,6 +15,7 @@ from minsurf.rational import (
     RationalMap,
     _vanishing_order,
     horner,
+    is_infinity,
     laurent_expand,
     roots,
     shared_roots,
@@ -568,8 +569,9 @@ class TestPartialFractions:
                              ids=["catenoid", "enneper", "counterexample"])
     def test_expansions_are_required(self, entry, monkeypatch):
         # no partial-fraction layer is left: every principal part, the
-        # polynomial part (infinity's) included, is read off the datum's
-        # Laurent table, and building the closed form expands nothing else
+        # polynomial part (infinity's) included, is the trimmed principal
+        # columns of a pole's window, and building the closed form expands
+        # nothing the Laurent table does not keep
         for name in ("partial_fractions", "PartialFractions", "poly_quotient"):
             assert not hasattr(ms.rational, name), name
         assert not hasattr(RationalMap, "derivative") and not hasattr(ms.rational, "residue")
@@ -578,10 +580,21 @@ class TestPartialFractions:
         monkeypatch.setattr(ms.weierstrass, "laurent_expand",
                             lambda r, c, depth: calls.append((r, c)) or real(r, c, depth))
         w = entry().data
-        w._closed_form
-        kept = w._laurent._series
-        assert len(calls) == len(kept)
-        assert {(j, INF) for j, r in enumerate(w.phi) if r.degree_at_infinity() >= 0} <= set(kept)
+        components = w._closed_form.components
+        assert len(calls) == len(w._laurent._series)
+        want = [(np.zeros(0, dtype=complex), []) for _ in components]
+        for win in ms.weierstrass._pole_windows(w):
+            for j, row in enumerate(win.C[:, :-win.mu]):
+                c = np.trim_zeros(row, "f")[::-1]
+                powers = -c[1:] / np.arange(1, c.size)
+                if is_infinity(win.pole) and c.size > 1:
+                    want[j] = (np.concatenate([[0j], powers]), want[j][1])
+                elif not is_infinity(win.pole) and c.size:
+                    want[j][1].append((win.centres[j], c[0].real, powers.tobytes()))
+        for (anti, terms), (want_anti, want_terms) in zip(components, want):
+            assert anti.tobytes() == want_anti.tobytes()
+            assert [(p, res, powers.tobytes()) for p, res, powers in terms] == sorted(
+                want_terms, key=lambda t: (t[0].real, t[0].imag))
 
 
 class TestResidue:

@@ -205,7 +205,7 @@ class TestLaurentTable:
                     for e in rep.ends]
 
         assert analysis_round() == [1] * 5
-        # 9 components, 5 ends: the pole table, validation, curvature, the
+        # 9 components, 5 ends: the table, validation, curvature, the
         # end analysis, the partial fractions and the local immersions share
         # one expansion per (component, centre)
         assert len(calls) == 45
@@ -214,7 +214,7 @@ class TestLaurentTable:
         assert len(calls) == 45
 
     def test_building_a_datum_expands_no_series(self, monkeypatch):
-        # the pole table reads the order of each component at each pole by
+        # the table reads the order of each component at each pole by
         # laurent_expand's own rule, without expanding a series: on the 280
         # conftest-rule charts building a datum and its punctures expands
         # none, and each order and puncture is the one the series give
@@ -233,7 +233,7 @@ class TestLaurentTable:
                 punctures = w.punctures
                 assert calls == [], entry.name
                 finite = []
-                for z, members in w._poles.poles.items():
+                for z, members in w._laurent.poles.items():
                     orders = []
                     for j, (root, _m) in members.items():
                         series = expand(w.phi[j], root, w._laurent.depth)
@@ -462,6 +462,16 @@ class TestImmersion:
             got = immersion_eval(w, z)
             want = 2.0 * (catenoid_antiderivative(z) - F0).real
             assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_a_puncture_listed_twice_is_integrated_once(self, jm2):
+        # two listings of one pole coincide, and the closed form integrates
+        # the pole once: bitwise the immersion of the single listing
+        w = jm2.data
+        twice = WeierstrassData(w.phi, punctures=w.punctures + (w.punctures[0] + 1e-9,),
+                                basepoint=w.basepoint)
+        assert any(msg.endswith("coincide") for msg in validate(twice).messages)
+        z = np.array([0.3 + 0.7j, -1.1 + 0.2j, 2.5 - 1.5j])
+        assert immersion_eval(twice, z).tobytes() == immersion_eval(w, z).tobytes()
 
     def test_plane_datum(self, plane):
         got = immersion_eval(plane.data, 1 + 1j)

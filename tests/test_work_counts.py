@@ -94,7 +94,7 @@ def test_refused_ends_take_no_curvature_rounds(monkeypatch):
 
 
 def test_repeat_analysis_matches_no_pole_again(monkeypatch):
-    # the listed punctures of JM m = 6 are not the pole table's roots
+    # the listed punctures of JM m = 6 are not the table's poles
     # bitwise, so each is matched to its pole by roots_coincide; the datum
     # keeps the match and the forms' series there, so a second analysis
     # makes no such call
