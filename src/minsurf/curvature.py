@@ -112,14 +112,14 @@ class CurvatureReport:
 def gauss_map(w: WeierstrassData) -> int:
     """The degree of the projective Gauss map [phi_1 : ... : phi_n].
 
-    The map in cleared form is [psi_1 : ... : psi_n], psi = ``w.cleared[1]``:
+    The map in cleared form is [psi_1 : ... : psi_n], psi = ``w.cleared``:
     the common denominator is projectively irrelevant once cleared, and so is
     the numerators' common factor, whose roots are the finite branch points.
     The hyperplane-intersection degree (including the fiber over infinity,
     which the homogenization to the max component degree accounts for) is
     the max numerator degree less the degree of that factor.
     """
-    degree = max(nj.degree() for nj in w.cleared[1] if not nj.is_zero)
+    degree = max(nj.degree() for nj in w.cleared if not nj.is_zero)
     return int(degree - sum(m for _z, m in w.branch_points))
 
 
@@ -257,7 +257,7 @@ def fullness_and_degeneracy(w: WeierstrassData):
     matrix): the Gauss image spans a projective subspace of dimension
     n - 1 - l.  A common factor of the components changes neither rank.
     """
-    nums = w.cleared[1]
+    nums = w.cleared
     L = max(p.degree() for p in nums if not p.is_zero) + 1
     A = np.zeros((L, w.n), dtype=complex)
     for j, p in enumerate(nums):

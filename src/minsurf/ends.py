@@ -317,8 +317,9 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
     coefficients on the circle |t| = rho of the end's local coordinate (at
     infinity, of phi(1/w) / w^2), or inf when a pole other than the end's
     own lies on or inside that circle.  With phi = N / D, N the cleared
-    numerators and D the monic common denominator (``w.cleared``), |N(z)| is
-    at most |N|_F (sum_{i<L} |z|^2i)^(1/2) at the largest |z| on the circle
+    numerators (``w.cleared``) and D the monic common denominator, whose
+    roots are the table's poles at their ``mult``, |N(z)| is at most |N|_F
+    (sum_{i<L} |z|^2i)^(1/2) at the largest |z| on the circle
     (Cauchy-Schwarz per component, |N|_F the norm of all L coefficients of
     all components), and |D(z)| is at least the product over its factored
     roots of |z - pole|^mult >= (|p - pole| - rho)^mult, (rho - |p - pole|)^mult
@@ -337,7 +338,7 @@ def _form_bound(w: WeierstrassData, p, rho: float) -> float:
             return math.inf
         for _ in range(mult):
             low *= gap
-    nums = w.cleared[1]
+    nums = w.cleared
     powers = 0.0
     for _ in range(max(q.coeffs.size for q in nums)):
         powers = powers * size * size + 1.0

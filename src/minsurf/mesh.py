@@ -124,15 +124,16 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     """Triangulated parameter domain: fans around every end plus a filled center.
 
     Fans less than ``FAN_GAP`` lattice spacings apart shrink r_max
-    automatically with a warning, and r_min is raised to the evaluation
-    clearance of the datum when it lies below it.  The chart is covered out
-    to a finite outer radius; when infinity is an end its fan provides the
-    outer boundary.  A fill lattice of more than ``MAX_FILL_LATTICE`` points
+    automatically with a warning, and r_min is raised to just past the
+    evaluation clearance of the datum when it lies below it; radii that are
+    not finite raise ``UsageError``.  The chart is covered out to a finite
+    outer radius; when infinity is an end its fan provides the outer
+    boundary.  A fill lattice of more than ``MAX_FILL_LATTICE`` points
     (ends very close together shrink r_max and the spacing with it) raises
     ``MeshBudgetError``, and seams that cannot be closed ``MeshTopologyError``.
     """
-    if not (0.0 < r_min < r_max):
-        raise UsageError("require 0 < r_min < r_max")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise UsageError("require 0 < r_min < r_max < inf")
     if res < 8:
         raise UsageError("res must be at least 8")
     fin = w.finite_punctures
@@ -151,11 +152,11 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     if r_max <= r_min:
         r_min = r_max / 4.0
     if fin and r_min < w.clearance:
-        if r_max <= w.clearance:
+        r_min = w.clearance * (1.0 + 1e-9)  # its ring, rounded, stays clear
+        if r_max <= r_min:
             raise EvaluationNearSingularityError(
                 f"r_max {r_max:.3g} is within the evaluation clearance {w.clearance:.3g}"
             )
-        r_min = w.clearance
         warnings.warn(f"r_min below the evaluation clearance; raising it to {r_min:.3g}")
 
     if has_inf:

@@ -22,12 +22,12 @@ to its integrated series.
 
 Each datum has one table of its poles and Laurent data (``_LaurentTable``):
 each denominator is rooted once (``RationalMap.den_roots``), the roots are
-merged into poles by one rule (``rational.roots_coincide``), each expansion
-is made once, and each sphere point read has one record (``_Window``), which
-every reader of its Laurent data slices.  The residue gate,
-``check_residues_real``, and the closed form read the same windows, one per
-pole (``_pole_windows``); ``validate`` reports the gate, and the closed form
-refuses a datum that fails it.
+merged into poles by one rule (``rational.roots_coincide``), and each pole
+has one record (``_Window``), expanded once, which every reader of its
+Laurent data slices; a listed end reads the record of the pole it lies at.
+The residue gate, ``check_residues_real``, and the closed form read the
+records of the table's punctures; ``validate`` reports the gate, and the
+closed form refuses a datum that fails it.
 
 A branch point is a zero of every form phi_j dz: the metric vanishes there
 and the datum is no immersion, which ``validate`` refuses.  The finite ones
@@ -150,7 +150,7 @@ class WeierstrassData:
 
     @cached_property
     def cleared(self):
-        """``common_denominator`` of the datum, computed once."""
+        """The cleared numerators (``common_denominator``), computed once."""
         return common_denominator(self)
 
     @cached_property
@@ -158,7 +158,7 @@ class WeierstrassData:
         """Finite branch points as (point, order): the common roots of the
         cleared numerators, found once (by the components' ``RootTable``).
         Their orders sum to the degree of the numerators' common factor."""
-        nums = [p for p in self.cleared[1] if not p.is_zero]
+        nums = [p for p in self.cleared if not p.is_zero]
         base = min(nums, key=lambda p: p.degree())
         if base.degree() < 1:
             return ()
@@ -244,10 +244,10 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class _Window:
-    """The Laurent data of the forms phi_j dz at one sphere point: the metric
-    order ``mu``; the read-only (n, depth + 1) window ``C``, C[j, k] the
-    coefficient of t^(mu + k) in the j-th form; each component's centre; and
-    the ``pole`` the point lies at, or the point itself."""
+    """The Laurent data of the forms phi_j dz at a pole, or at a regular
+    sphere point: the metric order ``mu``; the read-only (n, depth + 1)
+    window ``C``, C[j, k] the coefficient of t^(mu + k) in the j-th form;
+    each component's centre; and the ``pole``, or the regular point."""
 
     mu: int
     C: np.ndarray = field(repr=False)
@@ -264,11 +264,12 @@ class _LaurentTable:
     it to its order in the common denominator, the members' largest.
     ``punctures`` are the poles where some form has negative order, read by
     ``rational._finite_orders`` without expanding a series, then infinity
-    when some form has a pole there.  ``window(p)`` is the one record of a
-    sphere point (``_Window``), matched to its pole; each component is
-    expanded once per centre (at infinity in w = 1/z, with dz = -dw/w^2) at
-    one depth, ``TERMS - 1`` for an end's local immersion or more, to hold
-    the log term t^-1 of every end.  ``immersions`` is for ``ends``.
+    when some form has a pole there.  ``window(p)`` is the record
+    (``_Window``) of the pole p is matched to, or of p when it matches none;
+    each record expands each component once (at infinity in w = 1/z, with
+    dz = -dw/w^2) at one depth, ``TERMS - 1`` for an end's local immersion
+    or more, to hold the log term t^-1 of every end.  ``immersions`` is for
+    ``ends``.
     """
 
     def __init__(self, phi):
@@ -293,49 +294,45 @@ class _LaurentTable:
         self.punctures = tuple(finite) + ((INF,) if at_inf else ())
         self.phi = phi
         self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
-        self._series = {}
         self._windows = {}
         self.immersions = {}
 
     def window(self, p) -> _Window:
-        """The record of the sphere point p, built once: each component
-        expanded at its own root of p's pole (p counts as a simple root),
-        elsewhere at p."""
+        """The record of the sphere point p, built once.  At a pole (p counts
+        as a simple root) it is the pole's one record, each component expanded
+        at its own root there and elsewhere at the pole, and p is stored as its
+        alias; a regular point has its own, every component expanded at p."""
         if p not in self._windows:
             pole = p if is_infinity(p) or p in self.poles else next(
                 (q for q, m in self.mult.items() if roots_coincide(p, 1, q, m)), p)
-            members = self.poles.get(pole, {})
-            series = []
-            for j, r in enumerate(self.phi):
-                centre = members.get(j, (p, 0))[0]
-                if not r.is_zero and (j, centre) not in self._series:
-                    s = laurent_expand(r, centre, self.depth)
-                    if is_infinity(centre):
+            if pole not in self._windows:
+                members = self.poles.get(pole, {})
+                series = []
+                for j, r in enumerate(self.phi):
+                    s = None if r.is_zero else laurent_expand(
+                        r, members.get(j, (pole, 0))[0], self.depth)
+                    if s is not None and is_infinity(pole):
                         s = LaurentSeries(INF, s.order - 2, -s.coeffs)
-                    s.coeffs.flags.writeable = False
-                    self._series[j, centre] = s
-                series.append(None if r.is_zero else self._series[j, centre])
-            mu = min(s.order for s in series if s is not None)
-            C = np.zeros((len(series), self.depth + 1), dtype=complex)
-            for row, s in zip(C, series):
-                if s is not None and s.order - mu <= self.depth:
-                    row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
-            C.flags.writeable = False
-            centres = tuple(p if s is None else s.center for s in series)
-            self._windows[p] = _Window(mu, C, centres, pole)
+                    series.append(s)
+                mu = min(s.order for s in series if s is not None)
+                C = np.zeros((len(series), self.depth + 1), dtype=complex)
+                for row, s in zip(C, series):
+                    if s is not None and s.order - mu <= self.depth:
+                        row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
+                C.flags.writeable = False
+                centres = tuple(pole if s is None else s.center for s in series)
+                self._windows[pole] = _Window(mu, C, centres, pole)
+            self._windows[p] = self._windows[pole]
         return self._windows[p]
 
 
-def common_denominator(w: "WeierstrassData"):
-    """Monic LCM of the denominators and the cleared numerators.
-
-    Returns (D, nums) with phi_j = nums[j] / D exactly (zero components give
-    zero numerators).  D has one root per pole of the datum's
-    ``_LaurentTable``, with the largest multiplicity of any component there.
-    A numerator with a coefficient past the float range is refused.
+def common_denominator(w: "WeierstrassData") -> list:
+    """The numerators of the components over their monic LCM, D, whose roots
+    are the poles of the datum's ``_LaurentTable`` at their ``mult``: phi_j =
+    nums[j] / D exactly (zero components give zero numerators).  A numerator
+    with a coefficient past the float range is refused.
     """
     poles, mult = w._laurent.poles, w._laurent.mult
-    D = ComplexPoly.from_roots(mult.items())
     nums = []
     for j, r in enumerate(w.phi):
         if r.is_zero:
@@ -346,7 +343,7 @@ def common_denominator(w: "WeierstrassData"):
             nums.append(r.num * ComplexPoly.from_roots(missing) * (1.0 / r.den.coeffs[-1]))
     if not all(np.isfinite(q.coeffs).all() for q in nums):
         raise DegenerateInputError("a cleared numerator has a coefficient past the float range")
-    return D, nums
+    return nums
 
 
 def validate_null(w: WeierstrassData) -> NullCheck:
@@ -360,7 +357,7 @@ def validate_null(w: WeierstrassData) -> NullCheck:
     squares are coefficient arrays, summed in component order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        nums = [c for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared[1]) if c.size]
+        nums = [c for c in (n.coeffs * (1.0 / w.unit) for n in w.cleared) if c.size]
         squares = np.zeros((len(nums), 2 * max(c.size for c in nums) - 1), dtype=complex)
         for sq, c in zip(squares, nums):
             sq[:2 * c.size - 1] = np.convolve(c, c)
@@ -395,26 +392,15 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     return w._laurent.window(p).mu
 
 
-def _pole_windows(w: WeierstrassData) -> list:
-    """The window of each pole of the form (mu < 0), one per pole: the listed
-    ends' first, then that of each table puncture no listed end lies at.
-    The residue gate and the closed form read these and no other."""
-    windows = {}
-    for p in w.punctures + w._laurent.punctures:
-        if p not in windows:
-            win = w._laurent.window(p)
-            windows.setdefault(win.pole, win)
-    return [win for win in windows.values() if win.mu < 0]
-
-
 def check_residues_real(w: WeierstrassData) -> ResidueCheck:
     """The one residue gate: the residue vectors of the form at its poles
-    (``_pole_windows``, column -1 - mu of each window), which the closed
-    form integrates, must be real (period closing), imaginary parts within
+    (column -1 - mu of the record of each of the table's punctures), which
+    the closed form integrates, must be real (period closing), imaginary parts within
     ``RESIDUE_IMAG_TOL`` (unit + max |residue|), ``unit`` the datum's
     ``WeierstrassData.unit``.  ``validate`` reports it, and the closed form
     refuses a datum it fails."""
-    res = np.array([win.C[:, -1 - win.mu] for win in _pole_windows(w)])
+    res = np.array([win.C[:, -1 - win.mu]
+                    for win in map(w._laurent.window, w._laurent.punctures)])
     worst = float(np.abs(res.imag).max(initial=0.0))
     bound = RESIDUE_IMAG_TOL * (w.unit + float(np.abs(res).max(initial=0.0)))
     return ResidueCheck(ok=worst <= bound, worst_imag=worst)
@@ -500,7 +486,8 @@ def validate(w: WeierstrassData) -> ValidationReport:
 
 class _ClosedForm:
     """The closed-form immersion of a datum up to its constant, every
-    principal part the columns C[:, :-mu] of a window of ``_pole_windows``.
+    principal part the columns C[:, :-mu] of the record of one of the
+    table's punctures.
 
     Per component, the coefficients of Q_j (ascending), Q_j' = q_j the
     principal part at infinity (the window there is -q_j(1/w) / w^2 + O(1/w),
@@ -518,7 +505,7 @@ class _ClosedForm:
             )
         antis = [np.zeros(0, dtype=complex)] * w.n
         terms = [[] for _ in w.phi]
-        for win in _pole_windows(w):
+        for win in map(w._laurent.window, w._laurent.punctures):
             for j, row in enumerate(win.C[:, :-win.mu]):
                 c = np.trim_zeros(row, "f")[::-1]  # c[l - 1] the coefficient of t^-l
                 powers = -c[1:] / np.arange(1, c.size)
@@ -580,13 +567,21 @@ def immersion_eval(w: WeierstrassData, z) -> np.ndarray:
 
     ``z`` is a point or an array of points; the result has shape
     (n,) + shape of z.  Points within the clearance of a finite puncture are
-    refused.  Data with a non-real residue raise ``NonRealResidueError``:
-    their integral depends on the path.
+    refused, and so is a point whose value is not finite (near an end, past
+    the float range).  Data with a non-real residue raise
+    ``NonRealResidueError``: their integral depends on the path.
     """
     z = np.asarray(z, dtype=complex)
     _refuse_near_punctures(w, z)
     form = w._closed_form
-    return form.primitive(z) - form.origin.reshape((-1,) + (1,) * z.ndim)
+    with np.errstate(all="ignore"):
+        f = form.primitive(z) - form.origin.reshape((-1,) + (1,) * z.ndim)
+    bad = ~np.isfinite(f).all(axis=0)
+    if bad.any():
+        near = complex(z.flat[int(np.argmax(bad))])
+        raise EvaluationNearSingularityError(
+            f"evaluation point {near}: the immersion there is not finite")
+    return f
 
 
 def immersion_delta(w: WeierstrassData, z1, z2) -> np.ndarray:

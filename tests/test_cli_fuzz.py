@@ -3,9 +3,13 @@
 `RuntimeWarning` an error) or a NaN in a message, and a failing `analyze`
 prints one line.  The mutants are seeded edits of the catalog documents: a
 coefficient set or scaled, a term appended or dropped, the punctures
-replaced, every numerator scaled."""
+replaced, every numerator scaled.  `mesh` keeps the same contract over a
+grid of radii at the edges of the float range, and writes no non-finite
+vertex."""
 
 import copy
+import itertools
+import math
 import random
 import re
 import sys
@@ -114,3 +118,50 @@ def test_mutated_catalog_documents_keep_the_contract(tmp_path, capsys):
         codes.append(out["analyze"][0])
     # the draw reaches every exit code
     assert set(codes) == {0, 1, 2}
+
+
+MESH_RMIN = [1e-300, 1e-200, 1e-3, 1e-2]
+MESH_RMAX = [0.5, 1e300, math.inf]
+NONFINITE = re.compile(r"inf|nan", re.IGNORECASE)
+# (catalog document, options, exit code) at the CLI's other defaults
+MESH_EDGES = [
+    # the ring at r_min raised to the clearance lay inside it by rounding
+    ("generalized-jorge-meeks-m2", ["--rmin", "1e-3"], 0),
+    # ring radii grew by 1.3 until the float range ended
+    ("plane", ["--rmax", "inf"], 2),
+    # the fan at infinity reaches 1e200, where Enneper's z^3 overflows
+    ("enneper", ["--rmin", "1e-200"], 1),
+]
+
+
+def _mesh(doc, tmp_path, capsys, *options):
+    """`minsurf mesh` of the document: its exit code, after the contract and
+    the finiteness of every written vertex are checked."""
+    path, obj = tmp_path / "doc.wd", tmp_path / "doc.obj"
+    wdfile.dump(doc, path)
+    for old in tmp_path.glob("doc.obj*"):
+        old.unlink()
+    code = cli.main(["mesh", str(path), "-o", str(obj), *options])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and not NAN.search(err), err
+    assert code == 0 or len(err.splitlines()) == 1, err
+    if obj.exists():
+        vertices = [line for line in obj.read_text().splitlines() if line.startswith("v ")]
+        assert not NONFINITE.search("\n".join(vertices))
+    return code
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", [doc.label for doc in DOCS])
+def test_mesh_keeps_the_contract_over_a_grid_of_radii(name, tmp_path, capsys):
+    for rmin, rmax in itertools.product(MESH_RMIN, MESH_RMAX):
+        _mesh(_doc(name), tmp_path, capsys, "--res", "8", "--rmin", repr(rmin),
+              "--rmax", repr(rmax))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name, options, code", MESH_EDGES,
+                         ids=["jm2-rmin-1e-3", "plane-rmax-inf", "enneper-rmin-1e-200"])
+def test_mesh_radii_at_the_edges_end_as_stated(name, options, code, tmp_path, capsys):
+    assert _mesh(_doc(name), tmp_path, capsys, *options) == code

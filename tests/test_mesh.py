@@ -256,8 +256,8 @@ def _loop_fan(pool, triangles, center, r_min, r_max, res):
 def loop_radii(w, r_min=1e-2, r_max=1.0, res=32):
     """sample_domain's parameter rules, with their warnings: the (r_min, r_max)
     it meshes with.  Fans are kept 3 lattice spacings (2 pi r_max / res) apart."""
-    if not (0.0 < r_min < r_max):
-        raise ValueError("require 0 < r_min < r_max")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ValueError("require 0 < r_min < r_max < inf")
     if res < 8:
         raise ValueError("res must be at least 8")
     fin = w.finite_punctures
@@ -274,11 +274,11 @@ def loop_radii(w, r_min=1e-2, r_max=1.0, res=32):
     if r_max <= r_min:
         r_min = r_max / 4.0
     if fin and r_min < w.clearance:
-        if r_max <= w.clearance:
+        r_min = w.clearance * (1.0 + 1e-9)
+        if r_max <= r_min:
             raise EvaluationNearSingularityError(
                 f"r_max {r_max:.3g} is within the evaluation clearance {w.clearance:.3g}"
             )
-        r_min = w.clearance
         warnings.warn(f"r_min below the evaluation clearance; raising it to {r_min:.3g}")
     return r_min, r_max
 

@@ -570,8 +570,8 @@ class TestPartialFractions:
     def test_expansions_are_required(self, entry, monkeypatch):
         # no partial-fraction layer is left: every principal part, the
         # polynomial part (infinity's) included, is the trimmed principal
-        # columns of a pole's window, and building the closed form expands
-        # nothing the Laurent table does not keep
+        # columns of the record of one of the table's punctures, and building
+        # the closed form expands each nonzero component once per record
         for name in ("partial_fractions", "PartialFractions", "poly_quotient"):
             assert not hasattr(ms.rational, name), name
         assert not hasattr(RationalMap, "derivative") and not hasattr(ms.rational, "residue")
@@ -581,9 +581,10 @@ class TestPartialFractions:
                             lambda r, c, depth: calls.append((r, c)) or real(r, c, depth))
         w = entry().data
         components = w._closed_form.components
-        assert len(calls) == len(w._laurent._series)
+        records = {id(win) for win in w._laurent._windows.values()}
+        assert len(calls) == len(records) * sum(not r.is_zero for r in w.phi)
         want = [(np.zeros(0, dtype=complex), []) for _ in components]
-        for win in ms.weierstrass._pole_windows(w):
+        for win in map(w._laurent.window, w._laurent.punctures):
             for j, row in enumerate(win.C[:, :-win.mu]):
                 c = np.trim_zeros(row, "f")[::-1]
                 powers = -c[1:] / np.arange(1, c.size)

@@ -145,7 +145,7 @@ class TestPoleTable:
         keys = [p.coeffs.tobytes() for p in calls]
         assert len(set(keys)) == len(keys)
         dens = {r.den.coeffs.tobytes() for r in w.phi if r.den.degree() >= 1}
-        nums = {q.coeffs.tobytes() for q in w.cleared[1]}
+        nums = {q.coeffs.tobytes() for q in w.cleared}
         later = set(keys[built:]) - dens
         assert dens <= set(keys) and later <= nums and len(later) <= 1
         # the partial fractions of the immersion reuse the denominators' roots
@@ -289,6 +289,29 @@ class TestLaurentTable:
                 again = w._laurent.window(p)
                 assert again is win and again.C is C
                 assert not C.flags.writeable
+
+    def test_an_end_listed_off_its_pole_reads_the_pole_record(self):
+        # the counterexample pulled back by (1, 0, 1, 1): two components are
+        # regular at its end 0, listed here 1e-13 off.  The listing is an
+        # alias of the pole's record, so the window and the end's local
+        # immersion are bitwise those of the exact listing
+        from minsurf.ends import LocalImmersion
+
+        exact = ms.mobius_precompose(ms.holomorphic_counterexample().data, (1, 0, 1, 1))
+        assert 0j in exact.punctures
+        off = WeierstrassData(exact.phi, punctures=[1e-13 if p == 0 else p
+                                                    for p in exact.punctures],
+                              basepoint=exact.basepoint)
+        assert validate(off).ok
+        p = 1e-13 + 0j
+        win, ref = off._laurent.window(p), exact._laurent.window(0j)
+        assert win is off._laurent.window(win.pole) and win.pole == 0j
+        assert win.centres == ref.centres and win.C.tobytes() == ref.C.tobytes()
+        got, want = LocalImmersion(off, p), LocalImmersion(exact, 0j)
+        assert got._anti.tobytes() == want._anti.tobytes()
+        assert got.constant.tobytes() == want.constant.tobytes()
+        for q in off.punctures:
+            assert off._laurent.window(q) is off._laurent.window(off._laurent.window(q).pole)
 
     def test_orders_past_the_depth_apart_are_reported(self):
         # (z^25, z^-25, 1): at 0 the first form's order lies 50 above mu,
