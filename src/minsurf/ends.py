@@ -30,10 +30,11 @@ taken of the coefficients over it.
 Near an end the immersion is the termwise-integrated Laurent series in the
 local coordinate, its constant the regular part of the closed-form
 immersion at the end (``weierstrass._ClosedForm.end_constant``).
-``analyze_end`` and ``LocalImmersion`` index the end's one window of the
-datum's Laurent table (``weierstrass._LaurentTable.window``), which
-reaches the log term of every end; the table keeps one LocalImmersion per
-end, which refuses an end whose series has a term past the ``TERMS`` it
+``analyze_end`` and ``LocalImmersion`` read an end at the pole that its
+puncture stands for (``WeierstrassData.end_poles``): they index the pole's
+one window of the datum's Laurent table (``weierstrass._LaurentTable.window``),
+which reaches the log term of every end; the table keeps one LocalImmersion
+per pole, which refuses an end whose series has a term past the ``TERMS`` it
 reads.  The program bounds that series and never sums it.
 """
 
@@ -96,9 +97,10 @@ class LocalImmersion:
     c_{-1} and ``constant`` C.  C is the closed form's regular part at the
     end (``_ClosedForm.end_constant``): the series has no t^0 term, so C is
     the value that the closed form keeps when the end's own principal part
-    and log term are left out.  Valid for |t| below roughly half the
-    distance to the next singularity (_cap is 0.55 of it); only Re(log)
-    enters, so the log branch is immaterial (the residue vector is real).
+    and log term are left out.  t is taken about the pole that p stands
+    for, and the series is valid for |t| below roughly half the distance to
+    the next end's pole (_cap is 0.55 of it); only Re(log) enters, so the
+    log branch is immaterial (the residue vector is real).
 
     A window with a coefficient past the float range (a datum scaled near
     the top of it, with close punctures) raises ``NumericInstabilityError``,
@@ -108,6 +110,7 @@ class LocalImmersion:
     """
 
     def __init__(self, w: WeierstrassData, p):
+        p = w._pole_of(p)
         if is_infinity(p):
             conv = min((1.0 / abs(q) for q in w.finite_punctures if q != 0), default=math.inf)
         else:
@@ -147,10 +150,12 @@ class EndAnalysis:
 
     Kept small, since reports are kept: the vectors are copies, not views
     into the Laurent window, and ``frame`` is one (3, n) array of rows e1,
-    e2, e3.
+    e2, e3.  ``puncture`` is the end as asked for, ``pole`` the table point
+    it stands for, which every number is read at.
     """
 
     puncture: object
+    pole: object
     mu: int
     k: int
     a_minus2: np.ndarray = field(repr=False)
@@ -176,9 +181,9 @@ class EndAnalysis:
         """The immersion in the end's local coordinate, built once and kept by
         the datum: the analysis itself does not need it, nor a report."""
         cache = self._w._laurent.immersions
-        if self.puncture not in cache:
-            cache[self.puncture] = LocalImmersion(self._w, self.puncture)
-        return cache[self.puncture]
+        if self.pole not in cache:
+            cache[self.pole] = LocalImmersion(self._w, self.pole)
+        return cache[self.pole]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -219,7 +224,8 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
     taken of the coefficients divided by the datum's ``unit`` (exact), so
     they neither underflow nor overflow; a and b are unit * |v / unit|.
     """
-    win = w._laurent.window(p)
+    pole = w._pole_of(p)
+    win = w._laurent.window(pole)
     mu, C, k = win.mu, win.C, -win.mu
     lead = C[:, 0].copy()
     a2 = C[:, k - 2].copy() if k >= 2 else np.zeros(w.n, dtype=complex)
@@ -261,6 +267,7 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         classification = EndType.HIGHER_ORDER
     return EndAnalysis(
         puncture=p,
+        pole=pole,
         mu=mu,
         k=k,
         a_minus2=a2,
@@ -314,26 +321,24 @@ class RotationCertificate:
 
 def _form_bound(w: WeierstrassData, p, rho: float) -> float:
     """An upper bound, over ``w.unit``, of the 2-norm of the form's
-    coefficients on the circle |t| = rho of the end's local coordinate (at
-    infinity, of phi(1/w) / w^2), or inf when a pole other than the end's
-    own lies on or inside that circle.  With phi = N / D, N the cleared
-    numerators (``w.cleared``) and D the monic common denominator, whose
-    roots are the table's poles at their ``mult``, |N(z)| is at most |N|_F
+    coefficients on the circle |t| = rho about the end's pole p (at
+    infinity, of phi(1/w) / w^2 on |w| = rho), or inf when another pole lies
+    on or inside that circle.  With phi = N / D, N the cleared numerators
+    (``w.cleared``) and D the monic common denominator, whose roots are the
+    table's poles at their ``mult``, |N(z)| is at most |N|_F
     (sum_{i<L} |z|^2i)^(1/2) at the largest |z| on the circle
     (Cauchy-Schwarz per component, |N|_F the norm of all L coefficients of
     all components), and |D(z)| is at least the product over its factored
-    roots of |z - pole|^mult >= (|p - pole| - rho)^mult, (rho - |p - pole|)^mult
-    at the end's own pole, and (1/rho - |pole|)^mult at infinity, where
-    |z| = 1/rho."""
+    roots of |z - pole|^mult >= (|p - pole| - rho)^mult, rho^mult at p
+    itself, and (1/rho - |pole|)^mult at infinity, where |z| = 1/rho."""
     at_inf = is_infinity(p)
     size = 1.0 / rho if at_inf else abs(p) + rho
-    own = None if at_inf else w._laurent.window(p).pole
     low = rho * rho if at_inf else 1.0
     for pole, mult in w._laurent.mult.items():
         if at_inf:
             gap = size - abs(pole)
         else:
-            gap = abs(p - pole) - rho if pole != own else rho - abs(p - pole)
+            gap = abs(p - pole) - rho if pole != p else rho
         if not gap > 0.0:
             return math.inf
         for _ in range(mult):
@@ -464,7 +469,7 @@ def certify_rotation_index(w: WeierstrassData, p,
             part[0, TERMS + m - 1] = log_term
             part[1, m - 1] += log_term
         # the tail, its 1 / (1 - r/rho) taken at r = top, as a multiple of (r/top)^TERMS
-        tail = (2.0 * _form_bound(w, e.puncture, rho) * rho / first * (top / rho) ** first
+        tail = (2.0 * _form_bound(w, e.pole, rho) * rho / first * (top / rho) ** first
                 * top_m / (1.0 - top / rho) / size)
         weights[:, :, TERMS - 1] = tail, first * tail
         # the rows past log(top/r) (r/top)^m have weight 0, so the product

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (EvaluationNearSingularityError, MeshBudgetError, MeshTopologyError,
                      UsageError)
-from .rational import is_infinity
+from .rational import INF, is_infinity
 from .weierstrass import WeierstrassData, immersion_eval
 
 __all__ = ["ParamTriangulation", "SurfaceMesh", "sample_domain", "build_mesh",
@@ -137,8 +137,7 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     if res < 8:
         raise UsageError("res must be at least 8")
     fin = w.finite_punctures
-    inf = next((p for p in w.punctures if is_infinity(p)), None)
-    has_inf = inf is not None
+    has_inf = INF in w.end_poles
 
     if len(fin) >= 2 and r_max > w.min_separation / (2.0 + 2.0 * math.pi * FAN_GAP / res):
         r_max = w.min_separation / (2.0 + 2.0 * math.pi * FAN_GAP / res)
@@ -177,7 +176,7 @@ def sample_domain(w: WeierstrassData, r_min: float = 1e-2, r_max: float = 1.0,
     angles = 2.0 * math.pi * np.arange(res) / res
     u = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
     radii = np.array(_ring_radii(r_min, r_max))
-    centers = list(fin) + ([inf] if has_inf else [])
+    centers = list(fin) + ([INF] if has_inf else [])
     blocks = [_fan_nodes(p, radii, u) for p in centers]
     if not has_inf:
         blocks.append(outer_radius * u[None, :])

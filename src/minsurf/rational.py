@@ -441,15 +441,18 @@ class RootTable:
         roots by r's own table.  T' = det / td^2 enters the balance of the td
         powers, so the result is built, and its denominator rooted, once.
         The coefficients are projective: they are divided by the largest
-        before the determinant is tested, so any finite multiple is T.
+        before the determinant is tested, so any finite multiple is T.  It
+        must not be 0 (singular) nor at most 1e-12 (ill-conditioned).
         """
         a, b, c, d = (complex(x) for x in mobius)
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise DegenerateInputError("a Moebius coefficient is not finite")
         top = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
         a, b, c, d = a / top, b / top, c / top, d / top
-        if abs(a * d - b * c) <= 1e-12:
-            raise DegenerateInputError("Moebius map is singular")
+        det = a * d - b * c
+        if abs(det) <= 1e-12:
+            why = f"ill-conditioned: normalized determinant {abs(det):.3g} <= 1e-12"
+            raise DegenerateInputError(f"Moebius map is {'singular' if det == 0 else why}")
         if r.is_zero:
             return self.rational_map(ComplexPoly())
         td = ComplexPoly([d, c])
@@ -457,7 +460,7 @@ class RootTable:
                                    r._table.roots(r.num) if r.num.degree() >= 1 else ())
         pd, kd = _compose_factored(r.den, a, b, c, d, r.den_roots)
         # r(T) T' = (Pn / td^kn) / (Pd / td^kd) * det / td^2: balance the td powers.
-        pn = pn * (a * d - b * c)
+        pn = pn * det
         for _ in range(kd - kn - 2):
             pn = pn * td
         for _ in range(kn + 2 - kd):

@@ -24,7 +24,9 @@ Each datum has one table of its poles and Laurent data (``_LaurentTable``):
 each denominator is rooted once (``RationalMap.den_roots``), the roots are
 merged into poles by one rule (``rational.roots_coincide``), and each pole
 has one record (``_Window``), expanded once, which every reader of its
-Laurent data slices; a listed end reads the record of the pole it lies at.
+Laurent data slices.  The build matches each listed puncture to its pole by
+the same rule, once (``_LaurentTable.match``), and every computation reads
+the pole; the listed spelling is only printed or written back.
 The residue gate, ``check_residues_real``, and the closed form read the
 records of the table's punctures; ``validate`` reports the gate, and the
 closed form refuses a datum that fails it.
@@ -103,7 +105,11 @@ def _as_rational_tuple(phi):
 
 
 class WeierstrassData:
-    """Immutable Weierstrass datum: components, punctures, basepoint, label."""
+    """Immutable Weierstrass datum: components, punctures, basepoint, label.
+    ``end_poles`` are the table points the punctures stand for, matched once;
+    the geometry reads their distinct finite ones (``finite_punctures``), the
+    least distance between two (``min_separation``, 1.0 for fewer than two)
+    and the ``clearance`` about each, where evaluation is refused."""
 
     def __init__(self, phi, punctures=None, basepoint=None, label: str = ""):
         self.phi = _as_rational_tuple(phi)
@@ -112,41 +118,28 @@ class WeierstrassData:
             raise DegenerateInputError("ambient dimension must be at least 3")
         if all(r.is_zero for r in self.phi):
             raise DegenerateInputError("all components are zero")
+        self._laurent = _LaurentTable(self.phi)
         if punctures is None:
             self.punctures = self._laurent.punctures
         else:
             self.punctures = tuple(INF if is_infinity(p) else complex(p) for p in punctures)
+        self.end_poles = tuple(map(self._laurent.match, self.punctures))
+        fin = tuple(dict.fromkeys(p for p in self.end_poles if not is_infinity(p)))
+        self.finite_punctures = fin
+        self.min_separation = min((abs(a - b) for i, a in enumerate(fin) for b in fin[i + 1:]),
+                                  default=1.0)
+        self.clearance = CLEARANCE_FACTOR * self.min_separation
         self.label = str(label)
         self.basepoint = complex(basepoint) if basepoint is not None else self._default_basepoint()
-        if any(
-            not is_infinity(p) and abs(self.basepoint - p) <= self.clearance
-            for p in self.punctures
-        ):
+        if any(abs(self.basepoint - p) <= self.clearance for p in fin):
             raise DegenerateInputError("basepoint is within clearance of a puncture")
 
-    # -- derived geometry ---------------------------------------------------
-
-    @property
-    def finite_punctures(self):
-        return tuple(p for p in self.punctures if not is_infinity(p))
-
-    @property
-    def min_separation(self) -> float:
-        """Min pairwise distance of the finite punctures (1.0 when fewer than two)."""
-        fin = self.finite_punctures
-        if len(fin) < 2:
-            return 1.0
-        return min(abs(a - b) for i, a in enumerate(fin) for b in fin[i + 1:])
-
-    @property
-    def clearance(self) -> float:
-        """Radius around each finite puncture where evaluation is refused."""
-        return CLEARANCE_FACTOR * self.min_separation
-
-    @cached_property
-    def _laurent(self) -> "_LaurentTable":
-        """Built on first use; at construction only when detecting punctures."""
-        return _LaurentTable(self.phi)
+    def _pole_of(self, p):
+        """The table point that the sphere point p stands for: the build's
+        match when p is listed, else ``_LaurentTable.match``."""
+        if p in self.punctures:
+            return self.end_poles[self.punctures.index(p)]
+        return self._laurent.match(p)
 
     @cached_property
     def cleared(self):
@@ -171,9 +164,9 @@ class WeierstrassData:
 
     @cached_property
     def _leads(self) -> np.ndarray:
-        """The leading Laurent vector a_lead of the form at each listed end,
-        one row per puncture."""
-        rows = [self._laurent.window(p).C[:, 0] for p in self.punctures]
+        """The leading Laurent vector a_lead of the form at each end's pole,
+        one row per listed puncture."""
+        rows = [self._laurent.window(p).C[:, 0] for p in self.end_poles]
         return np.array(rows).reshape(len(rows), self.n)
 
     @cached_property
@@ -247,12 +240,11 @@ class _Window:
     """The Laurent data of the forms phi_j dz at a pole, or at a regular
     sphere point: the metric order ``mu``; the read-only (n, depth + 1)
     window ``C``, C[j, k] the coefficient of t^(mu + k) in the j-th form;
-    each component's centre; and the ``pole``, or the regular point."""
+    and each component's centre."""
 
     mu: int
     C: np.ndarray = field(repr=False)
     centres: tuple
-    pole: object
 
 
 class _LaurentTable:
@@ -264,9 +256,10 @@ class _LaurentTable:
     it to its order in the common denominator, the members' largest.
     ``punctures`` are the poles where some form has negative order, read by
     ``rational._finite_orders`` without expanding a series, then infinity
-    when some form has a pole there.  ``window(p)`` is the record
-    (``_Window``) of the pole p is matched to, or of p when it matches none;
-    each record expands each component once (at infinity in w = 1/z, with
+    when some form has a pole there.  ``match(p)`` is the table point that a
+    sphere point stands for, and ``window(p)`` the record (``_Window``) of a
+    table point or of a regular point, one per point; each record expands
+    each component once (at infinity in w = 1/z, with
     dz = -dw/w^2) at one depth, ``TERMS - 1`` for an end's local immersion
     or more, to hold the log term t^-1 of every end.  ``immersions`` is for
     ``ends``.
@@ -297,32 +290,34 @@ class _LaurentTable:
         self._windows = {}
         self.immersions = {}
 
+    def match(self, p):
+        """The table point that the sphere point p stands for, by the rule that
+        merged the poles: infinity for infinity, the pole p coincides with
+        (``roots_coincide``, p a simple root against its ``mult``), else p."""
+        if is_infinity(p) or p in self.poles:
+            return p
+        return next((q for q, m in self.mult.items() if roots_coincide(p, 1, q, m)), p)
+
     def window(self, p) -> _Window:
-        """The record of the sphere point p, built once.  At a pole (p counts
-        as a simple root) it is the pole's one record, each component expanded
-        at its own root there and elsewhere at the pole, and p is stored as its
-        alias; a regular point has its own, every component expanded at p."""
+        """The record of the table point p, built once: at a pole each
+        component expanded at its own root there and elsewhere at the pole;
+        at infinity or at a regular point every component expanded at p."""
         if p not in self._windows:
-            pole = p if is_infinity(p) or p in self.poles else next(
-                (q for q, m in self.mult.items() if roots_coincide(p, 1, q, m)), p)
-            if pole not in self._windows:
-                members = self.poles.get(pole, {})
-                series = []
-                for j, r in enumerate(self.phi):
-                    s = None if r.is_zero else laurent_expand(
-                        r, members.get(j, (pole, 0))[0], self.depth)
-                    if s is not None and is_infinity(pole):
-                        s = LaurentSeries(INF, s.order - 2, -s.coeffs)
-                    series.append(s)
-                mu = min(s.order for s in series if s is not None)
-                C = np.zeros((len(series), self.depth + 1), dtype=complex)
-                for row, s in zip(C, series):
-                    if s is not None and s.order - mu <= self.depth:
-                        row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
-                C.flags.writeable = False
-                centres = tuple(pole if s is None else s.center for s in series)
-                self._windows[pole] = _Window(mu, C, centres, pole)
-            self._windows[p] = self._windows[pole]
+            members = self.poles.get(p, {})
+            series = []
+            for j, r in enumerate(self.phi):
+                s = None if r.is_zero else laurent_expand(r, members.get(j, (p, 0))[0], self.depth)
+                if s is not None and is_infinity(p):
+                    s = LaurentSeries(INF, s.order - 2, -s.coeffs)
+                series.append(s)
+            mu = min(s.order for s in series if s is not None)
+            C = np.zeros((len(series), self.depth + 1), dtype=complex)
+            for row, s in zip(C, series):
+                if s is not None and s.order - mu <= self.depth:
+                    row[s.order - mu:] = s.coeffs[:self.depth + 1 - (s.order - mu)]
+            C.flags.writeable = False
+            centres = tuple(p if s is None else s.center for s in series)
+            self._windows[p] = _Window(mu, C, centres)
         return self._windows[p]
 
 
@@ -389,7 +384,7 @@ def metric_order_at(w: WeierstrassData, p) -> int:
     At punctures of valid complete finite-total-curvature data mu <= -2; at a
     regular point the value is nonnegative (a non-end).
     """
-    return w._laurent.window(p).mu
+    return w._laurent.window(w._pole_of(p)).mu
 
 
 def check_residues_real(w: WeierstrassData) -> ResidueCheck:
@@ -443,18 +438,13 @@ def validate(w: WeierstrassData) -> ValidationReport:
     if not res.ok:
         messages.append(f"non-real residue: worst imaginary part {res.worst_imag:.3e}")
 
-    # listed punctures are matched to the detected ones through the table
-    at = [w._laurent.window(q).pole for q in w.punctures]
-    punctures_ok = True
-    for p in w._laurent.punctures:
-        if p not in at:
-            punctures_ok = False
-            messages.append(f"pole at {p!r} is not listed among the punctures")
-    for i, p in enumerate(at):
-        if p in at[:i]:
-            punctures_ok = False
-            messages.append(f"punctures {w.punctures[at.index(p)]!r} and "
-                            f"{w.punctures[i]!r} coincide")
+    # the listed punctures as matched to the table at build
+    at, before = w.end_poles, len(messages)
+    messages += [f"pole at {p!r} is not listed among the punctures"
+                 for p in w._laurent.punctures if p not in at]
+    messages += [f"punctures {w.punctures[at.index(p)]!r} and {w.punctures[i]!r} coincide"
+                 for i, p in enumerate(at) if p in at[:i]]
+    punctures_ok = len(messages) == before
 
     end_orders = tuple((p, metric_order_at(w, p)) for p in w.punctures)
     for p, mu in end_orders:
@@ -505,11 +495,12 @@ class _ClosedForm:
             )
         antis = [np.zeros(0, dtype=complex)] * w.n
         terms = [[] for _ in w.phi]
-        for win in map(w._laurent.window, w._laurent.punctures):
+        for p in w._laurent.punctures:
+            win = w._laurent.window(p)
             for j, row in enumerate(win.C[:, :-win.mu]):
                 c = np.trim_zeros(row, "f")[::-1]  # c[l - 1] the coefficient of t^-l
                 powers = -c[1:] / np.arange(1, c.size)
-                if is_infinity(win.pole):
+                if is_infinity(p):
                     if c.size > 1:
                         antis[j] = np.concatenate([[0j], powers])
                 elif c.size:

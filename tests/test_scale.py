@@ -84,7 +84,7 @@ class TestUnit:
         for entry in CATALOG:
             w = entry.data
             lead = max(float(np.max(np.abs(w._laurent.window(p).C[:, 0])))
-                       for p in w.punctures)
+                       for p in w.end_poles)
             k = math.frexp(w.unit)[1] - 1
             assert w.unit == 2.0**k and 2.0 ** (k - 1) <= lead < 2.0**k, entry.name
             for j in (-900, 3, 900):
@@ -245,6 +245,21 @@ class TestProjectiveMoebius:
     def test_a_singular_map_is_refused_at_any_scale(self, catenoid, j):
         with pytest.raises(DegenerateInputError, match="singular"):
             ms.mobius_precompose(catenoid.data, [2.0**j * x for x in (1, 2, 2, 4)])
+
+    def test_a_translation_is_refused_past_the_conditioning_bound(self):
+        # JM m = 1 pulled back by z -> z - t: at t = 1e5 the normalized
+        # determinant 1e-10 passes the 1e-12 bound, the chart builds and
+        # validate refuses it for a non-real residue; at t = 1e6 (1e-12, on
+        # the bound) and 1e7 (1e-14) the map is refused for its conditioning,
+        # not called singular
+        w = ms.generalized_jorge_meeks(1).data
+        chart = ms.mobius_precompose(w, (1, -1e5, 0, 1))
+        assert validate(chart).messages[0].startswith("non-real residue")
+        for t, det in ((1e6, "1e-12"), (1e7, "1e-14")):
+            with pytest.raises(DegenerateInputError) as err:
+                ms.mobius_precompose(w, (1, -t, 0, 1))
+            assert str(err.value) == ("Moebius map is ill-conditioned: normalized determinant "
+                                      f"{det} <= 1e-12")
 
     @pytest.mark.parametrize("bad", (np.inf, np.nan))
     def test_a_coefficient_that_is_not_finite_is_refused(self, catenoid, bad):

@@ -157,17 +157,42 @@ class TestPoleTable:
     def _moved(w, eps):
         return WeierstrassData(w.phi, punctures=[p + eps for p in w.punctures])
 
+    @staticmethod
+    def _numbers(w, points):
+        """Every number that reads an end's pole, the ends taken in the order
+        of ``points``: each end's certificate (index, r0, R0, margin) and
+        deviation bounds at R = 1e2, 1e3, 1e4, then the Green-identity
+        witness, the clearance and the immersion at three points."""
+        ends = []
+        for p in points:
+            e = ms.analyze_end(w, p)
+            c = ms.ends.certify_rotation_index(w, p, end=e)
+            ends.append((c.index, c.r0, c.R0, c.margin,
+                         *ms.limit_circle_deviation(w, p, [1e2, 1e3, 1e4], end=e)))
+        z = np.array([0.3 + 0.7j, -1.1 + 0.2j, 2.5 - 1.5j])
+        return (ends, ms.run_analysis(w).curvature.tc_numeric, w.clearance,
+                immersion_eval(w, z).tobytes())
+
     def test_listed_punctures_within_merge_rule(self):
-        # JM m = 3 ends are double poles: listed points 1e-7 off are the
-        # same poles, and every end is expanded at the poles themselves
-        w = ms.generalized_jorge_meeks(3).data
-        moved = self._moved(w, 1e-7)
-        assert validate(moved).ok
-        for p, q in zip(w.punctures, moved.punctures):
-            e, f = ms.analyze_end(w, p), ms.analyze_end(moved, q)
-            assert (f.mu, f.a, f.b) == (e.mu, e.a, e.b)
-            assert np.array_equal(f.a_minus1, e.a_minus1)
-            assert np.array_equal(f.frame, e.frame)
+        # JM m = 1..6 ends are double poles: the catalog's cos/sin listing,
+        # up to 2.4e-15 off the poles, and points listed 1e-7 off are the
+        # same poles.  Every end is expanded at the poles themselves, and
+        # every number reads them, so both listings give bitwise the numbers
+        # of the same forms with their ends detected
+        for m in range(1, 7):
+            w = ms.generalized_jorge_meeks(m).data
+            moved = self._moved(w, 1e-7)
+            detected = WeierstrassData(w.phi)
+            assert validate(moved).ok
+            assert moved.end_poles == w.end_poles and set(w.end_poles) == set(detected.punctures)
+            for p, q in zip(w.punctures, moved.punctures):
+                e, f = ms.analyze_end(w, p), ms.analyze_end(moved, q)
+                assert (f.mu, f.a, f.b) == (e.mu, e.a, e.b)
+                assert np.array_equal(f.a_minus1, e.a_minus1)
+                assert np.array_equal(f.frame, e.frame)
+            want = self._numbers(detected, w.end_poles)
+            assert self._numbers(w, w.punctures) == want, m
+            assert self._numbers(moved, moved.punctures) == want, m
 
     def test_listed_punctures_beyond_merge_rule(self):
         report = validate(self._moved(ms.generalized_jorge_meeks(3).data, 1e-4))
@@ -278,7 +303,7 @@ class TestLaurentTable:
         # and a second read returns the same read-only array
         for entry in (ms.holomorphic_counterexample(), ms.generalized_jorge_meeks(3)):
             w = entry.data
-            for p in w.punctures:
+            for p in w.end_poles:
                 win = w._laurent.window(p)
                 mu, C = win.mu, win.C
                 assert C.shape == (w.n, w._laurent.depth + 1)
@@ -292,11 +317,10 @@ class TestLaurentTable:
 
     def test_an_end_listed_off_its_pole_reads_the_pole_record(self):
         # the counterexample pulled back by (1, 0, 1, 1): two components are
-        # regular at its end 0, listed here 1e-13 off.  The listing is an
-        # alias of the pole's record, so the window and the end's local
-        # immersion are bitwise those of the exact listing
-        from minsurf.ends import LocalImmersion
-
+        # regular at its end 0, listed here 1e-13 off.  The build matches the
+        # listing to the pole, so the end's window and local immersion are
+        # bitwise those of the exact listing, and the table keeps no record
+        # of the listed point
         exact = ms.mobius_precompose(ms.holomorphic_counterexample().data, (1, 0, 1, 1))
         assert 0j in exact.punctures
         off = WeierstrassData(exact.phi, punctures=[1e-13 if p == 0 else p
@@ -304,14 +328,26 @@ class TestLaurentTable:
                               basepoint=exact.basepoint)
         assert validate(off).ok
         p = 1e-13 + 0j
-        win, ref = off._laurent.window(p), exact._laurent.window(0j)
-        assert win is off._laurent.window(win.pole) and win.pole == 0j
+        got, want = ms.analyze_end(off, p), ms.analyze_end(exact, 0j)
+        assert got.puncture == p and got.pole == 0j
+        win, ref = off._laurent.window(got.pole), exact._laurent.window(0j)
         assert win.centres == ref.centres and win.C.tobytes() == ref.C.tobytes()
-        got, want = LocalImmersion(off, p), LocalImmersion(exact, 0j)
-        assert got._anti.tobytes() == want._anti.tobytes()
-        assert got.constant.tobytes() == want.constant.tobytes()
-        for q in off.punctures:
-            assert off._laurent.window(q) is off._laurent.window(off._laurent.window(q).pole)
+        assert got._local._anti.tobytes() == want._local._anti.tobytes()
+        assert got._local.constant.tobytes() == want._local.constant.tobytes()
+        assert got._local._cap == want._local._cap
+        assert p not in off._laurent._windows
+
+    def test_one_matching_rule_at_its_edge(self):
+        # a point within roots_coincide's multiple-root radius 1e-5 (1 + |p|)
+        # of a double pole p of JM m = 2 stands for the pole and has its
+        # order; one just past it is a regular point, of order >= 0
+        w = ms.generalized_jorge_meeks(2).data
+        pole = w.end_poles[0]
+        radius = 1e-5 * (1.0 + abs(pole))
+        assert w._laurent.mult[pole] == 2
+        for side in (1.0, -1.0, 1j):
+            assert metric_order_at(w, pole + 0.99 * radius * side) == -2
+            assert metric_order_at(w, pole + 1.01 * radius * side) >= 0
 
     def test_orders_past_the_depth_apart_are_reported(self):
         # (z^25, z^-25, 1): at 0 the first form's order lies 50 above mu,

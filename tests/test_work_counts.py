@@ -94,10 +94,11 @@ def test_refused_ends_take_no_curvature_rounds(monkeypatch):
 
 
 def test_repeat_analysis_matches_no_pole_again(monkeypatch):
-    # the listed punctures of JM m = 6 are not the table's poles
-    # bitwise, so each is matched to its pole by roots_coincide; the datum
-    # keeps the match and the forms' series there, so a second analysis
-    # makes no such call
+    # the listed punctures of JM m = 6 are not the table's poles bitwise,
+    # so the build matches each to its pole by roots_coincide and keeps the
+    # match: neither the first analysis nor the witnesses call it with a
+    # listed point, a second analysis calls it not at all, and the table
+    # holds one record per table point and none for a listed point
     calls = []
     real = rational.roots_coincide
 
@@ -108,11 +109,20 @@ def test_repeat_analysis_matches_no_pole_again(monkeypatch):
     for owner in (rational, weierstrass):
         monkeypatch.setattr(owner, "roots_coincide", counted)
     w = ms.generalized_jorge_meeks(6).data
-    ms.run_analysis(w)
-    assert calls
+    listed = set(w.punctures) - set(w.end_poles)
+    assert listed and any(args[0] in listed for args in calls)
+    calls.clear()
+    rep = ms.run_analysis(w)
+    for e in rep.ends:
+        ms.rotation_index_numeric(w, e.puncture, R_LIST, end=e)
+        ms.limit_circle_deviation(w, e.puncture, R_LIST, end=e)
+    assert not [args for args in calls if {args[0], args[2]} & listed]
     calls.clear()
     ms.run_analysis(w)
     assert calls == []
+    table = w._laurent
+    assert set(table._windows) == set(table.poles)
+    assert len({id(win) for win in table._windows.values()}) == len(table._windows)
 
 
 # roots() calls on JM m = 6, each distinct polynomial once: the forms of one
@@ -120,9 +130,11 @@ def test_repeat_analysis_matches_no_pole_again(monkeypatch):
 # denominator, once per component), its first analysis 7 (2 distinct), its
 # five conftest-rule Moebius charts after that analysis 130, and reading it
 # back from its .wd file 13 (2 distinct).  The charts' 22 polynomials are
-# those not rooted by the analysis already.
-MAX_ROOTS_BUILD = 1
-MAX_ROOTS_ANALYSIS = 2
+# those not rooted by the analysis already.  The build matches the punctures
+# to the poles, so it roots every denominator, the reduced one of the first
+# component too, which the analysis rooted before: 2 and 1, not 1 and 2.
+MAX_ROOTS_BUILD = 2
+MAX_ROOTS_ANALYSIS = 1
 MAX_ROOTS_CHARTS = 22
 MAX_ROOTS_FILE = 2
 
