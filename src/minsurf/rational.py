@@ -13,8 +13,9 @@ a root of p is decided by one rule, a backward error within
 (``shared_roots``, after the approximate GCD of Zeng and Dayton, ISSAC 2004)
 keep a root of one polynomial where the others and their derivatives pass
 it, never by rooting them too.  A rational map trims its numerator and
-denominator once, roots its denominator once, cancels the numerator at those
-roots and keeps them (``RationalMap.den_roots``); they are the only
+denominator once, and at construction roots its denominator and cancels the
+numerator at the roots they share until they share none; the roots it keeps
+(``RationalMap.den_roots``) are each a pole of the map, and the only
 description of the denominator that a finite Laurent expansion reads.  So
 every Laurent order is one of these integers: a multiplicity among the
 denominator roots, an order of vanishing of the numerator, or a difference
@@ -410,8 +411,8 @@ class RootTable:
     The rational maps of one build (a ``.wd`` file, a catalog datum, a Moebius
     chart) share one table, keyed by coefficient bytes: components with one
     denominator root it once, and so do the datum's own later calls
-    (``RationalMap.den_roots`` after a cancellation, ``compose_mobius`` rooting
-    a numerator).  ``roots`` is deterministic, so a hit is bitwise the call it
+    (``compose_mobius`` rooting a numerator, the branch points rooting a
+    cleared one).  ``roots`` is deterministic, so a hit is bitwise the call it
     replaces.  A table lives as long as the maps that hold it.
     """
 
@@ -472,15 +473,17 @@ class RationalMap:
     """Ratio of complex polynomials, kept in reduced form.
 
     Construction trims ``num`` and ``den`` (``trimmed``), so each degree is
-    decided once, then roots ``den`` once and cancels ``num`` at the roots it
-    shares (``shared_roots``), so poles of ``den`` are genuine poles of the map.
-    ``den_roots`` are the roots of ``den`` with multiplicities, found at most
-    once: at construction, or on first use when nothing needed reducing or a
-    cancellation changed ``den``.  Both go through the map's ``RootTable``,
-    its own or the one of the build it belongs to.
+    decided once, then roots ``den`` and cancels ``num`` at the roots it
+    shares (``shared_roots``), re-rooting the deflated ``den``, until it shares
+    none.  ``den_roots`` are the roots of ``den`` with multiplicities (empty
+    for a constant one), found there through the map's ``RootTable``, its own
+    or the one of the build it belongs to.  The numerator vanishes at none of
+    them, by the rule ``laurent_expand`` reads its order with, so each is a
+    pole of the map of order its multiplicity: this is the one decision of
+    which denominator roots are poles.
     """
 
-    __slots__ = ("num", "den", "_den_roots", "_table")
+    __slots__ = ("num", "den", "den_roots", "_table")
 
     def __init__(self, num, den=(1.0,)):
         self._reduce(_as_poly(num), _as_poly(den), RootTable())
@@ -503,29 +506,21 @@ class RationalMap:
             # the datum's common denominator divides by it, and would overflow
             raise DegenerateInputError(
                 "a numerator coefficient over the denominator's leading one is not finite")
-        den_roots = None
         if num.is_zero:
             num, den = ComplexPoly(), ComplexPoly([1.0])
-        elif num.degree() >= 1 and den.degree() >= 1:
-            den_roots = table.roots(den)
-            common = shared_roots(den_roots, [num])
+        den_roots = table.roots(den) if den.degree() >= 1 else ()
+        common = shared_roots(den_roots, [num])
+        while common:
             for r, m in common:
                 num = num.deflate(r, m)
                 den = den.deflate(r, m)
-            if common:
-                num, den, den_roots = num.trimmed(), den.trimmed(), None
+            num, den = num.trimmed(), den.trimmed()
+            den_roots = table.roots(den) if den.degree() >= 1 else ()
+            common = shared_roots(den_roots, [num])
         self.num = num
         self.den = den
-        self._den_roots = den_roots
+        self.den_roots = den_roots
         self._table = table
-
-    @property
-    def den_roots(self) -> tuple:
-        """``roots(den)`` as a tuple of (root, multiplicity); empty for a
-        constant denominator."""
-        if self._den_roots is None:
-            self._den_roots = self._table.roots(self.den) if self.den.degree() >= 1 else ()
-        return self._den_roots
 
     @property
     def is_zero(self) -> bool:
@@ -584,7 +579,8 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     denominator's Taylor coefficients come from its factors, lead *
     prod (t + c - z_j)^m_j, so the ones below that order are exactly zero.
     The numerator vanishes at c to the order ``_vanishing_order`` gives, the
-    rule that also cancels common factors.  At infinity the expansion is in
+    rule that also cancels common factors, so at a denominator root it is 0
+    and the order is minus the multiplicity.  At infinity the expansion is in
     w = 1/z, and its order is deg den - deg num, of the polynomials trimmed
     at construction; it describes function values only, and the 1-form
     Jacobian dz = -dw/w^2 is applied by the caller.
@@ -597,22 +593,12 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
         coeffs = _series_quotient(ComplexPoly(r.num.coeffs[::-1]).coeffs,
                                   ComplexPoly(r.den.coeffs[::-1]).coeffs, depth)
         return LaurentSeries(INF, r.den.degree() - r.num.degree(), coeffs)
-    c, zero, pole = _finite_orders(r, center)
+    c = complex(center)
+    c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
+    zero = _vanishing_order(r.num, c, r.num.degree())
     den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], r.den.coeffs[-1])
     coeffs = _series_quotient(r.num.shift(c).coeffs[zero:], den.coeffs[pole:], depth)
     return LaurentSeries(c, zero - pole, coeffs)
-
-
-def _finite_orders(r: RationalMap, center) -> tuple:
-    """(c, zero, pole) of a nonzero r at a finite centre, as ``laurent_expand``
-    decides them: c is the root of ``r.den_roots`` within ``roots_coincide``
-    of the centre (as a simple root), else the centre; pole is that root's
-    multiplicity (0 off the roots); zero is ``_vanishing_order`` of the
-    numerator at c.  The Laurent order there is zero - pole, read without
-    expanding a series."""
-    c = complex(center)
-    c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
-    return c, _vanishing_order(r.num, c, r.num.degree()), pole
 
 
 def _compose_factored(p: ComplexPoly, a, b, c, d, p_roots):

@@ -69,7 +69,6 @@ from .rational import (
     LaurentSeries,
     RationalMap,
     RootTable,
-    _finite_orders,
     horner,
     is_infinity,
     laurent_expand,
@@ -254,15 +253,15 @@ class _LaurentTable:
     merged into it by ``roots_coincide``, to its members {j: (root of phi_j
     there, multiplicity)}, sorted by real then imaginary part; ``mult`` maps
     it to its order in the common denominator, the members' largest.
-    ``punctures`` are the poles where some form has negative order, read by
-    ``rational._finite_orders`` without expanding a series, then infinity
-    when some form has a pole there.  ``match(p)`` is the table point that a
-    sphere point stands for, and ``window(p)`` the record (``_Window``) of a
-    table point or of a regular point, one per point; each record expands
-    each component once (at infinity in w = 1/z, with
-    dz = -dw/w^2) at one depth, ``TERMS - 1`` for an end's local immersion
-    or more, to hold the log term t^-1 of every end.  ``immersions`` is for
-    ``ends``.
+    ``punctures`` are the poles, each a pole of every member's form as the
+    reduction decided (``RationalMap``: no denominator root is the
+    numerator's), then infinity when some form has a pole there.
+    ``match(p)`` is the table point that a sphere point stands for, and
+    ``window(p)`` the record (``_Window``) of a table point or of a regular
+    point, one per point; each record expands each component once (at
+    infinity in w = 1/z, with dz = -dw/w^2) at one depth, ``TERMS - 1`` for
+    an end's local immersion or more, to hold the log term t^-1 of every
+    end.  ``immersions`` is for ``ends``.
     """
 
     def __init__(self, phi):
@@ -278,13 +277,8 @@ class _LaurentTable:
                     mult[point] = max(mult[point], have + m)
         self.poles = dict(sorted(poles.items(), key=lambda it: (it[0].real, it[0].imag)))
         self.mult = {z: mult[z] for z in self.poles}
-        finite = []
-        for z, members in self.poles.items():
-            orders = [_finite_orders(phi[j], root) for j, (root, _m) in members.items()]
-            if min(zero - pole for _c, zero, pole in orders) < 0:
-                finite.append(z)
         at_inf = any(r.degree_at_infinity() >= -1 for r in phi if not r.is_zero)
-        self.punctures = tuple(finite) + ((INF,) if at_inf else ())
+        self.punctures = tuple(self.poles) + ((INF,) if at_inf else ())
         self.phi = phi
         self.depth = max(TERMS - 1, 6 + max(max(r.num.degree(), r.den.degree()) for r in phi))
         self._windows = {}
@@ -368,9 +362,10 @@ def validate_null(w: WeierstrassData) -> NullCheck:
 def detect_punctures(phi):
     """Poles of the 1-forms phi_j dz, as sphere points.
 
-    Finite poles are the merged denominator roots of the (reduced)
-    components where some form has negative order; infinity is included
-    when deg num - deg den >= -1 for some component.
+    Finite poles are the merged denominator roots of the reduced
+    components, each a pole of its component, as the reduction cancelled
+    every root the numerator shares; infinity is included when
+    deg num - deg den >= -1 for some component.
     """
     phi = _as_rational_tuple(phi)
     if all(r.is_zero for r in phi):

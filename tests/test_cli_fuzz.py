@@ -3,7 +3,9 @@
 `RuntimeWarning` an error) or a NaN in a message, and a failing `analyze`
 prints one line.  The mutants are seeded edits of the catalog documents: a
 coefficient set or scaled, a term appended or dropped, the punctures
-replaced, every numerator scaled.  `mesh` keeps the same contract over a
+replaced, every numerator scaled.  A mutant that analyses keeps its
+integers when its numerators are scaled by a power of two, or is refused by
+a typed error.  `mesh` keeps the same contract over a
 grid of radii at the edges of the float range, and writes no non-finite
 vertex."""
 
@@ -18,6 +20,7 @@ import pytest
 
 import minsurf as ms
 from minsurf import cli, wdfile
+from minsurf.errors import DatumRejectedError, MinsurfError
 
 DOCS = [wdfile.document_from_data(entry.data)
         for entry in ms.catalog.entries(jm_range=range(1, 7))]
@@ -118,6 +121,56 @@ def test_mutated_catalog_documents_keep_the_contract(tmp_path, capsys):
         codes.append(out["analyze"][0])
     # the draw reaches every exit code
     assert set(codes) == {0, 1, 2}
+
+
+SHIFTS = [1, -1, 7, 60, -60, 400, -400]
+
+
+def _integers(doc):
+    """The integers `minsurf analyze` prints for the document, analysed in
+    process: d, m, l, full and each end's mu and classification.  A datum
+    that validation rejects raises ``DatumRejectedError``, as in the CLI."""
+    rep = ms.run_analysis(doc.to_data())
+    if not rep.valid:
+        raise DatumRejectedError(doc.label, rep.validation.messages)
+    ms.report_to_json(rep)
+    c = rep.curvature
+    return c.d, c.m, c.l, c.full, [(e.mu, e.classification) for e in rep.ends]
+
+
+def _numerators_times(doc, j):
+    """The document with every numerator part multiplied by 2^j (inf or a
+    rounded subnormal past the float range)."""
+    doc = copy.deepcopy(doc)
+    for num, _den in doc.components:
+        for c in num:
+            c[0] *= 2.0**j
+            c[1] *= 2.0**j
+    return doc
+
+
+@pytest.mark.filterwarnings("error")
+def test_mutants_keep_their_integers_under_powers_of_two():
+    # 47 of the 250 mutants analyse; of their 329 scalings 26 are refused by
+    # a typed error and the rest keep every integer.  Reports are not
+    # compared bitwise: mutants at the bottom of the float range (subnormal
+    # numerator parts, or numerators near 5e-301) lie outside the README's
+    # finite-and-normal regime of scale and move in their last digits even
+    # at j = +-1
+    analysed = 0
+    for i, doc in enumerate(_mutants(250, seed=1)):
+        try:
+            want = _integers(doc)
+        except MinsurfError:
+            continue
+        analysed += 1
+        for j in SHIFTS:
+            try:
+                got = _integers(_numerators_times(doc, j))
+            except MinsurfError:
+                continue
+            assert got == want, (i, j)
+    assert analysed == 47
 
 
 MESH_RMIN = [1e-300, 1e-200, 1e-3, 1e-2]

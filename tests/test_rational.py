@@ -134,11 +134,17 @@ class TestGcd:
     def test_tolerance_edge(self, factor, shared):
         # num = z - delta against den = z (z - 2): num is monic with a_0 =
         # -delta, so at the root 0 its backward error is |num(0)| / max(1,
-        # delta) = delta, and the root is shared iff delta <= STRUCTURE_TOL
+        # delta) = delta, and the root is shared iff delta <= STRUCTURE_TOL.
+        # The cancellation decides the ends too: 0 is one exactly when the
+        # map keeps it, [2, inf] at 0.9 and [0, 2, inf] at 1.1
         delta = factor * STRUCTURE_TOL
         r = RationalMap([-delta, 1], [0, -2, 1])
         assert (r.den.degree() == 1) == shared
         assert r.num.degree() == (0 if shared else 1)
+        *finite, last = ms.detect_punctures([r])
+        assert is_infinity(last)
+        assert [round(z.real, 12) for z in finite] == ([2.0] if shared else [0.0, 2.0])
+        assert all(z.imag == 0 for z in finite)
 
     @pytest.mark.parametrize("root", [0.0, 1e-17])
     def test_common_root_at_zero(self, root):
@@ -223,6 +229,30 @@ class TestSharedRootReduction:
         assert r.num.coeffs.tobytes() == num.coeffs.tobytes()
         assert r.den.coeffs.tobytes() == den.coeffs.tobytes()
         assert r.den_roots == (tuple(roots(den)) if den_pts else ())
+
+
+class TestDenominatorRoots:
+    """Construction roots the denominator and cancels until num and den share
+    no root, so reading ``den_roots`` afterwards roots nothing."""
+
+    @pytest.mark.parametrize("num, den", [
+        ([1.0], [0.0, 1.0]),                      # 1/z
+        ([-1.0], [0.0, 0.0, 0.0, 1.0]),           # the counterexample's -1/z^3
+        # a planted double common factor (z - 1)^2
+        (ComplexPoly.from_roots([(1.0, 2), (-3.0, 1)]).coeffs,
+         ComplexPoly.from_roots([(1.0, 2), (2.0, 1), (-0.5j, 1)]).coeffs),
+    ], ids=["one-over-z", "counterexample", "planted-double"])
+    def test_reading_den_roots_roots_nothing(self, num, den, monkeypatch):
+        calls = []
+        real = ms.rational.roots
+        monkeypatch.setattr(ms.rational, "roots", lambda p: calls.append(p) or real(p))
+        r = RationalMap(num, den)
+        assert calls
+        calls.clear()
+        found = r.den_roots
+        assert calls == []
+        assert found == tuple(real(r.den))
+        assert shared_roots(found, [r.num]) == []
 
 
 class TestRoots:

@@ -239,38 +239,38 @@ class TestLaurentTable:
         assert len(calls) == 45
 
     def test_building_a_datum_expands_no_series(self, monkeypatch):
-        # the table reads the order of each component at each pole by
-        # laurent_expand's own rule, without expanding a series: on the 280
-        # conftest-rule charts building a datum and its punctures expands
-        # none, and each order and puncture is the one the series give
+        # the reduction decides which denominator roots are poles, so the
+        # table takes its finite punctures as its poles: building a datum
+        # and its punctures expands no series, and they are exactly the
+        # poles where some member's expanded series has negative order, on
+        # the 280 conftest-rule charts, close catenoids and null curves
         from conftest import well_conditioned_mobius
-        from minsurf import rational
+        from strategies import null_curve
 
-        expand = rational.laurent_expand
         calls = self._count_expansions(monkeypatch)
+        builds = []
         rng = np.random.default_rng(2001)
-        charts = 0
         for entry in ms.catalog.entries(jm_range=range(1, 7)):
             for _ in range(28):
                 mob = well_conditioned_mobius(entry.data, rng)
-                calls.clear()
-                w = ms.mobius_precompose(entry.data, mob)
-                punctures = w.punctures
-                assert calls == [], entry.name
-                finite = []
-                for z, members in w._laurent.poles.items():
-                    orders = []
-                    for j, (root, _m) in members.items():
-                        series = expand(w.phi[j], root, w._laurent.depth)
-                        c, zero, pole = rational._finite_orders(w.phi[j], root)
-                        assert (c, zero - pole) == (series.center, series.order), (entry.name, z, j)
-                        orders.append(series.order)
-                    if min(orders) < 0:
-                        finite.append(z)
-                assert punctures[:len(finite)] == tuple(finite), entry.name
-                assert all(is_infinity(p) for p in punctures[len(finite):]), entry.name
-                charts += 1
-        assert charts == 280
+                builds.append((entry.name, lambda e=entry, mob=mob: ms.mobius_precompose(e.data, mob)))
+        for delta in (3e-3, 1e-3, 3e-4):
+            for p in np.linspace(0.2, 0.5, 31):
+                builds.append((f"close {p} {delta}", lambda p=p, delta=delta: close_catenoid(p, delta)))
+        for k in (2, 3):
+            rng = np.random.default_rng(11)
+            builds += [(f"null curve k={k}", lambda rng=rng, k=k: null_curve(rng, k).data)] * 100
+        for name, build in builds:
+            calls.clear()
+            w = build()
+            punctures = w.punctures
+            assert calls == [], name
+            finite = tuple(z for z, members in w._laurent.poles.items()
+                           if min(laurent_expand(w.phi[j], root, w._laurent.depth).order
+                                  for j, (root, _m) in members.items()) < 0)
+            assert punctures[:len(finite)] == finite == tuple(w._laurent.poles), name
+            assert all(is_infinity(p) for p in punctures[len(finite):]), name
+        assert len(builds) == 280 + 93 + 200
 
     @staticmethod
     def _reference_window(w, p, depth):

@@ -130,9 +130,9 @@ def test_repeat_analysis_matches_no_pole_again(monkeypatch):
 # denominator, once per component), its first analysis 7 (2 distinct), its
 # five conftest-rule Moebius charts after that analysis 130, and reading it
 # back from its .wd file 13 (2 distinct).  The charts' 22 polynomials are
-# those not rooted by the analysis already.  The build matches the punctures
-# to the poles, so it roots every denominator, the reduced one of the first
-# component too, which the analysis rooted before: 2 and 1, not 1 and 2.
+# those not rooted by the analysis already.  Each map roots its denominator
+# at construction, the first component's reduced one too (after its
+# cancellation), so the build takes 2 and the analysis 1.
 MAX_ROOTS_BUILD = 2
 MAX_ROOTS_ANALYSIS = 1
 MAX_ROOTS_CHARTS = 22
