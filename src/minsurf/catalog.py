@@ -8,7 +8,7 @@ equality verdicts are stored as integers (pi-multiples where applicable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpectedValues:
+class ExpectedValues(NamedTuple):
     d: int
     tc_pi: int                  # TC = tc_pi * pi
     num_ends: int
@@ -48,8 +47,7 @@ class ExpectedValues:
     embedded: tuple
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     data: WeierstrassData
     expected: ExpectedValues

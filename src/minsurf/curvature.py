@@ -33,7 +33,7 @@ comparison, never a float one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ _TC_PHASES = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, TC_SAMPLES, endpoint=Fa
 _TC_PHASES.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """The integers of the curvature bounds, each bound a pi-multiple
     (``*_pi``); ``tc_algebraic`` is the float -2 pi d that the Green-identity
     witness ``tc_numeric``, when taken, is compared with."""
@@ -287,4 +286,4 @@ def curvature_report(w: WeierstrassData) -> CurvatureReport:
             diagnostics={"tc_numeric": tc, "tc_algebraic": rep.tc_algebraic,
                          "tc_tol": TC_TOL},
         )
-    return replace(rep, tc_numeric=tc)
+    return rep._replace(tc_numeric=tc)

@@ -151,13 +151,13 @@ class EndAnalysis:
     Kept small, since reports are kept: the vectors are copies, not views
     into the Laurent window, and ``frame`` is one (3, n) array of rows e1,
     e2, e3.  ``puncture`` is the end as asked for, ``pole`` the table point
-    it stands for, which every number is read at.
+    it stands for, which every number is read at.  A dataclass, not a named
+    tuple, for its private field ``_w``.
     """
 
     puncture: object
     pole: object
     mu: int
-    k: int
     a_minus2: np.ndarray = field(repr=False)
     a_minus1: np.ndarray = field(repr=False)
     frame: np.ndarray = field(repr=False)
@@ -165,6 +165,10 @@ class EndAnalysis:
     b: float
     classification: EndType
     _w: WeierstrassData = field(repr=False, default=None)
+
+    @property
+    def k(self) -> int:
+        return -self.mu
 
     @property
     def rotation_index(self) -> int:
@@ -269,7 +273,6 @@ def analyze_end(w: WeierstrassData, p) -> EndAnalysis:
         puncture=p,
         pole=pole,
         mu=mu,
-        k=k,
         a_minus2=a2,
         a_minus1=a1,
         frame=np.array([e1, e2, e3]),
@@ -308,7 +311,9 @@ class RotationCertificate:
     ``margin`` is 1 - delta at r0, delta the bound of |f - L| / |L| on
     |t| = r0, L the leading term.  ``limit_circle_deviation`` reads the rest:
     delta and eps on the grid from r0 down, ``_delta`` and ``_eps`` (views of
-    the grid sums), and ``_nu``, the departure of L from its circle."""
+    the grid sums), and ``_nu``, the departure of L from its circle.  A
+    dataclass: its private fields stay out of equality, and a named tuple's
+    field ``index`` would shadow ``tuple.index``."""
 
     index: int
     r0: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +38,12 @@ FAN_GAP = 3  # lattice spacings between fans: 2 x 0.45 clearance and two rows (s
 EXPORT_BLOCK = 1024  # vertices (and faces) per block of written text
 
 
-@dataclass(frozen=True)
-class ParamTriangulation:
+class ParamTriangulation(NamedTuple):
     nodes: np.ndarray      # complex parameter positions
     triangles: np.ndarray  # (m, 3) int indices
 
 
-@dataclass(frozen=True)
-class SurfaceMesh:
+class SurfaceMesh(NamedTuple):
     vertices: np.ndarray    # (V, n) immersion values
     faces: np.ndarray       # (m, 3) int indices
     param: np.ndarray       # (V,) complex parameter values

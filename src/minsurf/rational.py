@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -478,9 +478,9 @@ class RationalMap:
     none.  ``den_roots`` are the roots of ``den`` with multiplicities (empty
     for a constant one), found there through the map's ``RootTable``, its own
     or the one of the build it belongs to.  The numerator vanishes at none of
-    them, by the rule ``laurent_expand`` reads its order with, so each is a
-    pole of the map of order its multiplicity: this is the one decision of
-    which denominator roots are poles.
+    them, by the rule ``_vanishing_order``, so each is a pole of the map of
+    order its multiplicity: this is the one decision of which denominator
+    roots are poles, and ``laurent_expand`` reads it without a second test.
     """
 
     __slots__ = ("num", "den", "den_roots", "_table")
@@ -534,8 +534,7 @@ class RationalMap:
         return self.num.degree() - self.den.degree()
 
 
-@dataclass(frozen=True, eq=False)
-class LaurentSeries:
+class LaurentSeries(NamedTuple):
     """Truncated Laurent expansion at a sphere point.
 
     ``coeffs[k]`` is the coefficient of the local coordinate to the power
@@ -545,7 +544,7 @@ class LaurentSeries:
 
     center: object
     order: int
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
 
 
 def _series_quotient(at: np.ndarray, bt: np.ndarray, depth: int) -> np.ndarray:
@@ -578,9 +577,9 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
     is that root, and the pole's order is its multiplicity; the
     denominator's Taylor coefficients come from its factors, lead *
     prod (t + c - z_j)^m_j, so the ones below that order are exactly zero.
-    The numerator vanishes at c to the order ``_vanishing_order`` gives, the
-    rule that also cancels common factors, so at a denominator root it is 0
-    and the order is minus the multiplicity.  At infinity the expansion is in
+    There the numerator's order is 0, as the reduction decided
+    (``RationalMap``); at any other centre it is the order
+    ``_vanishing_order`` gives.  At infinity the expansion is in
     w = 1/z, and its order is deg den - deg num, of the polynomials trimmed
     at construction; it describes function values only, and the 1-form
     Jacobian dz = -dw/w^2 is applied by the caller.
@@ -595,7 +594,7 @@ def laurent_expand(r: RationalMap, center, depth: int = 8) -> LaurentSeries:
         return LaurentSeries(INF, r.den.degree() - r.num.degree(), coeffs)
     c = complex(center)
     c, pole = next(((z, m) for z, m in r.den_roots if roots_coincide(c, 1, z, m)), (c, 0))
-    zero = _vanishing_order(r.num, c, r.num.degree())
+    zero = 0 if pole else _vanishing_order(r.num, c, r.num.degree())
     den = ComplexPoly.from_roots([(z - c, m) for z, m in r.den_roots], r.den.coeffs[-1])
     coeffs = _series_quotient(r.num.shift(c).coeffs[zero:], den.coeffs[pole:], depth)
     return LaurentSeries(c, zero - pole, coeffs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .weierstrass import ValidationReport, WeierstrassData, validate
 __all__ = ["AnalysisReport", "run_analysis", "report_to_json"]
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """The analysis of one datum, its verdicts derived from it (None for an
     invalid datum).  The cross-check requires the three -- equality in the
     curvature bound, every end catenoid-type or planar, every end embedded --

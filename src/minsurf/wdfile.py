@@ -35,6 +35,7 @@ FORMAT = "weierstrass-data/1"
 
 @dataclass
 class WdDocument:
+    """A parsed ``.wd`` document; a dataclass, as its fields may be assigned."""
     label: str
     n: int
     components: list       # [(num pairs, den pairs), ...]

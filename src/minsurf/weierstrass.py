@@ -53,8 +53,8 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,20 +205,17 @@ class WeierstrassData:
         return f"WeierstrassData(n={self.n}, label={self.label!r}, punctures={self.punctures!r})"
 
 
-@dataclass(frozen=True)
-class NullCheck:
+class NullCheck(NamedTuple):
     ok: bool
     defect: float
 
 
-@dataclass(frozen=True)
-class ResidueCheck:
+class ResidueCheck(NamedTuple):
     ok: bool
     worst_imag: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     null: NullCheck
     residues: ResidueCheck
     end_orders: tuple  # ((puncture, mu), ...)
@@ -234,15 +231,14 @@ class ValidationReport:
         return not self.messages
 
 
-@dataclass(frozen=True, eq=False)
-class _Window:
+class _Window(NamedTuple):
     """The Laurent data of the forms phi_j dz at a pole, or at a regular
     sphere point: the metric order ``mu``; the read-only (n, depth + 1)
     window ``C``, C[j, k] the coefficient of t^(mu + k) in the j-th form;
     and each component's centre."""
 
     mu: int
-    C: np.ndarray = field(repr=False)
+    C: np.ndarray
     centres: tuple
 
 

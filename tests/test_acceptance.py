@@ -248,7 +248,7 @@ def test_criterion_8_asymptotic_bounds(all_entries):
             checks.append((f"{entry.name}@{p!r} tends to its circle", ok))
     # negative control: the order -3 end, a double cover, read as a single one
     ce = ms.holomorphic_counterexample().data
-    single = dataclasses.replace(analyze_end(ce, 0j), k=2)
+    single = dataclasses.replace(analyze_end(ce, 0j), mu=-2)
     devs = [sampled_deviation(ce, 0j, R, end=single) for R in R_LIST]
     checks.append(("double cover read as a single one stays off", min(devs) > 1.0))
     _verdict(8, "limit-circle suite", checks)

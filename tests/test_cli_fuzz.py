@@ -3,7 +3,8 @@
 `RuntimeWarning` an error) or a NaN in a message, and a failing `analyze`
 prints one line.  The mutants are seeded edits of the catalog documents: a
 coefficient set or scaled, a term appended or dropped, the punctures
-replaced, every numerator scaled.  A mutant that analyses keeps its
+replaced, every numerator scaled, drawn from a seeded ``random.Random`` and,
+by the same operators, by hypothesis.  A mutant that analyses keeps its
 integers when its numerators are scaled by a power of two, or is refused by
 a typed error.  `mesh` keeps the same contract over a
 grid of radii at the edges of the float range, and writes no non-finite
@@ -17,6 +18,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import minsurf as ms
 from minsurf import cli, wdfile
@@ -171,6 +174,35 @@ def test_mutants_keep_their_integers_under_powers_of_two():
                 continue
             assert got == want, (i, j)
     assert analysed == 47
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.sampled_from(DOCS), edits=st.integers(1, 4),
+       rng=st.randoms(use_true_random=False))
+def test_drawn_mutants_keep_the_contract_and_their_integers(doc, edits, rng, tmp_path, capsys):
+    # the seeded mutants' operators, drawn by hypothesis (derandomized, so
+    # the draw is the same on every run): the CLI contract holds, and a
+    # mutant that analyses keeps its integers under every power-of-two
+    # scaling of its numerators or is refused by a typed error
+    doc = copy.deepcopy(doc)
+    for _ in range(edits):
+        _edit(doc, rng)
+    out = _run(doc, tmp_path / "doc.wd", capsys)
+    _check_contract(out)
+    try:
+        want = _integers(doc)
+    except MinsurfError:
+        assert out["analyze"][0] != 0
+        return
+    assert out["analyze"][0] == 0
+    for j in SHIFTS:
+        try:
+            got = _integers(_numerators_times(doc, j))
+        except MinsurfError:
+            continue
+        assert got == want, j
 
 
 MESH_RMIN = [1e-300, 1e-200, 1e-3, 1e-2]

@@ -1,6 +1,5 @@
 """Gauss map, total curvature, and the three curvature inequalities."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -560,7 +559,7 @@ class TestCrossCutting:
     def test_report_is_frozen_with_integer_bounds(self, catenoid):
         rep = chern_osserman(catenoid.data)
         assert (rep.gackstatter_pi, rep.ejiri_pi) == (-2, -4)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rep.full = False
 
     def test_all_inequalities_hold_on_catalog(self, all_entries):

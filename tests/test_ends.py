@@ -425,7 +425,7 @@ class TestLimitCircle:
         # the double cover read as a single or a triple one: the cut's phase
         # runs against the model's, and the deviation stays near the
         # diameter 2 at every R (1.99999, 2.0000, 2.0000 measured)
-        e = dataclasses.replace(analyze_end(counterexample.data, 0j), k=k)
+        e = dataclasses.replace(analyze_end(counterexample.data, 0j), mu=-k)
         for R in R_LIST:
             assert sampled_deviation(counterexample.data, 0j, R, end=e) > 1.99, R
 

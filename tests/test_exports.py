@@ -97,3 +97,45 @@ def test_every_error_class_is_raised():
                 raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert len(classes) > 1
     assert sorted(classes - raised - {"MinsurfError"}) == []
+
+
+def test_records_are_named_tuple_values():
+    # the package's value records are named tuples: each keeps its fields in
+    # their order, compares by value, and is changed only into a new record
+    # by ``_replace``, whose properties read the new fields
+    from minsurf.weierstrass import validate
+
+    entry = minsurf.catenoid()
+    w = entry.data
+    tri = minsurf.sample_domain(w, r_min=0.1, r_max=0.5, res=8)
+    rep = minsurf.run_analysis(w)
+    records = {
+        "center order coeffs": minsurf.laurent_expand(w.phi[2], 0j),
+        "ok defect": rep.validation.null,
+        "ok worst_imag": rep.validation.residues,
+        "null residues end_orders orders_ok punctures_ok branch_points messages":
+            rep.validation,
+        "mu C centres": w._laurent.window(0j),
+        "d m chi full l gackstatter_pi ejiri_pi tc_numeric": rep.curvature,
+        "label n input_sha256 tool_version validation curvature ends": rep,
+        "d tc_pi num_ends chi co_equality full l gackstatter_pi ejiri_pi ejiri_equality "
+        "end_orders end_types rotation_indices embedded": entry.expected,
+        "name data expected": entry,
+        "nodes triangles": tri,
+        "vertices faces param projection": minsurf.build_mesh(w, tri),
+    }
+    for fields, rec in records.items():
+        assert isinstance(rec, tuple) and type(rec)._fields == tuple(fields.split()), fields
+        assert rec._replace() == rec and rec._replace() is not rec, fields
+    # value equality: records built twice from the same datum are equal
+    assert validate(w) == rep.validation and validate(w) is not rep.validation
+    assert minsurf.chern_osserman(w) == rep.curvature._replace(tc_numeric=None)
+    assert minsurf.catenoid().expected == entry.expected
+    # _replace builds a new record, and the properties follow its fields
+    curv = rep.curvature._replace(d=3, m=4)
+    assert (curv.tc_pi, curv.co_rhs_pi, curv.co_equality) == (-6, 2 * (rep.curvature.chi - 4),
+                                                               False)
+    assert (rep.curvature.d, rep.curvature.tc_pi, rep.curvature.co_equality) == (2, -4, True)
+    failed = rep._replace(validation=rep.validation._replace(messages=("refused",)))
+    assert rep.valid and rep.validation.ok and not failed.valid and not failed.validation.ok
+    assert rep._replace(curvature=None).co_equality is None

@@ -83,3 +83,15 @@ def test_public_names_are_unchanged():
             "public = sorted(n for n in dir(minsurf) if not n.startswith('_'))\n"
             f"print(public == sorted(minsurf.__all__), sorted(minsurf.__all__), {executed(LAZY)})")
     assert child(code) == f"True {PUBLIC!r} [False, False, False]"
+
+
+def test_the_analyze_path_defines_three_dataclasses():
+    # the package's value records are named tuples; three classes stay
+    # dataclasses, each for the reason its docstring states
+    code = ("import dataclasses, sys, types\nimport minsurf.cli\n"
+            "mods = [m for k, m in list(sys.modules.items())\n"
+            "        if k.startswith('minsurf') and type(m) is types.ModuleType]\n"
+            "print(sorted({v.__qualname__ for m in mods for v in vars(m).values()\n"
+            "              if dataclasses.is_dataclass(v) and isinstance(v, type)\n"
+            "              and v.__module__.startswith('minsurf')}))")
+    assert child(code) == "['EndAnalysis', 'RotationCertificate', 'WdDocument']"

@@ -272,6 +272,37 @@ class TestLaurentTable:
             assert all(is_infinity(p) for p in punctures[len(finite):]), name
         assert len(builds) == 280 + 93 + 200
 
+    def test_windows_test_vanishing_only_off_the_denominator_roots(self, monkeypatch):
+        # the reduction decided that the numerator vanishes at no denominator
+        # root, so a window tests the numerator's order (_vanishing_order)
+        # only at a centre that is not one: once per nonzero component and
+        # finite centre off that component's roots, on the catalog and the
+        # 280 conftest-rule charts
+        import minsurf.rational as rat
+        from conftest import well_conditioned_mobius
+
+        data = []
+        rng = np.random.default_rng(2001)
+        for entry in ms.catalog.entries(jm_range=range(1, 7)):
+            data.append(entry.data)
+            data += [ms.mobius_precompose(entry.data, well_conditioned_mobius(entry.data, rng))
+                     for _ in range(28)]
+        real, calls = rat._vanishing_order, []
+        monkeypatch.setattr(rat, "_vanishing_order",
+                            lambda *args: calls.append(args) or real(*args))
+        off_roots = 0
+        for w in data:
+            table = w._laurent
+            assert table._windows == {}, w.label
+            for p in table.punctures:
+                table.window(p)
+                if not is_infinity(p):
+                    members = table.poles.get(p, {})
+                    off_roots += sum(members.get(j, (p, 0))[0] not in dict(r.den_roots)
+                                     for j, r in enumerate(w.phi) if not r.is_zero)
+        assert len(data) == 10 + 280
+        assert 0 < len(calls) == off_roots
+
     @staticmethod
     def _reference_window(w, p, depth):
         """The window from ``laurent_expand`` called directly at that depth."""
